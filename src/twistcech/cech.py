@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .abelian import (
     AbelianCoords,
@@ -38,7 +37,7 @@ from .abelian import (
     solve,
     subgroup_size,
 )
-from .actions import TwistedGSet, left_cosets
+from .actions import TwistedGSet, convert_side, homogeneous_space, left_cosets
 from .errors import (
     BudgetExceeded,
     TwistError,
@@ -60,20 +59,13 @@ from .extensions import (
     trivial_cocycle,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, center, quotient_group, subgroup_from_elements
-from .nerves import GammaNerve, Nerve
+from .nerves import GammaNerve, Nerve, tree_gauge
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 # coordinate bound for the integer-matrix (second-cohomology) machinery;
 # beyond it the Smith-form solves stop being desk-scale and the operations
 # refuse instead of grinding
 DEFAULT_COORD_GUARD = 512
-
-Edge = tuple[int, int]
-
-
-@lru_cache(maxsize=None)
-def _edge_index(nerve: Nerve) -> dict[Edge, int]:
-    return {e: i for i, e in enumerate(nerve.edges)}
 
 
 @dataclass(frozen=True)
@@ -129,12 +121,7 @@ class TwistedOneCocycle:
     phi: tuple[tuple[int, ...], ...]
 
     def edge_value(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
-        idx = _edge_index(self.system.nerve)
-        if u < v:
-            return self.a[idx[(u, v)]]
-        return self.system.coeff.inv[self.a[idx[(v, u)]]]
+        return edge_value(self.system, self.a, u, v)
 
     def serial(self) -> tuple:
         return (self.a, self.phi)
@@ -143,7 +130,7 @@ class TwistedOneCocycle:
 def edge_value(system: CechSystem, a: Sequence[int], u: int, v: int) -> int:
     if u == v:
         return 0
-    idx = _edge_index(system.nerve)
+    idx = system.nerve.edge_index
     if u < v:
         return a[idx[(u, v)]]
     return system.coeff.inv[a[idx[(v, u)]]]
@@ -405,27 +392,31 @@ class CohomologySet:
         return TwistedOneCocycle(self.system, a, phi)
 
 
+def orbit_closures(items: Iterable[Hashable], moves: Callable[[Hashable], Iterable[Hashable]]) -> list[set]:
+    """Closures of ``items`` under ``moves``, in the order of their first item.
+
+    An item already reached from an earlier one starts no closure of its own.
+    """
+    seen: set = set()
+    out: list[set] = []
+    for item in items:
+        if item in seen:
+            continue
+        orbit = {item}
+        frontier = [item]
+        while frontier:
+            for nxt in moves(frontier.pop()):
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        out.append(orbit)
+    return out
+
+
 def _tree_normalize(x: TwistedOneCocycle) -> TwistedOneCocycle:
     """Gauge making the spanning-forest edges carry the identity."""
-    system = x.system
-    k = system.coeff
-    parent, _ = system.nerve.spanning_forest()
-    order = sorted(parent, key=lambda v: _depth(parent, v))
-    h = [0] * system.nerve.n_vertices
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            # want h_p^-1 a_pv h_v == 1
-            h[v] = k.mul[x.edge_value(v, p)][h[p]]
-    return gauge(x, h)
-
-
-def _depth(parent, v) -> int:
-    d = 0
-    while parent[v] is not None:
-        v = parent[v]
-        d += 1
-    return d
+    return gauge(x, tree_gauge(x.system.nerve, x.system.coeff, x.edge_value))
 
 
 def _constant_gauges(system: CechSystem) -> list[tuple[int, ...]]:
@@ -475,8 +466,7 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     if n_candidates > budget:
         raise BudgetExceeded(f"{n_candidates} candidates exceed budget {budget}")
 
-    edge_pos = _edge_index(nerve)
-    order = sorted(parent, key=lambda v: _depth(parent, v))
+    edge_pos = nerve.edge_index
     comp_roots = [c[0] for c in comps]
 
     # words expressing every group element as a product of generators
@@ -513,8 +503,7 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
                 for ci in range(len(comps)):
                     row[comp_roots[ci]] = phi_combo[gi * len(comps) + ci]
                 # propagate along the forest: phi_{t,j} = a^t_ij^-1 phi_{t,i} theta_t^-1(a_ij)
-                for v in order:
-                    p = parent[v]
+                for v, p in parent.items():
                     if p is None:
                         continue
                     pulled = edge_value(system, a, space.act(p, g), space.act(v, g))
@@ -558,22 +547,18 @@ def h1_twisted(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> Coho
     """Gauge classes of twisted cocycles as a cohomology set."""
     cocycles = enumerate_cocycles(system, budget=budget)
     gauges = _constant_gauges(system)
-    lookup: dict[tuple, int] = {}
-    reps: list[tuple] = []
+    seen: set[tuple] = set()
+    orbits: list[set[tuple]] = []
     for x in cocycles:
-        s = x.serial()
-        if s in lookup:
+        if x.serial() in seen:
             continue
         orbit = {gauge(x, h).serial() for h in gauges}
-        rep = min(orbit)
-        cid = len(reps)
-        reps.append(rep)
-        for os in orbit:
-            lookup[os] = cid
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    rank = {old: new for new, old in enumerate(order)}
-    reps = [reps[i] for i in order]
-    lookup = {s: rank[i] for s, i in lookup.items()}
+        seen |= orbit
+        orbits.append(orbit)
+    # class ids follow the minimal serialization of each orbit
+    orbits.sort(key=min)
+    reps = [min(orbit) for orbit in orbits]
+    lookup = {s: cid for cid, orbit in enumerate(orbits) for s in orbit}
 
     def canon(x: TwistedOneCocycle) -> tuple:
         return _tree_normalize(x).serial()
@@ -588,34 +573,18 @@ def h1_reduced(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> Coho
     """Classes of h1_twisted identified along central covering translations."""
     base = h1_twisted(system, budget=budget)
     centrals = _central_elements(system.gamma)
-    unered: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for cid in range(len(base)):
-        if cid in unered:
-            continue
-        orbit = {cid}
-        frontier = [cid]
-        while frontier:
-            cur = frontier.pop()
-            x = base.representative(cur)
-            for lam in centrals:
-                other = base.class_of(pullback(x, lam))
-                if other not in orbit:
-                    orbit.add(other)
-                    frontier.append(other)
-        gid = len(groups)
-        groups.append(sorted(orbit))
-        for member in orbit:
-            unered[member] = gid
-    reps = [min(base.reps[m] for m in members) for members in groups]
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    rank = {old: new for new, old in enumerate(order)}
-    reduced_of = {cid: rank[unered[cid]] for cid in unered}
-    cs = CohomologySet("H1~", system, [reps[i] for i in order])
-    base_canon = base._canon
-    base_lookup = base._lookup
-    cs._canon = base_canon
-    cs._lookup = {s: reduced_of[cid] for s, cid in base_lookup.items()}
+
+    def translates(cid: int) -> list[int]:
+        x = base.representative(cid)
+        return [base.class_of(pullback(x, lam)) for lam in centrals]
+
+    # base ids ascend with their representatives, so walking them in order
+    # lists the orbits by their minimal representative
+    groups = orbit_closures(range(len(base)), translates)
+    reduced_of = {cid: gid for gid, members in enumerate(groups) for cid in members}
+    cs = CohomologySet("H1~", system, [base.reps[min(members)] for members in groups])
+    cs._canon = base._canon
+    cs._lookup = {s: reduced_of[cid] for s, cid in base._lookup.items()}
     return cs
 
 
@@ -852,7 +821,7 @@ def d2_out_vector(space_z: ZCochainSpace, parts: tuple[dict, dict, dict, dict]) 
 
 def pair_to_vector(space_z: ZCochainSpace, a: Sequence[int], phi: Sequence[Sequence[int]]) -> tuple[int, ...]:
     co = space_z.coords
-    edge_pos = _edge_index(space_z.system.nerve)
+    edge_pos = space_z.system.nerve.edge_index
     out = []
     for key in space_z.pair_keys:
         if key[0] == "a":
@@ -869,7 +838,7 @@ def vector_to_pair(space_z: ZCochainSpace, vec: Sequence[int]) -> tuple[tuple[in
     system = space_z.system
     a = [0] * len(system.nerve.edges)
     phi = [[0] * system.nerve.n_vertices for _ in system.gamma.elements()]
-    edge_pos = _edge_index(system.nerve)
+    edge_pos = system.nerve.edge_index
     for idx, key in enumerate(space_z.pair_keys):
         val = co.element(vec[idx * r : (idx + 1) * r])
         if key[0] == "a":
@@ -1113,41 +1082,6 @@ def _lift_pair(
     return a, phi
 
 
-def _gauge_pair_by(
-    system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]], h: Sequence[int], *, flip: bool = False
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The gauge formula on raw tables; ``flip`` swaps the gauge handedness.
-
-    The flipped variant (h_i a_ij h_j^-1 and the matching vertex form) is
-    fault injection for harness self-tests, not a mathematical alternative.
-    """
-    k = system.coeff
-    space = system.space
-    if not flip:
-        a2 = tuple(
-            k.mul[k.mul[k.inv[h[u]]][a[idx]]][h[v]] for idx, (u, v) in enumerate(system.nerve.edges)
-        )
-        phi2 = tuple(
-            tuple(
-                k.mul[k.mul[k.inv[h[space.act(v, t)]]][phi[t][v]]][system.theta_inv(t, h[v])]
-                for v in range(system.nerve.n_vertices)
-            )
-            for t in system.gamma.elements()
-        )
-    else:
-        a2 = tuple(
-            k.mul[k.mul[h[u]][a[idx]]][k.inv[h[v]]] for idx, (u, v) in enumerate(system.nerve.edges)
-        )
-        phi2 = tuple(
-            tuple(
-                k.mul[k.mul[h[space.act(v, t)]][phi[t][v]]][k.inv[system.theta_inv(t, h[v])]]
-                for v in range(system.nerve.n_vertices)
-            )
-            for t in system.gamma.elements()
-        )
-    return a2, phi2
-
-
 def act_h1z_by_h0q(
     ladder: CoefficientLadder,
     x: TwistedOneCocycle,
@@ -1160,7 +1094,9 @@ def act_h1z_by_h0q(
 
     The function is lifted vertex-wise to G, the G-valued gauge formula is
     applied to the centre-valued pair, and the result is read back in the
-    centre; the class is independent of the lift.
+    centre; the class is independent of the lift.  ``flip`` is fault
+    injection for harness self-tests: it gauges by the pointwise-inverse
+    lift, which is the gauge formula with its handedness swapped.
     """
     g = ladder.data.g
     if lifts is None:
@@ -1170,12 +1106,13 @@ def act_h1z_by_h0q(
         for v, lifted in enumerate(h):
             if ladder.proj.map[lifted] != qbar[v]:
                 raise InputError("provided lift does not project to the given function")
-    gx = include_z_cocycle(ladder, x)
-    a2, phi2 = _gauge_pair_by(ladder.sys_g, gx.a, gx.phi, h, flip=flip)
+    if flip:
+        h = tuple(g.inv[v] for v in h)
+    moved = gauge(include_z_cocycle(ladder, x), h)
     back = ladder.zsub.parent_to_sub
     try:
-        az = tuple(back[v] for v in a2)
-        pz = tuple(tuple(back[v] for v in row) for row in phi2)
+        az = tuple(back[v] for v in moved.a)
+        pz = tuple(tuple(back[v] for v in row) for row in moved.phi)
     except KeyError as exc:
         raise InternalError("gauged centre-valued pair left the centre") from exc
     return make_cocycle(ladder.sys_z, az, pz)
@@ -1219,7 +1156,7 @@ def delta_h1_vector(
     return vec
 
 
-def h2_coset_labels(ladder: CoefficientLadder, cx: AbelianComplex):
+def h2_coset_labels(cx: AbelianComplex):
     """Stable labels for second-cohomology classes over the centre."""
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
     return quotient_labels(cx.space_z.triple_mods(), b_cols)
@@ -1233,7 +1170,7 @@ def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle) -> tuple:
     verifier.
     """
     cx = abelian_complex(ladder.sys_z)
-    labels = h2_coset_labels(ladder, cx)
+    labels = h2_coset_labels(cx)
     return labels.label(delta_h1_vector(ladder, cx, x))
 
 
@@ -1272,7 +1209,9 @@ def les_verify(
     two classes have equal image exactly when the group action identifies
     them.  A node whose computation raises a library error is reported as a
     failure with the error as witness.  ``fault='flip-gauge'`` deliberately
-    mis-hands the coboundary gauge for harness self-tests.
+    mis-hands the coboundary gauge for harness self-tests: it gauges by the
+    pointwise inverse of the lift, which is the gauge formula with its
+    handedness swapped.
     """
     flip = fault == "flip-gauge"
     report = SequenceReport([])
@@ -1325,22 +1264,13 @@ def les_verify(
             cid: h1g.class_of(include_z_cocycle(ladder, h1z.representative(cid)))
             for cid in range(len(h1z))
         }
-        orbit_of: dict[int, int] = {}
-        for cid in range(len(h1z)):
-            if cid in orbit_of:
-                continue
-            orbit = {cid}
-            frontier = [cid]
-            while frontier:
-                cur = frontier.pop()
-                rep = h1z.representative(cur)
-                for f in h0q.functions:
-                    nxt = h1z.class_of(act_h1z_by_h0q(ladder, rep, f, flip=flip))
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-            for member in orbit:
-                orbit_of[member] = cid
+
+        def moved(cid: int) -> list[int]:
+            rep = h1z.representative(cid)
+            return [h1z.class_of(act_h1z_by_h0q(ladder, rep, f, flip=flip)) for f in h0q.functions]
+
+        orbits = orbit_closures(range(len(h1z)), moved)
+        orbit_of = {member: oid for oid, orbit in enumerate(orbits) for member in orbit}
         ok = all(
             (to_g_class[c1] == to_g_class[c2]) == (orbit_of[c1] == orbit_of[c2])
             for c1 in range(len(h1z))
@@ -1377,8 +1307,7 @@ def les_verify(
     target = triple_to_vector(cx.space_z, theta_inv_twist_triple(_z_twisted_view(ladder)))
     if not cx.in_kernel_d2(target):
         raise InternalError("twist triple is not d2-closed")
-    b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
-    labels = quotient_labels(cx.space_z.triple_mods(), b_cols)
+    labels = h2_coset_labels(cx)
 
     def node_a7() -> tuple[bool, dict]:
         # delta^-1 of the twist class equals the image of twisted H1(G);
@@ -1529,8 +1458,6 @@ def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[i
     """
     system = e.system
     if m.side == "left":
-        from .actions import convert_side
-
         m = convert_side(m)
     md = m.data
     if md.g.mul != system.coeff.mul or md.gamma.mul != system.gamma.mul:
@@ -1543,15 +1470,13 @@ def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[i
     nerve = system.nerve
     space = system.space
     parent, _ = nerve.spanning_forest()
-    order = sorted(parent, key=lambda v: _depth(parent, v))
     comps = nerve.components()
     out = []
     for combo in itertools.product(range(m.size), repeat=len(comps)):
         values = [None] * nerve.n_vertices
         for comp, start in zip(comps, combo):
             values[comp[0]] = start
-        for v in order:
-            p = parent[v]
+        for v, p in parent.items():
             if p is not None:
                 values[v] = m.g_act[e.edge_value(p, v)][values[p]]
         ok = all(
@@ -1593,8 +1518,6 @@ def reductions_to_subgroup(
     with subgroup values.  When the twist takes values outside the subgroup
     no reduction can exist and the empty list is returned.
     """
-    from .actions import convert_side, homogeneous_space
-
     system = e.system
     g = system.coeff
     sub = subgroup_from_elements(g, subgroup_elements)
@@ -1625,10 +1548,10 @@ def reductions_to_subgroup(
     out = []
     for sec in sections:
         lift = tuple(cosets[ci][0] for ci in sec)
-        a2, phi2 = _gauge_pair_by(system, e.a, e.phi, lift)
+        moved = gauge(e, lift)
         try:
-            wa = tuple(sub.parent_to_sub[v] for v in a2)
-            wphi = tuple(tuple(sub.parent_to_sub[v] for v in row) for row in phi2)
+            wa = tuple(sub.parent_to_sub[v] for v in moved.a)
+            wphi = tuple(tuple(sub.parent_to_sub[v] for v in row) for row in moved.phi)
         except KeyError as exc:
             raise InternalError("section gauge failed to land in the subgroup") from exc
         out.append(Reduction(sec, lift, make_cocycle(sub_system, wa, wphi)))

@@ -26,13 +26,14 @@ from .cech import (
 )
 from .correspond import (
     GhatCocycleY,
+    ascend,
     descend,
     fiber_over_cover,
     grothendieck_fiber,
     plain_h1,
 )
 from .errors import BudgetExceeded, InputError, TwistError
-from .extensions import build_twisted_product, second_cohomology
+from .extensions import TwistedData, TwoCocycle, build_twisted_product, second_cohomology
 from .fixtures import default_grid, grid_instance, group, named_action
 from .groups import automorphisms, conjugacy_classes, find_isomorphism, outer_classes
 from .nerves import quotient
@@ -137,8 +138,6 @@ def cmd_extensions(cfg: JobConfig) -> Report:
     h2 = second_cohomology(action, guard=cfg.budget_enum)
     catalogue = {name: group(name) for name in ("C2", "C4", "C8", "C2xC2", "S3", "D4", "Q8")}
     rows = []
-    from .extensions import TwistedData, TwoCocycle
-
     for cid, rep in enumerate(h2.representatives):
         data = TwistedData(action, TwoCocycle(action, rep))
         built = build_twisted_product(data)
@@ -231,7 +230,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
             witness = None
             for cid in rng.sample(range(len(h1)), k=len(h1)):
                 x = h1.representative(cid)
-                if h1.class_of(ascend_from(x, desc)) != cid:
+                if h1.class_of(ascend(descend(x, desc))) != cid:
                     ok = False
                     witness = cid
                     break
@@ -250,12 +249,6 @@ def cmd_verify(cfg: JobConfig) -> Report:
                 nonempty=nonempty,
             )
     return report
-
-
-def ascend_from(x, desc):
-    from .correspond import ascend
-
-    return ascend(descend(x, desc))
 
 
 def build_parser() -> argparse.ArgumentParser:

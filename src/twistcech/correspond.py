@@ -28,8 +28,8 @@ from .cech import (
     gauge,
     h1_twisted,
     make_cocycle,
+    orbit_closures,
     system_from_data,
-    _edge_index,
 )
 from .errors import (
     BudgetExceeded,
@@ -52,9 +52,10 @@ from .nerves import (
     CoverDescent,
     MonodromyRep,
     Nerve,
-    make_monodromy,
     monodromy,
     pi1,
+    tree_gauge,
+    tree_monodromy,
     trivial_gamma_nerve,
 )
 
@@ -81,28 +82,7 @@ def plain_h1(y: Nerve, coeff: FiniteGroup, *, budget: int = DEFAULT_ENUM_BUDGET)
 
 def monodromy_of_plain_cocycle(y: Nerve, gamma: FiniteGroup, x: TwistedOneCocycle) -> MonodromyRep:
     """Monodromy of a plain group-valued cocycle: tree-normalized generators."""
-    pres = pi1(y)
-    parent, _ = y.spanning_forest()
-    lam = [0] * y.n_vertices
-    order = sorted(parent, key=lambda v: _parent_depth(parent, v))
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            # f_p^-1 a_pv f_v == 1
-            lam[v] = gamma.mul[gamma.inv[x.edge_value(p, v)]][lam[p]]
-    assignment = [
-        gamma.mul[gamma.mul[gamma.inv[lam[u]]][x.edge_value(u, v)]][lam[v]]
-        for (u, v) in pres.generators
-    ]
-    return make_monodromy(gamma, pres, assignment)
-
-
-def _parent_depth(parent, v) -> int:
-    d = 0
-    while parent[v] is not None:
-        v = parent[v]
-        d += 1
-    return d
+    return tree_monodromy(pi1(y), gamma, x.edge_value)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +100,7 @@ class CTwistedCocycleY:
 
     def edge(self, i: int, j: int) -> int:
         """The value framed at the first index, for a stored (sorted) edge."""
-        idx = _edge_index(self.descent.downstairs)
+        idx = self.descent.downstairs.edge_index
         if i < j:
             return self.values[idx[(i, j)]]
         raise InputError("c-twisted values are stored on sorted edges only")
@@ -132,7 +112,7 @@ def check_ctwisted(descent: CoverDescent, data: TwistedData, values: Sequence[in
     if len(vals) != len(y.edges):
         raise InputError("need one value per base edge")
     g, gamma = data.g, data.gamma
-    idx = _edge_index(y)
+    idx = y.edge_index
     for (i, j, k) in y.triangles:
         tij = descent.transition(i, j)
         tjk = descent.transition(j, k)
@@ -200,9 +180,9 @@ def ascend(y_cocycle: CTwistedCocycleY) -> TwistedOneCocycle:
             row.append(data.theta_inv(prod, data.c(tp, t)))
         phi.append(tuple(row))
 
-    edge_pos = _edge_index(space.nerve)
+    edge_pos = space.nerve.edge_index
     a = [0] * len(space.nerve.edges)
-    idx_y = _edge_index(y)
+    idx_y = y.edge_index
     for (i, j) in y.edges:
         tij = descent.transition(i, j)
         b_ij = data.theta_inv(tij, y_cocycle.values[idx_y[(i, j)]])
@@ -307,14 +287,6 @@ def fiber_over_cover(
 # ---------------------------------------------------------------------------
 
 
-def _tree_data(y: Nerve):
-    parent, tree = y.spanning_forest()
-    order = sorted(parent, key=lambda v: _parent_depth(parent, v))
-    tree_set = set(tree)
-    nontree = [e for e in y.edges if e not in tree_set]
-    return parent, order, tree_set, nontree
-
-
 def grothendieck_fiber(
     base: GhatCocycleY,
     descent: CoverDescent,
@@ -342,8 +314,9 @@ def grothendieck_fiber(
     h1 = plain_h1(y, prod.group, budget=budget)
     # twisted-conjugation cocycles k <-> glued cocycles k * g0 with the same
     # quotient part on the nose, modulo coefficient-valued gauge
-    parent, order, tree_set, nontree = _tree_data(y)
-    edge_pos = _edge_index(y)
+    parent, tree = y.spanning_forest()
+    tree_set = set(tree)
+    nontree = [e for e in y.edges if e not in tree_set]
     count = g.order ** (len(nontree) + 1)  # +1 for the residual constant gauge
     if count > budget:
         raise BudgetExceeded(f"fibre enumeration of size {count} exceeds budget {budget}")
@@ -389,8 +362,7 @@ def grothendieck_fiber(
         for root, val in zip(comp_roots, combo):
             lam[root] = val
         ok = True
-        for v in order:
-            p = parent[v]
+        for v, p in parent.items():
             if p is not None:
                 # lam_p == Ad_{t0_pj}(lam_j) for the base quotient part
                 t0 = base.edge_pair(p, v)[1]
@@ -404,30 +376,11 @@ def grothendieck_fiber(
             sections.append(tuple(lam))
 
     def act_section(cid: int, lam: Sequence[int]) -> int:
-        rep = h1.representative(cid)
-        vals = []
-        for idx, (i, j) in enumerate(y.edges):
-            u_i = prod.section[lam[i]]
-            u_j = prod.section[lam[j]]
-            vals.append(prod.group.mul[prod.group.mul[prod.group.inv[u_i]][rep.a[idx]]][u_j])
-        moved = plain_cocycle(y, prod.group, vals)
-        return h1.class_of(moved)
+        moved = gauge(h1.representative(cid), [prod.section[t] for t in lam])
+        return h1.class_of(plain_cocycle(y, prod.group, moved.a))
 
-    orbit_of: dict[int, int] = {}
-    for cid in class_ids:
-        if cid in orbit_of:
-            continue
-        orbit = {cid}
-        frontier = [cid]
-        while frontier:
-            cur = frontier.pop()
-            for lam in sections:
-                nxt = act_section(cur, lam)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        for member in orbit:
-            orbit_of[member] = min(orbit)
+    orbits = orbit_closures(class_ids, lambda cid: [act_section(cid, lam) for lam in sections])
+    orbit_of = {member: min(orbit) for orbit in orbits for member in orbit}
     reps = sorted(set(orbit_of.values()))
     return [h1.representative(cid) for cid in reps]
 
@@ -486,18 +439,8 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     gcoc, mono = induced_gamma_class(x)
     gprime = mono.image
 
-    parent, order, _, _ = _tree_data(y)
-    lam = [0] * y.n_vertices
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            lam[v] = gamma.mul[gamma.inv[gcoc.edge_value(p, v)]][lam[p]]
-    vals = []
-    for idx, (i, j) in enumerate(y.edges):
-        u_i = prod.section[lam[i]]
-        u_j = prod.section[lam[j]]
-        vals.append(prod.group.mul[prod.group.mul[prod.group.inv[u_i]][x.cocycle.a[idx]]][u_j])
-    gauged = ghat_cocycle(prod, y, vals)
+    lam = tree_gauge(y, gamma, gcoc.edge_value)
+    gauged = ghat_cocycle(prod, y, gauge(x.cocycle, [prod.section[t] for t in lam]).a)
 
     sub_prod, incl = restrict_product(prod.data, gprime)
     back = {incl.map[a]: a for a in sub_prod.group.elements()}
@@ -570,23 +513,9 @@ def normalizer_embedding_check(
             vals.append(back[moved])
         return h1_small.class_of(plain_cocycle(y, sub_prod.group, vals))
 
-    orbit_of: dict[int, int] = {}
-    orbits = []
-    for cid in full:
-        if cid in orbit_of:
-            continue
-        orbit = {cid}
-        frontier = [cid]
-        while frontier:
-            cur = frontier.pop()
-            for n in normalizer:
-                nxt = conj_by(n, cur)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        for member in orbit:
-            orbit_of[member] = len(orbits)
-        orbits.append(sorted(orbit))
+    closures = orbit_closures(full, lambda cid: [conj_by(n, cid) for n in normalizer])
+    orbits = [sorted(orbit) for orbit in closures]
+    orbit_of = {member: oid for oid, orbit in enumerate(orbits) for member in orbit}
 
     collisions = []
     for c1 in full:

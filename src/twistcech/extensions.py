@@ -240,26 +240,20 @@ def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> Coc
             for combo in itertools.product(zelems, repeat=n - 1)
         }
     )
+    cocycles.sort()
     reps: list[tuple[tuple[int, ...], ...]] = []
     class_of: dict[tuple[tuple[int, ...], ...], int] = {}
-    for c in sorted(cocycles):
+    # every coset lies among the sorted cocycles, so the first table met of
+    # each coset is its minimum and class ids ascend with representatives
+    for c in cocycles:
         if c in class_of:
             continue
         cid = len(reps)
-        coset = []
+        reps.append(c)
         for b in cobs:
             prod = tuple(tuple(g.mul[c[i][j]][b[i][j]] for j in range(n)) for i in range(n))
-            coset.append(prod)
-        rep = min(coset)
-        reps.append(rep)
-        for t in coset:
-            class_of[t] = cid
-    # re-rank classes by their minimal representative for stable ids
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    rank = {old: new for new, old in enumerate(order)}
-    reps = [reps[i] for i in order]
-    class_of = {t: rank[i] for t, i in class_of.items()}
-    return CocycleClassification(action, sorted(cocycles), cobs, reps, class_of)
+            class_of[prod] = cid
+    return CocycleClassification(action, cocycles, cobs, reps, class_of)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     Disconnected,
@@ -47,6 +48,11 @@ class Nerve:
     @property
     def tetrahedra(self) -> tuple[Simplex, ...]:
         return self.simplices[3]
+
+    @cached_property
+    def edge_index(self) -> dict[Simplex, int]:
+        """Position of each sorted edge in ``edges``; not part of equality or hash."""
+        return {e: i for i, e in enumerate(self.edges)}
 
     def has_simplex(self, s: Sequence[int]) -> bool:
         t = tuple(sorted(s))
@@ -87,7 +93,11 @@ class Nerve:
         return len(self.components()) <= 1
 
     def spanning_forest(self) -> tuple[dict[int, Optional[int]], list[Simplex]]:
-        """BFS parents (per component, rooted at its minimal vertex) and tree edges."""
+        """BFS parents (per component, rooted at its minimal vertex) and tree edges.
+
+        ``parent`` is filled in BFS order, so iterating it yields every
+        parent before its children.
+        """
         adj = self.adjacency()
         parent: dict[int, Optional[int]] = {}
         tree: list[Simplex] = []
@@ -268,11 +278,12 @@ class Pi1Presentation:
         return free_reduce(tuple(w))
 
     def simplified_rank(self) -> int:
-        """Rank after iteratively killing generators forced trivial.
+        """Upper bound on the rank after killing generators forced trivial.
 
         A relation that reduces to a single letter kills that generator;
-        substitution is iterated to a fixed point.  Exact for the desk-scale
-        complexes used here (at most one relation per surviving generator).
+        substitution is iterated to a fixed point.  Longer relations are
+        ignored, so the result is only an upper bound on the number of
+        generators needed; nothing may use it as a proof of a rank.
         """
         rels = [free_reduce(r) for r in self.relations]
         alive = set(range(1, len(self.generators) + 1))
@@ -493,6 +504,28 @@ def build_cover(y: Nerve, rep: MonodromyRep) -> tuple[GammaNerve, CoverDescent]:
     return gn, descent
 
 
+def tree_gauge(nerve: Nerve, group: FiniteGroup, value: Callable[[int, int], int]) -> list[int]:
+    """The frame lam[v] = value(v, parent) lam[parent], the identity at each root.
+
+    ``value(u, v)`` is the group element on the oriented edge u -> v, with
+    value(v, u) its inverse.  Gauging by the frame makes every
+    spanning-forest edge carry the identity: lam[p]^-1 value(p, v) lam[v] == 1.
+    """
+    parent, _ = nerve.spanning_forest()
+    lam = [0] * nerve.n_vertices
+    for v, p in parent.items():
+        if p is not None:
+            lam[v] = group.mul[value(v, p)][lam[p]]
+    return lam
+
+
+def tree_monodromy(pres: Pi1Presentation, gamma: FiniteGroup, value: Callable[[int, int], int]) -> MonodromyRep:
+    """Monodromy of edge values: the tree-gauged value of each generator edge."""
+    lam = tree_gauge(pres.nerve, gamma, value)
+    assignment = [gamma.mul[gamma.mul[gamma.inv[lam[u]]][value(u, v)]][lam[v]] for (u, v) in pres.generators]
+    return make_monodromy(gamma, pres, assignment)
+
+
 def monodromy(descent: CoverDescent, basepoint: int = 0) -> MonodromyRep:
     """Monodromy of a cover: transitions read along the spanning tree.
 
@@ -503,31 +536,7 @@ def monodromy(descent: CoverDescent, basepoint: int = 0) -> MonodromyRep:
     y = descent.downstairs
     if not y.is_connected():
         raise Disconnected(message="monodromy requires a connected base")
-    gamma = descent.upstairs.gamma
-    pres = pi1(y, basepoint)
-    parent, _ = y.spanning_forest()
-    lam = [0] * y.n_vertices
-    order = sorted(parent, key=lambda v: _tree_depth(parent, v))
-    for v in order:
-        p = parent[v]
-        if p is None:
-            lam[v] = 0
-        else:
-            # normalized t'_pv = lam_p^-1 t_pv lam_v must be the identity
-            lam[v] = gamma.mul[descent.transition(v, p)][lam[p]]
-    assignment = []
-    for (u, v) in pres.generators:
-        t = gamma.mul[gamma.mul[gamma.inv[lam[u]]][descent.transition(u, v)]][lam[v]]
-        assignment.append(t)
-    return make_monodromy(gamma, pres, assignment)
-
-
-def _tree_depth(parent: dict[int, Optional[int]], v: int) -> int:
-    d = 0
-    while parent[v] is not None:
-        v = parent[v]
-        d += 1
-    return d
+    return tree_monodromy(pi1(y, basepoint), descent.upstairs.gamma, descent.transition)
 
 
 def equivariant_isomorphism(a: GammaNerve, b: GammaNerve) -> Optional[tuple[int, ...]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from .actions import TwistedGSet, validate_twisted_action
-from .cech import TwistedOneCocycle, make_cocycle, system_from_data, _edge_index
+from .cech import TwistedOneCocycle, make_cocycle, system_from_data
 from .errors import InputError
 from .extensions import TwistedData, check_cocycle, check_gamma_action, make_twisted_data
 from .fixtures import GAMMA_NERVES, GROUPS, NERVES
@@ -105,7 +105,7 @@ def twisted_gset_from_dict(data: TwistedData, payload: dict) -> TwistedGSet:
 
 def cocycle_from_dict(space: GammaNerve, data: TwistedData, payload: dict) -> TwistedOneCocycle:
     system = system_from_data(space, data)
-    idx = _edge_index(space.nerve)
+    idx = space.nerve.edge_index
     a = [0] * len(space.nerve.edges)
     for key, val in payload.get("a", {}).items():
         u, v = (int(s) for s in key.split(","))

@@ -204,10 +204,9 @@ def test_criterion_5_roundtrips():
                 ok = False
         # base-side round trip on tree-normalized candidates
         from twistcech.correspond import check_ctwisted
-        from twistcech.cech import _edge_index
 
         y = desc.downstairs
-        idx = _edge_index(y)
+        idx = y.edge_index
         parent, tree = y.spanning_forest()
         nontree = [e for e in y.edges if e not in set(tree)]
         for combo in itertools.product(inst.data.g.elements(), repeat=len(nontree)):

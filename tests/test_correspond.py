@@ -60,6 +60,25 @@ def test_plain_h1_matches_monodromy_classes():
     assert len(seen) == len(h1)
 
 
+def test_transition_cocycle_monodromy_matches_cover_monodromy():
+    rows = 0
+    for inst in default_grid():
+        if not inst.space.free:
+            continue
+        desc = quotient(inst.space)
+        y = desc.downstairs
+        if not y.is_connected():
+            continue
+        gamma = inst.space.gamma
+        transitions = plain_cocycle(y, gamma, [desc.transition(i, j) for (i, j) in y.edges])
+        plain = monodromy_of_plain_cocycle(y, gamma, transitions)
+        cover = monodromy(desc)
+        assert plain.assignment == cover.assignment, inst.name
+        assert plain.canonical == cover.canonical, inst.name
+        rows += 1
+    assert rows > 0
+
+
 def test_induced_gamma_class_trivial_for_kernel_values():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [prod.embed_g.map[1], prod.embed_g.map[2], 0]
@@ -119,9 +138,7 @@ def test_downstairs_class_count_matches_upstairs():
         data = inst.data
         g = data.g
         y = desc.downstairs
-        from twistcech.cech import _edge_index
-
-        idx = _edge_index(y)
+        idx = y.edge_index
         parent, tree = y.spanning_forest()
         tree_set = set(tree)
         nontree = [e for e in y.edges if e not in tree_set]

@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 from twistcech.errors import Disconnected, InputError, NotGoodCover, NotSimplicial
-from twistcech.fixtures import gamma_nerve, group, nerve
+from twistcech.fixtures import GAMMA_NERVES, NERVES, gamma_nerve, group, nerve
 from twistcech.nerves import (
+    Nerve,
     build_cover,
     equivariant_isomorphism,
     make_monodromy,
@@ -192,3 +193,28 @@ def test_make_monodromy_checks_relations():
     filled = pi1(nerve("Y_FILLED_TRI"))
     with pytest.raises(InputError):
         make_monodromy(C2, filled, (1,))
+
+
+def _fixture_nerves():
+    return [*NERVES.values(), *(x.nerve for x in GAMMA_NERVES.values())]
+
+
+def test_spanning_forest_lists_parents_first():
+    assert any(not n.is_connected() for n in _fixture_nerves())  # X_TWO_TRI
+    for n in _fixture_nerves():
+        parent, _ = n.spanning_forest()
+        assert sorted(parent) == list(range(n.n_vertices))
+        seen = set()
+        for v, p in parent.items():
+            assert p is None or p in seen
+            seen.add(v)
+
+
+def test_edge_index_matches_edges_and_keeps_equality():
+    for n in _fixture_nerves():
+        fresh = Nerve(n.n_vertices, n.simplices)
+        assert fresh == n and hash(fresh) == hash(n)
+        assert n.edge_index == {e: i for i, e in enumerate(n.edges)}
+        assert fresh == n and hash(fresh) == hash(n)  # one read, one not
+        assert fresh.edge_index == n.edge_index
+        assert fresh == n and hash(fresh) == hash(n)
