@@ -11,6 +11,7 @@ usual library entry points do not expose).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,6 +19,11 @@ from .errors import BudgetExceeded, InputError, InternalError
 from .groups import FiniteGroup
 
 Matrix = list[list[int]]
+
+# coordinate bound for the integer-matrix (second-cohomology) machinery;
+# beyond it the Smith-form solves stop being desk-scale and the operations
+# refuse instead of grinding
+DEFAULT_COORD_GUARD = 512
 
 
 def _identity(n: int) -> Matrix:
@@ -220,22 +226,47 @@ def hom_from_columns(columns: Sequence[Sequence[int]], mods_in: Sequence[int], m
     return ZHom(rows, tuple(mods_in), tuple(mods_out))
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
 def kernel_generators(hom: ZHom) -> list[tuple[int, ...]]:
-    """Generators of {x : hom(x) == 0} as a subgroup of the domain."""
-    n, m = len(hom.mods_in), len(hom.mods_out)
-    if n == 0:
-        return []
-    if m == 0:
-        return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    # stack [F | diag(mods_out)] and compute its integer kernel lattice
-    stacked = [list(hom.matrix[i]) + [hom.mods_out[i] if j == i else 0 for j in range(m)] for i in range(m)]
-    _, d, v = smith_normal_form(stacked)
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
-    gens = []
-    for j in range(rank, n + m):
-        col = tuple(v[i][j] % hom.mods_in[i] for i in range(n))
-        if any(col):
-            gens.append(col)
+    """Generators of {x : hom(x) == 0} as a subgroup of the domain.
+
+    Starts from the unit vectors and imposes one output coordinate at a
+    time.  Unimodular (extended-gcd) changes of the generating set gather
+    that coordinate's values on one pivot generator; the others then vanish
+    there, and of the pivot only the multiples by d_out / gcd(value, d_out)
+    do.  Vectors stay reduced modulo the domain, so entries never grow.
+    """
+    mods = hom.mods_in
+    n = len(mods)
+    gens = [tuple(int(i == j) % d for i, d in enumerate(mods)) for j in range(n)]
+    for row, d_out in zip(hom.matrix, hom.mods_out):
+        pivot, pivot_val = None, 0
+        kept = []
+        for x in gens:
+            val = sum(r * c for r, c in zip(row, x)) % d_out
+            if not val:
+                kept.append(x)
+            elif pivot is None:
+                pivot, pivot_val = x, val
+            else:
+                g, s, t = _ext_gcd(pivot_val, val)
+                p, q = pivot_val // g, val // g
+                kept.append(tuple((q * a - p * b) % d for a, b, d in zip(pivot, x, mods)))
+                pivot, pivot_val = tuple((s * a + t * b) % d for a, b, d in zip(pivot, x, mods)), g
+        if pivot is not None:
+            k = d_out // math.gcd(pivot_val, d_out)
+            kept.append(tuple(k * a % d for a, d in zip(pivot, mods)))
+        gens = [x for x in kept if any(x)]
     return gens
 
 
@@ -333,8 +364,8 @@ class QuotientLabels:
     def label(self, vec: Sequence[int]) -> tuple[int, ...]:
         out = []
         for row, d in zip(self.u, self.diag):
-            s = sum(r * x for r, x in zip(row, vec))
-            out.append(s % d)
+            # a coordinate with d == 1 is 0 on every vector
+            out.append(sum(r * x for r, x in zip(row, vec)) % d if d > 1 else 0)
         return tuple(out)
 
 

@@ -24,10 +24,12 @@ linear algebra from the abelian module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .abelian import (
+    DEFAULT_COORD_GUARD,
     AbelianCoords,
     ZHom,
     abelian_coordinates,
@@ -62,10 +64,6 @@ from .groups import FiniteGroup, GroupHom, Subgroup, center, quotient_group, sub
 from .nerves import GammaNerve, Nerve, tree_gauge
 
 DEFAULT_ENUM_BUDGET = 2_000_000
-# coordinate bound for the integer-matrix (second-cohomology) machinery;
-# beyond it the Smith-form solves stop being desk-scale and the operations
-# refuse instead of grinding
-DEFAULT_COORD_GUARD = 512
 
 
 @dataclass(frozen=True)
@@ -939,20 +937,17 @@ class H2Classes:
 
 def h2_classes(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET, materialize: bool = True) -> H2Classes:
     cx = abelian_complex(system)
-    space_z = cx.space_z
-    triple_mods = space_z.triple_mods()
-    b_gens = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(space_z.pair_mods()))]
-    labels = quotient_labels(triple_mods, b_gens)
+    triple_mods = cx.space_z.triple_mods()
+    labels = h2_coset_labels(cx)
     ker_gens = kernel_generators(cx.d2_hom)
+    total = math.prod(triple_mods)
     ker_size = 1
     if triple_mods:
-        total = 1
-        for m in triple_mods:
-            total *= m
         img_size = subgroup_size(cx.d2_hom.mods_out, [cx.d2_hom.apply(g) for g in _unit_vectors(triple_mods)])
         ker_size = total // img_size
-    b_size = subgroup_size(triple_mods, b_gens) if triple_mods else 1
-    size = ker_size // b_size if b_size else 1
+    # the label Smith form already has the quotient by B^2 on its diagonal
+    b_size = total // math.prod(labels.diag)
+    size = ker_size // b_size
     h2 = H2Classes(cx, labels, size)
     if materialize:
         if ker_size > budget:

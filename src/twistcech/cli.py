@@ -10,6 +10,7 @@ Exit codes: 0 pass, 1 check failure, 2 invalid input, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -251,6 +252,10 @@ def cmd_verify(cfg: JobConfig) -> Report:
     return report
 
 
+# parsing leaves the parser as it was, so one serves every main() call of a
+# process; building one per call costs about 1 ms and lets the process's
+# resident memory creep up call after call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twistcech", description="Twisted equivariant cohomology for finite groups on nerves")
     parser.add_argument("--version", action="version", version=__version__)

@@ -17,10 +17,18 @@ indices constrained to lie in the centre.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .abelian import (
+    DEFAULT_COORD_GUARD,
+    abelian_coordinates,
+    enumerate_subgroup,
+    hom_from_columns,
+    kernel_generators,
+    quotient_labels,
+    subgroup_size,
+)
 from .errors import (
     BudgetExceeded,
     CocycleNotCentral,
@@ -45,6 +53,7 @@ from .groups import (
     validate_group,
 )
 
+# default bound on the number of 2-cocycles |Z^2| that second_cohomology lists
 H2_ENUM_GUARD = 10_000_000
 
 
@@ -129,6 +138,21 @@ class TwistedData:
         return self.cocycle.table[g1][g2]
 
 
+def _identity_sides(action: GammaAction, rows: Sequence[Sequence[int]], elems: Sequence[int]):
+    """Both sides of the twisted cocycle identity at every triple over elems.
+
+    Yields (g0, g1, g2, lhs, rhs) in lexicographic order of the triple, with
+    lhs = theta_g0(c(g1,g2)) * c(g0,g1*g2) and rhs = c(g0,g1) * c(g0*g1,g2).
+    """
+    mul, gmul = action.g.mul, action.gamma.mul
+    for g0 in elems:
+        theta0, row0 = action.theta[g0].map, rows[g0]
+        for g1 in elems:
+            row01 = rows[gmul[g0][g1]]
+            for g2 in elems:
+                yield g0, g1, g2, mul[theta0[rows[g1][g2]]][row0[gmul[g1][g2]]], mul[row0[g1]][row01[g2]]
+
+
 def check_cocycle(action: GammaAction, table: Sequence[Sequence[int]]) -> TwoCocycle:
     """Verify normalization, centrality and the twisted cocycle identity."""
     gamma, g = action.gamma, action.g
@@ -143,14 +167,9 @@ def check_cocycle(action: GammaAction, table: Sequence[Sequence[int]]) -> TwoCoc
     for x in gamma.elements():
         if rows[x][0] != 0 or rows[0][x] != 0:
             raise NotNormalized(x)
-    mul = g.mul
-    for g0 in gamma.elements():
-        for g1 in gamma.elements():
-            for g2 in gamma.elements():
-                lhs = mul[action.apply(g0, rows[g1][g2])][rows[g0][gamma.mul[g1][g2]]]
-                rhs = mul[rows[g0][g1]][rows[gamma.mul[g0][g1]][g2]]
-                if lhs != rhs:
-                    raise CocycleViolation(g0, g1, g2)
+    for g0, g1, g2, lhs, rhs in _identity_sides(action, rows, gamma.elements()):
+        if lhs != rhs:
+            raise CocycleViolation(g0, g1, g2)
     return TwoCocycle(action, rows)
 
 
@@ -211,49 +230,82 @@ class CocycleClassification:
 
 
 def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> CocycleClassification:
-    """Classify central 2-cocycles up to coboundary by full enumeration.
+    """Classify central 2-cocycles up to coboundary by integer linear algebra.
 
-    Representatives are the lexicographically minimal tables of each coset.
-    Refuses (rather than sampling) when the normalized search space exceeds
-    the guard.
+    A normalized 2-cochain is a vector in the cyclic coordinates of Z(G),
+    one block per slot (g1, g2) with g1, g2 != 1; the cocycle identity holds
+    by normalization whenever an argument is 1, so the coboundary only
+    needs the triples of non-identity elements.  Z^2 is the kernel of that
+    coboundary, assembled by probing unit cochains; B^2 is generated by the
+    coboundaries of the unit 1-cochains; classes are the cosets of B^2,
+    told apart by Smith-form labels.  Every cocycle listed still passes
+    check_cocycle.
+
+    Representatives are the lexicographically minimal tables of each coset,
+    and class ids ascend with them.  Refuses (rather than sampling) when
+    the 3-cochains have more than DEFAULT_COORD_GUARD coordinates, or when
+    |Z^2| exceeds the guard.
     """
     gamma, g = action.gamma, action.g
-    zelems = center(g).embed
-    n = gamma.order
-    free = (n - 1) * (n - 1)
-    if len(zelems) ** free > guard:
-        raise BudgetExceeded(f"|Z|^{free} exceeds enumeration guard {guard}")
-
+    zsub = center(g)
+    co = abelian_coordinates(zsub.group)
+    r = len(co.moduli)
     nontriv = [x for x in gamma.elements() if x != 0]
-    cocycles = []
-    for combo in itertools.product(zelems, repeat=free):
+    slots = [(g1, g2) for g1 in nontriv for g2 in nontriv]
+    n_out = len(nontriv) ** 3 * r
+    if n_out > DEFAULT_COORD_GUARD:
+        raise BudgetExceeded(f"3-cochains have {n_out} coordinates, guard {DEFAULT_COORD_GUARD}")
+    n = gamma.order
+    mods = co.moduli * len(slots)
+    zgens = [zsub.embed[z] for z in co.generators]
+
+    def vec_of(elem: int) -> tuple[int, ...]:
+        return co.vec_of[zsub.parent_to_sub[elem]]
+
+    def to_table(vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         table = [[0] * n for _ in range(n)]
-        for k, (g1, g2) in enumerate(itertools.product(nontriv, nontriv)):
-            table[g1][g2] = combo[k]
-        try:
-            cocycles.append(check_cocycle(action, table).table)
-        except CocycleViolation:
-            continue
-    cobs = sorted(
-        {
-            coboundary(action, GammaOneCochain((0,) + combo)).table
-            for combo in itertools.product(zelems, repeat=n - 1)
-        }
+        for k, (g1, g2) in enumerate(slots):
+            table[g1][g2] = zsub.embed[co.element(vec[k * r : (k + 1) * r])]
+        return tuple(tuple(row) for row in table)
+
+    def to_vector(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        return tuple(x for g1, g2 in slots for x in vec_of(table[g1][g2]))
+
+    d_cols = []
+    for g1, g2 in slots:
+        for z in zgens:
+            unit = [[0] * n for _ in range(n)]
+            unit[g1][g2] = z
+            sides = _identity_sides(action, unit, nontriv)
+            d_cols.append(tuple(x for *_, lhs, rhs in sides for x in vec_of(g.mul[lhs][g.inv[rhs]])))
+    d_hom = hom_from_columns(d_cols, mods, co.moduli * len(nontriv) ** 3)
+    z_gens = kernel_generators(d_hom)
+    z_size = subgroup_size(mods, z_gens)
+    if z_size > guard:
+        raise BudgetExceeded(f"Z^2 has {z_size} elements, enumeration guard {guard}")
+    cocycles = sorted(
+        (check_cocycle(action, to_table(vec)).table, vec)
+        for vec in enumerate_subgroup(mods, z_gens, budget=guard)
     )
-    cocycles.sort()
+    b_gens = [
+        to_vector(coboundary(action, GammaOneCochain(tuple(z if y == x else 0 for y in gamma.elements()))).table)
+        for x in nontriv
+        for z in zgens
+    ]
+    cobs = sorted(to_table(vec) for vec in enumerate_subgroup(mods, b_gens, budget=guard))
+    labels = quotient_labels(mods, b_gens)
     reps: list[tuple[tuple[int, ...], ...]] = []
     class_of: dict[tuple[tuple[int, ...], ...], int] = {}
-    # every coset lies among the sorted cocycles, so the first table met of
-    # each coset is its minimum and class ids ascend with representatives
-    for c in cocycles:
-        if c in class_of:
-            continue
-        cid = len(reps)
-        reps.append(c)
-        for b in cobs:
-            prod = tuple(tuple(g.mul[c[i][j]][b[i][j]] for j in range(n)) for i in range(n))
-            class_of[prod] = cid
-    return CocycleClassification(action, cocycles, cobs, reps, class_of)
+    ids: dict[tuple[int, ...], int] = {}
+    # the first table met of each coset is its minimum, so class ids ascend
+    # with representatives
+    for table, vec in cocycles:
+        label = labels.label(vec)
+        if label not in ids:
+            ids[label] = len(reps)
+            reps.append(table)
+        class_of[table] = ids[label]
+    return CocycleClassification(action, [table for table, _ in cocycles], cobs, reps, class_of)
 
 
 @dataclass(frozen=True)

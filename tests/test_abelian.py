@@ -95,6 +95,23 @@ def test_kernel_and_solve_against_brute_force():
                 assert hom.apply(got) == tuple(t % m for t, m in zip(target, mods_out))
 
 
+def test_kernel_generators_on_wider_maps():
+    # mixed moduli and more coordinates than above, against the full domain
+    rng = random.Random(11)
+    for _ in range(30):
+        mods_in = [rng.choice([2, 3, 4, 6, 8, 9]) for _ in range(rng.randint(1, 4))]
+        mods_out = [rng.choice([2, 3, 4, 6, 8, 12]) for _ in range(rng.randint(1, 6))]
+        matrix = tuple(
+            tuple(mo // _gcd(mo, mi) * rng.randint(-3, 3) for mi in mods_in) for mo in mods_out
+        )
+        hom = ZHom(matrix, tuple(mods_in), tuple(mods_out))
+        kernel_brute = sorted(v for v in _all_vectors(mods_in) if not any(hom.apply(v)))
+        gens = kernel_generators(hom)
+        assert all(not any(hom.apply(g)) for g in gens)
+        assert enumerate_subgroup(mods_in, gens) == kernel_brute
+        assert subgroup_size(mods_in, gens) == len(kernel_brute)
+
+
 def _gcd(a, b):
     while b:
         a, b = b, a % b

@@ -1,10 +1,12 @@
 """The cohomology engine: d1, gauge, enumeration, d2, coboundaries, sections."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from twistcech.abelian import subgroup_size
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
     ZTriple,
@@ -309,6 +311,25 @@ def test_h2_classical_sphere():
         h2 = h2_classes(system)
         assert h2.size == g.order
         assert len(h2.reps) == g.order
+
+
+def test_h2_classes_reads_b2_off_the_label_smith_form(monkeypatch):
+    import twistcech.abelian as abelian
+
+    ladder = coefficient_ladder(X_HEX, c_q_data(INV))
+    calls = []
+    real = abelian.smith_normal_form
+    monkeypatch.setattr(abelian, "smith_normal_form", lambda mat: calls.append(1) or real(mat))
+    h2 = h2_classes(ladder.sys_z)
+    # one Smith form for the coset labels and one for the image of d2 (the
+    # kernel of d2 needs none); |B^2| is read off the labels' diagonal
+    assert len(calls) == 2
+    assert h2.size == 1
+    assert h2.reps == [(0,) * 12]
+    cx = h2.complex
+    mods = cx.space_z.triple_mods()
+    b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
+    assert math.prod(mods) // math.prod(h2.labels.diag) == subgroup_size(mods, b_cols)
 
 
 def test_h2_trivial_on_one_dimensional_nerves():

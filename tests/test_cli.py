@@ -59,6 +59,25 @@ def test_extensions_classify(capsys):
     assert sorted(r["product_isomorphic_to"] for r in rows) == ["C2xC2", "C4"]
 
 
+def test_extensions_classify_d4_on_c2(capsys):
+    # H^2(D4; C2) has order 8; the catalogue has no group of order 16
+    code, out = run_cli(["extensions", "classify", "D4", "C2"], capsys)
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert check["count"] == 8
+    assert [r["product_isomorphic_to"] for r in check["classes"]] == [None] * 8
+
+
+def test_extensions_classify_budget_exits(capsys):
+    # |Z^2| = 27 is over --budget-enum 2
+    code, out = run_cli(["extensions", "classify", "C4", "C3", "--budget-enum", "2"], capsys)
+    assert code == 3
+    # 7^3 * 2 = 686 coordinates of 3-cochains is over the coordinate guard
+    code, out = run_cli(["extensions", "classify", "C8", "C2xC2"], capsys)
+    assert code == 3
+    assert "coordinates" in json.loads(out)["checks"][0]["error"]
+
+
 def test_h1_counts(capsys):
     code, out = run_cli(["h1", "X_HEX", "X_HEX/C4,inversion,trivial", "--reduced"], capsys)
     assert code == 0

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from twistcech.errors import (
+    BudgetExceeded,
     CocycleViolation,
     CsNotCentral,
     InputError,
@@ -14,6 +15,7 @@ from twistcech.errors import (
     ValueNotCentral,
 )
 from twistcech.extensions import (
+    CocycleClassification,
     GammaOneCochain,
     TwistedData,
     TwoCocycle,
@@ -29,7 +31,7 @@ from twistcech.extensions import (
     second_cohomology,
     trivial_action,
 )
-from twistcech.fixtures import c_q_data, c_square_table, group, inversion_action
+from twistcech.fixtures import c_q_data, c_square_table, group, inversion_action, named_action
 from twistcech.groups import center, find_isomorphism, validate_group
 
 C2, C4, C8 = group("C2"), group("C4"), group("C8")
@@ -37,28 +39,58 @@ S3, D4, Q8 = group("S3"), group("D4"), group("Q8")
 INV = inversion_action(C2, C4)
 
 
-def brute_force_cocycles(action):
-    """Oracle: filter all normalized tables by the cocycle identity directly."""
+def brute_force_second_cohomology(action):
+    """Oracle: H^2 by walking every normalized 2-cochain table and every 1-cochain."""
     gamma, g = action.gamma, action.g
     zelems = center(g).embed
     n = gamma.order
-    out = []
     free = [(a, b) for a in range(1, n) for b in range(1, n)]
+    triples = list(itertools.product(gamma.elements(), repeat=3))
+    cocycles = []
     for combo in itertools.product(zelems, repeat=len(free)):
         table = [[0] * n for _ in range(n)]
         for (a, b), v in zip(free, combo):
             table[a][b] = v
-        good = True
-        for g0 in gamma.elements():
-            for g1 in gamma.elements():
-                for g2 in gamma.elements():
-                    lhs = g.mul[action.apply(g0, table[g1][g2])][table[g0][gamma.mul[g1][g2]]]
-                    rhs = g.mul[table[g0][g1]][table[gamma.mul[g0][g1]][g2]]
-                    if lhs != rhs:
-                        good = False
-        if good:
-            out.append(tuple(tuple(r) for r in table))
-    return out
+        if all(
+            g.mul[action.apply(g0, table[g1][g2])][table[g0][gamma.mul[g1][g2]]]
+            == g.mul[table[g0][g1]][table[gamma.mul[g0][g1]][g2]]
+            for g0, g1, g2 in triples
+        ):
+            cocycles.append(tuple(tuple(r) for r in table))
+    cocycles.sort()
+    cobs = sorted(
+        {
+            coboundary(action, GammaOneCochain((0,) + combo)).table
+            for combo in itertools.product(zelems, repeat=n - 1)
+        }
+    )
+    reps, class_of = [], {}
+    for c in cocycles:
+        if c in class_of:
+            continue
+        reps.append(c)
+        for b in cobs:
+            class_of[tuple(tuple(g.mul[c[i][j]][b[i][j]] for j in range(n)) for i in range(n))] = len(reps) - 1
+    return CocycleClassification(action, cocycles, cobs, reps, class_of)
+
+
+# the extensions-classify benchmark actions, then smaller cases with a
+# non-cyclic Gamma, a non-abelian G or an action that is not trivial
+ORACLE_CASES = [
+    ("C4", "C3", "trivial"),
+    ("C2xC2", "C3", "trivial"),
+    ("C3", "C8", "trivial"),
+    ("C2xC2", "C2", "trivial"),
+    ("C4", "C2", "trivial"),
+    ("C2", "Q8", "q8_swap"),
+    ("C2", "C8", "inversion"),
+    ("C2", "C4", "trivial"),
+    ("C2", "C4", "inversion"),
+    ("C3", "C2", "trivial"),
+    ("C4", "Q8", "trivial"),
+    ("C2", "D4", "trivial"),
+    ("C2", "C2xC2", "trivial"),
+]
 
 
 def test_check_cocycle_trivial_and_cq():
@@ -98,7 +130,36 @@ def test_second_cohomology_inversion():
     assert len(h2) == 2
     assert h2.class_of(make_twisted_data(INV).cocycle) != h2.class_of(c_q_data(INV).cocycle)
     # against the brute-force oracle: cocycles agree and coboundary cosets partition them
-    assert sorted(h2.cocycles) == sorted(brute_force_cocycles(INV))
+    assert sorted(h2.cocycles) == sorted(brute_force_second_cohomology(INV).cocycles)
+
+
+@pytest.mark.parametrize("gamma, z, action", ORACLE_CASES)
+def test_second_cohomology_matches_full_table_walk(gamma, z, action):
+    h2 = second_cohomology(named_action(action, group(gamma), group(z)))
+    oracle = brute_force_second_cohomology(h2.action)
+    assert h2.cocycles == oracle.cocycles
+    assert h2.coboundaries == oracle.coboundaries
+    assert h2.representatives == oracle.representatives
+    assert h2._class_of == oracle._class_of
+
+
+@pytest.mark.parametrize("gamma, z, order", [("S3", "C2", 2), ("D4", "C2", 8), ("Q8", "C2", 4), ("S3", "C3", 1)])
+def test_second_cohomology_orders_match_universal_coefficients(gamma, z, order):
+    # trivial action: H^2(Gamma; A) = Hom(H_2 Gamma, A) + Ext(H_1 Gamma, A), with
+    # H_1 = C2, C2xC2, C2xC2, C2 and H_2 = 0, C2, 0, 0 for S3, D4, Q8, S3
+    h2 = second_cohomology(trivial_action(group(gamma), group(z)))
+    assert len(h2) == order
+    assert len(h2.cocycles) == order * len(h2.coboundaries)
+    assert sorted(set(h2._class_of.values())) == list(range(order))
+
+
+def test_second_cohomology_guards():
+    with pytest.raises(BudgetExceeded):
+        second_cohomology(trivial_action(group("C4"), group("C3")), guard=26)
+    assert len(second_cohomology(trivial_action(group("C4"), group("C3")), guard=27)) == 1
+    # (|Gamma| - 1)^3 * r = 7^3 * 2 coordinates is over the coordinate guard
+    with pytest.raises(BudgetExceeded):
+        second_cohomology(trivial_action(C8, group("C2xC2")))
 
 
 def test_second_cohomology_trivial_gamma():
