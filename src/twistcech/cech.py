@@ -34,6 +34,7 @@ from .abelian import (
     ZHom,
     abelian_coordinates,
     enumerate_subgroup,
+    hom_from_columns,
     kernel_generators,
     quotient_labels,
     solve,
@@ -49,7 +50,6 @@ from .errors import (
     InternalError,
     NotCentral,
     NotEquivariant,
-    SubgroupNotInvariant,
 )
 from .extensions import (
     GammaAction,
@@ -58,6 +58,7 @@ from .extensions import (
     TwoCocycle,
     check_cocycle,
     check_gamma_action,
+    restrict_to_subgroup,
     trivial_cocycle,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, center, quotient_group, subgroup_from_elements
@@ -894,11 +895,7 @@ def abelian_complex(system: CechSystem, *, coord_guard: int = DEFAULT_COORD_GUAR
             {key: row for key, row in pair_part.items()},
         )
         d1_cols.append(triple_to_vector(space_z, triple))
-    d1_hom = ZHom(
-        tuple(tuple(col[i] for col in d1_cols) for i in range(len(triple_mods))),
-        tuple(pair_mods),
-        tuple(triple_mods),
-    )
+    d1_hom = hom_from_columns(d1_cols, pair_mods, triple_mods)
 
     d2_cols = []
     for idx in range(len(triple_mods)):
@@ -906,11 +903,7 @@ def abelian_complex(system: CechSystem, *, coord_guard: int = DEFAULT_COORD_GUAR
         vec[idx] = 1
         triple = vector_to_triple(space_z, vec)
         d2_cols.append(d2_out_vector(space_z, d2(triple)))
-    d2_hom = ZHom(
-        tuple(tuple(col[i] for col in d2_cols) for i in range(len(out_mods))),
-        tuple(triple_mods),
-        tuple(out_mods),
-    )
+    d2_hom = hom_from_columns(d2_cols, triple_mods, out_mods)
     return AbelianComplex(space_z, d1_hom, d2_hom)
 
 
@@ -921,8 +914,9 @@ class H2Classes:
     complex: AbelianComplex
     labels: object  # QuotientLabels over the triple space
     size: int
-    reps: Optional[list] = None
-    _label_to_id: Optional[dict] = None
+    kernel: dict  # every vector of ker d2, in sorted order, to its coset label
+    reps: list
+    _label_to_id: dict
 
     def label_of_vector(self, vec: Sequence[int]) -> tuple:
         if not self.complex.in_kernel_d2(vec):
@@ -930,40 +924,29 @@ class H2Classes:
         return self.labels.label(vec)
 
     def class_id(self, vec: Sequence[int]) -> int:
-        if self.reps is None:
-            raise BudgetExceeded(message="class listing was not materialized")
         return self._label_to_id[self.label_of_vector(vec)]
 
 
-def h2_classes(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET, materialize: bool = True) -> H2Classes:
+def h2_classes(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> H2Classes:
     cx = abelian_complex(system)
     triple_mods = cx.space_z.triple_mods()
     labels = h2_coset_labels(cx)
     ker_gens = kernel_generators(cx.d2_hom)
-    total = math.prod(triple_mods)
-    ker_size = 1
-    if triple_mods:
-        img_size = subgroup_size(cx.d2_hom.mods_out, [cx.d2_hom.apply(g) for g in _unit_vectors(triple_mods)])
-        ker_size = total // img_size
+    ker_size = subgroup_size(triple_mods, ker_gens)
     # the label Smith form already has the quotient by B^2 on its diagonal
-    b_size = total // math.prod(labels.diag)
+    b_size = math.prod(triple_mods) // math.prod(labels.diag)
     size = ker_size // b_size
-    h2 = H2Classes(cx, labels, size)
-    if materialize:
-        if ker_size > budget:
-            raise BudgetExceeded(f"kernel of d2 has {ker_size} elements, budget {budget}")
-        elems = enumerate_subgroup(triple_mods, ker_gens, budget=budget)
-        classes: dict[tuple, tuple] = {}
-        for vec in elems:
-            lab = labels.label(vec)
-            if lab not in classes or vec < classes[lab]:
-                classes[lab] = vec
-        reps = sorted(classes.values())
-        h2.reps = reps
-        h2._label_to_id = {labels.label(v): i for i, v in enumerate(reps)}
-        if len(reps) != size:
-            raise InternalError(f"H2 class count mismatch: listed {len(reps)}, index formula {size}")
-    return h2
+    if ker_size > budget:
+        raise BudgetExceeded(f"kernel of d2 has {ker_size} elements, budget {budget}")
+    kernel = {vec: labels.label(vec) for vec in enumerate_subgroup(triple_mods, ker_gens, budget=budget)}
+    classes: dict[tuple, tuple] = {}
+    # vectors come sorted, so the first met of each label is its minimum
+    for vec, lab in kernel.items():
+        classes.setdefault(lab, vec)
+    reps = sorted(classes.values())
+    if len(reps) != size:
+        raise InternalError(f"H2 class count mismatch: listed {len(reps)}, index formula {size}")
+    return H2Classes(cx, labels, size, kernel, reps, {kernel[v]: i for i, v in enumerate(reps)})
 
 
 def z2_membership(system: CechSystem, triple: ZTriple) -> tuple[bool, Optional[tuple]]:
@@ -978,15 +961,6 @@ def z2_membership(system: CechSystem, triple: ZTriple) -> tuple[bool, Optional[t
             if val != 0:
                 return False, ("c4", key + (v,), val)
     return True, None
-
-
-def _unit_vectors(mods: Sequence[int]) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(len(mods)):
-        v = [0] * len(mods)
-        v[i] = 1
-        out.append(tuple(v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1024,11 +998,7 @@ def coefficient_ladder(space: GammaNerve, data: TwistedData) -> CoefficientLadde
 
     sys_g = CechSystem(space, g, data.action, trivial_cocycle(data.action))
 
-    z_tables = tuple(
-        tuple(zsub.parent_to_sub[data.theta(t, zsub.embed[i])] for i in range(zsub.group.order))
-        for t in data.gamma.elements()
-    )
-    z_action = check_gamma_action(data.gamma, zsub.group, z_tables)
+    z_action = restrict_to_subgroup(data, zsub).action
     sys_z = CechSystem(space, zsub.group, z_action, trivial_cocycle(z_action))
 
     q_tables = []
@@ -1349,12 +1319,7 @@ def les_verify(
 
 def _z_twisted_view(ladder: CoefficientLadder) -> CechSystem:
     """The centre system carrying the actual twist of the data."""
-    ztable = tuple(
-        tuple(ladder.zsub.parent_to_sub[ladder.data.c(t1, t2)] for t2 in ladder.data.gamma.elements())
-        for t1 in ladder.data.gamma.elements()
-    )
-    zc = check_cocycle(ladder.sys_z.action, ztable)
-    return replace(ladder.sys_z, twist=zc)
+    return replace(ladder.sys_z, twist=restrict_to_subgroup(ladder.data, ladder.zsub).cocycle)
 
 
 def _alternative_lift(ladder: CoefficientLadder) -> Callable[[int], int]:
@@ -1517,28 +1482,15 @@ def reductions_to_subgroup(
     g = system.coeff
     sub = subgroup_from_elements(g, subgroup_elements)
     data = TwistedData(system.action, system.twist)
-    for t in system.gamma.elements():
-        for h in sub.embed:
-            if system.theta(t, h) not in sub.parent_to_sub:
-                raise SubgroupNotInvariant(t, h)
-    if any(v not in sub.parent_to_sub for row in system.twist.table for v in row):
+    sub_data = restrict_to_subgroup(data, sub)
+    if sub_data is None:
         return []
+    sub_system = system_from_data(system.space, sub_data)
 
     hom_left = homogeneous_space(data, sub.embed)
     coset_set = convert_side(hom_left)
     cosets, _ = left_cosets(g, sub.embed)
     sections = sections_of_associated(e, coset_set)
-
-    sub_tables = tuple(
-        tuple(sub.parent_to_sub[system.theta(t, sub.embed[i])] for i in range(sub.group.order))
-        for t in system.gamma.elements()
-    )
-    sub_action = check_gamma_action(system.gamma, sub.group, sub_tables)
-    sub_twist = check_cocycle(
-        sub_action,
-        tuple(tuple(sub.parent_to_sub[v] for v in row) for row in system.twist.table),
-    )
-    sub_system = CechSystem(system.space, sub.group, sub_action, sub_twist)
 
     out = []
     for sec in sections:

@@ -20,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .abelian import (
-    DEFAULT_COORD_GUARD,
-    abelian_coordinates,
-    enumerate_subgroup,
-    hom_from_columns,
-    kernel_generators,
-    quotient_labels,
-    subgroup_size,
-)
+from .abelian import DEFAULT_COORD_GUARD, abelian_coordinates
 from .errors import (
     BudgetExceeded,
     CocycleNotCentral,
@@ -39,6 +31,7 @@ from .errors import (
     NotAOneCocycle,
     NotNormalized,
     SectionNotNormalised,
+    SubgroupNotInvariant,
     ValueNotCentral,
 )
 from .groups import (
@@ -48,10 +41,12 @@ from .groups import (
     Subgroup,
     center,
     check_automorphism,
+    is_central,
     is_normal,
     subgroup_from_elements,
     validate_group,
 )
+from .nerves import trivial_gamma_nerve, validate_nerve
 
 # default bound on the number of 2-cocycles |Z^2| that second_cohomology lists
 H2_ENUM_GUARD = 10_000_000
@@ -138,38 +133,30 @@ class TwistedData:
         return self.cocycle.table[g1][g2]
 
 
-def _identity_sides(action: GammaAction, rows: Sequence[Sequence[int]], elems: Sequence[int]):
-    """Both sides of the twisted cocycle identity at every triple over elems.
-
-    Yields (g0, g1, g2, lhs, rhs) in lexicographic order of the triple, with
-    lhs = theta_g0(c(g1,g2)) * c(g0,g1*g2) and rhs = c(g0,g1) * c(g0*g1,g2).
-    """
-    mul, gmul = action.g.mul, action.gamma.mul
-    for g0 in elems:
-        theta0, row0 = action.theta[g0].map, rows[g0]
-        for g1 in elems:
-            row01 = rows[gmul[g0][g1]]
-            for g2 in elems:
-                yield g0, g1, g2, mul[theta0[rows[g1][g2]]][row0[gmul[g1][g2]]], mul[row0[g1]][row01[g2]]
-
-
 def check_cocycle(action: GammaAction, table: Sequence[Sequence[int]]) -> TwoCocycle:
     """Verify normalization, centrality and the twisted cocycle identity."""
     gamma, g = action.gamma, action.g
-    zset = set(center(g).embed)
     rows = tuple(tuple(int(v) for v in row) for row in table)
     if len(rows) != gamma.order or any(len(r) != gamma.order for r in rows):
         raise InputError("cocycle table must be |Gamma| x |Gamma|")
+    values = {v for row in rows for v in row}
+    central = {v for v in values if is_central(g, v)}
     for g1 in gamma.elements():
         for g2 in gamma.elements():
-            if rows[g1][g2] not in zset:
+            if rows[g1][g2] not in central:
                 raise ValueNotCentral(g1, g2)
     for x in gamma.elements():
         if rows[x][0] != 0 or rows[0][x] != 0:
             raise NotNormalized(x)
-    for g0, g1, g2, lhs, rhs in _identity_sides(action, rows, gamma.elements()):
-        if lhs != rhs:
-            raise CocycleViolation(g0, g1, g2)
+    mul, gmul = g.mul, gamma.mul
+    for g0 in gamma.elements():
+        theta0, row0 = action.theta[g0].map, rows[g0]
+        for g1 in gamma.elements():
+            row01 = rows[gmul[g0][g1]]
+            for g2 in gamma.elements():
+                # theta_g0(c(g1,g2)) * c(g0,g1*g2) == c(g0,g1) * c(g0*g1,g2)
+                if mul[theta0[rows[g1][g2]]][row0[gmul[g1][g2]]] != mul[row0[g1]][row01[g2]]:
+                    raise CocycleViolation(g0, g1, g2)
     return TwoCocycle(action, rows)
 
 
@@ -189,8 +176,7 @@ def coboundary(action: GammaAction, cochain: GammaOneCochain) -> TwoCocycle:
     a = cochain.values
     if len(a) != gamma.order or a[0] != 0:
         raise InputError("1-cochain must assign a(1) = 1 and cover Gamma")
-    zset = set(center(g).embed)
-    if any(v not in zset for v in a):
+    if not all(is_central(g, v) for v in a):
         raise InputError("1-cochain values must be central")
     table = tuple(
         tuple(
@@ -229,83 +215,77 @@ class CocycleClassification:
         return self._class_of[table]
 
 
-def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> CocycleClassification:
-    """Classify central 2-cocycles up to coboundary by integer linear algebra.
+def restrict_to_subgroup(data: TwistedData, sub: Subgroup) -> Optional[TwistedData]:
+    """(theta, c) on a Gamma-invariant subgroup, in the subgroup's own indices.
 
-    A normalized 2-cochain is a vector in the cyclic coordinates of Z(G),
-    one block per slot (g1, g2) with g1, g2 != 1; the cocycle identity holds
-    by normalization whenever an argument is 1, so the coboundary only
-    needs the triples of non-identity elements.  Z^2 is the kernel of that
-    coboundary, assembled by probing unit cochains; B^2 is generated by the
-    coboundaries of the unit 1-cochains; classes are the cosets of B^2,
-    told apart by Smith-form labels.  Every cocycle listed still passes
-    check_cocycle.
+    Raises SubgroupNotInvariant when some theta_t moves the subgroup out of
+    itself; returns None when c takes a value outside it.
+    """
+    back = sub.parent_to_sub
+    tables = []
+    for t in data.gamma.elements():
+        row = []
+        for h in sub.embed:
+            img = data.theta(t, h)
+            if img not in back:
+                raise SubgroupNotInvariant(t, h)
+            row.append(back[img])
+        tables.append(row)
+    if any(v not in back for row in data.cocycle.table for v in row):
+        return None
+    action = check_gamma_action(data.gamma, sub.group, tables)
+    return TwistedData(action, check_cocycle(action, [[back[v] for v in row] for row in data.cocycle.table]))
+
+
+def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> CocycleClassification:
+    """Classify central 2-cocycles up to coboundary as the Cech H^2 of a point.
+
+    Over the one-vertex nerve with Gamma acting trivially, the Cech complex
+    with coefficients Z(G) is the normalized group complex: the w slots are
+    the 2-cochains, the c4 rows of d2 are the cocycle identity and the
+    vertex part of d1 is the group coboundary.  So h2_classes lists Z^2 and
+    labels its cosets of B^2; a kernel vector w is read as the table
+    c(g1, g2) = theta_{g1 g2}(w(g2, g1)), the inverse of
+    theta_inv_twist_triple.  Every table listed still passes check_cocycle.
 
     Representatives are the lexicographically minimal tables of each coset,
-    and class ids ascend with them.  Refuses (rather than sampling) when
-    the 3-cochains have more than DEFAULT_COORD_GUARD coordinates, or when
-    |Z^2| exceeds the guard.
+    and class ids ascend with them, so class 0 is B^2.  Refuses (rather than
+    sampling) when the 3-cochains have more than DEFAULT_COORD_GUARD
+    coordinates, or when |Z^2| exceeds the guard.
     """
-    gamma, g = action.gamma, action.g
-    zsub = center(g)
-    co = abelian_coordinates(zsub.group)
-    r = len(co.moduli)
-    nontriv = [x for x in gamma.elements() if x != 0]
-    slots = [(g1, g2) for g1 in nontriv for g2 in nontriv]
-    n_out = len(nontriv) ** 3 * r
+    # cech imports this module at load time
+    from .cech import h2_classes, system_from_data
+
+    gamma = action.gamma
+    zsub = center(action.g)
+    n_out = (gamma.order - 1) ** 3 * len(abelian_coordinates(zsub.group).moduli)
     if n_out > DEFAULT_COORD_GUARD:
         raise BudgetExceeded(f"3-cochains have {n_out} coordinates, guard {DEFAULT_COORD_GUARD}")
-    n = gamma.order
-    mods = co.moduli * len(slots)
-    zgens = [zsub.embed[z] for z in co.generators]
+    point = trivial_gamma_nerve(validate_nerve(1, []), gamma)
+    h2 = h2_classes(system_from_data(point, restrict_to_subgroup(make_twisted_data(action), zsub)), budget=guard)
+    co = h2.complex.space_z.coords
+    r = len(co.moduli)
 
-    def vec_of(elem: int) -> tuple[int, ...]:
-        return co.vec_of[zsub.parent_to_sub[elem]]
-
-    def to_table(vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        table = [[0] * n for _ in range(n)]
-        for k, (g1, g2) in enumerate(slots):
-            table[g1][g2] = zsub.embed[co.element(vec[k * r : (k + 1) * r])]
+    def table_of(vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        table = [[0] * gamma.order for _ in gamma.elements()]
+        # the w slots ("w", t1, t2, vertex 0) are the whole point triple
+        for k, (_, t1, t2, _) in enumerate(h2.complex.space_z.triple_keys):
+            table[t2][t1] = action.apply(gamma.mul[t2][t1], zsub.embed[co.element(vec[k * r : (k + 1) * r])])
         return tuple(tuple(row) for row in table)
 
-    def to_vector(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        return tuple(x for g1, g2 in slots for x in vec_of(table[g1][g2]))
-
-    d_cols = []
-    for g1, g2 in slots:
-        for z in zgens:
-            unit = [[0] * n for _ in range(n)]
-            unit[g1][g2] = z
-            sides = _identity_sides(action, unit, nontriv)
-            d_cols.append(tuple(x for *_, lhs, rhs in sides for x in vec_of(g.mul[lhs][g.inv[rhs]])))
-    d_hom = hom_from_columns(d_cols, mods, co.moduli * len(nontriv) ** 3)
-    z_gens = kernel_generators(d_hom)
-    z_size = subgroup_size(mods, z_gens)
-    if z_size > guard:
-        raise BudgetExceeded(f"Z^2 has {z_size} elements, enumeration guard {guard}")
-    cocycles = sorted(
-        (check_cocycle(action, to_table(vec)).table, vec)
-        for vec in enumerate_subgroup(mods, z_gens, budget=guard)
-    )
-    b_gens = [
-        to_vector(coboundary(action, GammaOneCochain(tuple(z if y == x else 0 for y in gamma.elements()))).table)
-        for x in nontriv
-        for z in zgens
-    ]
-    cobs = sorted(to_table(vec) for vec in enumerate_subgroup(mods, b_gens, budget=guard))
-    labels = quotient_labels(mods, b_gens)
+    cocycles = sorted((check_cocycle(action, table_of(vec)).table, label) for vec, label in h2.kernel.items())
     reps: list[tuple[tuple[int, ...], ...]] = []
     class_of: dict[tuple[tuple[int, ...], ...], int] = {}
     ids: dict[tuple[int, ...], int] = {}
     # the first table met of each coset is its minimum, so class ids ascend
     # with representatives
-    for table, vec in cocycles:
-        label = labels.label(vec)
+    for table, label in cocycles:
         if label not in ids:
             ids[label] = len(reps)
             reps.append(table)
         class_of[table] = ids[label]
-    return CocycleClassification(action, [table for table, _ in cocycles], cobs, reps, class_of)
+    tables = [table for table, _ in cocycles]
+    return CocycleClassification(action, tables, [t for t in tables if class_of[t] == 0], reps, class_of)
 
 
 @dataclass(frozen=True)
@@ -364,22 +344,11 @@ def gamma_hat(data: TwistedData, label: Optional[str] = None) -> tuple[TwistedPr
     group into the full twisted product, compatible with both projections.
     """
     zsub = center(data.g)
-    z = zsub.group
-    restr = tuple(
-        tuple(zsub.parent_to_sub[data.theta(x, zsub.embed[i])] for i in range(z.order))
-        for x in data.gamma.elements()
-    )
-    zaction = check_gamma_action(data.gamma, z, restr)
-    ztable = tuple(
-        tuple(zsub.parent_to_sub[data.c(x, y)] for y in data.gamma.elements())
-        for x in data.gamma.elements()
-    )
-    zdata = TwistedData(zaction, check_cocycle(zaction, ztable))
-    small = build_twisted_product(zdata, label=label)
+    small = build_twisted_product(restrict_to_subgroup(data, zsub), label=label)
     big = build_twisted_product(data)
     mapping = tuple(
         big.pair_index(zsub.embed[z_elem], x)
-        for z_elem in z.elements()
+        for z_elem in zsub.group.elements()
         for x in data.gamma.elements()
     )
     embedding = GroupHom(small.group, big.group, mapping)

@@ -265,9 +265,15 @@ def subgroup_from_elements(g: FiniteGroup, elements: Iterable[int], label: Optio
     return Subgroup(sub, g, elems, index)
 
 
+def is_central(g: FiniteGroup, z: int) -> bool:
+    """Whether z commutes with every element of g."""
+    row = g.mul[z]
+    return all(row[x] == g.mul[x][z] for x in g.elements())
+
+
 def center(g: FiniteGroup) -> Subgroup:
     """The centre {z : zg = gz for all g} with its own table."""
-    elems = [z for z in g.elements() if all(g.mul[z][x] == g.mul[x][z] for x in g.elements())]
+    elems = [z for z in g.elements() if is_central(g, z)]
     lbl = f"Z({g.label})" if g.label else None
     return subgroup_from_elements(g, elems, label=lbl)
 

@@ -321,8 +321,9 @@ def test_h2_classes_reads_b2_off_the_label_smith_form(monkeypatch):
     real = abelian.smith_normal_form
     monkeypatch.setattr(abelian, "smith_normal_form", lambda mat: calls.append(1) or real(mat))
     h2 = h2_classes(ladder.sys_z)
-    # one Smith form for the coset labels and one for the image of d2 (the
-    # kernel of d2 needs none); |B^2| is read off the labels' diagonal
+    # one Smith form for the coset labels and one for the order of ker d2,
+    # counted on its generators in the domain; |B^2| is read off the labels'
+    # diagonal
     assert len(calls) == 2
     assert h2.size == 1
     assert h2.reps == [(0,) * 12]

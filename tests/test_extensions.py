@@ -1,8 +1,11 @@
 """Extension algebra: cocycles, twisted products, classification, recocycling."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcech.errors import (
     BudgetExceeded,
@@ -14,6 +17,13 @@ from twistcech.errors import (
     SectionNotNormalised,
     ValueNotCentral,
 )
+from twistcech.cech import (
+    h2_classes,
+    system_from_data,
+    theta_inv_twist_triple,
+    triple_to_vector,
+    vector_to_triple,
+)
 from twistcech.extensions import (
     CocycleClassification,
     GammaOneCochain,
@@ -21,6 +31,7 @@ from twistcech.extensions import (
     TwoCocycle,
     build_twisted_product,
     check_cocycle,
+    check_gamma_action,
     cohomologous_iso,
     coboundary,
     extract_twisted_data,
@@ -28,11 +39,13 @@ from twistcech.extensions import (
     make_twisted_data,
     multiply_cocycles,
     recocycle,
+    restrict_to_subgroup,
     second_cohomology,
     trivial_action,
 )
-from twistcech.fixtures import c_q_data, c_square_table, group, inversion_action, named_action
-from twistcech.groups import center, find_isomorphism, validate_group
+from twistcech.fixtures import GROUPS, c_q_data, c_square_table, group, inversion_action, named_action
+from twistcech.groups import automorphisms, center, find_isomorphism, validate_group
+from twistcech.nerves import trivial_gamma_nerve, validate_nerve
 
 C2, C4, C8 = group("C2"), group("C4"), group("C8")
 S3, D4, Q8 = group("S3"), group("D4"), group("Q8")
@@ -178,6 +191,82 @@ def test_second_cohomology_class_invariant_under_coboundaries():
             for a_val in zelems:
                 shifted = multiply_cocycles(base, coboundary(action, GammaOneCochain((0, a_val))))
                 assert h2.class_of(shifted) == cid
+
+
+@pytest.mark.parametrize(
+    "gamma, z, action",
+    [
+        ("C2", "C4", "inversion"),
+        ("C2", "C8", "inversion"),
+        ("C2", "Q8", "q8_swap"),
+        ("C4", "C3", "trivial"),
+        ("S3", "C2", "trivial"),
+    ],
+)
+def test_point_kernel_vectors_are_twist_triples(gamma, z, action):
+    # second_cohomology reads c(g1, g2) = theta_{g1 g2}(w(g2, g1)) off each
+    # kernel vector w of the one-vertex nerve; theta_inv_twist_triple of the
+    # point twisted by c must give back that same w
+    act = named_action(action, group(gamma), group(z))
+    zsub = center(act.g)
+    point = trivial_gamma_nerve(validate_nerve(1, []), act.gamma)
+    h2 = h2_classes(system_from_data(point, restrict_to_subgroup(make_twisted_data(act), zsub)))
+    classes = second_cohomology(act)
+    mul = act.gamma.mul
+    assert len(h2.kernel) == len(classes.cocycles)
+    for vec in h2.kernel:
+        w = vector_to_triple(h2.complex.space_z, vec)
+        table = tuple(
+            tuple(act.apply(mul[g1][g2], zsub.embed[w.w_get(g2, g1, 0)]) for g2 in act.gamma.elements())
+            for g1 in act.gamma.elements()
+        )
+        assert table in classes._class_of
+        twisted = system_from_data(point, restrict_to_subgroup(TwistedData(act, TwoCocycle(act, table)), zsub))
+        assert triple_to_vector(h2.complex.space_z, theta_inv_twist_triple(twisted)) == vec
+
+
+@functools.cache
+def _all_actions(gamma_name, g_name):
+    """Every homomorphism Gamma -> Aut(G), from automorphisms on a generating sequence."""
+    gamma, g = group(gamma_name), group(g_name)
+    gens = gamma.generating_sequence()
+    out = []
+    for images in itertools.product(automorphisms(g), repeat=len(gens)):
+        theta = {0: tuple(g.elements())}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for s, auto in zip(gens, images):
+                y = gamma.mul[x][s]
+                if y not in theta:
+                    # theta_{x s} = theta_x after theta_s
+                    theta[y] = tuple(theta[x][auto.map[e]] for e in g.elements())
+                    frontier.append(y)
+        try:
+            out.append(check_gamma_action(gamma, g, [theta[x] for x in gamma.elements()]))
+        except InputError:
+            pass  # the images do not satisfy the relations of Gamma
+    return out
+
+
+# (Gamma, G) pairs whose full table walk has at most 4,096 tables
+PROPERTY_PAIRS = [
+    (gamma, g)
+    for gamma in ("C1", "C2", "C3", "C4", "C2xC2")
+    for g in sorted(GROUPS)
+    if center(group(g)).group.order ** ((group(gamma).order - 1) ** 2) <= 4096
+]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sampled_from(PROPERTY_PAIRS).flatmap(lambda pair: st.sampled_from(_all_actions(*pair))))
+def test_second_cohomology_matches_oracle_on_generated_actions(action):
+    h2 = second_cohomology(action)
+    oracle = brute_force_second_cohomology(action)
+    assert h2.cocycles == oracle.cocycles
+    assert h2.coboundaries == oracle.coboundaries
+    assert h2.representatives == oracle.representatives
+    assert h2._class_of == oracle._class_of
 
 
 def test_build_twisted_product_isomorphism_types():
