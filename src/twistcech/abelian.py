@@ -206,17 +206,13 @@ class ZHom:
     mods_out: tuple[int, ...]
 
     def __post_init__(self):
-        for j, d in enumerate(self.mods_in):
-            img = self.apply(tuple(d if i == j else 0 for i in range(len(self.mods_in))), reduce=False)
-            if any(x % m for x, m in zip(img, self.mods_out)):
+        # the image of d_j e_j is column j scaled by d_j; it must vanish
+        for row, m in zip(self.matrix, self.mods_out):
+            if any(x * d % m for x, d in zip(row, self.mods_in)):
                 raise InputError("matrix does not define a homomorphism of the given moduli")
 
-    def apply(self, vec: Sequence[int], *, reduce: bool = True) -> tuple[int, ...]:
-        out = []
-        for row, m in zip(self.matrix, self.mods_out):
-            s = sum(r * x for r, x in zip(row, vec))
-            out.append(s % m if reduce else s)
-        return tuple(out)
+    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(self.matrix, self.mods_out))
 
 
 def hom_from_columns(columns: Sequence[Sequence[int]], mods_in: Sequence[int], mods_out: Sequence[int]) -> ZHom:

@@ -62,7 +62,7 @@ from .extensions import (
     trivial_cocycle,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, center, quotient_group, subgroup_from_elements
-from .nerves import GammaNerve, Nerve, tree_gauge
+from .nerves import GammaNerve, Nerve, Simplex, tree_gauge
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -444,28 +444,82 @@ def canonical_form_reduced(x: TwistedOneCocycle) -> tuple:
     return min(canonical_form(pullback(x, lam)) for lam in _central_elements(x.system.gamma))
 
 
+def _edge_solutions(system: CechSystem, tree: Iterable[Simplex]) -> Iterable[list[int]]:
+    """Edge values with the forest at the identity and a_ij a_jk == a_ik on triangles.
+
+    Depth-first search with an explicit stack: branch on the first unassigned
+    edge in ``nerve.edges`` order, values ascending, and after each assignment
+    run the triangles to a fixed point (two known edges fix the third, three
+    that disagree prune the branch).  Two solutions first differ at the edge
+    some node branched on, so solutions come out in lexicographic order.
+    """
+    nerve = system.nerve
+    mul, inv = system.coeff.mul, system.coeff.inv
+    idx = nerve.edge_index
+    touching: list[list[tuple[int, int, int]]] = [[] for _ in nerve.edges]
+    for (i, j, x) in nerve.triangles:
+        tri = (idx[(i, j)], idx[(j, x)], idx[(i, x)])
+        for e in tri:
+            touching[e].append(tri)
+
+    def propagate(a: list[int], changed: list[int]) -> bool:
+        while changed:
+            for ij, jx, ix in touching[changed.pop()]:
+                x, y, z = a[ij], a[jx], a[ix]
+                if x < 0:
+                    if y >= 0 and z >= 0:
+                        a[ij] = mul[z][inv[y]]
+                        changed.append(ij)
+                elif y < 0:
+                    if z >= 0:
+                        a[jx] = mul[inv[x]][z]
+                        changed.append(jx)
+                elif z < 0:
+                    a[ix] = mul[x][y]
+                    changed.append(ix)
+                elif mul[x][y] != z:
+                    return False
+        return True
+
+    start = [-1] * len(nerve.edges)
+    forest = [idx[e] for e in tree]
+    for e in forest:
+        start[e] = 0
+    if not propagate(start, forest):
+        return
+    stack = [(start, 0)]
+    while stack:
+        a, pos = stack.pop()
+        while pos < len(a) and a[pos] >= 0:
+            pos += 1
+        if pos == len(a):
+            yield a
+            continue
+        for val in reversed(system.coeff.elements()):
+            child = a.copy()
+            child[pos] = val
+            if propagate(child, [pos]):
+                stack.append((child, pos + 1))
+
+
 def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> list[TwistedOneCocycle]:
     """All tree-normalized twisted cocycles.
 
-    Free coordinates are the non-forest edge values and, per acting-group
-    generator and nerve component, the vertex function at the component
-    root; everything else is reconstructed and the result validated, so the
-    list is exactly the tree-normalized slice of the cocycle set.
+    The edge part comes from ``_edge_solutions``; per edge solution the free
+    coordinates are, per acting-group generator and nerve component, the
+    vertex function at the component root.  Everything else is
+    reconstructed and the result validated, so the list is exactly the
+    tree-normalized slice of the cocycle set, ordered by edge part and then
+    by root values.  ``budget`` bounds the candidates walked (edge solutions
+    times root choices); passing it raises ``BudgetExceeded`` at once.
     """
     nerve = system.nerve
     gamma = system.gamma
     k = system.coeff
     space = system.space
     parent, tree = nerve.spanning_forest()
-    tree_set = set(tree)
-    nontree = [e for e in nerve.edges if e not in tree_set]
     comps = nerve.components()
     gens = gamma.generating_sequence()
-    n_candidates = len(k.elements()) ** (len(nontree) + len(gens) * len(comps))
-    if n_candidates > budget:
-        raise BudgetExceeded(f"{n_candidates} candidates exceed budget {budget}")
-
-    edge_pos = nerve.edge_index
     comp_roots = [c[0] for c in comps]
 
     # words expressing every group element as a product of generators
@@ -481,20 +535,12 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
 
     out: list[TwistedOneCocycle] = []
     n_vertices = nerve.n_vertices
-    for a_combo in itertools.product(k.elements(), repeat=len(nontree)):
-        a = [0] * len(nerve.edges)
-        for e, val in zip(nontree, a_combo):
-            a[edge_pos[e]] = val
-        ok_tri = all(
-            k.mul[k.mul[edge_value(system, a, i, j)][edge_value(system, a, j, x)]][
-                k.inv[edge_value(system, a, i, x)]
-            ]
-            == 0
-            for (i, j, x) in nerve.triangles
-        )
-        if not ok_tri:
-            continue
+    walked = 0
+    for a in _edge_solutions(system, tree):
         for phi_combo in itertools.product(k.elements(), repeat=len(gens) * len(comps)):
+            walked += 1
+            if walked > budget:
+                raise BudgetExceeded(f"enumeration walked more than {budget} candidates (edge solutions x root choices)")
             phi_gen: dict[int, list[int]] = {}
             feasible = True
             for gi, g in enumerate(gens):

@@ -134,6 +134,10 @@ NERVES: dict[str, Nerve] = {
     "X_TWO_TRI_NERVE": validate_nerve(6, [(0, 1, 2), (3, 4, 5)]),
     "X_DODEC_NERVE": validate_nerve(12, [(i, (i + 1) % 12) for i in range(12)]),
     "Y_TET": validate_nerve(4, [(0, 1, 2, 3)]),
+    # the octahedron: vertices v and v + 3 are antipodal
+    "X_OCT_NERVE": validate_nerve(
+        6, [(0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5), (1, 2, 3), (1, 3, 5), (2, 3, 4), (3, 4, 5)]
+    ),
 }
 
 
@@ -161,10 +165,18 @@ def _dodec_gamma_nerve() -> GammaNerve:
     return validate_gamma_nerve(NERVES["X_DODEC_NERVE"], c4, tables, require_free=True)
 
 
+def _oct_gamma_nerve() -> GammaNerve:
+    """The antipodal flip on the octahedron, a free C2 action with quotient RP^2."""
+    c2 = GROUPS["C2"]
+    flip = tuple((v + 3) % 6 for v in range(6))
+    return validate_gamma_nerve(NERVES["X_OCT_NERVE"], c2, (tuple(range(6)), flip), require_free=True)
+
+
 GAMMA_NERVES: dict[str, GammaNerve] = {
     "X_HEX": _hex_gamma_nerve(),
     "X_TWO_TRI": _two_tri_gamma_nerve(),
     "X_DODEC": _dodec_gamma_nerve(),
+    "X_OCT": _oct_gamma_nerve(),
     "Y_TRI_TRIVC2": trivial_gamma_nerve(NERVES["Y_TRI"], GROUPS["C2"]),
 }
 

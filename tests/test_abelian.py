@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from twistcech.abelian import (
     ZHom,
     _matmul,
@@ -13,6 +15,7 @@ from twistcech.abelian import (
     solve,
     subgroup_size,
 )
+from twistcech.errors import InputError
 from twistcech.groups import cyclic_group, direct_product
 
 
@@ -142,3 +145,13 @@ def test_quotient_labels_and_size():
         base = next(iter(members))
         coset = {tuple((base[i] + g[i]) % mods[i] for i in range(3)) for g in sub}
         assert members == coset
+
+
+def test_zhom_refuses_a_matrix_that_is_not_a_homomorphism():
+    # 1 -> 1 from Z/2 to Z/3 sends 2 to 2, not 0
+    with pytest.raises(InputError):
+        ZHom(((1,),), (2,), (3,))
+    with pytest.raises(InputError):
+        ZHom(((0, 0), (0, 1)), (4, 2), (6, 4))
+    # 1 -> 3 from Z/2 to Z/6 and x -> 2x from Z/4 to Z/8 are homomorphisms
+    assert ZHom(((3, 0), (0, 2)), (2, 4), (6, 8)).apply((1, 3)) == (3, 6)

@@ -1,14 +1,18 @@
 """The cohomology engine: d1, gauge, enumeration, d2, coboundaries, sections."""
 
+import functools
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcech.abelian import subgroup_size
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
+    TwistedOneCocycle,
     ZTriple,
     abelian_complex,
     canonical_form,
@@ -17,6 +21,8 @@ from twistcech.cech import (
     d2,
     delta_h0,
     delta_h1_vector,
+    edge_value,
+    enumerate_cocycles,
     existence_check,
     gauge,
     gauge_reduced,
@@ -39,7 +45,7 @@ from twistcech.cech import (
     triple_to_vector,
     twist_target,
 )
-from twistcech.errors import InputError, NotCentral
+from twistcech.errors import BudgetExceeded, InputError, NotCentral
 from twistcech.extensions import (
     build_twisted_product,
     check_gamma_action,
@@ -47,7 +53,7 @@ from twistcech.extensions import (
     recocycle,
     trivial_action,
 )
-from twistcech.fixtures import c_q_data, gamma_nerve, group, inversion_action, nerve
+from twistcech.fixtures import GROUPS, c_q_data, default_grid, gamma_nerve, group, inversion_action, nerve
 from twistcech.groups import GroupHom, center, conjugacy_classes, cyclic_group, quotient_group
 from twistcech.nerves import trivial_gamma_nerve, validate_gamma_nerve, validate_nerve
 
@@ -145,6 +151,229 @@ def test_tree_normalized_enumeration_matches_raw():
             for cid in range(len(fast))
         }
         assert fast_canonical == raw_classes
+
+
+def brute_force_enumerate_cocycles(system, *, budget=2_000_000):
+    """Test oracle: every non-forest edge tuple, filtered by the triangles.
+
+    The enumerator as it was before triangle propagation: it walks
+    |K|^(#non-forest edges) edge tuples and, for each one that passes the
+    triangles, every choice of root values.
+    """
+    nerve_ = system.nerve
+    gamma = system.gamma
+    k = system.coeff
+    space = system.space
+    parent, tree = nerve_.spanning_forest()
+    tree_set = set(tree)
+    nontree = [e for e in nerve_.edges if e not in tree_set]
+    comps = nerve_.components()
+    gens = gamma.generating_sequence()
+    n_candidates = len(k.elements()) ** (len(nontree) + len(gens) * len(comps))
+    if n_candidates > budget:
+        raise BudgetExceeded(f"{n_candidates} candidates exceed budget {budget}")
+
+    edge_pos = nerve_.edge_index
+    comp_roots = [c[0] for c in comps]
+
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        t = frontier.pop(0)
+        for g in gens:
+            nxt = gamma.mul[t][g]
+            if nxt not in words:
+                words[nxt] = words[t] + (g,)
+                frontier.append(nxt)
+
+    out = []
+    n_vertices = nerve_.n_vertices
+    for a_combo in itertools.product(k.elements(), repeat=len(nontree)):
+        a = [0] * len(nerve_.edges)
+        for e, val in zip(nontree, a_combo):
+            a[edge_pos[e]] = val
+        ok_tri = all(
+            k.mul[k.mul[edge_value(system, a, i, j)][edge_value(system, a, j, x)]][
+                k.inv[edge_value(system, a, i, x)]
+            ]
+            == 0
+            for (i, j, x) in nerve_.triangles
+        )
+        if not ok_tri:
+            continue
+        for phi_combo in itertools.product(k.elements(), repeat=len(gens) * len(comps)):
+            phi_gen = {}
+            feasible = True
+            for gi, g in enumerate(gens):
+                row = [0] * n_vertices
+                for ci in range(len(comps)):
+                    row[comp_roots[ci]] = phi_combo[gi * len(comps) + ci]
+                for v, p in parent.items():
+                    if p is None:
+                        continue
+                    pulled = edge_value(system, a, space.act(p, g), space.act(v, g))
+                    row[v] = k.mul[k.mul[k.inv[pulled]][row[p]]][
+                        system.theta_inv(g, edge_value(system, a, p, v))
+                    ]
+                phi_gen[g] = row
+            phi_rows = {0: [0] * n_vertices}
+            for t in sorted(words, key=lambda s: len(words[s])):
+                if t in phi_rows:
+                    continue
+                *prefix, g = words[t]
+                t_prev = 0
+                for s in prefix:
+                    t_prev = gamma.mul[t_prev][s]
+                prev_row = phi_rows[t_prev]
+                grow = phi_gen[g]
+                prod = gamma.mul[t_prev][g]
+                if prod != t:
+                    feasible = False
+                    break
+                row = []
+                for v in range(n_vertices):
+                    val = k.mul[
+                        k.mul[grow[space.act(v, t_prev)]][system.theta_inv(g, prev_row[v])]
+                    ][k.inv[system.theta_inv(prod, system.c(t_prev, g))]]
+                    row.append(val)
+                phi_rows[t] = row
+            if not feasible:
+                continue
+            phi = tuple(tuple(phi_rows[t]) for t in gamma.elements())
+            ok, _ = is_twisted_cocycle(system, a, phi)
+            if ok:
+                out.append(TwistedOneCocycle(system, tuple(a), phi))
+    return out
+
+
+def assert_matches_oracle(system, *, budget=2_000_000):
+    fast = enumerate_cocycles(system)
+    assert [x.serial() for x in fast] == [x.serial() for x in brute_force_enumerate_cocycles(system, budget=budget)]
+    assert all(is_twisted_cocycle(system, x.a, x.phi)[0] for x in fast)
+    return fast
+
+
+def _trivial_system(space, g_name):
+    return system_from_data(space, make_twisted_data(trivial_action(space.gamma, group(g_name))))
+
+
+LADDER_GROUPS = ("C2", "C4", "C2xC2", "S3", "Q8", "D4", "C8")
+
+
+def test_enumeration_matches_oracle_on_the_grid_and_ladder():
+    systems = []
+    for inst in default_grid():
+        ladder = coefficient_ladder(inst.space, inst.data)
+        systems += [system_from_data(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
+    systems += [_trivial_system(gamma_nerve("X_DODEC"), g) for g in LADDER_GROUPS]
+    systems += [_trivial_system(gamma_nerve("X_OCT"), g) for g in ("C2", "C4", "S3")]
+    for system in systems:
+        assert_matches_oracle(system)
+
+
+def test_octahedron_counts_match_hom_from_c2():
+    # S^2 -> RP^2 is the universal cover, so classes are |Hom(C2, G) / G|
+    space = gamma_nerve("X_OCT")
+    for g_name, count in (("Q8", 2), ("D4", 4), ("C8", 2), ("S3", 2)):
+        assert len(h1_twisted(_trivial_system(space, g_name))) == count
+
+
+def test_budget_counts_walked_candidates():
+    # X_OCT is simply connected: one edge solution times six root values
+    system = _trivial_system(gamma_nerve("X_OCT"), "S3")
+    assert len(enumerate_cocycles(system, budget=6)) == 4
+    with pytest.raises(BudgetExceeded):
+        enumerate_cocycles(system, budget=5)
+
+
+# the six-vertex real projective plane: pi1 = C2, so triangles prune branches
+RP2_6 = trivial_gamma_nerve(
+    validate_nerve(
+        6,
+        [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+         (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)],
+    ),
+    C1,
+)
+
+
+def test_propagation_prunes_on_the_projective_plane():
+    assert len(RP2_6.nerve.edges) == 15 and len(RP2_6.nerve.triangles) == 10
+    for g_name, count in (("C2", 2), ("C3", 1)):
+        cocycles = assert_matches_oracle(_trivial_system(RP2_6, g_name))
+        assert len(cocycles) == count
+    # Hom(C2, S3) has 4 elements; a branch that breaks a triangle is pruned
+    # before it is walked, so a budget of 4 candidates is enough
+    assert len(enumerate_cocycles(_trivial_system(RP2_6, "S3"), budget=4)) == 4
+    assert len(h1_twisted(_trivial_system(RP2_6, "S3"))) == 2
+
+
+def test_propagation_solves_each_edge_of_a_triangle():
+    # cones from vertex 0 over two disks; each has free pi1 of rank 3, so
+    # 6^3 = 216 tree-normalized S3 cocycles.  On the first, branching on the
+    # edges at 1 fixes the last edges of (1,2,4) and (1,3,4), which then fix
+    # the first edge (2,3) of (2,3,4); on the second, branching on (2,3)
+    # fixes the middle edge (2,4) of (2,3,4).
+    star = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    for triangles in ([(1, 2, 4), (1, 3, 4), (2, 3, 4)], [(1, 3, 4), (2, 3, 4)]):
+        system = _trivial_system(trivial_gamma_nerve(validate_nerve(5, star + triangles), C1), "S3")
+        assert len(assert_matches_oracle(system)) == 216
+
+
+def _rotated_cycle(n, d):
+    gamma = cyclic_group(n // d)
+    cycle = validate_nerve(n, [(i, (i + 1) % n) for i in range(n)])
+    return validate_gamma_nerve(cycle, gamma, [[(v + d * t) % n for v in range(n)] for t in gamma.elements()])
+
+
+PROPERTY_SPACES = [
+    *(_rotated_cycle(n, d) for n in range(3, 10) for d in range(1, n + 1) if n % d == 0),
+    gamma_nerve("Y_FILLED_TRI"),
+    gamma_nerve("Y_TET"),
+    gamma_nerve("X_OCT"),
+    RP2_6,
+]
+ORACLE_CAP = 50_000
+
+
+def _oracle_size(space, g):
+    nerve_ = space.nerve
+    nontree = len(nerve_.edges) - len(nerve_.spanning_forest()[1])
+    return g.order ** (nontree + len(space.gamma.generating_sequence()) * len(nerve_.components()))
+
+
+@functools.cache
+def _property_actions(space_index, g_name):
+    """The trivial action, and inversion through Gamma -> C2 when that is one."""
+    gamma, g = PROPERTY_SPACES[space_index].gamma, group(g_name)
+    out = [trivial_action(gamma, g)]
+    if g.is_abelian() and gamma.order % 2 == 0 and any(g.inv[x] != x for x in g.elements()):
+        # gamma is cyclic with element t the t-th power of the generator
+        out.append(check_gamma_action(gamma, g, [tuple(g.inv) if t % 2 else tuple(g.elements()) for t in gamma.elements()]))
+    return out
+
+
+PROPERTY_CASES = [
+    (i, g_name)
+    for i, space in enumerate(PROPERTY_SPACES)
+    for g_name in sorted(GROUPS)
+    if _oracle_size(space, group(g_name)) <= ORACLE_CAP
+]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(PROPERTY_CASES).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.sampled_from(_property_actions(*case)))
+    )
+)
+def test_enumeration_matches_oracle_on_generated_systems(case):
+    space_index, action = case
+    system = system_from_data(PROPERTY_SPACES[space_index], make_twisted_data(action))
+    cocycles = assert_matches_oracle(system, budget=ORACLE_CAP)
+    # every accepted cocycle was walked, so one fewer is too small a budget
+    with pytest.raises(BudgetExceeded):
+        enumerate_cocycles(system, budget=max(len(cocycles) - 1, 0))
 
 
 def test_circle_counts_match_conjugacy_classes():

@@ -107,6 +107,17 @@ def test_verify_budget_exit(capsys):
     assert code == 3
 
 
+def test_h1_budget_exit_names_walked_candidates(capsys):
+    # X_OCT with S3 walks one edge solution times six root values
+    code, out = run_cli(["h1", "X_OCT", "X_HEX/S3,trivial,trivial", "--budget-enum", "3"], capsys)
+    assert code == 3
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "budget" and check["status"] == "fail"
+    assert "walked more than 3 candidates" in check["error"]
+    code, out = run_cli(["h1", "X_OCT", "X_HEX/S3,trivial,trivial"], capsys)
+    assert code == 0 and json.loads(out)["checks"][0]["count"] == 2
+
+
 def test_verify_fault_injection_exit(capsys):
     code, out = run_cli(
         ["verify", "les", "--only", "X_HEX/S3,trivial,trivial", "--fault", "flip-gauge"], capsys
