@@ -30,21 +30,6 @@ def _identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with U*mat*V = D diagonal, U and V unimodular."""
     a = [list(map(int, row)) for row in mat]
@@ -290,10 +275,6 @@ def solve(hom: ZHom, target: Sequence[int]) -> Optional[tuple[int, ...]]:
             y[i] = ut[i] // di
     x = [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
     return tuple(x[i] % hom.mods_in[i] for i in range(n))
-
-
-def image_contains(hom: ZHom, target: Sequence[int]) -> bool:
-    return solve(hom, target) is not None
 
 
 def subgroup_size(mods: Sequence[int], generators: Iterable[Sequence[int]]) -> int:

@@ -26,11 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .abelian import (
     DEFAULT_COORD_GUARD,
     AbelianCoords,
+    QuotientLabels,
     ZHom,
     abelian_coordinates,
     enumerate_subgroup,
@@ -365,26 +367,23 @@ def h0_twisted(system: CechSystem) -> H0Group:
 class CohomologySet:
     """Gauge-orbit representatives with a membership map.
 
-    ``reps`` are canonical serialized cocycles in a stable order; class_of
-    sends any cocycle of the same system to its class index.
+    ``reps`` are canonical serialized cocycles in a stable order; ``lookup``
+    sends every tree-normalized serialization of a class to its index, so
+    class_of sends any cocycle of the same system to its class index.
     """
 
-    kind: str
-    system: Optional[CechSystem]
+    system: CechSystem
     reps: list
-    _canon: Optional[Callable] = None
-    _lookup: Optional[dict] = None
+    lookup: dict
 
     def __len__(self) -> int:
         return len(self.reps)
 
-    def class_of(self, x) -> int:
-        if self._canon is not None:
-            key = self._canon(x)
-            if key not in self._lookup:
-                raise InputError("cocycle does not belong to any enumerated class")
-            return self._lookup[key]
-        raise InputError("this cohomology set has no membership map")
+    def class_of(self, x: TwistedOneCocycle) -> int:
+        key = _tree_normalize(x).serial()
+        if key not in self.lookup:
+            raise InputError("cocycle does not belong to any enumerated class")
+        return self.lookup[key]
 
     def representative(self, class_id: int) -> TwistedOneCocycle:
         a, phi = self.reps[class_id]
@@ -438,10 +437,6 @@ def canonical_form(x: TwistedOneCocycle) -> tuple:
 
 def _central_elements(gamma: FiniteGroup) -> list[int]:
     return [t for t in gamma.elements() if all(gamma.mul[t][s] == gamma.mul[s][t] for s in gamma.elements())]
-
-
-def canonical_form_reduced(x: TwistedOneCocycle) -> tuple:
-    return min(canonical_form(pullback(x, lam)) for lam in _central_elements(x.system.gamma))
 
 
 def _edge_solutions(system: CechSystem, tree: Iterable[Simplex]) -> Iterable[list[int]]:
@@ -604,33 +599,23 @@ def h1_twisted(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> Coho
     orbits.sort(key=min)
     reps = [min(orbit) for orbit in orbits]
     lookup = {s: cid for cid, orbit in enumerate(orbits) for s in orbit}
-
-    def canon(x: TwistedOneCocycle) -> tuple:
-        return _tree_normalize(x).serial()
-
-    cs = CohomologySet("H1", system, reps)
-    cs._lookup = lookup
-    cs._canon = canon
-    return cs
+    return CohomologySet(system, reps, lookup)
 
 
-def h1_reduced(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologySet:
-    """Classes of h1_twisted identified along central covering translations."""
-    base = h1_twisted(system, budget=budget)
-    centrals = _central_elements(system.gamma)
+def h1_reduced(h1: CohomologySet) -> CohomologySet:
+    """Classes of a twisted H^1 set identified along central covering translations."""
+    centrals = _central_elements(h1.system.gamma)
 
     def translates(cid: int) -> list[int]:
-        x = base.representative(cid)
-        return [base.class_of(pullback(x, lam)) for lam in centrals]
+        x = h1.representative(cid)
+        return [h1.class_of(pullback(x, lam)) for lam in centrals]
 
-    # base ids ascend with their representatives, so walking them in order
+    # class ids ascend with their representatives, so walking them in order
     # lists the orbits by their minimal representative
-    groups = orbit_closures(range(len(base)), translates)
+    groups = orbit_closures(range(len(h1)), translates)
     reduced_of = {cid: gid for gid, members in enumerate(groups) for cid in members}
-    cs = CohomologySet("H1~", system, [base.reps[min(members)] for members in groups])
-    cs._canon = base._canon
-    cs._lookup = {s: reduced_of[cid] for s, cid in base._lookup.items()}
-    return cs
+    reps = [h1.reps[min(members)] for members in groups]
+    return CohomologySet(h1.system, reps, {s: reduced_of[cid] for s, cid in h1.lookup.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -864,19 +849,6 @@ def d2_out_vector(space_z: ZCochainSpace, parts: tuple[dict, dict, dict, dict]) 
     return tuple(out)
 
 
-def pair_to_vector(space_z: ZCochainSpace, a: Sequence[int], phi: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    co = space_z.coords
-    edge_pos = space_z.system.nerve.edge_index
-    out = []
-    for key in space_z.pair_keys:
-        if key[0] == "a":
-            val = a[edge_pos[key[1]]]
-        else:
-            val = phi[key[1]][key[2]]
-        out.extend(co.vec_of[val])
-    return tuple(out)
-
-
 def vector_to_pair(space_z: ZCochainSpace, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     co = space_z.coords
     r = len(co.moduli)
@@ -1021,6 +993,8 @@ class CoefficientLadder:
     The G and Z systems carry the trivial twist (the twisted variant enters
     only through the distinguished target of the last coboundary); the
     quotient system is honestly untwisted since central values project to 1.
+    The cohomology of the ladder is computed on first use and kept, so every
+    check on one space and data reads the same sets.
     """
 
     space: GammaNerve
@@ -1032,12 +1006,68 @@ class CoefficientLadder:
     quotient: FiniteGroup
     proj: GroupHom
     lift_table: tuple[int, ...]  # quotient element -> minimal lift in G
+    budget: int  # bound on each H^1 enumeration
 
     def lift(self, q_elem: int) -> int:
         return self.lift_table[q_elem]
 
+    @cached_property
+    def sys_c(self) -> CechSystem:
+        """The G system carrying the twist c of the data."""
+        return system_from_data(self.space, self.data)
 
-def coefficient_ladder(space: GammaNerve, data: TwistedData) -> CoefficientLadder:
+    @cached_property
+    def h0z(self) -> H0Group:
+        return h0_twisted(self.sys_z)
+
+    @cached_property
+    def h0g(self) -> H0Group:
+        return h0_twisted(self.sys_g)
+
+    @cached_property
+    def h0q(self) -> H0Group:
+        return h0_twisted(self.sys_q)
+
+    @cached_property
+    def h1z(self) -> CohomologySet:
+        return h1_twisted(self.sys_z, budget=self.budget)
+
+    @cached_property
+    def h1g(self) -> CohomologySet:
+        return h1_twisted(self.sys_g, budget=self.budget)
+
+    @cached_property
+    def h1q(self) -> CohomologySet:
+        return h1_twisted(self.sys_q, budget=self.budget)
+
+    @cached_property
+    def h1c(self) -> CohomologySet:
+        return h1_twisted(self.sys_c, budget=self.budget)
+
+    @cached_property
+    def cx(self) -> AbelianComplex:
+        return abelian_complex(self.sys_z)
+
+    @cached_property
+    def labels(self) -> QuotientLabels:
+        return h2_coset_labels(self.cx)
+
+    @cached_property
+    def target(self) -> tuple[int, ...]:
+        """The twist triple (1, 1, theta^-1(c)) as a centre triple vector."""
+        vec = triple_to_vector(self.cx.space_z, theta_inv_twist_triple(_z_twisted_view(self)))
+        if not self.cx.in_kernel_d2(vec):
+            raise InternalError("twist triple is not d2-closed")
+        return vec
+
+
+def coefficient_ladder(
+    space: GammaNerve, data: TwistedData, *, budget: int = DEFAULT_ENUM_BUDGET
+) -> CoefficientLadder:
+    """The ladder Z -> G -> G/Z of the data over a space, nothing computed yet.
+
+    ``budget`` bounds each H^1 enumeration the ladder makes on first use.
+    """
     g = data.g
     zsub = center(g)
     q, proj = quotient_group(g, zsub.embed, label=f"{g.label or 'G'}/Z")
@@ -1061,7 +1091,7 @@ def coefficient_ladder(space: GammaNerve, data: TwistedData) -> CoefficientLadde
         img = proj.map[x]
         if lift[img] is None:
             lift[img] = x
-    return CoefficientLadder(space, data, sys_g, sys_z, sys_q, zsub, q, proj, tuple(lift))
+    return CoefficientLadder(space, data, sys_g, sys_z, sys_q, zsub, q, proj, tuple(lift), budget)
 
 
 def include_z_cocycle(ladder: CoefficientLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
@@ -1143,7 +1173,6 @@ def delta_h0(
 
 def delta_h1_vector(
     ladder: CoefficientLadder,
-    cx: AbelianComplex,
     x: TwistedOneCocycle,
     *,
     lift_choice: Optional[Callable[[int], int]] = None,
@@ -1161,13 +1190,13 @@ def delta_h1_vector(
         w = {key: tuple(back[t] for t in row) for key, row in pair_part.items()}
     except KeyError as exc:
         raise InternalError("obstruction of a quotient-cocycle lift escaped the centre") from exc
-    vec = triple_to_vector(cx.space_z, ZTriple(ladder.sys_z, u, v, w))
-    if not cx.in_kernel_d2(vec):
+    vec = triple_to_vector(ladder.cx.space_z, ZTriple(ladder.sys_z, u, v, w))
+    if not ladder.cx.in_kernel_d2(vec):
         raise InternalError("lifted obstruction is not d2-closed")
     return vec
 
 
-def h2_coset_labels(cx: AbelianComplex):
+def h2_coset_labels(cx: AbelianComplex) -> QuotientLabels:
     """Stable labels for second-cohomology classes over the centre."""
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
     return quotient_labels(cx.space_z.triple_mods(), b_cols)
@@ -1180,9 +1209,7 @@ def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle) -> tuple:
     representative independence are theorems, exercised by the sequence
     verifier.
     """
-    cx = abelian_complex(ladder.sys_z)
-    labels = h2_coset_labels(cx)
-    return labels.label(delta_h1_vector(ladder, cx, x))
+    return ladder.labels.label(delta_h1_vector(ladder, x))
 
 
 @dataclass
@@ -1207,34 +1234,22 @@ class SequenceReport:
         self.checks.append(CheckRecord(name, "pass" if ok else "fail", detail))
 
 
-def les_verify(
-    space: GammaNerve,
-    data: TwistedData,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    fault: Optional[str] = None,
-) -> SequenceReport:
+def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> SequenceReport:
     """Exactness of the seven-term coefficient sequence, orbit-strengthened.
 
-    At nodes where the previous term is a group the check is the sharp one:
-    two classes have equal image exactly when the group action identifies
-    them.  A node whose computation raises a library error is reported as a
-    failure with the error as witness.  ``fault='flip-gauge'`` deliberately
-    mis-hands the coboundary gauge for harness self-tests: it gauges by the
-    pointwise inverse of the lift, which is the gauge formula with its
-    handedness swapped.
+    The sequence is the ladder's: its H^0 and H^1 sets, its abelian complex
+    over the centre and its twist target.  At nodes where the previous term
+    is a group the check is the sharp one: two classes have equal image
+    exactly when the group action identifies them.  A node whose computation
+    raises a library error is reported as a failure with the error as
+    witness.  ``fault='flip-gauge'`` deliberately mis-hands the coboundary
+    gauge for harness self-tests: it gauges by the pointwise inverse of the
+    lift, which is the gauge formula with its handedness swapped.
     """
     flip = fault == "flip-gauge"
     report = SequenceReport([])
-    ladder = coefficient_ladder(space, data)
-    cx = abelian_complex(ladder.sys_z)
-
-    h0z = h0_twisted(ladder.sys_z)
-    h0g = h0_twisted(ladder.sys_g)
-    h0q = h0_twisted(ladder.sys_q)
-    h1z = h1_twisted(ladder.sys_z, budget=budget)
-    h1g = h1_twisted(ladder.sys_g, budget=budget)
-    h1q = h1_twisted(ladder.sys_q, budget=budget)
+    h0z, h0g, h0q = ladder.h0z, ladder.h0g, ladder.h0q
+    h1z, h1g, h1q = ladder.h1z, ladder.h1g, ladder.h1q
 
     emb = ladder.zsub.embed
     pr = ladder.proj.map
@@ -1315,10 +1330,8 @@ def les_verify(
 
     node("h1(G): fibres over H1(G/Z) are H1(Z)-orbits", node_a6)
 
-    target = triple_to_vector(cx.space_z, theta_inv_twist_triple(_z_twisted_view(ladder)))
-    if not cx.in_kernel_d2(target):
-        raise InternalError("twist triple is not d2-closed")
-    labels = h2_coset_labels(cx)
+    target = ladder.target
+    labels = ladder.labels
 
     def node_a7() -> tuple[bool, dict]:
         # delta^-1 of the twist class equals the image of twisted H1(G);
@@ -1326,22 +1339,11 @@ def les_verify(
         target_label = labels.label(target)
         preimage = set()
         for cid in range(len(h1q)):
-            vec = delta_h1_vector(ladder, cx, h1q.representative(cid), flip=flip)
+            vec = delta_h1_vector(ladder, h1q.representative(cid), flip=flip)
             if labels.label(vec) == target_label:
                 preimage.add(cid)
-        h1c = h1_twisted(system_from_data(space, data), budget=budget)
-        image = set()
-        for cid in range(len(h1c)):
-            rep = h1c.representative(cid)
-            image.add(
-                h1q.class_of(
-                    make_cocycle(
-                        ladder.sys_q,
-                        tuple(pr[v] for v in rep.a),
-                        tuple(tuple(pr[v] for v in row) for row in rep.phi),
-                    )
-                )
-            )
+        h1c = ladder.h1c
+        image = {h1q.class_of(project_g_cocycle(ladder, h1c.representative(cid))) for cid in range(len(h1c))}
         return preimage == image, {
             "preimage": sorted(preimage),
             "image": sorted(image),
@@ -1353,8 +1355,8 @@ def les_verify(
     def node_lift() -> tuple[bool, dict]:
         alt = _alternative_lift(ladder)
         for cid in range(len(h1q)):
-            vec1 = delta_h1_vector(ladder, cx, h1q.representative(cid))
-            vec2 = delta_h1_vector(ladder, cx, h1q.representative(cid), lift_choice=alt)
+            vec1 = delta_h1_vector(ladder, h1q.representative(cid))
+            vec2 = delta_h1_vector(ladder, h1q.representative(cid), lift_choice=alt)
             if labels.label(vec1) != labels.label(vec2):
                 return False, {"witness": cid}
         return True, {}
@@ -1384,23 +1386,22 @@ class ExistenceResult:
     matched_quotient_class: Optional[int]
 
 
-def existence_check(space: GammaNerve, data: TwistedData, *, budget: int = DEFAULT_ENUM_BUDGET) -> ExistenceResult:
-    """Nonemptiness of twisted H^1 via the last coboundary map.
+def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
+    """Nonemptiness of the ladder's twisted H^1 via the last coboundary map.
 
     The twisted set is nonempty exactly when the twist triple is the
     obstruction of some quotient-valued class; a witness cocycle is then
     assembled from the matching lift.
     """
-    ladder = coefficient_ladder(space, data)
-    cx = abelian_complex(ladder.sys_z)
-    target = triple_to_vector(cx.space_z, theta_inv_twist_triple(_z_twisted_view(ladder)))
-    h1q = h1_twisted(ladder.sys_q, budget=budget)
+    cx = ladder.cx
+    target = ladder.target
+    h1q = ladder.h1q
     g = ladder.data.g
     emb = ladder.zsub.embed
     for cid in range(len(h1q)):
         x = h1q.representative(cid)
         a, phi = _lift_pair(ladder, x)
-        vec = delta_h1_vector(ladder, cx, x)
+        vec = delta_h1_vector(ladder, x)
         diff = tuple((a_ - b_) % m for a_, b_, m in zip(vec, target, cx.d1_hom.mods_out))
         correction = solve(cx.d1_hom, diff)
         if correction is None:
@@ -1411,7 +1412,7 @@ def existence_check(space: GammaNerve, data: TwistedData, *, budget: int = DEFAU
             tuple(g.mul[pv][g.inv[emb[zv]]] for pv, zv in zip(prow, zrow))
             for prow, zrow in zip(phi, zphi)
         )
-        witness = make_cocycle(system_from_data(space, data), wa, wphi)
+        witness = make_cocycle(ladder.sys_c, wa, wphi)
         return ExistenceResult(True, witness, cid)
     return ExistenceResult(False, None, None)
 

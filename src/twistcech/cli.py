@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .cech import (
+    coefficient_ladder,
     existence_check,
     h1_reduced,
     h1_twisted,
@@ -155,9 +156,9 @@ def cmd_extensions(cfg: JobConfig) -> Report:
 def cmd_h1(cfg: JobConfig) -> Report:
     space = resolve_gamma_nerve(cfg.args["space"])
     data = _resolve_data(cfg.args["data"])
-    system = system_from_data(space, data)
-    fn = h1_reduced if cfg.args.get("reduced") else h1_twisted
-    classes = fn(system, budget=cfg.budget_enum)
+    classes = h1_twisted(system_from_data(space, data), budget=cfg.budget_enum)
+    if cfg.args.get("reduced"):
+        classes = h1_reduced(classes)
     report = Report(
         SCHEMA,
         {"command": "h1", "space": cfg.args["space"], "data": cfg.args["data"], "reduced": bool(cfg.args.get("reduced"))},
@@ -180,33 +181,38 @@ def _grid_rows(cfg: JobConfig):
     return rows
 
 
+SUITES = ("les", "correspondence", "roundtrips", "existence")
+
+
 def cmd_verify(cfg: JobConfig) -> Report:
+    """Run the suites row by row on one coefficient ladder per grid row.
+
+    Each suite's checks are collected in its own list and reported in suite
+    order, so the report does not depend on the row-major walk.
+    """
     suite = cfg.args["suite"]
     report = Report(SCHEMA, {"command": f"verify {suite}", "grid": cfg.args.get("grid", "default-grid"), "seed": cfg.seed})
     rng = random.Random(cfg.seed)
     deadline = time.monotonic() + cfg.time_limit
-    rows = _grid_rows(cfg)
+    fault = cfg.args.get("fault")
+    checks: dict[str, list] = {s: [] for s in (SUITES if suite == "all" else (suite,))}
 
-    def check_time(instance_name: str) -> None:
+    def add(suite_name: str, name: str, status: str, **extra) -> None:
+        checks[suite_name].append({"name": name, "status": status, **extra})
+
+    for inst in _grid_rows(cfg):
         if time.monotonic() > deadline:
-            raise BudgetExceeded(f"time limit reached at instance {instance_name}")
+            raise BudgetExceeded(f"time limit reached at instance {inst.name}")
+        ladder = coefficient_ladder(inst.space, inst.data, budget=cfg.budget_enum)
+        free = inst.space.gamma.order != 1 and inst.space.free
+        desc = quotient(inst.space) if free and ("correspondence" in checks or "roundtrips" in checks) else None
 
-    if suite in ("les", "all"):
-        fault = cfg.args.get("fault")
-        for inst in rows:
-            check_time(inst.name)
-            rep = les_verify(inst.space, inst.data, budget=cfg.budget_enum, fault=fault)
-            for c in rep.checks:
-                report.add(f"les[{inst.name}] {c.name}", c.status, **c.detail)
+        if "les" in checks:
+            for c in les_verify(ladder, fault=fault).checks:
+                add("les", f"les[{inst.name}] {c.name}", c.status, **c.detail)
 
-    if suite in ("correspondence", "all"):
-        for inst in rows:
-            if inst.space.gamma.order == 1 or not inst.space.free:
-                continue
-            check_time(inst.name)
-            desc = quotient(inst.space)
-            system = system_from_data(inst.space, inst.data)
-            h1r = h1_reduced(system, budget=cfg.budget_enum)
+        if "correspondence" in checks and free:
+            h1r = h1_reduced(ladder.h1c)
             prod = build_twisted_product(inst.data)
             fib = fiber_over_cover(desc, prod, budget=cfg.budget_enum)
             status = "pass" if len(h1r) == len(fib) else "fail"
@@ -217,16 +223,10 @@ def cmd_verify(cfg: JobConfig) -> Report:
                 detail["grothendieck"] = len(gro)
                 if len(gro) != len(fib):
                     status = "fail"
-            report.add(f"correspondence[{inst.name}] cardinalities", status, **detail)
+            add("correspondence", f"correspondence[{inst.name}] cardinalities", status, **detail)
 
-    if suite in ("roundtrips", "all"):
-        for inst in rows:
-            if inst.space.gamma.order == 1 or not inst.space.free:
-                continue
-            check_time(inst.name)
-            desc = quotient(inst.space)
-            system = system_from_data(inst.space, inst.data)
-            h1 = h1_twisted(system, budget=cfg.budget_enum)
+        if "roundtrips" in checks and free:
+            h1 = ladder.h1c
             ok = True
             witness = None
             for cid in rng.sample(range(len(h1)), k=len(h1)):
@@ -235,20 +235,21 @@ def cmd_verify(cfg: JobConfig) -> Report:
                     ok = False
                     witness = cid
                     break
-            report.add(f"roundtrip[{inst.name}] descend-ascend", "pass" if ok else "fail", witness=witness)
+            add("roundtrips", f"roundtrip[{inst.name}] descend-ascend", "pass" if ok else "fail", witness=witness)
 
-    if suite in ("existence", "all"):
-        for inst in rows:
-            check_time(inst.name)
-            system = system_from_data(inst.space, inst.data)
-            res = existence_check(inst.space, inst.data, budget=cfg.budget_enum)
-            nonempty = len(h1_twisted(system, budget=cfg.budget_enum)) > 0
-            report.add(
+        if "existence" in checks:
+            res = existence_check(ladder)
+            nonempty = len(ladder.h1c) > 0
+            add(
+                "existence",
                 f"existence[{inst.name}] criterion agrees with enumeration",
                 "pass" if res.exists == nonempty else "fail",
                 criterion=res.exists,
                 nonempty=nonempty,
             )
+
+    for found in checks.values():
+        report.checks.extend(found)
     return report
 
 
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_h1)
 
     p_ver = sub.add_parser("verify", help="run a verification suite over the grid")
-    p_ver.add_argument("suite", choices=("les", "correspondence", "roundtrips", "existence", "all"))
+    p_ver.add_argument("suite", choices=SUITES + ("all",))
     p_ver.add_argument("--grid", default="default-grid")
     p_ver.add_argument("--only", default=None, help="semicolon-separated instance names")
     p_ver.add_argument(

@@ -139,11 +139,6 @@ class Automorphism:
         return Automorphism(GroupHom(g, g, m), mi)
 
 
-def identity_automorphism(g: FiniteGroup) -> Automorphism:
-    ident = tuple(range(g.order))
-    return Automorphism(GroupHom(g, g, ident), ident)
-
-
 def validate_group(mul: Sequence[Sequence[int]], label: Optional[str] = None) -> FiniteGroup:
     """Check a multiplication table and return a normalized FiniteGroup.
 

@@ -277,30 +277,6 @@ class Pi1Presentation:
             w.extend(self.edge_letter(u, v))
         return free_reduce(tuple(w))
 
-    def simplified_rank(self) -> int:
-        """Upper bound on the rank after killing generators forced trivial.
-
-        A relation that reduces to a single letter kills that generator;
-        substitution is iterated to a fixed point.  Longer relations are
-        ignored, so the result is only an upper bound on the number of
-        generators needed; nothing may use it as a proof of a rank.
-        """
-        rels = [free_reduce(r) for r in self.relations]
-        alive = set(range(1, len(self.generators) + 1))
-        changed = True
-        while changed:
-            changed = False
-            dead: set[int] = set()
-            for r in rels:
-                r = tuple(x for x in r if abs(x) in alive)
-                r = free_reduce(r)
-                if len(r) == 1:
-                    dead.add(abs(r[0]))
-            if dead:
-                alive -= dead
-                changed = True
-        return len(alive)
-
 
 def free_reduce(word: Word) -> Word:
     out: list[int] = []

@@ -9,8 +9,6 @@ Formats (all plain JSON):
 * nerve:        {"vertices": n, "simplices": [[int]]} (maximal; closure added)
 * gamma nerve:  nerve fields +
                 {"gamma": group-ref, "act": [[int]] per-element vertex permutation}
-* twisted set:  {"size": n, "g_act": [[int]], "gamma_act": [[int]],
-                 "side": "left"|"right"} (paired with a twisted-data ref)
 * cocycle:      {"a": {"i,j": int}, "phi": {"t": [int per vertex]}}
 * glued cocycle: {"edges": {"i,j": [g, t]}}
 
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from .actions import TwistedGSet, validate_twisted_action
 from .cech import TwistedOneCocycle, make_cocycle, system_from_data
 from .errors import InputError
 from .extensions import TwistedData, check_cocycle, check_gamma_action, make_twisted_data
@@ -60,14 +57,6 @@ def nerve_from_dict(payload: dict) -> Nerve:
     return validate_nerve(payload["vertices"], payload.get("simplices", []))
 
 
-def resolve_nerve(ref: str) -> Nerve:
-    if ref in NERVES:
-        return NERVES[ref]
-    if ref in GAMMA_NERVES:
-        return GAMMA_NERVES[ref].nerve
-    return nerve_from_dict(_load_json(ref))
-
-
 def gamma_nerve_from_dict(payload: dict) -> GammaNerve:
     nerve = nerve_from_dict(payload)
     gamma = resolve_group(payload["gamma"]) if isinstance(payload["gamma"], str) else group_from_dict(payload["gamma"])
@@ -95,12 +84,6 @@ def twisted_data_from_dict(payload: dict) -> TwistedData:
 
 def resolve_twisted_data(ref: str) -> TwistedData:
     return twisted_data_from_dict(_load_json(ref))
-
-
-def twisted_gset_from_dict(data: TwistedData, payload: dict) -> TwistedGSet:
-    return validate_twisted_action(
-        data, payload["size"], payload["g_act"], payload["gamma_act"], payload.get("side", "right")
-    )
 
 
 def cocycle_from_dict(space: GammaNerve, data: TwistedData, payload: dict) -> TwistedOneCocycle:

@@ -6,7 +6,6 @@ import pytest
 
 from twistcech.abelian import (
     ZHom,
-    _matmul,
     abelian_coordinates,
     enumerate_subgroup,
     kernel_generators,
@@ -17,6 +16,10 @@ from twistcech.abelian import (
 )
 from twistcech.errors import InputError
 from twistcech.groups import cyclic_group, direct_product
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _det(mat):

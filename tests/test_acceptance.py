@@ -14,6 +14,7 @@ import time
 
 from twistcech.actions import convert_side, from_ghat, regular_ghat_set, to_ghat
 from twistcech.cech import (
+    coefficient_ladder,
     existence_check,
     h1_reduced,
     h1_twisted,
@@ -165,7 +166,7 @@ def test_criterion_4_correspondence_cardinalities():
     for inst in _free_grid():
         desc = quotient(inst.space)
         system = system_from_data(inst.space, inst.data)
-        n_reduced = len(h1_reduced(system))
+        n_reduced = len(h1_reduced(h1_twisted(system)))
         prod = build_twisted_product(inst.data)
         fib = fiber_over_cover(desc, prod)
         n_fiber = len(fib)
@@ -228,12 +229,12 @@ def test_criterion_6_long_exact_sequence():
     start = time.monotonic()
     ok = True
     for inst in _grid():
-        rep = les_verify(inst.space, inst.data)
+        rep = les_verify(coefficient_ladder(inst.space, inst.data))
         if not rep.ok:
             ok = False
     # a deliberately mis-handed coboundary must produce a failing report
     mutated = les_verify(
-        gamma_nerve("X_HEX"), make_twisted_data(trivial_action(C2, S3)), fault="flip-gauge"
+        coefficient_ladder(gamma_nerve("X_HEX"), make_twisted_data(trivial_action(C2, S3))), fault="flip-gauge"
     )
     ok = ok and not mutated.ok
     elapsed = time.monotonic() - start
@@ -244,7 +245,7 @@ def test_criterion_7_existence_criterion():
     start = time.monotonic()
     ok = True
     for inst in _grid():
-        res = existence_check(inst.space, inst.data)
+        res = existence_check(coefficient_ladder(inst.space, inst.data))
         nonempty = len(h1_twisted(system_from_data(inst.space, inst.data))) > 0
         if res.exists != nonempty:
             ok = False
@@ -252,7 +253,7 @@ def test_criterion_7_existence_criterion():
             ok = False
     # the constructed empty instance participates
     space = gamma_nerve("Y_TRI_TRIVC2")
-    res = existence_check(space, c_q_data(INV))
+    res = existence_check(coefficient_ladder(space, c_q_data(INV)))
     ok = ok and not res.exists
     elapsed = time.monotonic() - start
     _report(7, "existence criterion agrees with enumeration", ok, f"{elapsed:.2f}s")

@@ -383,14 +383,14 @@ def test_circle_counts_match_conjugacy_classes():
 
 def test_hex_counts():
     assert len(h1_twisted(SYS_TRIV)) == 2
-    assert len(h1_reduced(SYS_TRIV)) == 2
+    assert len(h1_reduced(h1_twisted(SYS_TRIV))) == 2
     assert len(h1_twisted(SYS_CQ)) == 2
 
 
 def test_reduced_orbit_counting():
     for system in (SYS_TRIV, SYS_CQ, system_from_data(gamma_nerve("X_TWO_TRI"), make_twisted_data(trivial_action(C2, S3)))):
         h1 = h1_twisted(system)
-        h1r = h1_reduced(system)
+        h1r = h1_reduced(h1)
         # classes partition into central-translation orbits
         orbit_sizes = {}
         for cid in range(len(h1)):
@@ -600,7 +600,7 @@ def test_delta_h1_lift_independence_fuzz():
     data = make_twisted_data(trivial_action(C2, Q8))
     space = X_HEX
     ladder = coefficient_ladder(space, data)
-    cx = abelian_complex(ladder.sys_z)
+    cx = ladder.cx
     from twistcech.abelian import quotient_labels
 
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
@@ -611,11 +611,11 @@ def test_delta_h1_lift_independence_fuzz():
         lift_sets[q_elem] = [x for x in Q8.elements() if ladder.proj.map[x] == q_elem]
     for cid in range(len(h1q)):
         x = h1q.representative(cid)
-        base = labels.label(delta_h1_vector(ladder, cx, x))
+        base = labels.label(delta_h1_vector(ladder, x))
         for _ in range(5):
             pick = {q: rng.choice(lifts) for q, lifts in lift_sets.items()}
             pick[0] = 0
-            vec = delta_h1_vector(ladder, cx, x, lift_choice=lambda q: pick[q])
+            vec = delta_h1_vector(ladder, x, lift_choice=lambda q: pick[q])
             assert labels.label(vec) == base
 
 
@@ -625,23 +625,23 @@ def test_les_fault_injection_fails_somewhere():
         ("X_HEX", make_twisted_data(trivial_action(C2, S3))),
         ("X_HEX", make_twisted_data(trivial_action(C2, Q8))),
     ):
-        rep = les_verify(gamma_nerve(space_name), data, fault="flip-gauge")
+        rep = les_verify(coefficient_ladder(gamma_nerve(space_name), data), fault="flip-gauge")
         if not rep.ok:
             found = True
     assert found
 
 
 def test_existence_examples():
-    res = existence_check(X_HEX, c_q_data(INV))
+    res = existence_check(coefficient_ladder(X_HEX, c_q_data(INV)))
     assert res.exists and res.witness is not None
     ok, _ = is_twisted_cocycle(SYS_CQ, res.witness.a, res.witness.phi)
     assert ok
     # trivial twist always admits the trivial cocycle
-    res2 = existence_check(X_HEX, make_twisted_data(INV))
+    res2 = existence_check(coefficient_ladder(X_HEX, make_twisted_data(INV)))
     assert res2.exists
     # the constructed empty instance: trivial action on the base, square twist
     space = gamma_nerve("Y_TRI_TRIVC2")
-    res3 = existence_check(space, c_q_data(INV))
+    res3 = existence_check(coefficient_ladder(space, c_q_data(INV)))
     assert not res3.exists
     assert len(h1_twisted(system_from_data(space, c_q_data(INV)))) == 0
 
@@ -866,14 +866,15 @@ def test_les_and_existence_with_order_four_acting_group():
     ident = tuple(range(8))
     action = check_gamma_action(c4g, Q8, (ident, swap, ident, swap))
     data = make_twisted_data(action)
-    assert les_verify(dodec, data).ok
-    res = existence_check(dodec, data)
+    ladder = coefficient_ladder(dodec, data)
+    assert les_verify(ladder).ok
+    res = existence_check(ladder)
     assert res.exists == (len(h1_twisted(system_from_data(dodec, data))) > 0)
 
     c8 = group("C8")
     inv8 = tuple(c8.inv)
     action8 = check_gamma_action(c4g, c8, (tuple(range(8)), inv8, tuple(range(8)), inv8))
-    assert les_verify(dodec, make_twisted_data(action8)).ok
+    assert les_verify(coefficient_ladder(dodec, make_twisted_data(action8))).ok
 
 
 def test_correspondence_with_order_four_acting_group():
@@ -892,4 +893,4 @@ def test_correspondence_with_order_four_acting_group():
     prod = build_twisted_product(data)
     assert prod.group.order == 32
     fib = fiber_over_cover(desc, prod)
-    assert len(h1_reduced(system)) == len(fib)
+    assert len(h1_reduced(h1_twisted(system))) == len(fib)

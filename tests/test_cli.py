@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from twistcech import cech
 from twistcech.cli import main
 from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
@@ -137,6 +139,41 @@ def test_reports_byte_identical(tmp_path):
         code = main(["verify", "all", "--out", str(target), "--seed", "11"])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_all_matches_stored_report(tmp_path):
+    # the benchmark's stored output of the default grid; job.seed is the one
+    # field that depends on the run's seed, so it is set aside on both sides
+    stored_path = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-grid.json"
+    stored = json.loads(stored_path.read_text(encoding="utf-8"))["jobs"][0]
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--out", str(out)]) == stored["exit"]
+    report = json.loads(out.read_text(encoding="utf-8"))
+    report["job"].pop("seed")
+    stored["report"]["job"].pop("seed", None)
+    assert report == stored["report"]
+
+
+def test_verify_all_builds_each_row_once(monkeypatch, tmp_path):
+    calls = {"enumerate_cocycles": 0, "abelian_complex": 0}
+
+    def counted(name):
+        inner = getattr(cech, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cech, name, counted(name))
+    code = main(["verify", "all", "--only", "X_HEX/S3,trivial,trivial", "--out", str(tmp_path / "row.json")])
+    assert code == 0
+    # Z, G, G/Z and the twisted system once each, plus three plain H^1 sets
+    # of the quotient in the correspondence suite
+    assert calls["enumerate_cocycles"] <= 7
+    assert calls["abelian_complex"] == 1
 
 
 def test_console_entrypoint():

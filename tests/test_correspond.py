@@ -273,7 +273,7 @@ def test_reduced_classes_biject_with_fiber():
         desc = quotient(inst.space)
         system = system_from_data(inst.space, inst.data)
         h1 = h1_twisted(system)
-        h1r = h1_reduced(system)
+        h1r = h1_reduced(h1)
         prod = build_twisted_product(inst.data)
         ph1 = plain_h1(desc.downstairs, prod.group)
         fib = {cid for cid, _ in fiber_over_cover(desc, prod)}

@@ -104,7 +104,7 @@ def test_nonabelian_gamma_correspondence():
     for data in (data_triv, data_dic):
         system = system_from_data(cover, data)
         h1 = h1_twisted(system)
-        h1r = h1_reduced(system)
+        h1r = h1_reduced(h1)
         assert len(h1r) == len(h1)  # the symmetric group has trivial centre
         prod = build_twisted_product(data)
         fib = fiber_over_cover(descent, prod)
