@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     DEFAULT_COORD_GUARD,
@@ -99,6 +99,92 @@ class CechSystem:
     def c(self, t1: int, t2: int) -> int:
         return self.twist.table[t1][t2]
 
+    @cached_property
+    def tables(self) -> SystemTables:
+        """The system compiled for the cocycle loops, built on first use."""
+        return _compile(self)
+
+
+@dataclass(frozen=True)
+class SystemTables:
+    """Flat lookup tables of one coefficient system.
+
+    Edge values are read from the doubled list ``a + [a_e^-1]`` (see
+    ``doubled``): slot e < m is a[e] on the sorted edge (u, v), slot m + e
+    its inverse on the reversed edge, so every oriented edge is one slot.
+    """
+
+    mul: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    act: tuple[tuple[int, ...], ...]  # act[t][v] == v . t
+    theta_inv: tuple[tuple[int, ...], ...]  # theta_inv[t][x] == theta_t^-1(x)
+    edges: tuple[Simplex, ...]
+    pull: tuple[tuple[int, ...], ...]  # pull[t][s]: slot of the image of oriented edge s under t
+    triangles: tuple[tuple[int, int, int], ...]  # slots of (i, j), (j, x), (i, x)
+    components: tuple[tuple[int, ...], ...]  # as ``nerve.components()``; the first vertex is the forest root
+    forest: tuple[tuple[tuple[int, int, int], ...], ...]  # per component, (v, parent, slot parent -> v) parents first
+    comp_edges: tuple[tuple[int, ...], ...]  # per component, the slots of its edges
+    nontrivial: tuple[int, ...]
+    vertex_sites: tuple[tuple[int, int, int, int], ...]  # (t, t2, t2 t, theta_{t2 t}^-1(c(t2, t)))
+
+    def doubled(self, a: Sequence[int]) -> list[int]:
+        inv = self.inv
+        return [*a, *(inv[x] for x in a)]
+
+
+def _compile(system: CechSystem) -> SystemTables:
+    nerve = system.nerve
+    gamma = system.gamma
+    idx = nerve.edge_index
+    m = len(nerve.edges)
+
+    def slot(u: int, v: int) -> int:
+        return idx[(u, v)] if u < v else idx[(v, u)] + m
+
+    act = system.space.vact
+    pull = []
+    for row in act:
+        images = [slot(row[u], row[v]) for (u, v) in nerve.edges]
+        pull.append(tuple(images + [s + m if s < m else s - m for s in images]))
+    # parent lists each component's root, then that component's tree in BFS order
+    parent, _ = nerve.spanning_forest()
+    comp_of: dict[int, int] = {}
+    comps: list[list[int]] = []
+    forest: list[list[tuple[int, int, int]]] = []
+    for v, p in parent.items():
+        if p is None:
+            comp_of[v] = len(comps)
+            comps.append([])
+            forest.append([])
+        else:
+            comp_of[v] = comp_of[p]
+            forest[comp_of[v]].append((v, p, slot(p, v)))
+    for v in range(nerve.n_vertices):
+        comps[comp_of[v]].append(v)
+    comp_edges: list[list[int]] = [[] for _ in comps]
+    for e, (u, _) in enumerate(nerve.edges):
+        comp_edges[comp_of[u]].append(e)
+    nontrivial = tuple(t for t in gamma.elements() if t != 0)
+    vertex_sites = []
+    for t in nontrivial:
+        for t2 in nontrivial:
+            prod = gamma.mul[t2][t]
+            vertex_sites.append((t, t2, prod, system.theta_inv(prod, system.c(t2, t))))
+    return SystemTables(
+        mul=system.coeff.mul,
+        inv=system.coeff.inv,
+        act=act,
+        theta_inv=tuple(auto.inverse_map for auto in system.action.theta),
+        edges=nerve.edges,
+        pull=tuple(pull),
+        triangles=tuple((idx[(i, j)], idx[(j, x)], idx[(i, x)]) for (i, j, x) in nerve.triangles),
+        components=tuple(tuple(c) for c in comps),
+        forest=tuple(tuple(f) for f in forest),
+        comp_edges=tuple(tuple(c) for c in comp_edges),
+        nontrivial=nontrivial,
+        vertex_sites=tuple(vertex_sites),
+    )
+
 
 def system_from_data(space: GammaNerve, data: TwistedData) -> CechSystem:
     return CechSystem(space, data.g, data.action, data.cocycle)
@@ -151,6 +237,31 @@ def trivial_pair(system: CechSystem) -> tuple[tuple[int, ...], tuple[tuple[int, 
 # ---------------------------------------------------------------------------
 
 
+def _triangle_sites(tab: SystemTables, ax: Sequence[int]) -> Iterator[int]:
+    """a_ij a_jk a_ik^-1 per triangle, in ``nerve.triangles`` order."""
+    mul, inv = tab.mul, tab.inv
+    for ij, jx, ix in tab.triangles:
+        yield mul[mul[ax[ij]][ax[jx]]][inv[ax[ix]]]
+
+
+def _edge_sites(tab: SystemTables, ax: Sequence[int], t: int, row: Sequence[int], edges: Iterable[int]) -> Iterator[int]:
+    """phi_{t,u}^-1 a_{u.t, v.t} phi_{t,v} theta_t^-1(a_uv)^-1 per edge slot, row == phi_t."""
+    mul, inv = tab.mul, tab.inv
+    pull, th, ends = tab.pull[t], tab.theta_inv[t], tab.edges
+    for e in edges:
+        u, v = ends[e]
+        yield mul[mul[mul[inv[row[u]]][ax[pull[e]]]][row[v]]][inv[th[ax[e]]]]
+
+
+def _vertex_sites(tab: SystemTables, phi: Sequence[Sequence[int]], t: int, t2: int, prod: int) -> Iterator[int]:
+    """phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1 per vertex, prod == t2 t."""
+    mul, inv = tab.mul, tab.inv
+    act2, th = tab.act[t2], tab.theta_inv[t]
+    row, row2, rowp = phi[t], phi[t2], phi[prod]
+    for v in range(len(act2)):
+        yield mul[mul[row[act2[v]]][th[row2[v]]]][inv[rowp[v]]]
+
+
 def d1(
     system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]]
 ) -> tuple[dict, dict, dict]:
@@ -159,75 +270,46 @@ def d1(
     Returns (triangle part, edge part keyed (t, edge) for t != 1, vertex
     part keyed (t1, t2) for t1, t2 != 1 with one value per vertex).
     """
-    k = system.coeff
-    gamma = system.gamma
-    space = system.space
-    mul, inv = k.mul, k.inv
-
-    tri_part = {}
-    for (i, j, x) in system.nerve.triangles:
-        val = mul[mul[edge_value(system, a, i, j)][edge_value(system, a, j, x)]][
-            inv[edge_value(system, a, i, x)]
-        ]
-        tri_part[(i, j, x)] = val
-
-    edge_part = {}
-    for t in gamma.elements():
-        if t == 0:
-            continue
-        for (u, v) in system.nerve.edges:
-            pulled = edge_value(system, a, space.act(u, t), space.act(v, t))
-            val = mul[mul[mul[inv[phi[t][u]]][pulled]][phi[t][v]]][
-                inv[system.theta_inv(t, edge_value(system, a, u, v))]
-            ]
-            edge_part[(t, (u, v))] = val
-
-    pair_part = {}
-    for t in gamma.elements():
-        for t2 in gamma.elements():
-            if t == 0 or t2 == 0:
-                continue
-            prod = gamma.mul[t2][t]
-            row = []
-            for v in range(system.nerve.n_vertices):
-                val = mul[mul[phi[t][space.act(v, t2)]][system.theta_inv(t, phi[t2][v])]][
-                    inv[phi[prod][v]]
-                ]
-                row.append(val)
-            pair_part[(t, t2)] = tuple(row)
+    tab = system.tables
+    ax = tab.doubled(a)
+    every_edge = range(len(tab.edges))
+    tri_part = dict(zip(system.nerve.triangles, _triangle_sites(tab, ax)))
+    edge_part = {
+        (t, edge): val
+        for t in tab.nontrivial
+        for edge, val in zip(tab.edges, _edge_sites(tab, ax, t, phi[t], every_edge))
+    }
+    pair_part = {(t, t2): tuple(_vertex_sites(tab, phi, t, t2, prod)) for t, t2, prod, _ in tab.vertex_sites}
     return tri_part, edge_part, pair_part
 
 
 def twist_target(system: CechSystem) -> dict:
     """The required vertex part: (t, t2) -> theta_{t2 t}^-1(c(t2, t))."""
-    gamma = system.gamma
-    out = {}
-    for t in gamma.elements():
-        for t2 in gamma.elements():
-            if t == 0 or t2 == 0:
-                continue
-            prod = gamma.mul[t2][t]
-            out[(t, t2)] = system.theta_inv(prod, system.c(t2, t))
-    return out
+    return {(t, t2): want for t, t2, _, want in system.tables.vertex_sites}
 
 
 def is_twisted_cocycle(
     system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]]
 ) -> tuple[bool, Optional[tuple]]:
-    """Check membership in the twisted cocycle set; witness names the site."""
-    tri_part, edge_part, pair_part = d1(system, a, phi)
-    for key, val in tri_part.items():
+    """Check membership in the twisted cocycle set; witness names the site.
+
+    Sites are checked in the order of ``d1``'s parts (triangles, then (t,
+    edge), then (t1, t2, vertex)), and the first violated one is returned.
+    """
+    tab = system.tables
+    ax = tab.doubled(a)
+    for key, val in zip(system.nerve.triangles, _triangle_sites(tab, ax)):
         if val != 0:
             return False, ("triangle", key, val)
-    for key, val in edge_part.items():
-        if val != 0:
-            return False, ("edge", key, val)
-    target = twist_target(system)
-    for key, row in pair_part.items():
-        want = target[key]
-        for v, val in enumerate(row):
+    every_edge = range(len(tab.edges))
+    for t in tab.nontrivial:
+        for edge, val in zip(tab.edges, _edge_sites(tab, ax, t, phi[t], every_edge)):
+            if val != 0:
+                return False, ("edge", (t, edge), val)
+    for t, t2, prod, want in tab.vertex_sites:
+        for v, val in enumerate(_vertex_sites(tab, phi, t, t2, prod)):
             if val != want:
-                return False, ("vertex", key + (v,), val)
+                return False, ("vertex", (t, t2, v), val)
     return True, None
 
 
@@ -238,6 +320,14 @@ def make_cocycle(system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[in
         raise InputError("edge part length does not match the edge list")
     if len(pv) != system.gamma.order or any(len(r) != system.nerve.n_vertices for r in pv):
         raise InputError("phi must be |Gamma| x vertices")
+    order = system.coeff.order
+    for edge, x in zip(system.nerve.edges, av):
+        if not 0 <= x < order:
+            raise InputError(f"a[{edge[0]},{edge[1]}] = {x} is out of range for a group of order {order}")
+    for t, row in enumerate(pv):
+        for v, x in enumerate(row):
+            if not 0 <= x < order:
+                raise InputError(f"phi[{t}][{v}] = {x} is out of range for a group of order {order}")
     if any(x != 0 for x in pv[0]):
         raise InputError("phi[identity] must be identically the identity")
     ok, witness = is_twisted_cocycle(system, av, pv)
@@ -250,35 +340,24 @@ def gauge(x: TwistedOneCocycle, h: Sequence[int]) -> TwistedOneCocycle:
     """Right action of a vertex function:
     (a, phi) . h == (h_i^-1 a_ij h_j, h_{i.t}^-1 phi_{t,i} theta_t^-1(h_i)).
     """
-    system = x.system
-    k = system.coeff
-    space = system.space
-    a2 = tuple(
-        k.mul[k.mul[k.inv[h[u]]][x.a[idx]]][h[v]]
-        for idx, (u, v) in enumerate(system.nerve.edges)
+    tab = x.system.tables
+    mul, inv = tab.mul, tab.inv
+    a2 = tuple(mul[mul[inv[h[u]]][val]][h[v]] for (u, v), val in zip(tab.edges, x.a))
+    phi2 = tuple(
+        tuple(mul[mul[inv[h[act[v]]]][val]][th[h[v]]] for v, val in enumerate(row))
+        for act, th, row in zip(tab.act, tab.theta_inv, x.phi)
     )
-    phi2 = []
-    for t in system.gamma.elements():
-        row = tuple(
-            k.mul[k.mul[k.inv[h[space.act(v, t)]]][x.phi[t][v]]][system.theta_inv(t, h[v])]
-            for v in range(system.nerve.n_vertices)
-        )
-        phi2.append(row)
-    return TwistedOneCocycle(system, a2, tuple(phi2))
+    return TwistedOneCocycle(x.system, a2, phi2)
 
 
 def pullback(x: TwistedOneCocycle, lam: int) -> TwistedOneCocycle:
     """Index translation (a, phi) -> (a^lam, phi^lam) along a group element."""
-    system = x.system
-    space = system.space
-    a2 = tuple(
-        x.edge_value(space.act(u, lam), space.act(v, lam)) for (u, v) in system.nerve.edges
-    )
-    phi2 = tuple(
-        tuple(x.phi[t][space.act(v, lam)] for v in range(system.nerve.n_vertices))
-        for t in system.gamma.elements()
-    )
-    return TwistedOneCocycle(system, a2, phi2)
+    tab = x.system.tables
+    ax = tab.doubled(x.a)
+    pull, act = tab.pull[lam], tab.act[lam]
+    a2 = tuple(ax[pull[e]] for e in range(len(x.a)))
+    phi2 = tuple(tuple(row[w] for w in act) for row in x.phi)
+    return TwistedOneCocycle(x.system, a2, phi2)
 
 
 def gauge_reduced(x: TwistedOneCocycle, h: Sequence[int], lam: int) -> TwistedOneCocycle:
@@ -439,7 +518,7 @@ def _central_elements(gamma: FiniteGroup) -> list[int]:
     return [t for t in gamma.elements() if all(gamma.mul[t][s] == gamma.mul[s][t] for s in gamma.elements())]
 
 
-def _edge_solutions(system: CechSystem, tree: Iterable[Simplex]) -> Iterable[list[int]]:
+def _edge_solutions(tab: SystemTables) -> Iterable[list[int]]:
     """Edge values with the forest at the identity and a_ij a_jk == a_ik on triangles.
 
     Depth-first search with an explicit stack: branch on the first unassigned
@@ -448,12 +527,10 @@ def _edge_solutions(system: CechSystem, tree: Iterable[Simplex]) -> Iterable[lis
     that disagree prune the branch).  Two solutions first differ at the edge
     some node branched on, so solutions come out in lexicographic order.
     """
-    nerve = system.nerve
-    mul, inv = system.coeff.mul, system.coeff.inv
-    idx = nerve.edge_index
-    touching: list[list[tuple[int, int, int]]] = [[] for _ in nerve.edges]
-    for (i, j, x) in nerve.triangles:
-        tri = (idx[(i, j)], idx[(j, x)], idx[(i, x)])
+    mul, inv = tab.mul, tab.inv
+    m = len(tab.edges)
+    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for tri in tab.triangles:
         for e in tri:
             touching[e].append(tri)
 
@@ -476,8 +553,8 @@ def _edge_solutions(system: CechSystem, tree: Iterable[Simplex]) -> Iterable[lis
                     return False
         return True
 
-    start = [-1] * len(nerve.edges)
-    forest = [idx[e] for e in tree]
+    start = [-1] * m
+    forest = [s % m for comp in tab.forest for _, _, s in comp]
     for e in forest:
         start[e] = 0
     if not propagate(start, forest):
@@ -490,93 +567,95 @@ def _edge_solutions(system: CechSystem, tree: Iterable[Simplex]) -> Iterable[lis
         if pos == len(a):
             yield a
             continue
-        for val in reversed(system.coeff.elements()):
+        for val in reversed(range(len(inv))):
             child = a.copy()
             child[pos] = val
             if propagate(child, [pos]):
                 stack.append((child, pos + 1))
 
 
-def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> list[TwistedOneCocycle]:
-    """All tree-normalized twisted cocycles.
+def _generator_steps(gamma: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(t, t_prev, g) with t == t_prev g for every non-generator t, t_prev listed first.
 
-    The edge part comes from ``_edge_solutions``; per edge solution the free
-    coordinates are, per acting-group generator and nerve component, the
-    vertex function at the component root.  Everything else is
-    reconstructed and the result validated, so the list is exactly the
-    tree-normalized slice of the cocycle set, ordered by edge part and then
-    by root values.  ``budget`` bounds the candidates walked (edge solutions
-    times root choices); passing it raises ``BudgetExceeded`` at once.
+    Breadth-first from the identity, so t_prev g is a shortest generator word.
     """
-    nerve = system.nerve
-    gamma = system.gamma
-    k = system.coeff
-    space = system.space
-    parent, tree = nerve.spanning_forest()
-    comps = nerve.components()
-    gens = gamma.generating_sequence()
-    comp_roots = [c[0] for c in comps]
-
-    # words expressing every group element as a product of generators
-    words: dict[int, tuple[int, ...]] = {0: ()}
+    seen = {0}
     frontier = [0]
+    steps = []
     while frontier:
         t = frontier.pop(0)
         for g in gens:
             nxt = gamma.mul[t][g]
-            if nxt not in words:
-                words[nxt] = words[t] + (g,)
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
+                if t != 0:
+                    steps.append((nxt, t, g))
+    return steps
+
+
+def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> list[TwistedOneCocycle]:
+    """All tree-normalized twisted cocycles.
+
+    The edge part comes from ``_edge_solutions``; per edge solution the free
+    coordinates are, per acting-group generator g and nerve component, the
+    value of phi_g at the component root.  phi_g on the component follows
+    along the spanning forest, and a root value is kept only when that row
+    passes g's edge conditions on the component (those involve no other
+    root).  The product of the kept root values is walked in the order of
+    the full product; each candidate's other rows follow from the vertex
+    conditions along generator words, and the candidate is validated with
+    ``is_twisted_cocycle``.  So the list is exactly the tree-normalized
+    slice of the cocycle set, ordered by edge part and then by root values.
+    ``budget`` bounds the candidates walked (edge solutions times kept root
+    choices); passing it raises ``BudgetExceeded`` at once.
+    """
+    tab = system.tables
+    mul, inv = tab.mul, tab.inv
+    comps = tab.components
+    gens = system.gamma.generating_sequence()
+    target = twist_target(system)
+    steps = [(t, t_prev, g, inv[target[(g, t_prev)]]) for t, t_prev, g in _generator_steps(system.gamma, gens)]
+    n_vertices = system.nerve.n_vertices
+    zero_row = (0,) * n_vertices
+
+    def kept_roots(ax: list[int], g: int, ci: int) -> list[tuple[int, ...]]:
+        """phi_g on component ci for each root value whose row passes g's edges there."""
+        pull, th = tab.pull[g], tab.theta_inv[g]
+        comp = comps[ci]
+        out = []
+        for x in system.coeff.elements():
+            row = [0] * n_vertices
+            row[comp[0]] = x
+            # phi_{g,v} = a^g_pv^-1 phi_{g,p} theta_g^-1(a_pv) along the forest
+            for v, p, s in tab.forest[ci]:
+                row[v] = mul[mul[inv[ax[pull[s]]]][row[p]]][th[ax[s]]]
+            if not any(_edge_sites(tab, ax, g, row, tab.comp_edges[ci])):
+                out.append(tuple(row[v] for v in comp))
+        return out
 
     out: list[TwistedOneCocycle] = []
-    n_vertices = nerve.n_vertices
     walked = 0
-    for a in _edge_solutions(system, tree):
-        for phi_combo in itertools.product(k.elements(), repeat=len(gens) * len(comps)):
+    for a in _edge_solutions(tab):
+        ax = tab.doubled(a)
+        kept = [kept_roots(ax, g, ci) for g in gens for ci in range(len(comps))]
+        for combo in itertools.product(*kept):
             walked += 1
             if walked > budget:
-                raise BudgetExceeded(f"enumeration walked more than {budget} candidates (edge solutions x root choices)")
-            phi_gen: dict[int, list[int]] = {}
-            feasible = True
+                raise BudgetExceeded(f"enumeration walked more than {budget} candidates (edge solutions x kept root choices)")
+            phi_rows: list = [zero_row] * len(tab.act)
             for gi, g in enumerate(gens):
                 row = [0] * n_vertices
-                for ci in range(len(comps)):
-                    row[comp_roots[ci]] = phi_combo[gi * len(comps) + ci]
-                # propagate along the forest: phi_{t,j} = a^t_ij^-1 phi_{t,i} theta_t^-1(a_ij)
-                for v, p in parent.items():
-                    if p is None:
-                        continue
-                    pulled = edge_value(system, a, space.act(p, g), space.act(v, g))
-                    row[v] = k.mul[k.mul[k.inv[pulled]][row[p]]][
-                        system.theta_inv(g, edge_value(system, a, p, v))
-                    ]
-                phi_gen[g] = row
-            # assemble phi for every element along its generator word
-            phi_rows: dict[int, list[int]] = {0: [0] * n_vertices}
-            for t in sorted(words, key=lambda s: len(words[s])):
-                if t in phi_rows:
-                    continue
-                *prefix, g = words[t]
-                t_prev = 0
-                for s in prefix:
-                    t_prev = gamma.mul[t_prev][s]
-                prev_row = phi_rows[t_prev]
-                grow = phi_gen[g]
-                prod = gamma.mul[t_prev][g]
-                if prod != t:
-                    feasible = False
-                    break
-                row = []
-                for v in range(n_vertices):
-                    # phi_{t_prev g, v} from the vertex condition
-                    val = k.mul[
-                        k.mul[grow[space.act(v, t_prev)]][system.theta_inv(g, prev_row[v])]
-                    ][k.inv[system.theta_inv(prod, system.c(t_prev, g))]]
-                    row.append(val)
-                phi_rows[t] = row
-            if not feasible:
-                continue
-            phi = tuple(tuple(phi_rows[t]) for t in gamma.elements())
+                for comp, seg in zip(comps, combo[gi * len(comps) : (gi + 1) * len(comps)]):
+                    for v, val in zip(comp, seg):
+                        row[v] = val
+                phi_rows[g] = row
+            # phi_{t_prev g, v} from the vertex condition at (g, t_prev)
+            for t, t_prev, g, twist in steps:
+                grow, prev_row = phi_rows[g], phi_rows[t_prev]
+                act, th = tab.act[t_prev], tab.theta_inv[g]
+                phi_rows[t] = [mul[mul[grow[act[v]]][th[prev_row[v]]]][twist] for v in range(n_vertices)]
+            phi = tuple(tuple(row) for row in phi_rows)
             ok, _ = is_twisted_cocycle(system, a, phi)
             if ok:
                 out.append(TwistedOneCocycle(system, tuple(a), phi))
@@ -783,17 +862,8 @@ def d2(triple: ZTriple) -> tuple[dict, dict, dict, dict]:
 
 def theta_inv_twist_triple(system: CechSystem) -> ZTriple:
     """(1, 1, theta^-1(c)) as an abelian triple (c read in the coefficients)."""
-    gamma = system.gamma
     n = system.nerve.n_vertices
-    w = {}
-    for t in gamma.elements():
-        for t2 in gamma.elements():
-            if t == 0 or t2 == 0:
-                continue
-            prod = gamma.mul[t2][t]
-            val = system.theta_inv(prod, system.c(t2, t))
-            w[(t, t2)] = tuple(val for _ in range(n))
-    return ZTriple(system, {}, {}, w)
+    return ZTriple(system, {}, {}, {key: (want,) * n for key, want in twist_target(system).items()})
 
 
 def triple_to_vector(space_z: ZCochainSpace, triple: ZTriple) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InputError
 from .extensions import (
@@ -200,59 +199,56 @@ class GridInstance:
         return gamma_nerve(self.space_name)
 
 
-def _c2_data(g_name: str, action_name: str, c_name: str) -> Optional[TwistedData]:
-    c2 = GROUPS["C2"]
-    g = GROUPS[g_name]
-    try:
-        action = named_action(action_name, c2, g)
-    except InputError:
-        return None
+def _c2_data(g_name: str, action_name: str, c_name: str) -> TwistedData:
+    action = named_action(action_name, GROUPS["C2"], GROUPS[g_name])
     if c_name == "trivial":
         return make_twisted_data(action)
-    if c_name == "square":
-        # the central square twist: C4 -> 2, Q8 -> -1, C2 -> the generator
-        value = {"C4": 2, "Q8": 1, "C2": 1}.get(g_name)
-        if value is None:
-            return None
-        try:
-            return TwistedData(action, check_cocycle(action, c_square_table(c2, value)))
-        except InputError:
-            return None
-    raise InputError(f"unknown twist name {c_name!r}")
+    # the central square twist: C4 -> 2, Q8 -> -1, C2 -> the generator
+    value = {"C4": 2, "Q8": 1, "C2": 1}[g_name]
+    return TwistedData(action, check_cocycle(action, c_square_table(action.gamma, value)))
+
+
+_C2_SPECS = (
+    ("C2", "trivial", "trivial"),
+    ("C2", "trivial", "square"),
+    ("C4", "trivial", "trivial"),
+    ("C4", "trivial", "square"),
+    ("C4", "inversion", "trivial"),
+    ("C4", "inversion", "square"),
+    ("S3", "trivial", "trivial"),
+    ("Q8", "trivial", "trivial"),
+    ("Q8", "trivial", "square"),
+    ("Q8", "q8_swap", "trivial"),
+    ("Q8", "q8_swap", "square"),
+)
+
+# name, space and spec of every row, in grid order
+_GRID_ROWS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
+    *((f"circle/{g_name}", "Y_TRI", (g_name,)) for g_name in ("C2", "C4", "S3", "Q8")),
+    *(
+        (f"{space_name}/{','.join(spec)}", space_name, spec)
+        for space_name in ("X_HEX", "X_TWO_TRI")
+        for spec in _C2_SPECS
+    ),
+)
+
+
+def _grid_row(name: str, space_name: str, spec: tuple[str, ...]) -> GridInstance:
+    if space_name == "Y_TRI":
+        data = make_twisted_data(trivial_action(GROUPS["C1"], GROUPS[spec[0]]))
+    else:
+        data = _c2_data(*spec)
+    return GridInstance(name, space_name, data)
 
 
 def default_grid() -> list[GridInstance]:
     """The standard verification instances, all desk-scale."""
-    out: list[GridInstance] = []
-    c1 = GROUPS["C1"]
-    for g_name in ("C2", "C4", "S3", "Q8"):
-        data = make_twisted_data(trivial_action(c1, GROUPS[g_name]))
-        out.append(GridInstance(f"circle/{g_name}", "Y_TRI", data))
-    specs = [
-        ("C2", "trivial", "trivial"),
-        ("C2", "trivial", "square"),
-        ("C4", "trivial", "trivial"),
-        ("C4", "trivial", "square"),
-        ("C4", "inversion", "trivial"),
-        ("C4", "inversion", "square"),
-        ("S3", "trivial", "trivial"),
-        ("Q8", "trivial", "trivial"),
-        ("Q8", "trivial", "square"),
-        ("Q8", "q8_swap", "trivial"),
-        ("Q8", "q8_swap", "square"),
-    ]
-    for space_name in ("X_HEX", "X_TWO_TRI"):
-        for g_name, action_name, c_name in specs:
-            data = _c2_data(g_name, action_name, c_name)
-            if data is None:
-                continue
-            tag = f"{space_name}/{g_name},{action_name},{c_name}"
-            out.append(GridInstance(tag, space_name, data))
-    return out
+    return [_grid_row(*row) for row in _GRID_ROWS]
 
 
 def grid_instance(name: str) -> GridInstance:
-    for inst in default_grid():
-        if inst.name == name:
-            return inst
+    """One row of ``default_grid()``, built without the others."""
+    for row in _GRID_ROWS:
+        if row[0] == name:
+            return _grid_row(*row)
     raise InputError(f"unknown grid instance {name!r}")

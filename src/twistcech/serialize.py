@@ -10,7 +10,6 @@ Formats (all plain JSON):
 * gamma nerve:  nerve fields +
                 {"gamma": group-ref, "act": [[int]] per-element vertex permutation}
 * cocycle:      {"a": {"i,j": int}, "phi": {"t": [int per vertex]}}
-* glued cocycle: {"edges": {"i,j": [g, t]}}
 
 A group-ref is either the name of a built-in or a path to a JSON file.
 """
@@ -97,7 +96,10 @@ def cocycle_from_dict(space: GammaNerve, data: TwistedData, payload: dict) -> Tw
         a[idx[(u, v)]] = int(val)
     phi = [[0] * space.nerve.n_vertices for _ in data.gamma.elements()]
     for key, row in payload.get("phi", {}).items():
-        phi[int(key)] = [int(x) for x in row]
+        t = int(key)
+        if not 0 <= t < len(phi):
+            raise InputError(f"phi key {key} is not an element index of the acting group (order {len(phi)})")
+        phi[t] = [int(x) for x in row]
     return make_cocycle(system, a, phi)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistcech import cech
 from twistcech.abelian import subgroup_size
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
@@ -153,12 +154,35 @@ def test_tree_normalized_enumeration_matches_raw():
         assert fast_canonical == raw_classes
 
 
+def reference_is_twisted_cocycle(system, a, phi):
+    """Test oracle: the eager check, all three parts of d1 first, then a scan.
+
+    The scan follows d1's order (triangles, (t, edge), (t1, t2, vertex)) and
+    compares the vertex part with twist_target, so its witness is the first
+    violated site.
+    """
+    tri_part, edge_part, pair_part = d1(system, a, phi)
+    for key, val in tri_part.items():
+        if val != 0:
+            return False, ("triangle", key, val)
+    for key, val in edge_part.items():
+        if val != 0:
+            return False, ("edge", key, val)
+    target = twist_target(system)
+    for key, row in pair_part.items():
+        for v, val in enumerate(row):
+            if val != target[key]:
+                return False, ("vertex", key + (v,), val)
+    return True, None
+
+
 def brute_force_enumerate_cocycles(system, *, budget=2_000_000):
     """Test oracle: every non-forest edge tuple, filtered by the triangles.
 
-    The enumerator as it was before triangle propagation: it walks
-    |K|^(#non-forest edges) edge tuples and, for each one that passes the
-    triangles, every choice of root values.
+    The enumerator as it was before triangle propagation and the root
+    filter: it walks |K|^(#non-forest edges) edge tuples and, for each one
+    that passes the triangles, every choice of root values, each candidate
+    validated by ``reference_is_twisted_cocycle``.
     """
     nerve_ = system.nerve
     gamma = system.gamma
@@ -240,7 +264,7 @@ def brute_force_enumerate_cocycles(system, *, budget=2_000_000):
             if not feasible:
                 continue
             phi = tuple(tuple(phi_rows[t]) for t in gamma.elements())
-            ok, _ = is_twisted_cocycle(system, a, phi)
+            ok, _ = reference_is_twisted_cocycle(system, a, phi)
             if ok:
                 out.append(TwistedOneCocycle(system, tuple(a), phi))
     return out
@@ -320,6 +344,16 @@ def test_propagation_solves_each_edge_of_a_triangle():
         assert len(assert_matches_oracle(system)) == 216
 
 
+def test_propagation_reads_reversed_forest_edges():
+    # the reflection v -> 2 - v of the hexagon pulls the forest edge 5 -> 4,
+    # stored as (4, 5) and read reversed, onto the non-forest edge (3, 4);
+    # with values of order 3 or 4 there, a wrong-sided read loses cocycles
+    hexagon = validate_nerve(6, [(i, (i + 1) % 6) for i in range(6)])
+    space = validate_gamma_nerve(hexagon, C2, [list(range(6)), [(2 - v) % 6 for v in range(6)]])
+    for g_name, count in (("C4", 4), ("S3", 16), ("D4", 36)):
+        assert len(assert_matches_oracle(_trivial_system(space, g_name))) == count
+
+
 def _rotated_cycle(n, d):
     gamma = cyclic_group(n // d)
     cycle = validate_nerve(n, [(i, (i + 1) % n) for i in range(n)])
@@ -374,6 +408,90 @@ def test_enumeration_matches_oracle_on_generated_systems(case):
     # every accepted cocycle was walked, so one fewer is too small a budget
     with pytest.raises(BudgetExceeded):
         enumerate_cocycles(system, budget=max(len(cocycles) - 1, 0))
+
+
+def test_enumeration_validates_only_kept_roots(monkeypatch):
+    # X_DODEC / C4 is a circle: one edge solution per holonomy h, and the
+    # root values kept for h are its centralizer, so sum_h |C(h)| = |G| k(G)
+    # candidates are validated instead of |G|^2
+    real = cech.is_twisted_cocycle
+    verdicts = []
+
+    def counting(system, a, phi):
+        result = real(system, a, phi)
+        verdicts.append(result[0])
+        return result
+
+    monkeypatch.setattr(cech, "is_twisted_cocycle", counting)
+    space = gamma_nerve("X_DODEC")
+    for g_name, validated, accepted in (("S3", 18, 6), ("Q8", 40, 8), ("D4", 40, 8)):
+        verdicts.clear()
+        cocycles = enumerate_cocycles(_trivial_system(space, g_name))
+        assert (len(verdicts), sum(verdicts), len(cocycles)) == (validated, accepted, accepted)
+    system = _trivial_system(space, "Q8")
+    assert len(enumerate_cocycles(system, budget=40)) == 8
+    with pytest.raises(BudgetExceeded):
+        enumerate_cocycles(system, budget=39)
+
+
+def _witness_systems():
+    systems = []
+    for inst in default_grid():
+        ladder = coefficient_ladder(inst.space, inst.data)
+        systems += [system_from_data(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
+    for space_name in ("X_OCT", "X_DODEC"):
+        systems += [_trivial_system(gamma_nerve(space_name), g) for g in LADDER_GROUPS]
+    return systems
+
+
+WITNESS_SYSTEMS = _witness_systems()
+
+
+@functools.cache
+def _accepted(index):
+    return enumerate_cocycles(WITNESS_SYSTEMS[index])
+
+
+def _candidate(index, rng):
+    """A random pair, or an accepted cocycle with one entry of a or phi changed."""
+    system = WITNESS_SYSTEMS[index]
+    order, n = system.coeff.order, system.nerve.n_vertices
+    cocycles = _accepted(index)
+    if not cocycles or rng.random() < 0.25:
+        a = [rng.randrange(order) for _ in system.nerve.edges]
+        phi = [[0] * n] + [[rng.randrange(order) for _ in range(n)] for _ in range(system.gamma.order - 1)]
+    else:
+        x = rng.choice(cocycles)
+        a, phi = list(x.a), [list(row) for row in x.phi]
+        # the identity row phi[0] enters the vertex sites (t, t^-1), so a
+        # change there reaches a vertex witness; an edge or another row
+        # reaches the triangle and edge witnesses
+        slot = rng.randrange(len(a) + len(phi) * n)
+        if slot < len(a):
+            a[slot] = (a[slot] + rng.randrange(1, order)) % order if order > 1 else 0
+        else:
+            t, v = divmod(slot - len(a), n)
+            phi[t][v] = (phi[t][v] + rng.randrange(1, order)) % order if order > 1 else 0
+    return system, tuple(a), tuple(tuple(row) for row in phi)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, len(WITNESS_SYSTEMS) - 1), st.randoms(use_true_random=False))
+def test_is_twisted_cocycle_matches_the_eager_reference(index, rng):
+    system, a, phi = _candidate(index, rng)
+    assert is_twisted_cocycle(system, a, phi) == reference_is_twisted_cocycle(system, a, phi)
+
+
+def test_perturbed_cocycles_reach_every_witness_kind():
+    rng = random.Random(7)
+    kinds = set()
+    for index in range(len(WITNESS_SYSTEMS)):
+        for _ in range(20):
+            system, a, phi = _candidate(index, rng)
+            result = is_twisted_cocycle(system, a, phi)
+            assert result == reference_is_twisted_cocycle(system, a, phi)
+            kinds.add(result[1][0] if result[1] else None)
+    assert kinds == {None, "triangle", "edge", "vertex"}
 
 
 def test_circle_counts_match_conjugacy_classes():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from twistcech import cech
+from twistcech import cech, cli, fixtures
 from twistcech.cli import main
 from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
@@ -252,3 +252,62 @@ def test_serialize_rejects_bad_cocycle():
     data = twisted_data_from_dict(data_payload)
     with pytest.raises(InputError):
         cocycle_from_dict(gamma_nerve("X_HEX"), data, {"a": {"0,1": 1}, "phi": {}})
+
+
+@pytest.mark.parametrize(
+    "payload, slot",
+    [
+        ({"a": {"0,1": 7}}, "a[0,1] = 7"),
+        # a negative index must not wrap round to the last element
+        ({"a": {"0,1": -1}}, "a[0,1] = -1"),
+        ({"phi": {"5": [0] * 6}}, "phi key 5"),
+        ({"phi": {"1": [0, 0, 0, 0, 0, 9]}}, "phi[1][5] = 9"),
+    ],
+)
+def test_serialize_rejects_out_of_range_cocycle_entries(payload, slot):
+    data = twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3], [0, 1, 2, 3]]})
+    with pytest.raises(InputError, match=slot.replace("[", r"\[").replace("]", r"\]")):
+        cocycle_from_dict(gamma_nerve("X_HEX"), data, payload)
+
+
+def test_make_cocycle_names_an_out_of_range_slot():
+    system = cech.system_from_data(
+        gamma_nerve("X_HEX"), twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3]] * 2})
+    )
+    a, phi = cech.trivial_pair(system)
+    with pytest.raises(InputError, match=r"a\[0,1\] = 4"):
+        cech.make_cocycle(system, (4,) + a[1:], phi)
+    with pytest.raises(InputError, match=r"phi\[1\]\[2\] = -2"):
+        cech.make_cocycle(system, a, (phi[0], (0, 0, -2, 0, 0, 0)))
+
+
+def test_h1_data_refs_resolve_without_building_the_grid(monkeypatch):
+    rows = fixtures.default_grid()
+    calls = {"default_grid": 0, "named_action": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fixtures, "default_grid")
+    counted(cli, "default_grid")
+    counted(fixtures, "named_action")
+    inputs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("trivial_*.json"))
+    assert inputs
+    for path in inputs:
+        data = cli._resolve_data(str(path))
+        assert data.gamma.order in (2, 4)
+    assert calls == {"default_grid": 0, "named_action": 0}
+    # a grid name builds its own row and no other
+    for row in rows:
+        calls["named_action"] = 0
+        assert cli._resolve_data(row.name) == row.data
+        assert calls["named_action"] <= 1
+    assert calls["default_grid"] == 0
+    with pytest.raises(InputError):
+        cli._resolve_data("no-such-grid-row-or-file.json")
