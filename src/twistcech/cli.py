@@ -214,12 +214,13 @@ def cmd_verify(cfg: JobConfig) -> Report:
         if "correspondence" in checks and free:
             h1r = h1_reduced(ladder.h1c)
             prod = build_twisted_product(inst.data)
-            fib = fiber_over_cover(desc, prod, budget=cfg.budget_enum)
+            ph1 = plain_h1(desc.downstairs, prod.group, budget=cfg.budget_enum)
+            fib = fiber_over_cover(desc, prod, ph1)
             status = "pass" if len(h1r) == len(fib) else "fail"
             detail = {"reduced": len(h1r), "fiber": len(fib)}
             if fib:
-                base = GhatCocycleY(prod, plain_h1(desc.downstairs, prod.group, budget=cfg.budget_enum).representative(fib[0][0]))
-                gro = grothendieck_fiber(base, desc, budget=cfg.budget_enum)
+                base = GhatCocycleY(prod, ph1.representative(fib[0][0]))
+                gro = grothendieck_fiber(base, desc, ph1, budget=cfg.budget_enum)
                 detail["grothendieck"] = len(gro)
                 if len(gro) != len(fib):
                     status = "fail"

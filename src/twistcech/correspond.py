@@ -69,9 +69,10 @@ def plain_system(y: Nerve, coeff: FiniteGroup) -> CechSystem:
     return system_from_data(space, data)
 
 
-def plain_cocycle(y: Nerve, coeff: FiniteGroup, values: Sequence[int]) -> TwistedOneCocycle:
-    system = plain_system(y, coeff)
-    phi = (tuple(0 for _ in range(y.n_vertices)),)
+def plain_cocycle(system: CechSystem, values: Sequence[int]) -> TwistedOneCocycle:
+    """The validated cocycle of a ``plain_system`` with the given edge values;
+    passing one system (often ``h1.system``) for many cocycles compiles it once."""
+    phi = (tuple(0 for _ in range(system.nerve.n_vertices)),)
     return make_cocycle(system, tuple(values), phi)
 
 
@@ -218,7 +219,7 @@ class GhatCocycleY:
 
 
 def ghat_cocycle(product: TwistedProductGroup, y: Nerve, values: Sequence[int]) -> GhatCocycleY:
-    return GhatCocycleY(product, plain_cocycle(y, product.group, values))
+    return GhatCocycleY(product, plain_cocycle(plain_system(y, product.group), values))
 
 
 def to_ghat_cocycle(y_cocycle: CTwistedCocycleY, product: Optional[TwistedProductGroup] = None) -> GhatCocycleY:
@@ -254,24 +255,32 @@ def induced_gamma_class(x: GhatCocycleY) -> tuple[TwistedOneCocycle, MonodromyRe
     prod = x.product
     gamma = prod.data.gamma
     vals = tuple(prod.proj.map[v] for v in x.cocycle.a)
-    gcoc = plain_cocycle(x.base, gamma, vals)
+    gcoc = plain_cocycle(plain_system(x.base, gamma), vals)
     rep = monodromy_of_plain_cocycle(x.base, gamma, gcoc)
     return gcoc, rep
+
+
+def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -> None:
+    system = h1.system
+    if system.gamma.order != 1 or system.nerve != y or system.coeff.mul != product.group.mul:
+        raise CarrierMismatch(message="H1 set is not the plain glued-group H1 of the descent base")
 
 
 def fiber_over_cover(
     descent: CoverDescent,
     product: TwistedProductGroup,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    h1: CohomologySet,
 ) -> list[tuple[int, MonodromyRep]]:
-    """Glued-group classes on the base whose induced cover is the given one.
+    """Classes of ``h1`` whose induced cover is the given one, with their monodromy.
 
-    Cover classes are compared by the canonical conjugacy representative of
-    their monodromy, the isomorphism invariant of principal covers.
+    ``h1`` is ``plain_h1(descent.downstairs, product.group)``, built once by
+    the caller and shared with ``grothendieck_fiber``; any other set raises
+    ``CarrierMismatch``.  Cover classes are compared by the canonical
+    conjugacy representative of their monodromy, the isomorphism invariant
+    of principal covers.
     """
+    _check_plain_h1(h1, descent.downstairs, product)
     target = monodromy(descent).canonical
-    h1 = plain_h1(descent.downstairs, product.group, budget=budget)
     out = []
     for cid in range(len(h1)):
         rep = h1.representative(cid)
@@ -290,6 +299,7 @@ def fiber_over_cover(
 def grothendieck_fiber(
     base: GhatCocycleY,
     descent: CoverDescent,
+    h1: CohomologySet,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> list[TwistedOneCocycle]:
@@ -298,8 +308,11 @@ def grothendieck_fiber(
     Cocycles valued in the coefficient group, with frame changes
     conjugated by the base cocycle, modulo gauge and modulo the covering
     transformation group of the induced cover (sections of the adjoint
-    quotient bundle).  Returns one glued-group cocycle per class; their
-    classes enumerate the fibre through the base class.
+    quotient bundle).  ``h1`` is the plain glued-group H^1 of the base, as
+    for ``fiber_over_cover``; every cocycle built here lives on
+    ``h1.system``.  Returns one representative of ``h1`` per class; their
+    classes enumerate the fibre through the base class.  ``budget`` bounds
+    the conjugation-cocycle walk.
     """
     prod = base.product
     data = prod.data
@@ -307,11 +320,11 @@ def grothendieck_fiber(
     y = base.base
     if y != descent.downstairs:
         raise CarrierMismatch(message="base cocycle and descent live on different nerves")
+    _check_plain_h1(h1, descent.downstairs, prod)
     _, mono = induced_gamma_class(base)
     if mono.canonical != monodromy(descent).canonical:
         raise InputError("base class does not induce the given cover")
 
-    h1 = plain_h1(y, prod.group, budget=budget)
     # twisted-conjugation cocycles k <-> glued cocycles k * g0 with the same
     # quotient part on the nose, modulo coefficient-valued gauge
     parent, tree = y.spanning_forest()
@@ -326,7 +339,7 @@ def grothendieck_fiber(
         for (i, j) in y.edges:
             base_val = base.cocycle.edge_value(i, j)
             vals.append(prod.group.mul[prod.embed_g.map[kvals[(i, j)]]][base_val])
-        return plain_cocycle(y, prod.group, vals)
+        return plain_cocycle(h1.system, vals)
 
     def conj(i: int, j: int, x: int) -> int:
         # Ad by the base edge value, inside the coefficient group
@@ -377,7 +390,7 @@ def grothendieck_fiber(
 
     def act_section(cid: int, lam: Sequence[int]) -> int:
         moved = gauge(h1.representative(cid), [prod.section[t] for t in lam])
-        return h1.class_of(plain_cocycle(y, prod.group, moved.a))
+        return h1.class_of(plain_cocycle(h1.system, moved.a))
 
     orbits = orbit_closures(class_ids, lambda cid: [act_section(cid, lam) for lam in sections])
     orbit_of = {member: min(orbit) for orbit in orbits for member in orbit}
@@ -499,7 +512,7 @@ def normalizer_embedding_check(
     for cid in full:
         rep = h1_small.representative(cid)
         vals = tuple(incl.map[v] for v in rep.a)
-        ext_of[cid] = h1_big.class_of(plain_cocycle(y, big.group, vals))
+        ext_of[cid] = h1_big.class_of(plain_cocycle(h1_big.system, vals))
 
     def conj_by(n: int, cid: int) -> int:
         u = big.pair_index(0, n)
@@ -511,7 +524,7 @@ def normalizer_embedding_check(
             if moved not in back:
                 raise InternalError("normalizer conjugation left the subgroup product")
             vals.append(back[moved])
-        return h1_small.class_of(plain_cocycle(y, sub_prod.group, vals))
+        return h1_small.class_of(plain_cocycle(h1_small.system, vals))
 
     closures = orbit_closures(full, lambda cid: [conj_by(n, cid) for n in normalizer])
     orbits = [sorted(orbit) for orbit in closures]

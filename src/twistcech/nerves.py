@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     Disconnected,
@@ -34,6 +35,14 @@ Simplex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Nerve:
+    """Simplices by dimension, with per-instance structure computed once.
+
+    ``edge_index`` and the components and BFS spanning forest behind
+    ``components()``, ``spanning_forest()`` and ``is_connected()`` are built
+    on first use and kept on the instance; they take no part in equality or
+    hashing, and are handed out as tuples and read-only mappings.
+    """
+
     n_vertices: int
     simplices: tuple[tuple[Simplex, ...], ...]  # by dimension 0..MAX_DIM
 
@@ -54,11 +63,6 @@ class Nerve:
         """Position of each sorted edge in ``edges``; not part of equality or hash."""
         return {e: i for i, e in enumerate(self.edges)}
 
-    def has_simplex(self, s: Sequence[int]) -> bool:
-        t = tuple(sorted(s))
-        d = len(t) - 1
-        return 0 <= d <= MAX_DIM and t in set(self.simplices[d])
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for u, v in self.edges:
@@ -68,51 +72,46 @@ class Nerve:
             row.sort()
         return adj
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components, each sorted, ordered by minimal vertex."""
+    @cached_property
+    def _forest(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, Optional[int]], tuple[Simplex, ...]]:
+        """Components, BFS parents and tree edges, from one search per component.
+
+        Each component is searched from its minimal vertex, in the order of
+        those vertices; the parent dict is only ever handed out read-only.
+        """
         adj = self.adjacency()
-        seen = [False] * self.n_vertices
-        out = []
-        for v in range(self.n_vertices):
-            if seen[v]:
+        parent: dict[int, Optional[int]] = {}
+        tree: list[Simplex] = []
+        comps: list[tuple[int, ...]] = []
+        for root in range(self.n_vertices):
+            if root in parent:
                 continue
-            comp = []
-            stack = [v]
-            seen[v] = True
-            while stack:
-                x = stack.pop()
-                comp.append(x)
+            parent[root] = None
+            queue = [root]
+            for x in queue:  # the queue grows while it is read
                 for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-            out.append(tuple(sorted(comp)))
-        return out
+                    if y not in parent:
+                        parent[y] = x
+                        tree.append((x, y) if x < y else (y, x))
+                        queue.append(y)
+            comps.append(tuple(sorted(queue)))
+        return tuple(comps), parent, tuple(tree)
+
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components, each sorted, ordered by minimal vertex."""
+        return self._forest[0]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self._forest[0]) <= 1
 
-    def spanning_forest(self) -> tuple[dict[int, Optional[int]], list[Simplex]]:
+    def spanning_forest(self) -> tuple[Mapping[int, Optional[int]], tuple[Simplex, ...]]:
         """BFS parents (per component, rooted at its minimal vertex) and tree edges.
 
         ``parent`` is filled in BFS order, so iterating it yields every
         parent before its children.
         """
-        adj = self.adjacency()
-        parent: dict[int, Optional[int]] = {}
-        tree: list[Simplex] = []
-        for comp in self.components():
-            root = comp[0]
-            parent[root] = None
-            queue = [root]
-            while queue:
-                x = queue.pop(0)
-                for y in adj[x]:
-                    if y not in parent:
-                        parent[y] = x
-                        tree.append(tuple(sorted((x, y))))
-                        queue.append(y)
-        return parent, tree
+        _, parent, tree = self._forest
+        return MappingProxyType(parent), tree
 
 
 def validate_nerve(n_vertices: int, maximal_simplices: Iterable[Sequence[int]]) -> Nerve:

@@ -85,21 +85,35 @@ def resolve_twisted_data(ref: str) -> TwistedData:
     return twisted_data_from_dict(_load_json(ref))
 
 
+def _entry_ints(key: str, parts) -> tuple[int, ...]:
+    """The integers of one cocycle entry; anything else names its key."""
+    try:
+        return tuple(int(x) for x in parts)
+    except (TypeError, ValueError):
+        raise InputError(f"cocycle entry {key!r} is not made of integers") from None
+
+
 def cocycle_from_dict(space: GammaNerve, data: TwistedData, payload: dict) -> TwistedOneCocycle:
     system = system_from_data(space, data)
     idx = space.nerve.edge_index
     a = [0] * len(space.nerve.edges)
-    for key, val in payload.get("a", {}).items():
-        u, v = (int(s) for s in key.split(","))
-        if (u, v) not in idx:
-            raise InputError(f"{key} is not an edge of the nerve")
-        a[idx[(u, v)]] = int(val)
     phi = [[0] * space.nerve.n_vertices for _ in data.gamma.elements()]
-    for key, row in payload.get("phi", {}).items():
-        t = int(key)
+    if not isinstance(payload, dict):
+        raise InputError("a cocycle must be a JSON object")
+    edges, rows = payload.get("a", {}), payload.get("phi", {})
+    for name, part in (("a", edges), ("phi", rows)):
+        if not isinstance(part, dict):
+            raise InputError(f"cocycle key {name!r} must be an object keyed by strings")
+    for key, val in edges.items():
+        edge = _entry_ints(key, key.split(","))
+        if edge not in idx:
+            raise InputError(f"{key} is not an edge of the nerve")
+        a[idx[edge]] = _entry_ints(key, [val])[0]
+    for key, row in rows.items():
+        (t,) = _entry_ints(key, [key])
         if not 0 <= t < len(phi):
             raise InputError(f"phi key {key} is not an element index of the acting group (order {len(phi)})")
-        phi[t] = [int(x) for x in row]
+        phi[t] = list(_entry_ints(key, row))
     return make_cocycle(system, a, phi)
 
 

@@ -168,12 +168,12 @@ def test_criterion_4_correspondence_cardinalities():
         system = system_from_data(inst.space, inst.data)
         n_reduced = len(h1_reduced(h1_twisted(system)))
         prod = build_twisted_product(inst.data)
-        fib = fiber_over_cover(desc, prod)
+        ph1 = plain_h1(desc.downstairs, prod.group)
+        fib = fiber_over_cover(desc, prod, ph1)
         n_fiber = len(fib)
         if fib:
-            ph1 = plain_h1(desc.downstairs, prod.group)
             base = GhatCocycleY(prod, ph1.representative(fib[0][0]))
-            n_groth = len(grothendieck_fiber(base, desc))
+            n_groth = len(grothendieck_fiber(base, desc, ph1))
         else:
             n_groth = 0
         if not (n_reduced == n_fiber == n_groth):

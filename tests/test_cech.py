@@ -1010,5 +1010,5 @@ def test_correspondence_with_order_four_acting_group():
     system = system_from_data(dodec, data)
     prod = build_twisted_product(data)
     assert prod.group.order == 32
-    fib = fiber_over_cover(desc, prod)
+    fib = fiber_over_cover(desc, prod, plain_h1(desc.downstairs, prod.group))
     assert len(h1_reduced(h1_twisted(system))) == len(fib)

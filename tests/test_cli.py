@@ -1,5 +1,6 @@
 """CLI surface: reference resolution, report formats, exit codes, determinism."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from twistcech import cech, cli, fixtures
 from twistcech.cli import main
 from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
+from twistcech.nerves import Nerve
 from twistcech.serialize import (
     cocycle_from_dict,
     cocycle_to_dict,
@@ -170,10 +172,37 @@ def test_verify_all_builds_each_row_once(monkeypatch, tmp_path):
         monkeypatch.setattr(cech, name, counted(name))
     code = main(["verify", "all", "--only", "X_HEX/S3,trivial,trivial", "--out", str(tmp_path / "row.json")])
     assert code == 0
-    # Z, G, G/Z and the twisted system once each, plus three plain H^1 sets
-    # of the quotient in the correspondence suite
-    assert calls["enumerate_cocycles"] <= 7
+    # Z, G, G/Z and the twisted system once each, plus the one plain H^1 set
+    # of the quotient that the correspondence suite shares
+    assert calls["enumerate_cocycles"] <= 5
     assert calls["abelian_complex"] == 1
+
+
+def test_verify_all_shares_plain_h1_and_nerve_forests(monkeypatch, tmp_path):
+    enumerations = 0
+    inner_enumerate = cech.enumerate_cocycles
+
+    def counted_enumerate(*args, **kwargs):
+        nonlocal enumerations
+        enumerations += 1
+        return inner_enumerate(*args, **kwargs)
+
+    # the searched nerves stay referenced, so no two of them share an id
+    searched = []
+    inner_forest = vars(Nerve)["_forest"].func
+
+    def counted_forest(self):
+        searched.append(self)
+        return inner_forest(self)
+
+    forest = functools.cached_property(counted_forest)
+    forest.__set_name__(Nerve, "_forest")
+    monkeypatch.setattr(cech, "enumerate_cocycles", counted_enumerate)
+    monkeypatch.setattr(Nerve, "_forest", forest)
+    assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
+    # 170 with three plain H^1 sets per free row; 126 with one
+    assert enumerations <= 126
+    assert searched and len({id(n) for n in searched}) == len(searched)
 
 
 def test_console_entrypoint():
@@ -267,6 +296,22 @@ def test_serialize_rejects_bad_cocycle():
 def test_serialize_rejects_out_of_range_cocycle_entries(payload, slot):
     data = twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3], [0, 1, 2, 3]]})
     with pytest.raises(InputError, match=slot.replace("[", r"\[").replace("]", r"\]")):
+        cocycle_from_dict(gamma_nerve("X_HEX"), data, payload)
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"a": {"x": 1}}, "'x'"),
+        ({"a": {"0,1,2": 1}}, "0,1,2"),
+        ({"phi": {"t": [0] * 6}}, "'t'"),
+        ({"a": [1, 0, 0, 0, 0, 0]}, "'a'"),
+    ],
+    ids=["edge-key-x", "edge-key-three-vertices", "phi-key-t", "a-as-list"],
+)
+def test_serialize_names_the_key_of_malformed_cocycle_input(payload, key):
+    data = twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3], [0, 1, 2, 3]]})
+    with pytest.raises(InputError, match=key):
         cocycle_from_dict(gamma_nerve("X_HEX"), data, payload)
 
 

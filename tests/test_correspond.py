@@ -20,9 +20,10 @@ from twistcech.correspond import (
     normalizer_embedding_check,
     plain_cocycle,
     plain_h1,
+    plain_system,
     to_ghat_cocycle,
 )
-from twistcech.errors import InputError, NotFree
+from twistcech.errors import CarrierMismatch, InputError, NotFree
 from twistcech.extensions import build_twisted_product, make_twisted_data, trivial_action
 from twistcech.fixtures import c_q_data, default_grid, gamma_nerve, group, inversion_action, nerve
 from twistcech.groups import conjugacy_classes
@@ -70,7 +71,7 @@ def test_transition_cocycle_monodromy_matches_cover_monodromy():
         if not y.is_connected():
             continue
         gamma = inst.space.gamma
-        transitions = plain_cocycle(y, gamma, [desc.transition(i, j) for (i, j) in y.edges])
+        transitions = plain_cocycle(plain_system(y, gamma), [desc.transition(i, j) for (i, j) in y.edges])
         plain = monodromy_of_plain_cocycle(y, gamma, transitions)
         cover = monodromy(desc)
         assert plain.assignment == cover.assignment, inst.name
@@ -276,7 +277,7 @@ def test_reduced_classes_biject_with_fiber():
         h1r = h1_reduced(h1)
         prod = build_twisted_product(inst.data)
         ph1 = plain_h1(desc.downstairs, prod.group)
-        fib = {cid for cid, _ in fiber_over_cover(desc, prod)}
+        fib = {cid for cid, _ in fiber_over_cover(desc, prod, ph1)}
         image_by_reduced = {}
         for cid in range(len(h1)):
             x = h1.representative(cid)
@@ -292,32 +293,42 @@ def test_reduced_classes_biject_with_fiber():
 def test_fiber_examples():
     # D4 over the circle, nontrivial double cover: the two reflection classes
     prod = build_twisted_product(make_twisted_data(INV))
-    fib = fiber_over_cover(DESC, prod)
+    fib = fiber_over_cover(DESC, prod, plain_h1(DESC.downstairs, prod.group))
     assert len(fib) == 2
     # Q8 over the circle: the two classes mixing outside the rotation part
     prod_q = build_twisted_product(c_q_data(INV))
-    fib_q = fiber_over_cover(DESC, prod_q)
+    fib_q = fiber_over_cover(DESC, prod_q, plain_h1(DESC.downstairs, prod_q.group))
     assert len(fib_q) == 2
     # trivial target cover: classes reducing to the coefficient subgroup
     two = gamma_nerve("X_TWO_TRI")
     desc2 = quotient(two)
-    fib2 = fiber_over_cover(desc2, prod)
+    fib2 = fiber_over_cover(desc2, prod, plain_h1(desc2.downstairs, prod.group))
     for cid, mono in fib2:
         assert mono.image == (0,)
+
+
+def test_fibers_reject_an_h1_set_of_another_nerve_or_group():
+    prod = build_twisted_product(make_twisted_data(INV))
+    base = GhatCocycleY(prod, plain_h1(DESC.downstairs, prod.group).representative(0))
+    for foreign in (plain_h1(nerve("Y_FILLED_TRI"), prod.group), plain_h1(DESC.downstairs, D4)):
+        with pytest.raises(CarrierMismatch):
+            fiber_over_cover(DESC, prod, foreign)
+        with pytest.raises(CarrierMismatch):
+            grothendieck_fiber(base, DESC, foreign)
 
 
 def test_grothendieck_fiber_matches():
     for inst in c2_grid():
         desc = quotient(inst.space)
         prod = build_twisted_product(inst.data)
-        fib = fiber_over_cover(desc, prod)
+        ph1 = plain_h1(desc.downstairs, prod.group)
+        fib = fiber_over_cover(desc, prod, ph1)
         if not fib:
             continue
-        ph1 = plain_h1(desc.downstairs, prod.group)
         counts = set()
         for cid, _ in fib:
             base = GhatCocycleY(prod, ph1.representative(cid))
-            counts.add(len(grothendieck_fiber(base, desc)))
+            counts.add(len(grothendieck_fiber(base, desc, ph1)))
         assert counts == {len(fib)}
 
 
@@ -330,8 +341,9 @@ def test_grothendieck_trivial_cover_degenerates():
     prod = build_twisted_product(data)
     vals = [0] * len(desc2.downstairs.edges)
     base = ghat_cocycle(prod, desc2.downstairs, vals)
-    fib = grothendieck_fiber(base, desc2)
-    expected = fiber_over_cover(desc2, prod)
+    ph1 = plain_h1(desc2.downstairs, prod.group)
+    fib = grothendieck_fiber(base, desc2, ph1)
+    expected = fiber_over_cover(desc2, prod, ph1)
     assert len(fib) == len(expected)
 
 
@@ -348,7 +360,7 @@ def test_connected_reduction_cases():
         else:
             assert red.sub_product.group.order == prod.group.order
         # extension along the inclusion recovers the class
-        ext = plain_cocycle(Y_TRI, prod.group, tuple(red.embedding.map[v] for v in red.reduced.cocycle.a))
+        ext = plain_cocycle(ph1.system, tuple(red.embedding.map[v] for v in red.reduced.cocycle.a))
         assert ph1.class_of(ext) == cid
 
 

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcech.errors import Disconnected, InputError, NotGoodCover, NotSimplicial
 from twistcech.fixtures import GAMMA_NERVES, NERVES, gamma_nerve, group, nerve
@@ -195,6 +197,83 @@ def test_make_monodromy_checks_relations():
 
 def _fixture_nerves():
     return [*NERVES.values(), *(x.nerve for x in GAMMA_NERVES.values())]
+
+
+def reference_forest(n):
+    """The uncached search the cached forest replaced: components, then BFS."""
+    adj = n.adjacency()
+    seen = [False] * n.n_vertices
+    comps = []
+    for v in range(n.n_vertices):
+        if seen[v]:
+            continue
+        comp = []
+        stack = [v]
+        seen[v] = True
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        comps.append(tuple(sorted(comp)))
+    parent = {}
+    tree = []
+    for comp in comps:
+        parent[comp[0]] = None
+        queue = [comp[0]]
+        while queue:
+            x = queue.pop(0)
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    tree.append(tuple(sorted((x, y))))
+                    queue.append(y)
+    return comps, parent, tree
+
+
+def assert_forest_matches_reference(n):
+    comps, parent, tree = reference_forest(n)
+    got_parent, got_tree = n.spanning_forest()
+    assert n.components() == tuple(comps)
+    assert list(got_parent.items()) == list(parent.items())  # BFS order too
+    assert got_tree == tuple(tree)
+    assert n.is_connected() == (len(comps) <= 1)
+
+
+def test_cached_forest_matches_the_uncached_search():
+    assert any(not n.is_connected() for n in _fixture_nerves())  # X_TWO_TRI
+    for n in _fixture_nerves():
+        assert_forest_matches_reference(n)
+
+
+@st.composite
+def small_nerves(draw):
+    n = draw(st.integers(1, 9))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=10))
+    return validate_nerve(n, [sorted(f) for f in faces])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_nerves())
+def test_cached_forest_matches_the_uncached_search_on_generated_nerves(n):
+    assert_forest_matches_reference(n)
+
+
+def test_forest_values_cannot_be_mutated():
+    n = validate_nerve(5, [(0, 1, 2), (3, 4)])
+    parent, tree = n.spanning_forest()
+    comps = n.components()
+    with pytest.raises(TypeError):
+        parent[4] = 0
+    with pytest.raises(TypeError):
+        tree[0] = (0, 4)
+    with pytest.raises(TypeError):
+        comps[0] = (0,)
+    assert n.spanning_forest() == ({0: None, 1: 0, 2: 0, 3: None, 4: 3}, ((0, 1), (0, 2), (3, 4)))
+    assert n.components() == ((0, 1, 2), (3, 4))
+    assert not n.is_connected()
 
 
 def test_spanning_forest_lists_parents_first():

@@ -107,9 +107,9 @@ def test_nonabelian_gamma_correspondence():
         h1r = h1_reduced(h1)
         assert len(h1r) == len(h1)  # the symmetric group has trivial centre
         prod = build_twisted_product(data)
-        fib = fiber_over_cover(descent, prod)
-        assert len(fib) == len(h1r)
         ph1 = plain_h1(descent.downstairs, prod.group)
+        fib = fiber_over_cover(descent, prod, ph1)
+        assert len(fib) == len(h1r)
         images = set()
         for cid in range(len(h1)):
             x = h1.representative(cid)
@@ -146,7 +146,7 @@ def test_nonabelian_gamma_class_counts_against_group_oracle():
                     for t in grp.elements()
                 )
                 targets[canon] = True
-        fib = fiber_over_cover(descent, prod)
+        fib = fiber_over_cover(descent, prod, plain_h1(y, prod.group))
         assert len(fib) == len(targets)
         system = system_from_data(cover, data)
         assert len(h1_twisted(system)) == len(targets)
