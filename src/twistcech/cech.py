@@ -19,13 +19,24 @@ All enumeration is exact: a spanning forest normalizes the edge part, the
 remaining freedom is finite and walked completely, and abelian-coefficient
 questions (second cohomology, coboundary maps) are answered with integer
 linear algebra from the abelian module.
+
+An abelian cochain is a flat list of coefficient values in one slot order:
+
+    C^1: edges, then (t, v) for t != 1;
+    C^2: triangles, then (t, edge), then (t1, t2, v);
+    C^3: tetrahedra, then (t, triangle), then (t1, t2, edge), then (t1, t2, t3, v);
+
+with simplices in the nerve's sorted order and t, t1, t2, t3 running over
+the nontrivial acting-group elements in index order.  Slots hold values on
+sorted simplices; ``d2`` reads a pulled simplex whose vertex order the
+action reverses through the inverse value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -103,6 +114,11 @@ class CechSystem:
     def tables(self) -> SystemTables:
         """The system compiled for the cocycle loops, built on first use."""
         return _compile(self)
+
+    @cached_property
+    def d2_tables(self) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, ...], ...]]:
+        """Tetrahedron faces and signed pulled triangles, built on the first ``d2``."""
+        return _compile_d2(self)
 
 
 @dataclass(frozen=True)
@@ -188,10 +204,6 @@ def _compile(system: CechSystem) -> SystemTables:
 
 def system_from_data(space: GammaNerve, data: TwistedData) -> CechSystem:
     return CechSystem(space, data.g, data.action, data.cocycle)
-
-
-def system_with_trivial_twist(system: CechSystem) -> CechSystem:
-    return replace(system, twist=trivial_cocycle(system.action))
 
 
 @dataclass(frozen=True)
@@ -702,297 +714,155 @@ def h1_reduced(h1: CohomologySet) -> CohomologySet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZCochainSpace:
-    """Coordinates for Z-valued (u, v, w) triples and (a, phi) pairs."""
-
-    system: CechSystem
-    coords: AbelianCoords
-    # slot layouts: lists of keys in storage order
-    pair_keys: tuple  # ("a", edge) and ("phi", t, vertex)
-    triple_keys: tuple  # ("u", tri), ("v", t, edge), ("w", t1, t2, vertex)
-    out_keys: tuple  # d2 outputs
-
-    def pair_mods(self) -> tuple[int, ...]:
-        return tuple(m for _ in self.pair_keys for m in self.coords.moduli)
-
-    def triple_mods(self) -> tuple[int, ...]:
-        return tuple(m for _ in self.triple_keys for m in self.coords.moduli)
-
-    def out_mods(self) -> tuple[int, ...]:
-        return tuple(m for _ in self.out_keys for m in self.coords.moduli)
-
-
-def zspace(system: CechSystem) -> ZCochainSpace:
-    if not system.coeff.is_abelian():
-        raise InputError("abelian machinery requires abelian coefficients")
-    coords = abelian_coordinates(system.coeff)
+def _cochain_sizes(system: CechSystem) -> tuple[int, int, int]:
+    """Slot counts of the abelian 1-, 2- and 3-cochains of a system."""
     nerve = system.nerve
-    gamma = system.gamma
-    nontriv = [t for t in gamma.elements() if t != 0]
-    pair_keys = tuple(("a", e) for e in nerve.edges) + tuple(
-        ("phi", t, v) for t in nontriv for v in range(nerve.n_vertices)
+    k = system.gamma.order - 1
+    m, n = len(nerve.edges), nerve.n_vertices
+    return (
+        m + k * n,
+        len(nerve.triangles) + k * m + k * k * n,
+        len(nerve.tetrahedra) + k * len(nerve.triangles) + k * k * m + k**3 * n,
     )
-    triple_keys = (
-        tuple(("u", s) for s in nerve.triangles)
-        + tuple(("v", t, e) for t in nontriv for e in nerve.edges)
-        + tuple(("w", t1, t2, v) for t1 in nontriv for t2 in nontriv for v in range(nerve.n_vertices))
+
+
+def cochain_vector(coords: AbelianCoords, values: Iterable[int]) -> tuple[int, ...]:
+    """The coordinate vector of a flat abelian cochain: each slot's coordinates in turn."""
+    return tuple(x for val in values for x in coords.vec_of[val])
+
+
+def cochain_values(coords: AbelianCoords, vec: Sequence[int], count: int) -> list[int]:
+    """The flat cochain of ``count`` slots with the given coordinate vector."""
+    r = len(coords.moduli)
+    return [coords.element(vec[i * r : (i + 1) * r]) for i in range(count)]
+
+
+def _d1_values(system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]]) -> list[int]:
+    """``d1`` of a pair as a flat 2-cochain: its three parts are already in slot order."""
+    tri_part, edge_part, pair_part = d1(system, a, phi)
+    return [*tri_part.values(), *edge_part.values(), *itertools.chain.from_iterable(pair_part.values())]
+
+
+def _pair_of(system: CechSystem, values: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The pair (a, phi) of a flat 1-cochain; phi of the identity is identically 1."""
+    m, n = len(system.nerve.edges), system.nerve.n_vertices
+    return tuple(values[:m]), ((0,) * n, *(tuple(values[i : i + n]) for i in range(m, len(values), n)))
+
+
+def _compile_d2(system: CechSystem) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The tables ``d2`` reads besides ``system.tables``.
+
+    The face slots (ijx, ixl, ijl, jxl) of each tetrahedron ijxl, and per t
+    the slot of each pulled triangle in the doubled list ``u + [u_k^-1]``:
+    k when t maps the triangle onto triangle k with its orientation, k plus
+    the number of triangles when it reverses it.
+    """
+    nerve = system.nerve
+    index = {tri: k for k, tri in enumerate(nerve.triangles)}
+    faces = tuple(
+        (index[(i, j, x)], index[(i, x, l)], index[(i, j, l)], index[(j, x, l)]) for i, j, x, l in nerve.tetrahedra
     )
-    out_keys = (
-        tuple(("c1", s) for s in nerve.tetrahedra)
-        + tuple(("c2", t, s) for t in nontriv for s in nerve.triangles)
-        + tuple(("c3", t1, t2, e) for t1 in nontriv for t2 in nontriv for e in nerve.edges)
-        + tuple(
-            ("c4", t1, t2, t3, v)
-            for t1 in nontriv
-            for t2 in nontriv
-            for t3 in nontriv
-            for v in range(nerve.n_vertices)
+    pulled = []
+    for row in system.space.vact:
+        slots = []
+        for tri in nerve.triangles:
+            p, q, r = (row[v] for v in tri)
+            odd = ((p > q) + (p > r) + (q > r)) % 2
+            slots.append(index[tuple(sorted((p, q, r)))] + odd * len(index))
+        pulled.append(tuple(slots))
+    return faces, tuple(pulled)
+
+
+def d2(system: CechSystem, values: Sequence[int]) -> list[int]:
+    """The abelian coboundary of a flat 2-cochain (u, v, w), as a flat 3-cochain.
+
+    Read in the abelian coefficients, with v_t and w_{t1,t2} the identity
+    when an index is 1, and pulled edges and triangles signed by their
+    orientation, the sites are, in slot order:
+
+        u_ijx u_ixl / (u_ijl u_jxl)                                on tetrahedra,
+        theta_t^-1(u_ijx) v_t,ij v_t,jx / (u_{i.t, j.t, x.t} v_t,ix)   on (t, triangle),
+        v_t,(i.t2 j.t2) theta_t^-1(v_t2,ij) w_t,t2,i / (v_{t2 t},ij w_t,t2,j)
+                                                                   on (t, t2, edge),
+        theta_t^-1(w_t2,t3,v) w_{t, t3 t2},v / (w_{t2 t, t3},v w_{t,t2},v.t3)
+                                                                   on (t, t2, t3, vertex).
+    """
+    tab = system.tables
+    faces, tri_pull = system.d2_tables
+    mul, inv, gmul = tab.mul, tab.inv, system.gamma.mul
+    m, n = len(tab.edges), len(tab.act[0])
+    it = iter(values)
+
+    def take(count: int) -> list[int]:
+        return list(itertools.islice(it, count))
+
+    # v[t] and w[t1][t2] are indexed by group element, the identity rows all 1
+    no_row = [0] * n
+    u = tab.doubled(take(len(tab.triangles)))
+    v = [[0] * 2 * m] + [tab.doubled(take(m)) for _ in tab.nontrivial]
+    w = [[no_row] * len(tab.act)] + [[no_row] + [take(n) for _ in tab.nontrivial] for _ in tab.nontrivial]
+    out = [mul[mul[u[ijx]][u[ixl]]][inv[mul[u[ijl]][u[jxl]]]] for ijx, ixl, ijl, jxl in faces]
+    for t in tab.nontrivial:
+        pull, th, vt = tri_pull[t], tab.theta_inv[t], v[t]
+        out += (
+            mul[mul[th[u[k]]][mul[vt[ij]][vt[jx]]]][inv[mul[u[pull[k]]][vt[ix]]]]
+            for k, (ij, jx, ix) in enumerate(tab.triangles)
         )
-    )
-    return ZCochainSpace(system, coords, pair_keys, triple_keys, out_keys)
-
-
-class ZTriple:
-    """Z-valued (u, v, w) with normalized access (identity slots read 0)."""
-
-    def __init__(self, system: CechSystem, u: dict, v: dict, w: dict):
-        self.system = system
-        self.u = u
-        self.v = v
-        self.w = w
-
-    def u_get(self, i: int, j: int, k: int) -> int:
-        verts = (i, j, k)
-        key = tuple(sorted(verts))
-        if len(set(verts)) != 3:
-            raise InputError("degenerate triangle index")
-        val = self.u.get(key, 0)
-        if _perm_sign(verts) < 0:
-            val = self.system.coeff.inv[val]
-        return val
-
-    def v_get(self, t: int, i: int, j: int) -> int:
-        if t == 0:
-            return 0
-        key = (min(i, j), max(i, j))
-        val = self.v.get((t, key), 0)
-        if i > j:
-            val = self.system.coeff.inv[val]
-        return val
-
-    def w_get(self, t1: int, t2: int, vertex: int) -> int:
-        if t1 == 0 or t2 == 0:
-            return 0
-        row = self.w.get((t1, t2))
-        return 0 if row is None else row[vertex]
-
-
-def _perm_sign(seq: Sequence[int]) -> int:
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
-
-
-def d2(triple: ZTriple) -> tuple[dict, dict, dict, dict]:
-    """The four obstruction components of an abelian (u, v, w) triple."""
-    system = triple.system
-    k = system.coeff
-    gamma = system.gamma
-    space = system.space
-    mul, inv = k.mul, k.inv
-    nontriv = [t for t in gamma.elements() if t != 0]
-
-    c1 = {}
-    for (i, j, x, l) in system.nerve.tetrahedra:
-        val = mul[
-            mul[triple.u_get(i, j, x)][triple.u_get(i, x, l)]
-        ][inv[mul[triple.u_get(i, j, l)][triple.u_get(j, x, l)]]]
-        c1[(i, j, x, l)] = val
-
-    c2 = {}
-    for t in nontriv:
-        for (i, j, x) in system.nerve.triangles:
-            pulled = triple.u_get(space.act(i, t), space.act(j, t), space.act(x, t))
-            val = mul[
-                mul[inv[pulled]][system.theta_inv(t, triple.u_get(i, j, x))]
-            ][
-                mul[mul[triple.v_get(t, i, j)][triple.v_get(t, j, x)]][inv[triple.v_get(t, i, x)]]
-            ]
-            c2[(t, (i, j, x))] = val
-
-    c3 = {}
-    for t in nontriv:
-        for t2 in nontriv:
-            prod = gamma.mul[t2][t]
-            for (i, j) in system.nerve.edges:
-                pulled = triple.v_get(t, space.act(i, t2), space.act(j, t2))
-                val = mul[
-                    mul[mul[pulled][system.theta_inv(t, triple.v_get(t2, i, j))]][
-                        inv[triple.v_get(prod, i, j)]
-                    ]
-                ][mul[triple.w_get(t, t2, i)][inv[triple.w_get(t, t2, j)]]]
-                c3[(t, t2, (i, j))] = val
-
-    c4 = {}
-    for t in nontriv:
-        for t2 in nontriv:
-            for t3 in nontriv:
-                k32 = gamma.mul[t3][t2]
-                k21 = gamma.mul[t2][t]
-                row = []
-                for v in range(system.nerve.n_vertices):
-                    val = mul[
-                        mul[system.theta_inv(t, triple.w_get(t2, t3, v))][triple.w_get(t, k32, v)]
-                    ][
-                        inv[
-                            mul[triple.w_get(k21, t3, v)][
-                                triple.w_get(t, t2, space.act(v, t3))
-                            ]
-                        ]
-                    ]
-                    row.append(val)
-                c4[(t, t2, t3)] = tuple(row)
-    return c1, c2, c3, c4
-
-
-def theta_inv_twist_triple(system: CechSystem) -> ZTriple:
-    """(1, 1, theta^-1(c)) as an abelian triple (c read in the coefficients)."""
-    n = system.nerve.n_vertices
-    return ZTriple(system, {}, {}, {key: (want,) * n for key, want in twist_target(system).items()})
-
-
-def triple_to_vector(space_z: ZCochainSpace, triple: ZTriple) -> tuple[int, ...]:
-    co = space_z.coords
-    out = []
-    for key in space_z.triple_keys:
-        if key[0] == "u":
-            val = triple.u.get(key[1], 0)
-        elif key[0] == "v":
-            val = triple.v.get((key[1], key[2]), 0)
-        else:
-            row = triple.w.get((key[1], key[2]))
-            val = 0 if row is None else row[key[3]]
-        out.extend(co.vec_of[val])
-    return tuple(out)
-
-
-def vector_to_triple(space_z: ZCochainSpace, vec: Sequence[int]) -> ZTriple:
-    co = space_z.coords
-    r = len(co.moduli)
-    u: dict = {}
-    v: dict = {}
-    w: dict = {}
-    n = space_z.system.nerve.n_vertices
-    for idx, key in enumerate(space_z.triple_keys):
-        val = co.element(vec[idx * r : (idx + 1) * r])
-        if key[0] == "u":
-            u[key[1]] = val
-        elif key[0] == "v":
-            v[(key[1], key[2])] = val
-        else:
-            row = list(w.get((key[1], key[2]), (0,) * n))
-            row[key[3]] = val
-            w[(key[1], key[2])] = tuple(row)
-    return ZTriple(space_z.system, u, v, w)
-
-
-def d2_out_vector(space_z: ZCochainSpace, parts: tuple[dict, dict, dict, dict]) -> tuple[int, ...]:
-    co = space_z.coords
-    c1, c2, c3, c4 = parts
-    out = []
-    for key in space_z.out_keys:
-        tag = key[0]
-        if tag == "c1":
-            val = c1[key[1]]
-        elif tag == "c2":
-            val = c2[(key[1], key[2])]
-        elif tag == "c3":
-            val = c3[(key[1], key[2], key[3])]
-        else:
-            val = c4[(key[1], key[2], key[3])][key[4]]
-        out.extend(co.vec_of[val])
-    return tuple(out)
-
-
-def vector_to_pair(space_z: ZCochainSpace, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    co = space_z.coords
-    r = len(co.moduli)
-    system = space_z.system
-    a = [0] * len(system.nerve.edges)
-    phi = [[0] * system.nerve.n_vertices for _ in system.gamma.elements()]
-    edge_pos = system.nerve.edge_index
-    for idx, key in enumerate(space_z.pair_keys):
-        val = co.element(vec[idx * r : (idx + 1) * r])
-        if key[0] == "a":
-            a[edge_pos[key[1]]] = val
-        else:
-            phi[key[1]][key[2]] = val
-    return tuple(a), tuple(tuple(row) for row in phi)
+    for t, t2, prod, _ in tab.vertex_sites:
+        pull, th, vt, vt2, vp, wt = tab.pull[t2], tab.theta_inv[t], v[t], v[t2], v[prod], w[t][t2]
+        out += (
+            mul[mul[mul[vt[pull[e]]][th[vt2[e]]]][wt[i]]][inv[mul[vp[e]][wt[j]]]]
+            for e, (i, j) in enumerate(tab.edges)
+        )
+    for t, t2, prod, _ in tab.vertex_sites:
+        th, w12 = tab.theta_inv[t], w[t][t2]
+        for t3 in tab.nontrivial:
+            act3, w23, w1_32, w21_3 = tab.act[t3], w[t2][t3], w[t][gmul[t3][t2]], w[prod][t3]
+            out += (mul[mul[th[w23[x]]][w1_32[x]]][inv[mul[w21_3[x]][w12[act3[x]]]]] for x in range(n))
+    return out
 
 
 @dataclass
 class AbelianComplex:
-    """Integer-matrix forms of d1 and d2 over abelian coefficients."""
+    """Integer-matrix forms of d1 and d2 over abelian coefficients.
 
-    space_z: ZCochainSpace
+    Vectors are ``cochain_vector``s of flat cochains in the slot order of
+    the module docstring.
+    """
+
+    coords: AbelianCoords
     d1_hom: ZHom
     d2_hom: ZHom
 
-    def d1_vector(self, pair_vec: Sequence[int]) -> tuple[int, ...]:
-        return self.d1_hom.apply(pair_vec)
-
-    def in_kernel_d2(self, triple_vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.d2_hom.apply(triple_vec))
+    def in_kernel_d2(self, vec: Sequence[int]) -> bool:
+        return all(x == 0 for x in self.d2_hom.apply(vec))
 
 
 def abelian_complex(system: CechSystem, *, coord_guard: int = DEFAULT_COORD_GUARD) -> AbelianComplex:
     """Assemble d1 and d2 as integer matrices by probing unit cochains.
 
     Both maps are homomorphisms for abelian coefficients, so the columns at
-    the coordinate unit vectors determine them.  Refuses when the cochain
-    spaces outgrow the exact-linear-algebra guard.
+    the coordinate unit vectors determine them.  ``d1`` reads no twist, so
+    it is probed on the system itself.  Refuses when the 2-cochains outgrow
+    the exact-linear-algebra guard.
     """
-    space_z = zspace(system)
-    n_coords = len(space_z.triple_mods())
+    if not system.coeff.is_abelian():
+        raise InputError("abelian machinery requires abelian coefficients")
+    co = abelian_coordinates(system.coeff)
+    sizes = _cochain_sizes(system)
+    n_coords = sizes[1] * len(co.moduli)
     if n_coords > coord_guard:
-        raise BudgetExceeded(
-            f"abelian cochain space has {n_coords} coordinates, guard {coord_guard}"
-        )
-    co = space_z.coords
-    r = len(co.moduli)
-    pair_mods = space_z.pair_mods()
-    triple_mods = space_z.triple_mods()
-    out_mods = space_z.out_mods()
-    triv = system_with_trivial_twist(system)
+        raise BudgetExceeded(f"abelian cochain space has {n_coords} coordinates, guard {coord_guard}")
+    mods1, mods2, mods3 = (co.moduli * size for size in sizes)
 
-    d1_cols = []
-    for idx in range(len(pair_mods)):
-        vec = [0] * len(pair_mods)
-        vec[idx] = 1
-        a, phi = vector_to_pair(space_z, vec)
-        tri_part, edge_part, pair_part = d1(triv, a, phi)
-        triple = ZTriple(
-            system,
-            dict(tri_part),
-            {key: val for key, val in edge_part.items()},
-            {key: row for key, row in pair_part.items()},
-        )
-        d1_cols.append(triple_to_vector(space_z, triple))
-    d1_hom = hom_from_columns(d1_cols, pair_mods, triple_mods)
+    def columns(n_slots: int, image: Callable[[list[int]], Iterable[int]]) -> list[tuple[int, ...]]:
+        size = n_slots * len(co.moduli)
+        units = ([int(i == j) for i in range(size)] for j in range(size))
+        return [cochain_vector(co, image(cochain_values(co, unit, n_slots))) for unit in units]
 
-    d2_cols = []
-    for idx in range(len(triple_mods)):
-        vec = [0] * len(triple_mods)
-        vec[idx] = 1
-        triple = vector_to_triple(space_z, vec)
-        d2_cols.append(d2_out_vector(space_z, d2(triple)))
-    d2_hom = hom_from_columns(d2_cols, triple_mods, out_mods)
-    return AbelianComplex(space_z, d1_hom, d2_hom)
+    d1_cols = columns(sizes[0], lambda values: _d1_values(system, *_pair_of(system, values)))
+    d2_cols = columns(sizes[1], lambda values: d2(system, values))
+    return AbelianComplex(co, hom_from_columns(d1_cols, mods1, mods2), hom_from_columns(d2_cols, mods2, mods3))
 
 
 @dataclass
@@ -1000,33 +870,24 @@ class H2Classes:
     """Second cohomology: kernel of d2 modulo the image of abelian d1."""
 
     complex: AbelianComplex
-    labels: object  # QuotientLabels over the triple space
+    labels: QuotientLabels  # coset labels over the 2-cochains
     size: int
     kernel: dict  # every vector of ker d2, in sorted order, to its coset label
     reps: list
-    _label_to_id: dict
-
-    def label_of_vector(self, vec: Sequence[int]) -> tuple:
-        if not self.complex.in_kernel_d2(vec):
-            raise InputError("triple is not in the kernel of d2")
-        return self.labels.label(vec)
-
-    def class_id(self, vec: Sequence[int]) -> int:
-        return self._label_to_id[self.label_of_vector(vec)]
 
 
 def h2_classes(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> H2Classes:
     cx = abelian_complex(system)
-    triple_mods = cx.space_z.triple_mods()
+    mods = cx.d2_hom.mods_in
     labels = h2_coset_labels(cx)
     ker_gens = kernel_generators(cx.d2_hom)
-    ker_size = subgroup_size(triple_mods, ker_gens)
+    ker_size = subgroup_size(mods, ker_gens)
     # the label Smith form already has the quotient by B^2 on its diagonal
-    b_size = math.prod(triple_mods) // math.prod(labels.diag)
+    b_size = math.prod(mods) // math.prod(labels.diag)
     size = ker_size // b_size
     if ker_size > budget:
         raise BudgetExceeded(f"kernel of d2 has {ker_size} elements, budget {budget}")
-    kernel = {vec: labels.label(vec) for vec in enumerate_subgroup(triple_mods, ker_gens, budget=budget)}
+    kernel = {vec: labels.label(vec) for vec in enumerate_subgroup(mods, ker_gens, budget=budget)}
     classes: dict[tuple, tuple] = {}
     # vectors come sorted, so the first met of each label is its minimum
     for vec, lab in kernel.items():
@@ -1034,21 +895,7 @@ def h2_classes(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> H2Cl
     reps = sorted(classes.values())
     if len(reps) != size:
         raise InternalError(f"H2 class count mismatch: listed {len(reps)}, index formula {size}")
-    return H2Classes(cx, labels, size, kernel, reps, {kernel[v]: i for i, v in enumerate(reps)})
-
-
-def z2_membership(system: CechSystem, triple: ZTriple) -> tuple[bool, Optional[tuple]]:
-    """Kernel-of-d2 membership with the first violated component as witness."""
-    c1, c2, c3, c4 = d2(triple)
-    for tag, part in (("c1", c1), ("c2", c2), ("c3", c3)):
-        for key, val in part.items():
-            if val != 0:
-                return False, (tag, key, val)
-    for key, row in c4.items():
-        for v, val in enumerate(row):
-            if val != 0:
-                return False, ("c4", key + (v,), val)
-    return True, None
+    return H2Classes(cx, labels, size, kernel, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,10 +971,19 @@ class CoefficientLadder:
 
     @cached_property
     def target(self) -> tuple[int, ...]:
-        """The twist triple (1, 1, theta^-1(c)) as a centre triple vector."""
-        vec = triple_to_vector(self.cx.space_z, theta_inv_twist_triple(_z_twisted_view(self)))
+        """The twist 2-cochain (1, 1, theta^-1(c)) as a centre vector.
+
+        Its (t, t2, vertex) slots hold theta_{t2 t}^-1(c(t2, t)), read off
+        the twisted system's vertex sites and mapped into the centre.
+        """
+        tab = self.sys_c.tables
+        back = self.zsub.parent_to_sub
+        n = len(tab.act[0])
+        values = [0] * (len(tab.triangles) + len(tab.nontrivial) * len(tab.edges))
+        values += (back[want] for *_, want in tab.vertex_sites for _ in range(n))
+        vec = cochain_vector(self.cx.coords, values)
         if not self.cx.in_kernel_d2(vec):
-            raise InternalError("twist triple is not d2-closed")
+            raise InternalError("twist 2-cochain is not d2-closed")
         return vec
 
 
@@ -1248,19 +1104,16 @@ def delta_h1_vector(
     lift_choice: Optional[Callable[[int], int]] = None,
     flip: bool = False,
 ) -> tuple[int, ...]:
-    """d1 of a G-valued lift of a quotient cocycle, as a centre triple vector."""
+    """d1 of a G-valued lift of a quotient cocycle, as a centre 2-cochain vector."""
     a, phi = _lift_pair(ladder, x, lift_choice)
     if flip:
         a = tuple(ladder.data.g.inv[v] for v in a)
-    tri_part, edge_part, pair_part = d1(ladder.sys_g, a, phi)
     back = ladder.zsub.parent_to_sub
     try:
-        u = {key: back[val] for key, val in tri_part.items()}
-        v = {key: back[val] for key, val in edge_part.items()}
-        w = {key: tuple(back[t] for t in row) for key, row in pair_part.items()}
+        values = [back[val] for val in _d1_values(ladder.sys_g, a, phi)]
     except KeyError as exc:
         raise InternalError("obstruction of a quotient-cocycle lift escaped the centre") from exc
-    vec = triple_to_vector(ladder.cx.space_z, ZTriple(ladder.sys_z, u, v, w))
+    vec = cochain_vector(ladder.cx.coords, values)
     if not ladder.cx.in_kernel_d2(vec):
         raise InternalError("lifted obstruction is not d2-closed")
     return vec
@@ -1269,7 +1122,7 @@ def delta_h1_vector(
 def h2_coset_labels(cx: AbelianComplex) -> QuotientLabels:
     """Stable labels for second-cohomology classes over the centre."""
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
-    return quotient_labels(cx.space_z.triple_mods(), b_cols)
+    return quotient_labels(cx.d2_hom.mods_in, b_cols)
 
 
 def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle) -> tuple:
@@ -1435,11 +1288,6 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     return report
 
 
-def _z_twisted_view(ladder: CoefficientLadder) -> CechSystem:
-    """The centre system carrying the actual twist of the data."""
-    return replace(ladder.sys_z, twist=restrict_to_subgroup(ladder.data, ladder.zsub).cocycle)
-
-
 def _alternative_lift(ladder: CoefficientLadder) -> Callable[[int], int]:
     table = list(ladder.lift_table)
     for q_elem in range(1, ladder.quotient.order):
@@ -1459,13 +1307,14 @@ class ExistenceResult:
 def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
     """Nonemptiness of the ladder's twisted H^1 via the last coboundary map.
 
-    The twisted set is nonempty exactly when the twist triple is the
+    The twisted set is nonempty exactly when the twist 2-cochain is the
     obstruction of some quotient-valued class; a witness cocycle is then
     assembled from the matching lift.
     """
     cx = ladder.cx
     target = ladder.target
     h1q = ladder.h1q
+    n_slots = _cochain_sizes(ladder.sys_z)[0]
     g = ladder.data.g
     emb = ladder.zsub.embed
     for cid in range(len(h1q)):
@@ -1476,7 +1325,7 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
         correction = solve(cx.d1_hom, diff)
         if correction is None:
             continue
-        za, zphi = vector_to_pair(cx.space_z, correction)
+        za, zphi = _pair_of(ladder.sys_z, cochain_values(cx.coords, correction, n_slots))
         wa = tuple(g.mul[av][g.inv[emb[zv]]] for av, zv in zip(a, za))
         wphi = tuple(
             tuple(g.mul[pv][g.inv[emb[zv]]] for pv, zv in zip(prow, zrow))

@@ -252,12 +252,15 @@ def from_ghat_cocycle(x: GhatCocycleY, descent: CoverDescent) -> CTwistedCocycle
 
 def induced_gamma_class(x: GhatCocycleY) -> tuple[TwistedOneCocycle, MonodromyRep]:
     """Push a glued-group cocycle to the quotient group, with its monodromy."""
+    return _induced_gamma_class(x, plain_system(x.base, x.product.data.gamma))
+
+
+def _induced_gamma_class(x: GhatCocycleY, gamma_system: CechSystem) -> tuple[TwistedOneCocycle, MonodromyRep]:
+    """``induced_gamma_class`` on the plain quotient-group system of the base,
+    which a caller projecting many cocycles builds, and so compiles, once."""
     prod = x.product
-    gamma = prod.data.gamma
-    vals = tuple(prod.proj.map[v] for v in x.cocycle.a)
-    gcoc = plain_cocycle(plain_system(x.base, gamma), vals)
-    rep = monodromy_of_plain_cocycle(x.base, gamma, gcoc)
-    return gcoc, rep
+    gcoc = plain_cocycle(gamma_system, tuple(prod.proj.map[v] for v in x.cocycle.a))
+    return gcoc, monodromy_of_plain_cocycle(x.base, prod.data.gamma, gcoc)
 
 
 def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -> None:
@@ -281,10 +284,11 @@ def fiber_over_cover(
     """
     _check_plain_h1(h1, descent.downstairs, product)
     target = monodromy(descent).canonical
+    gamma_system = plain_system(descent.downstairs, product.data.gamma)
     out = []
     for cid in range(len(h1)):
         rep = h1.representative(cid)
-        _, mono = induced_gamma_class(GhatCocycleY(product, rep))
+        _, mono = _induced_gamma_class(GhatCocycleY(product, rep), gamma_system)
         if mono.canonical == target:
             out.append((cid, mono))
     return out
@@ -499,10 +503,11 @@ def normalizer_embedding_check(
     )
 
     h1_small = plain_h1(y, sub_prod.group, budget=budget)
+    gamma_system = plain_system(y, sub_prod.data.gamma)
     full = []
     for cid in range(len(h1_small)):
         rep = h1_small.representative(cid)
-        _, mono = induced_gamma_class(GhatCocycleY(sub_prod, rep))
+        _, mono = _induced_gamma_class(GhatCocycleY(sub_prod, rep), gamma_system)
         image_in_gamma = tuple(sorted(gset[t] for t in mono.image))
         if image_in_gamma == tuple(gset):
             full.append(cid)

@@ -241,12 +241,14 @@ def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> Coc
     """Classify central 2-cocycles up to coboundary as the Cech H^2 of a point.
 
     Over the one-vertex nerve with Gamma acting trivially, the Cech complex
-    with coefficients Z(G) is the normalized group complex: the w slots are
-    the 2-cochains, the c4 rows of d2 are the cocycle identity and the
-    vertex part of d1 is the group coboundary.  So h2_classes lists Z^2 and
-    labels its cosets of B^2; a kernel vector w is read as the table
-    c(g1, g2) = theta_{g1 g2}(w(g2, g1)), the inverse of
-    theta_inv_twist_triple.  Every table listed still passes check_cocycle.
+    with coefficients Z(G) is the normalized group complex: the (t1, t2)
+    slots are the whole of its 2-cochains, the (t1, t2, t3) sites of d2 are
+    the cocycle identity and the vertex part of d1 is the group coboundary.
+    So h2_classes lists Z^2 and labels its cosets of B^2, and a kernel
+    vector w is read as the table
+    c(g1, g2) = theta_{g1 g2}(w(g2, g1)), the inverse of the twist target
+    w(t, t2) = theta_{t2 t}^-1(c(t2, t)).  Every table listed still passes
+    check_cocycle.
 
     Representatives are the lexicographically minimal tables of each coset,
     and class ids ascend with them, so class 0 is B^2.  Refuses (rather than
@@ -254,7 +256,7 @@ def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> Coc
     coordinates, or when |Z^2| exceeds the guard.
     """
     # cech imports this module at load time
-    from .cech import h2_classes, system_from_data
+    from .cech import cochain_values, h2_classes, system_from_data
 
     gamma = action.gamma
     zsub = center(action.g)
@@ -263,14 +265,12 @@ def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> Coc
         raise BudgetExceeded(f"3-cochains have {n_out} coordinates, guard {DEFAULT_COORD_GUARD}")
     point = trivial_gamma_nerve(validate_nerve(1, []), gamma)
     h2 = h2_classes(system_from_data(point, restrict_to_subgroup(make_twisted_data(action), zsub)), budget=guard)
-    co = h2.complex.space_z.coords
-    r = len(co.moduli)
+    pairs = [(t1, t2) for t1 in gamma.elements() if t1 for t2 in gamma.elements() if t2]
 
     def table_of(vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         table = [[0] * gamma.order for _ in gamma.elements()]
-        # the w slots ("w", t1, t2, vertex 0) are the whole point triple
-        for k, (_, t1, t2, _) in enumerate(h2.complex.space_z.triple_keys):
-            table[t2][t1] = action.apply(gamma.mul[t2][t1], zsub.embed[co.element(vec[k * r : (k + 1) * r])])
+        for (t1, t2), w in zip(pairs, cochain_values(h2.complex.coords, vec, len(pairs))):
+            table[t2][t1] = action.apply(gamma.mul[t2][t1], zsub.embed[w])
         return tuple(tuple(row) for row in table)
 
     cocycles = sorted((check_cocycle(action, table_of(vec)).table, label) for vec, label in h2.kernel.items())

@@ -14,9 +14,10 @@ from twistcech.abelian import subgroup_size
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
     TwistedOneCocycle,
-    ZTriple,
     abelian_complex,
     canonical_form,
+    cochain_values,
+    cochain_vector,
     coefficient_ladder,
     d1,
     d2,
@@ -39,11 +40,8 @@ from twistcech.cech import (
     reductions_to_subgroup,
     sections_of_associated,
     system_from_data,
-    system_with_trivial_twist,
-    theta_inv_twist_triple,
     transport_cocycle,
     trivial_pair,
-    triple_to_vector,
     twist_target,
 )
 from twistcech.errors import BudgetExceeded, InputError, NotCentral
@@ -588,64 +586,173 @@ def test_gauge_reduced_rejects_non_central():
 # --- abelian machinery -----------------------------------------------------
 
 
-def _random_triples(system, rng, count):
-    k = system.coeff
+def _perm_sign(seq):
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def _c2_keys(system):
+    """The slot keys of the abelian 2-cochains, in slot order."""
+    nrv = system.nerve
     nontriv = [t for t in system.gamma.elements() if t != 0]
-    for _ in range(count):
-        u = {s: rng.randrange(k.order) for s in system.nerve.triangles}
-        v = {(t, e): rng.randrange(k.order) for t in nontriv for e in system.nerve.edges}
-        w = {
-            (t1, t2): tuple(rng.randrange(k.order) for _ in range(system.nerve.n_vertices))
-            for t1 in nontriv
-            for t2 in nontriv
-        }
-        yield ZTriple(system, u, v, w)
+    return (
+        [("u", s) for s in nrv.triangles]
+        + [("v", t, e) for t in nontriv for e in nrv.edges]
+        + [("w", t1, t2, v) for t1 in nontriv for t2 in nontriv for v in range(nrv.n_vertices)]
+    )
+
+
+def reference_flat_d1(system, a, phi):
+    """``d1``'s keyed parts read out along the 2-cochain slot keys."""
+    tri, edge, pair = d1(system, a, phi)
+    parts = {"u": lambda s: tri[s], "v": lambda t, e: edge[(t, e)], "w": lambda t1, t2, v: pair[(t1, t2)][v]}
+    return [parts[key[0]](*key[1:]) for key in _c2_keys(system)]
+
+
+def reference_d2(system, values):
+    """Oracle: the abelian d2 on cochains keyed by simplices, read through signed getters.
+
+    A triangle or edge named in another vertex order reads the inverse value
+    when that order is an odd permutation of the sorted one, and an identity
+    acting-group index reads 1.  Returns the 3-cochain in slot order:
+    tetrahedra, then (t, triangle), then (t1, t2, edge), then (t1, t2, t3, v).
+    """
+    k = system.coeff
+    gamma, space, nrv = system.gamma, system.space, system.nerve
+    mul, inv = k.mul, k.inv
+    nontriv = [t for t in gamma.elements() if t != 0]
+    keys = _c2_keys(system)
+    assert len(values) == len(keys)
+    store = dict(zip(keys, values))
+
+    def u(i, j, x):
+        val = store[("u", tuple(sorted((i, j, x))))]
+        return inv[val] if _perm_sign((i, j, x)) < 0 else val
+
+    def v(t, i, j):
+        if t == 0:
+            return 0
+        val = store[("v", t, (min(i, j), max(i, j)))]
+        return inv[val] if i > j else val
+
+    def w(t1, t2, x):
+        return 0 if t1 == 0 or t2 == 0 else store[("w", t1, t2, x)]
+
+    out = [mul[mul[u(i, j, x)][u(i, x, l)]][inv[mul[u(i, j, l)][u(j, x, l)]]] for (i, j, x, l) in nrv.tetrahedra]
+    for t in nontriv:
+        for (i, j, x) in nrv.triangles:
+            pulled = u(space.act(i, t), space.act(j, t), space.act(x, t))
+            edges = mul[mul[v(t, i, j)][v(t, j, x)]][inv[v(t, i, x)]]
+            out.append(mul[mul[inv[pulled]][system.theta_inv(t, u(i, j, x))]][edges])
+    for t in nontriv:
+        for t2 in nontriv:
+            prod = gamma.mul[t2][t]
+            for (i, j) in nrv.edges:
+                pulled = v(t, space.act(i, t2), space.act(j, t2))
+                val = mul[mul[pulled][system.theta_inv(t, v(t2, i, j))]][inv[v(prod, i, j)]]
+                out.append(mul[val][mul[w(t, t2, i)][inv[w(t, t2, j)]]])
+    for t in nontriv:
+        for t2 in nontriv:
+            for t3 in nontriv:
+                k32, k21 = gamma.mul[t3][t2], gamma.mul[t2][t]
+                for x in range(nrv.n_vertices):
+                    val = mul[system.theta_inv(t, w(t2, t3, x))][w(t, k32, x)]
+                    out.append(mul[val][inv[mul[w(k21, t3, x)][w(t, t2, space.act(x, t3))]]])
+    return out
+
+
+def _random_pair(system, rng):
+    k = system.coeff
+    n = system.nerve.n_vertices
+    a = tuple(rng.randrange(k.order) for _ in system.nerve.edges)
+    phi = [(0,) * n] + [tuple(rng.randrange(k.order) for _ in range(n)) for _ in range(system.gamma.order - 1)]
+    return a, tuple(phi)
+
+
+def _twisted_c2(nrv, perm, action):
+    """C2 acting on a nerve by a vertex involution."""
+    return system_from_data(validate_gamma_nerve(nrv, C2, (tuple(range(nrv.n_vertices)), perm)), make_twisted_data(action))
+
+
+_SPHERE = validate_nerve(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+D2_SYSTEMS = [
+    system_from_data(X_HEX, make_twisted_data(INV)),
+    system_from_data(gamma_nerve("X_TWO_TRI"), make_twisted_data(inversion_action(C2, C4))),
+    system_from_data(trivial_gamma_nerve(nerve("Y_TET"), C1), make_twisted_data(trivial_action(C1, C4))),
+    SYS_CQ,
+    # actions that reverse triangle (0, 1, 2): (0 1) on the boundary of the
+    # 3-simplex, and (0 1)(2 3), which carries the tetrahedron onto itself,
+    # on Y_TET; no fixture reverses a triangle or acts on a tetrahedron
+    *(
+        _twisted_c2(nrv, perm, action)
+        for nrv, perm in ((_SPHERE, (1, 0, 2, 3)), (nerve("Y_TET"), (1, 0, 3, 2)))
+        for action in (trivial_action(C2, C4), INV)
+    ),
+]
 
 
 def test_d2_after_d1_is_trivial():
     rng = random.Random(5)
-    systems = [
-        system_from_data(X_HEX, make_twisted_data(INV)),
-        system_from_data(gamma_nerve("X_TWO_TRI"), make_twisted_data(inversion_action(C2, C4))),
-        system_from_data(trivial_gamma_nerve(nerve("Y_TET"), C1), make_twisted_data(trivial_action(C1, C4))),
-    ]
-    for system in systems:
-        triv = system_with_trivial_twist(system)
-        k = system.coeff
-        nontriv = [t for t in system.gamma.elements() if t != 0]
+    for system in D2_SYSTEMS:
         for _ in range(25):
-            a = tuple(rng.randrange(k.order) for _ in system.nerve.edges)
-            phi = [tuple(0 for _ in range(system.nerve.n_vertices))]
-            for t in nontriv:
-                phi.append(tuple(rng.randrange(k.order) for _ in range(system.nerve.n_vertices)))
-            tri, edge, pair = d1(triv, a, tuple(phi))
-            triple = ZTriple(system, dict(tri), dict(edge), dict(pair))
-            c1, c2_, c3, c4_ = d2(triple)
-            assert all(v == 0 for v in c1.values())
-            assert all(v == 0 for v in c2_.values())
-            assert all(v == 0 for v in c3.values())
-            assert all(v == 0 for row in c4_.values() for v in row)
+            a, phi = _random_pair(system, rng)
+            values = reference_flat_d1(system, a, phi)
+            assert cech._d1_values(system, a, phi) == values
+            assert set(d2(system, values)) <= {0}
+            assert set(reference_d2(system, values)) <= {0}
+
+
+def test_d2_matrix_matches_direct_evaluation():
+    # the flat d2, its matrix and the keyed reference agree on random cochains
+    rng = random.Random(11)
+    for system in D2_SYSTEMS:
+        cx = abelian_complex(system)
+        for _ in range(10):
+            values = [rng.randrange(system.coeff.order) for _ in _c2_keys(system)]
+            direct = d2(system, values)
+            assert direct == reference_d2(system, values)
+            assert cx.d2_hom.apply(cochain_vector(cx.coords, values)) == cochain_vector(cx.coords, direct)
+
+
+@st.composite
+def involution_systems(draw):
+    """A generated nerve united with its image under a generated involution, with that C2 action."""
+    n = draw(st.integers(2, 7))
+    order = draw(st.permutations(range(n)))
+    perm = list(range(n))
+    for p in range(draw(st.integers(0, n // 2))):
+        x, y = order[2 * p], order[2 * p + 1]
+        perm[x], perm[y] = y, x
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4), min_size=1, max_size=6))
+    faces += [{perm[v] for v in f} for f in faces]
+    action = draw(st.sampled_from((trivial_action(C2, C4), INV)))
+    return _twisted_c2(validate_nerve(n, [sorted(f) for f in faces]), tuple(perm), action)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(involution_systems(), st.randoms(use_true_random=False))
+def test_d2_matches_the_reference_on_generated_involutions(system, rng):
+    a, phi = _random_pair(system, rng)
+    assert set(d2(system, reference_flat_d1(system, a, phi))) <= {0}
+    values = [rng.randrange(system.coeff.order) for _ in _c2_keys(system)]
+    assert d2(system, values) == reference_d2(system, values)
 
 
 def test_twist_triple_lies_in_kernel():
     for system in (SYS_CQ, system_from_data(gamma_nerve("X_TWO_TRI"), c_q_data(INV))):
         cx = abelian_complex(system)
-        vec = triple_to_vector(cx.space_z, theta_inv_twist_triple(system))
+        # (1, 1, theta^-1(c)): the twist target in every (t1, t2, v) slot
+        target = twist_target(system)
+        vec = cochain_vector(cx.coords, [target[key[1:3]] if key[0] == "w" else 0 for key in _c2_keys(system)])
         assert cx.in_kernel_d2(vec)
+        # the ladder reads the same vector off the twisted G system (here Z(G) == G)
+        assert coefficient_ladder(system.space, c_q_data(INV)).target == vec
         zero = tuple(0 for _ in vec)
         assert cx.in_kernel_d2(zero)
-
-
-def test_d2_matrix_matches_direct_evaluation():
-    rng = random.Random(11)
-    system = SYS_CQ
-    cx = abelian_complex(system)
-    from twistcech.cech import d2_out_vector, vector_to_triple
-
-    for triple in _random_triples(system, rng, 10):
-        vec = triple_to_vector(cx.space_z, triple)
-        direct = d2_out_vector(cx.space_z, d2(vector_to_triple(cx.space_z, vec)))
-        assert cx.d2_hom.apply(vec) == direct
 
 
 def test_h2_classical_sphere():
@@ -675,7 +782,7 @@ def test_h2_classes_reads_b2_off_the_label_smith_form(monkeypatch):
     assert h2.size == 1
     assert h2.reps == [(0,) * 12]
     cx = h2.complex
-    mods = cx.space_z.triple_mods()
+    mods = cx.d2_hom.mods_in
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
     assert math.prod(mods) // math.prod(h2.labels.diag) == subgroup_size(mods, b_cols)
 
@@ -722,7 +829,7 @@ def test_delta_h1_lift_independence_fuzz():
     from twistcech.abelian import quotient_labels
 
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
-    labels = quotient_labels(cx.space_z.triple_mods(), b_cols)
+    labels = quotient_labels(cx.d2_hom.mods_in, b_cols)
     h1q = h1_twisted(ladder.sys_q)
     lift_sets = {}
     for q_elem in range(ladder.quotient.order):
@@ -953,24 +1060,17 @@ def test_canonical_form_is_class_invariant():
 
 
 def test_h2_on_equivariant_system_and_membership():
-    from twistcech.cech import coefficient_ladder, h2_classes, z2_membership, _z_twisted_view
-
     ladder = coefficient_ladder(X_HEX, c_q_data(INV))
     h2 = h2_classes(ladder.sys_z)
     assert h2.size == len(h2.reps) >= 1
-    twist = theta_inv_twist_triple(_z_twisted_view(ladder))
-    ok, witness = z2_membership(ladder.sys_z, twist)
-    assert ok and witness is None
-    # a corrupted vertex part falls out of the kernel
-    bad_w = dict(twist.w)
-    key = next(iter(bad_w))
-    row = list(bad_w[key])
-    row[0] = (row[0] + 1) % ladder.sys_z.coeff.order
-    bad_w[key] = tuple(row)
-    from twistcech.cech import ZTriple
-
-    ok2, witness2 = z2_membership(ladder.sys_z, ZTriple(ladder.sys_z, {}, {}, bad_w))
-    assert not ok2 and witness2 is not None
+    cx = ladder.cx
+    assert cx.in_kernel_d2(ladder.target)
+    # a corrupted vertex slot falls out of the kernel
+    keys = _c2_keys(ladder.sys_z)
+    values = cochain_values(cx.coords, ladder.target, len(keys))
+    first_w = next(i for i, key in enumerate(keys) if key[0] == "w")
+    values[first_w] = (values[first_w] + 1) % ladder.sys_z.coeff.order
+    assert not cx.in_kernel_d2(cochain_vector(cx.coords, values))
 
 
 def test_les_and_existence_with_order_four_acting_group():

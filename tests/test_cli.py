@@ -205,6 +205,23 @@ def test_verify_all_shares_plain_h1_and_nerve_forests(monkeypatch, tmp_path):
     assert searched and len({id(n) for n in searched}) == len(searched)
 
 
+def test_verify_all_compile_calls(monkeypatch, tmp_path):
+    compiled = 0
+    inner = cech._compile
+
+    def counted(system):
+        nonlocal compiled
+        compiled += 1
+        return inner(system)
+
+    monkeypatch.setattr(cech, "_compile", counted)
+    assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
+    # 328 when the abelian complex probed d1 on a trivial-twist copy of the
+    # centre system, the twist target read a twisted copy of it, and each
+    # projected glued cocycle built its own quotient-group system
+    assert compiled <= 216
+
+
 def test_console_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "twistcech.cli", "group", "info", "Q8"],

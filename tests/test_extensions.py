@@ -18,11 +18,11 @@ from twistcech.errors import (
     ValueNotCentral,
 )
 from twistcech.cech import (
+    cochain_values,
+    cochain_vector,
     h2_classes,
     system_from_data,
-    theta_inv_twist_triple,
-    triple_to_vector,
-    vector_to_triple,
+    twist_target,
 )
 from twistcech.extensions import (
     CocycleClassification,
@@ -205,24 +205,28 @@ def test_second_cohomology_class_invariant_under_coboundaries():
 )
 def test_point_kernel_vectors_are_twist_triples(gamma, z, action):
     # second_cohomology reads c(g1, g2) = theta_{g1 g2}(w(g2, g1)) off each
-    # kernel vector w of the one-vertex nerve; theta_inv_twist_triple of the
-    # point twisted by c must give back that same w
+    # kernel vector w of the one-vertex nerve, whose 2-cochains are just the
+    # (t1, t2) slots; the twist target of the point twisted by c must give
+    # back that same w
     act = named_action(action, group(gamma), group(z))
     zsub = center(act.g)
     point = trivial_gamma_nerve(validate_nerve(1, []), act.gamma)
     h2 = h2_classes(system_from_data(point, restrict_to_subgroup(make_twisted_data(act), zsub)))
     classes = second_cohomology(act)
     mul = act.gamma.mul
+    k = act.gamma.order - 1
+    co = h2.complex.coords
     assert len(h2.kernel) == len(classes.cocycles)
     for vec in h2.kernel:
-        w = vector_to_triple(h2.complex.space_z, vec)
+        values = cochain_values(co, vec, k * k)
+        w = {(t1, t2): values[(t1 - 1) * k + t2 - 1] for t1 in range(1, k + 1) for t2 in range(1, k + 1)}
         table = tuple(
-            tuple(act.apply(mul[g1][g2], zsub.embed[w.w_get(g2, g1, 0)]) for g2 in act.gamma.elements())
+            tuple(act.apply(mul[g1][g2], zsub.embed[w.get((g2, g1), 0)]) for g2 in act.gamma.elements())
             for g1 in act.gamma.elements()
         )
         assert table in classes._class_of
         twisted = system_from_data(point, restrict_to_subgroup(TwistedData(act, TwoCocycle(act, table)), zsub))
-        assert triple_to_vector(h2.complex.space_z, theta_inv_twist_triple(twisted)) == vec
+        assert cochain_vector(co, twist_target(twisted).values()) == vec
 
 
 @functools.cache
