@@ -1,11 +1,18 @@
 """Exact linear algebra over finite abelian groups.
 
-A finite abelian group is handled as a product of cyclic factors Z/d_1 x
-... x Z/d_r; homomorphisms between two such products are integer matrices
-acting modulo the target factors.  Kernels, images, solvability and
-quotient labels all reduce to Smith normal form over the integers, computed
-exactly with Python bigints (the transform matrices are needed, which the
-usual library entry points do not expose).
+A finite abelian group is handled as a product of cyclic factors Z/m_1 x
+... x Z/m_r; homomorphisms between two such products are integer matrices
+acting modulo the target factors.  Every subgroup question -- order,
+elements, canonical coset representatives -- is read off one Howell form
+over Z/N, N the lcm of the moduli (J. A. Howell, "Spans in the module
+(Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear algebra
+modulo N", 1998).  A homomorphism keeps the Howell form of its graph, from
+which its kernel and every solve are read.  Entries stay reduced, so they
+never grow.
+
+``smith_normal_form`` over the integers stays only as the reference the
+tests compare subgroup orders against; no computation here calls it, and
+its entries can grow without bound on dense matrices.
 """
 
 from __future__ import annotations
@@ -13,16 +20,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded, InputError, InternalError
+from .errors import InputError, InternalError
 from .groups import FiniteGroup
 
 Matrix = list[list[int]]
 
 # coordinate bound for the integer-matrix (second-cohomology) machinery;
-# beyond it the Smith-form solves stop being desk-scale and the operations
-# refuse instead of grinding
+# beyond it assembling the matrices and their Howell forms stops being
+# desk-scale and the operations refuse instead of grinding
 DEFAULT_COORD_GUARD = 512
 
 
@@ -199,6 +207,13 @@ class ZHom:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(self.matrix, self.mods_out))
 
+    @cached_property
+    def echelon(self) -> Echelon:
+        """The Howell form of the graph {(f(x), x)}, output columns first."""
+        n = len(self.mods_in)
+        graph = ([*(row[j] for row in self.matrix), *(int(i == j) for i in range(n))] for j in range(n))
+        return echelon(self.mods_out + self.mods_in, graph)
+
 
 def hom_from_columns(columns: Sequence[Sequence[int]], mods_in: Sequence[int], mods_out: Sequence[int]) -> ZHom:
     rows = tuple(
@@ -218,146 +233,115 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def kernel_generators(hom: ZHom) -> list[tuple[int, ...]]:
-    """Generators of {x : hom(x) == 0} as a subgroup of the domain.
-
-    Starts from the unit vectors and imposes one output coordinate at a
-    time.  Unimodular (extended-gcd) changes of the generating set gather
-    that coordinate's values on one pivot generator; the others then vanish
-    there, and of the pivot only the multiples by d_out / gcd(value, d_out)
-    do.  Vectors stay reduced modulo the domain, so entries never grow.
-    """
-    mods = hom.mods_in
-    n = len(mods)
-    gens = [tuple(int(i == j) % d for i, d in enumerate(mods)) for j in range(n)]
-    for row, d_out in zip(hom.matrix, hom.mods_out):
-        pivot, pivot_val = None, 0
-        kept = []
-        for x in gens:
-            val = sum(r * c for r, c in zip(row, x)) % d_out
-            if not val:
-                kept.append(x)
-            elif pivot is None:
-                pivot, pivot_val = x, val
-            else:
-                g, s, t = _ext_gcd(pivot_val, val)
-                p, q = pivot_val // g, val // g
-                kept.append(tuple((q * a - p * b) % d for a, b, d in zip(pivot, x, mods)))
-                pivot, pivot_val = tuple((s * a + t * b) % d for a, b, d in zip(pivot, x, mods)), g
-        if pivot is not None:
-            k = d_out // math.gcd(pivot_val, d_out)
-            kept.append(tuple(k * a % d for a, d in zip(pivot, mods)))
-        gens = [x for x in kept if any(x)]
-    return gens
-
-
-def solve(hom: ZHom, target: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A particular solution of hom(x) == target, or None."""
-    n, m = len(hom.mods_in), len(hom.mods_out)
-    t = [int(x) for x in target]
-    if m == 0:
-        return tuple(0 for _ in range(n))
-    if n == 0:
-        return () if all(x % d == 0 for x, d in zip(t, hom.mods_out)) else None
-    stacked = [list(hom.matrix[i]) + [hom.mods_out[i] if j == i else 0 for j in range(m)] for i in range(m)]
-    u, d, v = smith_normal_form(stacked)
-    ut = [sum(u[i][k] * t[k] for k in range(m)) for i in range(m)]
-    cols = n + m
-    y = [0] * cols
-    for i in range(m):
-        di = d[i][i] if i < cols else 0
-        if di == 0:
-            if ut[i] != 0:
-                return None
-        else:
-            if ut[i] % di:
-                return None
-            y[i] = ut[i] // di
-    x = [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
-    return tuple(x[i] % hom.mods_in[i] for i in range(n))
-
-
-def subgroup_size(mods: Sequence[int], generators: Iterable[Sequence[int]]) -> int:
-    """Order of the subgroup generated inside prod Z/mods, via lattice index.
-
-    The subgroup is (L + M Z^n) / M Z^n for the lattice L spanned by the
-    generators and M = diag(mods); its order is det(M) / [Z^n : L + M Z^n].
-    """
-    mods = list(mods)
-    n = len(mods)
-    if n == 0:
-        return 1
-    cols = [list(g) for g in generators]
-    mat = [[cols[k][i] for k in range(len(cols))] + [mods[i] if j == i else 0 for j in range(n)] for i in range(n)]
-    _, d, _ = smith_normal_form(mat)
-    idx = 1
-    for i in range(n):
-        if i < len(d[0]) and d[i][i]:
-            idx *= abs(d[i][i])
-        else:
-            return 0  # lattice not full rank: impossible since M has full rank
-    total = 1
-    for m in mods:
-        total *= m
-    return total // idx
-
-
-def enumerate_subgroup(
-    mods: Sequence[int],
-    generators: Iterable[Sequence[int]],
-    *,
-    budget: int = 1_000_000,
-) -> list[tuple[int, ...]]:
-    """All elements generated by the given vectors, BFS, sorted."""
-    mods = tuple(mods)
-    zero = tuple(0 for _ in mods)
-    gens = [tuple(x % m for x, m in zip(g, mods)) for g in generators]
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % m for a, b, m in zip(cur, g, mods))
-            if nxt not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
-                seen.add(nxt)
-                frontier.append(nxt)
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
-class QuotientLabels:
-    """Stable labels for cosets of a subgroup B <= prod Z/mods.
+class Echelon:
+    """The Howell form of a subgroup B of prod Z/mods.
 
-    label(t) is constant exactly on cosets t + B, computed from the Smith
-    form of [gens(B) | diag(mods)].
+    Each row (j, h, vec) has vec zero before column j and h, a divisor of
+    mods[j], in column j; the columns j strictly increase.  The Howell
+    property holds: the elements of B that vanish before column k are
+    spanned by the rows with j >= k.  So each element of B is
+    sum a_i vec_i for exactly one choice of 0 <= a_i < mods[j_i] / h_i.
     """
 
     mods: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
+    rows: tuple[tuple[int, int, tuple[int, ...]], ...]
 
-    def label(self, vec: Sequence[int]) -> tuple[int, ...]:
-        out = []
-        for row, d in zip(self.u, self.diag):
-            # a coordinate with d == 1 is 0 on every vector
-            out.append(sum(r * x for r, x in zip(row, vec)) % d if d > 1 else 0)
+    @property
+    def size(self) -> int:
+        return math.prod(self.mods[j] // h for j, h, _ in self.rows)
+
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """The canonical representative of vec + B, every pivot entry below its h.
+
+        Equal exactly for vectors in one coset, so it also labels the coset.
+        """
+        mods = self.mods
+        out = [x % m for x, m in zip(vec, mods)]
+        for j, h, row in self.rows:
+            q = out[j] // h
+            if q:
+                out = [(x - q * r) % m for x, r, m in zip(out, row, mods)]
         return tuple(out)
 
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element of B, walking the coefficient range of each row."""
+        mods = self.mods
+        out = [tuple(0 for _ in mods)]
+        for j, h, row in self.rows:
+            multiples = [tuple(a * r % m for r, m in zip(row, mods)) for a in range(mods[j] // h)]
+            out = [tuple((x + y) % m for x, y, m in zip(v, w, mods)) for v in out for w in multiples]
+        return out
 
-def quotient_labels(mods: Sequence[int], generators: Iterable[Sequence[int]]) -> QuotientLabels:
+
+def echelon(mods: Sequence[int], generators: Iterable[Sequence[int]]) -> Echelon:
+    """The Howell form of the subgroup of prod Z/mods spanned by the generators.
+
+    This is the Howell form over Z/N, N the lcm of the moduli, with
+    coordinate i embedded as the multiples of N/mods[i]; the embedding
+    commutes with every row operation, so the rows keep the native
+    coordinates and entries of column i stay below mods[i].  Column by
+    column, unimodular extended-gcd steps gather the column onto one pivot
+    row, which is then scaled to h = gcd(pivot, mods[j]).  What the scaling
+    leaves and the annihilator multiple (mods[j] / h) * pivot both vanish in
+    the column and pass on to the later columns; that is the Howell property.
+    """
     mods = tuple(mods)
-    n = len(mods)
-    cols = [list(g) for g in generators]
-    mat = [[c[i] for c in cols] + [mods[i] if j == i else 0 for j in range(n)] for i in range(n)]
-    if not cols:
-        mat = [[mods[i] if j == i else 0 for j in range(n)] for i in range(n)]
-    u, d, _ = smith_normal_form(mat)
-    diag = []
-    for i in range(n):
-        di = d[i][i] if i < len(d[0]) else 0
-        if di == 0:
-            raise InternalError("quotient lattice unexpectedly rank-deficient")
-        diag.append(abs(di))
-    return QuotientLabels(mods, tuple(tuple(r) for r in u), tuple(diag))
+    pending = [vec for vec in (tuple(x % m for x, m in zip(g, mods)) for g in generators) if any(vec)]
+    rows = []
+    for j, m in enumerate(mods):
+
+        def combine(a: int, u: tuple[int, ...], b: int, v: tuple[int, ...]) -> tuple[int, ...]:
+            # whole rows, not tails: same-length tuples keep the allocator's size classes few
+            return tuple([(a * x + b * y) % md for x, y, md in zip(u, v, mods)])
+
+        pivot, rest = None, []
+        for vec in pending:
+            x = vec[j]
+            if not x:
+                rest.append(vec)
+            elif pivot is None:
+                pivot = vec
+            elif x % pivot[j] == 0:
+                rest.append(combine(1, vec, -(x // pivot[j]), pivot))
+            else:
+                p = pivot[j]
+                g, s, t = _ext_gcd(p, x)
+                rest.append(combine(x // g, pivot, -(p // g), vec))
+                pivot = combine(s, pivot, t, vec)
+        if pivot is not None:
+            p = pivot[j]
+            h, s, _ = _ext_gcd(p, m)
+            if h != p:
+                scaled = combine(s, pivot, 0, pivot)
+                rest.append(combine(1, pivot, -(p // h), scaled))
+                pivot = scaled
+            rest.append(combine(m // h, pivot, 0, pivot))
+            rows.append((j, h, pivot))
+        pending = [vec for vec in rest if any(vec)]
+    return Echelon(mods, tuple(rows))
+
+
+def kernel(hom: ZHom) -> Echelon:
+    """ker f, read off the Howell form of the graph of f.
+
+    The graph rows whose pivot lies past the output columns span the graph
+    elements (0, x), by the Howell property; on the input columns they are
+    the Howell form of the kernel.
+    """
+    m = len(hom.mods_out)
+    return Echelon(hom.mods_in, tuple((j - m, h, vec[m:]) for j, h, vec in hom.echelon.rows if j >= m))
+
+
+def solve(hom: ZHom, target: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """A particular solution of hom(x) == target, or None.
+
+    f(x) = target exactly when (0, -x) lies in the coset (target, 0) + graph;
+    reducing (0, -x) never touches its output columns, so the coset's
+    canonical representative has zero outputs exactly when a solution exists.
+    """
+    m = len(hom.mods_out)
+    rep = hom.echelon.reduce((*target, *(0 for _ in hom.mods_in)))
+    if any(rep[:m]):
+        return None
+    return tuple(-x % d for x, d in zip(rep[m:], hom.mods_in))

@@ -17,8 +17,9 @@ transformations.
 
 All enumeration is exact: a spanning forest normalizes the edge part, the
 remaining freedom is finite and walked completely, and abelian-coefficient
-questions (second cohomology, coboundary maps) are answered with integer
-linear algebra from the abelian module.
+questions (second cohomology, coboundary maps) are answered by the Howell
+forms over Z/N of the abelian module: kernels of d2, the image B^2 of d1
+and its coset labels, and solves of d1.
 
 An abelian cochain is a flat list of coefficient values in one slot order:
 
@@ -35,7 +36,6 @@ action reverses through the inverse value.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -43,15 +43,13 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 from .abelian import (
     DEFAULT_COORD_GUARD,
     AbelianCoords,
-    QuotientLabels,
+    Echelon,
     ZHom,
     abelian_coordinates,
-    enumerate_subgroup,
+    echelon,
     hom_from_columns,
-    kernel_generators,
-    quotient_labels,
+    kernel,
     solve,
-    subgroup_size,
 )
 from .actions import TwistedGSet, convert_side, homogeneous_space, left_cosets
 from .errors import (
@@ -827,7 +825,8 @@ class AbelianComplex:
     """Integer-matrix forms of d1 and d2 over abelian coefficients.
 
     Vectors are ``cochain_vector``s of flat cochains in the slot order of
-    the module docstring.
+    the module docstring.  Each map keeps the Howell form of its graph on
+    first use: ``kernel(d2_hom)`` is Z^2 and ``solve(d1_hom, ...)`` reads it.
     """
 
     coords: AbelianCoords
@@ -870,7 +869,7 @@ class H2Classes:
     """Second cohomology: kernel of d2 modulo the image of abelian d1."""
 
     complex: AbelianComplex
-    labels: QuotientLabels  # coset labels over the 2-cochains
+    labels: Echelon  # B^2; its reduce labels the cosets
     size: int
     kernel: dict  # every vector of ker d2, in sorted order, to its coset label
     reps: list
@@ -878,24 +877,21 @@ class H2Classes:
 
 def h2_classes(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> H2Classes:
     cx = abelian_complex(system)
-    mods = cx.d2_hom.mods_in
     labels = h2_coset_labels(cx)
-    ker_gens = kernel_generators(cx.d2_hom)
-    ker_size = subgroup_size(mods, ker_gens)
-    # the label Smith form already has the quotient by B^2 on its diagonal
-    b_size = math.prod(mods) // math.prod(labels.diag)
-    size = ker_size // b_size
-    if ker_size > budget:
-        raise BudgetExceeded(f"kernel of d2 has {ker_size} elements, budget {budget}")
-    kernel = {vec: labels.label(vec) for vec in enumerate_subgroup(mods, ker_gens, budget=budget)}
+    ker = kernel(cx.d2_hom)
+    # both orders are products over the Howell pivots, known before listing
+    size = ker.size // labels.size
+    if ker.size > budget:
+        raise BudgetExceeded(f"kernel of d2 has {ker.size} elements, budget {budget}")
+    kernel_labels = {vec: labels.reduce(vec) for vec in sorted(ker.elements())}
     classes: dict[tuple, tuple] = {}
     # vectors come sorted, so the first met of each label is its minimum
-    for vec, lab in kernel.items():
+    for vec, lab in kernel_labels.items():
         classes.setdefault(lab, vec)
     reps = sorted(classes.values())
     if len(reps) != size:
         raise InternalError(f"H2 class count mismatch: listed {len(reps)}, index formula {size}")
-    return H2Classes(cx, labels, size, kernel, reps)
+    return H2Classes(cx, labels, size, kernel_labels, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +962,7 @@ class CoefficientLadder:
         return abelian_complex(self.sys_z)
 
     @cached_property
-    def labels(self) -> QuotientLabels:
+    def labels(self) -> Echelon:
         return h2_coset_labels(self.cx)
 
     @cached_property
@@ -1119,10 +1115,10 @@ def delta_h1_vector(
     return vec
 
 
-def h2_coset_labels(cx: AbelianComplex) -> QuotientLabels:
-    """Stable labels for second-cohomology classes over the centre."""
+def h2_coset_labels(cx: AbelianComplex) -> Echelon:
+    """The Howell form of B^2 over the centre; its ``reduce`` labels second-cohomology classes."""
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
-    return quotient_labels(cx.d2_hom.mods_in, b_cols)
+    return echelon(cx.d2_hom.mods_in, b_cols)
 
 
 def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle) -> tuple:
@@ -1132,7 +1128,7 @@ def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle) -> tuple:
     representative independence are theorems, exercised by the sequence
     verifier.
     """
-    return ladder.labels.label(delta_h1_vector(ladder, x))
+    return ladder.labels.reduce(delta_h1_vector(ladder, x))
 
 
 @dataclass
@@ -1259,11 +1255,11 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     def node_a7() -> tuple[bool, dict]:
         # delta^-1 of the twist class equals the image of twisted H1(G);
         # with a trivial twist this is exactness at H1(G/Z)
-        target_label = labels.label(target)
+        target_label = labels.reduce(target)
         preimage = set()
         for cid in range(len(h1q)):
             vec = delta_h1_vector(ladder, h1q.representative(cid), flip=flip)
-            if labels.label(vec) == target_label:
+            if labels.reduce(vec) == target_label:
                 preimage.add(cid)
         h1c = ladder.h1c
         image = {h1q.class_of(project_g_cocycle(ladder, h1c.representative(cid))) for cid in range(len(h1c))}
@@ -1280,7 +1276,7 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
         for cid in range(len(h1q)):
             vec1 = delta_h1_vector(ladder, h1q.representative(cid))
             vec2 = delta_h1_vector(ladder, h1q.representative(cid), lift_choice=alt)
-            if labels.label(vec1) != labels.label(vec2):
+            if labels.reduce(vec1) != labels.reduce(vec2):
                 return False, {"witness": cid}
         return True, {}
 

@@ -232,7 +232,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
             witness = None
             for cid in rng.sample(range(len(h1)), k=len(h1)):
                 x = h1.representative(cid)
-                if h1.class_of(ascend(descend(x, desc))) != cid:
+                if h1.class_of(ascend(descend(x, desc), ladder.sys_c)) != cid:
                     ok = False
                     witness = cid
                     break

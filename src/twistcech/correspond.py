@@ -152,19 +152,22 @@ def descend(x: TwistedOneCocycle, descent: CoverDescent) -> CTwistedCocycleY:
     return check_ctwisted(descent, data, vals)
 
 
-def ascend(y_cocycle: CTwistedCocycleY) -> TwistedOneCocycle:
+def ascend(y_cocycle: CTwistedCocycleY, system: CechSystem) -> TwistedOneCocycle:
     """Rebuild the twisted cocycle upstairs from base-side edge data.
 
-    Vertex functions are pinned to the canonical values forced by vanishing
-    at the section; edge values over a base edge are spread along the fibre
-    by the compatibility laws.
+    ``system`` is the compiled upstairs system: the cover's upper space with
+    the cocycle's data, as the caller already holds it.  Vertex functions are
+    pinned to the canonical values forced by vanishing at the section; edge
+    values over a base edge are spread along the fibre by the compatibility
+    laws.
     """
     descent = y_cocycle.descent
     data = y_cocycle.data
     space = descent.upstairs
     y = descent.downstairs
     gamma, g = data.gamma, data.g
-    system = system_from_data(space, data)
+    if (system.space, system.action, system.twist) != (space, data.action, data.cocycle):
+        raise CarrierMismatch(message="system is not the cover's upper space with the cocycle's data")
 
     sheet: dict[int, tuple[int, int]] = {}
     for i in range(y.n_vertices):

@@ -253,18 +253,32 @@ class Pi1Presentation:
     basepoint: int
     tree_edges: tuple[Simplex, ...]
     generators: tuple[Simplex, ...]
-    relations: tuple[Word, ...]
 
     @property
     def rank(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def _letter_index(self) -> dict[Simplex, int]:
+        """Each edge's 1-based generator index; 0 for tree edges."""
+        return {**dict.fromkeys(self.tree_edges, 0), **{e: k + 1 for k, e in enumerate(self.generators)}}
+
+    @cached_property
+    def relations(self) -> tuple[Word, ...]:
+        """The nontrivial words of the triangles i<j<k, gen(i,j) gen(j,k) gen(k,i)."""
+        words = (
+            free_reduce(self.edge_letter(i, j) + self.edge_letter(j, k) + self.edge_letter(k, i))
+            for i, j, k in self.nerve.triangles
+        )
+        return tuple(w for w in words if w)
+
     def edge_letter(self, u: int, v: int) -> Word:
         """The word of the oriented edge u -> v (empty for tree edges)."""
-        e = tuple(sorted((u, v)))
-        if e in set(self.tree_edges):
+        idx = self._letter_index.get((u, v) if u < v else (v, u))
+        if idx is None:
+            raise InputError(f"({u}, {v}) is not an edge of the nerve")
+        if not idx:
             return ()
-        idx = self.generators.index(e) + 1
         return (idx,) if u < v else (-idx,)
 
     def loop_word(self, vertices: Sequence[int]) -> Word:
@@ -304,21 +318,7 @@ def pi1(nerve: Nerve, basepoint: int = 0) -> Pi1Presentation:
     _, tree = nerve.spanning_forest()
     tree_set = set(tree)
     gens = tuple(e for e in nerve.edges if e not in tree_set)
-    gen_index = {e: k + 1 for k, e in enumerate(gens)}
-
-    def letter(u: int, v: int) -> Word:
-        e = tuple(sorted((u, v)))
-        if e in tree_set:
-            return ()
-        k = gen_index[e]
-        return (k,) if u < v else (-k,)
-
-    relations = []
-    for (i, j, k) in nerve.triangles:
-        w = free_reduce(letter(i, j) + letter(j, k) + letter(k, i))
-        if w:
-            relations.append(w)
-    return Pi1Presentation(nerve, basepoint, tuple(tree), gens, tuple(relations))
+    return Pi1Presentation(nerve, basepoint, tuple(tree), gens)
 
 
 # ---------------------------------------------------------------------------

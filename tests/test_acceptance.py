@@ -197,7 +197,7 @@ def test_criterion_5_roundtrips():
         for cid in range(len(h1)):
             x = h1.representative(cid)
             down = descend(x, desc)
-            if h1.class_of(ascend(down)) != cid:
+            if h1.class_of(ascend(down, h1.system)) != cid:
                 ok = False
             gx = to_ghat_cocycle(down, prod)
             _, mono = induced_gamma_class(gx)
@@ -218,7 +218,7 @@ def test_criterion_5_roundtrips():
                 down = check_ctwisted(desc, inst.data, vals)
             except InputError:
                 continue
-            again = descend(ascend(down), desc)
+            again = descend(ascend(down, h1.system), desc)
             if again.values != down.values:
                 ok = False
     elapsed = time.monotonic() - start

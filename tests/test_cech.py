@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import math
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcech import cech
-from twistcech.abelian import subgroup_size
+from twistcech.abelian import echelon
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
     TwistedOneCocycle,
@@ -767,7 +766,21 @@ def test_h2_classical_sphere():
         assert len(h2.reps) == g.order
 
 
-def test_h2_classes_reads_b2_off_the_label_smith_form(monkeypatch):
+def _closure(mods, gens):
+    """The subgroup spanned by the generators, by breadth-first search."""
+    zero = tuple(0 for _ in mods)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % m for a, b, m in zip(cur, g, mods))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def test_h2_classes_reads_b2_off_the_label_echelon(monkeypatch):
     import twistcech.abelian as abelian
 
     ladder = coefficient_ladder(X_HEX, c_q_data(INV))
@@ -775,16 +788,14 @@ def test_h2_classes_reads_b2_off_the_label_smith_form(monkeypatch):
     real = abelian.smith_normal_form
     monkeypatch.setattr(abelian, "smith_normal_form", lambda mat: calls.append(1) or real(mat))
     h2 = h2_classes(ladder.sys_z)
-    # one Smith form for the coset labels and one for the order of ker d2,
-    # counted on its generators in the domain; |B^2| is read off the labels'
-    # diagonal
-    assert len(calls) == 2
+    # kernel, B^2 and the coset labels all come from Howell forms
+    assert calls == []
     assert h2.size == 1
     assert h2.reps == [(0,) * 12]
     cx = h2.complex
     mods = cx.d2_hom.mods_in
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
-    assert math.prod(mods) // math.prod(h2.labels.diag) == subgroup_size(mods, b_cols)
+    assert h2.labels.size == len(_closure(mods, b_cols))
 
 
 def test_h2_trivial_on_one_dimensional_nerves():
@@ -826,22 +837,20 @@ def test_delta_h1_lift_independence_fuzz():
     space = X_HEX
     ladder = coefficient_ladder(space, data)
     cx = ladder.cx
-    from twistcech.abelian import quotient_labels
-
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
-    labels = quotient_labels(cx.d2_hom.mods_in, b_cols)
+    labels = echelon(cx.d2_hom.mods_in, b_cols)
     h1q = h1_twisted(ladder.sys_q)
     lift_sets = {}
     for q_elem in range(ladder.quotient.order):
         lift_sets[q_elem] = [x for x in Q8.elements() if ladder.proj.map[x] == q_elem]
     for cid in range(len(h1q)):
         x = h1q.representative(cid)
-        base = labels.label(delta_h1_vector(ladder, x))
+        base = labels.reduce(delta_h1_vector(ladder, x))
         for _ in range(5):
             pick = {q: rng.choice(lifts) for q, lifts in lift_sets.items()}
             pick[0] = 0
             vec = delta_h1_vector(ladder, x, lift_choice=lambda q: pick[q])
-            assert labels.label(vec) == base
+            assert labels.reduce(vec) == base
 
 
 def test_les_fault_injection_fails_somewhere():

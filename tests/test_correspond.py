@@ -117,8 +117,20 @@ def test_descend_ascend_roundtrip_on_classes():
         for cid in range(len(h1)):
             x = h1.representative(cid)
             down = descend(x, desc)
-            up = ascend(down)
+            up = ascend(down, h1.system)
             assert h1.class_of(up) == cid
+
+
+def test_ascend_refuses_a_system_off_the_cover_or_the_data():
+    desc = quotient(X_HEX)
+    data, other = make_twisted_data(INV), c_q_data(INV)
+    system = system_from_data(X_HEX, data)
+    down = descend(h1_twisted(system).representative(0), desc)
+    assert ascend(down, system).system is system
+    # the same space with the central square twist, and the cocycle's data on another cover
+    for wrong in (system_from_data(X_HEX, other), system_from_data(gamma_nerve("X_TWO_TRI"), data)):
+        with pytest.raises(CarrierMismatch):
+            ascend(down, wrong)
 
 
 def test_descend_trivial_cocycle():
@@ -236,7 +248,7 @@ def test_to_ghat_roundtrip_and_cover_class():
             assert mono.canonical == target
             back = from_ghat_cocycle(gx, desc)
             assert back.values == down.values
-            assert h1.class_of(ascend(back)) == cid
+            assert h1.class_of(ascend(back, h1.system)) == cid
 
 
 def test_ghat_product_law_reproduces_glue():

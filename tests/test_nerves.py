@@ -12,6 +12,7 @@ from twistcech.nerves import (
     Nerve,
     build_cover,
     equivariant_isomorphism,
+    free_reduce,
     make_monodromy,
     monodromy,
     pi1,
@@ -65,6 +66,33 @@ def test_pi1_examples():
     assert filled.rank == 1
     hexp = pi1(nerve("X_HEX_NERVE"))
     assert hexp.rank == 1
+
+
+def test_edge_letters_read_one_generator_index():
+    for n in _fixture_nerves():
+        if not n.is_connected():
+            continue
+        pres = pi1(n)
+        tree = set(pres.tree_edges)
+        assert tree.isdisjoint(pres.generators) and len(tree) + pres.rank == len(n.edges)
+
+        def letter(u, v):
+            e = tuple(sorted((u, v)))
+            if e in tree:
+                return ()
+            k = pres.generators.index(e) + 1
+            return (k,) if u < v else (-k,)
+
+        for u, v in n.edges:
+            assert pres.edge_letter(u, v) == letter(u, v)
+            assert pres.edge_letter(v, u) == tuple(-x for x in letter(u, v))
+        want = [free_reduce(letter(i, j) + letter(j, k) + letter(k, i)) for i, j, k in n.triangles]
+        assert pres.relations == tuple(w for w in want if w)
+        for i, j, k in n.triangles:
+            assert pres.loop_word((i, j, k, i)) == free_reduce(letter(i, j) + letter(j, k) + letter(k, i))
+    pres = pi1(Y_TRI)
+    with pytest.raises(InputError):
+        pres.edge_letter(0, 5)
 
 
 def test_pi1_disconnected_raises():

@@ -114,7 +114,7 @@ def test_nonabelian_gamma_correspondence():
         for cid in range(len(h1)):
             x = h1.representative(cid)
             down = descend(x, descent)
-            assert h1.class_of(ascend(down)) == cid
+            assert h1.class_of(ascend(down, h1.system)) == cid
             gx = to_ghat_cocycle(down, prod)
             _, mono = induced_gamma_class(gx)
             assert mono.canonical == rep.canonical
