@@ -204,8 +204,13 @@ class ZHom:
             if any(x * d % m for x, d in zip(row, self.mods_in)):
                 raise InputError("matrix does not define a homomorphism of the given moduli")
 
+    @cached_property
+    def nonzero(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per output row, the (column, entry) pairs with a nonzero entry."""
+        return tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in self.matrix)
+
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(self.matrix, self.mods_out))
+        return tuple(sum(r * vec[j] for j, r in row) % m for row, m in zip(self.nonzero, self.mods_out))
 
     @cached_property
     def echelon(self) -> Echelon:

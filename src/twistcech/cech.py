@@ -352,9 +352,10 @@ def gauge(x: TwistedOneCocycle, h: Sequence[int]) -> TwistedOneCocycle:
     """
     tab = x.system.tables
     mul, inv = tab.mul, tab.inv
-    a2 = tuple(mul[mul[inv[h[u]]][val]][h[v]] for (u, v), val in zip(tab.edges, x.a))
+    left = [mul[inv[z]] for z in h]  # left[v][y] == h_v^-1 y
+    a2 = tuple([mul[left[u][val]][h[v]] for (u, v), val in zip(tab.edges, x.a)])
     phi2 = tuple(
-        tuple(mul[mul[inv[h[act[v]]]][val]][th[h[v]]] for v, val in enumerate(row))
+        tuple([mul[left[w][val]][th[z]] for w, val, z in zip(act, row, h)])
         for act, th, row in zip(tab.act, tab.theta_inv, x.phi)
     )
     return TwistedOneCocycle(x.system, a2, phi2)
@@ -604,6 +605,15 @@ def _generator_steps(gamma: FiniteGroup, gens: Sequence[int]) -> list[tuple[int,
     return steps
 
 
+def _open_sites_hold(tab: SystemTables, phi: Sequence[Sequence[int]], sites: Iterable[tuple[int, int, int, int]]) -> bool:
+    """True when phi meets the twist target at every vertex of the given (t, t2) sites."""
+    for t, t2, prod, want in sites:
+        for val in _vertex_sites(tab, phi, t, t2, prod):
+            if val != want:
+                return False
+    return True
+
+
 def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> list[TwistedOneCocycle]:
     """All tree-normalized twisted cocycles.
 
@@ -614,11 +624,18 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     passes g's edge conditions on the component (those involve no other
     root).  The product of the kept root values is walked in the order of
     the full product; each candidate's other rows follow from the vertex
-    conditions along generator words, and the candidate is validated with
-    ``is_twisted_cocycle``.  So the list is exactly the tree-normalized
-    slice of the cocycle set, ordered by edge part and then by root values.
-    ``budget`` bounds the candidates walked (edge solutions times kept root
-    choices); passing it raises ``BudgetExceeded`` at once.
+    conditions at the sites (g, t_prev) of ``_generator_steps``.
+
+    A candidate is then checked only at the open sites: the vertex sites
+    (t, t2) that define no row.  Every other condition holds by
+    construction.  Triangles hold for every edge solution, generator edge
+    sites by the root filter, and the step vertex sites because each one
+    defines its row.  The edge sites of t_prev g follow from those of g
+    and t_prev and the step, since theta is an action and c is central.
+    So the list is exactly the tree-normalized slice of the cocycle set,
+    ordered by edge part and then by root values.  ``budget`` bounds the
+    candidates walked (edge solutions times kept root choices); passing it
+    raises ``BudgetExceeded`` at once.
     """
     tab = system.tables
     mul, inv = tab.mul, tab.inv
@@ -626,6 +643,8 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     gens = system.gamma.generating_sequence()
     target = twist_target(system)
     steps = [(t, t_prev, g, inv[target[(g, t_prev)]]) for t, t_prev, g in _generator_steps(system.gamma, gens)]
+    step_sites = {(g, t_prev) for _, t_prev, g, _ in steps}
+    open_sites = [site for site in tab.vertex_sites if site[:2] not in step_sites]
     n_vertices = system.nerve.n_vertices
     zero_row = (0,) * n_vertices
 
@@ -665,10 +684,8 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
                 grow, prev_row = phi_rows[g], phi_rows[t_prev]
                 act, th = tab.act[t_prev], tab.theta_inv[g]
                 phi_rows[t] = [mul[mul[grow[act[v]]][th[prev_row[v]]]][twist] for v in range(n_vertices)]
-            phi = tuple(tuple(row) for row in phi_rows)
-            ok, _ = is_twisted_cocycle(system, a, phi)
-            if ok:
-                out.append(TwistedOneCocycle(system, tuple(a), phi))
+            if _open_sites_hold(tab, phi_rows, open_sites):
+                out.append(TwistedOneCocycle(system, tuple(a), tuple(tuple(row) for row in phi_rows)))
     return out
 
 

@@ -51,7 +51,16 @@ from twistcech.extensions import (
     recocycle,
     trivial_action,
 )
-from twistcech.fixtures import GROUPS, c_q_data, default_grid, gamma_nerve, group, inversion_action, nerve
+from twistcech.fixtures import (
+    GROUPS,
+    c_q_data,
+    c_square_table,
+    default_grid,
+    gamma_nerve,
+    group,
+    inversion_action,
+    nerve,
+)
 from twistcech.groups import GroupHom, center, conjugacy_classes, cyclic_group, quotient_group
 from twistcech.nerves import trivial_gamma_nerve, validate_gamma_nerve, validate_nerve
 
@@ -407,19 +416,91 @@ def test_enumeration_matches_oracle_on_generated_systems(case):
         enumerate_cocycles(system, budget=max(len(cocycles) - 1, 0))
 
 
+def _record_open_checks(monkeypatch):
+    """The verdict of every open-site check that enumerate_cocycles makes, in order."""
+    real = cech._open_sites_hold
+    verdicts = []
+
+    def counting(tab, phi, sites):
+        verdicts.append(real(tab, phi, sites))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cech, "_open_sites_hold", counting)
+    return verdicts
+
+
+def _klein_space(nrv, x, y):
+    """C2xC2 = {2i + j} acting on a nerve by x^i y^j, for commuting involutions x and y."""
+    ident = list(range(nrv.n_vertices))
+    return validate_gamma_nerve(nrv, group("C2xC2"), [ident, y, x, [y[v] for v in x]])
+
+
+def _klein_systems():
+    """C2xC2 on small nerves, with twisted coefficients.
+
+    Both generators move each nerve, so both enter the vertex sites.  The
+    action runs through the factor x, and the square twist of C2 is pulled
+    back along x or along y (``c_square_table`` of C2xC2 itself is no
+    cocycle: it puts the twist on all three involutions).  On two 4-cycles the action is free: x swaps
+    the cycles and y turns each by two steps.
+    """
+    klein = group("C2xC2")
+    two_squares = _klein_space(
+        validate_nerve(8, [(c + i, c + (i + 1) % 4) for c in (0, 4) for i in range(4)]),
+        [(v + 4) % 8 for v in range(8)],
+        [v - v % 4 + (v + 2) % 4 for v in range(8)],
+    )
+    cycle8 = _klein_space(
+        validate_nerve(8, [(i, (i + 1) % 8) for i in range(8)]),
+        [-v % 8 for v in range(8)],
+        [(v + 4) % 8 for v in range(8)],
+    )
+    octahedron = _klein_space(nerve("X_OCT_NERVE"), [0, 2, 1, 3, 5, 4], [(v + 3) % 6 for v in range(6)])
+    c4, q8 = group("C4"), group("Q8")
+    cases = [
+        # space, coefficients, automorphism of x, square value, factor of the twist (1: x, 0: y)
+        (two_squares, c4, c4.inv, 2, 1),
+        (two_squares, c4, c4.inv, 2, 0),
+        (cycle8, q8, q8.elements(), 1, 1),
+        (cycle8, q8, q8.elements(), 1, 0),
+        (octahedron, c4, c4.elements(), 2, 1),
+    ]
+    systems = []
+    for space, g, auto, value, bit in cases:
+        action = check_gamma_action(klein, g, [tuple(auto) if t >> 1 else tuple(g.elements()) for t in range(4)])
+        square = c_square_table(C2, value)
+        table = [[square[(s >> bit) & 1][(t >> bit) & 1] for t in range(4)] for s in range(4)]
+        systems.append(system_from_data(space, make_twisted_data(action, table)))
+    return systems
+
+
+def test_enumeration_matches_oracle_with_two_generators_and_a_twist(monkeypatch):
+    # S3 on its free cover of the rank-two wedge with the dicyclic twist,
+    # S3 permuting the hollow triangle and acting on C3 by the sign, and the
+    # C2xC2 systems above
+    from test_nonabelian_gamma import s3_cover, s3_twists
+
+    twisted = [system_from_data(s3_cover()[0], s3_twists()[1]), *_klein_systems()]
+    assert not any(system.twist.is_trivial() for system in twisted)
+    c3 = group("C3")
+    perms = list(itertools.permutations(range(3)))
+    triangle = validate_gamma_nerve(nerve("Y_TRI"), S3, [[p.index(v) for v in range(3)] for p in perms])
+    sign = check_gamma_action(S3, c3, [c3.inv if S3.element_order(t) == 2 else c3.elements() for t in S3.elements()])
+    verdicts = _record_open_checks(monkeypatch)
+    for system in (*twisted, system_from_data(triangle, make_twisted_data(sign))):
+        assert len(system.gamma.generating_sequence()) == 2
+        before = sum(verdicts)
+        cocycles = assert_matches_oracle(system)
+        assert cocycles and sum(verdicts) - before == len(cocycles)
+    # an open site rejects some candidate that passed every site built in
+    assert not all(verdicts)
+
+
 def test_enumeration_validates_only_kept_roots(monkeypatch):
     # X_DODEC / C4 is a circle: one edge solution per holonomy h, and the
     # root values kept for h are its centralizer, so sum_h |C(h)| = |G| k(G)
-    # candidates are validated instead of |G|^2
-    real = cech.is_twisted_cocycle
-    verdicts = []
-
-    def counting(system, a, phi):
-        result = real(system, a, phi)
-        verdicts.append(result[0])
-        return result
-
-    monkeypatch.setattr(cech, "is_twisted_cocycle", counting)
+    # candidates reach the open-site check instead of |G|^2
+    verdicts = _record_open_checks(monkeypatch)
     space = gamma_nerve("X_DODEC")
     for g_name, validated, accepted in (("S3", 18, 6), ("Q8", 40, 8), ("D4", 40, 8)):
         verdicts.clear()
@@ -429,6 +510,26 @@ def test_enumeration_validates_only_kept_roots(monkeypatch):
     assert len(enumerate_cocycles(system, budget=40)) == 8
     with pytest.raises(BudgetExceeded):
         enumerate_cocycles(system, budget=39)
+
+
+def test_enumeration_leaves_the_full_check_to_make_cocycle(monkeypatch):
+    calls = []
+    real = cech.is_twisted_cocycle
+
+    def counting(system, a, phi):
+        calls.append(system)
+        return real(system, a, phi)
+
+    monkeypatch.setattr(cech, "is_twisted_cocycle", counting)
+    cocycles = enumerate_cocycles(SYS_CQ)
+    assert cocycles and calls == []
+    # make_cocycle still runs the full check and names the broken site
+    x = cocycles[-1]
+    bad = [list(row) for row in x.phi]
+    bad[1][0] = SYS_CQ.coeff.mul[bad[1][0]][1]
+    with pytest.raises(InputError, match=r"violation at \('edge', \(1, \(0, 1\)\)"):
+        make_cocycle(SYS_CQ, x.a, bad)
+    assert len(calls) == 1
 
 
 def _witness_systems():
