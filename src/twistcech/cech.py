@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     DEFAULT_COORD_GUARD,
@@ -72,8 +72,17 @@ from .extensions import (
     restrict_to_subgroup,
     trivial_cocycle,
 )
-from .groups import FiniteGroup, GroupHom, Subgroup, center, quotient_group, subgroup_from_elements
-from .nerves import GammaNerve, Nerve, Simplex, tree_gauge
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    Subgroup,
+    center,
+    is_central,
+    orbit_closures,
+    quotient_group,
+    subgroup_from_elements,
+)
+from .nerves import GammaNerve, Nerve, Simplex, forest_functions, tree_gauge
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -373,8 +382,7 @@ def pullback(x: TwistedOneCocycle, lam: int) -> TwistedOneCocycle:
 
 def gauge_reduced(x: TwistedOneCocycle, h: Sequence[int], lam: int) -> TwistedOneCocycle:
     """Right action of the pair (h, lam) with lam central in the acting group."""
-    gamma = x.system.gamma
-    if any(gamma.mul[lam][t] != gamma.mul[t][lam] for t in gamma.elements()):
+    if not is_central(x.system.gamma, lam):
         raise NotCentral(lam)
     space = x.system.space
     h_lam = tuple(h[space.act(v, lam)] for v in range(x.system.nerve.n_vertices))
@@ -399,45 +407,18 @@ class H0Group:
 
 
 def h0_twisted(system: CechSystem) -> H0Group:
-    """Solutions of h(v . t) == theta_t^-1(h(v)), constant on components."""
-    space = system.space
-    k = system.coeff
-    comps = system.nerve.components()
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    comp_act = {
-        (ci, t): comp_of[space.act(comps[ci][0], t)]
-        for ci in range(len(comps))
-        for t in system.gamma.elements()
-    }
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
-    for ci in range(len(comps)):
-        if ci in seen:
-            continue
-        orb = sorted({comp_act[(ci, t)] for t in system.gamma.elements()})
-        seen.update(orb)
-        orbits.append(orb)
+    """The constant gauges that fix the trivial cocycle: h(v . t) == theta_t^-1(h(v)).
 
-    functions = []
-    choices = []
-    for orb in orbits:
-        rep = orb[0]
-        stab = [t for t in system.gamma.elements() if comp_act[(rep, t)] == rep]
-        fixed = [z for z in k.elements() if all(system.theta_inv(t, z) == z for t in stab)]
-        choices.append((rep, fixed))
-    for combo in itertools.product(*(fixed for (_, fixed) in choices)):
-        values = [0] * system.nerve.n_vertices
-        for (rep, _), z in zip(choices, combo):
-            for t in system.gamma.elements():
-                target = comp_act[(rep, t)]
-                val = system.theta_inv(t, z)
-                for v in comps[target]:
-                    values[v] = val
-        functions.append(tuple(values))
-    functions = sorted(set(functions))
+    Constant gauges come in product order of their root values, which is
+    also the sorted order of their value tables.
+    """
+    k = system.coeff
+    tab = system.tables
+    functions = [
+        h
+        for h in _constant_gauges(system)
+        if all(h[w] == th[x] for act, th in zip(tab.act, tab.theta_inv) for w, x in zip(act, h))
+    ]
     index = {f: i for i, f in enumerate(functions)}
     n = len(functions)
     mul = tuple(
@@ -480,53 +461,20 @@ class CohomologySet:
         return TwistedOneCocycle(self.system, a, phi)
 
 
-def orbit_closures(items: Iterable[Hashable], moves: Callable[[Hashable], Iterable[Hashable]]) -> list[set]:
-    """Closures of ``items`` under ``moves``, in the order of their first item.
-
-    An item already reached from an earlier one starts no closure of its own.
-    """
-    seen: set = set()
-    out: list[set] = []
-    for item in items:
-        if item in seen:
-            continue
-        orbit = {item}
-        frontier = [item]
-        while frontier:
-            for nxt in moves(frontier.pop()):
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        out.append(orbit)
-    return out
-
-
 def _tree_normalize(x: TwistedOneCocycle) -> TwistedOneCocycle:
     """Gauge making the spanning-forest edges carry the identity."""
     return gauge(x, tree_gauge(x.system.nerve, x.system.coeff, x.edge_value))
 
 
 def _constant_gauges(system: CechSystem) -> list[tuple[int, ...]]:
-    comps = system.nerve.components()
-    out = []
-    for combo in itertools.product(system.coeff.elements(), repeat=len(comps)):
-        values = [0] * system.nerve.n_vertices
-        for comp, z in zip(comps, combo):
-            for v in comp:
-                values[v] = z
-        out.append(tuple(values))
-    return out
+    """The vertex functions constant on each component, in product order of their values."""
+    return [tuple(h) for h in forest_functions(system.nerve, system.coeff.elements(), lambda p, v, x: x)]
 
 
 def canonical_form(x: TwistedOneCocycle) -> tuple:
     """Class invariant: minimum serialization over the residual gauge orbit."""
     x0 = _tree_normalize(x)
     return min(gauge(x0, h).serial() for h in _constant_gauges(x.system))
-
-
-def _central_elements(gamma: FiniteGroup) -> list[int]:
-    return [t for t in gamma.elements() if all(gamma.mul[t][s] == gamma.mul[s][t] for s in gamma.elements())]
 
 
 def _edge_solutions(tab: SystemTables) -> Iterable[list[int]]:
@@ -626,16 +574,22 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     the full product; each candidate's other rows follow from the vertex
     conditions at the sites (g, t_prev) of ``_generator_steps``.
 
-    A candidate is then checked only at the open sites: the vertex sites
-    (t, t2) that define no row.  Every other condition holds by
-    construction.  Triangles hold for every edge solution, generator edge
-    sites by the root filter, and the step vertex sites because each one
-    defines its row.  The edge sites of t_prev g follow from those of g
-    and t_prev and the step, since theta is an action and c is central.
-    So the list is exactly the tree-normalized slice of the cocycle set,
-    ordered by edge part and then by root values.  ``budget`` bounds the
-    candidates walked (edge solutions times kept root choices); passing it
-    raises ``BudgetExceeded`` at once.
+    A candidate is then checked only at the open generator sites: the
+    vertex sites (g, t2) with g a generator that define no row.  Every
+    other condition holds by construction.  Triangles hold for every edge
+    solution, generator edge sites by the root filter, and the step vertex
+    sites because each one defines its row.  The edge sites of t_prev g
+    follow from those of g and t_prev and the step, since theta is an
+    action and c is central.  The vertex sites (t, s) with t no generator
+    follow from the generator ones: write t = t1 g with t1 shorter and
+    expand phi_t and phi_{s t} by the sites (g, t1) and (g, s t1).  The
+    defect at (t, s) becomes phi_{g, v.s t1} theta_g^-1(defect at (t1, s))
+    phi_{g, v.s t1}^-1 times central twist factors, and those cancel by
+    the cocycle identity of c; induction on the word length of t covers
+    every t.  So the list is exactly the tree-normalized slice of the
+    cocycle set, ordered by edge part and then by root values.  ``budget``
+    bounds the candidates walked (edge solutions times kept root choices);
+    passing it raises ``BudgetExceeded`` at once.
     """
     tab = system.tables
     mul, inv = tab.mul, tab.inv
@@ -644,7 +598,7 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     target = twist_target(system)
     steps = [(t, t_prev, g, inv[target[(g, t_prev)]]) for t, t_prev, g in _generator_steps(system.gamma, gens)]
     step_sites = {(g, t_prev) for _, t_prev, g, _ in steps}
-    open_sites = [site for site in tab.vertex_sites if site[:2] not in step_sites]
+    open_sites = [site for site in tab.vertex_sites if site[0] in gens and site[:2] not in step_sites]
     n_vertices = system.nerve.n_vertices
     zero_row = (0,) * n_vertices
 
@@ -710,7 +664,7 @@ def h1_twisted(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> Coho
 
 def h1_reduced(h1: CohomologySet) -> CohomologySet:
     """Classes of a twisted H^1 set identified along central covering translations."""
-    centrals = _central_elements(h1.system.gamma)
+    centrals = center(h1.system.gamma).embed
 
     def translates(cid: int) -> list[int]:
         x = h1.representative(cid)
@@ -1407,35 +1361,18 @@ def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[i
         raise CarrierMismatch(message="twisted set twist is neither the system twist nor trivial")
 
     nerve = system.nerve
-    space = system.space
-    parent, _ = nerve.spanning_forest()
-    comps = nerve.components()
-    out = []
-    for combo in itertools.product(range(m.size), repeat=len(comps)):
-        values = [None] * nerve.n_vertices
-        for comp, start in zip(comps, combo):
-            values[comp[0]] = start
-        for v, p in parent.items():
-            if p is not None:
-                values[v] = m.g_act[e.edge_value(p, v)][values[p]]
-        ok = all(
-            values[v] == m.g_act[e.edge_value(u, v)][values[u]] for (u, v) in nerve.edges
+    act = system.space.vact
+    return [
+        tuple(values)
+        for values in forest_functions(nerve, range(m.size), lambda p, v, x: m.g_act[e.edge_value(p, v)][x])
+        if all(values[v] == m.g_act[e.edge_value(u, v)][values[u]] for (u, v) in nerve.edges)
+        and all(
+            m.gamma_act[t][values[v]] == m.g_act[e.phi[t][v]][values[act[t][v]]]
+            for t in system.gamma.elements()
+            if t != 0
+            for v in range(nerve.n_vertices)
         )
-        if ok:
-            for t in system.gamma.elements():
-                if t == 0:
-                    continue
-                for v in range(nerve.n_vertices):
-                    lhs = m.gamma_act[t][values[v]]
-                    rhs = m.g_act[e.phi[t][v]][values[space.act(v, t)]]
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.append(tuple(values))
-    return out
+    ]
 
 
 @dataclass

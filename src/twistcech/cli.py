@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .cech import (
+    DEFAULT_ENUM_BUDGET,
     coefficient_ladder,
     existence_check,
     h1_reduced,
@@ -37,7 +38,7 @@ from .correspond import (
 from .errors import BudgetExceeded, InputError, TwistError
 from .extensions import TwistedData, TwoCocycle, build_twisted_product, second_cohomology
 from .fixtures import default_grid, grid_instance, group, named_action
-from .groups import automorphisms, conjugacy_classes, find_isomorphism, outer_classes
+from .groups import DEFAULT_ORDER_GUARD, automorphisms, conjugacy_classes, find_isomorphism, outer_classes
 from .nerves import quotient
 from .serialize import (
     report_to_json,
@@ -59,12 +60,12 @@ EXIT_BUDGET = 3
 class JobConfig:
     command: str
     args: dict
-    budget_order: int = 64
-    budget_enum: int = 2_000_000
-    time_limit: float = 600.0
-    fmt: str = "json"
-    out: Optional[str] = None
-    seed: int = 0
+    budget_order: int
+    budget_enum: int
+    time_limit: float
+    fmt: str
+    out: Optional[str]
+    seed: int
 
 
 @dataclass
@@ -264,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--budget-order", type=int, default=64, help="max group order for searches")
-        p.add_argument("--budget-enum", type=int, default=2_000_000, help="max enumeration size")
+        p.add_argument("--budget-order", type=int, default=DEFAULT_ORDER_GUARD, help="max group order for searches")
+        p.add_argument("--budget-enum", type=int, default=DEFAULT_ENUM_BUDGET, help="max enumeration size")
         p.add_argument("--time-limit", type=float, default=600.0, help="soft time limit in seconds")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", type=str, default=None, help="write the report to a file")

@@ -28,7 +28,6 @@ from .cech import (
     gauge,
     h1_twisted,
     make_cocycle,
-    orbit_closures,
     system_from_data,
 )
 from .errors import (
@@ -47,11 +46,12 @@ from .extensions import (
     make_twisted_data,
     trivial_action,
 )
-from .groups import FiniteGroup, GroupHom, cyclic_group, subgroup_from_elements
+from .groups import FiniteGroup, GroupHom, cyclic_group, orbit_closures, subgroup_from_elements
 from .nerves import (
     CoverDescent,
     MonodromyRep,
     Nerve,
+    forest_functions,
     monodromy,
     pi1,
     tree_gauge,
@@ -98,13 +98,6 @@ class CTwistedCocycleY:
     descent: CoverDescent
     data: TwistedData
     values: tuple[int, ...]  # aligned with the sorted edges of the base nerve
-
-    def edge(self, i: int, j: int) -> int:
-        """The value framed at the first index, for a stored (sorted) edge."""
-        idx = self.descent.downstairs.edge_index
-        if i < j:
-            return self.values[idx[(i, j)]]
-        raise InputError("c-twisted values are stored on sorted edges only")
 
 
 def check_ctwisted(descent: CoverDescent, data: TwistedData, values: Sequence[int]) -> CTwistedCocycleY:
@@ -328,13 +321,13 @@ def grothendieck_fiber(
     if y != descent.downstairs:
         raise CarrierMismatch(message="base cocycle and descent live on different nerves")
     _check_plain_h1(h1, descent.downstairs, prod)
-    _, mono = induced_gamma_class(base)
+    gcoc, mono = induced_gamma_class(base)
     if mono.canonical != monodromy(descent).canonical:
         raise InputError("base class does not induce the given cover")
 
     # twisted-conjugation cocycles k <-> glued cocycles k * g0 with the same
     # quotient part on the nose, modulo coefficient-valued gauge
-    parent, tree = y.spanning_forest()
+    _, tree = y.spanning_forest()
     tree_set = set(tree)
     nontree = [e for e in y.edges if e not in tree_set]
     count = g.order ** (len(nontree) + 1)  # +1 for the residual constant gauge
@@ -374,26 +367,13 @@ def grothendieck_fiber(
 
     class_ids = sorted({h1.class_of(c) for c in candidates})
 
-    # covering transformations: sections of the adjoint quotient bundle
-    sections = []
-    comp_roots = [c[0] for c in y.components()]
-    for combo in itertools.product(gamma.elements(), repeat=len(comp_roots)):
-        lam = [0] * y.n_vertices
-        for root, val in zip(comp_roots, combo):
-            lam[root] = val
-        ok = True
-        for v, p in parent.items():
-            if p is not None:
-                # lam_p == Ad_{t0_pj}(lam_j) for the base quotient part
-                t0 = base.edge_pair(p, v)[1]
-                lam[v] = gamma.mul[gamma.mul[gamma.inv[t0]][lam[p]]][t0]
-        for (i, j) in y.edges:
-            t0 = base.edge_pair(i, j)[1]
-            if lam[i] != gamma.mul[gamma.mul[t0][lam[j]]][gamma.inv[t0]]:
-                ok = False
-                break
-        if ok:
-            sections.append(tuple(lam))
+    # covering transformations: the quotient-group gauges fixing the
+    # induced cocycle, spread by lam_v == t_pv^-1 lam_p t_pv
+    def conj_step(p: int, v: int, x: int) -> int:
+        t = gcoc.edge_value(p, v)
+        return gamma.mul[gamma.mul[gamma.inv[t]][x]][t]
+
+    sections = [lam for lam in forest_functions(y, gamma.elements(), conj_step) if gauge(gcoc, lam).a == gcoc.a]
 
     def act_section(cid: int, lam: Sequence[int]) -> int:
         moved = gauge(h1.representative(cid), [prod.section[t] for t in lam])

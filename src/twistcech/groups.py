@@ -8,7 +8,7 @@ are hashable and reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -308,18 +308,32 @@ def quotient_group(g: FiniteGroup, normal_elements: Iterable[int], label: Option
     return q, proj
 
 
+def orbit_closures(items: Iterable[int], moves: Callable[[int], Iterable[int]]) -> list[tuple[int, ...]]:
+    """Closures of ``items`` under ``moves``, each sorted, in the order of their first item.
+
+    An item already reached from an earlier one starts no closure of its
+    own; so when ``items`` ascend, closures are ordered by minimal element.
+    """
+    seen: set[int] = set()
+    out: list[tuple[int, ...]] = []
+    for item in items:
+        if item in seen:
+            continue
+        orbit = {item}
+        frontier = [item]
+        while frontier:
+            for nxt in moves(frontier.pop()):
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
 def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     """Orbit partition under conjugation, classes sorted by minimal element."""
-    seen = set()
-    classes = []
-    for x in g.elements():
-        if x in seen:
-            continue
-        orbit = sorted({g.conjugate(t, x) for t in g.elements()})
-        seen.update(orbit)
-        classes.append(tuple(orbit))
-    classes.sort(key=lambda c: c[0])
-    return classes
+    return orbit_closures(g.elements(), lambda x: (g.conjugate(t, x) for t in g.elements()))
 
 
 class _Budget:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (
     Disconnected,
@@ -26,11 +26,12 @@ from .errors import (
     NotSimplicial,
     SectionInvalid,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, orbit_closures
 
 MAX_DIM = 3
 
 Simplex = tuple[int, ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,17 @@ class Nerve:
         return adj
 
     @cached_property
-    def _forest(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, Optional[int]], tuple[Simplex, ...]]:
-        """Components, BFS parents and tree edges, from one search per component.
+    def _forest(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], dict[int, Optional[int]], tuple[Simplex, ...], tuple[Simplex, ...]]:
+        """Components, BFS parents, tree edges and the (parent, child) arcs in BFS order.
 
-        Each component is searched from its minimal vertex, in the order of
+        One search per component, from its minimal vertex, in the order of
         those vertices; the parent dict is only ever handed out read-only.
         """
         adj = self.adjacency()
         parent: dict[int, Optional[int]] = {}
-        tree: list[Simplex] = []
+        arcs: list[Simplex] = []
         comps: list[tuple[int, ...]] = []
         for root in range(self.n_vertices):
             if root in parent:
@@ -92,10 +95,11 @@ class Nerve:
                 for y in adj[x]:
                     if y not in parent:
                         parent[y] = x
-                        tree.append((x, y) if x < y else (y, x))
+                        arcs.append((x, y))
                         queue.append(y)
             comps.append(tuple(sorted(queue)))
-        return tuple(comps), parent, tuple(tree)
+        tree = tuple((x, y) if x < y else (y, x) for x, y in arcs)
+        return tuple(comps), parent, tree, tuple(arcs)
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each sorted, ordered by minimal vertex."""
@@ -110,7 +114,7 @@ class Nerve:
         ``parent`` is filled in BFS order, so iterating it yields every
         parent before its children.
         """
-        _, parent, tree = self._forest
+        _, parent, tree, _ = self._forest
         return MappingProxyType(parent), tree
 
 
@@ -169,16 +173,8 @@ class GammaNerve:
         return tuple(sorted(self.vact[gamma_elem][v] for v in s))
 
     def vertex_orbits(self) -> list[tuple[int, ...]]:
-        seen = set()
-        orbits = []
-        for v in range(self.nerve.n_vertices):
-            if v in seen:
-                continue
-            orb = tuple(sorted({self.vact[t][v] for t in self.gamma.elements()}))
-            seen.update(orb)
-            orbits.append(orb)
-        orbits.sort(key=lambda o: o[0])
-        return orbits
+        """Vertex orbits, each sorted, ordered by minimal vertex."""
+        return orbit_closures(range(self.nerve.n_vertices), lambda v: (row[v] for row in self.vact))
 
 
 def validate_gamma_nerve(
@@ -479,6 +475,25 @@ def build_cover(y: Nerve, rep: MonodromyRep) -> tuple[GammaNerve, CoverDescent]:
     return gn, descent
 
 
+def forest_functions(nerve: Nerve, root_values: Iterable[T], step: Callable[[int, int, T], T]) -> Iterator[list[T]]:
+    """The vertex functions spread along the spanning forest from their root values.
+
+    One function per choice of a value from ``root_values`` at each
+    component root, components in ``components()`` order and choices in
+    ``itertools.product`` order.  Each root holds its chosen value, and
+    every other vertex v with BFS parent p holds ``step(p, v, value[p])``,
+    parents first.
+    """
+    comps, _, _, arcs = nerve._forest
+    for combo in itertools.product(root_values, repeat=len(comps)):
+        values: list = [None] * nerve.n_vertices
+        for comp, x in zip(comps, combo):
+            values[comp[0]] = x
+        for p, v in arcs:
+            values[v] = step(p, v, values[p])
+        yield values
+
+
 def tree_gauge(nerve: Nerve, group: FiniteGroup, value: Callable[[int, int], int]) -> list[int]:
     """The frame lam[v] = value(v, parent) lam[parent], the identity at each root.
 
@@ -486,12 +501,8 @@ def tree_gauge(nerve: Nerve, group: FiniteGroup, value: Callable[[int, int], int
     value(v, u) its inverse.  Gauging by the frame makes every
     spanning-forest edge carry the identity: lam[p]^-1 value(p, v) lam[v] == 1.
     """
-    parent, _ = nerve.spanning_forest()
-    lam = [0] * nerve.n_vertices
-    for v, p in parent.items():
-        if p is not None:
-            lam[v] = group.mul[value(v, p)][lam[p]]
-    return lam
+    mul = group.mul
+    return next(forest_functions(nerve, (0,), lambda p, v, x: mul[value(v, p)][x]))
 
 
 def tree_monodromy(pres: Pi1Presentation, gamma: FiniteGroup, value: Callable[[int, int], int]) -> MonodromyRep:

@@ -512,6 +512,24 @@ def test_enumeration_validates_only_kept_roots(monkeypatch):
         enumerate_cocycles(system, budget=39)
 
 
+def test_enumeration_checks_only_the_open_generator_sites(monkeypatch):
+    # C4 = <g>: the steps define phi_{g^2} and phi_{g^3} at the sites (g, g)
+    # and (g, g^2), and (g, g^3) is the one open site with a generator first
+    real = cech._open_sites_hold
+    seen = set()
+
+    def recording(tab, phi, sites):
+        seen.add(tuple(site[:2] for site in sites))
+        return real(tab, phi, sites)
+
+    monkeypatch.setattr(cech, "_open_sites_hold", recording)
+    space = gamma_nerve("X_DODEC")
+    (g,) = space.gamma.generating_sequence()
+    for g_name in ("C2", "S3", "Q8"):
+        enumerate_cocycles(_trivial_system(space, g_name))
+    assert seen == {((g, space.gamma.power(g, 3)),)}
+
+
 def test_enumeration_leaves_the_full_check_to_make_cocycle(monkeypatch):
     calls = []
     real = cech.is_twisted_cocycle
@@ -616,6 +634,18 @@ def test_reduced_orbit_counting():
         assert len(orbit_sizes) == len(h1r)
 
 
+def test_h1_reduced_identifies_classes_along_a_central_translation():
+    # C2 reflecting the hollow triangle (fixing vertex 0) and inverting C4:
+    # pulling back along the reflection moves some classes onto others
+    space = validate_gamma_nerve(nerve("Y_TRI"), C2, [range(3), [0, 2, 1]])
+    h1 = h1_twisted(system_from_data(space, make_twisted_data(INV)))
+    h1r = h1_reduced(h1)
+    assert (len(h1), len(h1r)) == (8, 6)
+    for cid in range(len(h1)):
+        x = h1.representative(cid)
+        assert h1r.class_of(pullback(x, 1)) == h1r.class_of(x)
+
+
 def test_h0_examples():
     assert h0_twisted(SYS_TRIV).group.order == 2  # {0, 2} inside C4
     triv_circle = circle_system(C4)
@@ -625,6 +655,36 @@ def test_h0_examples():
     assert h0.group.order == 6  # diagonal copy ties the swapped components
     for f in h0.functions:
         assert f[0] == f[3]
+
+
+def _h0_oracle_systems():
+    """Small systems for brute force over all vertex functions.
+
+    X_TWO_TRI is disconnected with C2 swapping its triangles; ``flip``
+    reflects each triangle in place, so both components are fixed and
+    H^0 only sees the values theta fixes there.
+    """
+    two_tri = gamma_nerve("X_TWO_TRI")
+    flip = validate_gamma_nerve(nerve("X_TWO_TRI_NERVE"), C2, [range(6), [0, 2, 1, 3, 5, 4]])
+    return [
+        SYS_TRIV,
+        SYS_CQ,
+        circle_system(C4),
+        *(system_from_data(space, data) for space in (two_tri, flip) for data in (make_twisted_data(INV), c_q_data(INV))),
+        system_from_data(two_tri, make_twisted_data(trivial_action(C2, S3))),
+    ]
+
+
+def test_h0_is_the_gauges_fixing_the_trivial_cocycle():
+    sizes = []
+    for system in _h0_oracle_systems():
+        triv = TwistedOneCocycle(system, *trivial_pair(system))
+        every = itertools.product(system.coeff.elements(), repeat=system.nerve.n_vertices)
+        fixing = [h for h in every if gauge(triv, h).serial() == triv.serial()]
+        h0 = h0_twisted(system)
+        assert list(h0.functions) == sorted(fixing)
+        sizes.append(h0.group.order)
+    assert sizes == [2, 2, 4, 4, 4, 4, 4, 6]
 
 
 def test_gauge_reduced_is_gauge_at_identity():
@@ -1040,6 +1100,40 @@ def test_sections_count_is_gauge_invariant():
             for _ in range(5):
                 h = tuple(rng.randrange(4) for _ in range(6))
                 assert len(sections_of_associated(gauge(x, h), m)) == base
+
+
+def _brute_sections(x, m):
+    """Every assignment of set points that obeys the frame-change and action laws."""
+    system = x.system
+    nrv, act = system.nerve, system.space.vact
+    return [
+        values
+        for values in itertools.product(range(m.size), repeat=nrv.n_vertices)
+        if all(values[v] == m.g_act[x.edge_value(u, v)][values[u]] for u, v in nrv.edges)
+        and all(
+            m.gamma_act[t][values[v]] == m.g_act[x.phi[t][v]][values[act[t][v]]]
+            for t in system.gamma.elements()
+            for v in range(nrv.n_vertices)
+        )
+    ]
+
+
+def test_sections_match_brute_force_over_all_assignments():
+    rng = random.Random(13)
+    found = 0
+    for system in (s for s in _h0_oracle_systems() if s.coeff.order == 4):  # the C4-valued ones
+        data = make_twisted_data(system.action)
+        msets = [convert_side(homogeneous_space(data, sub)) for sub in ([0, 1, 2, 3], [0, 2], [0])]
+        h1 = h1_twisted(system)
+        for cid in range(len(h1)):
+            x = h1.representative(cid)
+            h = tuple(rng.randrange(system.coeff.order) for _ in range(system.nerve.n_vertices))
+            for m in msets:
+                for y in (x, gauge(x, h)):
+                    got = sections_of_associated(y, m)
+                    assert got == _brute_sections(y, m)
+                    found += len(got)
+    assert found
 
 
 def test_sections_match_downstairs_oracle():

@@ -14,6 +14,7 @@ from twistcech.groups import (
     direct_product,
     find_isomorphism,
     inner_automorphisms,
+    orbit_closures,
     outer_classes,
     quotient_group,
     validate_group,
@@ -112,6 +113,19 @@ def test_conjugacy_classes():
     sizes = sorted(len(c) for c in conjugacy_classes(S3))
     assert sizes == [1, 2, 3]
     assert len(conjugacy_classes(D4)) == 5
+    for g in ALL:
+        direct = {tuple(sorted({g.conjugate(t, x) for t in g.elements()})) for x in g.elements()}
+        assert conjugacy_classes(g) == sorted(direct)
+
+
+def test_orbit_closures_are_sorted_and_ordered_by_first_item():
+    # x -> x + 30 mod 60 pairs each x < 30 with x + 30; a set of such a pair
+    # need not list it in order
+    def moves(x):
+        return [(x + 30) % 60]
+
+    assert orbit_closures(range(60), moves) == [(x, x + 30) for x in range(30)]
+    assert orbit_closures([33, 5, 3, 35], moves) == [(3, 33), (5, 35)]
 
 
 def test_class_sizes_divide_order():

@@ -12,6 +12,7 @@ from twistcech.nerves import (
     Nerve,
     build_cover,
     equivariant_isomorphism,
+    forest_functions,
     free_reduce,
     make_monodromy,
     monodromy,
@@ -313,6 +314,34 @@ def test_spanning_forest_lists_parents_first():
         for v, p in parent.items():
             assert p is None or p in seen
             seen.add(v)
+
+
+def assert_forest_functions_follow_the_forest(n, root_values):
+    """One function per root choice, in product order, each obeying the step on every forest edge."""
+    parent, _ = n.spanning_forest()
+    comps = n.components()
+
+    def step(p, v, x):
+        return (3 * x + 5 * p + v) % 7
+
+    funcs = list(forest_functions(n, root_values, step))
+    assert len(funcs) == len(root_values) ** len(comps)
+    assert [tuple(f[c[0]] for c in comps) for f in funcs] == list(itertools.product(root_values, repeat=len(comps)))
+    for f in funcs:
+        assert all(f[v] == step(p, v, f[p]) for v, p in parent.items() if p is not None)
+
+
+def test_forest_functions_follow_the_forest():
+    assert any(not n.is_connected() for n in _fixture_nerves())  # X_TWO_TRI
+    for n in _fixture_nerves():
+        for root_values in ((0,), (0, 1, 2), (4, 2)):
+            assert_forest_functions_follow_the_forest(n, root_values)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_nerves(), st.lists(st.integers(0, 6), min_size=1, max_size=3))
+def test_forest_functions_follow_the_forest_on_generated_nerves(n, root_values):
+    assert_forest_functions_follow_the_forest(n, root_values)
 
 
 def test_edge_index_matches_edges_and_keeps_equality():

@@ -16,6 +16,7 @@ from twistcech.correspond import (
     ascend,
     descend,
     fiber_over_cover,
+    grothendieck_fiber,
     induced_gamma_class,
     plain_h1,
     to_ghat_cocycle,
@@ -110,6 +111,9 @@ def test_nonabelian_gamma_correspondence():
         ph1 = plain_h1(descent.downstairs, prod.group)
         fib = fiber_over_cover(descent, prod, ph1)
         assert len(fib) == len(h1r)
+        # the monodromy is all of S3, so only the identity is a covering
+        # transformation and the conjugation classes are the fibre itself
+        assert len(grothendieck_fiber(GhatCocycleY(prod, ph1.representative(fib[0][0])), descent, ph1)) == len(fib)
         images = set()
         for cid in range(len(h1)):
             x = h1.representative(cid)
