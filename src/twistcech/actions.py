@@ -34,7 +34,7 @@ from .extensions import (
     build_twisted_product,
     trivial_cocycle,
 )
-from .groups import FiniteGroup, subgroup_from_elements
+from .groups import FiniteGroup, left_cosets, orbit_closures, subgroup_from_elements
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -200,15 +200,7 @@ def quotient_by_g(m: TwistedGSet) -> tuple[list[tuple[int, ...]], Table, tuple[i
 
     Returns (orbits, gamma action on orbit indices, projection table).
     """
-    seen: set[int] = set()
-    orbits: list[tuple[int, ...]] = []
-    for p in m.points():
-        if p in seen:
-            continue
-        orb = tuple(sorted({m.g_act[a][p] for a in m.data.g.elements()}))
-        seen.update(orb)
-        orbits.append(orb)
-    orbits.sort(key=lambda o: o[0])
+    orbits = orbit_closures(m.points(), lambda p: (row[p] for row in m.g_act))
     proj = [0] * m.size
     for i, orb in enumerate(orbits):
         for p in orb:
@@ -235,24 +227,6 @@ def quotient_by_g(m: TwistedGSet) -> tuple[list[tuple[int, ...]], Table, tuple[i
             if comp != rows[gamma.mul[a][b]]:
                 raise InternalError("quotient Gamma-action fails to be an action")
     return orbits, tuple(rows), tuple(proj)
-
-
-def left_cosets(g: FiniteGroup, subgroup_elements: Sequence[int]) -> tuple[list[tuple[int, ...]], dict[int, int]]:
-    """Left cosets xH ordered by minimal element; returns (cosets, coset_of)."""
-    helems = subgroup_from_elements(g, subgroup_elements).embed
-    coset_of: dict[int, int] = {}
-    cosets: list[tuple[int, ...]] = []
-    for x in g.elements():
-        if x in coset_of:
-            continue
-        cs = tuple(sorted(g.mul[x][h] for h in helems))
-        idx = len(cosets)
-        for y in cs:
-            coset_of[y] = idx
-        cosets.append(cs)
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    rank = {old: new for new, old in enumerate(order)}
-    return [cosets[i] for i in order], {x: rank[i] for x, i in coset_of.items()}
 
 
 def homogeneous_space(data: TwistedData, subgroup_elements: Sequence[int]) -> TwistedGSet:

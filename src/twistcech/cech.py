@@ -51,7 +51,7 @@ from .abelian import (
     kernel,
     solve,
 )
-from .actions import TwistedGSet, convert_side, homogeneous_space, left_cosets
+from .actions import TwistedGSet, convert_side, homogeneous_space
 from .errors import (
     BudgetExceeded,
     TwistError,
@@ -78,6 +78,7 @@ from .groups import (
     Subgroup,
     center,
     is_central,
+    left_cosets,
     orbit_closures,
     quotient_group,
     subgroup_from_elements,
@@ -242,13 +243,9 @@ def edge_value(system: CechSystem, a: Sequence[int], u: int, v: int) -> int:
     return system.coeff.inv[a[idx[(v, u)]]]
 
 
-def trivial_phi(system: CechSystem) -> tuple[tuple[int, ...], ...]:
-    n = system.nerve.n_vertices
-    return tuple(tuple(0 for _ in range(n)) for _ in system.gamma.elements())
-
-
 def trivial_pair(system: CechSystem) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    return tuple(0 for _ in system.nerve.edges), trivial_phi(system)
+    row = tuple(0 for _ in range(system.nerve.n_vertices))
+    return tuple(0 for _ in system.nerve.edges), tuple(row for _ in system.gamma.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +398,6 @@ class H0Group:
     system: CechSystem
     group: FiniteGroup
     functions: tuple[tuple[int, ...], ...]  # element -> vertex value table
-
-    def index_of(self, func: Sequence[int]) -> int:
-        return self.functions.index(tuple(func))
 
 
 def h0_twisted(system: CechSystem) -> H0Group:
@@ -808,7 +802,7 @@ class AbelianComplex:
         return all(x == 0 for x in self.d2_hom.apply(vec))
 
 
-def abelian_complex(system: CechSystem, *, coord_guard: int = DEFAULT_COORD_GUARD) -> AbelianComplex:
+def abelian_complex(system: CechSystem) -> AbelianComplex:
     """Assemble d1 and d2 as integer matrices by probing unit cochains.
 
     Both maps are homomorphisms for abelian coefficients, so the columns at
@@ -821,8 +815,8 @@ def abelian_complex(system: CechSystem, *, coord_guard: int = DEFAULT_COORD_GUAR
     co = abelian_coordinates(system.coeff)
     sizes = _cochain_sizes(system)
     n_coords = sizes[1] * len(co.moduli)
-    if n_coords > coord_guard:
-        raise BudgetExceeded(f"abelian cochain space has {n_coords} coordinates, guard {coord_guard}")
+    if n_coords > DEFAULT_COORD_GUARD:
+        raise BudgetExceeded(f"abelian cochain space has {n_coords} coordinates, guard {DEFAULT_COORD_GUARD}")
     mods1, mods2, mods3 = (co.moduli * size for size in sizes)
 
     def columns(n_slots: int, image: Callable[[list[int]], Iterable[int]]) -> list[tuple[int, ...]]:
@@ -1021,7 +1015,6 @@ def act_h1z_by_h0q(
     x: TwistedOneCocycle,
     qbar: Sequence[int],
     *,
-    lifts: Optional[Sequence[int]] = None,
     flip: bool = False,
 ) -> TwistedOneCocycle:
     """Right action of an equivariant quotient-valued function on H^1(Z).
@@ -1033,13 +1026,7 @@ def act_h1z_by_h0q(
     lift, which is the gauge formula with its handedness swapped.
     """
     g = ladder.data.g
-    if lifts is None:
-        h = tuple(ladder.lift(qbar[v]) for v in range(ladder.space.nerve.n_vertices))
-    else:
-        h = tuple(lifts)
-        for v, lifted in enumerate(h):
-            if ladder.proj.map[lifted] != qbar[v]:
-                raise InputError("provided lift does not project to the given function")
+    h = tuple(ladder.lift(qbar[v]) for v in range(ladder.space.nerve.n_vertices))
     if flip:
         h = tuple(g.inv[v] for v in h)
     moved = gauge(include_z_cocycle(ladder, x), h)
@@ -1052,16 +1039,14 @@ def act_h1z_by_h0q(
     return make_cocycle(ladder.sys_z, az, pz)
 
 
-def delta_h0(
-    ladder: CoefficientLadder, qbar: Sequence[int], *, lifts: Optional[Sequence[int]] = None, flip: bool = False
-) -> TwistedOneCocycle:
+def delta_h0(ladder: CoefficientLadder, qbar: Sequence[int], *, flip: bool = False) -> TwistedOneCocycle:
     """Coboundary of an equivariant quotient-valued function.
 
     This is its action on the trivial centre-valued class.
     """
     ta, tphi = trivial_pair(ladder.sys_z)
     triv = TwistedOneCocycle(ladder.sys_z, ta, tphi)
-    return act_h1z_by_h0q(ladder, triv, qbar, lifts=lifts, flip=flip)
+    return act_h1z_by_h0q(ladder, triv, qbar, flip=flip)
 
 
 def delta_h1_vector(

@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite over the grid")
     p_ver.add_argument("suite", choices=SUITES + ("all",))
-    p_ver.add_argument("--grid", default="default-grid")
+    p_ver.add_argument("--grid", choices=("default-grid",), default="default-grid")
     p_ver.add_argument("--only", default=None, help="semicolon-separated instance names")
     p_ver.add_argument(
         "--fault",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cech import (
     CechSystem,
@@ -51,7 +51,6 @@ from .nerves import (
     CoverDescent,
     MonodromyRep,
     Nerve,
-    forest_functions,
     monodromy,
     pi1,
     tree_gauge,
@@ -79,11 +78,6 @@ def plain_cocycle(system: CechSystem, values: Sequence[int]) -> TwistedOneCocycl
 def plain_h1(y: Nerve, coeff: FiniteGroup, *, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologySet:
     """Gauge classes of ordinary coefficient-group cocycles on a nerve."""
     return h1_twisted(plain_system(y, coeff), budget=budget)
-
-
-def monodromy_of_plain_cocycle(y: Nerve, gamma: FiniteGroup, x: TwistedOneCocycle) -> MonodromyRep:
-    """Monodromy of a plain group-valued cocycle: tree-normalized generators."""
-    return tree_monodromy(pi1(y), gamma, x.edge_value)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +240,20 @@ def from_ghat_cocycle(x: GhatCocycleY, descent: CoverDescent) -> CTwistedCocycle
     return check_ctwisted(descent, x.product.data, vals)
 
 
-def induced_gamma_class(x: GhatCocycleY) -> tuple[TwistedOneCocycle, MonodromyRep]:
-    """Push a glued-group cocycle to the quotient group, with its monodromy."""
-    return _induced_gamma_class(x, plain_system(x.base, x.product.data.gamma))
+def _gamma_values(x: GhatCocycleY) -> Callable[[int, int], int]:
+    """The quotient-group part of each oriented edge value of a glued cocycle."""
+    proj = x.product.proj.map
+    return lambda u, v: proj[x.cocycle.edge_value(u, v)]
 
 
-def _induced_gamma_class(x: GhatCocycleY, gamma_system: CechSystem) -> tuple[TwistedOneCocycle, MonodromyRep]:
-    """``induced_gamma_class`` on the plain quotient-group system of the base,
-    which a caller projecting many cocycles builds, and so compiles, once."""
-    prod = x.product
-    gcoc = plain_cocycle(gamma_system, tuple(prod.proj.map[v] for v in x.cocycle.a))
-    return gcoc, monodromy_of_plain_cocycle(x.base, prod.data.gamma, gcoc)
+def induced_gamma_class(x: GhatCocycleY) -> MonodromyRep:
+    """The monodromy of the cover a glued-group cocycle induces.
+
+    The edge values are projected to the quotient group and read along the
+    spanning tree; ``make_monodromy`` checks every relation.  Only the
+    ``MonodromyRep`` is returned: no quotient-valued cocycle is built.
+    """
+    return tree_monodromy(pi1(x.base), x.product.data.gamma, _gamma_values(x))
 
 
 def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -> None:
@@ -280,11 +277,9 @@ def fiber_over_cover(
     """
     _check_plain_h1(h1, descent.downstairs, product)
     target = monodromy(descent).canonical
-    gamma_system = plain_system(descent.downstairs, product.data.gamma)
     out = []
     for cid in range(len(h1)):
-        rep = h1.representative(cid)
-        _, mono = _induced_gamma_class(GhatCocycleY(product, rep), gamma_system)
+        mono = induced_gamma_class(GhatCocycleY(product, h1.representative(cid)))
         if mono.canonical == target:
             out.append((cid, mono))
     return out
@@ -305,84 +300,61 @@ def grothendieck_fiber(
 ) -> list[TwistedOneCocycle]:
     """The fibre through a base class as conjugation-twisted classes.
 
-    Cocycles valued in the coefficient group, with frame changes
-    conjugated by the base cocycle, modulo gauge and modulo the covering
-    transformation group of the induced cover (sections of the adjoint
-    quotient bundle).  ``h1`` is the plain glued-group H^1 of the base, as
-    for ``fiber_over_cover``; every cocycle built here lives on
-    ``h1.system``.  Returns one representative of ``h1`` per class; their
-    classes enumerate the fibre through the base class.  ``budget`` bounds
-    the conjugation-cocycle walk.
+    Cocycles k valued in the coefficient group, with frame changes
+    conjugated by the base cocycle g0 (k_ij Ad(g0_ij)(k_jk) == k_ik),
+    map onto the fibre by k -> k g0.  Two such classes have the same image
+    exactly when a covering transformation of the induced cover carries one
+    to the other (Serre, *Galois Cohomology*, I §5.5), so reading the images
+    in ``h1`` already divides out the covering transformations and they need
+    no pass of their own.  ``h1`` is the plain glued-group H^1 of the base,
+    as for ``fiber_over_cover``; every cocycle built here lives on
+    ``h1.system``.  Returns one representative of ``h1`` per class of the
+    fibre, in class order.  ``budget`` bounds the |G|^(non-tree edges)
+    tree-normalized candidates walked.
     """
     prod = base.product
-    data = prod.data
-    g, gamma = data.g, data.gamma
+    g = prod.data.g
     y = base.base
     if y != descent.downstairs:
         raise CarrierMismatch(message="base cocycle and descent live on different nerves")
     _check_plain_h1(h1, descent.downstairs, prod)
-    gcoc, mono = induced_gamma_class(base)
-    if mono.canonical != monodromy(descent).canonical:
+    if induced_gamma_class(base).canonical != monodromy(descent).canonical:
         raise InputError("base class does not induce the given cover")
 
     # twisted-conjugation cocycles k <-> glued cocycles k * g0 with the same
     # quotient part on the nose, modulo coefficient-valued gauge
+    idx = y.edge_index
     _, tree = y.spanning_forest()
     tree_set = set(tree)
-    nontree = [e for e in y.edges if e not in tree_set]
-    count = g.order ** (len(nontree) + 1)  # +1 for the residual constant gauge
+    free = [idx[e] for e in y.edges if e not in tree_set]
+    count = g.order ** len(free)
     if count > budget:
         raise BudgetExceeded(f"fibre enumeration of size {count} exceeds budget {budget}")
 
-    def shifted(kvals: dict) -> TwistedOneCocycle:
-        vals = []
-        for (i, j) in y.edges:
-            base_val = base.cocycle.edge_value(i, j)
-            vals.append(prod.group.mul[prod.embed_g.map[kvals[(i, j)]]][base_val])
-        return plain_cocycle(h1.system, vals)
+    pmul, pinv, emb = prod.group.mul, prod.group.inv, prod.embed_g.map
+    g0 = base.cocycle.a  # the upward edge values, in edge order
 
-    def conj(i: int, j: int, x: int) -> int:
-        # Ad by the base edge value, inside the coefficient group
-        e = prod.group.mul[prod.group.mul[base.cocycle.edge_value(i, j)][prod.embed_g.map[x]]][
-            prod.group.inv[base.cocycle.edge_value(i, j)]
-        ]
-        a_part, t_part = prod.index_pair(e)
-        if t_part != 0:
-            raise InternalError("conjugation left the coefficient subgroup")
-        return a_part
+    def ad(b: int) -> tuple[int, ...]:
+        # Ad by a base edge value, inside the coefficient group
+        row = []
+        for x in g.elements():
+            a_part, t_part = prod.index_pair(pmul[pmul[b][emb[x]]][pinv[b]])
+            if t_part != 0:
+                raise InternalError("conjugation left the coefficient subgroup")
+            row.append(a_part)
+        return tuple(row)
 
-    candidates = []
-    for combo in itertools.product(g.elements(), repeat=len(nontree)):
-        kvals = {e: 0 for e in tree_set}
-        for e, val in zip(nontree, combo):
-            kvals[e] = val
-        ok = True
-        for (i, j, k) in y.triangles:
-            lhs = g.mul[kvals[(i, j)]][conj(i, j, kvals[(j, k)])]
-            if lhs != kvals[(i, k)]:
-                ok = False
-                break
-        if ok:
-            candidates.append(shifted(kvals))
-
-    class_ids = sorted({h1.class_of(c) for c in candidates})
-
-    # covering transformations: the quotient-group gauges fixing the
-    # induced cocycle, spread by lam_v == t_pv^-1 lam_p t_pv
-    def conj_step(p: int, v: int, x: int) -> int:
-        t = gcoc.edge_value(p, v)
-        return gamma.mul[gamma.mul[gamma.inv[t]][x]][t]
-
-    sections = [lam for lam in forest_functions(y, gamma.elements(), conj_step) if gauge(gcoc, lam).a == gcoc.a]
-
-    def act_section(cid: int, lam: Sequence[int]) -> int:
-        moved = gauge(h1.representative(cid), [prod.section[t] for t in lam])
-        return h1.class_of(plain_cocycle(h1.system, moved.a))
-
-    orbits = orbit_closures(class_ids, lambda cid: [act_section(cid, lam) for lam in sections])
-    orbit_of = {member: min(orbit) for orbit in orbits for member in orbit}
-    reps = sorted(set(orbit_of.values()))
-    return [h1.representative(cid) for cid in reps]
+    ads = [ad(b) for b in g0]
+    triangles = [(idx[(i, j)], idx[(j, k)], idx[(i, k)]) for (i, j, k) in y.triangles]
+    k = [0] * len(y.edges)
+    class_ids = set()
+    for combo in itertools.product(g.elements(), repeat=len(free)):
+        for e, val in zip(free, combo):
+            k[e] = val
+        if all(g.mul[k[ij]][ads[ij][k[jk]]] == k[ik] for ij, jk, ik in triangles):
+            vals = [pmul[emb[x]][b] for x, b in zip(k, g0)]
+            class_ids.add(h1.class_of(plain_cocycle(h1.system, vals)))
+    return [h1.representative(cid) for cid in sorted(class_ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +408,9 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     prod = x.product
     gamma = prod.data.gamma
     y = x.base
-    gcoc, mono = induced_gamma_class(x)
-    gprime = mono.image
+    gprime = induced_gamma_class(x).image
 
-    lam = tree_gauge(y, gamma, gcoc.edge_value)
+    lam = tree_gauge(y, gamma, _gamma_values(x))
     gauged = ghat_cocycle(prod, y, gauge(x.cocycle, [prod.section[t] for t in lam]).a)
 
     sub_prod, incl = restrict_product(prod.data, gprime)
@@ -486,11 +457,9 @@ def normalizer_embedding_check(
     )
 
     h1_small = plain_h1(y, sub_prod.group, budget=budget)
-    gamma_system = plain_system(y, sub_prod.data.gamma)
     full = []
     for cid in range(len(h1_small)):
-        rep = h1_small.representative(cid)
-        _, mono = _induced_gamma_class(GhatCocycleY(sub_prod, rep), gamma_system)
+        mono = induced_gamma_class(GhatCocycleY(sub_prod, h1_small.representative(cid)))
         image_in_gamma = tuple(sorted(gset[t] for t in mono.image))
         if image_in_gamma == tuple(gset):
             full.append(cid)

@@ -32,12 +32,6 @@ class FiniteGroup:
     # to be relocated to index 0; None when the table came in normalized
     relabeling: Optional[tuple[int, ...]] = None
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     @property
     def identity(self) -> int:
         return 0
@@ -239,9 +233,6 @@ class Subgroup:
     embed: tuple[int, ...]
     parent_to_sub: dict[int, int] = field(compare=False, hash=False, default_factory=dict)
 
-    def contains(self, parent_elem: int) -> bool:
-        return parent_elem in self.parent_to_sub
-
 
 def subgroup_from_elements(g: FiniteGroup, elements: Iterable[int], label: Optional[str] = None) -> Subgroup:
     elems = tuple(sorted(set(int(x) for x in elements)))
@@ -278,32 +269,27 @@ def is_normal(g: FiniteGroup, elements: Iterable[int]) -> bool:
     return all(g.conjugate(x, h) in elems for x in g.elements() for h in elems)
 
 
+def left_cosets(g: FiniteGroup, subgroup_elements: Iterable[int]) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """Left cosets xH ordered by minimal element; returns (cosets, coset_of).
+
+    Each coset is the closure of its least element under right
+    multiplication by H.
+    """
+    helems = subgroup_from_elements(g, subgroup_elements).embed
+    cosets = orbit_closures(g.elements(), lambda x: (g.mul[x][h] for h in helems))
+    return cosets, {x: i for i, cs in enumerate(cosets) for x in cs}
+
+
 def quotient_group(g: FiniteGroup, normal_elements: Iterable[int], label: Optional[str] = None) -> tuple[FiniteGroup, GroupHom]:
     """Quotient by a normal subgroup; cosets ordered by minimal element."""
     nset = sorted(set(normal_elements))
-    sub = subgroup_from_elements(g, nset)  # validates closure
+    cosets, coset_of = left_cosets(g, nset)  # validates closure
     if not is_normal(g, nset):
         raise InputError("subgroup is not normal")
-    coset_of: dict[int, int] = {}
-    cosets: list[tuple[int, ...]] = []
-    for x in g.elements():
-        if x in coset_of:
-            continue
-        cs = tuple(sorted(g.mul[x][h] for h in sub.embed))
-        for y in cs:
-            coset_of[y] = len(cosets)
-        cosets.append(cs)
-    order = [c[0] for c in cosets]
-    rank = {min_elt: i for i, min_elt in enumerate(sorted(order))}
-    remap = {old: rank[c[0]] for old, c in enumerate(cosets)}
-    coset_of = {x: remap[i] for x, i in coset_of.items()}
-    reps = [0] * len(cosets)
-    for x in sorted(g.elements(), reverse=True):
-        reps[coset_of[x]] = x  # lowest x wins after the reverse sweep
-    k = len(cosets)
-    mul = tuple(tuple(coset_of[g.mul[reps[a]][reps[b]]] for b in range(k)) for a in range(k))
-    inv = tuple(coset_of[g.inv[reps[a]]] for a in range(k))
-    q = FiniteGroup(k, mul, inv, label=label)
+    reps = [cs[0] for cs in cosets]
+    mul = tuple(tuple(coset_of[g.mul[a][b]] for b in reps) for a in reps)
+    inv = tuple(coset_of[g.inv[a]] for a in reps)
+    q = FiniteGroup(len(cosets), mul, inv, label=label)
     proj = GroupHom(g, q, tuple(coset_of[x] for x in g.elements()))
     return q, proj
 

@@ -246,7 +246,6 @@ class Pi1Presentation:
     """
 
     nerve: Nerve
-    basepoint: int
     tree_edges: tuple[Simplex, ...]
     generators: tuple[Simplex, ...]
 
@@ -306,15 +305,14 @@ def evaluate_word(group: FiniteGroup, assignment: Sequence[int], word: Word) -> 
     return acc
 
 
-def pi1(nerve: Nerve, basepoint: int = 0) -> Pi1Presentation:
+def pi1(nerve: Nerve) -> Pi1Presentation:
+    """The presentation on the spanning tree rooted at vertex 0."""
     if not nerve.is_connected():
         raise Disconnected(message="fundamental group requires a connected nerve")
-    if not 0 <= basepoint < nerve.n_vertices:
-        raise InputError("basepoint out of range")
     _, tree = nerve.spanning_forest()
     tree_set = set(tree)
     gens = tuple(e for e in nerve.edges if e not in tree_set)
-    return Pi1Presentation(nerve, basepoint, tuple(tree), gens)
+    return Pi1Presentation(nerve, tuple(tree), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,7 @@ def tree_monodromy(pres: Pi1Presentation, gamma: FiniteGroup, value: Callable[[i
     return make_monodromy(gamma, pres, assignment)
 
 
-def monodromy(descent: CoverDescent, basepoint: int = 0) -> MonodromyRep:
+def monodromy(descent: CoverDescent) -> MonodromyRep:
     """Monodromy of a cover: transitions read along the spanning tree.
 
     The section is gauge-normalized along the BFS tree so tree edges carry
@@ -522,7 +520,7 @@ def monodromy(descent: CoverDescent, basepoint: int = 0) -> MonodromyRep:
     y = descent.downstairs
     if not y.is_connected():
         raise Disconnected(message="monodromy requires a connected base")
-    return tree_monodromy(pi1(y, basepoint), descent.upstairs.gamma, descent.transition)
+    return tree_monodromy(pi1(y), descent.upstairs.gamma, descent.transition)
 
 
 def equivariant_isomorphism(a: GammaNerve, b: GammaNerve) -> Optional[tuple[int, ...]]:

@@ -200,7 +200,7 @@ def test_criterion_5_roundtrips():
             if h1.class_of(ascend(down, h1.system)) != cid:
                 ok = False
             gx = to_ghat_cocycle(down, prod)
-            _, mono = induced_gamma_class(gx)
+            mono = induced_gamma_class(gx)
             if mono.canonical != target:
                 ok = False
         # base-side round trip on tree-normalized candidates

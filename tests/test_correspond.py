@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import twistcech.correspond as correspond
 from twistcech.cech import gauge, h1_reduced, h1_twisted, make_cocycle, system_from_data
 from twistcech.correspond import (
     GhatCocycleY,
@@ -16,18 +17,17 @@ from twistcech.correspond import (
     ghat_cocycle,
     grothendieck_fiber,
     induced_gamma_class,
-    monodromy_of_plain_cocycle,
     normalizer_embedding_check,
     plain_cocycle,
     plain_h1,
     plain_system,
     to_ghat_cocycle,
 )
-from twistcech.errors import CarrierMismatch, InputError, NotFree
+from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, NotFree
 from twistcech.extensions import build_twisted_product, make_twisted_data, trivial_action
 from twistcech.fixtures import c_q_data, default_grid, gamma_nerve, group, inversion_action, nerve
 from twistcech.groups import conjugacy_classes
-from twistcech.nerves import monodromy, quotient
+from twistcech.nerves import build_cover, make_monodromy, monodromy, pi1, quotient, tree_monodromy, validate_nerve
 
 C2, C4 = group("C2"), group("C4")
 S3, D4, Q8 = group("S3"), group("D4"), group("Q8")
@@ -56,7 +56,7 @@ def test_plain_h1_matches_monodromy_classes():
     seen = set()
     for cid in range(len(h1)):
         rep = h1.representative(cid)
-        mono = monodromy_of_plain_cocycle(Y_TRI, D4, rep)
+        mono = tree_monodromy(pi1(Y_TRI), D4, rep.edge_value)
         seen.add(mono.canonical)
     assert len(seen) == len(h1)
 
@@ -72,7 +72,7 @@ def test_transition_cocycle_monodromy_matches_cover_monodromy():
             continue
         gamma = inst.space.gamma
         transitions = plain_cocycle(plain_system(y, gamma), [desc.transition(i, j) for (i, j) in y.edges])
-        plain = monodromy_of_plain_cocycle(y, gamma, transitions)
+        plain = tree_monodromy(pi1(y), gamma, transitions.edge_value)
         cover = monodromy(desc)
         assert plain.assignment == cover.assignment, inst.name
         assert plain.canonical == cover.canonical, inst.name
@@ -84,8 +84,8 @@ def test_induced_gamma_class_trivial_for_kernel_values():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [prod.embed_g.map[1], prod.embed_g.map[2], 0]
     x = ghat_cocycle(prod, Y_TRI, vals)
-    gcoc, mono = induced_gamma_class(x)
-    assert all(v == 0 for v in gcoc.a)
+    mono = induced_gamma_class(x)
+    assert all(v == 0 for v in mono.assignment)
     assert mono.image == (0,)
 
 
@@ -93,7 +93,7 @@ def test_induced_gamma_class_reflection_edge():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [0, 0, prod.pair_index(0, 1)]
     x = ghat_cocycle(prod, Y_TRI, vals)
-    _, mono = induced_gamma_class(x)
+    mono = induced_gamma_class(x)
     assert mono.canonical == monodromy(DESC).canonical
 
 
@@ -101,12 +101,12 @@ def test_projection_constant_on_gauge_orbits():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [0, 0, prod.pair_index(1, 1)]
     x = ghat_cocycle(prod, Y_TRI, vals)
-    base = induced_gamma_class(x)[1].canonical
+    base = induced_gamma_class(x).canonical
     for g1 in prod.group.elements():
         for g2 in prod.group.elements():
             h = (g1, g2, 0)
             moved = gauge(x.cocycle, h)
-            assert induced_gamma_class(GhatCocycleY(prod, moved))[1].canonical == base
+            assert induced_gamma_class(GhatCocycleY(prod, moved)).canonical == base
 
 
 def test_descend_ascend_roundtrip_on_classes():
@@ -244,7 +244,7 @@ def test_to_ghat_roundtrip_and_cover_class():
             x = h1.representative(cid)
             down = descend(x, desc)
             gx = to_ghat_cocycle(down, prod)
-            _, mono = induced_gamma_class(gx)
+            mono = induced_gamma_class(gx)
             assert mono.canonical == target
             back = from_ghat_cocycle(gx, desc)
             assert back.values == down.values
@@ -330,18 +330,75 @@ def test_fibers_reject_an_h1_set_of_another_nerve_or_group():
 
 
 def test_grothendieck_fiber_matches():
+    # from every base class of the fibre, on every free grid row, the
+    # conjugation-twisted classes land on exactly the fibre's classes
+    rows = 0
     for inst in c2_grid():
         desc = quotient(inst.space)
         prod = build_twisted_product(inst.data)
         ph1 = plain_h1(desc.downstairs, prod.group)
-        fib = fiber_over_cover(desc, prod, ph1)
-        if not fib:
-            continue
-        counts = set()
-        for cid, _ in fib:
+        fib = [cid for cid, _ in fiber_over_cover(desc, prod, ph1)]
+        for cid in fib:
             base = GhatCocycleY(prod, ph1.representative(cid))
-            counts.add(len(grothendieck_fiber(base, desc, ph1)))
-        assert counts == {len(fib)}
+            assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == fib, inst.name
+        rows += bool(fib)
+    assert rows == len(c2_grid()) == 22
+
+
+def test_grothendieck_fiber_where_a_triangle_binds_two_free_edges():
+    # a filled triangle 123 joined to vertex 0 by three tree edges: its law
+    # ties the free edges through Ad(g0), which for S3 and Q8 coefficients
+    # differs from Ad(g0)^-1
+    y = validate_nerve(4, [(0, 1), (0, 2), (0, 3), (1, 2, 3)])
+    pres = pi1(y)
+    assert pres.generators == ((1, 2), (1, 3), (2, 3))
+    cover, desc = build_cover(y, make_monodromy(C2, pres, (1, 1, 0)))
+    for g, size in ((S3, 11), (Q8, 28)):
+        data = make_twisted_data(trivial_action(C2, g))
+        prod = build_twisted_product(data)
+        ph1 = plain_h1(y, prod.group)
+        fib = [cid for cid, _ in fiber_over_cover(desc, prod, ph1)]
+        assert len(fib) == len(h1_reduced(h1_twisted(system_from_data(cover, data)))) == size
+        for cid in fib:
+            base = GhatCocycleY(prod, ph1.representative(cid))
+            assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == fib
+
+
+def test_grothendieck_fiber_budget_counts_the_candidates_walked(monkeypatch):
+    # one edge of the hollow triangle is off the tree, so C4 coefficients
+    # give 4 candidates, and with no triangle to check each one is a cocycle
+    prod = build_twisted_product(make_twisted_data(INV))
+    ph1 = plain_h1(DESC.downstairs, prod.group)
+    base = GhatCocycleY(prod, ph1.representative(fiber_over_cover(DESC, prod, ph1)[0][0]))
+    walked = []
+    inner = correspond.plain_cocycle
+    monkeypatch.setattr(correspond, "plain_cocycle", lambda *args: walked.append(1) or inner(*args))
+    assert len(grothendieck_fiber(base, DESC, ph1, budget=4)) == 2
+    assert len(walked) == 4
+    with pytest.raises(BudgetExceeded):
+        grothendieck_fiber(base, DESC, ph1, budget=3)
+
+
+def test_induced_gamma_class_matches_the_gamma_system_oracle():
+    # oracle: validate the projected values as a cocycle of the plain
+    # quotient-group system and read that cocycle's monodromy
+    for inst in c2_grid():
+        desc = quotient(inst.space)
+        y = desc.downstairs
+        prod = build_twisted_product(inst.data)
+        gamma = prod.data.gamma
+        gamma_system = plain_system(y, gamma)
+        ph1 = plain_h1(y, prod.group)
+        for cid in range(len(ph1)):
+            x = GhatCocycleY(prod, ph1.representative(cid))
+            gcoc = plain_cocycle(gamma_system, [prod.proj.map[v] for v in x.cocycle.a])
+            oracle = tree_monodromy(pi1(y), gamma, gcoc.edge_value)
+            mono = induced_gamma_class(x)
+            assert (mono.assignment, mono.image, mono.canonical) == (
+                oracle.assignment,
+                oracle.image,
+                oracle.canonical,
+            ), (inst.name, cid)
 
 
 def test_grothendieck_trivial_cover_degenerates():
@@ -364,7 +421,7 @@ def test_connected_reduction_cases():
     ph1 = plain_h1(Y_TRI, prod.group)
     for cid in range(len(ph1)):
         x = GhatCocycleY(prod, ph1.representative(cid))
-        _, mono = induced_gamma_class(x)
+        mono = induced_gamma_class(x)
         red = connected_reduction(x)
         assert red.monodromy_group == mono.image
         if mono.image == (0,):

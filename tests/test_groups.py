@@ -14,6 +14,8 @@ from twistcech.groups import (
     direct_product,
     find_isomorphism,
     inner_automorphisms,
+    is_normal,
+    left_cosets,
     orbit_closures,
     outer_classes,
     quotient_group,
@@ -162,6 +164,25 @@ def test_quotient_group():
     for a in Q8.elements():
         for b in Q8.elements():
             assert proj.map[Q8.mul[a][b]] == q.mul[proj.map[a]][proj.map[b]]
+
+
+def test_left_cosets_and_quotients_against_brute_force():
+    # every subgroup generated by two elements of a catalogue group
+    normal = 0
+    for g in ALL:
+        for h in sorted({g.closure(pair) for pair in itertools.combinations(g.elements(), 2)}):
+            cosets, coset_of = left_cosets(g, h)
+            # disjoint sorted cosets sort as tuples exactly by minimal element
+            assert cosets == sorted({tuple(sorted(g.mul[x][y] for y in h)) for x in g.elements()})
+            assert coset_of == {x: i for i, cs in enumerate(cosets) for x in cs}
+            if is_normal(g, h):
+                normal += 1
+                q, proj = quotient_group(g, h)
+                assert proj.map == tuple(coset_of[x] for x in g.elements())
+                for a in g.elements():
+                    for b in g.elements():
+                        assert proj.map[g.mul[a][b]] == q.mul[proj.map[a]][proj.map[b]]
+    assert normal > len(ALL)
 
 
 def test_direct_product_structure():

@@ -10,7 +10,7 @@ nonsplit central extension of the symmetric group by the order-2 group.
 
 import pytest
 
-from twistcech.cech import h1_reduced, h1_twisted, system_from_data
+from twistcech.cech import gauge, h1_reduced, h1_twisted, system_from_data
 from twistcech.correspond import (
     GhatCocycleY,
     ascend,
@@ -18,7 +18,9 @@ from twistcech.correspond import (
     fiber_over_cover,
     grothendieck_fiber,
     induced_gamma_class,
+    plain_cocycle,
     plain_h1,
+    plain_system,
     to_ghat_cocycle,
 )
 from twistcech.errors import BudgetExceeded
@@ -33,7 +35,7 @@ from twistcech.extensions import (
 )
 from twistcech.fixtures import group
 from twistcech.groups import center, find_isomorphism, validate_group
-from twistcech.nerves import build_cover, make_monodromy, monodromy, pi1, quotient, validate_nerve
+from twistcech.nerves import build_cover, make_monodromy, monodromy, pi1, quotient, tree_monodromy, validate_nerve
 
 S3 = group("S3")
 
@@ -102,6 +104,8 @@ def s3_cover():
 def test_nonabelian_gamma_correspondence():
     cover, descent, rep = s3_cover()
     data_triv, data_dic = s3_twists()
+    y = descent.downstairs
+    gamma_system = plain_system(y, S3)
     for data in (data_triv, data_dic):
         system = system_from_data(cover, data)
         h1 = h1_twisted(system)
@@ -111,17 +115,25 @@ def test_nonabelian_gamma_correspondence():
         ph1 = plain_h1(descent.downstairs, prod.group)
         fib = fiber_over_cover(descent, prod, ph1)
         assert len(fib) == len(h1r)
-        # the monodromy is all of S3, so only the identity is a covering
-        # transformation and the conjugation classes are the fibre itself
-        assert len(grothendieck_fiber(GhatCocycleY(prod, ph1.representative(fib[0][0])), descent, ph1)) == len(fib)
+        # from every base class, the conjugation classes land on the fibre
+        for cid, _ in fib:
+            reps = grothendieck_fiber(GhatCocycleY(prod, ph1.representative(cid)), descent, ph1)
+            assert [ph1.class_of(r) for r in reps] == [c for c, _ in fib]
+        # a gauge off the tree frame, so that tree edges carry quotient
+        # values that are not their own inverses
+        frame = [prod.pair_index(0, v % S3.order) for v in range(y.n_vertices)]
         images = set()
         for cid in range(len(h1)):
             x = h1.representative(cid)
             down = descend(x, descent)
             assert h1.class_of(ascend(down, h1.system)) == cid
             gx = to_ghat_cocycle(down, prod)
-            _, mono = induced_gamma_class(gx)
-            assert mono.canonical == rep.canonical
+            for z in (gx.cocycle, gauge(gx.cocycle, frame)):
+                mono = induced_gamma_class(GhatCocycleY(prod, z))
+                assert mono.canonical == rep.canonical
+                # the projection's oracle: a validated quotient-group cocycle
+                gcoc = plain_cocycle(gamma_system, [prod.proj.map[v] for v in z.a])
+                assert mono.assignment == tree_monodromy(pi1(y), S3, gcoc.edge_value).assignment
             images.add(ph1.class_of(gx.cocycle))
         assert images == {cid for cid, _ in fib}
 
