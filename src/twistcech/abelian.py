@@ -7,8 +7,8 @@ elements, canonical coset representatives -- is read off one Howell form
 over Z/N, N the lcm of the moduli (J. A. Howell, "Spans in the module
 (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear algebra
 modulo N", 1998).  A homomorphism keeps the Howell form of its graph, from
-which its kernel and every solve are read.  Entries stay reduced, so they
-never grow.
+which its kernel, image and every solve are read.  Entries stay reduced, so
+they never grow.
 
 ``smith_normal_form`` over the integers stays only as the reference the
 tests compare subgroup orders against; no computation here calls it, and
@@ -338,6 +338,17 @@ def kernel(hom: ZHom) -> Echelon:
     return Echelon(hom.mods_in, tuple((j - m, h, vec[m:]) for j, h, vec in hom.echelon.rows if j >= m))
 
 
+def image(hom: ZHom) -> Echelon:
+    """im f: the graph rows whose pivot is an output column, cut to the outputs.
+
+    An image element vanishing before column k lifts to a graph element
+    vanishing before column k, which the rows with pivot >= k span; so the
+    cut rows are a Howell form of the image.
+    """
+    m = len(hom.mods_out)
+    return Echelon(hom.mods_out, tuple((j, h, vec[:m]) for j, h, vec in hom.echelon.rows if j < m))
+
+
 def solve(hom: ZHom, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     """A particular solution of hom(x) == target, or None.
 
@@ -350,3 +361,25 @@ def solve(hom: ZHom, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     if any(rep[:m]):
         return None
     return tuple(-x % d for x, d in zip(rep[m:], hom.mods_in))
+
+
+@dataclass
+class AbelianComplex:
+    """d1 and d2 as integer matrices on one coordinate system; Z^2 and B^2 are read off their graphs."""
+
+    coords: AbelianCoords
+    d1_hom: ZHom
+    d2_hom: ZHom
+
+    def in_kernel_d2(self, vec: Sequence[int]) -> bool:
+        return all(x == 0 for x in self.d2_hom.apply(vec))
+
+    @cached_property
+    def cocycles(self) -> Echelon:
+        """Z^2, the kernel of d2."""
+        return kernel(self.d2_hom)
+
+    @cached_property
+    def coboundaries(self) -> Echelon:
+        """B^2, the image of d1; ``reduce`` gives each coset's least element, its label."""
+        return image(self.d1_hom)

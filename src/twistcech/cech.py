@@ -18,8 +18,8 @@ transformations.
 All enumeration is exact: a spanning forest normalizes the edge part, the
 remaining freedom is finite and walked completely, and abelian-coefficient
 questions (second cohomology, coboundary maps) are answered by the Howell
-forms over Z/N of the abelian module: kernels of d2, the image B^2 of d1
-and its coset labels, and solves of d1.
+forms over Z/N of the graphs of d1 and d2: the kernel Z^2 of d2, the image
+B^2 of d1, whose coset labels name the classes, and solves of d1.
 
 An abelian cochain is a flat list of coefficient values in one slot order:
 
@@ -42,13 +42,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     DEFAULT_COORD_GUARD,
+    AbelianComplex,
     AbelianCoords,
-    Echelon,
     ZHom,
     abelian_coordinates,
-    echelon,
     hom_from_columns,
-    kernel,
     solve,
 )
 from .actions import TwistedGSet, convert_side, homogeneous_space
@@ -785,30 +783,14 @@ def d2(system: CechSystem, values: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass
-class AbelianComplex:
-    """Integer-matrix forms of d1 and d2 over abelian coefficients.
-
-    Vectors are ``cochain_vector``s of flat cochains in the slot order of
-    the module docstring.  Each map keeps the Howell form of its graph on
-    first use: ``kernel(d2_hom)`` is Z^2 and ``solve(d1_hom, ...)`` reads it.
-    """
-
-    coords: AbelianCoords
-    d1_hom: ZHom
-    d2_hom: ZHom
-
-    def in_kernel_d2(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.d2_hom.apply(vec))
-
-
 def abelian_complex(system: CechSystem) -> AbelianComplex:
     """Assemble d1 and d2 as integer matrices by probing unit cochains.
 
     Both maps are homomorphisms for abelian coefficients, so the columns at
-    the coordinate unit vectors determine them.  ``d1`` reads no twist, so
-    it is probed on the system itself.  Refuses when the 2-cochains outgrow
-    the exact-linear-algebra guard.
+    the coordinate unit vectors determine them; vectors are
+    ``cochain_vector``s of flat cochains in the slot order of the module
+    docstring.  ``d1`` reads no twist, so it is probed on the system itself.
+    Refuses when the 2-cochains outgrow the exact-linear-algebra guard.
     """
     if not system.coeff.is_abelian():
         raise InputError("abelian machinery requires abelian coefficients")
@@ -827,36 +809,6 @@ def abelian_complex(system: CechSystem) -> AbelianComplex:
     d1_cols = columns(sizes[0], lambda values: _d1_values(system, *_pair_of(system, values)))
     d2_cols = columns(sizes[1], lambda values: d2(system, values))
     return AbelianComplex(co, hom_from_columns(d1_cols, mods1, mods2), hom_from_columns(d2_cols, mods2, mods3))
-
-
-@dataclass
-class H2Classes:
-    """Second cohomology: kernel of d2 modulo the image of abelian d1."""
-
-    complex: AbelianComplex
-    labels: Echelon  # B^2; its reduce labels the cosets
-    size: int
-    kernel: dict  # every vector of ker d2, in sorted order, to its coset label
-    reps: list
-
-
-def h2_classes(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> H2Classes:
-    cx = abelian_complex(system)
-    labels = h2_coset_labels(cx)
-    ker = kernel(cx.d2_hom)
-    # both orders are products over the Howell pivots, known before listing
-    size = ker.size // labels.size
-    if ker.size > budget:
-        raise BudgetExceeded(f"kernel of d2 has {ker.size} elements, budget {budget}")
-    kernel_labels = {vec: labels.reduce(vec) for vec in sorted(ker.elements())}
-    classes: dict[tuple, tuple] = {}
-    # vectors come sorted, so the first met of each label is its minimum
-    for vec, lab in kernel_labels.items():
-        classes.setdefault(lab, vec)
-    reps = sorted(classes.values())
-    if len(reps) != size:
-        raise InternalError(f"H2 class count mismatch: listed {len(reps)}, index formula {size}")
-    return H2Classes(cx, labels, size, kernel_labels, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -925,10 +877,6 @@ class CoefficientLadder:
     @cached_property
     def cx(self) -> AbelianComplex:
         return abelian_complex(self.sys_z)
-
-    @cached_property
-    def labels(self) -> Echelon:
-        return h2_coset_labels(self.cx)
 
     @cached_property
     def target(self) -> tuple[int, ...]:
@@ -1071,20 +1019,14 @@ def delta_h1_vector(
     return vec
 
 
-def h2_coset_labels(cx: AbelianComplex) -> Echelon:
-    """The Howell form of B^2 over the centre; its ``reduce`` labels second-cohomology classes."""
-    b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
-    return echelon(cx.d2_hom.mods_in, b_cols)
-
-
-def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle) -> tuple:
+def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle, **lift) -> tuple:
     """Second-cohomology class of the obstruction of a quotient-valued cocycle.
 
-    Returned as the stable coset label of the lifted obstruction; lift and
-    representative independence are theorems, exercised by the sequence
-    verifier.
+    Returned as the B^2 label of the lifted obstruction, ``lift`` passed to
+    ``delta_h1_vector``; lift and representative independence are theorems,
+    exercised by the sequence verifier.
     """
-    return ladder.labels.reduce(delta_h1_vector(ladder, x))
+    return ladder.cx.coboundaries.reduce(delta_h1_vector(ladder, x, **lift))
 
 
 @dataclass
@@ -1205,18 +1147,12 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
 
     node("h1(G): fibres over H1(G/Z) are H1(Z)-orbits", node_a6)
 
-    target = ladder.target
-    labels = ladder.labels
+    target_label = ladder.cx.coboundaries.reduce(ladder.target)
 
     def node_a7() -> tuple[bool, dict]:
         # delta^-1 of the twist class equals the image of twisted H1(G);
         # with a trivial twist this is exactness at H1(G/Z)
-        target_label = labels.reduce(target)
-        preimage = set()
-        for cid in range(len(h1q)):
-            vec = delta_h1_vector(ladder, h1q.representative(cid), flip=flip)
-            if labels.reduce(vec) == target_label:
-                preimage.add(cid)
+        preimage = {c for c in range(len(h1q)) if delta_h1(ladder, h1q.representative(c), flip=flip) == target_label}
         h1c = ladder.h1c
         image = {h1q.class_of(project_g_cocycle(ladder, h1c.representative(cid))) for cid in range(len(h1c))}
         return preimage == image, {
@@ -1230,9 +1166,8 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     def node_lift() -> tuple[bool, dict]:
         alt = _alternative_lift(ladder)
         for cid in range(len(h1q)):
-            vec1 = delta_h1_vector(ladder, h1q.representative(cid))
-            vec2 = delta_h1_vector(ladder, h1q.representative(cid), lift_choice=alt)
-            if labels.reduce(vec1) != labels.reduce(vec2):
+            x = h1q.representative(cid)
+            if delta_h1(ladder, x) != delta_h1(ladder, x, lift_choice=alt):
                 return False, {"witness": cid}
         return True, {}
 
@@ -1259,24 +1194,26 @@ class ExistenceResult:
 def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
     """Nonemptiness of the ladder's twisted H^1 via the last coboundary map.
 
-    The twisted set is nonempty exactly when the twist 2-cochain is the
-    obstruction of some quotient-valued class; a witness cocycle is then
-    assembled from the matching lift.
+    The twisted set is nonempty exactly when the twist 2-cochain has the B^2
+    label of some quotient-valued class's obstruction; a witness cocycle is
+    then assembled from the first matching lift and a solve of d1.
     """
-    cx = ladder.cx
-    target = ladder.target
+    cx, target = ladder.cx, ladder.target
+    target_label = cx.coboundaries.reduce(target)
     h1q = ladder.h1q
     n_slots = _cochain_sizes(ladder.sys_z)[0]
     g = ladder.data.g
     emb = ladder.zsub.embed
     for cid in range(len(h1q)):
         x = h1q.representative(cid)
-        a, phi = _lift_pair(ladder, x)
         vec = delta_h1_vector(ladder, x)
+        if cx.coboundaries.reduce(vec) != target_label:
+            continue
         diff = tuple((a_ - b_) % m for a_, b_, m in zip(vec, target, cx.d1_hom.mods_out))
         correction = solve(cx.d1_hom, diff)
         if correction is None:
-            continue
+            raise InternalError("obstruction shares the twist's B^2 label but differs from it by no coboundary")
+        a, phi = _lift_pair(ladder, x)
         za, zphi = _pair_of(ladder.sys_z, cochain_values(cx.coords, correction, n_slots))
         wa = tuple(g.mul[av][g.inv[emb[zv]]] for av, zv in zip(a, za))
         wphi = tuple(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .abelian import DEFAULT_COORD_GUARD, abelian_coordinates
+from .abelian import DEFAULT_COORD_GUARD, AbelianComplex, abelian_coordinates
 from .errors import (
     BudgetExceeded,
     CocycleNotCentral,
@@ -197,22 +197,29 @@ def multiply_cocycles(a: TwoCocycle, b: TwoCocycle) -> TwoCocycle:
 
 @dataclass
 class CocycleClassification:
-    """H^2 for a fixed action: coset representatives of Z^2 by coboundaries."""
+    """H^2 for a fixed action: the least table of each class, and the point complex that labels them."""
 
     action: GammaAction
-    cocycles: list[tuple[tuple[int, ...], ...]]
-    coboundaries: list[tuple[tuple[int, ...], ...]]
     representatives: list[tuple[tuple[int, ...], ...]]
-    _class_of: dict[tuple[tuple[int, ...], ...], int]
+    complex: AbelianComplex
 
     def __len__(self) -> int:
         return len(self.representatives)
 
     def class_of(self, cocycle: TwoCocycle | Sequence[Sequence[int]]) -> int:
-        table = cocycle.table if isinstance(cocycle, TwoCocycle) else tuple(tuple(r) for r in cocycle)
-        if table not in self._class_of:
-            raise InputError("table is not a verified 2-cocycle for this action")
-        return self._class_of[table]
+        """The index of the table's B^2 label among the representatives', once check_cocycle passes it."""
+        from .cech import cochain_vector
+
+        table = check_cocycle(self.action, cocycle.table if isinstance(cocycle, TwoCocycle) else cocycle).table
+        gamma, back = self.action.gamma, center(self.action.g).parent_to_sub
+
+        def label(c: Sequence[Sequence[int]]) -> tuple[int, ...]:
+            # the inverse of table_of: w(t1, t2) = theta_{t2 t1}^-1(c(t2, t1))
+            pairs = ((t1, t2) for t1 in gamma.elements() if t1 for t2 in gamma.elements() if t2)
+            w = [back[self.action.apply_inv(gamma.mul[t2][t1], c[t2][t1])] for t1, t2 in pairs]
+            return self.complex.coboundaries.reduce(cochain_vector(self.complex.coords, w))
+
+        return [label(rep) for rep in self.representatives].index(label(table))
 
 
 def restrict_to_subgroup(data: TwistedData, sub: Subgroup) -> Optional[TwistedData]:
@@ -244,11 +251,10 @@ def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> Coc
     with coefficients Z(G) is the normalized group complex: the (t1, t2)
     slots are the whole of its 2-cochains, the (t1, t2, t3) sites of d2 are
     the cocycle identity and the vertex part of d1 is the group coboundary.
-    So h2_classes lists Z^2 and labels its cosets of B^2, and a kernel
-    vector w is read as the table
-    c(g1, g2) = theta_{g1 g2}(w(g2, g1)), the inverse of the twist target
-    w(t, t2) = theta_{t2 t}^-1(c(t2, t)).  Every table listed still passes
-    check_cocycle.
+    So its abelian complex gives Z^2 and the B^2 labels of its cosets, and a
+    kernel vector w is read as the table c(g1, g2) = theta_{g1 g2}(w(g2, g1)),
+    the inverse of the twist target w(t, t2) = theta_{t2 t}^-1(c(t2, t)).
+    Every representative still passes check_cocycle.
 
     Representatives are the lexicographically minimal tables of each coset,
     and class ids ascend with them, so class 0 is B^2.  Refuses (rather than
@@ -256,7 +262,7 @@ def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> Coc
     coordinates, or when |Z^2| exceeds the guard.
     """
     # cech imports this module at load time
-    from .cech import cochain_values, h2_classes, system_from_data
+    from .cech import abelian_complex, cochain_values, system_from_data
 
     gamma = action.gamma
     zsub = center(action.g)
@@ -264,28 +270,27 @@ def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> Coc
     if n_out > DEFAULT_COORD_GUARD:
         raise BudgetExceeded(f"3-cochains have {n_out} coordinates, guard {DEFAULT_COORD_GUARD}")
     point = trivial_gamma_nerve(validate_nerve(1, []), gamma)
-    h2 = h2_classes(system_from_data(point, restrict_to_subgroup(make_twisted_data(action), zsub)), budget=guard)
+    cx = abelian_complex(system_from_data(point, restrict_to_subgroup(make_twisted_data(action), zsub)))
+    if cx.cocycles.size > guard:
+        raise BudgetExceeded(f"kernel of d2 has {cx.cocycles.size} elements, budget {guard}")
     pairs = [(t1, t2) for t1 in gamma.elements() if t1 for t2 in gamma.elements() if t2]
 
     def table_of(vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         table = [[0] * gamma.order for _ in gamma.elements()]
-        for (t1, t2), w in zip(pairs, cochain_values(h2.complex.coords, vec, len(pairs))):
+        for (t1, t2), w in zip(pairs, cochain_values(cx.coords, vec, len(pairs))):
             table[t2][t1] = action.apply(gamma.mul[t2][t1], zsub.embed[w])
         return tuple(tuple(row) for row in table)
 
-    cocycles = sorted((check_cocycle(action, table_of(vec)).table, label) for vec, label in h2.kernel.items())
-    reps: list[tuple[tuple[int, ...], ...]] = []
-    class_of: dict[tuple[tuple[int, ...], ...], int] = {}
-    ids: dict[tuple[int, ...], int] = {}
-    # the first table met of each coset is its minimum, so class ids ascend
-    # with representatives
-    for table, label in cocycles:
-        if label not in ids:
-            ids[label] = len(reps)
-            reps.append(table)
-        class_of[table] = ids[label]
-    tables = [table for table, _ in cocycles]
-    return CocycleClassification(action, tables, [t for t in tables if class_of[t] == 0], reps, class_of)
+    least: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    for vec in cx.cocycles.elements():
+        label, table = cx.coboundaries.reduce(vec), table_of(vec)
+        least[label] = min(table, least.get(label, table))
+    # both orders are products over the Howell pivots, known before listing
+    order = cx.cocycles.size // cx.coboundaries.size
+    if len(least) != order:
+        raise InternalError(f"H2 class count mismatch: listed {len(least)}, index formula {order}")
+    reps = [check_cocycle(action, table).table for table in sorted(least.values())]
+    return CocycleClassification(action, reps, cx)
 
 
 @dataclass(frozen=True)

@@ -447,28 +447,15 @@ def outer_classes(
     order_guard: int = DEFAULT_ORDER_GUARD,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> list[list[Automorphism]]:
-    """Coset decomposition of Aut(G) by Int(G); identity coset first."""
+    """Coset decomposition of Aut(G) by Int(G), cosets ordered by their least map table.
+
+    The identity is the least automorphism, so its coset comes first.
+    """
     auts = automorphisms(g, order_guard=order_guard, budget=budget)
-    inner = {a.map for a in inner_automorphisms(g)}
-    cosets: list[list[Automorphism]] = []
-    assigned: dict[tuple[int, ...], int] = {}
-    for a in auts:
-        key = None
-        for b_map in assigned:
-            # same coset iff a . b^-1 is inner
-            b = next(x for x in auts if x.map == b_map)
-            comp = a.compose(b.inverse()).map
-            if comp in inner:
-                key = assigned[b_map]
-                break
-        if key is None:
-            assigned[a.map] = len(cosets)
-            cosets.append([a])
-        else:
-            cosets[key].append(a)
-    ident = tuple(range(g.order))
-    cosets.sort(key=lambda c: (c[0].map != ident, c[0].map))
-    return cosets
+    index = {a.map: i for i, a in enumerate(auts)}
+    inner = inner_automorphisms(g)
+    orbits = orbit_closures(range(len(auts)), lambda i: (index[b.compose(auts[i]).map] for b in inner))
+    return [[auts[i] for i in orbit] for orbit in orbits]
 
 
 def find_isomorphism(

@@ -36,10 +36,26 @@ def _load_json(path: str | Path) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _field(payload: dict, key: str):
+    if not isinstance(payload, dict) or key not in payload:
+        raise InputError(f"JSON input needs an object with a {key!r} entry")
+    return payload[key]
+
+
+def _table(payload: dict, key: str) -> list[tuple[int, ...]]:
+    """A required table, each row read through ``_entry_ints``."""
+    if not isinstance(_field(payload, key), list):
+        raise InputError(f"{key!r} must be a list of rows")
+    return [_entry_ints(key, row) for row in payload[key]]
+
+
+def _group_ref(payload: dict, key: str) -> FiniteGroup:
+    ref = _field(payload, key)
+    return resolve_group(ref) if isinstance(ref, str) else group_from_dict(ref)
+
+
 def group_from_dict(payload: dict) -> FiniteGroup:
-    if "mul" not in payload:
-        raise InputError("group JSON needs a 'mul' table")
-    mul = payload["mul"]
+    mul = _table(payload, "mul")
     order = payload.get("order", len(mul))
     if order != len(mul):
         raise InputError(f"declared order {order} does not match table size {len(mul)}")
@@ -53,13 +69,12 @@ def resolve_group(ref: str) -> FiniteGroup:
 
 
 def nerve_from_dict(payload: dict) -> Nerve:
-    return validate_nerve(payload["vertices"], payload.get("simplices", []))
+    (n,) = _entry_ints("vertices", [_field(payload, "vertices")])
+    return validate_nerve(n, _table(payload, "simplices") if "simplices" in payload else [])
 
 
 def gamma_nerve_from_dict(payload: dict) -> GammaNerve:
-    nerve = nerve_from_dict(payload)
-    gamma = resolve_group(payload["gamma"]) if isinstance(payload["gamma"], str) else group_from_dict(payload["gamma"])
-    return validate_gamma_nerve(nerve, gamma, payload["act"])
+    return validate_gamma_nerve(nerve_from_dict(payload), _group_ref(payload, "gamma"), _table(payload, "act"))
 
 
 def resolve_gamma_nerve(ref: str) -> GammaNerve:
@@ -73,11 +88,9 @@ def resolve_gamma_nerve(ref: str) -> GammaNerve:
 
 
 def twisted_data_from_dict(payload: dict) -> TwistedData:
-    gamma = resolve_group(payload["gamma"]) if isinstance(payload["gamma"], str) else group_from_dict(payload["gamma"])
-    g = resolve_group(payload["g"]) if isinstance(payload["g"], str) else group_from_dict(payload["g"])
-    action = check_gamma_action(gamma, g, payload["theta"])
-    if "c" in payload and payload["c"] is not None:
-        return TwistedData(action, check_cocycle(action, payload["c"]))
+    action = check_gamma_action(_group_ref(payload, "gamma"), _group_ref(payload, "g"), _table(payload, "theta"))
+    if payload.get("c") is not None:
+        return TwistedData(action, check_cocycle(action, _table(payload, "c")))
     return make_twisted_data(action)
 
 
@@ -86,11 +99,11 @@ def resolve_twisted_data(ref: str) -> TwistedData:
 
 
 def _entry_ints(key: str, parts) -> tuple[int, ...]:
-    """The integers of one cocycle entry; anything else names its key."""
+    """The integers of one entry or table row; anything else names its key."""
     try:
         return tuple(int(x) for x in parts)
     except (TypeError, ValueError):
-        raise InputError(f"cocycle entry {key!r} is not made of integers") from None
+        raise InputError(f"entry {key!r} is not made of integers") from None
 
 
 def cocycle_from_dict(space: GammaNerve, data: TwistedData, payload: dict) -> TwistedOneCocycle:

@@ -18,6 +18,7 @@ from twistcech.abelian import (
     ZHom,
     abelian_coordinates,
     echelon,
+    image,
     kernel,
     smith_normal_form,
     solve,
@@ -239,10 +240,16 @@ def test_kernel_and_solve_match_brute_force_on_generated_maps(mods_in, mods_out,
     hom = _random_hom(rng, mods_in, mods_out)
     domain = list(_all_vectors(mods_in))
     assert sorted(kernel(hom).elements()) == sorted(v for v in domain if not any(hom.apply(v)))
-    image = {hom.apply(v) for v in domain}
+    reached = {hom.apply(v) for v in domain}
+    im = image(hom)
+    assert sorted(im.elements()) == sorted(reached)
+    columns_form = echelon(mods_out, _columns(hom))
+    for _ in range(10):
+        y = tuple(rng.randrange(m) for m in mods_out)
+        assert im.reduce(y) == columns_form.reduce(y)
     for target in _all_vectors(mods_out):
         got = solve(hom, target)
-        assert (got is not None) == (target in image)
+        assert (got is not None) == (target in reached)
         if got is not None:
             assert hom.apply(got) == target
 
@@ -257,8 +264,9 @@ def test_kernel_times_image_is_the_domain_on_large_maps(mods_in, mods_out, rng):
     # domains of up to 12^14 elements: no brute force, only the index identity
     hom = _random_hom(rng, mods_in, mods_out, spread=9)
     ker = kernel(hom)
-    image = echelon(mods_out, _columns(hom))
-    assert ker.size * image.size == math.prod(mods_in)
+    # both read off the one Howell form of the graph, then checked against the columns
+    assert ker.size * image(hom).size == math.prod(mods_in)
+    assert image(hom).size == echelon(mods_out, _columns(hom)).size
     assert all(not any(hom.apply(vec)) for _, _, vec in ker.rows)
     x = tuple(rng.randrange(m) for m in mods_in)
     got = solve(hom, hom.apply(x))
@@ -294,14 +302,14 @@ def _stacked_case():
 def test_echelon_returns_at_once_where_the_smith_form_grows(hom):
     start = time.perf_counter()
     ker = kernel(hom)
-    image = echelon(hom.mods_out, _columns(hom))
+    im = echelon(hom.mods_out, _columns(hom))
     rng = random.Random(5)
     for _ in range(20):
         x = tuple(rng.randrange(m) for m in hom.mods_in)
         got = solve(hom, hom.apply(x))
         assert got is not None and hom.apply(got) == hom.apply(x)
     assert time.perf_counter() - start < 0.5
-    assert ker.size * image.size == math.prod(hom.mods_in)
+    assert ker.size * im.size == math.prod(hom.mods_in)
     assert all(not any(hom.apply(vec)) for _, _, vec in ker.rows)
 
 

@@ -359,6 +359,28 @@ def test_serialize_names_the_key_of_malformed_cocycle_input(payload, key):
         cocycle_from_dict(gamma_nerve("X_HEX"), data, payload)
 
 
+@pytest.mark.parametrize(
+    "argv, payload, error",
+    [
+        (["group", "info", "IN"], {"mul": 5}, "'mul' must be a list of rows"),
+        (["group", "info", "IN"], {"mul": [["a"]]}, "entry 'mul' is not made of integers"),
+        (["h1", "IN", "circle/C2"], {"vertices": "x", "gamma": "C2", "act": [[0], [0]]}, "entry 'vertices'"),
+        (["h1", "X_HEX", "IN"], {"gamma": "C2", "g": "C4"}, "needs an object with a 'theta' entry"),
+        (["h1", "X_HEX", "IN"], {"gamma": "C2", "g": "C4", "theta": 3}, "'theta' must be a list of rows"),
+    ],
+    ids=["mul-not-a-table", "mul-not-integers", "vertices-not-an-integer", "theta-missing", "theta-not-a-table"],
+)
+def test_malformed_json_input_exits_2_with_an_input_check(tmp_path, capsys, argv, payload, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([str(path) if a == "IN" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    check = json.loads(captured.out)["checks"][0]
+    assert check["name"] == "input" and check["status"] == "fail" and error in check["error"]
+    assert "Traceback" not in captured.err
+
+
 def test_make_cocycle_names_an_out_of_range_slot():
     system = cech.system_from_data(
         gamma_nerve("X_HEX"), twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3]] * 2})

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,10 @@ from twistcech.errors import (
 from twistcech.cech import (
     cochain_values,
     cochain_vector,
-    h2_classes,
     system_from_data,
     twist_target,
 )
 from twistcech.extensions import (
-    CocycleClassification,
     GammaOneCochain,
     TwistedData,
     TwoCocycle,
@@ -50,6 +49,13 @@ from twistcech.nerves import trivial_gamma_nerve, validate_nerve
 C2, C4, C8 = group("C2"), group("C4"), group("C8")
 S3, D4, Q8 = group("S3"), group("D4"), group("Q8")
 INV = inversion_action(C2, C4)
+
+
+class OracleH2(NamedTuple):
+    cocycles: list  # every normalized 2-cocycle table, sorted
+    coboundaries: list
+    representatives: list  # the least table of each class
+    class_of: dict  # table -> class id, ids ascending with representatives
 
 
 def brute_force_second_cohomology(action):
@@ -84,7 +90,14 @@ def brute_force_second_cohomology(action):
         reps.append(c)
         for b in cobs:
             class_of[tuple(tuple(g.mul[c[i][j]][b[i][j]] for j in range(n)) for i in range(n))] = len(reps) - 1
-    return CocycleClassification(action, cocycles, cobs, reps, class_of)
+    return OracleH2(cocycles, cobs, reps, class_of)
+
+
+def assert_matches_oracle(h2):
+    """Equal representatives, and the class of every table of Z^2 as the oracle gives it."""
+    oracle = brute_force_second_cohomology(h2.action)
+    assert h2.representatives == oracle.representatives
+    assert all(h2.class_of(table) == oracle.class_of[table] for table in oracle.cocycles)
 
 
 # the extensions-classify benchmark actions, then smaller cases with a
@@ -142,18 +155,22 @@ def test_second_cohomology_inversion():
     h2 = second_cohomology(INV)
     assert len(h2) == 2
     assert h2.class_of(make_twisted_data(INV).cocycle) != h2.class_of(c_q_data(INV).cocycle)
-    # against the brute-force oracle: cocycles agree and coboundary cosets partition them
-    assert sorted(h2.cocycles) == sorted(brute_force_second_cohomology(INV).cocycles)
+    # against the brute-force oracle: every cocycle lands in the oracle's class
+    assert_matches_oracle(h2)
 
 
 @pytest.mark.parametrize("gamma, z, action", ORACLE_CASES)
 def test_second_cohomology_matches_full_table_walk(gamma, z, action):
-    h2 = second_cohomology(named_action(action, group(gamma), group(z)))
-    oracle = brute_force_second_cohomology(h2.action)
-    assert h2.cocycles == oracle.cocycles
-    assert h2.coboundaries == oracle.coboundaries
-    assert h2.representatives == oracle.representatives
-    assert h2._class_of == oracle._class_of
+    assert_matches_oracle(second_cohomology(named_action(action, group(gamma), group(z))))
+
+
+def test_class_of_rejects_a_table_that_is_no_cocycle():
+    h2 = second_cohomology(INV)
+    # 1 is not fixed by inversion, so c(t, t) = 1 breaks the identity at (t, t, t)
+    for cocycle in ([[0, 0], [0, 1]], TwoCocycle(INV, ((0, 0), (0, 1)))):
+        with pytest.raises(CocycleViolation) as exc:
+            h2.class_of(cocycle)
+        assert isinstance(exc.value, InputError) and exc.value.witness == (1, 1, 1)
 
 
 @pytest.mark.parametrize("gamma, z, order", [("S3", "C2", 2), ("D4", "C2", 8), ("Q8", "C2", 4), ("S3", "C3", 1)])
@@ -162,8 +179,8 @@ def test_second_cohomology_orders_match_universal_coefficients(gamma, z, order):
     # H_1 = C2, C2xC2, C2xC2, C2 and H_2 = 0, C2, 0, 0 for S3, D4, Q8, S3
     h2 = second_cohomology(trivial_action(group(gamma), group(z)))
     assert len(h2) == order
-    assert len(h2.cocycles) == order * len(h2.coboundaries)
-    assert sorted(set(h2._class_of.values())) == list(range(order))
+    assert h2.complex.cocycles.size == order * h2.complex.coboundaries.size
+    assert [h2.class_of(rep) for rep in h2.representatives] == list(range(order))
 
 
 def test_second_cohomology_guards():
@@ -185,7 +202,7 @@ def test_second_cohomology_class_invariant_under_coboundaries():
     for action in (INV, trivial_action(C2, C4), trivial_action(C2, C2)):
         h2 = second_cohomology(action)
         zelems = center(action.g).embed
-        for table in h2.cocycles:
+        for table in brute_force_second_cohomology(action).cocycles:
             base = TwoCocycle(action, table)
             cid = h2.class_of(base)
             for a_val in zelems:
@@ -201,32 +218,40 @@ def test_second_cohomology_class_invariant_under_coboundaries():
         ("C2", "Q8", "q8_swap"),
         ("C4", "C3", "trivial"),
         ("S3", "C2", "trivial"),
+        # S3 acting as Aut(C2xC2), so theta_{g1 g2} and theta_{g2 g1} differ
+        ("S3", "C2xC2", "faithful"),
     ],
 )
 def test_point_kernel_vectors_are_twist_triples(gamma, z, action):
     # second_cohomology reads c(g1, g2) = theta_{g1 g2}(w(g2, g1)) off each
     # kernel vector w of the one-vertex nerve, whose 2-cochains are just the
     # (t1, t2) slots; the twist target of the point twisted by c must give
-    # back that same w
-    act = named_action(action, group(gamma), group(z))
+    # back that same w, and class_of must read back its B^2 label
+    if action == "faithful":
+        act = next(a for a in _all_actions(gamma, z) if len({auto.map for auto in a.theta}) == group(gamma).order)
+    else:
+        act = named_action(action, group(gamma), group(z))
     zsub = center(act.g)
     point = trivial_gamma_nerve(validate_nerve(1, []), act.gamma)
-    h2 = h2_classes(system_from_data(point, restrict_to_subgroup(make_twisted_data(act), zsub)))
     classes = second_cohomology(act)
     mul = act.gamma.mul
     k = act.gamma.order - 1
-    co = h2.complex.coords
-    assert len(h2.kernel) == len(classes.cocycles)
-    for vec in h2.kernel:
-        values = cochain_values(co, vec, k * k)
+    cx = classes.complex
+    least, label_of = {}, {}
+    for vec in cx.cocycles.elements():
+        values = cochain_values(cx.coords, vec, k * k)
         w = {(t1, t2): values[(t1 - 1) * k + t2 - 1] for t1 in range(1, k + 1) for t2 in range(1, k + 1)}
         table = tuple(
             tuple(act.apply(mul[g1][g2], zsub.embed[w.get((g2, g1), 0)]) for g2 in act.gamma.elements())
             for g1 in act.gamma.elements()
         )
-        assert table in classes._class_of
         twisted = system_from_data(point, restrict_to_subgroup(TwistedData(act, TwoCocycle(act, table)), zsub))
-        assert cochain_vector(co, twist_target(twisted).values()) == vec
+        assert cochain_vector(cx.coords, twist_target(twisted).values()) == vec
+        label_of[table] = cx.coboundaries.reduce(vec)
+        least[label_of[table]] = min(table, least.get(label_of[table], table))
+    reps = sorted(least.values())
+    assert classes.representatives == reps
+    assert all(classes.class_of(table) == reps.index(least[label]) for table, label in label_of.items())
 
 
 @functools.cache
@@ -265,12 +290,7 @@ PROPERTY_PAIRS = [
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.sampled_from(PROPERTY_PAIRS).flatmap(lambda pair: st.sampled_from(_all_actions(*pair))))
 def test_second_cohomology_matches_oracle_on_generated_actions(action):
-    h2 = second_cohomology(action)
-    oracle = brute_force_second_cohomology(action)
-    assert h2.cocycles == oracle.cocycles
-    assert h2.coboundaries == oracle.coboundaries
-    assert h2.representatives == oracle.representatives
-    assert h2._class_of == oracle._class_of
+    assert_matches_oracle(second_cohomology(action))
 
 
 def test_build_twisted_product_isomorphism_types():

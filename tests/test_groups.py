@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from twistcech.errors import InputError, NoIdentity, NoInverse, NotAssociative
-from twistcech.fixtures import group
+from twistcech.fixtures import GROUPS, group
 from twistcech.groups import (
     automorphisms,
     center,
@@ -92,6 +92,34 @@ def test_automorphism_counts():
     assert len(automorphisms(S3)) == 6
     assert len(outer_classes(S3)) == 1
     assert len(automorphisms(C8)) == 4
+
+
+def _outer_classes_by_search(g):
+    """Oracle: assign each automorphism to the first coset it meets, then sort the cosets."""
+    auts = automorphisms(g)
+    inner = {a.map for a in inner_automorphisms(g)}
+    cosets = []
+    for a in auts:
+        # same coset iff a . b^-1 is inner
+        home = next((c for c in cosets if a.compose(c[0].inverse()).map in inner), None)
+        if home is None:
+            cosets.append([a])
+        else:
+            home.append(a)
+    ident = tuple(range(g.order))
+    cosets.sort(key=lambda c: (c[0].map != ident, c[0].map))
+    return [[a.map for a in c] for c in cosets]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_outer_classes_match_the_coset_search(name):
+    g = group(name)
+    got = [[a.map for a in c] for c in outer_classes(g)]
+    assert got == _outer_classes_by_search(g)
+    assert got[0][0] == tuple(range(g.order))
+    counts = {"C2xC2": 6, "Q8": 6, "C8": 4, "D4": 2, "S3": 1}
+    if name in counts:
+        assert len(got) == counts[name]
 
 
 def test_automorphisms_form_a_group():
