@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .abelian import (
     DEFAULT_COORD_GUARD,
@@ -168,21 +168,12 @@ def _compile(system: CechSystem) -> SystemTables:
     for row in act:
         images = [slot(row[u], row[v]) for (u, v) in nerve.edges]
         pull.append(tuple(images + [s + m if s < m else s - m for s in images]))
-    # parent lists each component's root, then that component's tree in BFS order
-    parent, _ = nerve.spanning_forest()
-    comp_of: dict[int, int] = {}
-    comps: list[list[int]] = []
-    forest: list[list[tuple[int, int, int]]] = []
-    for v, p in parent.items():
-        if p is None:
-            comp_of[v] = len(comps)
-            comps.append([])
-            forest.append([])
-        else:
-            comp_of[v] = comp_of[p]
-            forest[comp_of[v]].append((v, p, slot(p, v)))
-    for v in range(nerve.n_vertices):
-        comps[comp_of[v]].append(v)
+    # the forest's (parent, child) arcs come in BFS order, one component after another
+    comps, _, _, arcs = nerve._forest
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    forest: list[list[tuple[int, int, int]]] = [[] for _ in comps]
+    for p, v in arcs:
+        forest[comp_of[v]].append((v, p, slot(p, v)))
     comp_edges: list[list[int]] = [[] for _ in comps]
     for e, (u, _) in enumerate(nerve.edges):
         comp_edges[comp_of[u]].append(e)
@@ -200,7 +191,7 @@ def _compile(system: CechSystem) -> SystemTables:
         edges=nerve.edges,
         pull=tuple(pull),
         triangles=tuple((idx[(i, j)], idx[(j, x)], idx[(i, x)]) for (i, j, x) in nerve.triangles),
-        components=tuple(tuple(c) for c in comps),
+        components=comps,
         forest=tuple(tuple(f) for f in forest),
         comp_edges=tuple(tuple(c) for c in comp_edges),
         nontrivial=nontrivial,
@@ -350,6 +341,24 @@ def make_cocycle(system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[in
     return TwistedOneCocycle(system, av, pv)
 
 
+def _mapped(x: TwistedOneCocycle, table: Sequence[int] | Mapping[int, int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The pair (a, phi) of a cocycle with every value replaced by its image in ``table``."""
+    try:
+        return tuple(table[v] for v in x.a), tuple(tuple(table[v] for v in row) for row in x.phi)
+    except KeyError as exc:
+        raise InternalError(f"coefficient table does not cover the value {exc.args[0]}") from exc
+
+
+def relabel(x: TwistedOneCocycle, table: Sequence[int] | Mapping[int, int], system: CechSystem) -> TwistedOneCocycle:
+    """The cocycle of ``system`` whose values are the images of x's under ``table``.
+
+    This is the map of H^1 induced by a coefficient homomorphism: ``table``
+    (a tuple or dict) is an embedding, a projection, a lift or a subgroup's
+    ``parent_to_sub``.  The image is validated in ``system``.
+    """
+    return make_cocycle(system, *_mapped(x, table))
+
+
 def gauge(x: TwistedOneCocycle, h: Sequence[int]) -> TwistedOneCocycle:
     """Right action of a vertex function:
     (a, phi) . h == (h_i^-1 a_ij h_j, h_{i.t}^-1 phi_{t,i} theta_t^-1(h_i)).
@@ -391,11 +400,10 @@ def gauge_reduced(x: TwistedOneCocycle, h: Sequence[int], lam: int) -> TwistedOn
 
 @dataclass(frozen=True)
 class H0Group:
-    """Equivariant locally constant functions, with pointwise group law."""
+    """Equivariant locally constant functions; their group law is pointwise."""
 
     system: CechSystem
-    group: FiniteGroup
-    functions: tuple[tuple[int, ...], ...]  # element -> vertex value table
+    functions: tuple[tuple[int, ...], ...]  # vertex value tables, sorted
 
 
 def h0_twisted(system: CechSystem) -> H0Group:
@@ -404,21 +412,13 @@ def h0_twisted(system: CechSystem) -> H0Group:
     Constant gauges come in product order of their root values, which is
     also the sorted order of their value tables.
     """
-    k = system.coeff
     tab = system.tables
-    functions = [
+    functions = tuple(
         h
         for h in _constant_gauges(system)
         if all(h[w] == th[x] for act, th in zip(tab.act, tab.theta_inv) for w, x in zip(act, h))
-    ]
-    index = {f: i for i, f in enumerate(functions)}
-    n = len(functions)
-    mul = tuple(
-        tuple(index[tuple(k.mul[x][y] for x, y in zip(f, g))] for g in functions) for f in functions
     )
-    inv = tuple(index[tuple(k.inv[x] for x in f)] for f in functions)
-    grp = FiniteGroup(n, mul, inv, label=f"H0({system.coeff.label or '?'})")
-    return H0Group(system, grp, tuple(functions))
+    return H0Group(system, functions)
 
 
 # ---------------------------------------------------------------------------
@@ -835,11 +835,8 @@ class CoefficientLadder:
     zsub: Subgroup
     quotient: FiniteGroup
     proj: GroupHom
-    lift_table: tuple[int, ...]  # quotient element -> minimal lift in G
+    lift_table: tuple[int, ...]  # quotient element -> minimal lift in G; 1 lifts to 1
     budget: int  # bound on each H^1 enumeration
-
-    def lift(self, q_elem: int) -> int:
-        return self.lift_table[q_elem]
 
     @cached_property
     def sys_c(self) -> CechSystem:
@@ -921,41 +918,16 @@ def coefficient_ladder(
     q_action = check_gamma_action(data.gamma, q, q_tables)
     sys_q = CechSystem(space, q, q_action, trivial_cocycle(q_action))
 
-    lift = [None] * q.order
-    for x in g.elements():
-        img = proj.map[x]
-        if lift[img] is None:
-            lift[img] = x
-    return CoefficientLadder(space, data, sys_g, sys_z, sys_q, zsub, q, proj, tuple(lift), budget)
+    lift_table = tuple(proj.map.index(qe) for qe in q.elements())
+    return CoefficientLadder(space, data, sys_g, sys_z, sys_q, zsub, q, proj, lift_table, budget)
 
 
 def include_z_cocycle(ladder: CoefficientLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
-    emb = ladder.zsub.embed
-    a = tuple(emb[v] for v in x.a)
-    phi = tuple(tuple(emb[v] for v in row) for row in x.phi)
-    return make_cocycle(ladder.sys_g, a, phi)
+    return relabel(x, ladder.zsub.embed, ladder.sys_g)
 
 
 def project_g_cocycle(ladder: CoefficientLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
-    pr = ladder.proj.map
-    a = tuple(pr[v] for v in x.a)
-    phi = tuple(tuple(pr[v] for v in row) for row in x.phi)
-    return make_cocycle(ladder.sys_q, a, phi)
-
-
-def _lift_pair(
-    ladder: CoefficientLadder,
-    x: TwistedOneCocycle,
-    lift_choice: Optional[Callable[[int], int]] = None,
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """A coset-wise lift of a quotient-valued pair to G-valued tables.
-
-    The identity coset lifts to the identity so phi[1] stays normalized.
-    """
-    pick = lift_choice or ladder.lift
-    a = tuple(0 if v == 0 else pick(v) for v in x.a)
-    phi = tuple(tuple(0 if v == 0 else pick(v) for v in row) for row in x.phi)
-    return a, phi
+    return relabel(x, ladder.proj.map, ladder.sys_q)
 
 
 def act_h1z_by_h0q(
@@ -973,18 +945,10 @@ def act_h1z_by_h0q(
     injection for harness self-tests: it gauges by the pointwise-inverse
     lift, which is the gauge formula with its handedness swapped.
     """
-    g = ladder.data.g
-    h = tuple(ladder.lift(qbar[v]) for v in range(ladder.space.nerve.n_vertices))
+    h = tuple(ladder.lift_table[v] for v in qbar)
     if flip:
-        h = tuple(g.inv[v] for v in h)
-    moved = gauge(include_z_cocycle(ladder, x), h)
-    back = ladder.zsub.parent_to_sub
-    try:
-        az = tuple(back[v] for v in moved.a)
-        pz = tuple(tuple(back[v] for v in row) for row in moved.phi)
-    except KeyError as exc:
-        raise InternalError("gauged centre-valued pair left the centre") from exc
-    return make_cocycle(ladder.sys_z, az, pz)
+        h = tuple(ladder.data.g.inv[v] for v in h)
+    return relabel(gauge(include_z_cocycle(ladder, x), h), ladder.zsub.parent_to_sub, ladder.sys_z)
 
 
 def delta_h0(ladder: CoefficientLadder, qbar: Sequence[int], *, flip: bool = False) -> TwistedOneCocycle:
@@ -1001,11 +965,15 @@ def delta_h1_vector(
     ladder: CoefficientLadder,
     x: TwistedOneCocycle,
     *,
-    lift_choice: Optional[Callable[[int], int]] = None,
+    lift: Sequence[int] | Mapping[int, int] | None = None,
     flip: bool = False,
 ) -> tuple[int, ...]:
-    """d1 of a G-valued lift of a quotient cocycle, as a centre 2-cochain vector."""
-    a, phi = _lift_pair(ladder, x, lift_choice)
+    """d1 of a G-valued lift of a quotient cocycle, as a centre 2-cochain vector.
+
+    ``lift`` is a table from quotient to G elements that sends 1 to 1, so
+    phi[1] stays normalized; the ladder's ``lift_table`` by default.
+    """
+    a, phi = _mapped(x, lift or ladder.lift_table)
     if flip:
         a = tuple(ladder.data.g.inv[v] for v in a)
     back = ladder.zsub.parent_to_sub
@@ -1167,7 +1135,7 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
         alt = _alternative_lift(ladder)
         for cid in range(len(h1q)):
             x = h1q.representative(cid)
-            if delta_h1(ladder, x) != delta_h1(ladder, x, lift_choice=alt):
+            if delta_h1(ladder, x) != delta_h1(ladder, x, lift=alt):
                 return False, {"witness": cid}
         return True, {}
 
@@ -1175,13 +1143,13 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     return report
 
 
-def _alternative_lift(ladder: CoefficientLadder) -> Callable[[int], int]:
+def _alternative_lift(ladder: CoefficientLadder) -> list[int]:
     table = list(ladder.lift_table)
     for q_elem in range(1, ladder.quotient.order):
         others = [x for x in ladder.data.g.elements() if ladder.proj.map[x] == q_elem and x != table[q_elem]]
         if others:
             table[q_elem] = others[0]
-    return lambda q_elem: table[q_elem]
+    return table
 
 
 @dataclass
@@ -1213,7 +1181,7 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
         correction = solve(cx.d1_hom, diff)
         if correction is None:
             raise InternalError("obstruction shares the twist's B^2 label but differs from it by no coboundary")
-        a, phi = _lift_pair(ladder, x)
+        a, phi = _mapped(x, ladder.lift_table)
         za, zphi = _pair_of(ladder.sys_z, cochain_values(cx.coords, correction, n_slots))
         wa = tuple(g.mul[av][g.inv[emb[zv]]] for av, zv in zip(a, za))
         wphi = tuple(
@@ -1255,10 +1223,7 @@ def map_coefficients(
             row.append(val)
         pushed.append(tuple(row))
     new_twist = check_cocycle(target_action, tuple(pushed))
-    new_system = CechSystem(system.space, target, target_action, new_twist)
-    a = tuple(psi.map[v] for v in x.a)
-    phi = tuple(tuple(psi.map[v] for v in row) for row in x.phi)
-    return make_cocycle(new_system, a, phi)
+    return relabel(x, psi.map, CechSystem(system.space, target, target_action, new_twist))
 
 
 def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[int, ...]]:
@@ -1333,13 +1298,7 @@ def reductions_to_subgroup(
     out = []
     for sec in sections:
         lift = tuple(cosets[ci][0] for ci in sec)
-        moved = gauge(e, lift)
-        try:
-            wa = tuple(sub.parent_to_sub[v] for v in moved.a)
-            wphi = tuple(tuple(sub.parent_to_sub[v] for v in row) for row in moved.phi)
-        except KeyError as exc:
-            raise InternalError("section gauge failed to land in the subgroup") from exc
-        out.append(Reduction(sec, lift, make_cocycle(sub_system, wa, wphi)))
+        out.append(Reduction(sec, lift, relabel(gauge(e, lift), sub.parent_to_sub, sub_system)))
     return out
 
 

@@ -28,6 +28,7 @@ from .cech import (
     gauge,
     h1_twisted,
     make_cocycle,
+    relabel,
     system_from_data,
 )
 from .errors import (
@@ -414,13 +415,8 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     gauged = ghat_cocycle(prod, y, gauge(x.cocycle, [prod.section[t] for t in lam]).a)
 
     sub_prod, incl = restrict_product(prod.data, gprime)
-    back = {incl.map[a]: a for a in sub_prod.group.elements()}
-    sub_vals = []
-    for v in gauged.cocycle.a:
-        if v not in back:
-            raise InternalError("gauged cocycle has values outside the monodromy product")
-        sub_vals.append(back[v])
-    reduced = ghat_cocycle(sub_prod, y, sub_vals)
+    back = {b: a for a, b in enumerate(incl.map)}
+    reduced = GhatCocycleY(sub_prod, relabel(gauged.cocycle, back, plain_system(y, sub_prod.group)))
     return ConnectedReduction(gprime, sub_prod, incl, reduced, gauged)
 
 
@@ -465,23 +461,14 @@ def normalizer_embedding_check(
             full.append(cid)
 
     h1_big = plain_h1(y, big.group, budget=budget)
-    ext_of = {}
-    for cid in full:
-        rep = h1_small.representative(cid)
-        vals = tuple(incl.map[v] for v in rep.a)
-        ext_of[cid] = h1_big.class_of(plain_cocycle(h1_big.system, vals))
+    extended = {cid: relabel(h1_small.representative(cid), incl.map, h1_big.system) for cid in full}
+    ext_of = {cid: h1_big.class_of(x) for cid, x in extended.items()}
+    back = {b: a for a, b in enumerate(incl.map)}
 
     def conj_by(n: int, cid: int) -> int:
         u = big.pair_index(0, n)
-        back = {incl.map[a]: a for a in sub_prod.group.elements()}
-        rep = h1_small.representative(cid)
-        vals = []
-        for v in rep.a:
-            moved = big.group.mul[big.group.mul[big.group.inv[u]][incl.map[v]]][u]
-            if moved not in back:
-                raise InternalError("normalizer conjugation left the subgroup product")
-            vals.append(back[moved])
-        return h1_small.class_of(plain_cocycle(h1_small.system, vals))
+        moved = gauge(extended[cid], (u,) * y.n_vertices)
+        return h1_small.class_of(relabel(moved, back, h1_small.system))
 
     closures = orbit_closures(full, lambda cid: [conj_by(n, cid) for n in normalizer])
     orbits = [sorted(orbit) for orbit in closures]

@@ -210,14 +210,19 @@ def check_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) 
     return GroupHom(source, target, m)
 
 
+def _automorphism(g: FiniteGroup, mapping: Sequence[int]) -> Automorphism:
+    """The automorphism with a map table already known to be bijective, with its inverse table."""
+    inv = [0] * g.order
+    for x, y in enumerate(mapping):
+        inv[y] = x
+    return Automorphism(GroupHom(g, g, tuple(mapping)), tuple(inv))
+
+
 def check_automorphism(g: FiniteGroup, mapping: Sequence[int]) -> Automorphism:
     hom = check_hom(g, g, mapping)
     if not hom.is_bijective():
         raise InputError("automorphism table is not a bijection")
-    inv = [0] * g.order
-    for x, y in enumerate(hom.map):
-        inv[y] = x
-    return Automorphism(hom, tuple(inv))
+    return _automorphism(g, hom.map)
 
 
 @dataclass(frozen=True)
@@ -419,26 +424,12 @@ def automorphisms(
     if g.order > order_guard:
         raise SearchBudgetExceeded(f"order {g.order} exceeds guard {order_guard}")
     homs = _hom_search(g, g, bijective=True, first_only=False, budget_limit=budget)
-    auts = []
-    for hom in homs:
-        inv = [0] * g.order
-        for x, y in enumerate(hom.map):
-            inv[y] = x
-        auts.append(Automorphism(hom, tuple(inv)))
-    auts.sort(key=lambda a: a.map)
-    return auts
+    return sorted((_automorphism(g, hom.map) for hom in homs), key=lambda a: a.map)
 
 
 def inner_automorphisms(g: FiniteGroup) -> list[Automorphism]:
-    seen = {}
-    for t in g.elements():
-        m = tuple(g.conjugate(t, x) for x in g.elements())
-        if m not in seen:
-            inv = [0] * g.order
-            for x, y in enumerate(m):
-                inv[y] = x
-            seen[m] = Automorphism(GroupHom(g, g, m), tuple(inv))
-    return [seen[m] for m in sorted(seen)]
+    maps = {tuple(g.conjugate(t, x) for x in g.elements()) for t in g.elements()}
+    return [_automorphism(g, m) for m in sorted(maps)]
 
 
 def outer_classes(

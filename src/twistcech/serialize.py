@@ -56,7 +56,7 @@ def _group_ref(payload: dict, key: str) -> FiniteGroup:
 
 def group_from_dict(payload: dict) -> FiniteGroup:
     mul = _table(payload, "mul")
-    order = payload.get("order", len(mul))
+    (order,) = _entry_ints("order", [payload.get("order", len(mul))])
     if order != len(mul):
         raise InputError(f"declared order {order} does not match table size {len(mul)}")
     return validate_group(mul, label=payload.get("label"))
@@ -99,10 +99,20 @@ def resolve_twisted_data(ref: str) -> TwistedData:
 
 
 def _entry_ints(key: str, parts) -> tuple[int, ...]:
-    """The integers of one entry or table row; anything else names its key."""
+    """The JSON integers of one entry or table row; anything else names its key.
+
+    Strings, floats and booleans are refused, not converted.
+    """
+    if not isinstance(parts, (list, tuple)) or any(type(x) is not int for x in parts):
+        raise InputError(f"entry {key!r} is not made of integers")
+    return tuple(parts)
+
+
+def _key_ints(key: str) -> tuple[int, ...]:
+    """The comma-separated integers of a cocycle key, "i,j" or "t"."""
     try:
-        return tuple(int(x) for x in parts)
-    except (TypeError, ValueError):
+        return tuple(int(x) for x in str(key).split(","))
+    except ValueError:
         raise InputError(f"entry {key!r} is not made of integers") from None
 
 
@@ -118,15 +128,15 @@ def cocycle_from_dict(space: GammaNerve, data: TwistedData, payload: dict) -> Tw
         if not isinstance(part, dict):
             raise InputError(f"cocycle key {name!r} must be an object keyed by strings")
     for key, val in edges.items():
-        edge = _entry_ints(key, key.split(","))
+        edge = _key_ints(key)
         if edge not in idx:
             raise InputError(f"{key} is not an edge of the nerve")
         a[idx[edge]] = _entry_ints(key, [val])[0]
     for key, row in rows.items():
-        (t,) = _entry_ints(key, [key])
-        if not 0 <= t < len(phi):
+        t = _key_ints(key)
+        if len(t) != 1 or not 0 <= t[0] < len(phi):
             raise InputError(f"phi key {key} is not an element index of the acting group (order {len(phi)})")
-        phi[t] = list(_entry_ints(key, row))
+        phi[t[0]] = list(_entry_ints(key, row))
     return make_cocycle(system, a, phi)
 
 

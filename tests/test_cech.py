@@ -36,13 +36,14 @@ from twistcech.cech import (
     map_coefficients,
     pullback,
     reductions_to_subgroup,
+    relabel,
     sections_of_associated,
     system_from_data,
     transport_cocycle,
     trivial_pair,
     twist_target,
 )
-from twistcech.errors import BudgetExceeded, InputError, NotCentral
+from twistcech.errors import BudgetExceeded, InputError, InternalError, NotCentral
 from twistcech.extensions import (
     build_twisted_product,
     check_gamma_action,
@@ -646,12 +647,12 @@ def test_h1_reduced_identifies_classes_along_a_central_translation():
 
 
 def test_h0_examples():
-    assert h0_twisted(SYS_TRIV).group.order == 2  # {0, 2} inside C4
+    assert len(h0_twisted(SYS_TRIV).functions) == 2  # {0, 2} inside C4
     triv_circle = circle_system(C4)
-    assert h0_twisted(triv_circle).group.order == 4
+    assert len(h0_twisted(triv_circle).functions) == 4
     two_tri = system_from_data(gamma_nerve("X_TWO_TRI"), make_twisted_data(trivial_action(C2, S3)))
     h0 = h0_twisted(two_tri)
-    assert h0.group.order == 6  # diagonal copy ties the swapped components
+    assert len(h0.functions) == 6  # diagonal copy ties the swapped components
     for f in h0.functions:
         assert f[0] == f[3]
 
@@ -682,8 +683,18 @@ def test_h0_is_the_gauges_fixing_the_trivial_cocycle():
         fixing = [h for h in every if gauge(triv, h).serial() == triv.serial()]
         h0 = h0_twisted(system)
         assert list(h0.functions) == sorted(fixing)
-        sizes.append(h0.group.order)
+        sizes.append(len(h0.functions))
     assert sizes == [2, 2, 4, 4, 4, 4, 4, 6]
+
+
+def test_h0_is_closed_under_pointwise_products_and_inverses():
+    for system in _h0_oracle_systems():
+        k = system.coeff
+        functions = set(h0_twisted(system).functions)
+        for f in functions:
+            assert tuple(k.inv[x] for x in f) in functions
+            for g in functions:
+                assert tuple(k.mul[x][y] for x, y in zip(f, g)) in functions
 
 
 def test_gauge_reduced_is_gauge_at_identity():
@@ -1014,8 +1025,29 @@ def test_delta_h1_lift_independence_fuzz():
         for _ in range(5):
             pick = {q: rng.choice(lifts) for q, lifts in lift_sets.items()}
             pick[0] = 0
-            vec = delta_h1_vector(ladder, x, lift_choice=lambda q: pick[q])
+            vec = delta_h1_vector(ladder, x, lift=pick)
             assert labels.reduce(vec) == base
+
+
+def test_relabel_names_the_value_a_table_does_not_cover():
+    ladder = coefficient_ladder(X_HEX, make_twisted_data(trivial_action(C2, S3)))
+    back = ladder.zsub.parent_to_sub
+    assert back == {0: 0}  # S3 has a trivial centre
+    x = next(x for x in (ladder.h1g.representative(c) for c in range(len(ladder.h1g))) if any(x.a))
+    missing = next(v for v in (*x.a, *itertools.chain.from_iterable(x.phi)) if v not in back)
+    with pytest.raises(InternalError, match=f"does not cover the value {missing}$"):
+        relabel(x, back, ladder.sys_z)
+
+
+def test_relabel_into_the_group_and_back_fixes_every_centre_class():
+    for inst in default_grid():
+        ladder = coefficient_ladder(inst.space, inst.data)
+        for cid in range(len(ladder.h1z)):
+            x = ladder.h1z.representative(cid)
+            up = relabel(x, ladder.zsub.embed, ladder.sys_g)
+            assert up.system is ladder.sys_g
+            back = relabel(up, ladder.zsub.parent_to_sub, ladder.sys_z)
+            assert back.system is ladder.sys_z and back.serial() == x.serial()
 
 
 def test_les_fault_injection_fails_somewhere():
@@ -1054,7 +1086,7 @@ def _existence_by_solving_every_class(ladder):
         correction = solve(cx.d1_hom, diff)
         if correction is None:
             continue
-        a, phi = cech._lift_pair(ladder, x)
+        a, phi = cech._mapped(x, ladder.lift_table)
         n_slots = cech._cochain_sizes(ladder.sys_z)[0]
         za, zphi = cech._pair_of(ladder.sys_z, cochain_values(cx.coords, correction, n_slots))
         wa = tuple(g.mul[av][g.inv[emb[zv]]] for av, zv in zip(a, za))

@@ -364,11 +364,30 @@ def test_serialize_names_the_key_of_malformed_cocycle_input(payload, key):
     [
         (["group", "info", "IN"], {"mul": 5}, "'mul' must be a list of rows"),
         (["group", "info", "IN"], {"mul": [["a"]]}, "entry 'mul' is not made of integers"),
+        # strings, floats and booleans are not read as integers
+        (["group", "info", "IN"], {"mul": ["01", "10"]}, "entry 'mul' is not made of integers"),
+        (["group", "info", "IN"], {"mul": [[0, 1.9], [1, 0]]}, "entry 'mul' is not made of integers"),
+        (["group", "info", "IN"], {"mul": [[0, True], [True, 0]]}, "entry 'mul' is not made of integers"),
         (["h1", "IN", "circle/C2"], {"vertices": "x", "gamma": "C2", "act": [[0], [0]]}, "entry 'vertices'"),
+        (
+            ["h1", "IN", "circle/C2"],
+            {"vertices": 3.0, "simplices": [[0, 1], [1, 2], [0, 2]], "gamma": "C2", "act": [[0, 1, 2], [0, 1, 2]]},
+            "entry 'vertices' is not made of integers",
+        ),
         (["h1", "X_HEX", "IN"], {"gamma": "C2", "g": "C4"}, "needs an object with a 'theta' entry"),
         (["h1", "X_HEX", "IN"], {"gamma": "C2", "g": "C4", "theta": 3}, "'theta' must be a list of rows"),
     ],
-    ids=["mul-not-a-table", "mul-not-integers", "vertices-not-an-integer", "theta-missing", "theta-not-a-table"],
+    ids=[
+        "mul-not-a-table",
+        "mul-not-integers",
+        "mul-string-rows",
+        "mul-float-entry",
+        "mul-bool-entries",
+        "vertices-not-an-integer",
+        "vertices-float",
+        "theta-missing",
+        "theta-not-a-table",
+    ],
 )
 def test_malformed_json_input_exits_2_with_an_input_check(tmp_path, capsys, argv, payload, error):
     path = tmp_path / "input.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistcech.correspond import plain_system
 from twistcech.errors import Disconnected, InputError, NotGoodCover, NotSimplicial
 from twistcech.fixtures import GAMMA_NERVES, NERVES, gamma_nerve, group, nerve
 from twistcech.nerves import (
@@ -288,6 +289,23 @@ def small_nerves(draw):
 @given(small_nerves())
 def test_cached_forest_matches_the_uncached_search_on_generated_nerves(n):
     assert_forest_matches_reference(n)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_nerves())
+def test_compiled_tables_read_the_forest_in_parent_order(n):
+    """A system's compiled forest is the BFS parent dict split by component, parents first."""
+    tab = plain_system(n, C2).tables
+    parent, _ = n.spanning_forest()
+    comps = n.components()
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    m = len(n.edges)
+    assert tab.components == comps
+    assert [list(f) for f in tab.forest] == [
+        [(v, p, n.edge_index[(p, v)] if p < v else n.edge_index[(v, p)] + m) for v, p in parent.items() if p is not None and comp_of[v] == ci]
+        for ci in range(len(comps))
+    ]
+    assert [list(c) for c in tab.comp_edges] == [[e for e, (u, _) in enumerate(n.edges) if comp_of[u] == ci] for ci in range(len(comps))]
 
 
 def test_forest_values_cannot_be_mutated():
