@@ -61,6 +61,7 @@ from .errors import (
     NotEquivariant,
 )
 from .extensions import (
+    DEFAULT_ENUM_BUDGET,
     GammaAction,
     Recocycling,
     TwistedData,
@@ -82,8 +83,6 @@ from .groups import (
     subgroup_from_elements,
 )
 from .nerves import GammaNerve, Nerve, Simplex, forest_functions, tree_gauge
-
-DEFAULT_ENUM_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -934,31 +933,25 @@ def act_h1z_by_h0q(
     ladder: CoefficientLadder,
     x: TwistedOneCocycle,
     qbar: Sequence[int],
-    *,
-    flip: bool = False,
 ) -> TwistedOneCocycle:
     """Right action of an equivariant quotient-valued function on H^1(Z).
 
     The function is lifted vertex-wise to G, the G-valued gauge formula is
     applied to the centre-valued pair, and the result is read back in the
-    centre; the class is independent of the lift.  ``flip`` is fault
-    injection for harness self-tests: it gauges by the pointwise-inverse
-    lift, which is the gauge formula with its handedness swapped.
+    centre; the class is independent of the lift.
     """
     h = tuple(ladder.lift_table[v] for v in qbar)
-    if flip:
-        h = tuple(ladder.data.g.inv[v] for v in h)
     return relabel(gauge(include_z_cocycle(ladder, x), h), ladder.zsub.parent_to_sub, ladder.sys_z)
 
 
-def delta_h0(ladder: CoefficientLadder, qbar: Sequence[int], *, flip: bool = False) -> TwistedOneCocycle:
+def delta_h0(ladder: CoefficientLadder, qbar: Sequence[int]) -> TwistedOneCocycle:
     """Coboundary of an equivariant quotient-valued function.
 
     This is its action on the trivial centre-valued class.
     """
     ta, tphi = trivial_pair(ladder.sys_z)
     triv = TwistedOneCocycle(ladder.sys_z, ta, tphi)
-    return act_h1z_by_h0q(ladder, triv, qbar, flip=flip)
+    return act_h1z_by_h0q(ladder, triv, qbar)
 
 
 def delta_h1_vector(
@@ -972,6 +965,8 @@ def delta_h1_vector(
 
     ``lift`` is a table from quotient to G elements that sends 1 to 1, so
     phi[1] stays normalized; the ladder's ``lift_table`` by default.
+    ``flip`` is fault injection for harness self-tests: it inverts each
+    lifted edge value, a lift with the wrong handedness.
     """
     a, phi = _mapped(x, lift or ladder.lift_table)
     if flip:
@@ -1027,9 +1022,10 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     is a group the check is the sharp one: two classes have equal image
     exactly when the group action identifies them.  A node whose computation
     raises a library error is reported as a failure with the error as
-    witness.  ``fault='flip-gauge'`` deliberately mis-hands the coboundary
-    gauge for harness self-tests: it gauges by the pointwise inverse of the
-    lift, which is the gauge formula with its handedness swapped.
+    witness.  ``fault='flip-gauge'`` deliberately mis-hands the lift in
+    ``delta_h1`` for harness self-tests: its edge values are inverted, so
+    on a non-abelian G the lifted obstruction leaves the centre and the
+    "delta-preimage of twist class" check fails with that error.
     """
     flip = fault == "flip-gauge"
     report = SequenceReport([])
@@ -1056,7 +1052,7 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
 
     def node_a4() -> tuple[bool, dict]:
         img_h0g = sorted({tuple(pr[x] for x in f) for f in h0g.functions})
-        delta_of = {f: h1z.class_of(delta_h0(ladder, f, flip=flip)) for f in h0q.functions}
+        delta_of = {f: h1z.class_of(delta_h0(ladder, f)) for f in h0q.functions}
         for f1 in h0q.functions:
             for f2 in h0q.functions:
                 same_delta = delta_of[f1] == delta_of[f2]
@@ -1078,7 +1074,7 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
 
         def moved(cid: int) -> list[int]:
             rep = h1z.representative(cid)
-            return [h1z.class_of(act_h1z_by_h0q(ladder, rep, f, flip=flip)) for f in h0q.functions]
+            return [h1z.class_of(act_h1z_by_h0q(ladder, rep, f)) for f in h0q.functions]
 
         orbits = orbit_closures(range(len(h1z)), moved)
         orbit_of = {member: oid for oid, orbit in enumerate(orbits) for member in orbit}

@@ -42,9 +42,8 @@ from .extensions import (
     TwistedData,
     TwistedProductGroup,
     build_twisted_product,
-    check_cocycle,
-    check_gamma_action,
     make_twisted_data,
+    sub_product,
     trivial_action,
 )
 from .groups import FiniteGroup, GroupHom, cyclic_group, orbit_closures, subgroup_from_elements
@@ -372,33 +371,6 @@ class ConnectedReduction:
     gauged_original: GhatCocycleY
 
 
-def restrict_product(data: TwistedData, gamma_elements: Sequence[int]) -> tuple[TwistedProductGroup, GroupHom]:
-    """The glued product over a subgroup of the acting group, with inclusion."""
-    gsub = subgroup_from_elements(data.gamma, gamma_elements)
-    theta_tables = tuple(
-        tuple(data.theta(gsub.embed[t], x) for x in data.g.elements()) for t in gsub.group.elements()
-    )
-    action = check_gamma_action(gsub.group, data.g, theta_tables)
-    ctable = tuple(
-        tuple(data.c(gsub.embed[t1], gsub.embed[t2]) for t2 in gsub.group.elements())
-        for t1 in gsub.group.elements()
-    )
-    sub_data = TwistedData(action, check_cocycle(action, ctable))
-    sub_prod = build_twisted_product(sub_data)
-    big = build_twisted_product(data)
-    mapping = tuple(
-        big.pair_index(a, gsub.embed[t])
-        for a in data.g.elements()
-        for t in gsub.group.elements()
-    )
-    incl = GroupHom(sub_prod.group, big.group, mapping)
-    for a in sub_prod.group.elements():
-        for b in sub_prod.group.elements():
-            if incl.map[sub_prod.group.mul[a][b]] != big.group.mul[incl.map[a]][incl.map[b]]:
-                raise InternalError("subgroup product inclusion is not a homomorphism")
-    return sub_prod, incl
-
-
 def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     """Reduce a glued-group cocycle to the product over its monodromy group.
 
@@ -412,9 +384,10 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     gprime = induced_gamma_class(x).image
 
     lam = tree_gauge(y, gamma, _gamma_values(x))
-    gauged = ghat_cocycle(prod, y, gauge(x.cocycle, [prod.section[t] for t in lam]).a)
+    moved = gauge(x.cocycle, [prod.section[t] for t in lam])
+    gauged = GhatCocycleY(prod, make_cocycle(x.cocycle.system, *moved.serial()))
 
-    sub_prod, incl = restrict_product(prod.data, gprime)
+    sub_prod, _, incl = sub_product(prod.data, gamma_sub=subgroup_from_elements(gamma, gprime))
     back = {b: a for a, b in enumerate(incl.map)}
     reduced = GhatCocycleY(sub_prod, relabel(gauged.cocycle, back, plain_system(y, sub_prod.group)))
     return ConnectedReduction(gprime, sub_prod, incl, reduced, gauged)
@@ -444,8 +417,7 @@ def normalizer_embedding_check(
     """
     gamma = data.gamma
     gset = sorted(set(int(t) for t in gamma_prime))
-    sub_prod, incl = restrict_product(data, gset)
-    big = build_twisted_product(data)
+    sub_prod, big, incl = sub_product(data, gamma_sub=subgroup_from_elements(gamma, gset))
     normalizer = tuple(
         n
         for n in gamma.elements()

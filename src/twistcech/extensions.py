@@ -41,15 +41,18 @@ from .groups import (
     Subgroup,
     center,
     check_automorphism,
+    check_hom,
     is_central,
     is_normal,
+    left_cosets,
     subgroup_from_elements,
     validate_group,
 )
 from .nerves import trivial_gamma_nerve, validate_nerve
 
-# default bound on the number of 2-cocycles |Z^2| that second_cohomology lists
-H2_ENUM_GUARD = 10_000_000
+# default bound on every exact enumeration: the cocycle candidates of the Cech
+# engine and the 2-cocycles |Z^2| that second_cohomology lists
+DEFAULT_ENUM_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -222,15 +225,25 @@ class CocycleClassification:
         return [label(rep) for rep in self.representatives].index(label(table))
 
 
-def restrict_to_subgroup(data: TwistedData, sub: Subgroup) -> Optional[TwistedData]:
-    """(theta, c) on a Gamma-invariant subgroup, in the subgroup's own indices.
+def _whole(g: FiniteGroup) -> Subgroup:
+    """The group as a subgroup of itself, with the group object kept."""
+    return Subgroup(g, g, tuple(g.elements()), {x: x for x in g.elements()})
 
-    Raises SubgroupNotInvariant when some theta_t moves the subgroup out of
-    itself; returns None when c takes a value outside it.
+
+def restrict_to_subgroup(
+    data: TwistedData, sub: Optional[Subgroup] = None, gamma_sub: Optional[Subgroup] = None
+) -> Optional[TwistedData]:
+    """(theta, c) on a subgroup of G and a subgroup of Gamma, in the subgroups' own indices.
+
+    Each subgroup defaults to the whole group.  Raises
+    SubgroupNotInvariant(t, h), t a Gamma index, when some theta_t with t in
+    ``gamma_sub`` moves ``sub`` out of itself; returns None when c on
+    ``gamma_sub`` takes a value outside ``sub``.
     """
-    back = sub.parent_to_sub
+    sub, gamma_sub = sub or _whole(data.g), gamma_sub or _whole(data.gamma)
+    back, ts = sub.parent_to_sub, gamma_sub.embed
     tables = []
-    for t in data.gamma.elements():
+    for t in ts:
         row = []
         for h in sub.embed:
             img = data.theta(t, h)
@@ -238,13 +251,14 @@ def restrict_to_subgroup(data: TwistedData, sub: Subgroup) -> Optional[TwistedDa
                 raise SubgroupNotInvariant(t, h)
             row.append(back[img])
         tables.append(row)
-    if any(v not in back for row in data.cocycle.table for v in row):
+    ctable = [[data.c(t1, t2) for t2 in ts] for t1 in ts]
+    if any(v not in back for row in ctable for v in row):
         return None
-    action = check_gamma_action(data.gamma, sub.group, tables)
-    return TwistedData(action, check_cocycle(action, [[back[v] for v in row] for row in data.cocycle.table]))
+    action = check_gamma_action(gamma_sub.group, sub.group, tables)
+    return TwistedData(action, check_cocycle(action, [[back[v] for v in row] for row in ctable]))
 
 
-def second_cohomology(action: GammaAction, *, guard: int = H2_ENUM_GUARD) -> CocycleClassification:
+def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) -> CocycleClassification:
     """Classify central 2-cocycles up to coboundary as the Cech H^2 of a point.
 
     Over the one-vertex nerve with Gamma acting trivially, the Cech complex
@@ -342,28 +356,46 @@ def build_twisted_product(data: TwistedData, label: Optional[str] = None) -> Twi
     return TwistedProductGroup(data, grp, embed, proj, section)
 
 
+def _checked_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int], what: str) -> GroupHom:
+    """``check_hom`` on a map a theorem makes a homomorphism; a failure is a library bug naming ``what``."""
+    try:
+        return check_hom(source, target, mapping)
+    except InputError as exc:
+        raise InternalError(f"{what}: {exc}") from exc
+
+
+def sub_product(
+    data: TwistedData,
+    sub: Optional[Subgroup] = None,
+    gamma_sub: Optional[Subgroup] = None,
+    label: Optional[str] = None,
+) -> tuple[TwistedProductGroup, TwistedProductGroup, GroupHom]:
+    """The glued product of the restricted data, the full product, and the inclusion.
+
+    ``sub`` and ``gamma_sub`` are as for ``restrict_to_subgroup``; ``label``
+    names the small product.  The inclusion sends (a, t) to
+    (sub.embed[a], gamma_sub.embed[t]).
+    """
+    sub, gamma_sub = sub or _whole(data.g), gamma_sub or _whole(data.gamma)
+    restricted = restrict_to_subgroup(data, sub, gamma_sub)
+    if restricted is None:
+        raise InputError("the 2-cocycle takes values outside the subgroup")
+    small, big = build_twisted_product(restricted, label=label), build_twisted_product(data)
+    mapping = [
+        big.pair_index(sub.embed[a], gamma_sub.embed[t]) for a, t in map(small.index_pair, small.group.elements())
+    ]
+    return small, big, _checked_hom(small.group, big.group, mapping, "sub-product inclusion")
+
+
 def gamma_hat(data: TwistedData, label: Optional[str] = None) -> tuple[TwistedProductGroup, GroupHom]:
     """The companion extension of Gamma by Z(G), with its embedding.
 
     Returns the twisted product over the centre and the embedding of its
     group into the full twisted product, compatible with both projections.
     """
-    zsub = center(data.g)
-    small = build_twisted_product(restrict_to_subgroup(data, zsub), label=label)
-    big = build_twisted_product(data)
-    mapping = tuple(
-        big.pair_index(zsub.embed[z_elem], x)
-        for z_elem in zsub.group.elements()
-        for x in data.gamma.elements()
-    )
-    embedding = GroupHom(small.group, big.group, mapping)
-    for a in small.group.elements():
-        for b in small.group.elements():
-            if embedding.map[small.group.mul[a][b]] != big.group.mul[embedding.map[a]][embedding.map[b]]:
-                raise InternalError("gamma-hat embedding is not a homomorphism")
-    for a in small.group.elements():
-        if big.proj.map[embedding.map[a]] != small.proj.map[a]:
-            raise InternalError("gamma-hat embedding does not commute with projections")
+    small, big, embedding = sub_product(data, center(data.g), label=label)
+    if any(big.proj.map[embedding.map[a]] != small.proj.map[a] for a in small.group.elements()):
+        raise InternalError("gamma-hat embedding does not commute with projections")
     return small, embedding
 
 
@@ -373,21 +405,14 @@ def cohomologous_iso(data: TwistedData, cochain: GammaOneCochain) -> GroupHom:
     The underlying map is (g, gamma) -> (g * a(gamma)^-1, gamma); composing
     the isomorphisms for a and for its pointwise inverse gives the identity.
     """
-    g, gamma = data.g, data.gamma
+    g = data.g
     delta = coboundary(data.action, cochain)
     src = build_twisted_product(data)
     dst = build_twisted_product(TwistedData(data.action, multiply_cocycles(data.cocycle, delta)))
-    mapping = tuple(
-        dst.pair_index(g.mul[a][g.inv[cochain.values[x]]], x)
-        for a in g.elements()
-        for x in gamma.elements()
-    )
-    hom = GroupHom(src.group, dst.group, mapping)
-    for a in src.group.elements():
-        for b in src.group.elements():
-            if hom.map[src.group.mul[a][b]] != dst.group.mul[hom.map[a]][hom.map[b]]:
-                raise InternalError("cohomologous products: explicit map failed to be a homomorphism")
-    return hom
+    mapping = [
+        dst.pair_index(g.mul[a][g.inv[cochain.values[x]]], x) for a, x in map(src.index_pair, src.group.elements())
+    ]
+    return _checked_hom(src.group, dst.group, mapping, "map between cohomologous products")
 
 
 @dataclass(frozen=True)
@@ -417,23 +442,21 @@ def extract_twisted_data(
     if not is_normal(ghat, sub.embed):
         raise InputError("the chosen subgroup is not normal")
     sec = tuple(int(x) for x in section)
+    if any(not 0 <= x < ghat.order for x in sec):
+        raise SectionNotNormalised(message=f"section elements must be indices 0..{ghat.order - 1}")
     if len(sec) * sub.group.order != ghat.order:
         raise SectionNotNormalised(message="section size does not match the number of cosets")
     if sec[0] != 0:
         raise SectionNotNormalised(message="section must send the identity coset to the identity")
 
-    coset_key = {}
-    for idx, s in enumerate(sec):
-        key = frozenset(ghat.mul[s][h] for h in sub.embed)
-        if key in coset_key:
-            raise SectionNotNormalised(message="two section elements lie in the same coset")
-        coset_key[key] = idx
+    _, coset_index = left_cosets(ghat, sub.embed)
+    position = {coset_index[s]: idx for idx, s in enumerate(sec)}
+    if len(position) != len(sec):
+        raise SectionNotNormalised(message="two section elements lie in the same coset")
 
     def coset_of(x: int) -> int:
-        key = frozenset(ghat.mul[x][h] for h in sub.embed)
-        if key not in coset_key:
-            raise SectionNotNormalised(message="section misses a coset")
-        return coset_key[key]
+        # the size check and distinct cosets leave no coset without a section element
+        return position[coset_index[x]]
 
     nq = len(sec)
     qmul = tuple(tuple(coset_of(ghat.mul[sec[a]][sec[b]]) for b in range(nq)) for a in range(nq))
@@ -469,14 +492,8 @@ def extract_twisted_data(
     data = TwistedData(action, check_cocycle(action, ctable))
 
     built = build_twisted_product(data)
-    mapping = tuple(
-        ghat.mul[sub.embed[a]][sec[x]] for a in sub.group.elements() for x in gamma.elements()
-    )
-    ident = GroupHom(built.group, ghat, mapping)
-    for a in built.group.elements():
-        for b in built.group.elements():
-            if ident.map[built.group.mul[a][b]] != ghat.mul[ident.map[a]][ident.map[b]]:
-                raise InternalError("identification with the twisted product failed")
+    mapping = [ghat.mul[sub.embed[a]][sec[x]] for a, x in map(built.index_pair, built.group.elements())]
+    ident = _checked_hom(built.group, ghat, mapping, "identification with the twisted product")
     proj = GroupHom(ghat, gamma, tuple(coset_of(x) for x in ghat.elements()))
     return ExtractedData(data, gamma, sub, sec, proj, ident)
 

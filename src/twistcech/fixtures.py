@@ -146,36 +146,20 @@ def nerve(name: str) -> Nerve:
     return NERVES[name]
 
 
-def _hex_gamma_nerve() -> GammaNerve:
-    c2 = GROUPS["C2"]
-    shift = tuple((v + 3) % 6 for v in range(6))
-    return validate_gamma_nerve(NERVES["X_HEX_NERVE"], c2, (tuple(range(6)), shift), require_free=True)
-
-
-def _two_tri_gamma_nerve() -> GammaNerve:
-    c2 = GROUPS["C2"]
-    swap = tuple((v + 3) % 6 for v in range(6))
-    return validate_gamma_nerve(NERVES["X_TWO_TRI_NERVE"], c2, (tuple(range(6)), swap), require_free=True)
-
-
-def _dodec_gamma_nerve() -> GammaNerve:
-    c4 = GROUPS["C4"]
-    tables = tuple(tuple((v + 3 * t) % 12 for v in range(12)) for t in range(4))
-    return validate_gamma_nerve(NERVES["X_DODEC_NERVE"], c4, tables, require_free=True)
-
-
-def _oct_gamma_nerve() -> GammaNerve:
-    """The antipodal flip on the octahedron, a free C2 action with quotient RP^2."""
-    c2 = GROUPS["C2"]
-    flip = tuple((v + 3) % 6 for v in range(6))
-    return validate_gamma_nerve(NERVES["X_OCT_NERVE"], c2, (tuple(range(6)), flip), require_free=True)
+def _shift_nerve(nerve_name: str, gamma_name: str, step: int) -> GammaNerve:
+    """The free cyclic action whose generator shifts every vertex by ``step``."""
+    nrv, gamma = NERVES[nerve_name], GROUPS[gamma_name]
+    n = nrv.n_vertices
+    tables = tuple(tuple((v + step * t) % n for v in range(n)) for t in gamma.elements())
+    return validate_gamma_nerve(nrv, gamma, tables, require_free=True)
 
 
 GAMMA_NERVES: dict[str, GammaNerve] = {
-    "X_HEX": _hex_gamma_nerve(),
-    "X_TWO_TRI": _two_tri_gamma_nerve(),
-    "X_DODEC": _dodec_gamma_nerve(),
-    "X_OCT": _oct_gamma_nerve(),
+    "X_HEX": _shift_nerve("X_HEX_NERVE", "C2", 3),
+    "X_TWO_TRI": _shift_nerve("X_TWO_TRI_NERVE", "C2", 3),
+    "X_DODEC": _shift_nerve("X_DODEC_NERVE", "C4", 3),
+    # the antipodal flip on the octahedron, a free C2 action with quotient RP^2
+    "X_OCT": _shift_nerve("X_OCT_NERVE", "C2", 3),
     "Y_TRI_TRIVC2": trivial_gamma_nerve(NERVES["Y_TRI"], GROUPS["C2"]),
 }
 

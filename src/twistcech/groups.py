@@ -372,14 +372,13 @@ def _hom_search(
     *,
     bijective: bool,
     first_only: bool,
-    budget_limit: int,
 ) -> list[GroupHom]:
     """Backtracking over generator images, lexicographic order in h-indices."""
     gens = g.generating_sequence()
     if not gens:  # trivial group
         hom = GroupHom(g, h, (0,))
         return [hom] if (not bijective or h.order == 1) else []
-    budget = _Budget(budget_limit)
+    budget = _Budget(DEFAULT_SEARCH_BUDGET)
     out: list[GroupHom] = []
     orders_h: dict[int, list[int]] = {}
     for x in h.elements():
@@ -414,16 +413,11 @@ def _hom_search(
     return out
 
 
-def automorphisms(
-    g: FiniteGroup,
-    *,
-    order_guard: int = DEFAULT_ORDER_GUARD,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> list[Automorphism]:
+def automorphisms(g: FiniteGroup, *, order_guard: int = DEFAULT_ORDER_GUARD) -> list[Automorphism]:
     """Complete Aut(G) by generator-image backtracking, sorted by map table."""
     if g.order > order_guard:
         raise SearchBudgetExceeded(f"order {g.order} exceeds guard {order_guard}")
-    homs = _hom_search(g, g, bijective=True, first_only=False, budget_limit=budget)
+    homs = _hom_search(g, g, bijective=True, first_only=False)
     return sorted((_automorphism(g, hom.map) for hom in homs), key=lambda a: a.map)
 
 
@@ -432,17 +426,12 @@ def inner_automorphisms(g: FiniteGroup) -> list[Automorphism]:
     return [_automorphism(g, m) for m in sorted(maps)]
 
 
-def outer_classes(
-    g: FiniteGroup,
-    *,
-    order_guard: int = DEFAULT_ORDER_GUARD,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> list[list[Automorphism]]:
+def outer_classes(g: FiniteGroup, *, order_guard: int = DEFAULT_ORDER_GUARD) -> list[list[Automorphism]]:
     """Coset decomposition of Aut(G) by Int(G), cosets ordered by their least map table.
 
     The identity is the least automorphism, so its coset comes first.
     """
-    auts = automorphisms(g, order_guard=order_guard, budget=budget)
+    auts = automorphisms(g, order_guard=order_guard)
     index = {a.map: i for i, a in enumerate(auts)}
     inner = inner_automorphisms(g)
     orbits = orbit_closures(range(len(auts)), lambda i: (index[b.compose(auts[i]).map] for b in inner))
@@ -450,11 +439,7 @@ def outer_classes(
 
 
 def find_isomorphism(
-    g: FiniteGroup,
-    h: FiniteGroup,
-    *,
-    order_guard: int = DEFAULT_ORDER_GUARD,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    g: FiniteGroup, h: FiniteGroup, *, order_guard: int = DEFAULT_ORDER_GUARD
 ) -> Optional[GroupHom]:
     """First isomorphism in lexicographic generator-image order, or None."""
     if g.order != h.order:
@@ -463,7 +448,7 @@ def find_isomorphism(
         raise SearchBudgetExceeded(f"order {max(g.order, h.order)} exceeds guard {order_guard}")
     if sorted(map(g.element_order, g.elements())) != sorted(map(h.element_order, h.elements())):
         return None
-    homs = _hom_search(g, h, bijective=True, first_only=True, budget_limit=budget)
+    homs = _hom_search(g, h, bijective=True, first_only=True)
     return homs[0] if homs else None
 
 

@@ -9,7 +9,6 @@ Formats (all plain JSON):
 * nerve:        {"vertices": n, "simplices": [[int]]} (maximal; closure added)
 * gamma nerve:  nerve fields +
                 {"gamma": group-ref, "act": [[int]] per-element vertex permutation}
-* cocycle:      {"a": {"i,j": int}, "phi": {"t": [int per vertex]}}
 
 A group-ref is either the name of a built-in or a path to a JSON file.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from .cech import TwistedOneCocycle, make_cocycle, system_from_data
+
 from .errors import InputError
 from .extensions import TwistedData, check_cocycle, check_gamma_action, make_twisted_data
 from .fixtures import GAMMA_NERVES, GROUPS, NERVES
@@ -106,46 +105,6 @@ def _entry_ints(key: str, parts) -> tuple[int, ...]:
     if not isinstance(parts, (list, tuple)) or any(type(x) is not int for x in parts):
         raise InputError(f"entry {key!r} is not made of integers")
     return tuple(parts)
-
-
-def _key_ints(key: str) -> tuple[int, ...]:
-    """The comma-separated integers of a cocycle key, "i,j" or "t"."""
-    try:
-        return tuple(int(x) for x in str(key).split(","))
-    except ValueError:
-        raise InputError(f"entry {key!r} is not made of integers") from None
-
-
-def cocycle_from_dict(space: GammaNerve, data: TwistedData, payload: dict) -> TwistedOneCocycle:
-    system = system_from_data(space, data)
-    idx = space.nerve.edge_index
-    a = [0] * len(space.nerve.edges)
-    phi = [[0] * space.nerve.n_vertices for _ in data.gamma.elements()]
-    if not isinstance(payload, dict):
-        raise InputError("a cocycle must be a JSON object")
-    edges, rows = payload.get("a", {}), payload.get("phi", {})
-    for name, part in (("a", edges), ("phi", rows)):
-        if not isinstance(part, dict):
-            raise InputError(f"cocycle key {name!r} must be an object keyed by strings")
-    for key, val in edges.items():
-        edge = _key_ints(key)
-        if edge not in idx:
-            raise InputError(f"{key} is not an edge of the nerve")
-        a[idx[edge]] = _entry_ints(key, [val])[0]
-    for key, row in rows.items():
-        t = _key_ints(key)
-        if len(t) != 1 or not 0 <= t[0] < len(phi):
-            raise InputError(f"phi key {key} is not an element index of the acting group (order {len(phi)})")
-        phi[t[0]] = list(_entry_ints(key, row))
-    return make_cocycle(system, a, phi)
-
-
-def cocycle_to_dict(x: TwistedOneCocycle) -> dict:
-    edges = x.system.nerve.edges
-    return {
-        "a": {f"{u},{v}": x.a[i] for i, (u, v) in enumerate(edges)},
-        "phi": {str(t): list(row) for t, row in enumerate(x.phi) if t != 0},
-    }
 
 
 def report_to_json(report: dict) -> str:

@@ -14,8 +14,6 @@ from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
 from twistcech.nerves import Nerve
 from twistcech.serialize import (
-    cocycle_from_dict,
-    cocycle_to_dict,
     group_from_dict,
     nerve_from_dict,
     twisted_data_from_dict,
@@ -39,6 +37,13 @@ def test_group_aut_c4(capsys):
     code, out = run_cli(["group", "aut", "C4"], capsys)
     assert code == 0
     assert json.loads(out)["checks"][0]["aut_order"] == 2
+
+
+def test_group_aut_over_the_order_guard_exits_3(capsys):
+    code, out = run_cli(["group", "aut", "Q8", "--budget-order", "4"], capsys)
+    assert code == 3
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "budget" and "order 8 exceeds guard 4" in check["error"]
 
 
 def test_group_info_bad_table(tmp_path, capsys):
@@ -128,6 +133,13 @@ def test_verify_fault_injection_exit(capsys):
     )
     assert code == 1
     assert "fail" in out
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [(c["name"], c["error"]) for c in failed] == [
+        (
+            "les[X_HEX/S3,trivial,trivial] h1(G/Z): delta-preimage of twist class == image of twisted H1(G)",
+            "obstruction of a quotient-cocycle lift escaped the centre",
+        )
+    ]
 
 
 def test_verify_unknown_instance(capsys):
@@ -278,14 +290,6 @@ def test_serialize_roundtrips(tmp_path):
     data = twisted_data_from_dict(data_payload)
     assert data.c(1, 1) == 2
 
-    from twistcech.cech import h1_twisted, system_from_data
-
-    system = system_from_data(gamma_nerve("X_HEX"), data)
-    x = h1_twisted(system).representative(1)
-    blob = cocycle_to_dict(x)
-    back = cocycle_from_dict(gamma_nerve("X_HEX"), data, blob)
-    assert back.a == x.a and back.phi == x.phi
-
 
 def test_h1_from_json_files(tmp_path, capsys):
     data_file = tmp_path / "data.json"
@@ -316,47 +320,15 @@ def test_h1_from_json_files(tmp_path, capsys):
 
 
 def test_serialize_rejects_bad_cocycle():
+    # C2 inverting C4: theta_1(c(1,1)) c(1,1) must be c(1,1) c(1,1), so c(1,1) = 1 breaks the identity
     data_payload = {
         "gamma": "C2",
         "g": "C4",
         "theta": [[0, 1, 2, 3], [0, 3, 2, 1]],
-        "c": [[0, 0], [0, 2]],
+        "c": [[0, 0], [0, 1]],
     }
-    data = twisted_data_from_dict(data_payload)
-    with pytest.raises(InputError):
-        cocycle_from_dict(gamma_nerve("X_HEX"), data, {"a": {"0,1": 1}, "phi": {}})
-
-
-@pytest.mark.parametrize(
-    "payload, slot",
-    [
-        ({"a": {"0,1": 7}}, "a[0,1] = 7"),
-        # a negative index must not wrap round to the last element
-        ({"a": {"0,1": -1}}, "a[0,1] = -1"),
-        ({"phi": {"5": [0] * 6}}, "phi key 5"),
-        ({"phi": {"1": [0, 0, 0, 0, 0, 9]}}, "phi[1][5] = 9"),
-    ],
-)
-def test_serialize_rejects_out_of_range_cocycle_entries(payload, slot):
-    data = twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3], [0, 1, 2, 3]]})
-    with pytest.raises(InputError, match=slot.replace("[", r"\[").replace("]", r"\]")):
-        cocycle_from_dict(gamma_nerve("X_HEX"), data, payload)
-
-
-@pytest.mark.parametrize(
-    "payload, key",
-    [
-        ({"a": {"x": 1}}, "'x'"),
-        ({"a": {"0,1,2": 1}}, "0,1,2"),
-        ({"phi": {"t": [0] * 6}}, "'t'"),
-        ({"a": [1, 0, 0, 0, 0, 0]}, "'a'"),
-    ],
-    ids=["edge-key-x", "edge-key-three-vertices", "phi-key-t", "a-as-list"],
-)
-def test_serialize_names_the_key_of_malformed_cocycle_input(payload, key):
-    data = twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3], [0, 1, 2, 3]]})
-    with pytest.raises(InputError, match=key):
-        cocycle_from_dict(gamma_nerve("X_HEX"), data, payload)
+    with pytest.raises(InputError, match="CocycleViolation"):
+        twisted_data_from_dict(data_payload)
 
 
 @pytest.mark.parametrize(
@@ -405,10 +377,16 @@ def test_make_cocycle_names_an_out_of_range_slot():
         gamma_nerve("X_HEX"), twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3]] * 2})
     )
     a, phi = cech.trivial_pair(system)
-    with pytest.raises(InputError, match=r"a\[0,1\] = 4"):
-        cech.make_cocycle(system, (4,) + a[1:], phi)
-    with pytest.raises(InputError, match=r"phi\[1\]\[2\] = -2"):
-        cech.make_cocycle(system, a, (phi[0], (0, 0, -2, 0, 0, 0)))
+    # a negative index must not wrap round to the last element
+    for value in (4, 7, -1):
+        with pytest.raises(InputError, match=rf"a\[0,1\] = {value} "):
+            cech.make_cocycle(system, (value,) + a[1:], phi)
+    for v, value in ((2, -2), (5, 9)):
+        row = tuple(value if w == v else 0 for w in range(6))
+        with pytest.raises(InputError, match=rf"phi\[1\]\[{v}\] = {value} "):
+            cech.make_cocycle(system, a, (phi[0], row))
+    with pytest.raises(InputError, match="not a twisted cocycle"):
+        cech.make_cocycle(system, (1,) + a[1:], phi)
 
 
 def test_h1_data_refs_resolve_without_building_the_grid(monkeypatch):

@@ -433,6 +433,21 @@ def test_connected_reduction_cases():
         assert ph1.class_of(ext) == cid
 
 
+def test_connected_reduction_compiles_one_system_per_call(monkeypatch):
+    import twistcech.cech as cech
+
+    prod = build_twisted_product(make_twisted_data(INV))
+    ph1 = plain_h1(Y_TRI, prod.group)
+    assert len(ph1) == 5
+    compiled = []
+    inner = cech._compile
+    monkeypatch.setattr(cech, "_compile", lambda system: compiled.append(1) or inner(system))
+    for cid in range(len(ph1)):
+        connected_reduction(GhatCocycleY(prod, ph1.representative(cid)))
+    # the gauged cocycle stays in ph1.system; only the subgroup product's system is new
+    assert len(compiled) == 5
+
+
 def test_normalizer_embedding_full_and_trivial():
     data = make_twisted_data(INV)
     rep_full = normalizer_embedding_check(Y_TRI, data, [0, 1])

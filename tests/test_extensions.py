@@ -40,10 +40,20 @@ from twistcech.extensions import (
     recocycle,
     restrict_to_subgroup,
     second_cohomology,
+    sub_product,
     trivial_action,
 )
-from twistcech.fixtures import GROUPS, c_q_data, c_square_table, group, inversion_action, named_action
-from twistcech.groups import automorphisms, center, find_isomorphism, validate_group
+from twistcech.fixtures import (
+    GROUPS,
+    c_q_data,
+    c_square_table,
+    default_grid,
+    grid_instance,
+    group,
+    inversion_action,
+    named_action,
+)
+from twistcech.groups import automorphisms, center, find_isomorphism, subgroup_from_elements, validate_group
 from twistcech.nerves import trivial_gamma_nerve, validate_nerve
 
 C2, C4, C8 = group("C2"), group("C4"), group("C8")
@@ -378,6 +388,51 @@ def test_gamma_hat_examples():
         assert big.proj.map[embed.map[x]] == small.proj.map[x]
 
 
+def _subgroups(g):
+    """Every subgroup generated by at most two elements: all of them for the groups used here."""
+    gens = itertools.chain.from_iterable(itertools.combinations(g.elements(), r) for r in (1, 2))
+    return [subgroup_from_elements(g, elems) for elems in sorted({g.closure(c) for c in gens})]
+
+
+def _klein_on_c4():
+    """C2xC2 acting on C4 by inversion through its first factor, with the square twist pulled back."""
+    klein = group("C2xC2")
+    action = check_gamma_action(klein, C4, [range(4), range(4), C4.inv, C4.inv])
+    return make_twisted_data(action, [[2 if t1 >= 2 and t2 >= 2 else 0 for t2 in range(4)] for t1 in range(4)])
+
+
+# the Klein group has subgroups {0, 2} and {0, 3}, whose inclusions are not prefixes
+SUB_PRODUCT_DATA = [c_q_data(INV), grid_instance("X_HEX/Q8,q8_swap,square").data, _klein_on_c4()]
+
+
+@pytest.mark.parametrize("data", SUB_PRODUCT_DATA, ids=["C4-inversion-square", "Q8-q8_swap-square", "C4-by-klein"])
+def test_sub_product_inclusion_is_the_preimage_of_each_gamma_subgroup(data):
+    for gsub in _subgroups(data.gamma):
+        for sub in (None, center(data.g)):
+            small, big, incl = sub_product(data, sub, gsub)
+            g_embed = sub.embed if sub else tuple(data.g.elements())
+            assert len(set(incl.map)) == small.group.order
+            for x in small.group.elements():
+                assert big.proj.map[incl.map[x]] == gsub.embed[small.proj.map[x]]
+            for a in small.data.g.elements():
+                assert incl.map[small.embed_g.map[a]] == big.embed_g.map[g_embed[a]]
+            assert set(incl.map) == {big.pair_index(h, t) for h in g_embed for t in gsub.embed}
+            if sub is None:
+                assert set(incl.map) == {y for y in big.group.elements() if big.proj.map[y] in gsub.embed}
+
+
+def test_restrict_to_both_subgroups_is_restricting_in_two_steps():
+    for data in [*SUB_PRODUCT_DATA, *(inst.data for inst in default_grid())]:
+        zsub = center(data.g)
+        for gsub in _subgroups(data.gamma):
+            both = restrict_to_subgroup(data, zsub, gsub)
+            assert both == restrict_to_subgroup(restrict_to_subgroup(data, zsub), gamma_sub=gsub)
+            assert both == restrict_to_subgroup(restrict_to_subgroup(data, gamma_sub=gsub), zsub)
+    # the positional call on the centre keeps the whole acting group
+    data = c_q_data(INV)
+    assert restrict_to_subgroup(data, center(data.g)).gamma is data.gamma
+
+
 def test_cohomologous_iso():
     # a == 1 gives the identity map
     data = make_twisted_data(INV)
@@ -448,6 +503,10 @@ def test_extract_rejects_bad_sections():
     built = build_twisted_product(make_twisted_data(INV))
     with pytest.raises(SectionNotNormalised):
         extract_twisted_data(built.group, list(built.embed_g.map), [1, built.section[1]])
+    # a negative index must not wrap round to the last element
+    for bad in (-built.group.order + built.section[1], built.group.order):
+        with pytest.raises(SectionNotNormalised, match="indices 0..7"):
+            extract_twisted_data(built.group, list(built.embed_g.map), [0, bad])
 
 
 def test_recocycle_identity_map():
