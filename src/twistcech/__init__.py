@@ -28,7 +28,6 @@ from .extensions import (
     Recocycling,
     TwistedData,
     TwistedProductGroup,
-    TwoCocycle,
     build_twisted_product,
     check_cocycle,
     check_gamma_action,
@@ -40,7 +39,6 @@ from .extensions import (
     recocycle,
     second_cohomology,
     trivial_action,
-    trivial_cocycle,
 )
 from .actions import (
     GhatSet,
@@ -92,7 +90,6 @@ from .cech import (
     map_coefficients,
     reductions_to_subgroup,
     sections_of_associated,
-    system_from_data,
     transport_cocycle,
 )
 from .correspond import (

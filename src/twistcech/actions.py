@@ -32,7 +32,7 @@ from .extensions import (
     TwistedData,
     TwistedProductGroup,
     build_twisted_product,
-    trivial_cocycle,
+    make_twisted_data,
 )
 from .groups import FiniteGroup, left_cosets, orbit_closures, subgroup_from_elements
 
@@ -248,8 +248,7 @@ def homogeneous_space(data: TwistedData, subgroup_elements: Sequence[int]) -> Tw
     k = len(cosets)
     g_rows = tuple(tuple(coset_of[g.mul[a][reps[i]]] for i in range(k)) for a in g.elements())
     t_rows = tuple(tuple(coset_of[data.theta(t, reps[i])] for i in range(k)) for t in gamma.elements())
-    free_data = TwistedData(data.action, trivial_cocycle(data.action))
-    return validate_twisted_action(free_data, k, g_rows, t_rows, "left")
+    return validate_twisted_action(make_twisted_data(data.action), k, g_rows, t_rows, "left")
 
 
 def transport(m: TwistedGSet, rec: Recocycling) -> TwistedGSet:

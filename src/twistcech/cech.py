@@ -44,7 +44,6 @@ from .abelian import (
     DEFAULT_COORD_GUARD,
     AbelianComplex,
     AbelianCoords,
-    ZHom,
     abelian_coordinates,
     hom_from_columns,
     solve,
@@ -65,11 +64,10 @@ from .extensions import (
     GammaAction,
     Recocycling,
     TwistedData,
-    TwoCocycle,
     check_cocycle,
     check_gamma_action,
+    make_twisted_data,
     restrict_to_subgroup,
-    trivial_cocycle,
 )
 from .groups import (
     FiniteGroup,
@@ -87,15 +85,13 @@ from .nerves import GammaNerve, Nerve, Simplex, forest_functions, tree_gauge
 
 @dataclass(frozen=True)
 class CechSystem:
-    """A coefficient system: group values twisted by an action and a cocycle."""
+    """A coefficient system: a space with an acting group, and the twisting (theta, c) of its values."""
 
     space: GammaNerve
-    coeff: FiniteGroup
-    action: GammaAction
-    twist: TwoCocycle
+    data: TwistedData
 
     def __post_init__(self):
-        if self.action.gamma is not self.space.gamma and self.action.gamma.mul != self.space.gamma.mul:
+        if self.data.gamma is not self.space.gamma and self.data.gamma.mul != self.space.gamma.mul:
             raise InputError("coefficient action and nerve action use different groups")
 
     @property
@@ -106,14 +102,9 @@ class CechSystem:
     def nerve(self) -> Nerve:
         return self.space.nerve
 
-    def theta(self, t: int, x: int) -> int:
-        return self.action.apply(t, x)
-
-    def theta_inv(self, t: int, x: int) -> int:
-        return self.action.apply_inv(t, x)
-
-    def c(self, t1: int, t2: int) -> int:
-        return self.twist.table[t1][t2]
+    @property
+    def coeff(self) -> FiniteGroup:
+        return self.data.g
 
     @cached_property
     def tables(self) -> SystemTables:
@@ -176,17 +167,18 @@ def _compile(system: CechSystem) -> SystemTables:
     comp_edges: list[list[int]] = [[] for _ in comps]
     for e, (u, _) in enumerate(nerve.edges):
         comp_edges[comp_of[u]].append(e)
+    data = system.data
     nontrivial = tuple(t for t in gamma.elements() if t != 0)
     vertex_sites = []
     for t in nontrivial:
         for t2 in nontrivial:
             prod = gamma.mul[t2][t]
-            vertex_sites.append((t, t2, prod, system.theta_inv(prod, system.c(t2, t))))
+            vertex_sites.append((t, t2, prod, data.theta_inv(prod, data.c(t2, t))))
     return SystemTables(
-        mul=system.coeff.mul,
-        inv=system.coeff.inv,
+        mul=data.g.mul,
+        inv=data.g.inv,
         act=act,
-        theta_inv=tuple(auto.inverse_map for auto in system.action.theta),
+        theta_inv=tuple(auto.inverse_map for auto in data.action.theta),
         edges=nerve.edges,
         pull=tuple(pull),
         triangles=tuple((idx[(i, j)], idx[(j, x)], idx[(i, x)]) for (i, j, x) in nerve.triangles),
@@ -196,10 +188,6 @@ def _compile(system: CechSystem) -> SystemTables:
         nontrivial=nontrivial,
         vertex_sites=tuple(vertex_sites),
     )
-
-
-def system_from_data(space: GammaNerve, data: TwistedData) -> CechSystem:
-    return CechSystem(space, data.g, data.action, data.cocycle)
 
 
 @dataclass(frozen=True)
@@ -397,27 +385,19 @@ def gauge_reduced(x: TwistedOneCocycle, h: Sequence[int], lam: int) -> TwistedOn
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class H0Group:
-    """Equivariant locally constant functions; their group law is pointwise."""
-
-    system: CechSystem
-    functions: tuple[tuple[int, ...], ...]  # vertex value tables, sorted
-
-
-def h0_twisted(system: CechSystem) -> H0Group:
+def h0_twisted(system: CechSystem) -> tuple[tuple[int, ...], ...]:
     """The constant gauges that fix the trivial cocycle: h(v . t) == theta_t^-1(h(v)).
 
-    Constant gauges come in product order of their root values, which is
-    also the sorted order of their value tables.
+    These are the equivariant locally constant functions, as vertex value
+    tables; their group law is pointwise.  Constant gauges come in product
+    order of their root values, which is also the sorted order of the tables.
     """
     tab = system.tables
-    functions = tuple(
+    return tuple(
         h
         for h in _constant_gauges(system)
         if all(h[w] == th[x] for act, th in zip(tab.act, tab.theta_inv) for w, x in zip(act, h))
     )
-    return H0Group(system, functions)
 
 
 # ---------------------------------------------------------------------------
@@ -840,18 +820,18 @@ class CoefficientLadder:
     @cached_property
     def sys_c(self) -> CechSystem:
         """The G system carrying the twist c of the data."""
-        return system_from_data(self.space, self.data)
+        return CechSystem(self.space, self.data)
 
     @cached_property
-    def h0z(self) -> H0Group:
+    def h0z(self) -> tuple[tuple[int, ...], ...]:
         return h0_twisted(self.sys_z)
 
     @cached_property
-    def h0g(self) -> H0Group:
+    def h0g(self) -> tuple[tuple[int, ...], ...]:
         return h0_twisted(self.sys_g)
 
     @cached_property
-    def h0q(self) -> H0Group:
+    def h0q(self) -> tuple[tuple[int, ...], ...]:
         return h0_twisted(self.sys_q)
 
     @cached_property
@@ -903,10 +883,8 @@ def coefficient_ladder(
     zsub = center(g)
     q, proj = quotient_group(g, zsub.embed, label=f"{g.label or 'G'}/Z")
 
-    sys_g = CechSystem(space, g, data.action, trivial_cocycle(data.action))
-
-    z_action = restrict_to_subgroup(data, zsub).action
-    sys_z = CechSystem(space, zsub.group, z_action, trivial_cocycle(z_action))
+    sys_g = CechSystem(space, make_twisted_data(data.action))
+    sys_z = CechSystem(space, make_twisted_data(restrict_to_subgroup(data, zsub).action))
 
     q_tables = []
     for t in data.gamma.elements():
@@ -914,8 +892,7 @@ def coefficient_ladder(
         for x in g.elements():
             row[proj.map[x]] = proj.map[data.theta(t, x)]
         q_tables.append(tuple(row))
-    q_action = check_gamma_action(data.gamma, q, q_tables)
-    sys_q = CechSystem(space, q, q_action, trivial_cocycle(q_action))
+    sys_q = CechSystem(space, make_twisted_data(check_gamma_action(data.gamma, q, q_tables)))
 
     lift_table = tuple(proj.map.index(qe) for qe in q.elements())
     return CoefficientLadder(space, data, sys_g, sys_z, sys_q, zsub, q, proj, lift_table, budget)
@@ -1044,70 +1021,52 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
         report.add(name, ok, **detail)
 
     def node_h0() -> tuple[bool, dict]:
-        img_h0z = {tuple(emb[x] for x in f) for f in h0z.functions}
-        ker = {f for f in h0g.functions if all(pr[x] == 0 for x in f)}
+        img_h0z = {tuple(emb[x] for x in f) for f in h0z}
+        ker = {f for f in h0g if all(pr[x] == 0 for x in f)}
         return ker == img_h0z, {"sizes": [len(ker), len(img_h0z)]}
 
     node("h0: ker(G->G/Z) == im(Z->G)", node_h0)
 
     def node_a4() -> tuple[bool, dict]:
-        img_h0g = sorted({tuple(pr[x] for x in f) for f in h0g.functions})
-        delta_of = {f: h1z.class_of(delta_h0(ladder, f)) for f in h0q.functions}
-        for f1 in h0q.functions:
-            for f2 in h0q.functions:
-                same_delta = delta_of[f1] == delta_of[f2]
-                same_orbit = any(
-                    f2 == tuple(ladder.quotient.mul[gbar[v]][f1[v]] for v in range(len(f1)))
-                    for gbar in img_h0g
-                )
-                if same_delta != same_orbit:
-                    return False, {"witness": (f1, f2, same_delta, same_orbit)}
-        return True, {"sizes": [len(h0q.functions), len(h1z)]}
+        img_h0g = {tuple(pr[x] for x in f) for f in h0g}
+        qmul = ladder.quotient.mul
+        return _fibres_are_orbits(
+            h0q,
+            lambda f: h1z.class_of(delta_h0(ladder, f)),
+            lambda f: [tuple(qmul[x][y] for x, y in zip(gbar, f)) for gbar in img_h0g],
+            [len(h0q), len(h1z)],
+        )
 
     node("h0(G/Z): equal delta iff same H0(G)-orbit", node_a4)
 
     def node_a5() -> tuple[bool, dict]:
-        to_g_class = {
-            cid: h1g.class_of(include_z_cocycle(ladder, h1z.representative(cid)))
-            for cid in range(len(h1z))
-        }
-
         def moved(cid: int) -> list[int]:
             rep = h1z.representative(cid)
-            return [h1z.class_of(act_h1z_by_h0q(ladder, rep, f)) for f in h0q.functions]
+            return [h1z.class_of(act_h1z_by_h0q(ladder, rep, f)) for f in h0q]
 
-        orbits = orbit_closures(range(len(h1z)), moved)
-        orbit_of = {member: oid for oid, orbit in enumerate(orbits) for member in orbit}
-        ok = all(
-            (to_g_class[c1] == to_g_class[c2]) == (orbit_of[c1] == orbit_of[c2])
-            for c1 in range(len(h1z))
-            for c2 in range(len(h1z))
+        return _fibres_are_orbits(
+            range(len(h1z)),
+            lambda cid: h1g.class_of(include_z_cocycle(ladder, h1z.representative(cid))),
+            moved,
+            [len(h1z), len(h1g)],
         )
-        return ok, {"sizes": [len(h1z), len(h1g)]}
 
     node("h1(Z): equal image in H1(G) iff same H0(G/Z)-orbit", node_a5)
 
     def node_a6() -> tuple[bool, dict]:
-        to_q_class = {
-            cid: h1q.class_of(project_g_cocycle(ladder, h1g.representative(cid)))
-            for cid in range(len(h1g))
-        }
-        g = ladder.data.g
-        for c1 in range(len(h1g)):
-            x1 = h1g.representative(c1)
-            reachable = set()
-            for zid in range(len(h1z)):
-                z = h1z.representative(zid)
-                za = tuple(g.mul[emb[u]][v] for u, v in zip(z.a, x1.a))
-                zphi = tuple(
-                    tuple(g.mul[emb[u]][v] for u, v in zip(zrow, xrow))
-                    for zrow, xrow in zip(z.phi, x1.phi)
-                )
-                reachable.add(h1g.class_of(make_cocycle(ladder.sys_g, za, zphi)))
-            fibre = {c2 for c2 in range(len(h1g)) if to_q_class[c2] == to_q_class[c1]}
-            if reachable != fibre:
-                return False, {"witness": (c1, sorted(reachable), sorted(fibre))}
-        return True, {"sizes": [len(h1g), len(h1q)]}
+        def moved(cid: int) -> list[int]:
+            pair = h1g.representative(cid).serial()
+            return [
+                h1g.class_of(make_cocycle(ladder.sys_g, *_times_centre(ladder, z.serial(), pair)))
+                for z in map(h1z.representative, range(len(h1z)))
+            ]
+
+        return _fibres_are_orbits(
+            range(len(h1g)),
+            lambda cid: h1q.class_of(project_g_cocycle(ladder, h1g.representative(cid))),
+            moved,
+            [len(h1g), len(h1q)],
+        )
 
     node("h1(G): fibres over H1(G/Z) are H1(Z)-orbits", node_a6)
 
@@ -1139,6 +1098,34 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     return report
 
 
+def _fibres_are_orbits(
+    items: Sequence, image: Callable, moves: Callable[..., Iterable], sizes: list[int]
+) -> tuple[bool, dict]:
+    """Exactness where a group acts on the previous term, as a node's (ok, detail).
+
+    Each item's fibre under ``image`` must be its orbit ``{item, *moves(item)}``,
+    ``moves`` giving the item's images under the whole group.  The detail
+    is ``sizes`` on success, else the witness (item, orbit, fibre) of the
+    first item where they differ.
+    """
+    label = {x: image(x) for x in items}
+    for x in items:
+        orbit, fibre = {x, *moves(x)}, {y for y in items if label[y] == label[x]}
+        if orbit != fibre:
+            return False, {"witness": (x, sorted(orbit), sorted(fibre))}
+    return True, {"sizes": sizes}
+
+
+def _times_centre(ladder: CoefficientLadder, z: tuple, x: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The pair (a, phi) whose values are those of the centre-valued pair z, included in G, times those of x."""
+    mul, emb = ladder.data.g.mul, ladder.zsub.embed
+    (za, zphi), (a, phi) = z, x
+    return (
+        tuple(mul[emb[u]][v] for u, v in zip(za, a)),
+        tuple(tuple(mul[emb[u]][v] for u, v in zip(zrow, row)) for zrow, row in zip(zphi, phi)),
+    )
+
+
 def _alternative_lift(ladder: CoefficientLadder) -> list[int]:
     table = list(ladder.lift_table)
     for q_elem in range(1, ladder.quotient.order):
@@ -1166,8 +1153,6 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
     target_label = cx.coboundaries.reduce(target)
     h1q = ladder.h1q
     n_slots = _cochain_sizes(ladder.sys_z)[0]
-    g = ladder.data.g
-    emb = ladder.zsub.embed
     for cid in range(len(h1q)):
         x = h1q.representative(cid)
         vec = delta_h1_vector(ladder, x)
@@ -1177,14 +1162,10 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
         correction = solve(cx.d1_hom, diff)
         if correction is None:
             raise InternalError("obstruction shares the twist's B^2 label but differs from it by no coboundary")
-        a, phi = _mapped(x, ladder.lift_table)
-        za, zphi = _pair_of(ladder.sys_z, cochain_values(cx.coords, correction, n_slots))
-        wa = tuple(g.mul[av][g.inv[emb[zv]]] for av, zv in zip(a, za))
-        wphi = tuple(
-            tuple(g.mul[pv][g.inv[emb[zv]]] for pv, zv in zip(prow, zrow))
-            for prow, zrow in zip(phi, zphi)
-        )
-        witness = make_cocycle(ladder.sys_c, wa, wphi)
+        # the lift times the inverse of the correction, included in G
+        negated = tuple(-v % m for v, m in zip(correction, cx.d1_hom.mods_in))
+        z = _pair_of(ladder.sys_z, cochain_values(cx.coords, negated, n_slots))
+        witness = make_cocycle(ladder.sys_c, *_times_centre(ladder, z, _mapped(x, ladder.lift_table)))
         return ExistenceResult(True, witness, cid)
     return ExistenceResult(False, None, None)
 
@@ -1200,26 +1181,26 @@ def map_coefficients(
     target_action: GammaAction,
 ) -> TwistedOneCocycle:
     """Push a twisted cocycle along an equivariant coefficient homomorphism."""
-    system = x.system
-    if psi.source.mul != system.coeff.mul:
+    data = x.system.data
+    if psi.source.mul != data.g.mul:
         raise CarrierMismatch(message="homomorphism source differs from the coefficient group")
-    for t in system.gamma.elements():
-        for g_elem in system.coeff.elements():
-            if target_action.apply(t, psi.map[g_elem]) != psi.map[system.theta(t, g_elem)]:
+    if psi.target.mul != target_action.g.mul:
+        raise CarrierMismatch(message="homomorphism target differs from the group the target action acts on")
+    for t in data.gamma.elements():
+        for g_elem in data.g.elements():
+            if target_action.apply(t, psi.map[g_elem]) != psi.map[data.theta(t, g_elem)]:
                 raise NotEquivariant(t, g_elem)
-    target = psi.target
-    zset = set(center(target).embed)
+    zset = set(center(psi.target).embed)
     pushed = []
-    for t1 in system.gamma.elements():
+    for t1 in data.gamma.elements():
         row = []
-        for t2 in system.gamma.elements():
-            val = psi.map[system.c(t1, t2)]
+        for t2 in data.gamma.elements():
+            val = psi.map[data.c(t1, t2)]
             if val not in zset:
                 raise ImageCocycleNotCentral(t1, t2)
             row.append(val)
         pushed.append(tuple(row))
-    new_twist = check_cocycle(target_action, tuple(pushed))
-    return relabel(x, psi.map, CechSystem(system.space, target, target_action, new_twist))
+    return relabel(x, psi.map, CechSystem(x.system.space, check_cocycle(target_action, pushed)))
 
 
 def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[int, ...]]:
@@ -1232,15 +1213,15 @@ def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[i
     group, acting group and action with the cocycle; its own twist may be
     the same one or the trivial one (homogeneous fibres carry no twist).
     """
-    system = e.system
+    system, data = e.system, e.system.data
     if m.side == "left":
         m = convert_side(m)
     md = m.data
-    if md.g.mul != system.coeff.mul or md.gamma.mul != system.gamma.mul:
+    if md.g.mul != data.g.mul or md.gamma.mul != system.gamma.mul:
         raise CarrierMismatch(message="twisted set groups differ from the cocycle system")
-    if tuple(a.map for a in md.action.theta) != tuple(a.map for a in system.action.theta):
+    if tuple(a.map for a in md.action.theta) != tuple(a.map for a in data.action.theta):
         raise CarrierMismatch(message="twisted set action differs from the cocycle system")
-    if md.cocycle.table != system.twist.table and not md.cocycle.is_trivial():
+    if md.table != data.table and not md.is_trivial():
         raise CarrierMismatch(message="twisted set twist is neither the system twist nor trivial")
 
     nerve = system.nerve
@@ -1277,14 +1258,13 @@ def reductions_to_subgroup(
     with subgroup values.  When the twist takes values outside the subgroup
     no reduction can exist and the empty list is returned.
     """
-    system = e.system
-    g = system.coeff
+    system, data = e.system, e.system.data
+    g = data.g
     sub = subgroup_from_elements(g, subgroup_elements)
-    data = TwistedData(system.action, system.twist)
     sub_data = restrict_to_subgroup(data, sub)
     if sub_data is None:
         return []
-    sub_system = system_from_data(system.space, sub_data)
+    sub_system = CechSystem(system.space, sub_data)
 
     hom_left = homogeneous_space(data, sub.embed)
     coset_set = convert_side(hom_left)
@@ -1304,13 +1284,12 @@ def transport_cocycle(e: TwistedOneCocycle, rec: Recocycling) -> TwistedOneCocyc
     The edge part is unchanged; the vertex functions pick up the inverse
     action of the recocycling map: phi'_{t,i} = phi_{t,i} theta_t^-1(s(t)).
     """
-    system = e.system
-    if rec.old.action.theta != system.action.theta or rec.old.cocycle.table != system.twist.table:
+    system, data = e.system, e.system.data
+    if rec.old.action.theta != data.action.theta or rec.old.table != data.table:
         raise CarrierMismatch(message="cocycle does not belong to the recocycling source data")
-    g = system.coeff
+    g = data.g
     phi = tuple(
-        tuple(g.mul[e.phi[t][v]][system.theta_inv(t, rec.s[t])] for v in range(system.nerve.n_vertices))
+        tuple(g.mul[e.phi[t][v]][data.theta_inv(t, rec.s[t])] for v in range(system.nerve.n_vertices))
         for t in system.gamma.elements()
     )
-    new_system = system_from_data(system.space, rec.new)
-    return make_cocycle(new_system, e.a, phi)
+    return make_cocycle(CechSystem(system.space, rec.new), e.a, phi)

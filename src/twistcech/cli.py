@@ -20,12 +20,12 @@ from typing import Optional
 from . import __version__
 from .cech import (
     DEFAULT_ENUM_BUDGET,
+    CechSystem,
     coefficient_ladder,
     existence_check,
     h1_reduced,
     h1_twisted,
     les_verify,
-    system_from_data,
 )
 from .correspond import (
     GhatCocycleY,
@@ -36,7 +36,7 @@ from .correspond import (
     plain_h1,
 )
 from .errors import BudgetExceeded, InputError, TwistError
-from .extensions import TwistedData, TwoCocycle, build_twisted_product, second_cohomology
+from .extensions import TwistedData, build_twisted_product, second_cohomology
 from .fixtures import default_grid, grid_instance, group, named_action
 from .groups import DEFAULT_ORDER_GUARD, conjugacy_classes, find_isomorphism, outer_classes
 from .nerves import quotient
@@ -141,8 +141,7 @@ def cmd_extensions(cfg: JobConfig) -> Report:
     catalogue = {name: group(name) for name in ("C2", "C4", "C8", "C2xC2", "S3", "D4", "Q8")}
     rows = []
     for cid, rep in enumerate(h2.representatives):
-        data = TwistedData(action, TwoCocycle(action, rep))
-        built = build_twisted_product(data)
+        built = build_twisted_product(TwistedData(action, rep))
         iso_name = None
         for name, cand in sorted(catalogue.items()):
             if cand.order == built.group.order and find_isomorphism(built.group, cand, order_guard=cfg.budget_order):
@@ -156,7 +155,7 @@ def cmd_extensions(cfg: JobConfig) -> Report:
 def cmd_h1(cfg: JobConfig) -> Report:
     space = resolve_gamma_nerve(cfg.args["space"])
     data = _resolve_data(cfg.args["data"])
-    classes = h1_twisted(system_from_data(space, data), budget=cfg.budget_enum)
+    classes = h1_twisted(CechSystem(space, data), budget=cfg.budget_enum)
     if cfg.args.get("reduced"):
         classes = h1_reduced(classes)
     report = Report(
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--budget-order", type=int, default=DEFAULT_ORDER_GUARD, help="max group order for searches")
         p.add_argument("--budget-enum", type=int, default=DEFAULT_ENUM_BUDGET, help="max enumeration size")
-        p.add_argument("--time-limit", type=float, default=600.0, help="soft time limit in seconds")
+        p.add_argument("--time-limit", type=float, default=600.0, help="time limit in seconds; only verify reads it, between grid rows")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", type=str, default=None, help="write the report to a file")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")

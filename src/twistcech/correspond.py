@@ -29,7 +29,6 @@ from .cech import (
     h1_twisted,
     make_cocycle,
     relabel,
-    system_from_data,
 )
 from .errors import (
     BudgetExceeded,
@@ -63,9 +62,7 @@ _TRIVIAL_GROUP = cyclic_group(1, label="C1")
 
 def plain_system(y: Nerve, coeff: FiniteGroup) -> CechSystem:
     """Untwisted coefficients over a nerve (trivial acting group)."""
-    space = trivial_gamma_nerve(y, _TRIVIAL_GROUP)
-    data = make_twisted_data(trivial_action(_TRIVIAL_GROUP, coeff))
-    return system_from_data(space, data)
+    return CechSystem(trivial_gamma_nerve(y, _TRIVIAL_GROUP), make_twisted_data(trivial_action(_TRIVIAL_GROUP, coeff)))
 
 
 def plain_cocycle(system: CechSystem, values: Sequence[int]) -> TwistedOneCocycle:
@@ -122,7 +119,7 @@ def descend(x: TwistedOneCocycle, descent: CoverDescent) -> CTwistedCocycleY:
         raise CarrierMismatch(message="cocycle lives on a different cover")
     if not space.free:
         raise NotFree(message="descent needs a free action upstairs")
-    data = TwistedData(x.system.action, x.system.twist)
+    data = x.system.data
     y = descent.downstairs
     n_up = space.nerve.n_vertices
     h = [0] * n_up
@@ -153,7 +150,7 @@ def ascend(y_cocycle: CTwistedCocycleY, system: CechSystem) -> TwistedOneCocycle
     space = descent.upstairs
     y = descent.downstairs
     gamma, g = data.gamma, data.g
-    if (system.space, system.action, system.twist) != (space, data.action, data.cocycle):
+    if (system.space, system.data) != (space, data):
         raise CarrierMismatch(message="system is not the cover's upper space with the cocycle's data")
 
     sheet: dict[int, tuple[int, int]] = {}
@@ -387,7 +384,7 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     moved = gauge(x.cocycle, [prod.section[t] for t in lam])
     gauged = GhatCocycleY(prod, make_cocycle(x.cocycle.system, *moved.serial()))
 
-    sub_prod, _, incl = sub_product(prod.data, gamma_sub=subgroup_from_elements(gamma, gprime))
+    sub_prod, incl = sub_product(prod, gamma_sub=subgroup_from_elements(gamma, gprime))
     back = {b: a for a, b in enumerate(incl.map)}
     reduced = GhatCocycleY(sub_prod, relabel(gauged.cocycle, back, plain_system(y, sub_prod.group)))
     return ConnectedReduction(gprime, sub_prod, incl, reduced, gauged)
@@ -417,7 +414,8 @@ def normalizer_embedding_check(
     """
     gamma = data.gamma
     gset = sorted(set(int(t) for t in gamma_prime))
-    sub_prod, big, incl = sub_product(data, gamma_sub=subgroup_from_elements(gamma, gset))
+    big = build_twisted_product(data)
+    sub_prod, incl = sub_product(big, gamma_sub=subgroup_from_elements(gamma, gset))
     normalizer = tuple(
         n
         for n in gamma.elements()

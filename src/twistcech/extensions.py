@@ -90,20 +90,6 @@ def trivial_action(gamma: FiniteGroup, g: FiniteGroup) -> GammaAction:
 
 
 @dataclass(frozen=True)
-class TwoCocycle:
-    """Normalized central 2-cocycle; values are G-element indices."""
-
-    action: GammaAction
-    table: tuple[tuple[int, ...], ...]
-
-    def __call__(self, g1: int, g2: int) -> int:
-        return self.table[g1][g2]
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for row in self.table for v in row)
-
-
-@dataclass(frozen=True)
 class GammaOneCochain:
     """A map gamma -> Z(G) with a(1) = 1, as G-element indices."""
 
@@ -115,8 +101,10 @@ class GammaOneCochain:
 
 @dataclass(frozen=True)
 class TwistedData:
+    """The twisting (theta, c): an action and a normalized central 2-cocycle table of G-element indices."""
+
     action: GammaAction
-    cocycle: TwoCocycle
+    table: tuple[tuple[int, ...], ...]
 
     @property
     def gamma(self) -> FiniteGroup:
@@ -133,10 +121,13 @@ class TwistedData:
         return self.action.apply_inv(gamma_elem, g_elem)
 
     def c(self, g1: int, g2: int) -> int:
-        return self.cocycle.table[g1][g2]
+        return self.table[g1][g2]
+
+    def is_trivial(self) -> bool:
+        return all(v == 0 for row in self.table for v in row)
 
 
-def check_cocycle(action: GammaAction, table: Sequence[Sequence[int]]) -> TwoCocycle:
+def check_cocycle(action: GammaAction, table: Sequence[Sequence[int]]) -> TwistedData:
     """Verify normalization, centrality and the twisted cocycle identity."""
     gamma, g = action.gamma, action.g
     rows = tuple(tuple(int(v) for v in row) for row in table)
@@ -160,20 +151,16 @@ def check_cocycle(action: GammaAction, table: Sequence[Sequence[int]]) -> TwoCoc
                 # theta_g0(c(g1,g2)) * c(g0,g1*g2) == c(g0,g1) * c(g0*g1,g2)
                 if mul[theta0[rows[g1][g2]]][row0[gmul[g1][g2]]] != mul[row0[g1]][row01[g2]]:
                     raise CocycleViolation(g0, g1, g2)
-    return TwoCocycle(action, rows)
+    return TwistedData(action, rows)
 
 
-def trivial_cocycle(action: GammaAction) -> TwoCocycle:
+def make_twisted_data(action: GammaAction) -> TwistedData:
+    """The trivial twisting of an action: c is identically 1."""
     n = action.gamma.order
-    return TwoCocycle(action, tuple(tuple(0 for _ in range(n)) for _ in range(n)))
+    return TwistedData(action, tuple((0,) * n for _ in range(n)))
 
 
-def make_twisted_data(action: GammaAction, table: Optional[Sequence[Sequence[int]]] = None) -> TwistedData:
-    coc = trivial_cocycle(action) if table is None else check_cocycle(action, table)
-    return TwistedData(action, coc)
-
-
-def coboundary(action: GammaAction, cochain: GammaOneCochain) -> TwoCocycle:
+def coboundary(action: GammaAction, cochain: GammaOneCochain) -> TwistedData:
     """delta a (g0,g1) = theta_g0(a(g1)) * a(g0 g1)^-1 * a(g0)."""
     gamma, g = action.gamma, action.g
     a = cochain.values
@@ -191,11 +178,11 @@ def coboundary(action: GammaAction, cochain: GammaOneCochain) -> TwoCocycle:
     return check_cocycle(action, table)
 
 
-def multiply_cocycles(a: TwoCocycle, b: TwoCocycle) -> TwoCocycle:
-    g = a.action.g
-    n = a.action.gamma.order
+def multiply_cocycles(a: TwistedData, b: TwistedData) -> TwistedData:
+    """The pointwise product of the two tables, with the action of ``a``."""
+    g, n = a.g, a.gamma.order
     table = tuple(tuple(g.mul[a.table[i][j]][b.table[i][j]] for j in range(n)) for i in range(n))
-    return TwoCocycle(a.action, table)
+    return TwistedData(a.action, table)
 
 
 @dataclass
@@ -209,11 +196,11 @@ class CocycleClassification:
     def __len__(self) -> int:
         return len(self.representatives)
 
-    def class_of(self, cocycle: TwoCocycle | Sequence[Sequence[int]]) -> int:
+    def class_of(self, cocycle: TwistedData | Sequence[Sequence[int]]) -> int:
         """The index of the table's B^2 label among the representatives', once check_cocycle passes it."""
         from .cech import cochain_vector
 
-        table = check_cocycle(self.action, cocycle.table if isinstance(cocycle, TwoCocycle) else cocycle).table
+        table = check_cocycle(self.action, cocycle.table if isinstance(cocycle, TwistedData) else cocycle).table
         gamma, back = self.action.gamma, center(self.action.g).parent_to_sub
 
         def label(c: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -255,7 +242,7 @@ def restrict_to_subgroup(
     if any(v not in back for row in ctable for v in row):
         return None
     action = check_gamma_action(gamma_sub.group, sub.group, tables)
-    return TwistedData(action, check_cocycle(action, [[back[v] for v in row] for row in ctable]))
+    return check_cocycle(action, [[back[v] for v in row] for row in ctable])
 
 
 def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) -> CocycleClassification:
@@ -276,7 +263,7 @@ def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) 
     coordinates, or when |Z^2| exceeds the guard.
     """
     # cech imports this module at load time
-    from .cech import abelian_complex, cochain_values, system_from_data
+    from .cech import CechSystem, abelian_complex, cochain_values
 
     gamma = action.gamma
     zsub = center(action.g)
@@ -284,7 +271,7 @@ def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) 
     if n_out > DEFAULT_COORD_GUARD:
         raise BudgetExceeded(f"3-cochains have {n_out} coordinates, guard {DEFAULT_COORD_GUARD}")
     point = trivial_gamma_nerve(validate_nerve(1, []), gamma)
-    cx = abelian_complex(system_from_data(point, restrict_to_subgroup(make_twisted_data(action), zsub)))
+    cx = abelian_complex(CechSystem(point, restrict_to_subgroup(make_twisted_data(action), zsub)))
     if cx.cocycles.size > guard:
         raise BudgetExceeded(f"kernel of d2 has {cx.cocycles.size} elements, budget {guard}")
     pairs = [(t1, t2) for t1 in gamma.elements() if t1 for t2 in gamma.elements() if t2]
@@ -365,26 +352,26 @@ def _checked_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int
 
 
 def sub_product(
-    data: TwistedData,
+    big: TwistedProductGroup,
     sub: Optional[Subgroup] = None,
     gamma_sub: Optional[Subgroup] = None,
     label: Optional[str] = None,
-) -> tuple[TwistedProductGroup, TwistedProductGroup, GroupHom]:
-    """The glued product of the restricted data, the full product, and the inclusion.
+) -> tuple[TwistedProductGroup, GroupHom]:
+    """The glued product of ``big.data`` restricted to the subgroups, and its inclusion in ``big``.
 
     ``sub`` and ``gamma_sub`` are as for ``restrict_to_subgroup``; ``label``
     names the small product.  The inclusion sends (a, t) to
     (sub.embed[a], gamma_sub.embed[t]).
     """
-    sub, gamma_sub = sub or _whole(data.g), gamma_sub or _whole(data.gamma)
-    restricted = restrict_to_subgroup(data, sub, gamma_sub)
+    sub, gamma_sub = sub or _whole(big.data.g), gamma_sub or _whole(big.data.gamma)
+    restricted = restrict_to_subgroup(big.data, sub, gamma_sub)
     if restricted is None:
         raise InputError("the 2-cocycle takes values outside the subgroup")
-    small, big = build_twisted_product(restricted, label=label), build_twisted_product(data)
+    small = build_twisted_product(restricted, label=label)
     mapping = [
         big.pair_index(sub.embed[a], gamma_sub.embed[t]) for a, t in map(small.index_pair, small.group.elements())
     ]
-    return small, big, _checked_hom(small.group, big.group, mapping, "sub-product inclusion")
+    return small, _checked_hom(small.group, big.group, mapping, "sub-product inclusion")
 
 
 def gamma_hat(data: TwistedData, label: Optional[str] = None) -> tuple[TwistedProductGroup, GroupHom]:
@@ -393,7 +380,8 @@ def gamma_hat(data: TwistedData, label: Optional[str] = None) -> tuple[TwistedPr
     Returns the twisted product over the centre and the embedding of its
     group into the full twisted product, compatible with both projections.
     """
-    small, big, embedding = sub_product(data, center(data.g), label=label)
+    big = build_twisted_product(data)
+    small, embedding = sub_product(big, center(data.g), label=label)
     if any(big.proj.map[embedding.map[a]] != small.proj.map[a] for a in small.group.elements()):
         raise InternalError("gamma-hat embedding does not commute with projections")
     return small, embedding
@@ -408,7 +396,7 @@ def cohomologous_iso(data: TwistedData, cochain: GammaOneCochain) -> GroupHom:
     g = data.g
     delta = coboundary(data.action, cochain)
     src = build_twisted_product(data)
-    dst = build_twisted_product(TwistedData(data.action, multiply_cocycles(data.cocycle, delta)))
+    dst = build_twisted_product(multiply_cocycles(data, delta))
     mapping = [
         dst.pair_index(g.mul[a][g.inv[cochain.values[x]]], x) for a, x in map(src.index_pair, src.group.elements())
     ]
@@ -489,7 +477,7 @@ def extract_twisted_data(
                 raise CocycleNotCentral(a, b)
             row.append(v)
         ctable.append(row)
-    data = TwistedData(action, check_cocycle(action, ctable))
+    data = check_cocycle(action, ctable)
 
     built = build_twisted_product(data)
     mapping = [ghat.mul[sub.embed[a]][sec[x]] for a, x in map(built.index_pair, built.group.elements())]
@@ -505,7 +493,7 @@ class Recocycling:
     old: TwistedData
     new: TwistedData
     s: tuple[int, ...]
-    c_s: TwoCocycle
+    c_s: TwistedData
 
 
 def recocycle(data: TwistedData, s: Sequence[int]) -> Recocycling:
@@ -541,11 +529,6 @@ def recocycle(data: TwistedData, s: Sequence[int]) -> Recocycling:
     )
     new_action = check_gamma_action(gamma, g, theta_tables)
     c_s = check_cocycle(new_action, cs_table)
-    new_c = check_cocycle(
-        new_action,
-        tuple(
-            tuple(g.mul[data.c(a, b)][cs_table[a][b]] for b in gamma.elements())
-            for a in gamma.elements()
-        ),
-    )
-    return Recocycling(data, TwistedData(new_action, new_c), sv, c_s)
+    # c' = c * c_s pointwise, checked against the new action (central values commute)
+    new = check_cocycle(new_action, multiply_cocycles(c_s, data).table)
+    return Recocycling(data, new, sv, c_s)

@@ -122,8 +122,7 @@ def c_square_table(gamma: FiniteGroup, value: int) -> list[list[int]]:
 
 def c_q_data(action: GammaAction) -> TwistedData:
     """The square-element central twist on C4 under an order-2 action."""
-    table = c_square_table(action.gamma, 2)
-    return TwistedData(action, check_cocycle(action, table))
+    return check_cocycle(action, c_square_table(action.gamma, 2))
 
 
 NERVES: dict[str, Nerve] = {
@@ -189,7 +188,7 @@ def _c2_data(g_name: str, action_name: str, c_name: str) -> TwistedData:
         return make_twisted_data(action)
     # the central square twist: C4 -> 2, Q8 -> -1, C2 -> the generator
     value = {"C4": 2, "Q8": 1, "C2": 1}[g_name]
-    return TwistedData(action, check_cocycle(action, c_square_table(action.gamma, value)))
+    return check_cocycle(action, c_square_table(action.gamma, value))
 
 
 _C2_SPECS = (

@@ -89,7 +89,7 @@ def resolve_gamma_nerve(ref: str) -> GammaNerve:
 def twisted_data_from_dict(payload: dict) -> TwistedData:
     action = check_gamma_action(_group_ref(payload, "gamma"), _group_ref(payload, "g"), _table(payload, "theta"))
     if payload.get("c") is not None:
-        return TwistedData(action, check_cocycle(action, _table(payload, "c")))
+        return check_cocycle(action, _table(payload, "c"))
     return make_twisted_data(action)
 
 

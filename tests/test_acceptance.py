@@ -14,12 +14,12 @@ import time
 
 from twistcech.actions import convert_side, from_ghat, regular_ghat_set, to_ghat
 from twistcech.cech import (
+    CechSystem,
     coefficient_ladder,
     existence_check,
     h1_reduced,
     h1_twisted,
     les_verify,
-    system_from_data,
     transport_cocycle,
 )
 from twistcech.correspond import (
@@ -35,7 +35,6 @@ from twistcech.correspond import (
 from twistcech.errors import CocycleViolation, InputError
 from twistcech.extensions import (
     TwistedData,
-    TwoCocycle,
     build_twisted_product,
     check_cocycle,
     make_twisted_data,
@@ -104,14 +103,14 @@ def test_criterion_1_extension_classification():
     ok = len(h2) == 2
     iso_names = []
     for rep in h2.representatives:
-        built = build_twisted_product(TwistedData(INV, TwoCocycle(INV, rep)))
+        built = build_twisted_product(TwistedData(INV, rep))
         for name, cand in (("D4", D4), ("Q8", Q8)):
             if find_isomorphism(built.group, cand):
                 iso_names.append(name)
     ok = ok and sorted(iso_names) == ["D4", "Q8"]
-    ok = ok and h2.class_of(make_twisted_data(INV).cocycle) != h2.class_of(c_q_data(INV).cocycle)
-    triv_cls = h2.class_of(make_twisted_data(INV).cocycle)
-    built_triv = build_twisted_product(TwistedData(INV, TwoCocycle(INV, h2.representatives[triv_cls])))
+    ok = ok and h2.class_of(make_twisted_data(INV)) != h2.class_of(c_q_data(INV))
+    triv_cls = h2.class_of(make_twisted_data(INV))
+    built_triv = build_twisted_product(TwistedData(INV, h2.representatives[triv_cls]))
     ok = ok and find_isomorphism(built_triv.group, D4) is not None
     elapsed = time.monotonic() - start
     _report(1, "extension classification (C2, C4, inversion)", ok and elapsed < 1.0, f"{elapsed:.2f}s")
@@ -165,7 +164,7 @@ def test_criterion_4_correspondence_cardinalities():
     pinned = None
     for inst in _free_grid():
         desc = quotient(inst.space)
-        system = system_from_data(inst.space, inst.data)
+        system = CechSystem(inst.space, inst.data)
         n_reduced = len(h1_reduced(h1_twisted(system)))
         prod = build_twisted_product(inst.data)
         ph1 = plain_h1(desc.downstairs, prod.group)
@@ -190,7 +189,7 @@ def test_criterion_5_roundtrips():
     ok = True
     for inst in _free_grid():
         desc = quotient(inst.space)
-        system = system_from_data(inst.space, inst.data)
+        system = CechSystem(inst.space, inst.data)
         h1 = h1_twisted(system)
         prod = build_twisted_product(inst.data)
         target = monodromy(desc).canonical
@@ -246,7 +245,7 @@ def test_criterion_7_existence_criterion():
     ok = True
     for inst in _grid():
         res = existence_check(coefficient_ladder(inst.space, inst.data))
-        nonempty = len(h1_twisted(system_from_data(inst.space, inst.data))) > 0
+        nonempty = len(h1_twisted(CechSystem(inst.space, inst.data))) > 0
         if res.exists != nonempty:
             ok = False
         if res.exists and res.witness is None:
@@ -293,7 +292,7 @@ def _sections_lemma_holds() -> bool:
             data, 1, tuple((0,) for _ in g.elements()), tuple((0,) for _ in C2.elements()), "right"
         )
         targets = [point]
-        if all(v in (0, 2) for row in data.cocycle.table for v in row):
+        if all(v in (0, 2) for row in data.table for v in row):
             from twistcech.actions import homogeneous_space
 
             m = convert_side(homogeneous_space(data, [0, 2]))
@@ -344,7 +343,7 @@ def test_criterion_9_recocycling():
     for inst in _grid():
         data = inst.data
         g, gamma = data.g, data.gamma
-        system = system_from_data(inst.space, data)
+        system = CechSystem(inst.space, data)
         h1 = h1_twisted(system)
         admissible = []
         for combo in itertools.product(g.elements(), repeat=gamma.order - 1):
@@ -354,7 +353,7 @@ def test_criterion_9_recocycling():
             except InputError:
                 continue
         for rec in admissible:
-            new_h1 = h1_twisted(system_from_data(inst.space, rec.new))
+            new_h1 = h1_twisted(CechSystem(inst.space, rec.new))
             if len(new_h1) != len(h1):
                 ok = False
                 continue

@@ -217,7 +217,7 @@ def test_transport_identity_and_roundtrip():
         rec_back = recocycle(rec.new, (0, C4.inv[s_val]))
         back = transport(moved, rec_back)
         assert back.gamma_act == m.gamma_act
-        assert back.data.cocycle.table == DATA_CQ.cocycle.table
+        assert back.data.table == DATA_CQ.table
 
 
 def test_transport_functorial_on_equivariant_maps():

@@ -12,6 +12,7 @@ from twistcech import cech
 from twistcech.abelian import echelon, solve
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
+    CechSystem,
     TwistedOneCocycle,
     abelian_complex,
     canonical_form,
@@ -38,14 +39,14 @@ from twistcech.cech import (
     reductions_to_subgroup,
     relabel,
     sections_of_associated,
-    system_from_data,
     transport_cocycle,
     trivial_pair,
     twist_target,
 )
-from twistcech.errors import BudgetExceeded, InputError, InternalError, NotCentral
+from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, InternalError, NotCentral
 from twistcech.extensions import (
     build_twisted_product,
+    check_cocycle,
     check_gamma_action,
     make_twisted_data,
     recocycle,
@@ -68,12 +69,12 @@ C1, C2, C4 = group("C1"), group("C2"), group("C4")
 S3, Q8 = group("S3"), group("Q8")
 INV = inversion_action(C2, C4)
 X_HEX = gamma_nerve("X_HEX")
-SYS_TRIV = system_from_data(X_HEX, make_twisted_data(INV))
-SYS_CQ = system_from_data(X_HEX, c_q_data(INV))
+SYS_TRIV = CechSystem(X_HEX, make_twisted_data(INV))
+SYS_CQ = CechSystem(X_HEX, c_q_data(INV))
 
 
 def circle_system(g):
-    return system_from_data(gamma_nerve("Y_TRI"), make_twisted_data(trivial_action(C1, g)))
+    return CechSystem(gamma_nerve("Y_TRI"), make_twisted_data(trivial_action(C1, g)))
 
 
 def test_d1_of_trivial_pair():
@@ -118,7 +119,7 @@ def test_gauge_is_right_action_and_preserves_cocycles():
         assert ok
 
 
-def test_gauge_of_trivial_cocycle_stays_valid():
+def test_gauge_of_the_trivial_pair_stays_valid():
     a, phi = trivial_pair(SYS_TRIV)
     x = make_cocycle(SYS_TRIV, a, phi)
     for h in itertools.product(range(4), repeat=3):
@@ -134,7 +135,7 @@ def test_tree_normalized_enumeration_matches_raw():
     for system in (
         circle_system(C2),
         circle_system(S3),
-        system_from_data(X_HEX, make_twisted_data(inversion_action(C2, C2))),
+        CechSystem(X_HEX, make_twisted_data(inversion_action(C2, C2))),
     ):
         k = system.coeff
         nerve_ = system.nerve
@@ -243,7 +244,7 @@ def brute_force_enumerate_cocycles(system, *, budget=2_000_000):
                         continue
                     pulled = edge_value(system, a, space.act(p, g), space.act(v, g))
                     row[v] = k.mul[k.mul[k.inv[pulled]][row[p]]][
-                        system.theta_inv(g, edge_value(system, a, p, v))
+                        system.data.theta_inv(g, edge_value(system, a, p, v))
                     ]
                 phi_gen[g] = row
             phi_rows = {0: [0] * n_vertices}
@@ -263,8 +264,8 @@ def brute_force_enumerate_cocycles(system, *, budget=2_000_000):
                 row = []
                 for v in range(n_vertices):
                     val = k.mul[
-                        k.mul[grow[space.act(v, t_prev)]][system.theta_inv(g, prev_row[v])]
-                    ][k.inv[system.theta_inv(prod, system.c(t_prev, g))]]
+                        k.mul[grow[space.act(v, t_prev)]][system.data.theta_inv(g, prev_row[v])]
+                    ][k.inv[system.data.theta_inv(prod, system.data.c(t_prev, g))]]
                     row.append(val)
                 phi_rows[t] = row
             if not feasible:
@@ -284,7 +285,7 @@ def assert_matches_oracle(system, *, budget=2_000_000):
 
 
 def _trivial_system(space, g_name):
-    return system_from_data(space, make_twisted_data(trivial_action(space.gamma, group(g_name))))
+    return CechSystem(space, make_twisted_data(trivial_action(space.gamma, group(g_name))))
 
 
 LADDER_GROUPS = ("C2", "C4", "C2xC2", "S3", "Q8", "D4", "C8")
@@ -294,7 +295,7 @@ def test_enumeration_matches_oracle_on_the_grid_and_ladder():
     systems = []
     for inst in default_grid():
         ladder = coefficient_ladder(inst.space, inst.data)
-        systems += [system_from_data(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
+        systems += [CechSystem(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
     systems += [_trivial_system(gamma_nerve("X_DODEC"), g) for g in LADDER_GROUPS]
     systems += [_trivial_system(gamma_nerve("X_OCT"), g) for g in ("C2", "C4", "S3")]
     for system in systems:
@@ -409,7 +410,7 @@ PROPERTY_CASES = [
 )
 def test_enumeration_matches_oracle_on_generated_systems(case):
     space_index, action = case
-    system = system_from_data(PROPERTY_SPACES[space_index], make_twisted_data(action))
+    system = CechSystem(PROPERTY_SPACES[space_index], make_twisted_data(action))
     cocycles = assert_matches_oracle(system, budget=ORACLE_CAP)
     # every accepted cocycle was walked, so one fewer is too small a budget
     with pytest.raises(BudgetExceeded):
@@ -470,7 +471,7 @@ def _klein_systems():
         action = check_gamma_action(klein, g, [tuple(auto) if t >> 1 else tuple(g.elements()) for t in range(4)])
         square = c_square_table(C2, value)
         table = [[square[(s >> bit) & 1][(t >> bit) & 1] for t in range(4)] for s in range(4)]
-        systems.append(system_from_data(space, make_twisted_data(action, table)))
+        systems.append(CechSystem(space, check_cocycle(action, table)))
     return systems
 
 
@@ -480,14 +481,14 @@ def test_enumeration_matches_oracle_with_two_generators_and_a_twist(monkeypatch)
     # C2xC2 systems above
     from test_nonabelian_gamma import s3_cover, s3_twists
 
-    twisted = [system_from_data(s3_cover()[0], s3_twists()[1]), *_klein_systems()]
-    assert not any(system.twist.is_trivial() for system in twisted)
+    twisted = [CechSystem(s3_cover()[0], s3_twists()[1]), *_klein_systems()]
+    assert not any(system.data.is_trivial() for system in twisted)
     c3 = group("C3")
     perms = list(itertools.permutations(range(3)))
     triangle = validate_gamma_nerve(nerve("Y_TRI"), S3, [[p.index(v) for v in range(3)] for p in perms])
     sign = check_gamma_action(S3, c3, [c3.inv if S3.element_order(t) == 2 else c3.elements() for t in S3.elements()])
     verdicts = _record_open_checks(monkeypatch)
-    for system in (*twisted, system_from_data(triangle, make_twisted_data(sign))):
+    for system in (*twisted, CechSystem(triangle, make_twisted_data(sign))):
         assert len(system.gamma.generating_sequence()) == 2
         before = sum(verdicts)
         cocycles = assert_matches_oracle(system)
@@ -554,7 +555,7 @@ def _witness_systems():
     systems = []
     for inst in default_grid():
         ladder = coefficient_ladder(inst.space, inst.data)
-        systems += [system_from_data(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
+        systems += [CechSystem(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
     for space_name in ("X_OCT", "X_DODEC"):
         systems += [_trivial_system(gamma_nerve(space_name), g) for g in LADDER_GROUPS]
     return systems
@@ -622,7 +623,7 @@ def test_hex_counts():
 
 
 def test_reduced_orbit_counting():
-    for system in (SYS_TRIV, SYS_CQ, system_from_data(gamma_nerve("X_TWO_TRI"), make_twisted_data(trivial_action(C2, S3)))):
+    for system in (SYS_TRIV, SYS_CQ, CechSystem(gamma_nerve("X_TWO_TRI"), make_twisted_data(trivial_action(C2, S3)))):
         h1 = h1_twisted(system)
         h1r = h1_reduced(h1)
         # classes partition into central-translation orbits
@@ -638,7 +639,7 @@ def test_h1_reduced_identifies_classes_along_a_central_translation():
     # C2 reflecting the hollow triangle (fixing vertex 0) and inverting C4:
     # pulling back along the reflection moves some classes onto others
     space = validate_gamma_nerve(nerve("Y_TRI"), C2, [range(3), [0, 2, 1]])
-    h1 = h1_twisted(system_from_data(space, make_twisted_data(INV)))
+    h1 = h1_twisted(CechSystem(space, make_twisted_data(INV)))
     h1r = h1_reduced(h1)
     assert (len(h1), len(h1r)) == (8, 6)
     for cid in range(len(h1)):
@@ -647,13 +648,13 @@ def test_h1_reduced_identifies_classes_along_a_central_translation():
 
 
 def test_h0_examples():
-    assert len(h0_twisted(SYS_TRIV).functions) == 2  # {0, 2} inside C4
+    assert len(h0_twisted(SYS_TRIV)) == 2  # {0, 2} inside C4
     triv_circle = circle_system(C4)
-    assert len(h0_twisted(triv_circle).functions) == 4
-    two_tri = system_from_data(gamma_nerve("X_TWO_TRI"), make_twisted_data(trivial_action(C2, S3)))
+    assert len(h0_twisted(triv_circle)) == 4
+    two_tri = CechSystem(gamma_nerve("X_TWO_TRI"), make_twisted_data(trivial_action(C2, S3)))
     h0 = h0_twisted(two_tri)
-    assert len(h0.functions) == 6  # diagonal copy ties the swapped components
-    for f in h0.functions:
+    assert len(h0) == 6  # diagonal copy ties the swapped components
+    for f in h0:
         assert f[0] == f[3]
 
 
@@ -670,27 +671,27 @@ def _h0_oracle_systems():
         SYS_TRIV,
         SYS_CQ,
         circle_system(C4),
-        *(system_from_data(space, data) for space in (two_tri, flip) for data in (make_twisted_data(INV), c_q_data(INV))),
-        system_from_data(two_tri, make_twisted_data(trivial_action(C2, S3))),
+        *(CechSystem(space, data) for space in (two_tri, flip) for data in (make_twisted_data(INV), c_q_data(INV))),
+        CechSystem(two_tri, make_twisted_data(trivial_action(C2, S3))),
     ]
 
 
-def test_h0_is_the_gauges_fixing_the_trivial_cocycle():
+def test_h0_is_the_gauges_fixing_the_trivial_pair():
     sizes = []
     for system in _h0_oracle_systems():
         triv = TwistedOneCocycle(system, *trivial_pair(system))
         every = itertools.product(system.coeff.elements(), repeat=system.nerve.n_vertices)
         fixing = [h for h in every if gauge(triv, h).serial() == triv.serial()]
         h0 = h0_twisted(system)
-        assert list(h0.functions) == sorted(fixing)
-        sizes.append(len(h0.functions))
+        assert list(h0) == sorted(fixing)
+        sizes.append(len(h0))
     assert sizes == [2, 2, 4, 4, 4, 4, 4, 6]
 
 
 def test_h0_is_closed_under_pointwise_products_and_inverses():
     for system in _h0_oracle_systems():
         k = system.coeff
-        functions = set(h0_twisted(system).functions)
+        functions = set(h0_twisted(system))
         for f in functions:
             assert tuple(k.inv[x] for x in f) in functions
             for g in functions:
@@ -745,7 +746,7 @@ def test_gauge_reduced_rejects_non_central():
     )
     x_s3 = validate_gamma_nerve(nrv, s3, tables, require_free=True)
     data = make_twisted_data(trivial_action(s3, C2))
-    system = system_from_data(x_s3, data)
+    system = CechSystem(x_s3, data)
     a, phi = trivial_pair(system)
     x = make_cocycle(system, a, phi)
     noncentral = next(t for t in s3.elements() if any(s3.mul[t][u] != s3.mul[u][t] for u in s3.elements()))
@@ -817,20 +818,20 @@ def reference_d2(system, values):
         for (i, j, x) in nrv.triangles:
             pulled = u(space.act(i, t), space.act(j, t), space.act(x, t))
             edges = mul[mul[v(t, i, j)][v(t, j, x)]][inv[v(t, i, x)]]
-            out.append(mul[mul[inv[pulled]][system.theta_inv(t, u(i, j, x))]][edges])
+            out.append(mul[mul[inv[pulled]][system.data.theta_inv(t, u(i, j, x))]][edges])
     for t in nontriv:
         for t2 in nontriv:
             prod = gamma.mul[t2][t]
             for (i, j) in nrv.edges:
                 pulled = v(t, space.act(i, t2), space.act(j, t2))
-                val = mul[mul[pulled][system.theta_inv(t, v(t2, i, j))]][inv[v(prod, i, j)]]
+                val = mul[mul[pulled][system.data.theta_inv(t, v(t2, i, j))]][inv[v(prod, i, j)]]
                 out.append(mul[val][mul[w(t, t2, i)][inv[w(t, t2, j)]]])
     for t in nontriv:
         for t2 in nontriv:
             for t3 in nontriv:
                 k32, k21 = gamma.mul[t3][t2], gamma.mul[t2][t]
                 for x in range(nrv.n_vertices):
-                    val = mul[system.theta_inv(t, w(t2, t3, x))][w(t, k32, x)]
+                    val = mul[system.data.theta_inv(t, w(t2, t3, x))][w(t, k32, x)]
                     out.append(mul[val][inv[mul[w(k21, t3, x)][w(t, t2, space.act(x, t3))]]])
     return out
 
@@ -845,14 +846,14 @@ def _random_pair(system, rng):
 
 def _twisted_c2(nrv, perm, action):
     """C2 acting on a nerve by a vertex involution."""
-    return system_from_data(validate_gamma_nerve(nrv, C2, (tuple(range(nrv.n_vertices)), perm)), make_twisted_data(action))
+    return CechSystem(validate_gamma_nerve(nrv, C2, (tuple(range(nrv.n_vertices)), perm)), make_twisted_data(action))
 
 
 _SPHERE = validate_nerve(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 D2_SYSTEMS = [
-    system_from_data(X_HEX, make_twisted_data(INV)),
-    system_from_data(gamma_nerve("X_TWO_TRI"), make_twisted_data(inversion_action(C2, C4))),
-    system_from_data(trivial_gamma_nerve(nerve("Y_TET"), C1), make_twisted_data(trivial_action(C1, C4))),
+    CechSystem(X_HEX, make_twisted_data(INV)),
+    CechSystem(gamma_nerve("X_TWO_TRI"), make_twisted_data(inversion_action(C2, C4))),
+    CechSystem(trivial_gamma_nerve(nerve("Y_TET"), C1), make_twisted_data(trivial_action(C1, C4))),
     SYS_CQ,
     # actions that reverse triangle (0, 1, 2): (0 1) on the boundary of the
     # 3-simplex, and (0 1)(2 3), which carries the tetrahedron onto itself,
@@ -913,7 +914,7 @@ def test_d2_matches_the_reference_on_generated_involutions(system, rng):
 
 
 def test_twist_triple_lies_in_kernel():
-    for system in (SYS_CQ, system_from_data(gamma_nerve("X_TWO_TRI"), c_q_data(INV))):
+    for system in (SYS_CQ, CechSystem(gamma_nerve("X_TWO_TRI"), c_q_data(INV))):
         cx = abelian_complex(system)
         # (1, 1, theta^-1(c)): the twist target in every (t1, t2, v) slot
         target = twist_target(system)
@@ -929,7 +930,7 @@ def test_h2_classical_sphere():
     """Independent anchor: the 2-sphere nerve has one class per coefficient."""
     sphere = validate_nerve(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     for g in (C2, C4):
-        system = system_from_data(
+        system = CechSystem(
             trivial_gamma_nerve(sphere, C1), make_twisted_data(trivial_action(C1, g))
         )
         cx = abelian_complex(system)
@@ -974,7 +975,7 @@ def test_complex_reads_b2_off_the_d1_graph_echelon(monkeypatch):
 
 
 def test_h2_trivial_on_one_dimensional_nerves():
-    system = system_from_data(trivial_gamma_nerve(nerve("Y_TRI"), C1), make_twisted_data(trivial_action(C1, C4)))
+    system = CechSystem(trivial_gamma_nerve(nerve("Y_TRI"), C1), make_twisted_data(trivial_action(C1, C4)))
     cx = abelian_complex(system)
     assert cx.cocycles.size == cx.coboundaries.size
 
@@ -985,7 +986,7 @@ def test_delta_h0_exactness_for_liftable_functions():
     h0g = h0_twisted(ladder.sys_g)
     pr = ladder.proj.map
     trivial_class = h1z.class_of(make_cocycle(ladder.sys_z, *trivial_pair(ladder.sys_z)))
-    for f in h0g.functions:
+    for f in h0g:
         image = tuple(pr[x] for x in f)
         assert h1z.class_of(delta_h0(ladder, image)) == trivial_class
 
@@ -1003,7 +1004,7 @@ def test_delta_h0_q8_constants_lift():
     h1z = h1_twisted(ladder.sys_z)
     trivial_class = h1z.class_of(make_cocycle(ladder.sys_z, *trivial_pair(ladder.sys_z)))
     assert ladder.quotient.order == 4
-    for f in h0q.functions:
+    for f in h0q:
         assert h1z.class_of(delta_h0(ladder, f)) == trivial_class
 
 
@@ -1074,7 +1075,7 @@ def test_existence_examples():
     space = gamma_nerve("Y_TRI_TRIVC2")
     res3 = existence_check(coefficient_ladder(space, c_q_data(INV)))
     assert not res3.exists
-    assert len(h1_twisted(system_from_data(space, c_q_data(INV)))) == 0
+    assert len(h1_twisted(CechSystem(space, c_q_data(INV)))) == 0
 
 
 def _existence_by_solving_every_class(ladder):
@@ -1118,7 +1119,7 @@ def test_map_coefficients_identity_and_quotient():
     h1 = h1_twisted(SYS_CQ)
     x = h1.representative(0)
     ident = GroupHom(C4, C4, tuple(range(4)))
-    same = map_coefficients(x, ident, SYS_CQ.action)
+    same = map_coefficients(x, ident, SYS_CQ.data.action)
     assert same.a == x.a and same.phi == x.phi
     # push to G/Z: here Z == G so the quotient is trivial
     q, proj = quotient_group(C4, center(C4).embed)
@@ -1136,6 +1137,21 @@ def test_map_coefficients_c4_to_c2():
     pushed = map_coefficients(x, proj, target)
     ok, _ = is_twisted_cocycle(pushed.system, pushed.a, pushed.phi)
     assert ok
+
+
+def test_map_coefficients_rejects_a_target_action_on_another_group():
+    # every check on theta and c passes: both actions are trivial and C2xC2 is abelian
+    x = h1_twisted(CechSystem(X_HEX, make_twisted_data(trivial_action(C2, C4)))).representative(0)
+    with pytest.raises(CarrierMismatch):
+        map_coefficients(x, GroupHom(C4, C4, tuple(range(4))), trivial_action(C2, group("C2xC2")))
+
+
+def test_fibres_are_orbits_names_the_first_item_whose_fibre_is_no_orbit():
+    # Z/4 under negation: the orbits {0}, {1, 3}, {2} are the fibres of min(x, -x)
+    items, neg = range(4), (lambda x: [-x % 4])
+    assert cech._fibres_are_orbits(items, lambda x: min(x, -x % 4), neg, [4, 3]) == (True, {"sizes": [4, 3]})
+    # x mod 2 glues 0 with 2, which no negation reaches
+    assert cech._fibres_are_orbits(items, lambda x: x % 2, neg, [4, 2]) == (False, {"witness": (0, [0], [0, 2])})
 
 
 def test_sections_single_point():
@@ -1195,7 +1211,7 @@ def test_sections_match_brute_force_over_all_assignments():
     rng = random.Random(13)
     found = 0
     for system in (s for s in _h0_oracle_systems() if s.coeff.order == 4):  # the C4-valued ones
-        data = make_twisted_data(system.action)
+        data = make_twisted_data(system.data.action)
         msets = [convert_side(homogeneous_space(data, sub)) for sub in ([0, 1, 2, 3], [0, 2], [0])]
         h1 = h1_twisted(system)
         for cid in range(len(h1)):
@@ -1228,7 +1244,7 @@ def test_sections_match_downstairs_oracle():
                 "right",
             ),
         ]
-        if all(v in (0, 2) for row in data.cocycle.table for v in row):
+        if all(v in (0, 2) for row in data.table for v in row):
             fibres.append(
                 validate_twisted_action(
                     data,
@@ -1314,11 +1330,11 @@ def test_reductions_empty_when_twist_escapes_subgroup():
 
 def test_transport_cocycle_class_bijection():
     for data in (make_twisted_data(INV), c_q_data(INV)):
-        system = system_from_data(X_HEX, data)
+        system = CechSystem(X_HEX, data)
         h1 = h1_twisted(system)
         for s_val in C4.elements():
             rec = recocycle(data, (0, s_val))
-            new_system = system_from_data(X_HEX, rec.new)
+            new_system = CechSystem(X_HEX, rec.new)
             new_h1 = h1_twisted(new_system)
             assert len(new_h1) == len(h1)
             images = {new_h1.class_of(transport_cocycle(h1.representative(cid), rec)) for cid in range(len(h1))}
@@ -1364,7 +1380,7 @@ def test_les_and_existence_with_order_four_acting_group():
     ladder = coefficient_ladder(dodec, data)
     assert les_verify(ladder).ok
     res = existence_check(ladder)
-    assert res.exists == (len(h1_twisted(system_from_data(dodec, data))) > 0)
+    assert res.exists == (len(h1_twisted(CechSystem(dodec, data))) > 0)
 
     c8 = group("C8")
     inv8 = tuple(c8.inv)
@@ -1384,7 +1400,7 @@ def test_correspondence_with_order_four_acting_group():
     ident = tuple(range(8))
     action = check_gamma_action(c4g, Q8, (ident, swap, ident, swap))
     data = make_twisted_data(action)
-    system = system_from_data(dodec, data)
+    system = CechSystem(dodec, data)
     prod = build_twisted_product(data)
     assert prod.group.order == 32
     fib = fiber_over_cover(desc, prod, plain_h1(desc.downstairs, prod.group))

@@ -374,7 +374,7 @@ def test_malformed_json_input_exits_2_with_an_input_check(tmp_path, capsys, argv
 
 
 def _trivial_x_hex_system():
-    return cech.system_from_data(
+    return cech.CechSystem(
         gamma_nerve("X_HEX"), twisted_data_from_dict({"gamma": "C2", "g": "C4", "theta": [[0, 1, 2, 3]] * 2})
     )
 

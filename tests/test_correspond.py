@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import twistcech.correspond as correspond
-from twistcech.cech import gauge, h1_reduced, h1_twisted, make_cocycle, system_from_data
+from twistcech.cech import CechSystem, gauge, h1_reduced, h1_twisted, make_cocycle
 from twistcech.correspond import (
     GhatCocycleY,
     ascend,
@@ -112,7 +112,7 @@ def test_projection_constant_on_gauge_orbits():
 def test_descend_ascend_roundtrip_on_classes():
     for inst in c2_grid():
         desc = quotient(inst.space)
-        system = system_from_data(inst.space, inst.data)
+        system = CechSystem(inst.space, inst.data)
         h1 = h1_twisted(system)
         for cid in range(len(h1)):
             x = h1.representative(cid)
@@ -124,17 +124,17 @@ def test_descend_ascend_roundtrip_on_classes():
 def test_ascend_refuses_a_system_off_the_cover_or_the_data():
     desc = quotient(X_HEX)
     data, other = make_twisted_data(INV), c_q_data(INV)
-    system = system_from_data(X_HEX, data)
+    system = CechSystem(X_HEX, data)
     down = descend(h1_twisted(system).representative(0), desc)
     assert ascend(down, system).system is system
     # the same space with the central square twist, and the cocycle's data on another cover
-    for wrong in (system_from_data(X_HEX, other), system_from_data(gamma_nerve("X_TWO_TRI"), data)):
+    for wrong in (CechSystem(X_HEX, other), CechSystem(gamma_nerve("X_TWO_TRI"), data)):
         with pytest.raises(CarrierMismatch):
             ascend(down, wrong)
 
 
-def test_descend_trivial_cocycle():
-    system = system_from_data(X_HEX, make_twisted_data(INV))
+def test_descend_the_trivial_pair():
+    system = CechSystem(X_HEX, make_twisted_data(INV))
     from twistcech.cech import trivial_pair
 
     x = make_cocycle(system, *trivial_pair(system))
@@ -145,7 +145,7 @@ def test_descend_trivial_cocycle():
 def test_downstairs_class_count_matches_upstairs():
     for inst in c2_grid():
         desc = quotient(inst.space)
-        system = system_from_data(inst.space, inst.data)
+        system = CechSystem(inst.space, inst.data)
         h1 = h1_twisted(system)
         # enumerate c-twisted base data directly, modulo the twisted gauge
         data = inst.data
@@ -209,7 +209,7 @@ def _apply_y_gauge(desc, data, cand, f):
 
 
 def test_ascend_rejects_mutated_values():
-    system = system_from_data(gamma_nerve("X_TWO_TRI"), c_q_data(INV))
+    system = CechSystem(gamma_nerve("X_TWO_TRI"), c_q_data(INV))
     desc = quotient(gamma_nerve("X_TWO_TRI"))
     h1 = h1_twisted(system)
     down = descend(h1.representative(0), desc)
@@ -220,7 +220,7 @@ def test_ascend_rejects_mutated_values():
 
 
 def test_to_ghat_cocycle_trivial_case():
-    system = system_from_data(X_HEX, make_twisted_data(INV))
+    system = CechSystem(X_HEX, make_twisted_data(INV))
     from twistcech.cech import trivial_pair
 
     x = make_cocycle(system, *trivial_pair(system))
@@ -236,7 +236,7 @@ def test_to_ghat_cocycle_trivial_case():
 def test_to_ghat_roundtrip_and_cover_class():
     for inst in c2_grid():
         desc = quotient(inst.space)
-        system = system_from_data(inst.space, inst.data)
+        system = CechSystem(inst.space, inst.data)
         h1 = h1_twisted(system)
         prod = build_twisted_product(inst.data)
         target = monodromy(desc).canonical
@@ -256,12 +256,12 @@ def test_ghat_product_law_reproduces_glue():
     # the action and corrected by the twist of the transitions
     data = c_q_data(INV)
     prod = build_twisted_product(data)
-    system = system_from_data(X_HEX, data)
+    system = CechSystem(X_HEX, data)
     x = h1_twisted(system).representative(1)
     down = descend(x, DESC)
     to_ghat_cocycle(down, prod)  # no triangles over the circle; law below
     data2 = c_q_data(INV)
-    sys2 = system_from_data(gamma_nerve("X_TWO_TRI"), data2)
+    sys2 = CechSystem(gamma_nerve("X_TWO_TRI"), data2)
     desc2 = quotient(gamma_nerve("X_TWO_TRI"))
     x2 = h1_twisted(sys2).representative(0)
     down2 = descend(x2, desc2)
@@ -284,7 +284,7 @@ def test_ghat_product_law_reproduces_glue():
 def test_reduced_classes_biject_with_fiber():
     for inst in c2_grid():
         desc = quotient(inst.space)
-        system = system_from_data(inst.space, inst.data)
+        system = CechSystem(inst.space, inst.data)
         h1 = h1_twisted(system)
         h1r = h1_reduced(h1)
         prod = build_twisted_product(inst.data)
@@ -358,7 +358,7 @@ def test_grothendieck_fiber_where_a_triangle_binds_two_free_edges():
         prod = build_twisted_product(data)
         ph1 = plain_h1(y, prod.group)
         fib = [cid for cid, _ in fiber_over_cover(desc, prod, ph1)]
-        assert len(fib) == len(h1_reduced(h1_twisted(system_from_data(cover, data)))) == size
+        assert len(fib) == len(h1_reduced(h1_twisted(CechSystem(cover, data)))) == size
         for cid in fib:
             base = GhatCocycleY(prod, ph1.representative(cid))
             assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == fib
@@ -448,6 +448,21 @@ def test_connected_reduction_compiles_one_system_per_call(monkeypatch):
     assert len(compiled) == 5
 
 
+def test_connected_reduction_builds_only_the_subgroup_product(monkeypatch):
+    import twistcech.extensions as extensions
+
+    prod = build_twisted_product(make_twisted_data(INV))
+    ph1 = plain_h1(Y_TRI, prod.group)
+    assert len(ph1) == 5
+    built = []
+    inner = extensions.build_twisted_product
+    monkeypatch.setattr(extensions, "build_twisted_product", lambda *args, **kw: built.append(1) or inner(*args, **kw))
+    for cid in range(len(ph1)):
+        connected_reduction(GhatCocycleY(prod, ph1.representative(cid)))
+    # the full product is the one passed in; each call builds the product over its monodromy group
+    assert len(built) == 5
+
+
 def test_normalizer_embedding_full_and_trivial():
     data = make_twisted_data(INV)
     rep_full = normalizer_embedding_check(Y_TRI, data, [0, 1])
@@ -468,7 +483,7 @@ def test_normalizer_embedding_q8():
 def test_descend_requires_free_action():
     space = gamma_nerve("Y_TRI_TRIVC2")
     data = make_twisted_data(INV)
-    system = system_from_data(space, data)
+    system = CechSystem(space, data)
     from twistcech.cech import trivial_pair
 
     make_cocycle(system, *trivial_pair(system))  # twisted side accepts it

@@ -19,15 +19,14 @@ from twistcech.errors import (
     ValueNotCentral,
 )
 from twistcech.cech import (
+    CechSystem,
     cochain_values,
     cochain_vector,
-    system_from_data,
     twist_target,
 )
 from twistcech.extensions import (
     GammaOneCochain,
     TwistedData,
-    TwoCocycle,
     build_twisted_product,
     check_cocycle,
     check_gamma_action,
@@ -132,7 +131,7 @@ ORACLE_CASES = [
 def test_check_cocycle_trivial_and_cq():
     assert check_cocycle(INV, [[0, 0], [0, 0]]).is_trivial()
     coc = check_cocycle(INV, [[0, 0], [0, 2]])
-    assert coc(1, 1) == 2
+    assert coc.c(1, 1) == 2
 
 
 def test_check_cocycle_not_normalized():
@@ -158,13 +157,13 @@ def test_coboundary_examples():
     assert coboundary(INV, GammaOneCochain((0, 1))).is_trivial()
     # trivial action: da(t,t) = 2 a(t)
     triv = trivial_action(C2, C4)
-    assert coboundary(triv, GammaOneCochain((0, 1)))(1, 1) == 2
+    assert coboundary(triv, GammaOneCochain((0, 1))).c(1, 1) == 2
 
 
 def test_second_cohomology_inversion():
     h2 = second_cohomology(INV)
     assert len(h2) == 2
-    assert h2.class_of(make_twisted_data(INV).cocycle) != h2.class_of(c_q_data(INV).cocycle)
+    assert h2.class_of(make_twisted_data(INV)) != h2.class_of(c_q_data(INV))
     # against the brute-force oracle: every cocycle lands in the oracle's class
     assert_matches_oracle(h2)
 
@@ -177,7 +176,7 @@ def test_second_cohomology_matches_full_table_walk(gamma, z, action):
 def test_class_of_rejects_a_table_that_is_no_cocycle():
     h2 = second_cohomology(INV)
     # 1 is not fixed by inversion, so c(t, t) = 1 breaks the identity at (t, t, t)
-    for cocycle in ([[0, 0], [0, 1]], TwoCocycle(INV, ((0, 0), (0, 1)))):
+    for cocycle in ([[0, 0], [0, 1]], TwistedData(INV, ((0, 0), (0, 1)))):
         with pytest.raises(CocycleViolation) as exc:
             h2.class_of(cocycle)
         assert isinstance(exc.value, InputError) and exc.value.witness == (1, 1, 1)
@@ -213,7 +212,7 @@ def test_second_cohomology_class_invariant_under_coboundaries():
         h2 = second_cohomology(action)
         zelems = center(action.g).embed
         for table in brute_force_second_cohomology(action).cocycles:
-            base = TwoCocycle(action, table)
+            base = TwistedData(action, table)
             cid = h2.class_of(base)
             for a_val in zelems:
                 shifted = multiply_cocycles(base, coboundary(action, GammaOneCochain((0, a_val))))
@@ -255,7 +254,7 @@ def test_point_kernel_vectors_are_twist_triples(gamma, z, action):
             tuple(act.apply(mul[g1][g2], zsub.embed[w.get((g2, g1), 0)]) for g2 in act.gamma.elements())
             for g1 in act.gamma.elements()
         )
-        twisted = system_from_data(point, restrict_to_subgroup(TwistedData(act, TwoCocycle(act, table)), zsub))
+        twisted = CechSystem(point, restrict_to_subgroup(TwistedData(act, table), zsub))
         assert cochain_vector(cx.coords, twist_target(twisted).values()) == vec
         label_of[table] = cx.coboundaries.reduce(vec)
         least[label_of[table]] = min(table, least.get(label_of[table], table))
@@ -361,7 +360,7 @@ def test_associativity_iff_cocycle_condition():
 
 def test_corrupting_cocycle_entry_breaks_associativity():
     data = c_q_data(INV)
-    table = [list(r) for r in data.cocycle.table]
+    table = [list(r) for r in data.table]
     table[1][1] = 1  # not a cocycle value for the inversion action
     mul = [[0] * 8 for _ in range(8)]
     for a in C4.elements():
@@ -398,7 +397,7 @@ def _klein_on_c4():
     """C2xC2 acting on C4 by inversion through its first factor, with the square twist pulled back."""
     klein = group("C2xC2")
     action = check_gamma_action(klein, C4, [range(4), range(4), C4.inv, C4.inv])
-    return make_twisted_data(action, [[2 if t1 >= 2 and t2 >= 2 else 0 for t2 in range(4)] for t1 in range(4)])
+    return check_cocycle(action, [[2 if t1 >= 2 and t2 >= 2 else 0 for t2 in range(4)] for t1 in range(4)])
 
 
 # the Klein group has subgroups {0, 2} and {0, 3}, whose inclusions are not prefixes
@@ -409,7 +408,8 @@ SUB_PRODUCT_DATA = [c_q_data(INV), grid_instance("X_HEX/Q8,q8_swap,square").data
 def test_sub_product_inclusion_is_the_preimage_of_each_gamma_subgroup(data):
     for gsub in _subgroups(data.gamma):
         for sub in (None, center(data.g)):
-            small, big, incl = sub_product(data, sub, gsub)
+            big = build_twisted_product(data)
+            small, incl = sub_product(big, sub, gsub)
             g_embed = sub.embed if sub else tuple(data.g.elements())
             assert len(set(incl.map)) == small.group.order
             for x in small.group.elements():
@@ -443,7 +443,7 @@ def test_cohomologous_iso():
     assert iso2.is_bijective()
     # composing with the pointwise-inverse cochain returns to the start
     delta = coboundary(INV, GammaOneCochain((0, 2)))
-    data2 = TwistedData(INV, multiply_cocycles(data.cocycle, delta))
+    data2 = multiply_cocycles(data, delta)
     inv_cochain = GammaOneCochain((0, C4.inv[2]))
     iso_back = cohomologous_iso(data2, inv_cochain)
     composed = tuple(iso_back.map[iso2.map[x]] for x in range(8))
@@ -462,7 +462,7 @@ def test_extract_from_d4():
     theta = ext.data.action.theta[1].map
     c4sub = ext.data.g
     assert theta == tuple(c4sub.inv)  # conjugation by a reflection inverts rotations
-    assert ext.data.cocycle.is_trivial()
+    assert ext.data.is_trivial()
 
 
 def test_extract_from_q8():
@@ -471,7 +471,7 @@ def test_extract_from_q8():
     ext = extract_twisted_data(Q8, i_sub, [0, j])
     sub = ext.data.g
     assert ext.data.action.theta[1].map == tuple(sub.inv)
-    c_val = ext.data.cocycle(1, 1)
+    c_val = ext.data.c(1, 1)
     # j^2 = -1: the defect is the order-2 element of <i>
     assert sub.element_order(c_val) == 2
 
@@ -483,7 +483,7 @@ def test_extract_from_direct_product():
     g_part = [x for x in prod.elements() if x % 2 == 0]
     section = [0, 1]
     ext = extract_twisted_data(prod, g_part, section)
-    assert ext.data.cocycle.is_trivial()
+    assert ext.data.is_trivial()
     assert all(a.map == tuple(range(4)) for a in ext.data.action.theta)
 
 
@@ -495,7 +495,7 @@ def test_extract_roundtrip_recovers_data():
             list(built.embed_g.map),
             list(built.section),
         )
-        assert ext.data.cocycle.table == data.cocycle.table
+        assert ext.data.table == data.table
         assert tuple(a.map for a in ext.data.action.theta) == tuple(a.map for a in data.action.theta)
 
 
@@ -512,7 +512,7 @@ def test_extract_rejects_bad_sections():
 def test_recocycle_identity_map():
     data = c_q_data(INV)
     rec = recocycle(data, (0, 0))
-    assert rec.new.cocycle.table == data.cocycle.table
+    assert rec.new.table == data.table
     assert tuple(a.map for a in rec.new.action.theta) == tuple(a.map for a in data.action.theta)
 
 
@@ -538,4 +538,4 @@ def test_recocycle_abelian_preserves_class():
             rec = recocycle(data, (0, s_val))
             # abelian G: Int is trivial, so theta is unchanged and c_s is a coboundary
             assert tuple(a.map for a in rec.new.action.theta) == tuple(a.map for a in INV.theta)
-            assert h2.class_of(rec.new.cocycle) == h2.class_of(data.cocycle)
+            assert h2.class_of(rec.new) == h2.class_of(data)

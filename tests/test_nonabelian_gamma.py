@@ -10,7 +10,7 @@ nonsplit central extension of the symmetric group by the order-2 group.
 
 import pytest
 
-from twistcech.cech import gauge, h1_reduced, h1_twisted, system_from_data
+from twistcech.cech import CechSystem, gauge, h1_reduced, h1_twisted
 from twistcech.correspond import (
     GhatCocycleY,
     ascend,
@@ -25,7 +25,6 @@ from twistcech.correspond import (
 )
 from twistcech.errors import BudgetExceeded
 from twistcech.extensions import (
-    TwistedData,
     build_twisted_product,
     check_cocycle,
     check_gamma_action,
@@ -80,8 +79,8 @@ def s3_twists():
     table = tuple(
         tuple(ext.data.c(back[t1], back[t2]) for t2 in S3.elements()) for t1 in S3.elements()
     )
-    twisted = TwistedData(action, check_cocycle(action, table))
-    assert not twisted.cocycle.is_trivial()
+    twisted = check_cocycle(action, table)
+    assert not twisted.is_trivial()
     assert find_isomorphism(build_twisted_product(twisted).group, dic) is not None
     return make_twisted_data(trivial_action(S3, c2)), twisted
 
@@ -107,7 +106,7 @@ def test_nonabelian_gamma_correspondence():
     y = descent.downstairs
     gamma_system = plain_system(y, S3)
     for data in (data_triv, data_dic):
-        system = system_from_data(cover, data)
+        system = CechSystem(cover, data)
         h1 = h1_twisted(system)
         h1r = h1_reduced(h1)
         assert len(h1r) == len(h1)  # the symmetric group has trivial centre
@@ -164,7 +163,7 @@ def test_nonabelian_gamma_class_counts_against_group_oracle():
                 targets[canon] = True
         fib = fiber_over_cover(descent, prod, plain_h1(y, prod.group))
         assert len(fib) == len(targets)
-        system = system_from_data(cover, data)
+        system = CechSystem(cover, data)
         assert len(h1_twisted(system)) == len(targets)
 
 
