@@ -796,18 +796,19 @@ def abelian_complex(system: CechSystem) -> AbelianComplex:
 
 
 @dataclass
-class CoefficientLadder:
-    """Systems for G, its centre and the central quotient over one space.
+class ActionLadder:
+    """Systems for G, its centre and the central quotient over one space and action.
 
-    The G and Z systems carry the trivial twist (the twisted variant enters
-    only through the distinguished target of the last coboundary); the
-    quotient system is honestly untwisted since central values project to 1.
-    The cohomology of the ladder is computed on first use and kept, so every
-    check on one space and data reads the same sets.
+    The ladder Z -> G -> G/Z depends on the action alone: all three systems
+    carry the trivial twist, and the quotient system is honestly untwisted
+    since central values project to 1.  The twist c enters only through a
+    ``CoefficientLadder`` made by ``with_data``.  The cohomology is computed
+    on first use and kept, so every ladder on one space and action, whatever
+    its twist, reads the same H^0 and H^1 sets and the same abelian complex.
     """
 
     space: GammaNerve
-    data: TwistedData
+    action: GammaAction
     sys_g: CechSystem
     sys_z: CechSystem
     sys_q: CechSystem
@@ -817,10 +818,11 @@ class CoefficientLadder:
     lift_table: tuple[int, ...]  # quotient element -> minimal lift in G; 1 lifts to 1
     budget: int  # bound on each H^1 enumeration
 
-    @cached_property
-    def sys_c(self) -> CechSystem:
-        """The G system carrying the twist c of the data."""
-        return CechSystem(self.space, self.data)
+    def with_data(self, data: TwistedData) -> CoefficientLadder:
+        """The ladder of twisted data with this action."""
+        if data.action != self.action:
+            raise InputError("twisted data and ladder act differently")
+        return CoefficientLadder(self, data)
 
     @cached_property
     def h0z(self) -> tuple[tuple[int, ...], ...]:
@@ -847,12 +849,37 @@ class CoefficientLadder:
         return h1_twisted(self.sys_q, budget=self.budget)
 
     @cached_property
-    def h1c(self) -> CohomologySet:
-        return h1_twisted(self.sys_c, budget=self.budget)
-
-    @cached_property
     def cx(self) -> AbelianComplex:
         return abelian_complex(self.sys_z)
+
+
+@dataclass
+class CoefficientLadder:
+    """The ladder of one space and twisted data: its action ladder and the twist c.
+
+    Only the twisted G system, its H^1 and the distinguished target of the
+    last coboundary are the ladder's own; every other attribute is read off
+    ``base``.  With the trivial twist the twisted system is ``sys_g`` and its
+    H^1 is ``h1g``.
+    """
+
+    base: ActionLadder
+    data: TwistedData
+
+    def __getattr__(self, name: str):
+        # a copy has no base yet; looking it up here would recurse
+        if name == "base":
+            raise AttributeError(name)
+        return getattr(self.base, name)
+
+    @cached_property
+    def sys_c(self) -> CechSystem:
+        """The G system carrying the twist c of the data."""
+        return self.sys_g if self.data.is_trivial() else CechSystem(self.space, self.data)
+
+    @cached_property
+    def h1c(self) -> CohomologySet:
+        return self.h1g if self.sys_c is self.sys_g else h1_twisted(self.sys_c, budget=self.budget)
 
     @cached_property
     def target(self) -> tuple[int, ...]:
@@ -872,30 +899,38 @@ class CoefficientLadder:
         return vec
 
 
-def coefficient_ladder(
-    space: GammaNerve, data: TwistedData, *, budget: int = DEFAULT_ENUM_BUDGET
-) -> CoefficientLadder:
-    """The ladder Z -> G -> G/Z of the data over a space, nothing computed yet.
+def action_ladder(space: GammaNerve, action: GammaAction, *, budget: int = DEFAULT_ENUM_BUDGET) -> ActionLadder:
+    """The ladder Z -> G -> G/Z of an action over a space, nothing computed yet.
 
     ``budget`` bounds each H^1 enumeration the ladder makes on first use.
     """
-    g = data.g
+    g = action.g
     zsub = center(g)
     q, proj = quotient_group(g, zsub.embed, label=f"{g.label or 'G'}/Z")
+    data = make_twisted_data(action)
 
-    sys_g = CechSystem(space, make_twisted_data(data.action))
+    sys_g = CechSystem(space, data)
     sys_z = CechSystem(space, make_twisted_data(restrict_to_subgroup(data, zsub).action))
 
     q_tables = []
-    for t in data.gamma.elements():
+    for t in action.gamma.elements():
         row = [0] * q.order
         for x in g.elements():
-            row[proj.map[x]] = proj.map[data.theta(t, x)]
+            row[proj.map[x]] = proj.map[action.apply(t, x)]
         q_tables.append(tuple(row))
-    sys_q = CechSystem(space, make_twisted_data(check_gamma_action(data.gamma, q, q_tables)))
+    sys_q = CechSystem(space, make_twisted_data(check_gamma_action(action.gamma, q, q_tables)))
 
     lift_table = tuple(proj.map.index(qe) for qe in q.elements())
-    return CoefficientLadder(space, data, sys_g, sys_z, sys_q, zsub, q, proj, lift_table, budget)
+    return ActionLadder(space, action, sys_g, sys_z, sys_q, zsub, q, proj, lift_table, budget)
+
+
+def coefficient_ladder(space: GammaNerve, data: TwistedData, *, budget: int = DEFAULT_ENUM_BUDGET) -> CoefficientLadder:
+    """The ladder of twisted data over a space, on an action ladder of its own.
+
+    Ladders that differ only in the twist can share one ``action_ladder``
+    through ``ActionLadder.with_data``.
+    """
+    return action_ladder(space, data.action, budget=budget).with_data(data)
 
 
 def include_z_cocycle(ladder: CoefficientLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
@@ -947,7 +982,7 @@ def delta_h1_vector(
     """
     a, phi = _mapped(x, lift or ladder.lift_table)
     if flip:
-        a = tuple(ladder.data.g.inv[v] for v in a)
+        a = tuple(ladder.action.g.inv[v] for v in a)
     back = ladder.zsub.parent_to_sub
     try:
         values = [back[val] for val in _d1_values(ladder.sys_g, a, phi)]
@@ -1118,7 +1153,7 @@ def _fibres_are_orbits(
 
 def _times_centre(ladder: CoefficientLadder, z: tuple, x: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The pair (a, phi) whose values are those of the centre-valued pair z, included in G, times those of x."""
-    mul, emb = ladder.data.g.mul, ladder.zsub.embed
+    mul, emb = ladder.action.g.mul, ladder.zsub.embed
     (za, zphi), (a, phi) = z, x
     return (
         tuple(mul[emb[u]][v] for u, v in zip(za, a)),
@@ -1129,7 +1164,7 @@ def _times_centre(ladder: CoefficientLadder, z: tuple, x: tuple) -> tuple[tuple[
 def _alternative_lift(ladder: CoefficientLadder) -> list[int]:
     table = list(ladder.lift_table)
     for q_elem in range(1, ladder.quotient.order):
-        others = [x for x in ladder.data.g.elements() if ladder.proj.map[x] == q_elem and x != table[q_elem]]
+        others = [x for x in ladder.action.g.elements() if ladder.proj.map[x] == q_elem and x != table[q_elem]]
         if others:
             table[q_elem] = others[0]
     return table

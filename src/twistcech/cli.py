@@ -21,7 +21,7 @@ from . import __version__
 from .cech import (
     DEFAULT_ENUM_BUDGET,
     CechSystem,
-    coefficient_ladder,
+    action_ladder,
     existence_check,
     h1_reduced,
     h1_twisted,
@@ -186,8 +186,10 @@ SUITES = ("les", "correspondence", "roundtrips", "existence")
 def cmd_verify(cfg: JobConfig) -> Report:
     """Run the suites row by row on one coefficient ladder per grid row.
 
-    Each suite's checks are collected in its own list and reported in suite
-    order, so the report does not depend on the row-major walk.
+    Rows on one space and action share one action ladder, built at the first
+    of them and kept until the call returns.  Each suite's checks are
+    collected in its own list and reported in suite order, so the report does
+    not depend on the row-major walk.
     """
     suite = cfg.args["suite"]
     report = Report(SCHEMA, {"command": f"verify {suite}", "grid": cfg.args.get("grid", "default-grid"), "seed": cfg.seed})
@@ -195,6 +197,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
     deadline = time.monotonic() + cfg.time_limit
     fault = cfg.args.get("fault")
     checks: dict[str, list] = {s: [] for s in (SUITES if suite == "all" else (suite,))}
+    bases: dict = {}
 
     def add(suite_name: str, name: str, status: str, **extra) -> None:
         checks[suite_name].append({"name": name, "status": status, **extra})
@@ -202,7 +205,11 @@ def cmd_verify(cfg: JobConfig) -> Report:
     for inst in _grid_rows(cfg):
         if time.monotonic() > deadline:
             raise BudgetExceeded(f"time limit reached at instance {inst.name}")
-        ladder = coefficient_ladder(inst.space, inst.data, budget=cfg.budget_enum)
+        # by value: each row builds its own action
+        key = (inst.space, inst.data.action)
+        if key not in bases:
+            bases[key] = action_ladder(*key, budget=cfg.budget_enum)
+        ladder = bases[key].with_data(inst.data)
         free = inst.space.gamma.order != 1 and inst.space.free
         desc = quotient(inst.space) if free and ("correspondence" in checks or "roundtrips" in checks) else None
 
@@ -253,6 +260,26 @@ def cmd_verify(cfg: JobConfig) -> Report:
     return report
 
 
+def _count(text: str) -> int:
+    """A budget: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    """A time limit: a number >= 0, inf included."""
+    try:
+        value = float(text)
+        # NaN compares false with every deadline, so it would never expire
+        ok = value >= 0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be a number of seconds >= 0, not {text!r}")
+    return value
+
+
 # parsing leaves the parser as it was, so one serves every main() call of a
 # process; building one per call costs about 1 ms and lets the process's
 # resident memory creep up call after call
@@ -263,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--budget-order", type=int, default=DEFAULT_ORDER_GUARD, help="max group order for searches")
-        p.add_argument("--budget-enum", type=int, default=DEFAULT_ENUM_BUDGET, help="max enumeration size")
-        p.add_argument("--time-limit", type=float, default=600.0, help="time limit in seconds; only verify reads it, between grid rows")
+        p.add_argument("--budget-order", type=_count, default=DEFAULT_ORDER_GUARD, help="max group order for searches")
+        p.add_argument("--budget-enum", type=_count, default=DEFAULT_ENUM_BUDGET, help="max enumeration size")
+        p.add_argument("--time-limit", type=_seconds, default=600.0, help="time limit in seconds; only verify reads it, between grid rows")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", type=str, default=None, help="write the report to a file")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")

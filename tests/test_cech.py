@@ -15,6 +15,7 @@ from twistcech.cech import (
     CechSystem,
     TwistedOneCocycle,
     abelian_complex,
+    action_ladder,
     canonical_form,
     cochain_values,
     cochain_vector,
@@ -58,6 +59,7 @@ from twistcech.fixtures import (
     c_square_table,
     default_grid,
     gamma_nerve,
+    grid_instance,
     group,
     inversion_action,
     nerve,
@@ -531,24 +533,17 @@ def test_enumeration_checks_only_the_open_generator_sites(monkeypatch):
     assert seen == {((g, space.gamma.power(g, 3)),)}
 
 
-def test_enumeration_leaves_the_full_check_to_make_cocycle(monkeypatch):
-    calls = []
-    real = cech.is_twisted_cocycle
-
-    def counting(system, a, phi):
-        calls.append(system)
-        return real(system, a, phi)
-
-    monkeypatch.setattr(cech, "is_twisted_cocycle", counting)
+def test_enumeration_leaves_the_full_check_to_make_cocycle(count_calls):
+    calls = count_calls(cech, "is_twisted_cocycle")
     cocycles = enumerate_cocycles(SYS_CQ)
-    assert cocycles and calls == []
+    assert cocycles and calls == {"is_twisted_cocycle": 0}
     # make_cocycle still runs the full check and names the broken site
     x = cocycles[-1]
     bad = [list(row) for row in x.phi]
     bad[1][0] = SYS_CQ.coeff.mul[bad[1][0]][1]
     with pytest.raises(InputError, match=r"violation at \('edge', \(1, \(0, 1\)\)"):
         make_cocycle(SYS_CQ, x.a, bad)
-    assert len(calls) == 1
+    assert calls == {"is_twisted_cocycle": 1}
 
 
 def _witness_systems():
@@ -952,17 +947,15 @@ def _closure(mods, gens):
     return seen
 
 
-def test_complex_reads_b2_off_the_d1_graph_echelon(monkeypatch):
+def test_complex_reads_b2_off_the_d1_graph_echelon(count_calls):
     import twistcech.abelian as abelian
 
     ladder = coefficient_ladder(X_HEX, c_q_data(INV))
-    calls = []
-    real = abelian.smith_normal_form
-    monkeypatch.setattr(abelian, "smith_normal_form", lambda mat: calls.append(1) or real(mat))
+    calls = count_calls(abelian, "smith_normal_form")
     cx = ladder.cx
     # Z^2, B^2 and the coset labels all come from the Howell forms of the two graphs
     assert {cx.coboundaries.reduce(vec) for vec in cx.cocycles.elements()} == {(0,) * 12}
-    assert calls == []
+    assert calls == {"smith_normal_form": 0}
     mods = cx.d2_hom.mods_in
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
     assert cx.coboundaries.size == len(_closure(mods, b_cols))
@@ -1049,6 +1042,24 @@ def test_relabel_into_the_group_and_back_fixes_every_centre_class():
             assert up.system is ladder.sys_g
             back = relabel(up, ladder.zsub.parent_to_sub, ladder.sys_z)
             assert back.system is ladder.sys_z and back.serial() == x.serial()
+
+
+def test_twin_rows_share_the_action_ladder():
+    rows = [grid_instance(f"X_HEX/C4,inversion,{c}") for c in ("trivial", "square")]
+    assert rows[0].data.action is not rows[1].data.action
+    for first, second in (rows, rows[::-1]):
+        # built from either row's action, as verify builds it from the first row it meets
+        base = action_ladder(first.space, first.data.action)
+        trivial, square = (base.with_data(inst.data) for inst in rows)
+        shared = ("sys_g", "sys_z", "sys_q", "h1z", "h1g", "h1q", "cx")
+        assert all(getattr(trivial, name) is getattr(square, name) is getattr(base, name) for name in shared)
+        assert trivial.sys_c is trivial.sys_g and trivial.h1c is trivial.h1g
+        assert square.sys_c is not square.sys_g and square.sys_c.data.table == rows[1].data.table
+        alone = coefficient_ladder(rows[1].space, rows[1].data)
+        assert square.target == alone.target
+        assert square.h1c.reps == alone.h1c.reps and len(square.h1c) > 0
+    with pytest.raises(InputError, match="act differently"):
+        base.with_data(c_q_data(trivial_action(C2, C4)))
 
 
 def test_les_fault_injection_fails_somewhere():

@@ -157,6 +157,30 @@ def test_verify_grid_accepts_only_the_default_grid(capsys):
     assert code == 0 and json.loads(out)["job"]["grid"] == "default-grid"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--budget-enum", "-1"),
+        ("--budget-enum", "1.5"),
+        ("--budget-order", "-1"),
+        ("--time-limit", "-1"),
+        ("--time-limit", "nan"),
+        ("--time-limit", "abc"),
+    ],
+)
+def test_nonsense_limits_exit_2(capsys, flag, value):
+    # parsed as given, a negative budget failed only once used up, and a NaN time limit never expired
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "existence", "--only", "X_HEX/C2,trivial,trivial", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_time_limit_may_be_infinite(capsys):
+    code, out = run_cli(["verify", "existence", "--only", "X_HEX/C2,trivial,trivial", "--time-limit", "inf"], capsys)
+    assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
+
+
 def test_reports_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for target in (out1, out2):
@@ -178,37 +202,37 @@ def test_verify_all_matches_stored_report(tmp_path):
     assert report == stored["report"]
 
 
-def test_verify_all_builds_each_row_once(monkeypatch, tmp_path):
-    calls = {"enumerate_cocycles": 0, "abelian_complex": 0}
-
-    def counted(name):
-        inner = getattr(cech, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(cech, name, counted(name))
-    code = main(["verify", "all", "--only", "X_HEX/S3,trivial,trivial", "--out", str(tmp_path / "row.json")])
-    assert code == 0
-    # Z, G, G/Z and the twisted system once each, plus the one plain H^1 set
-    # of the quotient that the correspondence suite shares
-    assert calls["enumerate_cocycles"] <= 5
-    assert calls["abelian_complex"] == 1
+def test_verify_all_builds_each_row_once(count_calls, tmp_path):
+    calls = count_calls(cech, "enumerate_cocycles", "abelian_complex")
+    for row, enumerations in (
+        # Z, G and G/Z once each, the twisted H^1 read off H^1(G), and the one
+        # plain H^1 set of the quotient that the correspondence suite shares;
+        # 5 when the trivially twisted H^1 was enumerated again
+        ("X_HEX/S3,trivial,trivial", 4),
+        # a nontrivial twist makes a system of its own, one more enumeration
+        ("X_HEX/Q8,q8_swap,square", 5),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        code = main(["verify", "all", "--only", row, "--out", str(tmp_path / "row.json")])
+        assert code == 0
+        assert calls == {"enumerate_cocycles": enumerations, "abelian_complex": 1}, row
 
 
-def test_verify_all_shares_plain_h1_and_nerve_forests(monkeypatch, tmp_path):
-    enumerations = 0
-    inner_enumerate = cech.enumerate_cocycles
+def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
+    calls = count_calls(cech, "action_ladder", "enumerate_cocycles", "_compile", "abelian_complex", "h0_twisted")
+    assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
+    # one action ladder per distinct space and action of the 26 rows; 26
+    # ladders, 126 enumerations and compilations, 26 complexes and 78 H^0
+    # sets when each row built its own ladder
+    first = dict(calls)
+    assert first == {"action_ladder": 16, "enumerate_cocycles": 80, "_compile": 80, "abelian_complex": 16, "h0_twisted": 48}
+    # nothing is kept from one main() call to the next
+    assert main(["verify", "all", "--out", str(tmp_path / "again.json")]) == 0
+    assert {name: calls[name] - first[name] for name in calls} == first
 
-    def counted_enumerate(*args, **kwargs):
-        nonlocal enumerations
-        enumerations += 1
-        return inner_enumerate(*args, **kwargs)
 
+def test_verify_all_shares_plain_h1_and_nerve_forests(count_calls, monkeypatch, tmp_path):
+    calls = count_calls(cech, "enumerate_cocycles")
     # the searched nerves stay referenced, so no two of them share an id
     searched = []
     inner_forest = vars(Nerve)["_forest"].func
@@ -219,47 +243,46 @@ def test_verify_all_shares_plain_h1_and_nerve_forests(monkeypatch, tmp_path):
 
     forest = functools.cached_property(counted_forest)
     forest.__set_name__(Nerve, "_forest")
-    monkeypatch.setattr(cech, "enumerate_cocycles", counted_enumerate)
     monkeypatch.setattr(Nerve, "_forest", forest)
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
-    # 170 with three plain H^1 sets per free row; 126 with one
-    assert enumerations <= 126
+    # 170 with three plain H^1 sets per free row; 126 with one; 80 with one
+    # action ladder per space and action and H^1(G) as a trivial twist's H^1
+    assert calls["enumerate_cocycles"] == 80
     assert searched and len({id(n) for n in searched}) == len(searched)
 
 
-def test_verify_all_compile_calls(monkeypatch, tmp_path):
-    compiled = 0
-    inner = cech._compile
-
-    def counted(system):
-        nonlocal compiled
-        compiled += 1
-        return inner(system)
-
-    monkeypatch.setattr(cech, "_compile", counted)
+def test_verify_all_compile_calls(count_calls, tmp_path):
+    calls = count_calls(cech, "_compile")
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
     # 328 when the abelian complex probed d1 on a trivial-twist copy of the
     # centre system, the twist target read a twisted copy of it, and each
     # projected glued cocycle built its own quotient-group system; 216 when
     # ascend compiled the upstairs system again on every roundtrip; 170 when
-    # each fibre projected its classes through a quotient-group system
-    assert compiled <= 126
+    # each fibre projected its classes through a quotient-group system; 126
+    # when each row built its own ladder
+    assert calls["_compile"] <= 80
 
 
-def test_no_command_calls_the_smith_form(monkeypatch, tmp_path):
+def test_verify_all_row_checks_do_not_depend_on_the_other_rows(tmp_path):
+    # twin rows share an action ladder; nothing of one row's twist may reach the other
+    assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
+    full = json.loads((tmp_path / "all.json").read_text(encoding="utf-8"))["checks"]
+    for row in fixtures.default_grid():
+        out = tmp_path / "row.json"
+        assert main(["verify", "all", "--only", row.name, "--out", str(out)]) == 0
+        alone = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert alone == [c for c in full if f"[{row.name}]" in c["name"]], row.name
+
+
+def test_no_command_calls_the_smith_form(count_calls, tmp_path):
     import twistcech.abelian as abelian
 
-    calls = []
-    real = abelian.smith_normal_form
-    # every package module that binds the name, as the benchmark tracer does
-    for name, module in list(sys.modules.items()):
-        if name.startswith("twistcech") and getattr(module, "smith_normal_form", None) is real:
-            monkeypatch.setattr(module, "smith_normal_form", lambda mat: calls.append(1) or real(mat))
+    calls = count_calls(abelian, "smith_normal_form")
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
     assert main(["extensions", "classify", "D4", "C2", "--out", str(tmp_path / "ext.json")]) == 0
     # kernels, solves and coset labels all come from Howell forms; the Smith
     # form is only the tests' reference
-    assert calls == []
+    assert calls == {"smith_normal_form": 0}
 
 
 def test_console_entrypoint():
@@ -409,22 +432,9 @@ def test_serialize_rejects_out_of_range_cocycle_entries(payload, slot):
         cech.make_cocycle(system, a, phi)
 
 
-def test_h1_data_refs_resolve_without_building_the_grid(monkeypatch):
+def test_h1_data_refs_resolve_without_building_the_grid(count_calls):
     rows = fixtures.default_grid()
-    calls = {"default_grid": 0, "named_action": 0}
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(fixtures, "default_grid")
-    counted(cli, "default_grid")
-    counted(fixtures, "named_action")
+    calls = count_calls(fixtures, "default_grid", "named_action")
     inputs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("trivial_*.json"))
     assert inputs
     for path in inputs:

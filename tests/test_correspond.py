@@ -364,17 +364,15 @@ def test_grothendieck_fiber_where_a_triangle_binds_two_free_edges():
             assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == fib
 
 
-def test_grothendieck_fiber_budget_counts_the_candidates_walked(monkeypatch):
+def test_grothendieck_fiber_budget_counts_the_candidates_walked(count_calls):
     # one edge of the hollow triangle is off the tree, so C4 coefficients
     # give 4 candidates, and with no triangle to check each one is a cocycle
     prod = build_twisted_product(make_twisted_data(INV))
     ph1 = plain_h1(DESC.downstairs, prod.group)
     base = GhatCocycleY(prod, ph1.representative(fiber_over_cover(DESC, prod, ph1)[0][0]))
-    walked = []
-    inner = correspond.plain_cocycle
-    monkeypatch.setattr(correspond, "plain_cocycle", lambda *args: walked.append(1) or inner(*args))
+    walked = count_calls(correspond, "plain_cocycle")
     assert len(grothendieck_fiber(base, DESC, ph1, budget=4)) == 2
-    assert len(walked) == 4
+    assert walked["plain_cocycle"] == 4
     with pytest.raises(BudgetExceeded):
         grothendieck_fiber(base, DESC, ph1, budget=3)
 
@@ -433,34 +431,30 @@ def test_connected_reduction_cases():
         assert ph1.class_of(ext) == cid
 
 
-def test_connected_reduction_compiles_one_system_per_call(monkeypatch):
+def test_connected_reduction_compiles_one_system_per_call(count_calls):
     import twistcech.cech as cech
 
     prod = build_twisted_product(make_twisted_data(INV))
     ph1 = plain_h1(Y_TRI, prod.group)
     assert len(ph1) == 5
-    compiled = []
-    inner = cech._compile
-    monkeypatch.setattr(cech, "_compile", lambda system: compiled.append(1) or inner(system))
+    compiled = count_calls(cech, "_compile")
     for cid in range(len(ph1)):
         connected_reduction(GhatCocycleY(prod, ph1.representative(cid)))
     # the gauged cocycle stays in ph1.system; only the subgroup product's system is new
-    assert len(compiled) == 5
+    assert compiled["_compile"] == 5
 
 
-def test_connected_reduction_builds_only_the_subgroup_product(monkeypatch):
+def test_connected_reduction_builds_only_the_subgroup_product(count_calls):
     import twistcech.extensions as extensions
 
     prod = build_twisted_product(make_twisted_data(INV))
     ph1 = plain_h1(Y_TRI, prod.group)
     assert len(ph1) == 5
-    built = []
-    inner = extensions.build_twisted_product
-    monkeypatch.setattr(extensions, "build_twisted_product", lambda *args, **kw: built.append(1) or inner(*args, **kw))
+    built = count_calls(extensions, "build_twisted_product")
     for cid in range(len(ph1)):
         connected_reduction(GhatCocycleY(prod, ph1.representative(cid)))
     # the full product is the one passed in; each call builds the product over its monodromy group
-    assert len(built) == 5
+    assert built["build_twisted_product"] == 5
 
 
 def test_normalizer_embedding_full_and_trivial():
