@@ -411,7 +411,9 @@ class CohomologySet:
 
     ``reps`` are canonical serialized cocycles in a stable order; ``lookup``
     sends every tree-normalized serialization of a class to its index, so
-    class_of sends any cocycle of the same system to its class index.
+    class_of sends any cocycle of the same system to its class index.  A
+    cocycle whose serialization is a key is tree-normalized already and is
+    read off ``lookup`` directly; any other is normalized first.
     """
 
     system: CechSystem
@@ -422,10 +424,12 @@ class CohomologySet:
         return len(self.reps)
 
     def class_of(self, x: TwistedOneCocycle) -> int:
-        key = _tree_normalize(x).serial()
-        if key not in self.lookup:
+        cid = self.lookup.get(x.serial())
+        if cid is None:
+            cid = self.lookup.get(_tree_normalize(x).serial())
+        if cid is None:
             raise InputError("cocycle does not belong to any enumerated class")
-        return self.lookup[key]
+        return cid
 
     def representative(self, class_id: int) -> TwistedOneCocycle:
         a, phi = self.reps[class_id]
@@ -804,7 +808,8 @@ class ActionLadder:
     since central values project to 1.  The twist c enters only through a
     ``CoefficientLadder`` made by ``with_data``.  The cohomology is computed
     on first use and kept, so every ladder on one space and action, whatever
-    its twist, reads the same H^0 and H^1 sets and the same abelian complex.
+    its twist, reads the same H^0 and H^1 sets, abelian complex, H^1(G/Z)
+    obstructions and checks of ``les_verify`` (all but the one at H^1(G/Z)).
     """
 
     space: GammaNerve
@@ -852,6 +857,16 @@ class ActionLadder:
     def cx(self) -> AbelianComplex:
         return abelian_complex(self.sys_z)
 
+    @cached_property
+    def obstructions(self) -> tuple[tuple[int, ...], ...]:
+        """``delta_h1_vector`` of each H^1(G/Z) representative, lifted by ``lift_table``."""
+        return tuple(delta_h1_vector(self, self.h1q.representative(cid)) for cid in range(len(self.h1q)))
+
+    @cached_property
+    def exactness(self) -> tuple[CheckRecord, ...]:
+        """The checks of ``les_verify`` that read no twist, in report order."""
+        return _twist_free_checks(self)
+
 
 @dataclass
 class CoefficientLadder:
@@ -859,8 +874,8 @@ class CoefficientLadder:
 
     Only the twisted G system, its H^1 and the distinguished target of the
     last coboundary are the ladder's own; every other attribute is read off
-    ``base``.  With the trivial twist the twisted system is ``sys_g`` and its
-    H^1 is ``h1g``.
+    ``base``, so it serves wherever an ``ActionLadder`` is read.  With the
+    trivial twist the twisted system is ``sys_g`` and its H^1 is ``h1g``.
     """
 
     base: ActionLadder
@@ -933,16 +948,16 @@ def coefficient_ladder(space: GammaNerve, data: TwistedData, *, budget: int = DE
     return action_ladder(space, data.action, budget=budget).with_data(data)
 
 
-def include_z_cocycle(ladder: CoefficientLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
+def include_z_cocycle(ladder: ActionLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
     return relabel(x, ladder.zsub.embed, ladder.sys_g)
 
 
-def project_g_cocycle(ladder: CoefficientLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
+def project_g_cocycle(ladder: ActionLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
     return relabel(x, ladder.proj.map, ladder.sys_q)
 
 
 def act_h1z_by_h0q(
-    ladder: CoefficientLadder,
+    ladder: ActionLadder,
     x: TwistedOneCocycle,
     qbar: Sequence[int],
 ) -> TwistedOneCocycle:
@@ -956,7 +971,7 @@ def act_h1z_by_h0q(
     return relabel(gauge(include_z_cocycle(ladder, x), h), ladder.zsub.parent_to_sub, ladder.sys_z)
 
 
-def delta_h0(ladder: CoefficientLadder, qbar: Sequence[int]) -> TwistedOneCocycle:
+def delta_h0(ladder: ActionLadder, qbar: Sequence[int]) -> TwistedOneCocycle:
     """Coboundary of an equivariant quotient-valued function.
 
     This is its action on the trivial centre-valued class.
@@ -967,7 +982,7 @@ def delta_h0(ladder: CoefficientLadder, qbar: Sequence[int]) -> TwistedOneCocycl
 
 
 def delta_h1_vector(
-    ladder: CoefficientLadder,
+    ladder: ActionLadder,
     x: TwistedOneCocycle,
     *,
     lift: Sequence[int] | Mapping[int, int] | None = None,
@@ -994,7 +1009,7 @@ def delta_h1_vector(
     return vec
 
 
-def delta_h1(ladder: CoefficientLadder, x: TwistedOneCocycle, **lift) -> tuple:
+def delta_h1(ladder: ActionLadder, x: TwistedOneCocycle, **lift) -> tuple:
     """Second-cohomology class of the obstruction of a quotient-valued cocycle.
 
     Returned as the B^2 label of the lifted obstruction, ``lift`` passed to
@@ -1022,8 +1037,14 @@ class SequenceReport:
     def ok(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def add(self, name: str, ok: bool, **detail) -> None:
-        self.checks.append(CheckRecord(name, "pass" if ok else "fail", detail))
+
+def _check(name: str, body: Callable[[], tuple[bool, dict]]) -> CheckRecord:
+    """A node's record: its (ok, detail), or a failure with the library error it raised as witness."""
+    try:
+        ok, detail = body()
+    except TwistError as exc:
+        return CheckRecord(name, "fail", {"error": str(exc)})
+    return CheckRecord(name, "pass" if ok else "fail", detail)
 
 
 def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> SequenceReport:
@@ -1034,33 +1055,49 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     is a group the check is the sharp one: two classes have equal image
     exactly when the group action identifies them.  A node whose computation
     raises a library error is reported as a failure with the error as
-    witness.  ``fault='flip-gauge'`` deliberately mis-hands the lift in
-    ``delta_h1`` for harness self-tests: its edge values are inverted, so
-    on a non-abelian G the lifted obstruction leaves the centre and the
-    "delta-preimage of twist class" check fails with that error.
+    witness.  Only the node at H^1(G/Z) reads the twist and is checked per
+    call; the other five are the action ladder's ``exactness``, checked once
+    for every twist on it.  ``fault='flip-gauge'`` deliberately mis-hands
+    the lift in ``delta_h1`` for harness self-tests: its edge values are
+    inverted, so on a non-abelian G the lifted obstruction leaves the centre
+    and the "delta-preimage of twist class" check fails with that error.
     """
-    flip = fault == "flip-gauge"
-    report = SequenceReport([])
+    checks = ladder.exactness
+    h1q, reduce = ladder.h1q, ladder.cx.coboundaries.reduce
+    target_label = reduce(ladder.target)
+
+    def node_a7() -> tuple[bool, dict]:
+        # delta^-1 of the twist class equals the image of twisted H1(G);
+        # with a trivial twist this is exactness at H1(G/Z)
+        if fault == "flip-gauge":
+            labels = [delta_h1(ladder, h1q.representative(cid), flip=True) for cid in range(len(h1q))]
+        else:
+            labels = [reduce(vec) for vec in ladder.obstructions]
+        preimage = {cid for cid, label in enumerate(labels) if label == target_label}
+        h1c = ladder.h1c
+        image = {h1q.class_of(project_g_cocycle(ladder, h1c.representative(cid))) for cid in range(len(h1c))}
+        return preimage == image, {
+            "preimage": sorted(preimage),
+            "image": sorted(image),
+            "twisted_classes": len(h1c),
+        }
+
+    a7 = _check("h1(G/Z): delta-preimage of twist class == image of twisted H1(G)", node_a7)
+    return SequenceReport([*checks[:4], a7, *checks[4:]])
+
+
+def _twist_free_checks(ladder: ActionLadder) -> tuple[CheckRecord, ...]:
+    """Exactness at H^0(G), H^0(G/Z), H^1(Z) and H^1(G), then lift independence of ``delta_h1``."""
     h0z, h0g, h0q = ladder.h0z, ladder.h0g, ladder.h0q
     h1z, h1g, h1q = ladder.h1z, ladder.h1g, ladder.h1q
 
     emb = ladder.zsub.embed
     pr = ladder.proj.map
 
-    def node(name: str, body) -> None:
-        try:
-            ok, detail = body()
-        except TwistError as exc:
-            report.add(name, False, error=str(exc))
-            return
-        report.add(name, ok, **detail)
-
     def node_h0() -> tuple[bool, dict]:
         img_h0z = {tuple(emb[x] for x in f) for f in h0z}
         ker = {f for f in h0g if all(pr[x] == 0 for x in f)}
         return ker == img_h0z, {"sizes": [len(ker), len(img_h0z)]}
-
-    node("h0: ker(G->G/Z) == im(Z->G)", node_h0)
 
     def node_a4() -> tuple[bool, dict]:
         img_h0g = {tuple(pr[x] for x in f) for f in h0g}
@@ -1071,8 +1108,6 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
             lambda f: [tuple(qmul[x][y] for x, y in zip(gbar, f)) for gbar in img_h0g],
             [len(h0q), len(h1z)],
         )
-
-    node("h0(G/Z): equal delta iff same H0(G)-orbit", node_a4)
 
     def node_a5() -> tuple[bool, dict]:
         def moved(cid: int) -> list[int]:
@@ -1085,8 +1120,6 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
             moved,
             [len(h1z), len(h1g)],
         )
-
-    node("h1(Z): equal image in H1(G) iff same H0(G/Z)-orbit", node_a5)
 
     def node_a6() -> tuple[bool, dict]:
         def moved(cid: int) -> list[int]:
@@ -1103,34 +1136,21 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
             [len(h1g), len(h1q)],
         )
 
-    node("h1(G): fibres over H1(G/Z) are H1(Z)-orbits", node_a6)
-
-    target_label = ladder.cx.coboundaries.reduce(ladder.target)
-
-    def node_a7() -> tuple[bool, dict]:
-        # delta^-1 of the twist class equals the image of twisted H1(G);
-        # with a trivial twist this is exactness at H1(G/Z)
-        preimage = {c for c in range(len(h1q)) if delta_h1(ladder, h1q.representative(c), flip=flip) == target_label}
-        h1c = ladder.h1c
-        image = {h1q.class_of(project_g_cocycle(ladder, h1c.representative(cid))) for cid in range(len(h1c))}
-        return preimage == image, {
-            "preimage": sorted(preimage),
-            "image": sorted(image),
-            "twisted_classes": len(h1c),
-        }
-
-    node("h1(G/Z): delta-preimage of twist class == image of twisted H1(G)", node_a7)
-
     def node_lift() -> tuple[bool, dict]:
         alt = _alternative_lift(ladder)
-        for cid in range(len(h1q)):
-            x = h1q.representative(cid)
-            if delta_h1(ladder, x) != delta_h1(ladder, x, lift=alt):
+        reduce = ladder.cx.coboundaries.reduce
+        for cid, vec in enumerate(ladder.obstructions):
+            if reduce(vec) != delta_h1(ladder, h1q.representative(cid), lift=alt):
                 return False, {"witness": cid}
         return True, {}
 
-    node("delta_h1 independent of the chosen lift", node_lift)
-    return report
+    return (
+        _check("h0: ker(G->G/Z) == im(Z->G)", node_h0),
+        _check("h0(G/Z): equal delta iff same H0(G)-orbit", node_a4),
+        _check("h1(Z): equal image in H1(G) iff same H0(G/Z)-orbit", node_a5),
+        _check("h1(G): fibres over H1(G/Z) are H1(Z)-orbits", node_a6),
+        _check("delta_h1 independent of the chosen lift", node_lift),
+    )
 
 
 def _fibres_are_orbits(
@@ -1151,7 +1171,7 @@ def _fibres_are_orbits(
     return True, {"sizes": sizes}
 
 
-def _times_centre(ladder: CoefficientLadder, z: tuple, x: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _times_centre(ladder: ActionLadder, z: tuple, x: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The pair (a, phi) whose values are those of the centre-valued pair z, included in G, times those of x."""
     mul, emb = ladder.action.g.mul, ladder.zsub.embed
     (za, zphi), (a, phi) = z, x
@@ -1161,7 +1181,7 @@ def _times_centre(ladder: CoefficientLadder, z: tuple, x: tuple) -> tuple[tuple[
     )
 
 
-def _alternative_lift(ladder: CoefficientLadder) -> list[int]:
+def _alternative_lift(ladder: ActionLadder) -> list[int]:
     table = list(ladder.lift_table)
     for q_elem in range(1, ladder.quotient.order):
         others = [x for x in ladder.action.g.elements() if ladder.proj.map[x] == q_elem and x != table[q_elem]]
@@ -1182,15 +1202,13 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
 
     The twisted set is nonempty exactly when the twist 2-cochain has the B^2
     label of some quotient-valued class's obstruction; a witness cocycle is
-    then assembled from the first matching lift and a solve of d1.
+    then assembled from the first matching lift and a solve of d1.  The
+    obstructions are the action ladder's, shared by every twist on it.
     """
     cx, target = ladder.cx, ladder.target
     target_label = cx.coboundaries.reduce(target)
-    h1q = ladder.h1q
     n_slots = _cochain_sizes(ladder.sys_z)[0]
-    for cid in range(len(h1q)):
-        x = h1q.representative(cid)
-        vec = delta_h1_vector(ladder, x)
+    for cid, vec in enumerate(ladder.obstructions):
         if cx.coboundaries.reduce(vec) != target_label:
             continue
         diff = tuple((a_ - b_) % m for a_, b_, m in zip(vec, target, cx.d1_hom.mods_out))
@@ -1200,7 +1218,8 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
         # the lift times the inverse of the correction, included in G
         negated = tuple(-v % m for v, m in zip(correction, cx.d1_hom.mods_in))
         z = _pair_of(ladder.sys_z, cochain_values(cx.coords, negated, n_slots))
-        witness = make_cocycle(ladder.sys_c, *_times_centre(ladder, z, _mapped(x, ladder.lift_table)))
+        lifted = _mapped(ladder.h1q.representative(cid), ladder.lift_table)
+        witness = make_cocycle(ladder.sys_c, *_times_centre(ladder, z, lifted))
         return ExistenceResult(True, witness, cid)
     return ExistenceResult(False, None, None)
 

@@ -187,9 +187,9 @@ def cmd_verify(cfg: JobConfig) -> Report:
     """Run the suites row by row on one coefficient ladder per grid row.
 
     Rows on one space and action share one action ladder, built at the first
-    of them and kept until the call returns.  Each suite's checks are
-    collected in its own list and reported in suite order, so the report does
-    not depend on the row-major walk.
+    of them and dropped at the last, wherever they stand in the grid.  Each
+    suite's checks are collected in its own list and reported in suite
+    order, so the report does not depend on the row-major walk.
     """
     suite = cfg.args["suite"]
     report = Report(SCHEMA, {"command": f"verify {suite}", "grid": cfg.args.get("grid", "default-grid"), "seed": cfg.seed})
@@ -197,19 +197,21 @@ def cmd_verify(cfg: JobConfig) -> Report:
     deadline = time.monotonic() + cfg.time_limit
     fault = cfg.args.get("fault")
     checks: dict[str, list] = {s: [] for s in (SUITES if suite == "all" else (suite,))}
+    rows = _grid_rows(cfg)
+    # by value: each row builds its own action
+    keys = [(inst.space, inst.data.action) for inst in rows]
+    last_row = {key: i for i, key in enumerate(keys)}
     bases: dict = {}
 
     def add(suite_name: str, name: str, status: str, **extra) -> None:
         checks[suite_name].append({"name": name, "status": status, **extra})
 
-    for inst in _grid_rows(cfg):
+    for i, (inst, key) in enumerate(zip(rows, keys)):
         if time.monotonic() > deadline:
             raise BudgetExceeded(f"time limit reached at instance {inst.name}")
-        # by value: each row builds its own action
-        key = (inst.space, inst.data.action)
         if key not in bases:
             bases[key] = action_ladder(*key, budget=cfg.budget_enum)
-        ladder = bases[key].with_data(inst.data)
+        ladder = (bases.pop(key) if last_row[key] == i else bases[key]).with_data(inst.data)
         free = inst.space.gamma.order != 1 and inst.space.free
         desc = quotient(inst.space) if free and ("correspondence" in checks or "roundtrips" in checks) else None
 

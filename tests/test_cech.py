@@ -13,6 +13,7 @@ from twistcech.abelian import echelon, solve
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
     CechSystem,
+    CohomologySet,
     TwistedOneCocycle,
     abelian_complex,
     action_ladder,
@@ -1060,6 +1061,74 @@ def test_twin_rows_share_the_action_ladder():
         assert square.h1c.reps == alone.h1c.reps and len(square.h1c) > 0
     with pytest.raises(InputError, match="act differently"):
         base.with_data(c_q_data(trivial_action(C2, C4)))
+
+
+def _checks(report) -> list:
+    return [(c.name, c.status, c.detail) for c in report.checks]
+
+
+def _existence(res) -> tuple:
+    return res.exists, res.matched_quotient_class, res.witness and res.witness.serial()
+
+
+def test_shared_ladder_checks_match_a_fresh_ladder():
+    # the oracle: each row on fresh ladders of its own, one per call
+    fresh = {}
+    for inst in default_grid():
+        fresh[inst.name] = (
+            _checks(les_verify(coefficient_ladder(inst.space, inst.data))),
+            _checks(les_verify(coefficient_ladder(inst.space, inst.data), fault="flip-gauge")),
+            _existence(existence_check(coefficient_ladder(inst.space, inst.data))),
+        )
+    twins: dict = {}
+    for inst in default_grid():
+        twins.setdefault((inst.space_name, inst.data.action), []).append(inst)
+    assert sum(len(rows) > 1 for rows in twins.values()) == 10
+    assert any(plain != flipped for plain, flipped, _ in fresh.values())
+    for rows in twins.values():
+        # both orders, and the fault on the first call in one and the last in the other
+        for order, faults in ((rows, (None, "flip-gauge")), (rows[::-1], ("flip-gauge", None))):
+            base = action_ladder(order[0].space, order[0].data.action)
+            for inst in order:
+                ladder = base.with_data(inst.data)
+                plain, flipped, exists = fresh[inst.name]
+                for fault in faults:
+                    assert _checks(les_verify(ladder, fault=fault)) == (flipped if fault else plain), inst.name
+                assert _existence(existence_check(ladder)) == exists, inst.name
+
+
+@functools.cache
+def _class_sets() -> list:
+    """The nonempty H^1 sets of the X_HEX and X_TWO_TRI grid ladders."""
+    sets = []
+    for inst in default_grid():
+        if inst.space_name in ("X_HEX", "X_TWO_TRI"):
+            ladder = coefficient_ladder(inst.space, inst.data)
+            sets += [h1 for h1 in (ladder.h1z, ladder.h1g, ladder.h1q, ladder.h1c) if len(h1)]
+    return sets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_class_of_matches_the_normalizing_lookup(data):
+    h1 = data.draw(st.sampled_from(_class_sets()))
+    key = data.draw(st.sampled_from(sorted(h1.lookup)))
+    x = TwistedOneCocycle(h1.system, *key)
+    move = data.draw(st.sampled_from(("none", "gauge", "pullback")))
+    if move == "gauge":
+        n, order = h1.system.nerve.n_vertices, h1.system.coeff.order
+        x = gauge(x, data.draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n)))
+    elif move == "pullback":
+        x = pullback(x, data.draw(st.sampled_from(center(h1.system.gamma).embed)))
+    # the oracle normalizes every input, as class_of did before it read
+    # normalized ones straight off lookup
+    cid = h1.lookup[cech._tree_normalize(x).serial()]
+    assert h1.class_of(x) == cid
+    if move != "pullback":
+        assert cid == h1.lookup[key]
+    without = CohomologySet(h1.system, [], {s: c for s, c in h1.lookup.items() if c != cid})
+    with pytest.raises(InputError, match="does not belong to any enumerated class"):
+        without.class_of(x)
 
 
 def test_les_fault_injection_fails_somewhere():

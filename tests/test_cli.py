@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -219,13 +220,40 @@ def test_verify_all_builds_each_row_once(count_calls, tmp_path):
 
 
 def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
-    calls = count_calls(cech, "action_ladder", "enumerate_cocycles", "_compile", "abelian_complex", "h0_twisted")
+    calls = count_calls(
+        cech,
+        "action_ladder",
+        "enumerate_cocycles",
+        "_compile",
+        "abelian_complex",
+        "h0_twisted",
+        "_fibres_are_orbits",
+        "delta_h1_vector",
+        "act_h1z_by_h0q",
+        "make_cocycle",
+        "tree_gauge",
+    )
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
     # one action ladder per distinct space and action of the 26 rows; 26
     # ladders, 126 enumerations and compilations, 26 complexes and 78 H^0
-    # sets when each row built its own ladder
+    # sets when each row built its own ladder.  The twist-free checks and
+    # the obstructions once per action ladder; 78 fibre checks, 149
+    # obstructions and 158 actions on H^1(Z) when every row checked them,
+    # and 749 cocycle checks and 808 tree gauges when class_of also
+    # normalized cocycles that were normalized already
     first = dict(calls)
-    assert first == {"action_ladder": 16, "enumerate_cocycles": 80, "_compile": 80, "abelian_complex": 16, "h0_twisted": 48}
+    assert first == {
+        "action_ladder": 16,
+        "enumerate_cocycles": 80,
+        "_compile": 80,
+        "abelian_complex": 16,
+        "h0_twisted": 48,
+        "_fibres_are_orbits": 48,
+        "delta_h1_vector": 54,
+        "act_h1z_by_h0q": 107,
+        "make_cocycle": 564,
+        "tree_gauge": 199,
+    }
     # nothing is kept from one main() call to the next
     assert main(["verify", "all", "--out", str(tmp_path / "again.json")]) == 0
     assert {name: calls[name] - first[name] for name in calls} == first
@@ -272,6 +300,43 @@ def test_verify_all_row_checks_do_not_depend_on_the_other_rows(tmp_path):
         assert main(["verify", "all", "--only", row.name, "--out", str(out)]) == 0
         alone = json.loads(out.read_text(encoding="utf-8"))["checks"]
         assert alone == [c for c in full if f"[{row.name}]" in c["name"]], row.name
+
+
+def test_verify_drops_each_action_ladder_after_its_last_row(monkeypatch, tmp_path):
+    real_ladder, real_les = cli.action_ladder, cli.les_verify
+    built, alive_at = [], []
+
+    def recorded_ladder(space, action, **kwargs):
+        ladder = real_ladder(space, action, **kwargs)
+        built.append(weakref.ref(ladder))
+        return ladder
+
+    def recorded_les(ladder, **kwargs):
+        alive_at.append(sum(ref() is not None for ref in built))
+        return real_les(ladder, **kwargs)
+
+    # twin rows far apart: the grid's rows interleaved from both ends
+    grid = fixtures.default_grid()
+    shuffled = [row for pair in zip(grid, grid[::-1]) for row in pair][: len(grid)]
+    monkeypatch.setattr(cli, "default_grid", lambda: shuffled)
+    monkeypatch.setattr(cli, "action_ladder", recorded_ladder)
+    monkeypatch.setattr(cli, "les_verify", recorded_les)
+    assert main(["verify", "all", "--out", str(tmp_path / "shuffled.json")]) == 0
+    keys = [(row.space_name, row.data.action) for row in shuffled]
+    spans = {key: (keys.index(key), len(keys) - 1 - keys[::-1].index(key)) for key in keys}
+    assert len(built) == len(spans) == 16
+    assert max(last - first for first, last in spans.values()) > 1
+    # at each row, exactly the ladders of the keys whose rows it lies between
+    assert alive_at == [sum(first <= i <= last for first, last in spans.values()) for i in range(len(keys))]
+    assert all(ref() is None for ref in built)
+
+    monkeypatch.setattr(cli, "default_grid", fixtures.default_grid)
+    assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
+
+    def checks(name: str) -> list:
+        return sorted(json.dumps(c, sort_keys=True) for c in json.loads((tmp_path / name).read_text(encoding="utf-8"))["checks"])
+
+    assert checks("shuffled.json") == checks("all.json")
 
 
 def test_no_command_calls_the_smith_form(count_calls, tmp_path):
