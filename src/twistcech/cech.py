@@ -672,7 +672,7 @@ def _cochain_sizes(system: CechSystem) -> tuple[int, int, int]:
 
 def cochain_vector(coords: AbelianCoords, values: Iterable[int]) -> tuple[int, ...]:
     """The coordinate vector of a flat abelian cochain: each slot's coordinates in turn."""
-    return tuple(x for val in values for x in coords.vec_of[val])
+    return tuple(itertools.chain.from_iterable(map(coords.vec_of.__getitem__, values)))
 
 
 def cochain_values(coords: AbelianCoords, vec: Sequence[int], count: int) -> list[int]:
@@ -785,9 +785,9 @@ def abelian_complex(system: CechSystem) -> AbelianComplex:
     mods1, mods2, mods3 = (co.moduli * size for size in sizes)
 
     def columns(n_slots: int, image: Callable[[list[int]], Iterable[int]]) -> list[tuple[int, ...]]:
-        size = n_slots * len(co.moduli)
-        units = ([int(i == j) for i in range(size)] for j in range(size))
-        return [cochain_vector(co, image(cochain_values(co, unit, n_slots))) for unit in units]
+        # unit vector j is the cochain with generator j % r in slot j // r and 1 elsewhere
+        units = ([0] * slot + [gen] + [0] * (n_slots - slot - 1) for slot in range(n_slots) for gen in co.generators)
+        return [cochain_vector(co, image(unit)) for unit in units]
 
     d1_cols = columns(sizes[0], lambda values: _d1_values(system, *_pair_of(system, values)))
     d2_cols = columns(sizes[1], lambda values: d2(system, values))

@@ -44,6 +44,7 @@ from .groups import (
     check_hom,
     is_central,
     is_normal,
+    law_witness,
     left_cosets,
     subgroup_from_elements,
     validate_group,
@@ -76,11 +77,12 @@ def check_gamma_action(gamma: FiniteGroup, g: FiniteGroup, tables: Sequence[Sequ
     autos = tuple(check_automorphism(g, t) for t in tables)
     if autos[0].map != tuple(range(g.order)):
         raise InputError("identity must act as the identity automorphism")
-    for a in gamma.elements():
-        for b in gamma.elements():
-            composed = tuple(autos[a].map[autos[b].map[x]] for x in g.elements())
-            if composed != autos[gamma.mul[a][b]].map:
-                raise InputError(f"theta is not a homomorphism at ({a},{b})")
+    maps = tuple(auto.map for auto in autos)  # the law's sides: theta_a theta_b and theta_ab, for every b
+    witness = law_witness(
+        gamma, lambda a: (tuple(tuple(map(maps[a].__getitem__, mb)) for mb in maps), tuple(map(maps.__getitem__, gamma.mul[a])))
+    )
+    if witness is not None:
+        raise InputError("theta is not a homomorphism at ({},{})".format(*witness))
     return GammaAction(gamma, g, autos)
 
 
@@ -323,14 +325,12 @@ def build_twisted_product(data: TwistedData, label: Optional[str] = None) -> Twi
     def enc(a: int, x: int) -> int:
         return a * nq + x
 
-    mul = [[0] * n for _ in range(n)]
-    for a in g.elements():
-        for x in gamma.elements():
-            row = mul[enc(a, x)]
-            for b in g.elements():
-                tb = g.mul[a][data.theta(x, b)]
-                for y in gamma.elements():
-                    row[enc(b, y)] = enc(g.mul[tb][data.c(x, y)], gamma.mul[x][y])
+    # row (a, x), column (b, y): (a theta_x(b) c(x, y), xy), reading the theta and c rows of x
+    mul = [
+        [enc(g.mul[g.mul[a][theta_x[b]]][c_x[y]], gamma_x[y]) for b in g.elements() for y in gamma.elements()]
+        for a in g.elements()
+        for theta_x, c_x, gamma_x in zip((auto.map for auto in data.action.theta), data.table, gamma.mul)
+    ]
     try:
         grp = validate_group(mul, label=label)
     except InputError as exc:  # the cocycle identity guarantees associativity

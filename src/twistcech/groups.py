@@ -8,6 +8,8 @@ are hashable and reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -76,15 +78,11 @@ class FiniteGroup:
 
     def generating_sequence(self) -> tuple[int, ...]:
         """Greedy small generating sequence, deterministic in index order."""
-        gens: list[int] = []
-        have = {0}
-        for x in self.elements():
-            if x not in have:
-                gens.append(x)
-                have = set(self.closure(gens))
-                if len(have) == self.order:
-                    break
-        return tuple(gens)
+        return self._generating_sequence
+
+    @cached_property
+    def _generating_sequence(self) -> tuple[int, ...]:  # kept on the instance, outside equality and hashing
+        return _greedy_generators(self.mul)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteGroup({self.label or ''} order={self.order})"
@@ -133,6 +131,22 @@ class Automorphism:
         return Automorphism(GroupHom(g, g, m), mi)
 
 
+def _greedy_generators(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Each index, in order, not reached from 0 by right multiplications by earlier ones; no inverses used."""
+    gens: list[int] = []
+    reached, seen = [0], [True] + [False] * (len(mul) - 1)
+    for g in range(len(mul)):
+        if not seen[g]:
+            gens.append(g)
+            for x in reached:  # grows while it is read; each element meets every generator
+                for s in gens:
+                    y = mul[x][s]
+                    if not seen[y]:
+                        seen[y] = True
+                        reached.append(y)
+    return tuple(gens)
+
+
 def validate_group(mul: Sequence[Sequence[int]], label: Optional[str] = None) -> FiniteGroup:
     """Check a multiplication table and return a normalized FiniteGroup.
 
@@ -144,19 +158,15 @@ def validate_group(mul: Sequence[Sequence[int]], label: Optional[str] = None) ->
         raise InputError("empty multiplication table")
     rows = []
     for i, row in enumerate(mul):
-        r = tuple(int(x) for x in row)
+        r = tuple(map(int, row))
         if len(r) != n:
             raise InputError(f"row {i} has length {len(r)}, expected {n}")
-        for x in r:
-            if not 0 <= x < n:
-                raise InputError(f"entry {x} in row {i} out of range 0..{n - 1}")
+        if min(r) < 0 or max(r) >= n:
+            x = next(x for x in r if not 0 <= x < n)
+            raise InputError(f"entry {x} in row {i} out of range 0..{n - 1}")
         rows.append(r)
 
-    ident = None
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            ident = e
-            break
+    ident = next((e for e in range(n) if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
     if ident is None:
         raise NoIdentity()
 
@@ -173,41 +183,54 @@ def validate_group(mul: Sequence[Sequence[int]], label: Optional[str] = None) ->
         ]
 
     inv = []
-    for x in range(n):
-        found = None
-        for y in range(n):
-            if rows[x][y] == 0 and rows[y][x] == 0:
-                found = y
-                break
+    for x, rx in enumerate(rows):
+        found = next((y for y in range(n) if rx[y] == 0 and rows[y][x] == 0), None)
         if found is None:
             raise NoInverse(x)
         inv.append(found)
 
-    for x in range(n):
-        rx = rows[x]
-        for y in range(n):
-            rxy = rows[rx[y]]
-            ry = rows[y]
-            for z in range(n):
-                if rxy[z] != rx[ry[z]]:
-                    raise NotAssociative(x, y, z)
+    # Light's test: the y with (xy)z = x(yz) for all x, z are closed under products
+    gens = _greedy_generators(rows)
+    for y in gens:
+        through = itemgetter(*rows[y])  # x(yz) for every z, read off row x
+        if any(rows[rx[y]] != through(rx) for rx in rows):
+            # name the least witness of the full scan
+            raise NotAssociative(
+                *next((x, y, z) for x in range(n) for y in range(n) for z in range(n) if rows[rows[x][y]][z] != rows[x][rows[y][z]])
+            )
 
-    return FiniteGroup(n, tuple(rows), tuple(inv), label=label, relabeling=relabeling)
+    group = FiniteGroup(n, tuple(rows), tuple(inv), label=label, relabeling=relabeling)
+    group.__dict__["_generating_sequence"] = gens  # in a group they are its generating sequence
+    return group
 
 
 def check_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) -> GroupHom:
-    m = tuple(int(x) for x in mapping)
+    m = tuple(map(int, mapping))
     if len(m) != source.order:
         raise InputError("homomorphism table length differs from group order")
-    if any(not 0 <= x < target.order for x in m):
+    if min(m) < 0 or max(m) >= target.order:
         raise InputError("homomorphism image out of range")
     if m[0] != 0:
         raise InputError("homomorphism does not preserve the identity")
-    for a in source.elements():
-        for b in source.elements():
-            if m[source.mul[a][b]] != target.mul[m[a]][m[b]]:
-                raise InputError(f"not a homomorphism at ({a},{b})")
+    witness = law_witness(source, lambda a: (tuple(map(m.__getitem__, source.mul[a])), tuple(map(target.mul[m[a]].__getitem__, m))))
+    if witness is not None:
+        raise InputError("not a homomorphism at ({},{})".format(*witness))
     return GroupHom(source, target, m)
+
+
+def law_witness(g: FiniteGroup, sides: Callable[[int], tuple[Sequence, Sequence]]) -> Optional[tuple[int, int]]:
+    """The least (a, b) of ``g`` where a law fails, or None if it never does.
+
+    ``sides(a)`` gives both sides at every (a, b) as two rows indexed by b; the
+    caller has checked the identity.  The a where a law f(ab) = f(a) f(b) holds
+    are closed under products, so the least failing a is not reached from the
+    smaller ones: it is the first failing generator of the index-order sequence.
+    """
+    for a in g.generating_sequence():
+        left, right = sides(a)
+        if left != right:
+            return a, next(b for b, (x, y) in enumerate(zip(left, right)) if x != y)
+    return None
 
 
 def _automorphism(g: FiniteGroup, mapping: Sequence[int]) -> Automorphism:

@@ -16,6 +16,7 @@ A group-ref is either the name of a built-in or a path to a JSON file.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import InputError
@@ -108,7 +109,33 @@ def _entry_ints(key: str, parts) -> tuple[int, ...]:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, without the pure-Python encoder ``indent`` selects.
+
+    Lists of ints take one ``join``, strings the C encoder and other leaves ``json.dumps``; a non-str key raises.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write_json(obj, pad: str, out: list[str]) -> None:
+    inner = pad + "  "  # pad is a newline and the indentation of obj
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            out += ("," if i else "{", inner, encode_basestring_ascii(key), ": ")
+            _write_json(value, inner, out)
+        out += (pad, "}")
+    elif isinstance(obj, (list, tuple)) and obj and all(type(x) is int for x in obj):
+        out += ("[", inner, ("," + inner).join(map(str, obj)), pad, "]")
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, value in enumerate(obj):
+            out += ("," if i else "[", inner)
+            _write_json(value, inner, out)
+        out += (pad, "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def report_to_tsv(report: dict) -> str:

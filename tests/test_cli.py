@@ -9,6 +9,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcech import cech, cli, fixtures
 from twistcech.cli import main
@@ -18,6 +20,7 @@ from twistcech.nerves import Nerve
 from twistcech.serialize import (
     group_from_dict,
     nerve_from_dict,
+    report_to_json,
     twisted_data_from_dict,
 )
 
@@ -188,6 +191,74 @@ def test_reports_byte_identical(tmp_path):
         code = main(["verify", "all", "--out", str(target), "--seed", "11"])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _json_dumps_report(report):
+    """The report format, as the standard library writes it: the oracle of ``report_to_json``."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert report_to_json(value) == _json_dumps_report(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"é": ["ü", -3, True, None, (), {}, [[], [0, -1]]], "a": {"b": (1, False)}},
+        [0, True, 2],  # a bool among ints leaves the one-join path
+        {"x": [10**30, -(10**30)]},
+    ],
+)
+def test_report_writer_matches_json_dumps_on_edge_cases(value):
+    assert report_to_json(value) == _json_dumps_report(value)
+
+
+@pytest.mark.parametrize("value", [{1: "int key"}, {"k": {1, 2}}, [object()]])
+def test_report_writer_refuses_non_str_keys_and_unknown_types(value):
+    with pytest.raises(TypeError):
+        report_to_json(value)
+
+
+# the commands of CI's hash-seed comparison
+CI_COMMANDS = (
+    "verify all",
+    "extensions classify D4 C2",
+    "group aut Q8",
+    "verify les --fault flip-gauge",
+    "h1 X_HEX X_HEX/Q8,q8_swap,square --reduced",
+    "extensions classify C2 C4 --action inversion",
+)
+
+
+def test_report_writer_matches_json_dumps_on_command_reports(monkeypatch, tmp_path):
+    payloads = []
+
+    def recording(payload):
+        payloads.append(payload)
+        return report_to_json(payload)
+
+    monkeypatch.setattr(cli, "report_to_json", recording)
+    out = tmp_path / "report.json"
+    for cmd in CI_COMMANDS:
+        assert main([*cmd.split(), "--out", str(out)]) == (1 if "--fault" in cmd else 0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"mul": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]}))
+    assert main(["group", "info", str(bad), "--out", str(out)]) == 2
+    assert len(payloads) == len(CI_COMMANDS) + 1
+    for payload in payloads:
+        assert report_to_json(payload) == _json_dumps_report(payload)
+    assert out.read_text(encoding="utf-8") == _json_dumps_report(payloads[-1])
 
 
 def test_verify_all_matches_stored_report(tmp_path):

@@ -3,12 +3,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcech.errors import InputError, NoIdentity, NoInverse, NotAssociative
+from twistcech.extensions import check_gamma_action
 from twistcech.fixtures import GROUPS, group
 from twistcech.groups import (
+    FiniteGroup,
+    GroupHom,
     automorphisms,
     center,
+    check_hom,
     conjugacy_classes,
     cyclic_group,
     direct_product,
@@ -225,3 +231,185 @@ def test_associativity_exhaustive_on_fixtures():
             for y in g.elements():
                 for z in g.elements():
                     assert g.mul[g.mul[x][y]][z] == g.mul[x][g.mul[y][z]]
+
+
+# Full scans of the group laws, as they ran before the checks on generators:
+# the oracles that validate_group, check_hom and check_gamma_action must match
+# in exception class, message and witness.
+
+
+def _validate_group_full_scan(mul):
+    n = len(mul)
+    if n == 0:
+        raise InputError("empty multiplication table")
+    rows = []
+    for i, row in enumerate(mul):
+        r = tuple(int(x) for x in row)
+        if len(r) != n:
+            raise InputError(f"row {i} has length {len(r)}, expected {n}")
+        for x in r:
+            if not 0 <= x < n:
+                raise InputError(f"entry {x} in row {i} out of range 0..{n - 1}")
+        rows.append(r)
+    ident = next((e for e in range(n) if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
+    if ident is None:
+        raise NoIdentity()
+    relabeling = None
+    if ident != 0:
+        perm = list(range(n))
+        perm[0], perm[ident] = ident, 0
+        relabeling = tuple(perm)
+        rows = [tuple(perm[rows[perm[a]][perm[b]]] for b in range(n)) for a in range(n)]
+    inv = []
+    for x in range(n):
+        y = next((y for y in range(n) if rows[x][y] == 0 and rows[y][x] == 0), None)
+        if y is None:
+            raise NoInverse(x)
+        inv.append(y)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+            raise NotAssociative(x, y, z)
+    return FiniteGroup(n, tuple(rows), tuple(inv), relabeling=relabeling)
+
+
+def _check_hom_full_scan(source, target, mapping):
+    m = tuple(int(x) for x in mapping)
+    if len(m) != source.order:
+        raise InputError("homomorphism table length differs from group order")
+    if any(not 0 <= x < target.order for x in m):
+        raise InputError("homomorphism image out of range")
+    if m[0] != 0:
+        raise InputError("homomorphism does not preserve the identity")
+    for a, b in itertools.product(source.elements(), repeat=2):
+        if m[source.mul[a][b]] != target.mul[m[a]][m[b]]:
+            raise InputError(f"not a homomorphism at ({a},{b})")
+    return GroupHom(source, target, m)
+
+
+def _check_gamma_action_full_scan(gamma, g, tables):
+    if len(tables) != gamma.order:
+        raise InputError("need one automorphism table per acting element")
+    maps = []
+    for t in tables:
+        hom = _check_hom_full_scan(g, g, t)
+        if not hom.is_bijective():
+            raise InputError("automorphism table is not a bijection")
+        maps.append(hom.map)
+    if maps[0] != tuple(range(g.order)):
+        raise InputError("identity must act as the identity automorphism")
+    for a, b in itertools.product(gamma.elements(), repeat=2):
+        if tuple(maps[a][maps[b][x]] for x in g.elements()) != maps[gamma.mul[a][b]]:
+            raise InputError(f"theta is not a homomorphism at ({a},{b})")
+    return maps
+
+
+def _generating_sequence_by_closure(g):
+    gens, have = [], {0}
+    for x in g.elements():
+        if x not in have:
+            gens.append(x)
+            have = set(g.closure(gens))
+    return tuple(gens)
+
+
+def _outcome(check, *args):
+    """What a check returns, or the class, message and witness of what it raises."""
+    try:
+        return check(*args)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+LAW_GROUPS = ("C4", "C2xC2", "S3", "D4", "Q8")
+# loops (an identity and two-sided inverses) that are not associative, so that
+# a table reaches the associativity stage with every earlier check passed
+LOOPS = (
+    ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)),
+    (
+        (0, 1, 2, 3, 4, 5),
+        (1, 0, 3, 4, 5, 2),
+        (2, 4, 0, 5, 1, 3),
+        (3, 5, 1, 0, 2, 4),
+        (4, 2, 5, 1, 3, 0),
+        (5, 3, 4, 2, 0, 1),
+    ),
+)
+
+
+@st.composite
+def _perturbed_tables(draw):
+    """A group table or a loop, with its indices permuted and one entry maybe changed, at times out of range."""
+    table = draw(st.sampled_from([group(name).mul for name in LAW_GROUPS] + list(LOOPS)))
+    n = len(table)
+    perm = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        rows[perm[a]][perm[b]] = perm[table[a][b]]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(-1, n))
+    return rows
+
+
+def test_the_loops_reach_the_associativity_stage():
+    for loop in LOOPS:
+        assert _outcome(validate_group, loop)[0] is _outcome(_validate_group_full_scan, loop)[0] is NotAssociative
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_perturbed_tables())
+def test_validate_group_matches_the_full_scan(rows):
+    assert _outcome(validate_group, rows) == _outcome(_validate_group_full_scan, rows)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_generating_sequence_matches_the_closure_walk(name):
+    g = group(name)
+    fresh = FiniteGroup(g.order, g.mul, g.inv)  # not through validate_group
+    assert g.generating_sequence() == fresh.generating_sequence() == _generating_sequence_by_closure(g)
+    assert validate_group(g.mul).generating_sequence() == _generating_sequence_by_closure(g)
+
+
+@st.composite
+def _perturbed_homs(draw):
+    """An endomorphism of a group (an automorphism or the trivial map) with one image maybe changed, at times out of range."""
+    g = group(draw(st.sampled_from(LAW_GROUPS)))
+    mapping = list(draw(st.sampled_from([a.map for a in automorphisms(g)] + [(0,) * g.order])))
+    if draw(st.booleans()):
+        mapping[draw(st.integers(0, g.order - 1))] = draw(st.integers(-1, g.order))
+    return g, mapping
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_perturbed_homs())
+def test_check_hom_matches_the_full_scan(case):
+    g, mapping = case
+    assert _outcome(check_hom, g, g, mapping) == _outcome(_check_hom_full_scan, g, g, mapping)
+
+
+@st.composite
+def _perturbed_actions(draw):
+    """Tables of an action of Gamma on G, with one automorphism swapped for another or one entry changed.
+
+    The action is trivial, or conjugation when G is Gamma.
+    """
+    gamma, g = group(draw(st.sampled_from(LAW_GROUPS))), group(draw(st.sampled_from(LAW_GROUPS)))
+    by_conjugation = gamma is g and draw(st.booleans())
+    tables = [[g.conjugate(t, x) if by_conjugation else x for x in g.elements()] for t in gamma.elements()]
+    kind = draw(st.sampled_from(("none", "automorphism", "entry")))
+    t = draw(st.integers(0, gamma.order - 1))
+    if kind == "automorphism":
+        tables[t] = list(draw(st.sampled_from(automorphisms(g))).map)
+    elif kind == "entry":
+        tables[t][draw(st.integers(0, g.order - 1))] = draw(st.integers(0, g.order - 1))
+    return gamma, g, tables
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_perturbed_actions())
+def test_check_gamma_action_matches_the_full_scan(case):
+    gamma, g, tables = case
+    got = _outcome(check_gamma_action, gamma, g, tables)
+    want = _outcome(_check_gamma_action_full_scan, gamma, g, tables)
+    if isinstance(want, list):  # the action is valid: compare its tables
+        got = [auto.map for auto in got.theta]
+    assert got == want
