@@ -805,27 +805,26 @@ class ActionLadder:
 
     The ladder Z -> G -> G/Z depends on the action alone: all three systems
     carry the trivial twist, and the quotient system is honestly untwisted
-    since central values project to 1.  The twist c enters only through a
-    ``CoefficientLadder`` made by ``with_data``.  The cohomology is computed
-    on first use and kept, so every ladder on one space and action, whatever
-    its twist, reads the same H^0 and H^1 sets, abelian complex, H^1(G/Z)
-    obstructions and checks of ``les_verify`` (all but the one at H^1(G/Z)).
+    since central values project to 1.  The space is ``sys_g.space``, the
+    action ``sys_g.data.action`` and the quotient ``proj.target``.  The twist
+    c enters only through a ``CoefficientLadder`` made by ``with_data``.  The
+    cohomology is computed on first use and kept, so every ladder on one
+    space and action, whatever its twist, reads the same H^0 and H^1 sets,
+    abelian complex, H^1(G/Z) obstructions and checks of ``les_verify`` (all
+    but the one at H^1(G/Z)).
     """
 
-    space: GammaNerve
-    action: GammaAction
     sys_g: CechSystem
     sys_z: CechSystem
     sys_q: CechSystem
     zsub: Subgroup
-    quotient: FiniteGroup
     proj: GroupHom
     lift_table: tuple[int, ...]  # quotient element -> minimal lift in G; 1 lifts to 1
     budget: int  # bound on each H^1 enumeration
 
     def with_data(self, data: TwistedData) -> CoefficientLadder:
         """The ladder of twisted data with this action."""
-        if data.action != self.action:
+        if data.action != self.sys_g.data.action:
             raise InputError("twisted data and ladder act differently")
         return CoefficientLadder(self, data)
 
@@ -872,29 +871,23 @@ class ActionLadder:
 class CoefficientLadder:
     """The ladder of one space and twisted data: its action ladder and the twist c.
 
-    Only the twisted G system, its H^1 and the distinguished target of the
-    last coboundary are the ladder's own; every other attribute is read off
-    ``base``, so it serves wherever an ``ActionLadder`` is read.  With the
-    trivial twist the twisted system is ``sys_g`` and its H^1 is ``h1g``.
+    Only the twisted G system, its H^1, the distinguished target of the last
+    coboundary and the target's preimage in H^1(G/Z) are the ladder's own;
+    the twist-free parts are read off ``base``.  With the trivial twist the
+    twisted system is ``base.sys_g`` and its H^1 is ``base.h1g``.
     """
 
     base: ActionLadder
     data: TwistedData
 
-    def __getattr__(self, name: str):
-        # a copy has no base yet; looking it up here would recurse
-        if name == "base":
-            raise AttributeError(name)
-        return getattr(self.base, name)
-
     @cached_property
     def sys_c(self) -> CechSystem:
         """The G system carrying the twist c of the data."""
-        return self.sys_g if self.data.is_trivial() else CechSystem(self.space, self.data)
+        return self.base.sys_g if self.data.is_trivial() else CechSystem(self.base.sys_g.space, self.data)
 
     @cached_property
     def h1c(self) -> CohomologySet:
-        return self.h1g if self.sys_c is self.sys_g else h1_twisted(self.sys_c, budget=self.budget)
+        return self.base.h1g if self.sys_c is self.base.sys_g else h1_twisted(self.sys_c, budget=self.base.budget)
 
     @cached_property
     def target(self) -> tuple[int, ...]:
@@ -903,15 +896,22 @@ class CoefficientLadder:
         Its (t, t2, vertex) slots hold theta_{t2 t}^-1(c(t2, t)), read off
         the twisted system's vertex sites and mapped into the centre.
         """
-        tab = self.sys_c.tables
-        back = self.zsub.parent_to_sub
+        tab, cx = self.sys_c.tables, self.base.cx
+        back = self.base.zsub.parent_to_sub
         n = len(tab.act[0])
         values = [0] * (len(tab.triangles) + len(tab.nontrivial) * len(tab.edges))
         values += (back[want] for *_, want in tab.vertex_sites for _ in range(n))
-        vec = cochain_vector(self.cx.coords, values)
-        if not self.cx.in_kernel_d2(vec):
+        vec = cochain_vector(cx.coords, values)
+        if not cx.in_kernel_d2(vec):
             raise InternalError("twist 2-cochain is not d2-closed")
         return vec
+
+    @cached_property
+    def preimage(self) -> tuple[int, ...]:
+        """The H^1(G/Z) classes, ascending, whose obstruction has the twist's B^2 label."""
+        reduce = self.base.cx.coboundaries.reduce
+        label = reduce(self.target)
+        return tuple(cid for cid, vec in enumerate(self.base.obstructions) if reduce(vec) == label)
 
 
 def action_ladder(space: GammaNerve, action: GammaAction, *, budget: int = DEFAULT_ENUM_BUDGET) -> ActionLadder:
@@ -925,7 +925,7 @@ def action_ladder(space: GammaNerve, action: GammaAction, *, budget: int = DEFAU
     data = make_twisted_data(action)
 
     sys_g = CechSystem(space, data)
-    sys_z = CechSystem(space, make_twisted_data(restrict_to_subgroup(data, zsub).action))
+    sys_z = CechSystem(space, restrict_to_subgroup(data, zsub))
 
     q_tables = []
     for t in action.gamma.elements():
@@ -936,7 +936,7 @@ def action_ladder(space: GammaNerve, action: GammaAction, *, budget: int = DEFAU
     sys_q = CechSystem(space, make_twisted_data(check_gamma_action(action.gamma, q, q_tables)))
 
     lift_table = tuple(proj.map.index(qe) for qe in q.elements())
-    return ActionLadder(space, action, sys_g, sys_z, sys_q, zsub, q, proj, lift_table, budget)
+    return ActionLadder(sys_g, sys_z, sys_q, zsub, proj, lift_table, budget)
 
 
 def coefficient_ladder(space: GammaNerve, data: TwistedData, *, budget: int = DEFAULT_ENUM_BUDGET) -> CoefficientLadder:
@@ -997,7 +997,7 @@ def delta_h1_vector(
     """
     a, phi = _mapped(x, lift or ladder.lift_table)
     if flip:
-        a = tuple(ladder.action.g.inv[v] for v in a)
+        a = tuple(ladder.sys_g.coeff.inv[v] for v in a)
     back = ladder.zsub.parent_to_sub
     try:
         values = [back[val] for val in _d1_values(ladder.sys_g, a, phi)]
@@ -1024,9 +1024,6 @@ class CheckRecord:
     name: str
     status: str  # "pass" | "fail"
     detail: dict
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, **self.detail}
 
 
 @dataclass
@@ -1055,29 +1052,31 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     is a group the check is the sharp one: two classes have equal image
     exactly when the group action identifies them.  A node whose computation
     raises a library error is reported as a failure with the error as
-    witness.  Only the node at H^1(G/Z) reads the twist and is checked per
-    call; the other five are the action ladder's ``exactness``, checked once
-    for every twist on it.  ``fault='flip-gauge'`` deliberately mis-hands
-    the lift in ``delta_h1`` for harness self-tests: its edge values are
-    inverted, so on a non-abelian G the lifted obstruction leaves the centre
-    and the "delta-preimage of twist class" check fails with that error.
+    witness.  Only the node at H^1(G/Z) reads the twist, through the
+    ladder's ``preimage``, and is checked per call; the other five are the
+    action ladder's ``exactness``, checked once for every twist on it.
+    ``fault='flip-gauge'`` deliberately mis-hands the lift in ``delta_h1``
+    for harness self-tests: its edge values are inverted, so on a
+    non-abelian G the lifted obstruction leaves the centre and the
+    "delta-preimage of twist class" check fails with that error.  The
+    mis-handed labels are the call's own and never reach the ladder.
     """
-    checks = ladder.exactness
-    h1q, reduce = ladder.h1q, ladder.cx.coboundaries.reduce
-    target_label = reduce(ladder.target)
+    base = ladder.base
+    checks, h1q = base.exactness, base.h1q
 
     def node_a7() -> tuple[bool, dict]:
         # delta^-1 of the twist class equals the image of twisted H1(G);
         # with a trivial twist this is exactness at H1(G/Z)
         if fault == "flip-gauge":
-            labels = [delta_h1(ladder, h1q.representative(cid), flip=True) for cid in range(len(h1q))]
+            target_label = base.cx.coboundaries.reduce(ladder.target)
+            labels = [delta_h1(base, h1q.representative(cid), flip=True) for cid in range(len(h1q))]
+            preimage = [cid for cid, label in enumerate(labels) if label == target_label]
         else:
-            labels = [reduce(vec) for vec in ladder.obstructions]
-        preimage = {cid for cid, label in enumerate(labels) if label == target_label}
+            preimage = list(ladder.preimage)
         h1c = ladder.h1c
-        image = {h1q.class_of(project_g_cocycle(ladder, h1c.representative(cid))) for cid in range(len(h1c))}
-        return preimage == image, {
-            "preimage": sorted(preimage),
+        image = {h1q.class_of(project_g_cocycle(base, h1c.representative(cid))) for cid in range(len(h1c))}
+        return set(preimage) == image, {
+            "preimage": preimage,
             "image": sorted(image),
             "twisted_classes": len(h1c),
         }
@@ -1101,7 +1100,7 @@ def _twist_free_checks(ladder: ActionLadder) -> tuple[CheckRecord, ...]:
 
     def node_a4() -> tuple[bool, dict]:
         img_h0g = {tuple(pr[x] for x in f) for f in h0g}
-        qmul = ladder.quotient.mul
+        qmul = ladder.proj.target.mul
         return _fibres_are_orbits(
             h0q,
             lambda f: h1z.class_of(delta_h0(ladder, f)),
@@ -1173,7 +1172,7 @@ def _fibres_are_orbits(
 
 def _times_centre(ladder: ActionLadder, z: tuple, x: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The pair (a, phi) whose values are those of the centre-valued pair z, included in G, times those of x."""
-    mul, emb = ladder.action.g.mul, ladder.zsub.embed
+    mul, emb = ladder.sys_g.coeff.mul, ladder.zsub.embed
     (za, zphi), (a, phi) = z, x
     return (
         tuple(mul[emb[u]][v] for u, v in zip(za, a)),
@@ -1183,8 +1182,8 @@ def _times_centre(ladder: ActionLadder, z: tuple, x: tuple) -> tuple[tuple[int, 
 
 def _alternative_lift(ladder: ActionLadder) -> list[int]:
     table = list(ladder.lift_table)
-    for q_elem in range(1, ladder.quotient.order):
-        others = [x for x in ladder.action.g.elements() if ladder.proj.map[x] == q_elem and x != table[q_elem]]
+    for q_elem in range(1, ladder.proj.target.order):
+        others = [x for x in ladder.proj.source.elements() if ladder.proj.map[x] == q_elem and x != table[q_elem]]
         if others:
             table[q_elem] = others[0]
     return table
@@ -1201,27 +1200,25 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
     """Nonemptiness of the ladder's twisted H^1 via the last coboundary map.
 
     The twisted set is nonempty exactly when the twist 2-cochain has the B^2
-    label of some quotient-valued class's obstruction; a witness cocycle is
-    then assembled from the first matching lift and a solve of d1.  The
-    obstructions are the action ladder's, shared by every twist on it.
+    label of some quotient-valued class's obstruction, that is when the
+    ladder's ``preimage`` is nonempty; a witness cocycle is then assembled
+    from the lift of its first class and a solve of d1.  The obstructions
+    are the action ladder's, shared by every twist on it.
     """
-    cx, target = ladder.cx, ladder.target
-    target_label = cx.coboundaries.reduce(target)
-    n_slots = _cochain_sizes(ladder.sys_z)[0]
-    for cid, vec in enumerate(ladder.obstructions):
-        if cx.coboundaries.reduce(vec) != target_label:
-            continue
-        diff = tuple((a_ - b_) % m for a_, b_, m in zip(vec, target, cx.d1_hom.mods_out))
-        correction = solve(cx.d1_hom, diff)
-        if correction is None:
-            raise InternalError("obstruction shares the twist's B^2 label but differs from it by no coboundary")
-        # the lift times the inverse of the correction, included in G
-        negated = tuple(-v % m for v, m in zip(correction, cx.d1_hom.mods_in))
-        z = _pair_of(ladder.sys_z, cochain_values(cx.coords, negated, n_slots))
-        lifted = _mapped(ladder.h1q.representative(cid), ladder.lift_table)
-        witness = make_cocycle(ladder.sys_c, *_times_centre(ladder, z, lifted))
-        return ExistenceResult(True, witness, cid)
-    return ExistenceResult(False, None, None)
+    if not ladder.preimage:
+        return ExistenceResult(False, None, None)
+    base, cid = ladder.base, ladder.preimage[0]
+    cx = base.cx
+    diff = tuple((a_ - b_) % m for a_, b_, m in zip(base.obstructions[cid], ladder.target, cx.d1_hom.mods_out))
+    correction = solve(cx.d1_hom, diff)
+    if correction is None:
+        raise InternalError("obstruction shares the twist's B^2 label but differs from it by no coboundary")
+    # the lift times the inverse of the correction, included in G
+    negated = tuple(-v % m for v, m in zip(correction, cx.d1_hom.mods_in))
+    z = _pair_of(base.sys_z, cochain_values(cx.coords, negated, _cochain_sizes(base.sys_z)[0]))
+    lifted = _mapped(base.h1q.representative(cid), base.lift_table)
+    witness = make_cocycle(ladder.sys_c, *_times_centre(base, z, lifted))
+    return ExistenceResult(True, witness, cid)
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extensions", help="classify central extensions for an action")
     p_ext.add_argument("what", choices=("classify",))
     p_ext.add_argument("gamma", help="acting group (built-in name or JSON path)")
-    p_ext.add_argument("z", help="coefficient group (must be abelian)")
+    p_ext.add_argument("z", help="coefficient group G, abelian or not: classifies H^2(Gamma; Z(G)) (built-in name or JSON path)")
     p_ext.add_argument("--action", default="trivial", help="trivial | inversion | q8_swap")
     common(p_ext)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .extensions import TwistedData, check_cocycle, check_gamma_action, make_twisted_data
-from .fixtures import GAMMA_NERVES, GROUPS, NERVES
+from .fixtures import GAMMA_NERVES, GROUPS, NERVES, gamma_nerve
 from .groups import FiniteGroup, validate_group
 from .nerves import GammaNerve, Nerve, validate_gamma_nerve, validate_nerve
 
@@ -78,11 +78,7 @@ def gamma_nerve_from_dict(payload: dict) -> GammaNerve:
 
 
 def resolve_gamma_nerve(ref: str) -> GammaNerve:
-    if ref in GAMMA_NERVES:
-        return GAMMA_NERVES[ref]
-    if ref in NERVES:
-        from .fixtures import gamma_nerve
-
+    if ref in GAMMA_NERVES or ref in NERVES:
         return gamma_nerve(ref)
     return gamma_nerve_from_dict(_load_json(ref))
 

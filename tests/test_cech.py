@@ -1,5 +1,6 @@
 """The cohomology engine: d1, gauge, enumeration, d2, coboundaries, sections."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -12,6 +13,7 @@ from twistcech import cech
 from twistcech.abelian import echelon, solve
 from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
 from twistcech.cech import (
+    ActionLadder,
     CechSystem,
     CohomologySet,
     TwistedOneCocycle,
@@ -298,7 +300,7 @@ def test_enumeration_matches_oracle_on_the_grid_and_ladder():
     systems = []
     for inst in default_grid():
         ladder = coefficient_ladder(inst.space, inst.data)
-        systems += [CechSystem(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
+        systems += [CechSystem(inst.space, inst.data), ladder.base.sys_g, ladder.base.sys_z, ladder.base.sys_q]
     systems += [_trivial_system(gamma_nerve("X_DODEC"), g) for g in LADDER_GROUPS]
     systems += [_trivial_system(gamma_nerve("X_OCT"), g) for g in ("C2", "C4", "S3")]
     for system in systems:
@@ -551,7 +553,7 @@ def _witness_systems():
     systems = []
     for inst in default_grid():
         ladder = coefficient_ladder(inst.space, inst.data)
-        systems += [CechSystem(inst.space, inst.data), ladder.sys_g, ladder.sys_z, ladder.sys_q]
+        systems += [CechSystem(inst.space, inst.data), ladder.base.sys_g, ladder.base.sys_z, ladder.base.sys_q]
     for space_name in ("X_OCT", "X_DODEC"):
         systems += [_trivial_system(gamma_nerve(space_name), g) for g in LADDER_GROUPS]
     return systems
@@ -953,7 +955,7 @@ def test_complex_reads_b2_off_the_d1_graph_echelon(count_calls):
 
     ladder = coefficient_ladder(X_HEX, c_q_data(INV))
     calls = count_calls(abelian, "smith_normal_form")
-    cx = ladder.cx
+    cx = ladder.base.cx
     # Z^2, B^2 and the coset labels all come from the Howell forms of the two graphs
     assert {cx.coboundaries.reduce(vec) for vec in cx.cocycles.elements()} == {(0,) * 12}
     assert calls == {"smith_normal_form": 0}
@@ -976,30 +978,30 @@ def test_h2_trivial_on_one_dimensional_nerves():
 
 def test_delta_h0_exactness_for_liftable_functions():
     ladder = coefficient_ladder(X_HEX, make_twisted_data(INV))
-    h1z = h1_twisted(ladder.sys_z)
-    h0g = h0_twisted(ladder.sys_g)
-    pr = ladder.proj.map
-    trivial_class = h1z.class_of(make_cocycle(ladder.sys_z, *trivial_pair(ladder.sys_z)))
+    h1z = h1_twisted(ladder.base.sys_z)
+    h0g = h0_twisted(ladder.base.sys_g)
+    pr = ladder.base.proj.map
+    trivial_class = h1z.class_of(make_cocycle(ladder.base.sys_z, *trivial_pair(ladder.base.sys_z)))
     for f in h0g:
         image = tuple(pr[x] for x in f)
-        assert h1z.class_of(delta_h0(ladder, image)) == trivial_class
+        assert h1z.class_of(delta_h0(ladder.base, image)) == trivial_class
 
 
 def test_delta_h0_trivial_when_quotient_trivial():
     ladder = coefficient_ladder(X_HEX, make_twisted_data(INV))
-    assert ladder.quotient.order == 1
+    assert ladder.base.proj.target.order == 1
 
 
 def test_delta_h0_q8_constants_lift():
     data = make_twisted_data(trivial_action(C1, Q8))
     space = gamma_nerve("Y_TRI")
     ladder = coefficient_ladder(space, data)
-    h0q = h0_twisted(ladder.sys_q)
-    h1z = h1_twisted(ladder.sys_z)
-    trivial_class = h1z.class_of(make_cocycle(ladder.sys_z, *trivial_pair(ladder.sys_z)))
-    assert ladder.quotient.order == 4
+    h0q = h0_twisted(ladder.base.sys_q)
+    h1z = h1_twisted(ladder.base.sys_z)
+    trivial_class = h1z.class_of(make_cocycle(ladder.base.sys_z, *trivial_pair(ladder.base.sys_z)))
+    assert ladder.base.proj.target.order == 4
     for f in h0q:
-        assert h1z.class_of(delta_h0(ladder, f)) == trivial_class
+        assert h1z.class_of(delta_h0(ladder.base, f)) == trivial_class
 
 
 def test_delta_h1_lift_independence_fuzz():
@@ -1007,42 +1009,42 @@ def test_delta_h1_lift_independence_fuzz():
     data = make_twisted_data(trivial_action(C2, Q8))
     space = X_HEX
     ladder = coefficient_ladder(space, data)
-    cx = ladder.cx
+    cx = ladder.base.cx
     b_cols = [tuple(row[j] for row in cx.d1_hom.matrix) for j in range(len(cx.d1_hom.mods_in))]
     labels = echelon(cx.d2_hom.mods_in, b_cols)
-    h1q = h1_twisted(ladder.sys_q)
+    h1q = h1_twisted(ladder.base.sys_q)
     lift_sets = {}
-    for q_elem in range(ladder.quotient.order):
-        lift_sets[q_elem] = [x for x in Q8.elements() if ladder.proj.map[x] == q_elem]
+    for q_elem in range(ladder.base.proj.target.order):
+        lift_sets[q_elem] = [x for x in Q8.elements() if ladder.base.proj.map[x] == q_elem]
     for cid in range(len(h1q)):
         x = h1q.representative(cid)
-        base = labels.reduce(delta_h1_vector(ladder, x))
+        base = labels.reduce(delta_h1_vector(ladder.base, x))
         for _ in range(5):
             pick = {q: rng.choice(lifts) for q, lifts in lift_sets.items()}
             pick[0] = 0
-            vec = delta_h1_vector(ladder, x, lift=pick)
+            vec = delta_h1_vector(ladder.base, x, lift=pick)
             assert labels.reduce(vec) == base
 
 
 def test_relabel_names_the_value_a_table_does_not_cover():
     ladder = coefficient_ladder(X_HEX, make_twisted_data(trivial_action(C2, S3)))
-    back = ladder.zsub.parent_to_sub
+    back = ladder.base.zsub.parent_to_sub
     assert back == {0: 0}  # S3 has a trivial centre
-    x = next(x for x in (ladder.h1g.representative(c) for c in range(len(ladder.h1g))) if any(x.a))
+    x = next(x for x in (ladder.base.h1g.representative(c) for c in range(len(ladder.base.h1g))) if any(x.a))
     missing = next(v for v in (*x.a, *itertools.chain.from_iterable(x.phi)) if v not in back)
     with pytest.raises(InternalError, match=f"does not cover the value {missing}$"):
-        relabel(x, back, ladder.sys_z)
+        relabel(x, back, ladder.base.sys_z)
 
 
 def test_relabel_into_the_group_and_back_fixes_every_centre_class():
     for inst in default_grid():
         ladder = coefficient_ladder(inst.space, inst.data)
-        for cid in range(len(ladder.h1z)):
-            x = ladder.h1z.representative(cid)
-            up = relabel(x, ladder.zsub.embed, ladder.sys_g)
-            assert up.system is ladder.sys_g
-            back = relabel(up, ladder.zsub.parent_to_sub, ladder.sys_z)
-            assert back.system is ladder.sys_z and back.serial() == x.serial()
+        for cid in range(len(ladder.base.h1z)):
+            x = ladder.base.h1z.representative(cid)
+            up = relabel(x, ladder.base.zsub.embed, ladder.base.sys_g)
+            assert up.system is ladder.base.sys_g
+            back = relabel(up, ladder.base.zsub.parent_to_sub, ladder.base.sys_z)
+            assert back.system is ladder.base.sys_z and back.serial() == x.serial()
 
 
 def test_twin_rows_share_the_action_ladder():
@@ -1052,10 +1054,9 @@ def test_twin_rows_share_the_action_ladder():
         # built from either row's action, as verify builds it from the first row it meets
         base = action_ladder(first.space, first.data.action)
         trivial, square = (base.with_data(inst.data) for inst in rows)
-        shared = ("sys_g", "sys_z", "sys_q", "h1z", "h1g", "h1q", "cx")
-        assert all(getattr(trivial, name) is getattr(square, name) is getattr(base, name) for name in shared)
-        assert trivial.sys_c is trivial.sys_g and trivial.h1c is trivial.h1g
-        assert square.sys_c is not square.sys_g and square.sys_c.data.table == rows[1].data.table
+        assert trivial.base is square.base is base
+        assert trivial.sys_c is base.sys_g and trivial.h1c is base.h1g
+        assert square.sys_c is not base.sys_g and square.sys_c.data.table == rows[1].data.table
         alone = coefficient_ladder(rows[1].space, rows[1].data)
         assert square.target == alone.target
         assert square.h1c.reps == alone.h1c.reps and len(square.h1c) > 0
@@ -1097,6 +1098,30 @@ def test_shared_ladder_checks_match_a_fresh_ladder():
                 assert _existence(existence_check(ladder)) == exists, inst.name
 
 
+def test_les_verify_and_existence_check_read_the_ladder_preimage():
+    for inst in default_grid():
+        fresh = coefficient_ladder(inst.space, inst.data).preimage
+        ladder = coefficient_ladder(inst.space, inst.data)
+        # the fault's labels are its own: the ladder's preimage stays unset, then reads as a fresh ladder's
+        les_verify(ladder, fault="flip-gauge")
+        assert "preimage" not in vars(ladder) and ladder.preimage == fresh, inst.name
+        node = next(c for c in les_verify(ladder).checks if c.name.startswith("h1(G/Z)"))
+        assert node.detail["preimage"] == list(ladder.preimage), inst.name
+        matched = existence_check(ladder).matched_quotient_class
+        assert matched == (ladder.preimage[0] if ladder.preimage else None), inst.name
+
+
+def test_ladder_attributes_are_named():
+    fields = ["sys_g", "sys_z", "sys_q", "zsub", "proj", "lift_table", "budget"]
+    assert [f.name for f in dataclasses.fields(ActionLadder)] == fields
+    ladder = coefficient_ladder(X_HEX, c_q_data(INV))
+    with pytest.raises(AttributeError):
+        ladder.h1g
+    les_verify(ladder)
+    existence_check(ladder)
+    assert set(vars(ladder)) == {"base", "data", "sys_c", "h1c", "target", "preimage"}
+
+
 @functools.cache
 def _class_sets() -> list:
     """The nonempty H^1 sets of the X_HEX and X_TWO_TRI grid ladders."""
@@ -1104,7 +1129,7 @@ def _class_sets() -> list:
     for inst in default_grid():
         if inst.space_name in ("X_HEX", "X_TWO_TRI"):
             ladder = coefficient_ladder(inst.space, inst.data)
-            sets += [h1 for h1 in (ladder.h1z, ladder.h1g, ladder.h1q, ladder.h1c) if len(h1)]
+            sets += [h1 for h1 in (ladder.base.h1z, ladder.base.h1g, ladder.base.h1q, ladder.h1c) if len(h1)]
     return sets
 
 
@@ -1160,16 +1185,16 @@ def test_existence_examples():
 
 def _existence_by_solving_every_class(ladder):
     """Oracle: the loop that runs solve for each quotient class until one succeeds."""
-    cx, g, emb = ladder.cx, ladder.data.g, ladder.zsub.embed
-    for cid in range(len(ladder.h1q)):
-        x = ladder.h1q.representative(cid)
-        diff = tuple((u - w) % m for u, w, m in zip(delta_h1_vector(ladder, x), ladder.target, cx.d1_hom.mods_out))
+    cx, g, emb = ladder.base.cx, ladder.data.g, ladder.base.zsub.embed
+    for cid in range(len(ladder.base.h1q)):
+        x = ladder.base.h1q.representative(cid)
+        diff = tuple((u - w) % m for u, w, m in zip(delta_h1_vector(ladder.base, x), ladder.target, cx.d1_hom.mods_out))
         correction = solve(cx.d1_hom, diff)
         if correction is None:
             continue
-        a, phi = cech._mapped(x, ladder.lift_table)
-        n_slots = cech._cochain_sizes(ladder.sys_z)[0]
-        za, zphi = cech._pair_of(ladder.sys_z, cochain_values(cx.coords, correction, n_slots))
+        a, phi = cech._mapped(x, ladder.base.lift_table)
+        n_slots = cech._cochain_sizes(ladder.base.sys_z)[0]
+        za, zphi = cech._pair_of(ladder.base.sys_z, cochain_values(cx.coords, correction, n_slots))
         wa = tuple(g.mul[av][g.inv[emb[zv]]] for av, zv in zip(a, za))
         wphi = tuple(tuple(g.mul[pv][g.inv[emb[zv]]] for pv, zv in zip(prow, zrow)) for prow, zrow in zip(phi, zphi))
         return (wa, wphi), cid
@@ -1434,15 +1459,15 @@ def test_canonical_form_is_class_invariant():
 
 def test_h2_on_equivariant_system_and_membership():
     ladder = coefficient_ladder(X_HEX, c_q_data(INV))
-    cx = ladder.cx
+    cx = ladder.base.cx
     assert cx.cocycles.size % cx.coboundaries.size == 0
     assert len({cx.coboundaries.reduce(vec) for vec in cx.cocycles.elements()}) == cx.cocycles.size // cx.coboundaries.size
     assert cx.in_kernel_d2(ladder.target)
     # a corrupted vertex slot falls out of the kernel
-    keys = _c2_keys(ladder.sys_z)
+    keys = _c2_keys(ladder.base.sys_z)
     values = cochain_values(cx.coords, ladder.target, len(keys))
     first_w = next(i for i, key in enumerate(keys) if key[0] == "w")
-    values[first_w] = (values[first_w] + 1) % ladder.sys_z.coeff.order
+    values[first_w] = (values[first_w] + 1) % ladder.base.sys_z.coeff.order
     assert not cx.in_kernel_d2(cochain_vector(cx.coords, values))
 
 

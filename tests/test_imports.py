@@ -1,4 +1,4 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports, and no class forwards attributes."""
 
 import ast
 from pathlib import Path
@@ -20,3 +20,15 @@ def test_every_imported_name_is_used(path):
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_no_class_defines_getattr():
+    # a class's attributes are the ones it names; none is looked up elsewhere on a miss
+    forwarding = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__getattr__" for item in node.body)
+    ]
+    assert forwarding == []

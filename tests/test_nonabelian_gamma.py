@@ -174,4 +174,4 @@ def test_nonabelian_gamma_abelian_machinery_refuses():
 
     ladder = coefficient_ladder(cover, data_dic)
     with pytest.raises(BudgetExceeded):
-        abelian_complex(ladder.sys_z)
+        abelian_complex(ladder.base.sys_z)
