@@ -135,7 +135,7 @@ class SystemTables:
     triangles: tuple[tuple[int, int, int], ...]  # slots of (i, j), (j, x), (i, x)
     components: tuple[tuple[int, ...], ...]  # as ``nerve.components()``; the first vertex is the forest root
     forest: tuple[tuple[tuple[int, int, int], ...], ...]  # per component, (v, parent, slot parent -> v) parents first
-    comp_edges: tuple[tuple[int, ...], ...]  # per component, the slots of its edges
+    open_edges: tuple[tuple[int, ...], ...]  # per component, the slots of its edges off the forest
     nontrivial: tuple[int, ...]
     vertex_sites: tuple[tuple[int, int, int, int], ...]  # (t, t2, t2 t, theta_{t2 t}^-1(c(t2, t)))
 
@@ -159,14 +159,15 @@ def _compile(system: CechSystem) -> SystemTables:
         images = [slot(row[u], row[v]) for (u, v) in nerve.edges]
         pull.append(tuple(images + [s + m if s < m else s - m for s in images]))
     # the forest's (parent, child) arcs come in BFS order, one component after another
-    comps, _, _, arcs = nerve._forest
+    comps, parent, _, arcs = nerve._forest
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     forest: list[list[tuple[int, int, int]]] = [[] for _ in comps]
     for p, v in arcs:
         forest[comp_of[v]].append((v, p, slot(p, v)))
-    comp_edges: list[list[int]] = [[] for _ in comps]
-    for e, (u, _) in enumerate(nerve.edges):
-        comp_edges[comp_of[u]].append(e)
+    open_edges: list[list[int]] = [[] for _ in comps]
+    for e, (u, v) in enumerate(nerve.edges):
+        if u != parent[v] and v != parent[u]:
+            open_edges[comp_of[u]].append(e)
     data = system.data
     nontrivial = tuple(t for t in gamma.elements() if t != 0)
     vertex_sites = []
@@ -184,7 +185,7 @@ def _compile(system: CechSystem) -> SystemTables:
         triangles=tuple((idx[(i, j)], idx[(j, x)], idx[(i, x)]) for (i, j, x) in nerve.triangles),
         components=comps,
         forest=tuple(tuple(f) for f in forest),
-        comp_edges=tuple(tuple(c) for c in comp_edges),
+        open_edges=tuple(tuple(c) for c in open_edges),
         nontrivial=nontrivial,
         vertex_sites=tuple(vertex_sites),
     )
@@ -537,6 +538,25 @@ def _open_sites_hold(tab: SystemTables, phi: Sequence[Sequence[int]], sites: Ite
     return True
 
 
+def _kept_roots(tab: SystemTables, ax: Sequence[int], g: int, ci: int) -> list[tuple[int, ...]]:
+    """phi_g on component ci for each root value whose row passes g's edge sites off the forest there.
+
+    Along the forest phi_{g,v} = a^g_pv^-1 phi_{g,p} theta_g^-1(a_pv), which makes the forest's sites hold.
+    """
+    mul, inv = tab.mul, tab.inv
+    comp = tab.components[ci]
+    arcs = [(v, p, mul[inv[ax[tab.pull[g][s]]]], tab.theta_inv[g][ax[s]]) for v, p, s in tab.forest[ci]]
+    row = [0] * len(tab.act[g])
+    out = []
+    for x in range(len(inv)):
+        row[comp[0]] = x
+        for v, p, left, right in arcs:
+            row[v] = mul[left[row[p]]][right]
+        if not any(_edge_sites(tab, ax, g, row, tab.open_edges[ci])):
+            out.append(tuple(row[v] for v in comp))
+    return out
+
+
 def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> list[TwistedOneCocycle]:
     """All tree-normalized twisted cocycles.
 
@@ -544,18 +564,18 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     coordinates are, per acting-group generator g and nerve component, the
     value of phi_g at the component root.  phi_g on the component follows
     along the spanning forest, and a root value is kept only when that row
-    passes g's edge conditions on the component (those involve no other
-    root).  The product of the kept root values is walked in the order of
-    the full product; each candidate's other rows follow from the vertex
-    conditions at the sites (g, t_prev) of ``_generator_steps``.
+    passes g's edge conditions on the component's edges off the forest
+    (those involve no other root).  The product of the kept root values is
+    walked in the order of the full product; each candidate's other rows
+    follow from the vertex conditions at (g, t_prev) of ``_generator_steps``.
 
     A candidate is then checked only at the open generator sites: the
     vertex sites (g, t2) with g a generator that define no row.  Every
     other condition holds by construction.  Triangles hold for every edge
-    solution, generator edge sites by the root filter, and the step vertex
-    sites because each one defines its row.  The edge sites of t_prev g
-    follow from those of g and t_prev and the step, since theta is an
-    action and c is central.  The vertex sites (t, s) with t no generator
+    solution, generator edge sites by the forest propagation and the root
+    filter, and the step vertex sites because each one defines its row.
+    The edge sites of t_prev g follow from those of g and t_prev and the
+    step, since theta is an action and c is central.  The vertex sites (t, s) with t no generator
     follow from the generator ones: write t = t1 g with t1 shorter and
     expand phi_t and phi_{s t} by the sites (g, t1) and (g, s t1).  The
     defect at (t, s) becomes phi_{g, v.s t1} theta_g^-1(defect at (t1, s))
@@ -577,26 +597,11 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     n_vertices = system.nerve.n_vertices
     zero_row = (0,) * n_vertices
 
-    def kept_roots(ax: list[int], g: int, ci: int) -> list[tuple[int, ...]]:
-        """phi_g on component ci for each root value whose row passes g's edges there."""
-        pull, th = tab.pull[g], tab.theta_inv[g]
-        comp = comps[ci]
-        out = []
-        for x in system.coeff.elements():
-            row = [0] * n_vertices
-            row[comp[0]] = x
-            # phi_{g,v} = a^g_pv^-1 phi_{g,p} theta_g^-1(a_pv) along the forest
-            for v, p, s in tab.forest[ci]:
-                row[v] = mul[mul[inv[ax[pull[s]]]][row[p]]][th[ax[s]]]
-            if not any(_edge_sites(tab, ax, g, row, tab.comp_edges[ci])):
-                out.append(tuple(row[v] for v in comp))
-        return out
-
     out: list[TwistedOneCocycle] = []
     walked = 0
     for a in _edge_solutions(tab):
         ax = tab.doubled(a)
-        kept = [kept_roots(ax, g, ci) for g in gens for ci in range(len(comps))]
+        kept = [_kept_roots(tab, ax, g, ci) for g in gens for ci in range(len(comps))]
         for combo in itertools.product(*kept):
             walked += 1
             if walked > budget:
@@ -619,31 +624,36 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
 
 
 def h1_twisted(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologySet:
-    """Gauge classes of twisted cocycles as a cohomology set."""
-    cocycles = enumerate_cocycles(system, budget=budget)
-    gauges = _constant_gauges(system)
-    seen: set[tuple] = set()
-    orbits: list[set[tuple]] = []
-    for x in cocycles:
-        if x.serial() in seen:
-            continue
-        orbit = {gauge(x, h).serial() for h in gauges}
-        seen |= orbit
-        orbits.append(orbit)
-    # class ids follow the minimal serialization of each orbit
-    orbits.sort(key=min)
-    reps = [min(orbit) for orbit in orbits]
-    lookup = {s: cid for cid, orbit in enumerate(orbits) for s in orbit}
-    return CohomologySet(system, reps, lookup)
+    """Gauge classes of twisted cocycles as a cohomology set, numbered by least serialization.
+
+    Orbits of the tree-normalized cocycles under the gauges constant on each component close under
+    the moves that put one generator of the coefficient group on one component and 1 elsewhere.
+    """
+    cocycles = sorted(enumerate_cocycles(system, budget=budget), key=TwistedOneCocycle.serial)
+    index = {x.serial(): i for i, x in enumerate(cocycles)}
+    n = system.nerve.n_vertices
+    moves = [[s if v in comp else 0 for v in range(n)] for comp in system.tables.components for s in system.coeff.generating_sequence()]
+
+    def moved(i: int) -> list[int]:
+        try:
+            return [index[gauge(cocycles[i], h).serial()] for h in moves]
+        except KeyError:
+            sizes = f"{n} vertices, {len(system.nerve.edges)} edges, |G| = {system.coeff.order}, |Gamma| = {system.gamma.order}"
+            raise InternalError(f"a generator gauge leaves the {len(cocycles)} enumerated cocycles ({sizes})") from None
+
+    orbits = orbit_closures(range(len(cocycles)), moved)
+    reps = [cocycles[orbit[0]].serial() for orbit in orbits]
+    return CohomologySet(system, reps, {cocycles[i].serial(): cid for cid, orbit in enumerate(orbits) for i in orbit})
 
 
 def h1_reduced(h1: CohomologySet) -> CohomologySet:
-    """Classes of a twisted H^1 set identified along central covering translations."""
-    centrals = center(h1.system.gamma).embed
+    """Classes of a twisted H^1 set identified along central covering translations,
+    orbits closed under pullback along the generators of the centre."""
+    z = center(h1.system.gamma)
 
     def translates(cid: int) -> list[int]:
         x = h1.representative(cid)
-        return [h1.class_of(pullback(x, lam)) for lam in centrals]
+        return [h1.class_of(pullback(x, z.embed[s])) for s in z.group.generating_sequence()]
 
     # class ids ascend with their representatives, so walking them in order
     # lists the orbits by their minimal representative

@@ -67,7 +67,7 @@ from twistcech.fixtures import (
     inversion_action,
     nerve,
 )
-from twistcech.groups import GroupHom, center, conjugacy_classes, cyclic_group, quotient_group
+from twistcech.groups import GroupHom, center, conjugacy_classes, cyclic_group, orbit_closures, quotient_group
 from twistcech.nerves import trivial_gamma_nerve, validate_gamma_nerve, validate_nerve
 
 C1, C2, C4 = group("C1"), group("C2"), group("C4")
@@ -296,15 +296,65 @@ def _trivial_system(space, g_name):
 LADDER_GROUPS = ("C2", "C4", "C2xC2", "S3", "Q8", "D4", "C8")
 
 
-def test_enumeration_matches_oracle_on_the_grid_and_ladder():
+def _grid_and_ladder_systems():
+    """Each default-grid row's system with its ladder's G, Z and G/Z systems, then the h1-ladder inputs.
+
+    The perfbench h1-ladder jobs read exactly these last ten systems:
+    X_DODEC / C4 over each ladder group and X_OCT / C2 over C2, C4 and S3,
+    all with the trivial action and twist.
+    """
     systems = []
     for inst in default_grid():
         ladder = coefficient_ladder(inst.space, inst.data)
         systems += [CechSystem(inst.space, inst.data), ladder.base.sys_g, ladder.base.sys_z, ladder.base.sys_q]
     systems += [_trivial_system(gamma_nerve("X_DODEC"), g) for g in LADDER_GROUPS]
     systems += [_trivial_system(gamma_nerve("X_OCT"), g) for g in ("C2", "C4", "S3")]
-    for system in systems:
+    return systems
+
+
+def test_enumeration_matches_oracle_on_the_grid_and_ladder():
+    for system in _grid_and_ladder_systems():
         assert_matches_oracle(system)
+
+
+def _kept_roots_on_every_edge(tab, ax, g, ci):
+    """Test oracle: the root filter as it was, checking g's sites on every edge of the component."""
+    mul, inv = tab.mul, tab.inv
+    comp = tab.components[ci]
+    edges = [e for e, (u, _) in enumerate(tab.edges) if u in comp]
+    out = []
+    for x in range(len(inv)):
+        row = [0] * len(tab.act[g])
+        row[comp[0]] = x
+        for v, p, s in tab.forest[ci]:
+            row[v] = mul[mul[inv[ax[tab.pull[g][s]]]][row[p]]][tab.theta_inv[g][ax[s]]]
+        if not any(cech._edge_sites(tab, ax, g, row, edges)):
+            out.append(tuple(row[v] for v in comp))
+    return out
+
+
+def test_root_filter_on_open_edges_keeps_what_every_edge_keeps():
+    # C2 reflecting a hollow triangle and a path, inverting C4: the path
+    # is a tree component, where the filter checks nothing
+    path_and_triangle = validate_gamma_nerve(
+        validate_nerve(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), C2, [range(6), [0, 2, 1, 5, 4, 3]]
+    )
+    tree_system = CechSystem(path_and_triangle, make_twisted_data(INV))
+    assert tree_system.tables.open_edges[1] == ()
+    rejected = 0
+    for system in (*_grid_and_ladder_systems(), tree_system):
+        tab = system.tables
+        for a in cech._edge_solutions(tab):
+            ax = tab.doubled(a)
+            for g in system.gamma.generating_sequence():
+                for ci in range(len(tab.components)):
+                    kept = cech._kept_roots(tab, ax, g, ci)
+                    assert kept == _kept_roots_on_every_edge(tab, ax, g, ci)
+                    rejected += system.coeff.order - len(kept)
+                    if not tab.open_edges[ci]:
+                        assert len(kept) == system.coeff.order
+    # the filter has work to do: some root value fails an open edge
+    assert rejected
 
 
 def test_octahedron_counts_match_hom_from_c2():
@@ -643,6 +693,93 @@ def test_h1_reduced_identifies_classes_along_a_central_translation():
     for cid in range(len(h1)):
         x = h1.representative(cid)
         assert h1r.class_of(pullback(x, 1)) == h1r.class_of(x)
+
+
+def _h1_by_full_sweep(system):
+    """Test oracle: H^1 with every constant gauge applied to each new orbit's first cocycle."""
+    gauges = cech._constant_gauges(system)
+    seen = set()
+    orbits = []
+    for x in enumerate_cocycles(system):
+        if x.serial() in seen:
+            continue
+        orbit = {gauge(x, h).serial() for h in gauges}
+        seen |= orbit
+        orbits.append(orbit)
+    orbits.sort(key=min)
+    return [min(orbit) for orbit in orbits], {s: cid for cid, orbit in enumerate(orbits) for s in orbit}
+
+
+def _h1_reduced_by_every_central(h1):
+    """Test oracle: the reduced classes with each class pulled back along every central element."""
+    centrals = center(h1.system.gamma).embed
+    groups = orbit_closures(range(len(h1)), lambda cid: [h1.class_of(pullback(h1.representative(cid), lam)) for lam in centrals])
+    reduced_of = {cid: gid for gid, members in enumerate(groups) for cid in members}
+    return [h1.reps[min(members)] for members in groups], {s: reduced_of[cid] for s, cid in h1.lookup.items()}
+
+
+def _two_hollow_triangles():
+    """Two hollow triangles, alone and with C2 swapping them."""
+    nrv = validate_nerve(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    return trivial_gamma_nerve(nrv, C1), validate_gamma_nerve(nrv, C2, [range(6), [(v + 3) % 6 for v in range(6)]])
+
+
+def test_h1_generator_closure_matches_the_full_gauge_sweep():
+    two_triangles = [_trivial_system(space, g) for space in _two_hollow_triangles() for g in ("S3", "Q8", "D4")]
+    classes = {}
+    for system in (*_grid_and_ladder_systems(), *two_triangles):
+        h1 = h1_twisted(system)
+        reps, lookup = _h1_by_full_sweep(system)
+        assert h1.reps == reps and h1.lookup == lookup
+        # every enumerated cocycle has its class
+        assert set(lookup) == {x.serial() for x in enumerate_cocycles(system)}
+        classes[system] = len(h1)
+    # with C1, a class on the two triangles is a pair of conjugacy classes
+    assert [classes[system] for system in two_triangles[:3]] == [9, 25, 25]
+
+
+def _klein_inverting(space, bit):
+    """C2xC2 = {2i + j} on a space, inverting C4 through x (bit 1) or through y (bit 0)."""
+    c4 = group("C4")
+    action = check_gamma_action(group("C2xC2"), c4, [c4.inv if t >> bit & 1 else c4.elements() for t in range(4)])
+    return CechSystem(space, make_twisted_data(action))
+
+
+def test_h1_reduced_on_central_generators_matches_every_central_element():
+    # C2xC2 has two central generators, x = 2 and y = 1, and each of these
+    # systems needs a different one: on the square (x turning it by two
+    # steps, y reflecting it) only y merges classes, on the triangle (x
+    # reflecting it, y fixing it) only x
+    square = _klein_inverting(_klein_space(validate_nerve(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), [2, 3, 0, 1], [1, 0, 3, 2]), 0)
+    triangle = _klein_inverting(_klein_space(nerve("Y_TRI"), [0, 2, 1], [0, 1, 2]), 1)
+    # S3 permuting the hollow triangle: a trivial centre moves nothing
+    perms = list(itertools.permutations(range(3)))
+    s3_triangle = validate_gamma_nerve(nerve("Y_TRI"), S3, [[p.index(v) for v in range(3)] for p in perms])
+    assert center(S3).group.order == 1
+    reflected = validate_gamma_nerve(nerve("Y_TRI"), C2, [range(3), [0, 2, 1]])
+    systems = [system for system in _grid_and_ladder_systems() if system.gamma.order > 1]
+    systems += [square, triangle, CechSystem(reflected, make_twisted_data(INV))]
+    systems += [_trivial_system(s3_triangle, g) for g in ("C4", "S3", "Q8")]
+    systems += [_trivial_system(_two_hollow_triangles()[1], "S3")]
+    sizes = {}
+    for system in systems:
+        h1 = h1_twisted(system)
+        h1r = h1_reduced(h1)
+        reps, lookup = _h1_reduced_by_every_central(h1)
+        assert h1r.reps == reps and h1r.lookup == lookup
+        sizes[system] = (len(h1), len(h1r))
+    assert (sizes[square], sizes[triangle]) == ((8, 6), (16, 12))
+
+
+def test_h1_names_a_gauge_image_that_was_not_enumerated(monkeypatch):
+    system = circle_system(S3)
+    cocycles = enumerate_cocycles(system)
+    h1 = h1_twisted(system)
+    # a cocycle whose class has other members: its neighbours move onto it
+    dropped = next(x for x in cocycles if sum(cid == h1.class_of(x) for cid in h1.lookup.values()) > 1)
+    monkeypatch.setattr(cech, "enumerate_cocycles", lambda system, budget: [x for x in cocycles if x != dropped])
+    with pytest.raises(InternalError, match=r"leaves the 5 enumerated cocycles \(3 vertices, 3 edges, \|G\| = 6, \|Gamma\| = 1\)"):
+        h1_twisted(system)
 
 
 def test_h0_examples():

@@ -303,6 +303,8 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "act_h1z_by_h0q",
         "make_cocycle",
         "tree_gauge",
+        "gauge",
+        "pullback",
     )
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
     # one action ladder per distinct space and action of the 26 rows; 26
@@ -311,7 +313,9 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # the obstructions once per action ladder; 78 fibre checks, 149
     # obstructions and 158 actions on H^1(Z) when every row checked them,
     # and 749 cocycle checks and 808 tree gauges when class_of also
-    # normalized cocycles that were normalized already
+    # normalized cocycles that were normalized already.  2,076 gauges and
+    # 92 pullbacks when each new H^1 orbit took every constant gauge and
+    # H^1 reduced along every central element, not along generators
     first = dict(calls)
     assert first == {
         "action_ladder": 16,
@@ -324,6 +328,8 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "act_h1z_by_h0q": 107,
         "make_cocycle": 564,
         "tree_gauge": 199,
+        "gauge": 1111,
+        "pullback": 46,
     }
     # nothing is kept from one main() call to the next
     assert main(["verify", "all", "--out", str(tmp_path / "again.json")]) == 0

@@ -294,9 +294,10 @@ def test_cached_forest_matches_the_uncached_search_on_generated_nerves(n):
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(small_nerves())
 def test_compiled_tables_read_the_forest_in_parent_order(n):
-    """A system's compiled forest is the BFS parent dict split by component, parents first."""
+    """A system's compiled forest is the BFS parent dict split by component, parents first,
+    and its open edges are each component's edges off the forest."""
     tab = plain_system(n, C2).tables
-    parent, _ = n.spanning_forest()
+    parent, tree_edges = n.spanning_forest()
     comps = n.components()
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     m = len(n.edges)
@@ -305,7 +306,10 @@ def test_compiled_tables_read_the_forest_in_parent_order(n):
         [(v, p, n.edge_index[(p, v)] if p < v else n.edge_index[(v, p)] + m) for v, p in parent.items() if p is not None and comp_of[v] == ci]
         for ci in range(len(comps))
     ]
-    assert [list(c) for c in tab.comp_edges] == [[e for e, (u, _) in enumerate(n.edges) if comp_of[u] == ci] for ci in range(len(comps))]
+    tree = {n.edge_index[edge] for edge in tree_edges}
+    assert [list(c) for c in tab.open_edges] == [
+        [e for e, (u, _) in enumerate(n.edges) if comp_of[u] == ci and e not in tree] for ci in range(len(comps))
+    ]
 
 
 def test_forest_values_cannot_be_mutated():
