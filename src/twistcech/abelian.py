@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError
 from .groups import FiniteGroup
+from .records import record
 
 Matrix = list[list[int]]
 
@@ -117,7 +117,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
     return u, a, v
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbelianCoords:
     """A coordinate system Z/d_1 x ... x Z/d_r on an abelian FiniteGroup.
 
@@ -190,7 +190,7 @@ def abelian_coordinates(group: FiniteGroup) -> AbelianCoords:
     return AbelianCoords(group, moduli, tuple(basis), tuple(vec_of_list), {v: g for g, v in enumerate(vec_of_list)})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ZHom:
     """A homomorphism prod Z/m_in -> prod Z/m_out given by an integer matrix."""
 
@@ -238,7 +238,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Echelon:
     """The Howell form of a subgroup B of prod Z/mods.
 
@@ -363,7 +363,7 @@ def solve(hom: ZHom, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(-x % d for x, d in zip(rep[m:], hom.mods_in))
 
 
-@dataclass
+@record
 class AbelianComplex:
     """d1 and d2 as integer matrices on one coordinate system; Z^2 and B^2 are read off their graphs."""
 

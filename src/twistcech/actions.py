@@ -14,7 +14,6 @@ directions of that dictionary are implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -35,11 +34,12 @@ from .extensions import (
     make_twisted_data,
 )
 from .groups import FiniteGroup, left_cosets, orbit_closures, subgroup_from_elements
+from .records import record
 
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwistedGSet:
     data: TwistedData
     size: int
@@ -122,7 +122,7 @@ def validate_twisted_action(
     return TwistedGSet(data, size, gt, tt, side)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GhatSet:
     product: TwistedProductGroup
     size: int

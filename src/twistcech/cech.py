@@ -36,7 +36,6 @@ action reverses through the inverse value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -81,9 +80,10 @@ from .groups import (
     subgroup_from_elements,
 )
 from .nerves import GammaNerve, Nerve, Simplex, forest_functions, tree_gauge
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CechSystem:
     """A coefficient system: a space with an acting group, and the twisting (theta, c) of its values."""
 
@@ -117,7 +117,7 @@ class CechSystem:
         return _compile_d2(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SystemTables:
     """Flat lookup tables of one coefficient system.
 
@@ -191,7 +191,7 @@ def _compile(system: CechSystem) -> SystemTables:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwistedOneCocycle:
     """A verified pair (a, phi) over a coefficient system.
 
@@ -406,7 +406,7 @@ def h0_twisted(system: CechSystem) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CohomologySet:
     """Gauge-orbit representatives with a membership map.
 
@@ -809,7 +809,7 @@ def abelian_complex(system: CechSystem) -> AbelianComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ActionLadder:
     """Systems for G, its centre and the central quotient over one space and action.
 
@@ -877,7 +877,7 @@ class ActionLadder:
         return _twist_free_checks(self)
 
 
-@dataclass
+@record
 class CoefficientLadder:
     """The ladder of one space and twisted data: its action ladder and the twist c.
 
@@ -1029,14 +1029,14 @@ def delta_h1(ladder: ActionLadder, x: TwistedOneCocycle, **lift) -> tuple:
     return ladder.cx.coboundaries.reduce(delta_h1_vector(ladder, x, **lift))
 
 
-@dataclass
+@record
 class CheckRecord:
     name: str
     status: str  # "pass" | "fail"
     detail: dict
 
 
-@dataclass
+@record
 class SequenceReport:
     checks: list[CheckRecord]
 
@@ -1199,7 +1199,7 @@ def _alternative_lift(ladder: ActionLadder) -> list[int]:
     return table
 
 
-@dataclass
+@record
 class ExistenceResult:
     exists: bool
     witness: Optional[TwistedOneCocycle]
@@ -1300,7 +1300,7 @@ def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[i
     ]
 
 
-@dataclass
+@record
 class Reduction:
     """A reduction of a twisted cocycle to a subgroup of the coefficients."""
 

@@ -14,7 +14,6 @@ import functools
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
@@ -40,6 +39,7 @@ from .extensions import TwistedData, build_twisted_product, second_cohomology
 from .fixtures import default_grid, grid_instance, group, named_action
 from .groups import DEFAULT_ORDER_GUARD, conjugacy_classes, find_isomorphism, outer_classes
 from .nerves import quotient
+from .records import field, record
 from .serialize import (
     report_to_json,
     report_to_tsv,
@@ -56,7 +56,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
+@record
 class JobConfig:
     command: str
     args: dict
@@ -68,7 +68,7 @@ class JobConfig:
     seed: int
 
 
-@dataclass
+@record
 class Report:
     schema: str
     job: dict

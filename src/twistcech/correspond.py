@@ -17,7 +17,6 @@ fibres.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .cech import (
@@ -56,6 +55,7 @@ from .nerves import (
     tree_monodromy,
     trivial_gamma_nerve,
 )
+from .records import record
 
 _TRIVIAL_GROUP = cyclic_group(1, label="C1")
 
@@ -82,7 +82,7 @@ def plain_h1(y: Nerve, coeff: FiniteGroup, *, budget: int = DEFAULT_ENUM_BUDGET)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CTwistedCocycleY:
     """Base-side edge data framed at the section, subject to the c-corrected law."""
 
@@ -190,7 +190,7 @@ def ascend(y_cocycle: CTwistedCocycleY, system: CechSystem) -> TwistedOneCocycle
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GhatCocycleY:
     """A plain cocycle on the base valued in the glued product group."""
 
@@ -359,7 +359,7 @@ def grothendieck_fiber(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ConnectedReduction:
     monodromy_group: tuple[int, ...]
     sub_product: TwistedProductGroup
@@ -390,7 +390,7 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     return ConnectedReduction(gprime, sub_prod, incl, reduced, gauged)
 
 
-@dataclass
+@record
 class NormalizerReport:
     normalizer: tuple[int, ...]
     full_monodromy_classes: list[int]

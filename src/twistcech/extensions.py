@@ -17,7 +17,6 @@ indices constrained to lie in the centre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .abelian import DEFAULT_COORD_GUARD, AbelianComplex, abelian_coordinates
@@ -50,13 +49,14 @@ from .groups import (
     validate_group,
 )
 from .nerves import trivial_gamma_nerve, validate_nerve
+from .records import record
 
 # default bound on every exact enumeration: the cocycle candidates of the Cech
 # engine and the 2-cocycles |Z^2| that second_cohomology lists
 DEFAULT_ENUM_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GammaAction:
     """A homomorphism gamma -> Aut(g), stored as permutation tables."""
 
@@ -91,7 +91,7 @@ def trivial_action(gamma: FiniteGroup, g: FiniteGroup) -> GammaAction:
     return check_gamma_action(gamma, g, tuple(ident for _ in gamma.elements()))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GammaOneCochain:
     """A map gamma -> Z(G) with a(1) = 1, as G-element indices."""
 
@@ -101,7 +101,7 @@ class GammaOneCochain:
         return self.values[g]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwistedData:
     """The twisting (theta, c): an action and a normalized central 2-cocycle table of G-element indices."""
 
@@ -187,7 +187,7 @@ def multiply_cocycles(a: TwistedData, b: TwistedData) -> TwistedData:
     return TwistedData(a.action, table)
 
 
-@dataclass
+@record
 class CocycleClassification:
     """H^2 for a fixed action: the least table of each class, and the point complex that labels them."""
 
@@ -296,7 +296,7 @@ def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) 
     return CocycleClassification(action, reps, cx)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwistedProductGroup:
     """The glued group on G x Gamma with its structural maps.
 
@@ -403,7 +403,7 @@ def cohomologous_iso(data: TwistedData, cochain: GammaOneCochain) -> GroupHom:
     return _checked_hom(src.group, dst.group, mapping, "map between cohomologous products")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtractedData:
     """Result of reading (theta, c) off an extension with a chosen section."""
 
@@ -486,7 +486,7 @@ def extract_twisted_data(
     return ExtractedData(data, gamma, sub, sec, proj, ident)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Recocycling:
     """A change of lift: theta' = Int_s . theta and c' = c * c_s."""
 

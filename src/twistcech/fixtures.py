@@ -8,7 +8,6 @@ so isomorphism tests against built extensions are meaningful.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InputError
 from .extensions import (
@@ -21,6 +20,7 @@ from .extensions import (
 )
 from .groups import FiniteGroup, cyclic_group, direct_product, permutation_group, validate_group
 from .nerves import GammaNerve, Nerve, trivial_gamma_nerve, validate_gamma_nerve, validate_nerve
+from .records import record
 
 
 def _s3() -> FiniteGroup:
@@ -171,7 +171,7 @@ def gamma_nerve(name: str) -> GammaNerve:
     raise InputError(f"unknown built-in space {name!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GridInstance:
     name: str
     space_name: str

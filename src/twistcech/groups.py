@@ -7,7 +7,6 @@ are hashable and reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -19,12 +18,13 @@ from .errors import (
     NotAssociative,
     SearchBudgetExceeded,
 )
+from .records import field, record
 
 DEFAULT_ORDER_GUARD = 64
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteGroup:
     order: int
     mul: tuple[tuple[int, ...], ...]
@@ -88,7 +88,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.label or ''} order={self.order})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupHom:
     source: FiniteGroup
     target: FiniteGroup
@@ -107,7 +107,7 @@ class GroupHom:
         return len(set(self.map)) == self.source.order == self.target.order
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Automorphism:
     hom: GroupHom
     inverse_map: tuple[int, ...]
@@ -248,7 +248,7 @@ def check_automorphism(g: FiniteGroup, mapping: Sequence[int]) -> Automorphism:
     return _automorphism(g, hom.map)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subgroup:
     """A subgroup re-indexed as a FiniteGroup of its own.
 

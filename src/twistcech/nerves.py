@@ -11,7 +11,6 @@ over each piece.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
@@ -27,6 +26,7 @@ from .errors import (
     SectionInvalid,
 )
 from .groups import FiniteGroup, orbit_closures
+from .records import record
 
 MAX_DIM = 3
 
@@ -34,7 +34,7 @@ Simplex = tuple[int, ...]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Nerve:
     """Simplices by dimension, with per-instance structure computed once.
 
@@ -153,7 +153,7 @@ def _check_closed(nerve: Nerve) -> None:
                     raise NotClosed(s)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GammaNerve:
     """A nerve with a right simplicial action of a finite group.
 
@@ -236,7 +236,7 @@ def trivial_gamma_nerve(nerve: Nerve, gamma: FiniteGroup) -> GammaNerve:
 Word = tuple[int, ...]  # signed generator indices, 1-based: +k / -k
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pi1Presentation:
     """Edge-path presentation relative to a BFS spanning tree.
 
@@ -320,7 +320,7 @@ def pi1(nerve: Nerve) -> Pi1Presentation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoverDescent:
     """Descent data for a free quotient X -> Y = X/Gamma.
 
@@ -403,7 +403,7 @@ def quotient(x: GammaNerve, section: Optional[Sequence[int]] = None) -> CoverDes
     return CoverDescent(x, y, sec, tuple(orbit_index[v] for v in range(nerve.n_vertices)), transitions)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MonodromyRep:
     """Group elements attached to the fundamental-group generators.
 

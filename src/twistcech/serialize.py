@@ -59,7 +59,10 @@ def group_from_dict(payload: dict) -> FiniteGroup:
     (order,) = _entry_ints("order", [payload.get("order", len(mul))])
     if order != len(mul):
         raise InputError(f"declared order {order} does not match table size {len(mul)}")
-    return validate_group(mul, label=payload.get("label"))
+    label = payload.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError("entry 'label' is not a string")
+    return validate_group(mul, label=label)
 
 
 def resolve_group(ref: str) -> FiniteGroup:

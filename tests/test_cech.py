@@ -1,6 +1,5 @@
 """The cohomology engine: d1, gauge, enumeration, d2, coboundaries, sections."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -1250,7 +1249,7 @@ def test_les_verify_and_existence_check_read_the_ladder_preimage():
 
 def test_ladder_attributes_are_named():
     fields = ["sys_g", "sys_z", "sys_q", "zsub", "proj", "lift_table", "budget"]
-    assert [f.name for f in dataclasses.fields(ActionLadder)] == fields
+    assert list(ActionLadder.__record_fields__) == fields
     ladder = coefficient_ladder(X_HEX, c_q_data(INV))
     with pytest.raises(AttributeError):
         ladder.h1g

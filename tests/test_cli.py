@@ -506,6 +506,9 @@ def test_serialize_rejects_bad_cocycle():
         (["group", "info", "IN"], {"mul": ["01", "10"]}, "entry 'mul' is not made of integers"),
         (["group", "info", "IN"], {"mul": [[0, 1.9], [1, 0]]}, "entry 'mul' is not made of integers"),
         (["group", "info", "IN"], {"mul": [[0, True], [True, 0]]}, "entry 'mul' is not made of integers"),
+        # a label is a string or absent: anything else would also make the group unhashable
+        *((["group", "info", "IN"], {"label": label, "mul": [[0, 1], [1, 0]]}, "entry 'label' is not a string")
+          for label in (5, ["x"], {"a": 1}, True)),
         (["h1", "IN", "circle/C2"], {"vertices": "x", "gamma": "C2", "act": [[0], [0]]}, "entry 'vertices'"),
         (
             ["h1", "IN", "circle/C2"],
@@ -521,6 +524,10 @@ def test_serialize_rejects_bad_cocycle():
         "mul-string-rows",
         "mul-float-entry",
         "mul-bool-entries",
+        "label-int",
+        "label-list",
+        "label-dict",
+        "label-bool",
         "vertices-not-an-integer",
         "vertices-float",
         "theta-missing",
@@ -536,6 +543,15 @@ def test_malformed_json_input_exits_2_with_an_input_check(tmp_path, capsys, argv
     check = json.loads(captured.out)["checks"][0]
     assert check["name"] == "input" and check["status"] == "fail" and error in check["error"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("payload", [{"label": "Z2"}, {"label": None}, {}], ids=["string", "null", "absent"])
+def test_group_file_label_is_a_string_or_absent(tmp_path, capsys, payload):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({**payload, "mul": [[0, 1], [1, 0]]}))
+    code, out = run_cli(["group", "info", str(path)], capsys)
+    assert code == 0 and json.loads(out)["checks"][0]["order"] == 2
+    assert group_from_dict(json.loads(path.read_text())).label == payload.get("label")
 
 
 def _trivial_x_hex_system():

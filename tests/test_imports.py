@@ -1,6 +1,9 @@
-"""Source hygiene: every module of the package uses each name it imports, and no class forwards attributes."""
+"""Source hygiene: every module of the package uses each name it imports, no class forwards attributes, and the CLI loads no heavy standard modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,12 @@ def test_no_class_defines_getattr():
         and any(isinstance(item, ast.FunctionDef) and item.name == "__getattr__" for item in node.body)
     ]
     assert forwarding == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: pytest itself imports both; records.record stands in for dataclasses,
+    # whose per-class code generation was most of the CLI's import time
+    code = "import sys, twistcech.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
