@@ -259,7 +259,7 @@ class Subgroup:
     group: FiniteGroup
     parent: FiniteGroup
     embed: tuple[int, ...]
-    parent_to_sub: dict[int, int] = field(compare=False, hash=False, default_factory=dict)
+    parent_to_sub: dict[int, int] = field(compare=False, default_factory=dict)
 
 
 def subgroup_from_elements(g: FiniteGroup, elements: Iterable[int], label: Optional[str] = None) -> Subgroup:

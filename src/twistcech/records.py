@@ -4,16 +4,17 @@
 ``__init__``, ``__eq__``, ``__repr__`` and, when frozen, ``__hash__`` and guards that refuse
 assignment and deletion; a non-frozen record is unhashable.  These behave as ``dataclasses``'
 do: equal only to records of the same class with equal field tuples, the hash of the field
-tuple, ``Name(field=value, ...)``.  ``field(default_factory=..., compare=False, hash=False)``
-is the one field option.  A method the class defines itself is kept, ``__post_init__`` runs at
+tuple, ``Name(field=value, ...)``.  ``field(default_factory=..., compare=False)`` is the one
+field option: a value made fresh per instance, left out of ``==`` and ``hash`` when
+``compare`` is false.  A method the class defines itself is kept, ``__post_init__`` runs at
 the end of ``__init__``, and ``cached_property`` fills a frozen record's instance dict.
 Inheritance, ordering, slots and keyword-only fields are not supported.
 
-Only ``__init__`` is compiled per class, as ``dataclasses`` compiles it, so that building a
-record costs no more; the other methods share one body over an ``attrgetter`` of the fields.
-That makes ``==`` and ``hash`` of a small record 60-100 ns slower than compiled ones; the
-package calls them too rarely for that to show, while compiling them too would add about 3 ms
-to the import.
+Only ``__init__`` and a frozen record's ``__hash__`` are compiled per class, in one ``exec`` of
+the source ``dataclasses`` compiles, so that building and hashing a record cost no more.
+``__eq__`` and ``__repr__`` share one body over an ``attrgetter`` of the fields.  That makes
+``==`` of a small record 60-100 ns slower than a compiled one; the package calls it too
+rarely for that to show, while compiling it too would add about 2 ms to the import.
 """
 
 from operator import attrgetter
@@ -22,19 +23,19 @@ _MISSING = object()
 
 
 class _Field:
-    __slots__ = ("default_factory", "compare", "hash")
+    __slots__ = ("default_factory", "compare")
 
-    def __init__(self, default_factory, compare, hash):
-        self.default_factory, self.compare, self.hash = default_factory, compare, hash
+    def __init__(self, default_factory, compare):
+        self.default_factory, self.compare = default_factory, compare
 
 
-def field(*, default_factory=_MISSING, compare=True, hash=None):
-    """A field made fresh per instance by ``default_factory``, or left out of ``==`` and ``hash``."""
-    return _Field(default_factory, compare, compare if hash is None else hash)
+def field(*, default_factory, compare=True):
+    """A field made fresh per instance by ``default_factory``; ``compare=False`` leaves it out of ``==`` and ``hash``."""
+    return _Field(default_factory, compare)
 
 
 def _fields_key(names):
-    # the field tuple of an instance, as dataclasses compares and hashes it
+    # the field tuple of an instance, as dataclasses compares it
     if len(names) == 1:
         get = attrgetter(names[0])
         return lambda self: (get(self),)
@@ -58,7 +59,7 @@ def record(cls=None, /, *, frozen=False):
 
 def _make_record(cls, frozen):
     names = tuple(cls.__annotations__)
-    params, lines, compared, hashed = [], [], [], []
+    params, lines, compared = [], [], []
     env = {"_MISSING": _MISSING, "_setattr": object.__setattr__}
     for name in names:
         spec = cls.__dict__.get(name, _MISSING)
@@ -75,20 +76,23 @@ def _make_record(cls, frozen):
             params.append(name)
         if not isinstance(spec, _Field) or spec.compare:
             compared.append(name)
-        if not isinstance(spec, _Field) or spec.hash:
-            hashed.append(name)
         lines.append(f"_setattr(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
     if "__post_init__" in cls.__dict__:
         lines.append("self.__post_init__()")
-    # one exec per class: __init__ closes over its defaults and factories, as dataclasses' does
+    # one exec per class: __init__ closes over its defaults and factories, as dataclasses' does,
+    # and a frozen record's __hash__ reads its fields as attributes, as fast as dataclasses' hash
     body = "".join(f"\n        {line}" for line in lines)
-    source = f"def _make({', '.join(env)}):\n    def __init__(self, {', '.join(params)}):{body}\n    return __init__"
+    source = f"def _make({', '.join(env)}):\n    def __init__(self, {', '.join(params)}):{body}\n"
+    if frozen:
+        key = "".join(f"self.{name}," for name in compared)
+        source += f"    def __hash__(self):\n        return hash(({key}))\n    return __init__, __hash__"
+    else:
+        source += "    return __init__, None"
     scope = {}
     exec(source, {}, scope)
-    cls.__init__ = scope["_make"](**env)
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    init, hash_ = scope["_make"](**env)
     cls.__record_fields__ = names
-    values, compared_values, hashed_values = _fields_key(names), _fields_key(compared), _fields_key(hashed)
+    values, compared_values = _fields_key(names), _fields_key(compared)
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values(self)))})"
@@ -98,11 +102,8 @@ def _make_record(cls, frozen):
             return compared_values(self) == compared_values(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(hashed_values(self))
-
-    for method in (__repr__, __eq__, __hash__) if frozen else (__repr__, __eq__):
-        if method.__name__ not in cls.__dict__:  # a method the class defines is kept
+    for method in (init, __repr__, __eq__, hash_):
+        if method and method.__name__ not in cls.__dict__:  # a method the class defines is kept
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
             setattr(cls, method.__name__, method)
     if frozen:
