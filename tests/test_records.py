@@ -122,6 +122,8 @@ def test_record_factory_gives_each_instance_its_own_object():
             args = (1, ()) if name == "Point" else ("a",)
             first, second = cls(*args), cls(*args)
             assert getattr(first, field) == getattr(second, field) and getattr(first, field) is not getattr(second, field)
+    with pytest.raises(TypeError, match="default_factory"):  # the factory is the one way to give field() a value
+        records.field(compare=False)
 
 
 def test_record_factory_field_is_left_out_of_equality_and_hash():
