@@ -136,6 +136,7 @@ class SystemTables:
     components: tuple[tuple[int, ...], ...]  # as ``nerve.components()``; the first vertex is the forest root
     forest: tuple[tuple[tuple[int, int, int], ...], ...]  # per component, (v, parent, slot parent -> v) parents first
     open_edges: tuple[tuple[int, ...], ...]  # per component, the slots of its edges off the forest
+    roots: tuple[int, ...]  # per component, its least vertex, the forest root
     nontrivial: tuple[int, ...]
     vertex_sites: tuple[tuple[int, int, int, int], ...]  # (t, t2, t2 t, theta_{t2 t}^-1(c(t2, t)))
 
@@ -186,6 +187,7 @@ def _compile(system: CechSystem) -> SystemTables:
         components=comps,
         forest=tuple(tuple(f) for f in forest),
         open_edges=tuple(tuple(c) for c in open_edges),
+        roots=tuple(comp[0] for comp in comps),
         nontrivial=nontrivial,
         vertex_sites=tuple(vertex_sites),
     )
@@ -246,12 +248,14 @@ def _edge_sites(tab: SystemTables, ax: Sequence[int], t: int, row: Sequence[int]
         yield mul[mul[mul[inv[row[u]]][ax[pull[e]]]][row[v]]][inv[th[ax[e]]]]
 
 
-def _vertex_sites(tab: SystemTables, phi: Sequence[Sequence[int]], t: int, t2: int, prod: int) -> Iterator[int]:
-    """phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1 per vertex, prod == t2 t."""
+def _vertex_sites(
+    tab: SystemTables, phi: Sequence[Sequence[int]], t: int, t2: int, prod: int, vertices: Iterable[int]
+) -> Iterator[int]:
+    """phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1 per listed vertex v, prod == t2 t."""
     mul, inv = tab.mul, tab.inv
     act2, th = tab.act[t2], tab.theta_inv[t]
     row, row2, rowp = phi[t], phi[t2], phi[prod]
-    for v in range(len(act2)):
+    for v in vertices:
         yield mul[mul[row[act2[v]]][th[row2[v]]]][inv[rowp[v]]]
 
 
@@ -272,7 +276,8 @@ def d1(
         for t in tab.nontrivial
         for edge, val in zip(tab.edges, _edge_sites(tab, ax, t, phi[t], every_edge))
     }
-    pair_part = {(t, t2): tuple(_vertex_sites(tab, phi, t, t2, prod)) for t, t2, prod, _ in tab.vertex_sites}
+    every_vertex = range(len(tab.act[0]))
+    pair_part = {(t, t2): tuple(_vertex_sites(tab, phi, t, t2, prod, every_vertex)) for t, t2, prod, _ in tab.vertex_sites}
     return tri_part, edge_part, pair_part
 
 
@@ -288,6 +293,19 @@ def is_twisted_cocycle(
 
     Sites are checked in the order of ``d1``'s parts (triangles, then (t,
     edge), then (t1, t2, vertex)), and the first violated one is returned.
+
+    Vertex sites are read at the component roots only.  Once every edge
+    site holds, the defect phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1
+    at a neighbour w of v is the defect at v conjugated by a_{v.t2 t, w.t2 t}:
+    expand the three phi entries at w along the edge (v, w) by the edge
+    sites of t, t2 and t2 t, and theta_t^-1 theta_t2^-1 == theta_{t2 t}^-1
+    cancels the edge values between them.  The target is central, so it
+    holds on a whole component when it holds at the root, and fails at
+    every vertex of the component otherwise.  Each root is its component's
+    least vertex, so the first failing root is the first failing vertex of
+    the full scan, with the same value.  The edge sites cover phi_t for
+    t != 1 only; phi_1 enters the sites with t2 t == 1, so a phi_1 that is
+    not identically the identity has every vertex checked.
     """
     tab = system.tables
     ax = tab.doubled(a)
@@ -299,8 +317,9 @@ def is_twisted_cocycle(
         for edge, val in zip(tab.edges, _edge_sites(tab, ax, t, phi[t], every_edge)):
             if val != 0:
                 return False, ("edge", (t, edge), val)
+    vertices = range(len(tab.act[0])) if any(phi[0]) else tab.roots
     for t, t2, prod, want in tab.vertex_sites:
-        for v, val in enumerate(_vertex_sites(tab, phi, t, t2, prod)):
+        for v, val in zip(vertices, _vertex_sites(tab, phi, t, t2, prod, vertices)):
             if val != want:
                 return False, ("vertex", (t, t2, v), val)
     return True, None
@@ -530,31 +549,49 @@ def _generator_steps(gamma: FiniteGroup, gens: Sequence[int]) -> list[tuple[int,
 
 
 def _open_sites_hold(tab: SystemTables, phi: Sequence[Sequence[int]], sites: Iterable[tuple[int, int, int, int]]) -> bool:
-    """True when phi meets the twist target at every vertex of the given (t, t2) sites."""
+    """True when phi meets the twist target at every component root for the given (t, t2) sites.
+
+    When phi meets every edge site, that is at every vertex (see ``is_twisted_cocycle``).
+    """
     for t, t2, prod, want in sites:
-        for val in _vertex_sites(tab, phi, t, t2, prod):
+        for val in _vertex_sites(tab, phi, t, t2, prod, tab.roots):
             if val != want:
                 return False
     return True
 
 
-def _kept_roots(tab: SystemTables, ax: Sequence[int], g: int, ci: int) -> list[tuple[int, ...]]:
-    """phi_g on component ci for each root value whose row passes g's edge sites off the forest there.
+def _frame(tab: SystemTables, ax: Sequence[int], g: int) -> tuple[list[int], list[int]]:
+    """(L, R) with phi_{g,v} == L[v] x R[v] for x the value of phi_g at the root of v's component.
 
-    Along the forest phi_{g,v} = a^g_pv^-1 phi_{g,p} theta_g^-1(a_pv), which makes the forest's sites hold.
+    Along the forest phi_{g,v} = a^g_pv^-1 phi_{g,p} theta_g^-1(a_pv), which makes the forest's sites hold,
+    so L[v] is L[p] times a^g_pv^-1 on the left and R[v] is R[p] times theta_g^-1(a_pv) on the right.
     """
     mul, inv = tab.mul, tab.inv
-    comp = tab.components[ci]
-    arcs = [(v, p, mul[inv[ax[tab.pull[g][s]]]], tab.theta_inv[g][ax[s]]) for v, p, s in tab.forest[ci]]
-    row = [0] * len(tab.act[g])
-    out = []
-    for x in range(len(inv)):
-        row[comp[0]] = x
-        for v, p, left, right in arcs:
-            row[v] = mul[left[row[p]]][right]
-        if not any(_edge_sites(tab, ax, g, row, tab.open_edges[ci])):
-            out.append(tuple(row[v] for v in comp))
-    return out
+    pull, th = tab.pull[g], tab.theta_inv[g]
+    left = [0] * len(tab.act[g])
+    right = left.copy()
+    for arcs in tab.forest:
+        for v, p, s in arcs:
+            left[v] = mul[inv[ax[pull[s]]]][left[p]]
+            right[v] = mul[right[p]][th[ax[s]]]
+    return left, right
+
+
+def _kept_roots(tab: SystemTables, ax: Sequence[int], g: int, ci: int, frame: tuple[list[int], list[int]]) -> list[int]:
+    """The root values x of component ci whose phi_g row L x R of ``_frame`` passes g's edge sites off the forest there.
+
+    The site on the edge (u, v) holds when A x == x B, with A = L_u^-1 a^g_uv L_v and B = R_u theta_g^-1(a_uv) R_v^-1.
+    """
+    mul, inv = tab.mul, tab.inv
+    pull, th = tab.pull[g], tab.theta_inv[g]
+    left, right = frame
+    kept = range(len(inv))
+    for e in tab.open_edges[ci]:
+        u, v = tab.edges[e]
+        row_a = mul[mul[mul[inv[left[u]]][ax[pull[e]]]][left[v]]]
+        b = mul[mul[right[u]][th[ax[e]]]][inv[right[v]]]
+        kept = [x for x in kept if row_a[x] == mul[x][b]]
+    return list(kept)
 
 
 def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> list[TwistedOneCocycle]:
@@ -562,12 +599,13 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
 
     The edge part comes from ``_edge_solutions``; per edge solution the free
     coordinates are, per acting-group generator g and nerve component, the
-    value of phi_g at the component root.  phi_g on the component follows
-    along the spanning forest, and a root value is kept only when that row
-    passes g's edge conditions on the component's edges off the forest
-    (those involve no other root).  The product of the kept root values is
-    walked in the order of the full product; each candidate's other rows
-    follow from the vertex conditions at (g, t_prev) of ``_generator_steps``.
+    value x of phi_g at the component root.  phi_g on the component follows
+    along the spanning forest, as the frame phi_{g,v} == L_v x R_v of
+    ``_frame``, and a root value is kept only when that row passes g's edge
+    conditions on the component's edges off the forest (those involve no
+    other root).  The product of the kept root values is walked in the
+    order of the full product; each candidate's other rows follow from the
+    vertex conditions at (g, t_prev) of ``_generator_steps``.
 
     A candidate is then checked only at the open generator sites: the
     vertex sites (g, t2) with g a generator that define no row.  Every
@@ -585,41 +623,69 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     cocycle set, ordered by edge part and then by root values.  ``budget``
     bounds the candidates walked (edge solutions times kept root choices);
     passing it raises ``BudgetExceeded`` at once.
+
+    Since every edge site holds, the defect at an open site is conjugated
+    along each edge, and the central target holds on a component when it
+    holds at the root (see ``is_twisted_cocycle``).  So a candidate's rows
+    are computed at the roots only, with phi_g read off the frames where
+    the steps and sites need it, and the |Gamma| full rows are built only
+    for the candidates that pass.
     """
     tab = system.tables
     mul, inv = tab.mul, tab.inv
-    comps = tab.components
+    roots = tab.roots
+    n_comps = len(roots)
     gens = system.gamma.generating_sequence()
     target = twist_target(system)
     steps = [(t, t_prev, g, inv[target[(g, t_prev)]]) for t, t_prev, g in _generator_steps(system.gamma, gens)]
     step_sites = {(g, t_prev) for _, t_prev, g, _ in steps}
     open_sites = [site for site in tab.vertex_sites if site[0] in gens and site[:2] not in step_sites]
     n_vertices = system.nerve.n_vertices
+    comp_of = [0] * n_vertices
+    for ci, comp in enumerate(tab.components):
+        for v in comp:
+            comp_of[v] = ci
+    # a candidate reads phi_g at the roots' images r.t of the steps and sites
+    reads = sorted({act[r] for act in tab.act for r in roots})
     zero_row = (0,) * n_vertices
+    phi: list = [[0] * n_vertices for _ in tab.act]  # a candidate's rows, filled where they are read
+    phi[0] = zero_row
 
     out: list[TwistedOneCocycle] = []
     walked = 0
     for a in _edge_solutions(tab):
         ax = tab.doubled(a)
-        kept = [_kept_roots(tab, ax, g, ci) for g in gens for ci in range(len(comps))]
+        frames = [_frame(tab, ax, g) for g in gens]
+        kept = [_kept_roots(tab, ax, g, ci, frame) for g, frame in zip(gens, frames) for ci in range(n_comps)]
+        # (v, coordinate of v's root value, row of L_v, R_v) per vertex read, per generator
+        frame_reads = [
+            [(v, gi * n_comps + comp_of[v], mul[left[v]], right[v]) for v in reads]
+            for gi, (left, right) in enumerate(frames)
+        ]
         for combo in itertools.product(*kept):
             walked += 1
             if walked > budget:
                 raise BudgetExceeded(f"enumeration walked more than {budget} candidates (edge solutions x kept root choices)")
-            phi_rows: list = [zero_row] * len(tab.act)
-            for gi, g in enumerate(gens):
-                row = [0] * n_vertices
-                for comp, seg in zip(comps, combo[gi * len(comps) : (gi + 1) * len(comps)]):
-                    for v, val in zip(comp, seg):
-                        row[v] = val
-                phi_rows[g] = row
+            for g, slots in zip(gens, frame_reads):
+                row = phi[g]
+                for v, k, left_row, right in slots:
+                    row[v] = mul[left_row[combo[k]]][right]
+            for t, t_prev, g, twist in steps:
+                grow, prev_row, row = phi[g], phi[t_prev], phi[t]
+                act, th = tab.act[t_prev], tab.theta_inv[g]
+                for r in roots:
+                    row[r] = mul[mul[grow[act[r]]][th[prev_row[r]]]][twist]
+            if not _open_sites_hold(tab, phi, open_sites):
+                continue
+            rows: list = [zero_row] * len(tab.act)
+            for gi, (g, (left, right)) in enumerate(zip(gens, frames)):
+                xs = combo[gi * n_comps : (gi + 1) * n_comps]
+                rows[g] = [mul[mul[lv][xs[ci]]][rv] for lv, ci, rv in zip(left, comp_of, right)]
             # phi_{t_prev g, v} from the vertex condition at (g, t_prev)
             for t, t_prev, g, twist in steps:
-                grow, prev_row = phi_rows[g], phi_rows[t_prev]
-                act, th = tab.act[t_prev], tab.theta_inv[g]
-                phi_rows[t] = [mul[mul[grow[act[v]]][th[prev_row[v]]]][twist] for v in range(n_vertices)]
-            if _open_sites_hold(tab, phi_rows, open_sites):
-                out.append(TwistedOneCocycle(system, tuple(a), tuple(tuple(row) for row in phi_rows)))
+                grow, th = rows[g], tab.theta_inv[g]
+                rows[t] = [mul[mul[grow[w]][th[p]]][twist] for w, p in zip(tab.act[t_prev], rows[t_prev])]
+            out.append(TwistedOneCocycle(system, tuple(a), tuple(map(tuple, rows))))
     return out
 
 

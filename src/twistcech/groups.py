@@ -132,7 +132,11 @@ class Automorphism:
 
 
 def _greedy_generators(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Each index, in order, not reached from 0 by right multiplications by earlier ones; no inverses used."""
+    """Each index, in order, not reached from 0 by right multiplications by earlier ones; no inverses used.
+
+    Then each of them, in order, is dropped when the others still reach every index (Q8's -1 is the
+    square of the later generators).
+    """
     gens: list[int] = []
     reached, seen = [0], [True] + [False] * (len(mul) - 1)
     for g in range(len(mul)):
@@ -144,7 +148,23 @@ def _greedy_generators(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
                     if not seen[y]:
                         seen[y] = True
                         reached.append(y)
+    for g in gens[:-1]:  # the last is not reached by the others
+        rest = [s for s in gens if s != g]
+        if _reaches_all(mul, rest):
+            gens = rest
     return tuple(gens)
+
+
+def _reaches_all(mul: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
+    """True when right multiplications by gens reach every index from 0."""
+    reached, seen = [0], {0}
+    for x in reached:  # grows while it is read
+        for s in gens:
+            y = mul[x][s]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return len(reached) == len(mul)
 
 
 def validate_group(mul: Sequence[Sequence[int]], label: Optional[str] = None) -> FiniteGroup:
@@ -223,14 +243,16 @@ def law_witness(g: FiniteGroup, sides: Callable[[int], tuple[Sequence, Sequence]
 
     ``sides(a)`` gives both sides at every (a, b) as two rows indexed by b; the
     caller has checked the identity.  The a where a law f(ab) = f(a) f(b) holds
-    are closed under products, so the least failing a is not reached from the
-    smaller ones: it is the first failing generator of the index-order sequence.
+    are closed under products, so the law holds when it holds at every
+    generator.  When one fails, the least failing a may be a generator the
+    sequence dropped as redundant (Q8's -1), so then every a is scanned.
     """
-    for a in g.generating_sequence():
+    if all(left == right for left, right in map(sides, g.generating_sequence())):
+        return None
+    for a in g.elements():  # reaches the failing generator at the latest
         left, right = sides(a)
         if left != right:
             return a, next(b for b, (x, y) in enumerate(zip(left, right)) if x != y)
-    return None
 
 
 def _automorphism(g: FiniteGroup, mapping: Sequence[int]) -> Automorphism:

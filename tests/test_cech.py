@@ -332,28 +332,53 @@ def _kept_roots_on_every_edge(tab, ax, g, ci):
     return out
 
 
-def test_root_filter_on_open_edges_keeps_what_every_edge_keeps():
-    # C2 reflecting a hollow triangle and a path, inverting C4: the path
-    # is a tree component, where the filter checks nothing
-    path_and_triangle = validate_gamma_nerve(
+def _path_and_triangle():
+    """C2 reflecting a hollow triangle and a path; the path is a tree component."""
+    return validate_gamma_nerve(
         validate_nerve(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), C2, [range(6), [0, 2, 1, 5, 4, 3]]
     )
-    tree_system = CechSystem(path_and_triangle, make_twisted_data(INV))
+
+
+def _permuted_triangle():
+    """S3 permuting the vertices of the hollow triangle: not free, each transposition fixes a vertex."""
+    perms = list(itertools.permutations(range(3)))
+    return validate_gamma_nerve(nerve("Y_TRI"), S3, [[p.index(v) for v in range(3)] for p in perms])
+
+
+def test_root_filter_on_open_edges_keeps_what_every_edge_keeps():
+    # inverting C4 on the path and triangle: the filter checks nothing on the tree component
+    tree_system = CechSystem(_path_and_triangle(), make_twisted_data(INV))
     assert tree_system.tables.open_edges[1] == ()
     rejected = 0
     for system in (*_grid_and_ladder_systems(), tree_system):
         tab = system.tables
+        mul = tab.mul
         for a in cech._edge_solutions(tab):
             ax = tab.doubled(a)
             for g in system.gamma.generating_sequence():
-                for ci in range(len(tab.components)):
-                    kept = cech._kept_roots(tab, ax, g, ci)
-                    assert kept == _kept_roots_on_every_edge(tab, ax, g, ci)
+                left, right = frame = cech._frame(tab, ax, g)
+                for ci, comp in enumerate(tab.components):
+                    kept = cech._kept_roots(tab, ax, g, ci, frame)
+                    # the rows L x R of the kept root values, held to the oracle's rows
+                    rows = [tuple(mul[mul[left[v]][x]][right[v]] for v in comp) for x in kept]
+                    assert rows == _kept_roots_on_every_edge(tab, ax, g, ci)
                     rejected += system.coeff.order - len(kept)
                     if not tab.open_edges[ci]:
                         assert len(kept) == system.coeff.order
     # the filter has work to do: some root value fails an open edge
     assert rejected
+
+
+def test_enumeration_matches_oracle_on_a_tree_component_and_a_fixed_vertex():
+    # C2 on the path and triangle, inverting C4 and trivially on S3: the path
+    # keeps every root value, and its root is checked like the triangle's
+    path_and_triangle = _path_and_triangle()
+    systems = [CechSystem(path_and_triangle, make_twisted_data(INV)), _trivial_system(path_and_triangle, "S3")]
+    # S3 permuting the hollow triangle, trivially on C2, C3, S3 and Q8
+    systems += [_trivial_system(_permuted_triangle(), g_name) for g_name in ("C2", "C3", "S3", "Q8")]
+    assert [len(system.tables.roots) for system in systems] == [2, 2, 1, 1, 1, 1]
+    for system in systems:
+        assert assert_matches_oracle(system)
 
 
 def test_octahedron_counts_match_hom_from_c2():
@@ -538,8 +563,7 @@ def test_enumeration_matches_oracle_with_two_generators_and_a_twist(monkeypatch)
     twisted = [CechSystem(s3_cover()[0], s3_twists()[1]), *_klein_systems()]
     assert not any(system.data.is_trivial() for system in twisted)
     c3 = group("C3")
-    perms = list(itertools.permutations(range(3)))
-    triangle = validate_gamma_nerve(nerve("Y_TRI"), S3, [[p.index(v) for v in range(3)] for p in perms])
+    triangle = _permuted_triangle()
     sign = check_gamma_action(S3, c3, [c3.inv if S3.element_order(t) == 2 else c3.elements() for t in S3.elements()])
     verdicts = _record_open_checks(monkeypatch)
     for system in (*twisted, CechSystem(triangle, make_twisted_data(sign))):
@@ -656,6 +680,100 @@ def test_perturbed_cocycles_reach_every_witness_kind():
             assert result == reference_is_twisted_cocycle(system, a, phi)
             kinds.add(result[1][0] if result[1] else None)
     assert kinds == {None, "triangle", "edge", "vertex"}
+
+
+def _root_check_systems():
+    """The grid rows, the C2xC2 systems and the S3 cover with both twists, and each one's twin.
+
+    Twins share the space and the action and differ in the twist: the
+    grid's trivial and square rows, the C2xC2 systems twisted along x and
+    along y, and the S3 cover with the trivial and the dicyclic twist.
+    """
+    from test_nonabelian_gamma import s3_cover, s3_twists
+
+    rows = {}
+    for inst in default_grid():
+        rows.setdefault(inst.name.rsplit(",", 1)[0], []).append(CechSystem(inst.space, inst.data))
+    klein, cover = _klein_systems(), s3_cover()[0]
+    systems, twins = [], {}
+    for family in (*rows.values(), klein[:2], klein[2:4], klein[4:], [CechSystem(cover, data) for data in s3_twists()]):
+        if len(family) == 2:
+            first, second = family
+            assert first.space == second.space and first.data.action == second.data.action and first.data != second.data
+            twins[len(systems)], twins[len(systems) + 1] = len(systems) + 1, len(systems)
+        systems += family
+    return systems, twins
+
+
+ROOT_CHECK_SYSTEMS, ROOT_CHECK_TWINS = _root_check_systems()
+
+
+@functools.cache
+def _root_check_cocycles(index):
+    return enumerate_cocycles(ROOT_CHECK_SYSTEMS[index])
+
+
+def _gauged_candidate(index, rng):
+    """An accepted cocycle gauged by a random vertex function, then maybe changed, maybe read in its twin's system.
+
+    The change is one entry of a or phi (phi[0] included), or one phi row
+    times a central element on one component, which keeps every edge
+    site and so reaches the vertex sites alone.
+    """
+    system = ROOT_CHECK_SYSTEMS[index]
+    g, n = system.coeff, system.nerve.n_vertices
+    x = gauge(rng.choice(_root_check_cocycles(index)), [rng.randrange(g.order) for _ in range(n)])
+    a, phi = list(x.a), [list(row) for row in x.phi]
+    kind = rng.randrange(4)
+    if kind == 1:
+        slot = rng.randrange(len(a) + len(phi) * n)
+        if slot < len(a):
+            a[slot] = rng.randrange(g.order)
+        else:
+            t, v = divmod(slot - len(a), n)
+            phi[t][v] = rng.randrange(g.order)
+    elif kind == 2:
+        z = rng.choice(center(g).embed)
+        row = phi[rng.randrange(1, len(phi))] if len(phi) > 1 else phi[0]
+        for v in rng.choice(system.nerve.components()):
+            row[v] = g.mul[row[v]][z]
+    if kind == 3 and index in ROOT_CHECK_TWINS:
+        system = ROOT_CHECK_SYSTEMS[ROOT_CHECK_TWINS[index]]
+    return system, tuple(a), tuple(tuple(row) for row in phi)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.integers(0, len(ROOT_CHECK_SYSTEMS) - 1), st.randoms(use_true_random=False))
+def test_root_only_vertex_check_matches_the_full_scan(index, rng):
+    system, a, phi = _gauged_candidate(index, rng)
+    assert is_twisted_cocycle(system, a, phi) == reference_is_twisted_cocycle(system, a, phi)
+
+
+def test_twin_rows_fail_only_at_vertex_sites():
+    # a cocycle read in its twin's system meets every triangle and edge site
+    # (they do not involve the twist), so it fails, if at all, at a vertex
+    # site; the root-only check must name the full scan's site and vertex
+    witnesses = set()
+    for i, j in ROOT_CHECK_TWINS.items():
+        for x in _root_check_cocycles(i):
+            result = is_twisted_cocycle(ROOT_CHECK_SYSTEMS[j], x.a, x.phi)
+            assert result == reference_is_twisted_cocycle(ROOT_CHECK_SYSTEMS[j], x.a, x.phi)
+            if not result[0]:
+                assert result[1][0] == "vertex"
+                witnesses.add((ROOT_CHECK_SYSTEMS[j].gamma.order, result[1][1][2]))
+    # vertex witnesses with Gamma = C2, C2xC2 and S3
+    assert {order for order, _ in witnesses} == {2, 4, 6}
+    # a central shift on the second of two components fails at its root
+    rng = random.Random(3)
+    roots = set()
+    for _ in range(200):
+        index = rng.randrange(len(ROOT_CHECK_SYSTEMS))
+        system, a, phi = _gauged_candidate(index, rng)
+        result = is_twisted_cocycle(system, a, phi)
+        assert result == reference_is_twisted_cocycle(system, a, phi)
+        if result[1] and result[1][0] == "vertex":
+            roots.add(result[1][1][2])
+    assert roots > {0}
 
 
 def test_circle_counts_match_conjugacy_classes():

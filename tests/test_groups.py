@@ -304,11 +304,16 @@ def _check_gamma_action_full_scan(gamma, g, tables):
 
 
 def _generating_sequence_by_closure(g):
+    """Each element outside the subgroup of the earlier ones, then each of those dropped, in order, when the rest generate g."""
     gens, have = [], {0}
     for x in g.elements():
         if x not in have:
             gens.append(x)
             have = set(g.closure(gens))
+    for x in list(gens):
+        rest = [y for y in gens if y != x]
+        if len(g.closure(rest)) == g.order:
+            gens = rest
     return tuple(gens)
 
 
@@ -367,6 +372,10 @@ def test_generating_sequence_matches_the_closure_walk(name):
     fresh = FiniteGroup(g.order, g.mul, g.inv)  # not through validate_group
     assert g.generating_sequence() == fresh.generating_sequence() == _generating_sequence_by_closure(g)
     assert validate_group(g.mul).generating_sequence() == _generating_sequence_by_closure(g)
+    # no generator is redundant: Q8 = <i, j> without -1
+    gens = g.generating_sequence()
+    assert all(len(g.closure(gens[:k] + gens[k + 1 :])) < g.order for k in range(len(gens)))
+    assert len(gens) == {"C1": 0, "C2xC2": 2, "D4": 2, "Q8": 2, "S3": 2}.get(name, 1)
 
 
 @st.composite
