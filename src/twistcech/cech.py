@@ -57,9 +57,9 @@ from .errors import (
     InternalError,
     NotCentral,
     NotEquivariant,
+    Work,
 )
 from .extensions import (
-    DEFAULT_ENUM_BUDGET,
     GammaAction,
     Recocycling,
     TwistedData,
@@ -472,7 +472,7 @@ def canonical_form(x: TwistedOneCocycle) -> tuple:
     return min(gauge(x0, h).serial() for h in _constant_gauges(x.system))
 
 
-def _edge_solutions(tab: SystemTables) -> Iterable[list[int]]:
+def _edge_solutions(tab: SystemTables, work: Work) -> Iterable[list[int]]:
     """Edge values with the forest at the identity and a_ij a_jk == a_ik on triangles.
 
     Depth-first search with an explicit stack: branch on the first unassigned
@@ -480,6 +480,7 @@ def _edge_solutions(tab: SystemTables) -> Iterable[list[int]]:
     run the triangles to a fixed point (two known edges fix the third, three
     that disagree prune the branch).  Two solutions first differ at the edge
     some node branched on, so solutions come out in lexicographic order.
+    Every child node, pruned or not, counts towards the clock reads of ``work``.
     """
     mul, inv = tab.mul, tab.inv
     m = len(tab.edges)
@@ -507,6 +508,7 @@ def _edge_solutions(tab: SystemTables) -> Iterable[list[int]]:
                     return False
         return True
 
+    work.clock("enumerate_cocycles' edge search")
     start = [-1] * m
     forest = [s % m for comp in tab.forest for _, _, s in comp]
     for e in forest:
@@ -514,6 +516,7 @@ def _edge_solutions(tab: SystemTables) -> Iterable[list[int]]:
     if not propagate(start, forest):
         return
     stack = [(start, 0)]
+    nodes = itertools.count(1)
     while stack:
         a, pos = stack.pop()
         while pos < len(a) and a[pos] >= 0:
@@ -522,6 +525,8 @@ def _edge_solutions(tab: SystemTables) -> Iterable[list[int]]:
             yield a
             continue
         for val in reversed(range(len(inv))):
+            if not next(nodes) & 1023:
+                work.clock("enumerate_cocycles' edge search")
             child = a.copy()
             child[pos] = val
             if propagate(child, [pos]):
@@ -594,7 +599,7 @@ def _kept_roots(tab: SystemTables, ax: Sequence[int], g: int, ci: int, frame: tu
     return list(kept)
 
 
-def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> list[TwistedOneCocycle]:
+def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[TwistedOneCocycle]:
     """All tree-normalized twisted cocycles.
 
     The edge part comes from ``_edge_solutions``; per edge solution the free
@@ -620,7 +625,7 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     phi_{g, v.s t1}^-1 times central twist factors, and those cancel by
     the cocycle identity of c; induction on the word length of t covers
     every t.  So the list is exactly the tree-normalized slice of the
-    cocycle set, ordered by edge part and then by root values.  ``budget``
+    cocycle set, ordered by edge part and then by root values.  ``work.enum``
     bounds the candidates walked (edge solutions times kept root choices);
     passing it raises ``BudgetExceeded`` at once.
 
@@ -653,7 +658,7 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
 
     out: list[TwistedOneCocycle] = []
     walked = 0
-    for a in _edge_solutions(tab):
+    for a in _edge_solutions(tab, work):
         ax = tab.doubled(a)
         frames = [_frame(tab, ax, g) for g in gens]
         kept = [_kept_roots(tab, ax, g, ci, frame) for g, frame in zip(gens, frames) for ci in range(n_comps)]
@@ -664,8 +669,10 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
         ]
         for combo in itertools.product(*kept):
             walked += 1
-            if walked > budget:
-                raise BudgetExceeded(f"enumeration walked more than {budget} candidates (edge solutions x kept root choices)")
+            if walked > work.enum:
+                raise BudgetExceeded(f"enumeration walked more than {work.enum} candidates (edge solutions x kept root choices)")
+            if walked & 1023 == 1:
+                work.clock("enumerate_cocycles' root walk")
             for g, slots in zip(gens, frame_reads):
                 row = phi[g]
                 for v, k, left_row, right in slots:
@@ -689,18 +696,22 @@ def enumerate_cocycles(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET)
     return out
 
 
-def h1_twisted(system: CechSystem, *, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologySet:
+def h1_twisted(system: CechSystem, *, work: Work = Work()) -> CohomologySet:
     """Gauge classes of twisted cocycles as a cohomology set, numbered by least serialization.
 
     Orbits of the tree-normalized cocycles under the gauges constant on each component close under
     the moves that put one generator of the coefficient group on one component and 1 elsewhere.
     """
-    cocycles = sorted(enumerate_cocycles(system, budget=budget), key=TwistedOneCocycle.serial)
+    cocycles = sorted(enumerate_cocycles(system, work=work), key=TwistedOneCocycle.serial)
     index = {x.serial(): i for i, x in enumerate(cocycles)}
     n = system.nerve.n_vertices
     moves = [[s if v in comp else 0 for v in range(n)] for comp in system.tables.components for s in system.coeff.generating_sequence()]
 
+    calls = itertools.count()
+
     def moved(i: int) -> list[int]:
+        if not next(calls) & 1023:
+            work.clock("h1_twisted's gauge orbits")
         try:
             return [index[gauge(cocycles[i], h).serial()] for h in moves]
         except KeyError:
@@ -896,7 +907,7 @@ class ActionLadder:
     zsub: Subgroup
     proj: GroupHom
     lift_table: tuple[int, ...]  # quotient element -> minimal lift in G; 1 lifts to 1
-    budget: int  # bound on each H^1 enumeration
+    work: Work  # the limits of each H^1 enumeration
 
     def with_data(self, data: TwistedData) -> CoefficientLadder:
         """The ladder of twisted data with this action."""
@@ -918,15 +929,15 @@ class ActionLadder:
 
     @cached_property
     def h1z(self) -> CohomologySet:
-        return h1_twisted(self.sys_z, budget=self.budget)
+        return h1_twisted(self.sys_z, work=self.work)
 
     @cached_property
     def h1g(self) -> CohomologySet:
-        return h1_twisted(self.sys_g, budget=self.budget)
+        return h1_twisted(self.sys_g, work=self.work)
 
     @cached_property
     def h1q(self) -> CohomologySet:
-        return h1_twisted(self.sys_q, budget=self.budget)
+        return h1_twisted(self.sys_q, work=self.work)
 
     @cached_property
     def cx(self) -> AbelianComplex:
@@ -963,7 +974,7 @@ class CoefficientLadder:
 
     @cached_property
     def h1c(self) -> CohomologySet:
-        return self.base.h1g if self.sys_c is self.base.sys_g else h1_twisted(self.sys_c, budget=self.base.budget)
+        return self.base.h1g if self.sys_c is self.base.sys_g else h1_twisted(self.sys_c, work=self.base.work)
 
     @cached_property
     def target(self) -> tuple[int, ...]:
@@ -990,10 +1001,10 @@ class CoefficientLadder:
         return tuple(cid for cid, vec in enumerate(self.base.obstructions) if reduce(vec) == label)
 
 
-def action_ladder(space: GammaNerve, action: GammaAction, *, budget: int = DEFAULT_ENUM_BUDGET) -> ActionLadder:
+def action_ladder(space: GammaNerve, action: GammaAction, *, work: Work = Work()) -> ActionLadder:
     """The ladder Z -> G -> G/Z of an action over a space, nothing computed yet.
 
-    ``budget`` bounds each H^1 enumeration the ladder makes on first use.
+    ``work`` limits each H^1 enumeration the ladder makes on first use.
     """
     g = action.g
     zsub = center(g)
@@ -1012,16 +1023,16 @@ def action_ladder(space: GammaNerve, action: GammaAction, *, budget: int = DEFAU
     sys_q = CechSystem(space, make_twisted_data(check_gamma_action(action.gamma, q, q_tables)))
 
     lift_table = tuple(proj.map.index(qe) for qe in q.elements())
-    return ActionLadder(sys_g, sys_z, sys_q, zsub, proj, lift_table, budget)
+    return ActionLadder(sys_g, sys_z, sys_q, zsub, proj, lift_table, work)
 
 
-def coefficient_ladder(space: GammaNerve, data: TwistedData, *, budget: int = DEFAULT_ENUM_BUDGET) -> CoefficientLadder:
+def coefficient_ladder(space: GammaNerve, data: TwistedData, *, work: Work = Work()) -> CoefficientLadder:
     """The ladder of twisted data over a space, on an action ladder of its own.
 
     Ladders that differ only in the twist can share one ``action_ladder``
     through ``ActionLadder.with_data``.
     """
-    return action_ladder(space, data.action, budget=budget).with_data(data)
+    return action_ladder(space, data.action, work=work).with_data(data)
 
 
 def include_z_cocycle(ladder: ActionLadder, x: TwistedOneCocycle) -> TwistedOneCocycle:
@@ -1112,9 +1123,11 @@ class SequenceReport:
 
 
 def _check(name: str, body: Callable[[], tuple[bool, dict]]) -> CheckRecord:
-    """A node's record: its (ok, detail), or a failure with the library error it raised as witness."""
+    """A node's record: its (ok, detail), or a failure with the library error it raised as witness; refusals propagate."""
     try:
         ok, detail = body()
+    except BudgetExceeded:
+        raise
     except TwistError as exc:
         return CheckRecord(name, "fail", {"error": str(exc)})
     return CheckRecord(name, "pass" if ok else "fail", detail)
@@ -1128,9 +1141,10 @@ def les_verify(ladder: CoefficientLadder, *, fault: Optional[str] = None) -> Seq
     is a group the check is the sharp one: two classes have equal image
     exactly when the group action identifies them.  A node whose computation
     raises a library error is reported as a failure with the error as
-    witness.  Only the node at H^1(G/Z) reads the twist, through the
-    ladder's ``preimage``, and is checked per call; the other five are the
-    action ladder's ``exactness``, checked once for every twist on it.
+    witness, but a ``BudgetExceeded`` refusal is raised.  Only the node at
+    H^1(G/Z) reads the twist, through the ladder's ``preimage``, and is
+    checked per call; the other five are the action ladder's
+    ``exactness``, checked once for every twist on it.
     ``fault='flip-gauge'`` deliberately mis-hands the lift in ``delta_h1``
     for harness self-tests: its edge values are inverted, so on a
     non-abelian G the lifted obstruction leaves the centre and the

@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import __version__
 from .cech import (
-    DEFAULT_ENUM_BUDGET,
     CechSystem,
     action_ladder,
     existence_check,
@@ -34,10 +33,10 @@ from .correspond import (
     grothendieck_fiber,
     plain_h1,
 )
-from .errors import BudgetExceeded, InputError, TwistError
+from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_ORDER_GUARD, BudgetExceeded, InputError, TwistError, Work
 from .extensions import TwistedData, build_twisted_product, second_cohomology
 from .fixtures import default_grid, grid_instance, group, named_action
-from .groups import DEFAULT_ORDER_GUARD, conjugacy_classes, find_isomorphism, outer_classes
+from .groups import conjugacy_classes, find_isomorphism, outer_classes
 from .nerves import quotient
 from .records import field, record
 from .serialize import (
@@ -60,9 +59,7 @@ EXIT_BUDGET = 3
 class JobConfig:
     command: str
     args: dict
-    budget_order: int
-    budget_enum: int
-    time_limit: float
+    work: Work
     fmt: str
     out: Optional[str]
     seed: int
@@ -115,7 +112,7 @@ def cmd_group(cfg: JobConfig) -> Report:
             element_orders=sorted(g.element_order(x) for x in g.elements()),
         )
     elif sub == "aut":
-        outs = outer_classes(g, order_guard=cfg.budget_order)
+        outs = outer_classes(g, work=cfg.work)
         report.add("automorphisms", "pass", aut_order=sum(map(len, outs)), outer_classes=len(outs))
     elif sub == "classes":
         classes = conjugacy_classes(g)
@@ -137,14 +134,14 @@ def cmd_extensions(cfg: JobConfig) -> Report:
         SCHEMA,
         {"command": "extensions classify", "gamma": cfg.args["gamma"], "z": cfg.args["z"], "action": cfg.args["action"]},
     )
-    h2 = second_cohomology(action, guard=cfg.budget_enum)
+    h2 = second_cohomology(action, work=cfg.work)
     catalogue = {name: group(name) for name in ("C2", "C4", "C8", "C2xC2", "S3", "D4", "Q8")}
     rows = []
     for cid, rep in enumerate(h2.representatives):
         built = build_twisted_product(TwistedData(action, rep))
         iso_name = None
         for name, cand in sorted(catalogue.items()):
-            if cand.order == built.group.order and find_isomorphism(built.group, cand, order_guard=cfg.budget_order):
+            if cand.order == built.group.order and find_isomorphism(built.group, cand, work=cfg.work):
                 iso_name = name
                 break
         rows.append({"class": cid, "cocycle": [list(r) for r in rep], "product_isomorphic_to": iso_name})
@@ -155,7 +152,7 @@ def cmd_extensions(cfg: JobConfig) -> Report:
 def cmd_h1(cfg: JobConfig) -> Report:
     space = resolve_gamma_nerve(cfg.args["space"])
     data = _resolve_data(cfg.args["data"])
-    classes = h1_twisted(CechSystem(space, data), budget=cfg.budget_enum)
+    classes = h1_twisted(CechSystem(space, data), work=cfg.work)
     if cfg.args.get("reduced"):
         classes = h1_reduced(classes)
     report = Report(
@@ -189,12 +186,12 @@ def cmd_verify(cfg: JobConfig) -> Report:
     Rows on one space and action share one action ladder, built at the first
     of them and dropped at the last, wherever they stand in the grid.  Each
     suite's checks are collected in its own list and reported in suite
-    order, so the report does not depend on the row-major walk.
+    order, so the report does not depend on the row-major walk.  A refusal
+    names the row it stopped in.
     """
     suite = cfg.args["suite"]
     report = Report(SCHEMA, {"command": f"verify {suite}", "grid": cfg.args.get("grid", "default-grid"), "seed": cfg.seed})
     rng = random.Random(cfg.seed)
-    deadline = time.monotonic() + cfg.time_limit
     fault = cfg.args.get("fault")
     checks: dict[str, list] = {s: [] for s in (SUITES if suite == "all" else (suite,))}
     rows = _grid_rows(cfg)
@@ -206,56 +203,57 @@ def cmd_verify(cfg: JobConfig) -> Report:
     def add(suite_name: str, name: str, status: str, **extra) -> None:
         checks[suite_name].append({"name": name, "status": status, **extra})
 
-    for i, (inst, key) in enumerate(zip(rows, keys)):
-        if time.monotonic() > deadline:
-            raise BudgetExceeded(f"time limit reached at instance {inst.name}")
-        if key not in bases:
-            bases[key] = action_ladder(*key, budget=cfg.budget_enum)
-        ladder = (bases.pop(key) if last_row[key] == i else bases[key]).with_data(inst.data)
-        free = inst.space.gamma.order != 1 and inst.space.free
-        desc = quotient(inst.space) if free and ("correspondence" in checks or "roundtrips" in checks) else None
+    try:
+        for i, (inst, key) in enumerate(zip(rows, keys)):
+            if key not in bases:
+                bases[key] = action_ladder(*key, work=cfg.work)
+            ladder = (bases.pop(key) if last_row[key] == i else bases[key]).with_data(inst.data)
+            free = inst.space.gamma.order != 1 and inst.space.free
+            desc = quotient(inst.space) if free and ("correspondence" in checks or "roundtrips" in checks) else None
 
-        if "les" in checks:
-            for c in les_verify(ladder, fault=fault).checks:
-                add("les", f"les[{inst.name}] {c.name}", c.status, **c.detail)
+            if "les" in checks:
+                for c in les_verify(ladder, fault=fault).checks:
+                    add("les", f"les[{inst.name}] {c.name}", c.status, **c.detail)
 
-        if "correspondence" in checks and free:
-            h1r = h1_reduced(ladder.h1c)
-            prod = build_twisted_product(inst.data)
-            ph1 = plain_h1(desc.downstairs, prod.group, budget=cfg.budget_enum)
-            fib = fiber_over_cover(desc, prod, ph1)
-            status = "pass" if len(h1r) == len(fib) else "fail"
-            detail = {"reduced": len(h1r), "fiber": len(fib)}
-            if fib:
-                base = GhatCocycleY(prod, ph1.representative(fib[0][0]))
-                gro = grothendieck_fiber(base, desc, ph1, budget=cfg.budget_enum)
-                detail["grothendieck"] = len(gro)
-                if len(gro) != len(fib):
-                    status = "fail"
-            add("correspondence", f"correspondence[{inst.name}] cardinalities", status, **detail)
+            if "correspondence" in checks and free:
+                h1r = h1_reduced(ladder.h1c)
+                prod = build_twisted_product(inst.data)
+                ph1 = plain_h1(desc.downstairs, prod.group, work=cfg.work)
+                fib = fiber_over_cover(desc, prod, ph1)
+                status = "pass" if len(h1r) == len(fib) else "fail"
+                detail = {"reduced": len(h1r), "fiber": len(fib)}
+                if fib:
+                    base = GhatCocycleY(prod, ph1.representative(fib[0][0]))
+                    gro = grothendieck_fiber(base, desc, ph1, work=cfg.work)
+                    detail["grothendieck"] = len(gro)
+                    if len(gro) != len(fib):
+                        status = "fail"
+                add("correspondence", f"correspondence[{inst.name}] cardinalities", status, **detail)
 
-        if "roundtrips" in checks and free:
-            h1 = ladder.h1c
-            ok = True
-            witness = None
-            for cid in rng.sample(range(len(h1)), k=len(h1)):
-                x = h1.representative(cid)
-                if h1.class_of(ascend(descend(x, desc), ladder.sys_c)) != cid:
-                    ok = False
-                    witness = cid
-                    break
-            add("roundtrips", f"roundtrip[{inst.name}] descend-ascend", "pass" if ok else "fail", witness=witness)
+            if "roundtrips" in checks and free:
+                h1 = ladder.h1c
+                ok = True
+                witness = None
+                for cid in rng.sample(range(len(h1)), k=len(h1)):
+                    x = h1.representative(cid)
+                    if h1.class_of(ascend(descend(x, desc), ladder.sys_c)) != cid:
+                        ok = False
+                        witness = cid
+                        break
+                add("roundtrips", f"roundtrip[{inst.name}] descend-ascend", "pass" if ok else "fail", witness=witness)
 
-        if "existence" in checks:
-            res = existence_check(ladder)
-            nonempty = len(ladder.h1c) > 0
-            add(
-                "existence",
-                f"existence[{inst.name}] criterion agrees with enumeration",
-                "pass" if res.exists == nonempty else "fail",
-                criterion=res.exists,
-                nonempty=nonempty,
-            )
+            if "existence" in checks:
+                res = existence_check(ladder)
+                nonempty = len(ladder.h1c) > 0
+                add(
+                    "existence",
+                    f"existence[{inst.name}] criterion agrees with enumeration",
+                    "pass" if res.exists == nonempty else "fail",
+                    criterion=res.exists,
+                    nonempty=nonempty,
+                )
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc}, at grid row {inst.name}") from exc
 
     for found in checks.values():
         report.checks.extend(found)
@@ -293,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--budget-order", type=_count, default=DEFAULT_ORDER_GUARD, help="max group order for searches")
-        p.add_argument("--budget-enum", type=_count, default=DEFAULT_ENUM_BUDGET, help="max enumeration size")
-        p.add_argument("--time-limit", type=_seconds, default=600.0, help="time limit in seconds; only verify reads it, between grid rows")
+        p.add_argument("--budget-enum", type=_count, default=DEFAULT_ENUM_BUDGET, help="max steps of each enumeration")
+        p.add_argument("--time-limit", type=_seconds, default=600.0, help="time limit in seconds; every enumeration stops with exit 3 past it")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", type=str, default=None, help="write the report to a file")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
@@ -337,9 +335,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     cfg = JobConfig(
         command=ns.command,
         args={k: v for k, v in vars(ns).items() if k not in ("command", "budget_order", "budget_enum", "time_limit", "format", "out", "seed")},
-        budget_order=ns.budget_order,
-        budget_enum=ns.budget_enum,
-        time_limit=ns.time_limit,
+        work=Work(ns.budget_enum, ns.budget_order, time.monotonic() + ns.time_limit),
         fmt=ns.format,
         out=ns.out,
         seed=ns.seed,

@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 from .cech import (
     CechSystem,
     CohomologySet,
-    DEFAULT_ENUM_BUDGET,
     TwistedOneCocycle,
     gauge,
     h1_twisted,
@@ -35,6 +34,7 @@ from .errors import (
     InputError,
     InternalError,
     NotFree,
+    Work,
 )
 from .extensions import (
     TwistedData,
@@ -72,9 +72,9 @@ def plain_cocycle(system: CechSystem, values: Sequence[int]) -> TwistedOneCocycl
     return make_cocycle(system, tuple(values), phi)
 
 
-def plain_h1(y: Nerve, coeff: FiniteGroup, *, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologySet:
+def plain_h1(y: Nerve, coeff: FiniteGroup, *, work: Work = Work()) -> CohomologySet:
     """Gauge classes of ordinary coefficient-group cocycles on a nerve."""
-    return h1_twisted(plain_system(y, coeff), budget=budget)
+    return h1_twisted(plain_system(y, coeff), work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def grothendieck_fiber(
     descent: CoverDescent,
     h1: CohomologySet,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    work: Work = Work(),
 ) -> list[TwistedOneCocycle]:
     """The fibre through a base class as conjugation-twisted classes.
 
@@ -306,7 +306,7 @@ def grothendieck_fiber(
     no pass of their own.  ``h1`` is the plain glued-group H^1 of the base,
     as for ``fiber_over_cover``; every cocycle built here lives on
     ``h1.system``.  Returns one representative of ``h1`` per class of the
-    fibre, in class order.  ``budget`` bounds the |G|^(non-tree edges)
+    fibre, in class order.  ``work.enum`` bounds the |G|^(non-tree edges)
     tree-normalized candidates walked.
     """
     prod = base.product
@@ -325,8 +325,8 @@ def grothendieck_fiber(
     tree_set = set(tree)
     free = [idx[e] for e in y.edges if e not in tree_set]
     count = g.order ** len(free)
-    if count > budget:
-        raise BudgetExceeded(f"fibre enumeration of size {count} exceeds budget {budget}")
+    if count > work.enum:
+        raise BudgetExceeded(f"fibre enumeration of size {count} exceeds budget {work.enum}")
 
     pmul, pinv, emb = prod.group.mul, prod.group.inv, prod.embed_g.map
     g0 = base.cocycle.a  # the upward edge values, in edge order
@@ -345,7 +345,9 @@ def grothendieck_fiber(
     triangles = [(idx[(i, j)], idx[(j, k)], idx[(i, k)]) for (i, j, k) in y.triangles]
     k = [0] * len(y.edges)
     class_ids = set()
-    for combo in itertools.product(g.elements(), repeat=len(free)):
+    for walked, combo in enumerate(itertools.product(g.elements(), repeat=len(free))):
+        if not walked & 1023:
+            work.clock("grothendieck_fiber's walk")
         for e, val in zip(free, combo):
             k[e] = val
         if all(g.mul[k[ij]][ads[ij][k[jk]]] == k[ik] for ij, jk, ik in triangles):
@@ -405,7 +407,7 @@ def normalizer_embedding_check(
     data: TwistedData,
     gamma_prime: Sequence[int],
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    work: Work = Work(),
 ) -> NormalizerReport:
     """Classes with full monodromy in a subgroup, modulo its normalizer.
 
@@ -422,7 +424,7 @@ def normalizer_embedding_check(
         if all(gamma.conjugate(n, t) in set(gset) for t in gset)
     )
 
-    h1_small = plain_h1(y, sub_prod.group, budget=budget)
+    h1_small = plain_h1(y, sub_prod.group, work=work)
     full = []
     for cid in range(len(h1_small)):
         mono = induced_gamma_class(GhatCocycleY(sub_prod, h1_small.representative(cid)))
@@ -430,7 +432,7 @@ def normalizer_embedding_check(
         if image_in_gamma == tuple(gset):
             full.append(cid)
 
-    h1_big = plain_h1(y, big.group, budget=budget)
+    h1_big = plain_h1(y, big.group, work=work)
     extended = {cid: relabel(h1_small.representative(cid), incl.map, h1_big.system) for cid in full}
     ext_of = {cid: h1_big.class_of(x) for cid, x in extended.items()}
     back = {b: a for a, b in enumerate(incl.map)}

@@ -7,6 +7,13 @@ messages.
 
 from __future__ import annotations
 
+import time
+
+from .records import record
+
+DEFAULT_ENUM_BUDGET = 2_000_000  # steps of each exact enumeration
+DEFAULT_ORDER_GUARD = 64  # largest group order of an automorphism or isomorphism search
+
 
 class TwistError(Exception):
     """Base class for all library errors."""
@@ -18,6 +25,21 @@ class InputError(TwistError):
 
 class BudgetExceeded(TwistError):
     """An exact enumeration would exceed the configured budget."""
+
+
+@record(frozen=True)
+class Work:
+    """The limits of one job: ``enum`` bounds each enumeration's steps on its own, ``order`` the
+    group order of a hom search, and ``deadline`` (a ``time.monotonic()`` reading) every loop."""
+
+    enum: int = DEFAULT_ENUM_BUDGET
+    order: int = DEFAULT_ORDER_GUARD
+    deadline: float = float("inf")
+
+    def clock(self, stage: str) -> None:
+        """Refuse once the deadline has passed; each loop calls this at its start and every 1024 steps."""
+        if time.monotonic() >= self.deadline:
+            raise BudgetExceeded(f"time limit reached in {stage}")
 
 
 class InternalError(TwistError):
@@ -40,10 +62,6 @@ def _witness_error(name, doc):
 NotAssociative = _witness_error("NotAssociative", "mul(mul(x,y),z) != mul(x,mul(y,z)); witness (x,y,z).")
 NoIdentity = _witness_error("NoIdentity", "No two-sided identity element exists.")
 NoInverse = _witness_error("NoInverse", "Element has no two-sided inverse; witness (x,).")
-
-
-class SearchBudgetExceeded(BudgetExceeded):
-    """Backtracking search exceeded its node budget."""
 
 
 # extension_algebra

@@ -32,6 +32,7 @@ from .errors import (
     SectionNotNormalised,
     SubgroupNotInvariant,
     ValueNotCentral,
+    Work,
 )
 from .groups import (
     Automorphism,
@@ -50,10 +51,6 @@ from .groups import (
 )
 from .nerves import trivial_gamma_nerve, validate_nerve
 from .records import record
-
-# default bound on every exact enumeration: the cocycle candidates of the Cech
-# engine and the 2-cocycles |Z^2| that second_cohomology lists
-DEFAULT_ENUM_BUDGET = 2_000_000
 
 
 @record(frozen=True)
@@ -96,9 +93,6 @@ class GammaOneCochain:
     """A map gamma -> Z(G) with a(1) = 1, as G-element indices."""
 
     values: tuple[int, ...]
-
-    def __call__(self, g: int) -> int:
-        return self.values[g]
 
 
 @record(frozen=True)
@@ -247,7 +241,7 @@ def restrict_to_subgroup(
     return check_cocycle(action, [[back[v] for v in row] for row in ctable])
 
 
-def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) -> CocycleClassification:
+def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleClassification:
     """Classify central 2-cocycles up to coboundary as the Cech H^2 of a point.
 
     Over the one-vertex nerve with Gamma acting trivially, the Cech complex
@@ -262,7 +256,7 @@ def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) 
     Representatives are the lexicographically minimal tables of each coset,
     and class ids ascend with them, so class 0 is B^2.  Refuses (rather than
     sampling) when the 3-cochains have more than DEFAULT_COORD_GUARD
-    coordinates, or when |Z^2| exceeds the guard.
+    coordinates, or when |Z^2| exceeds ``work.enum``.
     """
     # cech imports this module at load time
     from .cech import CechSystem, abelian_complex, cochain_values
@@ -274,8 +268,8 @@ def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) 
         raise BudgetExceeded(f"3-cochains have {n_out} coordinates, guard {DEFAULT_COORD_GUARD}")
     point = trivial_gamma_nerve(validate_nerve(1, []), gamma)
     cx = abelian_complex(CechSystem(point, restrict_to_subgroup(make_twisted_data(action), zsub)))
-    if cx.cocycles.size > guard:
-        raise BudgetExceeded(f"kernel of d2 has {cx.cocycles.size} elements, budget {guard}")
+    if cx.cocycles.size > work.enum:
+        raise BudgetExceeded(f"kernel of d2 has {cx.cocycles.size} elements, budget {work.enum}")
     pairs = [(t1, t2) for t1 in gamma.elements() if t1 for t2 in gamma.elements() if t2]
 
     def table_of(vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -285,7 +279,9 @@ def second_cohomology(action: GammaAction, *, guard: int = DEFAULT_ENUM_BUDGET) 
         return tuple(tuple(row) for row in table)
 
     least: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for vec in cx.cocycles.elements():
+    for listed, vec in enumerate(cx.cocycles.elements()):
+        if not listed & 1023:
+            work.clock("second_cohomology's Z^2 listing")
         label, table = cx.coboundaries.reduce(vec), table_of(vec)
         least[label] = min(table, least.get(label, table))
     # both orders are products over the Howell pivots, known before listing

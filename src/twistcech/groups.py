@@ -12,16 +12,14 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
+    BudgetExceeded,
     InputError,
     NoIdentity,
     NoInverse,
     NotAssociative,
-    SearchBudgetExceeded,
+    Work,
 )
 from .records import field, record
-
-DEFAULT_ORDER_GUARD = 64
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 @record(frozen=True)
@@ -94,15 +92,6 @@ class GroupHom:
     target: FiniteGroup
     map: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self after other."""
-        if other.target.order != self.source.order:
-            raise InputError("composition of homomorphisms with mismatched groups")
-        return GroupHom(other.source, self.target, tuple(self.map[x] for x in other.map))
-
     def is_bijective(self) -> bool:
         return len(set(self.map)) == self.source.order == self.target.order
 
@@ -115,9 +104,6 @@ class Automorphism:
     @property
     def map(self) -> tuple[int, ...]:
         return self.hom.map
-
-    def __call__(self, x: int) -> int:
-        return self.hom.map[x]
 
     def inverse(self) -> "Automorphism":
         g = self.hom.source
@@ -372,58 +358,46 @@ def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     return orbit_closures(g.elements(), lambda x: (g.conjugate(t, x) for t in g.elements()))
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
+def _hom_search(g: FiniteGroup, h: FiniteGroup, *, first_only: bool, work: Work) -> list[GroupHom]:
+    """Isomorphisms g -> h of groups of one order, by backtracking over generator images in h-index order.
 
-    def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise SearchBudgetExceeded(f"search budget {self.limit} exhausted")
-
-
-def _extend_partial_hom(
-    g: FiniteGroup,
-    h: FiniteGroup,
-    partial: dict[int, int],
-    new_src: int,
-    new_img: int,
-    budget: _Budget,
-) -> Optional[dict[int, int]]:
-    """Close a partial homomorphism under products; None on conflict."""
-    table = dict(partial)
-    if table.get(new_src, new_img) != new_img:
-        return None
-    table[new_src] = new_img
-    frontier = [new_src]
-    while frontier:
-        x = frontier.pop()
-        for y in list(table.keys()):
-            budget.spend()
-            for (s, t) in ((g.mul[x][y], h.mul[table[x]][table[y]]), (g.mul[y][x], h.mul[table[y]][table[x]])):
-                prev = table.get(s)
-                if prev is None:
-                    table[s] = t
-                    frontier.append(s)
-                elif prev != t:
-                    return None
-    return table
-
-
-def _hom_search(
-    g: FiniteGroup,
-    h: FiniteGroup,
-    *,
-    bijective: bool,
-    first_only: bool,
-) -> list[GroupHom]:
-    """Backtracking over generator images, lexicographic order in h-indices."""
+    Each candidate image and each product closing a partial map is a node,
+    counted against ``work.enum``.
+    """
+    work.clock("hom search")
     gens = g.generating_sequence()
     if not gens:  # trivial group
-        hom = GroupHom(g, h, (0,))
-        return [hom] if (not bijective or h.order == 1) else []
-    budget = _Budget(DEFAULT_SEARCH_BUDGET)
+        return [GroupHom(g, h, (0,))]
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > work.enum:
+            raise BudgetExceeded(f"hom search budget {work.enum} exhausted")
+        if not nodes & 1023:
+            work.clock("hom search")
+
+    def extend(partial: dict[int, int], new_src: int, new_img: int) -> Optional[dict[int, int]]:
+        """Close a partial homomorphism under products; None on conflict."""
+        table = dict(partial)
+        if table.get(new_src, new_img) != new_img:
+            return None
+        table[new_src] = new_img
+        frontier = [new_src]
+        while frontier:
+            x = frontier.pop()
+            for y in list(table.keys()):
+                spend()
+                for (s, t) in ((g.mul[x][y], h.mul[table[x]][table[y]]), (g.mul[y][x], h.mul[table[y]][table[x]])):
+                    prev = table.get(s)
+                    if prev is None:
+                        table[s] = t
+                        frontier.append(s)
+                    elif prev != t:
+                        return None
+        return table
+
     out: list[GroupHom] = []
     orders_h: dict[int, list[int]] = {}
     for x in h.elements():
@@ -433,22 +407,14 @@ def _hom_search(
         if depth == len(gens):
             if len(partial) != g.order:
                 return False
-            if bijective and len(set(partial.values())) != g.order:
-                return False
-            mapping = tuple(partial[x] for x in g.elements())
-            out.append(GroupHom(g, h, mapping))
+            out.append(GroupHom(g, h, tuple(partial[x] for x in g.elements())))
             return first_only
         src = gens[depth]
-        o = g.element_order(src)
-        cands = [x for x in h.elements() if o % h.element_order(x) == 0]
-        if bijective:
-            cands = orders_h.get(o, [])
-        for img in cands:
-            budget.spend()
-            nxt = _extend_partial_hom(g, h, partial, src, img, budget)
-            if nxt is None:
-                continue
-            if bijective and len(set(nxt.values())) != len(nxt):
+        for img in orders_h.get(g.element_order(src), []):
+            spend()
+            nxt = extend(partial, src, img)
+            # injective on every step, so bijective once it covers g
+            if nxt is None or len(set(nxt.values())) != len(nxt):
                 continue
             if backtrack(depth + 1, nxt):
                 return True
@@ -458,11 +424,11 @@ def _hom_search(
     return out
 
 
-def automorphisms(g: FiniteGroup, *, order_guard: int = DEFAULT_ORDER_GUARD) -> list[Automorphism]:
+def automorphisms(g: FiniteGroup, *, work: Work = Work()) -> list[Automorphism]:
     """Complete Aut(G) by generator-image backtracking, sorted by map table."""
-    if g.order > order_guard:
-        raise SearchBudgetExceeded(f"order {g.order} exceeds guard {order_guard}")
-    homs = _hom_search(g, g, bijective=True, first_only=False)
+    if g.order > work.order:
+        raise BudgetExceeded(f"order {g.order} exceeds guard {work.order}")
+    homs = _hom_search(g, g, first_only=False, work=work)
     return sorted((_automorphism(g, hom.map) for hom in homs), key=lambda a: a.map)
 
 
@@ -471,29 +437,27 @@ def inner_automorphisms(g: FiniteGroup) -> list[Automorphism]:
     return [_automorphism(g, m) for m in sorted(maps)]
 
 
-def outer_classes(g: FiniteGroup, *, order_guard: int = DEFAULT_ORDER_GUARD) -> list[list[Automorphism]]:
+def outer_classes(g: FiniteGroup, *, work: Work = Work()) -> list[list[Automorphism]]:
     """Coset decomposition of Aut(G) by Int(G), cosets ordered by their least map table.
 
     The identity is the least automorphism, so its coset comes first.
     """
-    auts = automorphisms(g, order_guard=order_guard)
+    auts = automorphisms(g, work=work)
     index = {a.map: i for i, a in enumerate(auts)}
     inner = inner_automorphisms(g)
     orbits = orbit_closures(range(len(auts)), lambda i: (index[b.compose(auts[i]).map] for b in inner))
     return [[auts[i] for i in orbit] for orbit in orbits]
 
 
-def find_isomorphism(
-    g: FiniteGroup, h: FiniteGroup, *, order_guard: int = DEFAULT_ORDER_GUARD
-) -> Optional[GroupHom]:
+def find_isomorphism(g: FiniteGroup, h: FiniteGroup, *, work: Work = Work()) -> Optional[GroupHom]:
     """First isomorphism in lexicographic generator-image order, or None."""
     if g.order != h.order:
         return None
-    if max(g.order, h.order) > order_guard:
-        raise SearchBudgetExceeded(f"order {max(g.order, h.order)} exceeds guard {order_guard}")
+    if g.order > work.order:
+        raise BudgetExceeded(f"order {g.order} exceeds guard {work.order}")
     if sorted(map(g.element_order, g.elements())) != sorted(map(h.element_order, h.elements())):
         return None
-    homs = _hom_search(g, h, bijective=True, first_only=True)
+    homs = _hom_search(g, h, first_only=True, work=work)
     return homs[0] if homs else None
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import collections
 import functools
 import sys
 
@@ -37,3 +38,19 @@ def count_calls(monkeypatch):
         return counts
 
     return install
+
+
+@pytest.fixture
+def clock_reads(monkeypatch):
+    """A Counter of ``Work.clock`` reads by stage name, over the rest of the test."""
+    from twistcech.errors import Work
+
+    reads = collections.Counter()
+    real = Work.clock
+
+    def clock(self, stage):
+        reads[stage] += 1
+        return real(self, stage)
+
+    monkeypatch.setattr(Work, "clock", clock)
+    return reads

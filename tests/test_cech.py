@@ -46,7 +46,7 @@ from twistcech.cech import (
     trivial_pair,
     twist_target,
 )
-from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, InternalError, NotCentral
+from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, InternalError, NotCentral, Work
 from twistcech.extensions import (
     build_twisted_product,
     check_cocycle,
@@ -353,7 +353,7 @@ def test_root_filter_on_open_edges_keeps_what_every_edge_keeps():
     for system in (*_grid_and_ladder_systems(), tree_system):
         tab = system.tables
         mul = tab.mul
-        for a in cech._edge_solutions(tab):
+        for a in cech._edge_solutions(tab, Work()):
             ax = tab.doubled(a)
             for g in system.gamma.generating_sequence():
                 left, right = frame = cech._frame(tab, ax, g)
@@ -391,9 +391,31 @@ def test_octahedron_counts_match_hom_from_c2():
 def test_budget_counts_walked_candidates():
     # X_OCT is simply connected: one edge solution times six root values
     system = _trivial_system(gamma_nerve("X_OCT"), "S3")
-    assert len(enumerate_cocycles(system, budget=6)) == 4
+    assert len(enumerate_cocycles(system, work=Work(enum=6))) == 4
     with pytest.raises(BudgetExceeded):
-        enumerate_cocycles(system, budget=5)
+        enumerate_cocycles(system, work=Work(enum=5))
+
+
+def test_h1_reads_the_clock_at_each_loop_start_and_every_1024_steps(clock_reads):
+    # four hollow triangles on vertex 0: |S3|^4 = 1296 edge solutions, each one candidate and one cocycle
+    bouquet = validate_nerve(9, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6), (0, 7), (7, 8), (0, 8)])
+    assert len(h1_twisted(_trivial_system(trivial_gamma_nerve(bouquet, C1), "S3"))) == 251
+    assert clock_reads == {
+        "enumerate_cocycles' edge search": 2,
+        "enumerate_cocycles' root walk": 2,
+        "h1_twisted's gauge orbits": 2,
+    }
+    with pytest.raises(BudgetExceeded, match="^time limit reached in enumerate_cocycles' edge search$"):
+        h1_twisted(_trivial_system(trivial_gamma_nerve(bouquet, C1), "S3"), work=Work(deadline=0.0))
+
+
+def test_a_refusal_in_a_sequence_check_is_raised_not_reported(monkeypatch):
+    # the centre's abelian complex over X_HEX needs more than 4 coordinates
+    monkeypatch.setattr(cech, "DEFAULT_COORD_GUARD", 4)
+    inst = grid_instance("X_HEX/Q8,q8_swap,square")
+    for check in (les_verify, existence_check):
+        with pytest.raises(BudgetExceeded, match="coordinates, guard 4"):
+            check(coefficient_ladder(inst.space, inst.data))
 
 
 # the six-vertex real projective plane: pi1 = C2, so triangles prune branches
@@ -414,7 +436,7 @@ def test_propagation_prunes_on_the_projective_plane():
         assert len(cocycles) == count
     # Hom(C2, S3) has 4 elements; a branch that breaks a triangle is pruned
     # before it is walked, so a budget of 4 candidates is enough
-    assert len(enumerate_cocycles(_trivial_system(RP2_6, "S3"), budget=4)) == 4
+    assert len(enumerate_cocycles(_trivial_system(RP2_6, "S3"), work=Work(enum=4))) == 4
     assert len(h1_twisted(_trivial_system(RP2_6, "S3"))) == 2
 
 
@@ -493,7 +515,7 @@ def test_enumeration_matches_oracle_on_generated_systems(case):
     cocycles = assert_matches_oracle(system, budget=ORACLE_CAP)
     # every accepted cocycle was walked, so one fewer is too small a budget
     with pytest.raises(BudgetExceeded):
-        enumerate_cocycles(system, budget=max(len(cocycles) - 1, 0))
+        enumerate_cocycles(system, work=Work(enum=max(len(cocycles) - 1, 0)))
 
 
 def _record_open_checks(monkeypatch):
@@ -586,9 +608,9 @@ def test_enumeration_validates_only_kept_roots(monkeypatch):
         cocycles = enumerate_cocycles(_trivial_system(space, g_name))
         assert (len(verdicts), sum(verdicts), len(cocycles)) == (validated, accepted, accepted)
     system = _trivial_system(space, "Q8")
-    assert len(enumerate_cocycles(system, budget=40)) == 8
+    assert len(enumerate_cocycles(system, work=Work(enum=40))) == 8
     with pytest.raises(BudgetExceeded):
-        enumerate_cocycles(system, budget=39)
+        enumerate_cocycles(system, work=Work(enum=39))
 
 
 def test_enumeration_checks_only_the_open_generator_sites(monkeypatch):
@@ -894,7 +916,7 @@ def test_h1_names_a_gauge_image_that_was_not_enumerated(monkeypatch):
     h1 = h1_twisted(system)
     # a cocycle whose class has other members: its neighbours move onto it
     dropped = next(x for x in cocycles if sum(cid == h1.class_of(x) for cid in h1.lookup.values()) > 1)
-    monkeypatch.setattr(cech, "enumerate_cocycles", lambda system, budget: [x for x in cocycles if x != dropped])
+    monkeypatch.setattr(cech, "enumerate_cocycles", lambda system, work: [x for x in cocycles if x != dropped])
     with pytest.raises(InternalError, match=r"leaves the 5 enumerated cocycles \(3 vertices, 3 edges, \|G\| = 6, \|Gamma\| = 1\)"):
         h1_twisted(system)
 
@@ -1366,7 +1388,7 @@ def test_les_verify_and_existence_check_read_the_ladder_preimage():
 
 
 def test_ladder_attributes_are_named():
-    fields = ["sys_g", "sys_z", "sys_q", "zsub", "proj", "lift_table", "budget"]
+    fields = ["sys_g", "sys_z", "sys_q", "zsub", "proj", "lift_table", "work"]
     assert list(ActionLadder.__record_fields__) == fields
     ladder = coefficient_ladder(X_HEX, c_q_data(INV))
     with pytest.raises(AttributeError):

@@ -86,6 +86,7 @@ def test_extensions_classify_budget_exits(capsys):
     # |Z^2| = 27 is over --budget-enum 2
     code, out = run_cli(["extensions", "classify", "C4", "C3", "--budget-enum", "2"], capsys)
     assert code == 3
+    assert json.loads(out)["checks"][0]["error"] == "kernel of d2 has 27 elements, budget 2"
     # 7^3 * 2 = 686 coordinates of 3-cochains is over the coordinate guard
     code, out = run_cli(["extensions", "classify", "C8", "C2xC2"], capsys)
     assert code == 3
@@ -183,6 +184,36 @@ def test_nonsense_limits_exit_2(capsys, flag, value):
 def test_time_limit_may_be_infinite(capsys):
     code, out = run_cli(["verify", "existence", "--only", "X_HEX/C2,trivial,trivial", "--time-limit", "inf"], capsys)
     assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["h1", "X_HEX", "X_HEX/Q8,q8_swap,square"], "enumerate_cocycles' edge search"),
+        (["extensions", "classify", "C2", "C4"], "second_cohomology's Z^2 listing"),
+        (["group", "aut", "Q8"], "hom search"),
+        (["verify", "les"], "enumerate_cocycles' edge search, at grid row circle/C2"),
+    ],
+)
+def test_time_limit_stops_every_command_in_its_first_loop(capsys, argv, stage):
+    code, out = run_cli([*argv, "--time-limit", "0"], capsys)
+    assert code == 3
+    [check] = json.loads(out)["checks"]
+    assert check == {"name": "budget", "status": "fail", "error": f"time limit reached in {stage}"}
+
+
+def test_group_aut_over_the_enumeration_budget_exits_3(capsys):
+    code, out = run_cli(["group", "aut", "Q8", "--budget-enum", "1"], capsys)
+    assert code == 3
+    assert json.loads(out)["checks"][0]["error"] == "hom search budget 1 exhausted"
+
+
+def test_verify_refused_by_the_coordinate_guard_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cech, "DEFAULT_COORD_GUARD", 4)
+    code, out = run_cli(["verify", "les", "--only", "X_HEX/Q8,q8_swap,square"], capsys)
+    assert code == 3
+    error = json.loads(out)["checks"][0]["error"]
+    assert error == "abelian cochain space has 12 coordinates, guard 4, at grid row X_HEX/Q8,q8_swap,square"
 
 
 def test_reports_byte_identical(tmp_path):

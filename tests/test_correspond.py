@@ -23,7 +23,7 @@ from twistcech.correspond import (
     plain_system,
     to_ghat_cocycle,
 )
-from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, NotFree
+from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, NotFree, Work
 from twistcech.extensions import build_twisted_product, make_twisted_data, trivial_action
 from twistcech.fixtures import c_q_data, default_grid, gamma_nerve, group, inversion_action, nerve
 from twistcech.groups import conjugacy_classes
@@ -371,10 +371,12 @@ def test_grothendieck_fiber_budget_counts_the_candidates_walked(count_calls):
     ph1 = plain_h1(DESC.downstairs, prod.group)
     base = GhatCocycleY(prod, ph1.representative(fiber_over_cover(DESC, prod, ph1)[0][0]))
     walked = count_calls(correspond, "plain_cocycle")
-    assert len(grothendieck_fiber(base, DESC, ph1, budget=4)) == 2
+    assert len(grothendieck_fiber(base, DESC, ph1, work=Work(enum=4))) == 2
     assert walked["plain_cocycle"] == 4
     with pytest.raises(BudgetExceeded):
-        grothendieck_fiber(base, DESC, ph1, budget=3)
+        grothendieck_fiber(base, DESC, ph1, work=Work(enum=3))
+    with pytest.raises(BudgetExceeded, match="^time limit reached in grothendieck_fiber's walk$"):
+        grothendieck_fiber(base, DESC, ph1, work=Work(deadline=0.0))
 
 
 def test_induced_gamma_class_matches_the_gamma_system_oracle():

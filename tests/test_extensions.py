@@ -17,6 +17,7 @@ from twistcech.errors import (
     NotNormalized,
     SectionNotNormalised,
     ValueNotCentral,
+    Work,
 )
 from twistcech.cech import (
     CechSystem,
@@ -52,7 +53,7 @@ from twistcech.fixtures import (
     inversion_action,
     named_action,
 )
-from twistcech.groups import automorphisms, center, find_isomorphism, subgroup_from_elements, validate_group
+from twistcech.groups import automorphisms, center, direct_product, find_isomorphism, subgroup_from_elements, validate_group
 from twistcech.nerves import trivial_gamma_nerve, validate_nerve
 
 C2, C4, C8 = group("C2"), group("C4"), group("C8")
@@ -194,11 +195,19 @@ def test_second_cohomology_orders_match_universal_coefficients(gamma, z, order):
 
 def test_second_cohomology_guards():
     with pytest.raises(BudgetExceeded):
-        second_cohomology(trivial_action(group("C4"), group("C3")), guard=26)
-    assert len(second_cohomology(trivial_action(group("C4"), group("C3")), guard=27)) == 1
+        second_cohomology(trivial_action(group("C4"), group("C3")), work=Work(enum=26))
+    assert len(second_cohomology(trivial_action(group("C4"), group("C3")), work=Work(enum=27))) == 1
     # (|Gamma| - 1)^3 * r = 7^3 * 2 coordinates is over the coordinate guard
     with pytest.raises(BudgetExceeded):
         second_cohomology(trivial_action(C8, group("C2xC2")))
+
+
+def test_second_cohomology_reads_the_clock_every_1024_cocycles(clock_reads):
+    # C2xC2 acting trivially on C4 x C2: |Z^2| = 2048
+    assert len(second_cohomology(trivial_action(group("C2xC2"), direct_product(C4, C2)))) == 64
+    assert clock_reads == {"second_cohomology's Z^2 listing": 2}
+    with pytest.raises(BudgetExceeded, match="^time limit reached in second_cohomology's Z\\^2 listing$"):
+        second_cohomology(trivial_action(C4, C2), work=Work(deadline=0.0))
 
 
 def test_second_cohomology_trivial_gamma():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcech.errors import InputError, NoIdentity, NoInverse, NotAssociative
+from twistcech.errors import BudgetExceeded, InputError, NoIdentity, NoInverse, NotAssociative, Work
 from twistcech.extensions import check_gamma_action
 from twistcech.fixtures import GROUPS, group
 from twistcech.groups import (
@@ -175,6 +175,20 @@ def test_find_isomorphism_identity_and_negative():
     assert find_isomorphism(C4, C4).map == (0, 1, 2, 3)
     assert find_isomorphism(C4, group("C2xC2")) is None
     assert find_isomorphism(D4, Q8) is None
+
+
+def test_hom_search_spends_one_work_limit(clock_reads):
+    c2_cubed = direct_product(group("C2xC2"), C2)
+    # Aut(C2^3) = GL(3, 2): 9,233 search nodes, a clock read at the start and at every 1,024th
+    assert len(automorphisms(c2_cubed)) == 168
+    assert clock_reads == {"hom search": 10}
+    with pytest.raises(BudgetExceeded, match="^hom search budget 9232 exhausted$"):
+        automorphisms(c2_cubed, work=Work(enum=9232))
+    assert len(automorphisms(c2_cubed, work=Work(enum=9233))) == 168
+    with pytest.raises(BudgetExceeded, match="^order 8 exceeds guard 7$"):
+        find_isomorphism(c2_cubed, c2_cubed, work=Work(order=7))
+    with pytest.raises(BudgetExceeded, match="^time limit reached in hom search$"):
+        find_isomorphism(D4, D4, work=Work(deadline=0.0))
 
 
 def test_find_isomorphism_symmetric():
