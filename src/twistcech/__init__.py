@@ -56,14 +56,10 @@ from .actions import (
 from .nerves import (
     CoverDescent,
     GammaNerve,
-    MonodromyRep,
     Nerve,
-    Pi1Presentation,
     build_cover,
     equivariant_isomorphism,
-    make_monodromy,
     monodromy,
-    pi1,
     quotient,
     trivial_gamma_nerve,
     validate_gamma_nerve,
@@ -103,7 +99,6 @@ from .correspond import (
     fiber_over_cover,
     from_ghat_cocycle,
     grothendieck_fiber,
-    induced_gamma_class,
     normalizer_embedding_check,
     plain_h1,
     to_ghat_cocycle,

@@ -223,7 +223,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
                 status = "pass" if len(h1r) == len(fib) else "fail"
                 detail = {"reduced": len(h1r), "fiber": len(fib)}
                 if fib:
-                    base = GhatCocycleY(prod, ph1.representative(fib[0][0]))
+                    base = GhatCocycleY(prod, ph1.representative(fib[0]))
                     gro = grothendieck_fiber(base, desc, ph1, work=cfg.work)
                     detail["grothendieck"] = len(gro)
                     if len(gro) != len(fib):

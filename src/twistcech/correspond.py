@@ -17,7 +17,7 @@ fibres.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cech import (
     CechSystem,
@@ -31,6 +31,7 @@ from .cech import (
 from .errors import (
     BudgetExceeded,
     CarrierMismatch,
+    Disconnected,
     InputError,
     InternalError,
     NotFree,
@@ -45,16 +46,7 @@ from .extensions import (
     trivial_action,
 )
 from .groups import FiniteGroup, GroupHom, cyclic_group, orbit_closures, subgroup_from_elements
-from .nerves import (
-    CoverDescent,
-    MonodromyRep,
-    Nerve,
-    monodromy,
-    pi1,
-    tree_gauge,
-    tree_monodromy,
-    trivial_gamma_nerve,
-)
+from .nerves import CoverDescent, Nerve, monodromy, tree_gauge, trivial_gamma_nerve
 from .records import record
 
 _TRIVIAL_GROUP = cyclic_group(1, label="C1")
@@ -237,20 +229,23 @@ def from_ghat_cocycle(x: GhatCocycleY, descent: CoverDescent) -> CTwistedCocycle
     return check_ctwisted(descent, x.product.data, vals)
 
 
-def _gamma_values(x: GhatCocycleY) -> Callable[[int, int], int]:
-    """The quotient-group part of each oriented edge value of a glued cocycle."""
-    proj = x.product.proj.map
-    return lambda u, v: proj[x.cocycle.edge_value(u, v)]
+def _gamma_part(product: TwistedProductGroup, x: TwistedOneCocycle) -> tuple[int, ...]:
+    """The quotient-group part of a glued cocycle's edge values, in edge order."""
+    proj = product.proj.map
+    return tuple(proj[v] for v in x.a)
 
 
-def induced_gamma_class(x: GhatCocycleY) -> MonodromyRep:
-    """The monodromy of the cover a glued-group cocycle induces.
+def _cover_class(descent: CoverDescent) -> set[tuple[int, ...]]:
+    """The simultaneous conjugates of the cover's monodromy.
 
-    The edge values are projected to the quotient group and read along the
-    spanning tree; ``make_monodromy`` checks every relation.  Only the
-    ``MonodromyRep`` is returned: no quotient-valued cocycle is built.
+    These are the tree-normalized Gamma-cocycles of the cover's class: on a
+    connected base the constant gauges are what is left of the gauge group
+    once the tree edges carry the identity, and they conjugate every value
+    by one element.
     """
-    return tree_monodromy(pi1(x.base), x.product.data.gamma, _gamma_values(x))
+    gamma = descent.upstairs.gamma
+    mono = monodromy(descent)
+    return {tuple(gamma.conjugate(t, v) for v in mono) for t in gamma.elements()}
 
 
 def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -> None:
@@ -259,28 +254,18 @@ def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -
         raise CarrierMismatch(message="H1 set is not the plain glued-group H1 of the descent base")
 
 
-def fiber_over_cover(
-    descent: CoverDescent,
-    product: TwistedProductGroup,
-    h1: CohomologySet,
-) -> list[tuple[int, MonodromyRep]]:
-    """Classes of ``h1`` whose induced cover is the given one, with their monodromy.
+def fiber_over_cover(descent: CoverDescent, product: TwistedProductGroup, h1: CohomologySet) -> list[int]:
+    """The ascending ids of the classes of ``h1`` whose induced cover is the given one.
 
     ``h1`` is ``plain_h1(descent.downstairs, product.group)``, built once by
     the caller and shared with ``grothendieck_fiber``; any other set raises
-    ``CarrierMismatch``.  Cover classes are compared by the canonical
-    conjugacy representative of their monodromy, the isomorphism invariant
-    of principal covers.
+    ``CarrierMismatch``.  Its representatives are tree-normalized, so a
+    class lies over the cover exactly when its representative's
+    quotient-group part is a conjugate of the cover's monodromy.
     """
     _check_plain_h1(h1, descent.downstairs, product)
-    target = monodromy(descent).canonical
-    out = []
-    for cid in range(len(h1)):
-        mono = induced_gamma_class(GhatCocycleY(product, h1.representative(cid)))
-        if mono.canonical == target:
-            out.append((cid, mono))
-    return out
-
+    over = _cover_class(descent)
+    return [cid for cid in range(len(h1)) if _gamma_part(product, h1.representative(cid)) in over]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +300,7 @@ def grothendieck_fiber(
     if y != descent.downstairs:
         raise CarrierMismatch(message="base cocycle and descent live on different nerves")
     _check_plain_h1(h1, descent.downstairs, prod)
-    if induced_gamma_class(base).canonical != monodromy(descent).canonical:
+    if _gamma_part(prod, h1.representative(h1.class_of(base.cocycle))) not in _cover_class(descent):
         raise InputError("base class does not induce the given cover")
 
     # twisted-conjugation cocycles k <-> glued cocycles k * g0 with the same
@@ -380,11 +365,13 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     prod = x.product
     gamma = prod.data.gamma
     y = x.base
-    gprime = induced_gamma_class(x).image
-
-    lam = tree_gauge(y, gamma, _gamma_values(x))
+    if not y.is_connected():
+        raise Disconnected(message="connected reduction requires a connected base")
+    proj = prod.proj.map
+    lam = tree_gauge(y, gamma, lambda u, v: proj[x.cocycle.edge_value(u, v)])
     moved = gauge(x.cocycle, [prod.section[t] for t in lam])
     gauged = GhatCocycleY(prod, make_cocycle(x.cocycle.system, *moved.serial()))
+    gprime = gamma.closure(_gamma_part(prod, gauged.cocycle))
 
     sub_prod, incl = sub_product(prod, gamma_sub=subgroup_from_elements(gamma, gprime))
     back = {b: a for a, b in enumerate(incl.map)}
@@ -414,6 +401,8 @@ def normalizer_embedding_check(
     Extension of structure group must identify two subgroup-product classes
     exactly when a normalizer element conjugates one onto the other.
     """
+    if not y.is_connected():
+        raise Disconnected(message="the monodromy filtration requires a connected base")
     gamma = data.gamma
     gset = sorted(set(int(t) for t in gamma_prime))
     big = build_twisted_product(data)
@@ -426,10 +415,11 @@ def normalizer_embedding_check(
 
     h1_small = plain_h1(y, sub_prod.group, work=work)
     full = []
+    sub_gamma = sub_prod.data.gamma
     for cid in range(len(h1_small)):
-        mono = induced_gamma_class(GhatCocycleY(sub_prod, h1_small.representative(cid)))
-        image_in_gamma = tuple(sorted(gset[t] for t in mono.image))
-        if image_in_gamma == tuple(gset):
+        # the representatives are tree-normalized: their values generate the monodromy group
+        image = sub_gamma.closure(_gamma_part(sub_prod, h1_small.representative(cid)))
+        if tuple(sorted(gset[t] for t in image)) == tuple(gset):
             full.append(cid)
 
     h1_big = plain_h1(y, big.group, work=work)

@@ -279,8 +279,10 @@ def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleCla
         return tuple(tuple(row) for row in table)
 
     least: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    # elements() builds the whole listing before the loop sees its first vector
+    work.clock("second_cohomology's Z^2 listing")
     for listed, vec in enumerate(cx.cocycles.elements()):
-        if not listed & 1023:
+        if listed and not listed & 1023:
             work.clock("second_cohomology's Z^2 listing")
         label, table = cx.coboundaries.reduce(vec), table_of(vec)
         least[label] = min(table, least.get(label, table))

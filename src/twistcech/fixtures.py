@@ -79,23 +79,25 @@ def group(name: str) -> FiniteGroup:
     return GROUPS[name]
 
 
+def _order_two_action(name: str, gamma: FiniteGroup, g: FiniteGroup, auto: tuple[int, ...]) -> GammaAction:
+    """Every nontrivial element of gamma acts by ``auto``: a homomorphism only
+    when |gamma| <= 2 or ``auto`` is the identity."""
+    ident = tuple(range(g.order))
+    if gamma.order > 2 and auto != ident:
+        raise InputError(f"{name} needs an acting group of order at most 2; {gamma.label} has order {gamma.order}")
+    return check_gamma_action(gamma, g, tuple(auto if t else ident for t in gamma.elements()))
+
+
 def inversion_action(gamma: FiniteGroup, g: FiniteGroup) -> GammaAction:
     """Each nontrivial element of an order-2 group acts by inversion."""
     if not g.is_abelian():
         raise InputError("inversion is only an automorphism of abelian groups")
-    ident = tuple(range(g.order))
-    inv = tuple(g.inv)
-    tables = tuple(ident if gamma.element_order(t) <= 1 else inv for t in gamma.elements())
-    return check_gamma_action(gamma, g, tables)
+    return _order_two_action("inversion", gamma, g, tuple(g.inv))
 
 
 def q8_swap_action(gamma: FiniteGroup) -> GammaAction:
     """The order-2 outer automorphism of Q8 exchanging i and j (k -> -k)."""
-    q8 = GROUPS["Q8"]
-    swap = (0, 1, 4, 5, 2, 3, 7, 6)
-    ident = tuple(range(8))
-    tables = tuple(ident if gamma.element_order(t) <= 1 else swap for t in gamma.elements())
-    return check_gamma_action(gamma, q8, tables)
+    return _order_two_action("q8_swap", gamma, GROUPS["Q8"], (0, 1, 4, 5, 2, 3, 7, 6))
 
 
 def named_action(name: str, gamma: FiniteGroup, g: FiniteGroup) -> GammaAction:

@@ -230,92 +230,6 @@ def trivial_gamma_nerve(nerve: Nerve, gamma: FiniteGroup) -> GammaNerve:
 
 
 # ---------------------------------------------------------------------------
-# Edge-path fundamental group
-# ---------------------------------------------------------------------------
-
-Word = tuple[int, ...]  # signed generator indices, 1-based: +k / -k
-
-
-@record(frozen=True)
-class Pi1Presentation:
-    """Edge-path presentation relative to a BFS spanning tree.
-
-    Generators are the non-tree edges, oriented low -> high vertex; each
-    2-simplex (i<j<k) contributes the relation gen(i,j) gen(j,k) gen(k,i).
-    Words are tuples of signed 1-based generator indices.
-    """
-
-    nerve: Nerve
-    tree_edges: tuple[Simplex, ...]
-    generators: tuple[Simplex, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    @cached_property
-    def _letter_index(self) -> dict[Simplex, int]:
-        """Each edge's 1-based generator index; 0 for tree edges."""
-        return {**dict.fromkeys(self.tree_edges, 0), **{e: k + 1 for k, e in enumerate(self.generators)}}
-
-    @cached_property
-    def relations(self) -> tuple[Word, ...]:
-        """The nontrivial words of the triangles i<j<k, gen(i,j) gen(j,k) gen(k,i)."""
-        words = (
-            free_reduce(self.edge_letter(i, j) + self.edge_letter(j, k) + self.edge_letter(k, i))
-            for i, j, k in self.nerve.triangles
-        )
-        return tuple(w for w in words if w)
-
-    def edge_letter(self, u: int, v: int) -> Word:
-        """The word of the oriented edge u -> v (empty for tree edges)."""
-        idx = self._letter_index.get((u, v) if u < v else (v, u))
-        if idx is None:
-            raise InputError(f"({u}, {v}) is not an edge of the nerve")
-        if not idx:
-            return ()
-        return (idx,) if u < v else (-idx,)
-
-    def loop_word(self, vertices: Sequence[int]) -> Word:
-        """Word of an edge loop given as a vertex sequence (closed)."""
-        if vertices[0] != vertices[-1]:
-            raise InputError("loop must start and end at the same vertex")
-        w: list[int] = []
-        for u, v in zip(vertices, vertices[1:]):
-            w.extend(self.edge_letter(u, v))
-        return free_reduce(tuple(w))
-
-
-def free_reduce(word: Word) -> Word:
-    out: list[int] = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def evaluate_word(group: FiniteGroup, assignment: Sequence[int], word: Word) -> int:
-    """Evaluate a signed word left-to-right in the group."""
-    acc = 0
-    for x in word:
-        g = assignment[abs(x) - 1]
-        acc = group.mul[acc][g if x > 0 else group.inv[g]]
-    return acc
-
-
-def pi1(nerve: Nerve) -> Pi1Presentation:
-    """The presentation on the spanning tree rooted at vertex 0."""
-    if not nerve.is_connected():
-        raise Disconnected(message="fundamental group requires a connected nerve")
-    _, tree = nerve.spanning_forest()
-    tree_set = set(tree)
-    gens = tuple(e for e in nerve.edges if e not in tree_set)
-    return Pi1Presentation(nerve, tuple(tree), gens)
-
-
-# ---------------------------------------------------------------------------
 # Quotients, covers, monodromy
 # ---------------------------------------------------------------------------
 
@@ -403,51 +317,26 @@ def quotient(x: GammaNerve, section: Optional[Sequence[int]] = None) -> CoverDes
     return CoverDescent(x, y, sec, tuple(orbit_index[v] for v in range(nerve.n_vertices)), transitions)
 
 
-@record(frozen=True)
-class MonodromyRep:
-    """Group elements attached to the fundamental-group generators.
+def build_cover(y: Nerve, gamma: FiniteGroup, values: Sequence[int]) -> tuple[GammaNerve, CoverDescent]:
+    """The cover classified by a Gamma-valued cocycle on the base.
 
-    ``canonical`` is the lexicographically minimal simultaneous conjugate of
-    the assignment tuple; it is the isomorphism invariant of the cover.
+    ``values`` holds one element per sorted edge (i, j) of ``y``, read on
+    the oriented edge i -> j; every triangle i<j<k must satisfy
+    v_ij v_jk == v_ik.  Vertices are (v, t) pairs indexed v * |Gamma| + t;
+    the group acts by right translation on the second coordinate.  The
+    descent section is v -> (v, 1) and its transitions are ``values``.
     """
-
-    gamma: FiniteGroup
-    presentation: Pi1Presentation
-    assignment: tuple[int, ...]
-    image: tuple[int, ...]
-    canonical: tuple[int, ...]
-
-
-def make_monodromy(gamma: FiniteGroup, pres: Pi1Presentation, assignment: Sequence[int]) -> MonodromyRep:
-    values = tuple(int(v) for v in assignment)
-    if len(values) != pres.rank:
-        raise InputError("assignment length differs from generator count")
-    for r in pres.relations:
-        if evaluate_word(gamma, values, r) != 0:
-            raise InputError(f"assignment does not kill the relation {r}")
-    image = gamma.closure(values)
-    canonical = min(
-        tuple(gamma.mul[gamma.inv[t]][gamma.mul[v][t]] for v in values) for t in gamma.elements()
-    )
-    return MonodromyRep(gamma, pres, values, image, canonical)
-
-
-def build_cover(y: Nerve, rep: MonodromyRep) -> tuple[GammaNerve, CoverDescent]:
-    """The cover classified by a monodromy assignment.
-
-    Vertices are (v, t) pairs indexed v * |Gamma| + t; the group acts by
-    right translation on the second coordinate.  The descent section is
-    v -> (v, 1) and its transitions realize the tree-normalized cocycle of
-    the assignment.
-    """
-    gamma = rep.gamma
+    vals = tuple(int(v) for v in values)
+    if len(vals) != len(y.edges):
+        raise InputError("need one group element per base edge")
+    if any(not 0 <= v < gamma.order for v in vals):
+        raise InputError(f"edge values must lie in 0..{gamma.order - 1}")
+    mul, inv = gamma.mul, gamma.inv
+    idx = y.edge_index
+    for (i, j, k) in y.triangles:
+        if mul[vals[idx[(i, j)]]][vals[idx[(j, k)]]] != vals[idx[(i, k)]]:
+            raise InputError(f"cocycle law fails on triangle ({i},{j},{k})")
     nq = gamma.order
-    pres = rep.presentation
-    if pres.nerve != y:
-        raise InputError("monodromy presentation belongs to a different nerve")
-
-    def cocycle(u: int, v: int) -> int:
-        return evaluate_word(gamma, rep.assignment, pres.edge_letter(u, v))
 
     def enc(v: int, t: int) -> int:
         return v * nq + t
@@ -456,16 +345,14 @@ def build_cover(y: Nerve, rep: MonodromyRep) -> tuple[GammaNerve, CoverDescent]:
     for d in range(MAX_DIM, 0, -1):
         for s in y.simplices[d]:
             v0 = s[0]
+            # the sheet over v of the lift through (v0, t) solves t = value(v0, v) * t_v
+            back = [inv[vals[idx[(v0, v)]]] for v in s[1:]]
             for t in gamma.elements():
-                lift = [enc(v0, t)]
-                for v in s[1:]:
-                    # sheet over v: solve t = cocycle(v0, v) * t_v
-                    tv = gamma.mul[gamma.inv[cocycle(v0, v)]][t]
-                    lift.append(enc(v, tv))
+                lift = [enc(v0, t), *(enc(v, mul[b][t]) for v, b in zip(s[1:], back))]
                 maximal.append(tuple(sorted(lift)))
     cover = validate_nerve(y.n_vertices * nq, maximal)
     tables = tuple(
-        tuple(enc(v, gamma.mul[t][s]) for v in range(y.n_vertices) for t in gamma.elements())
+        tuple(enc(v, mul[t][s]) for v in range(y.n_vertices) for t in gamma.elements())
         for s in gamma.elements()
     )
     gn = validate_gamma_nerve(cover, gamma, tables, require_free=True)
@@ -503,24 +390,21 @@ def tree_gauge(nerve: Nerve, group: FiniteGroup, value: Callable[[int, int], int
     return next(forest_functions(nerve, (0,), lambda p, v, x: mul[value(v, p)][x]))
 
 
-def tree_monodromy(pres: Pi1Presentation, gamma: FiniteGroup, value: Callable[[int, int], int]) -> MonodromyRep:
-    """Monodromy of edge values: the tree-gauged value of each generator edge."""
-    lam = tree_gauge(pres.nerve, gamma, value)
-    assignment = [gamma.mul[gamma.mul[gamma.inv[lam[u]]][value(u, v)]][lam[v]] for (u, v) in pres.generators]
-    return make_monodromy(gamma, pres, assignment)
+def monodromy(descent: CoverDescent) -> tuple[int, ...]:
+    """The transitions gauged to the identity on the spanning tree.
 
-
-def monodromy(descent: CoverDescent) -> MonodromyRep:
-    """Monodromy of a cover: transitions read along the spanning tree.
-
-    The section is gauge-normalized along the BFS tree so tree edges carry
-    the identity; each non-tree edge then contributes its normalized
-    transition as the image of the corresponding generator.
+    One element per base edge, in ``edges`` order: the section is regauged
+    by the ``tree_gauge`` frame, so tree edges carry the identity.  On a
+    connected base two covers are isomorphic exactly when their
+    monodromies are simultaneous conjugates.
     """
     y = descent.downstairs
     if not y.is_connected():
         raise Disconnected(message="monodromy requires a connected base")
-    return tree_monodromy(pi1(y), descent.upstairs.gamma, descent.transition)
+    gamma = descent.upstairs.gamma
+    mul, inv = gamma.mul, gamma.inv
+    lam = tree_gauge(y, gamma, descent.transition)
+    return tuple(mul[mul[inv[lam[u]]][descent.transition(u, v)]][lam[v]] for u, v in y.edges)
 
 
 def equivariant_isomorphism(a: GammaNerve, b: GammaNerve) -> Optional[tuple[int, ...]]:

@@ -202,6 +202,33 @@ def test_time_limit_stops_every_command_in_its_first_loop(capsys, argv, stage):
     assert check == {"name": "budget", "status": "fail", "error": f"time limit reached in {stage}"}
 
 
+def test_time_limit_refuses_before_the_z2_listing_is_built(monkeypatch, capsys):
+    # D4 acting trivially on C4 has |Z^2| = 32,768: the clock is read before they are listed
+    from twistcech.abelian import Echelon
+
+    def listing(self):
+        raise AssertionError("Echelon.elements was called")
+
+    monkeypatch.setattr(Echelon, "elements", listing)
+    code, out = run_cli(["extensions", "classify", "D4", "C4", "--time-limit", "0"], capsys)
+    assert code == 3
+    assert json.loads(out)["checks"][0]["error"] == "time limit reached in second_cohomology's Z^2 listing"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extensions", "classify", "C4", "C4", "--action", "inversion"], "inversion needs an acting group of order at most 2; C4 has order 4"),
+        (["extensions", "classify", "C4", "Q8", "--action", "q8_swap"], "q8_swap needs an acting group of order at most 2; C4 has order 4"),
+    ],
+)
+def test_named_order_two_actions_refuse_a_larger_acting_group(capsys, argv, message):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    [check] = json.loads(out)["checks"]
+    assert (check["kind"], check["error"]) == ("InputError", message)
+
+
 def test_group_aut_over_the_enumeration_budget_exits_3(capsys):
     code, out = run_cli(["group", "aut", "Q8", "--budget-enum", "1"], capsys)
     assert code == 3
@@ -347,7 +374,9 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # normalized cocycles that were normalized already.  2,076 gauges and
     # 92 pullbacks when each new H^1 orbit took every constant gauge and
     # H^1 reduced along every central element, not along generators; 1,111
-    # gauges when Q8's generating sequence kept the redundant -1
+    # gauges when Q8's generating sequence kept the redundant -1.  199 tree
+    # gauges when the correspondence fibres gauged every class's quotient
+    # part along the tree; the representatives are tree-normalized already
     first = dict(calls)
     assert first == {
         "action_ladder": 16,
@@ -359,7 +388,7 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "delta_h1_vector": 54,
         "act_h1z_by_h0q": 107,
         "make_cocycle": 564,
-        "tree_gauge": 199,
+        "tree_gauge": 92,
         "gauge": 973,
         "pullback": 46,
     }

@@ -1,11 +1,14 @@
 """Base-cover dictionary: descent, glued cocycles, fibres, reductions."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistcech.correspond as correspond
-from twistcech.cech import CechSystem, gauge, h1_reduced, h1_twisted, make_cocycle
+from twistcech.cech import CechSystem, enumerate_cocycles, gauge, h1_reduced, h1_twisted, make_cocycle
 from twistcech.correspond import (
     GhatCocycleY,
     ascend,
@@ -16,18 +19,17 @@ from twistcech.correspond import (
     from_ghat_cocycle,
     ghat_cocycle,
     grothendieck_fiber,
-    induced_gamma_class,
     normalizer_embedding_check,
     plain_cocycle,
     plain_h1,
     plain_system,
     to_ghat_cocycle,
 )
-from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, NotFree, Work
+from twistcech.errors import BudgetExceeded, CarrierMismatch, Disconnected, InputError, NotFree, Work
 from twistcech.extensions import build_twisted_product, make_twisted_data, trivial_action
-from twistcech.fixtures import c_q_data, default_grid, gamma_nerve, group, inversion_action, nerve
+from twistcech.fixtures import NERVES, c_q_data, default_grid, gamma_nerve, group, inversion_action, nerve
 from twistcech.groups import conjugacy_classes
-from twistcech.nerves import build_cover, make_monodromy, monodromy, pi1, quotient, tree_monodromy, validate_nerve
+from twistcech.nerves import build_cover, monodromy, quotient, validate_nerve
 
 C2, C4 = group("C2"), group("C4")
 S3, D4, Q8 = group("S3"), group("D4"), group("Q8")
@@ -35,6 +37,38 @@ Y_TRI = nerve("Y_TRI")
 X_HEX = gamma_nerve("X_HEX")
 INV = inversion_action(C2, C4)
 DESC = quotient(X_HEX)
+
+
+def tree_gauged(y, gamma, value):
+    """Oracle for the monodromy: the edge values gauged to the identity along the spanning tree.
+
+    ``value(u, v)`` is the element on the oriented edge u -> v.  The tree
+    frame is spread here from the BFS parents, not by ``nerves.tree_gauge``.
+    """
+    mul, inv = gamma.mul, gamma.inv
+    parent, _ = y.spanning_forest()
+    lam = {}
+    for v, p in parent.items():  # parents first
+        lam[v] = 0 if p is None else mul[value(v, p)][lam[p]]
+    return tuple(mul[mul[inv[lam[u]]][value(u, v)]][lam[v]] for u, v in y.edges)
+
+
+def least_conjugate(y, gamma, value):
+    """Oracle for a cover's class: the least simultaneous conjugate of the tree-gauged values."""
+    mul, inv = gamma.mul, gamma.inv
+    return min(tuple(mul[inv[t]][mul[x][t]] for x in tree_gauged(y, gamma, value)) for t in gamma.elements())
+
+
+def gamma_part(product, x):
+    """The quotient-group value of each oriented edge of a glued cocycle."""
+    return lambda u, v: product.proj.map[x.edge_value(u, v)]
+
+
+def oracle_fiber(descent, product, h1):
+    """The classes of ``h1`` whose quotient part has the cover's least conjugate."""
+    y, gamma = descent.downstairs, product.data.gamma
+    target = least_conjugate(y, gamma, descent.transition)
+    return [cid for cid in range(len(h1)) if least_conjugate(y, gamma, gamma_part(product, h1.representative(cid))) == target]
 
 
 def c2_grid():
@@ -53,11 +87,7 @@ def test_plain_h1_circle_counts():
 def test_plain_h1_matches_monodromy_classes():
     # over the circle a class is exactly a conjugacy class of monodromies
     h1 = plain_h1(Y_TRI, D4)
-    seen = set()
-    for cid in range(len(h1)):
-        rep = h1.representative(cid)
-        mono = tree_monodromy(pi1(Y_TRI), D4, rep.edge_value)
-        seen.add(mono.canonical)
+    seen = {least_conjugate(Y_TRI, D4, h1.representative(cid).edge_value) for cid in range(len(h1))}
     assert len(seen) == len(h1)
 
 
@@ -72,10 +102,7 @@ def test_transition_cocycle_monodromy_matches_cover_monodromy():
             continue
         gamma = inst.space.gamma
         transitions = plain_cocycle(plain_system(y, gamma), [desc.transition(i, j) for (i, j) in y.edges])
-        plain = tree_monodromy(pi1(y), gamma, transitions.edge_value)
-        cover = monodromy(desc)
-        assert plain.assignment == cover.assignment, inst.name
-        assert plain.canonical == cover.canonical, inst.name
+        assert monodromy(desc) == tree_gauged(y, gamma, transitions.edge_value), inst.name
         rows += 1
     assert rows > 0
 
@@ -84,29 +111,29 @@ def test_induced_gamma_class_trivial_for_kernel_values():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [prod.embed_g.map[1], prod.embed_g.map[2], 0]
     x = ghat_cocycle(prod, Y_TRI, vals)
-    mono = induced_gamma_class(x)
-    assert all(v == 0 for v in mono.assignment)
-    assert mono.image == (0,)
+    assert least_conjugate(Y_TRI, C2, gamma_part(prod, x.cocycle)) == (0, 0, 0)
+    assert connected_reduction(x).monodromy_group == (0,)
 
 
 def test_induced_gamma_class_reflection_edge():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [0, 0, prod.pair_index(0, 1)]
     x = ghat_cocycle(prod, Y_TRI, vals)
-    mono = induced_gamma_class(x)
-    assert mono.canonical == monodromy(DESC).canonical
+    ph1 = plain_h1(Y_TRI, prod.group)
+    assert ph1.class_of(x.cocycle) in fiber_over_cover(DESC, prod, ph1)
+    assert least_conjugate(Y_TRI, C2, gamma_part(prod, x.cocycle)) == least_conjugate(Y_TRI, C2, DESC.transition)
 
 
 def test_projection_constant_on_gauge_orbits():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [0, 0, prod.pair_index(1, 1)]
     x = ghat_cocycle(prod, Y_TRI, vals)
-    base = induced_gamma_class(x).canonical
+    base = least_conjugate(Y_TRI, C2, gamma_part(prod, x.cocycle))
     for g1 in prod.group.elements():
         for g2 in prod.group.elements():
             h = (g1, g2, 0)
             moved = gauge(x.cocycle, h)
-            assert induced_gamma_class(GhatCocycleY(prod, moved)).canonical == base
+            assert least_conjugate(Y_TRI, C2, gamma_part(prod, moved)) == base
 
 
 def test_descend_ascend_roundtrip_on_classes():
@@ -239,13 +266,13 @@ def test_to_ghat_roundtrip_and_cover_class():
         system = CechSystem(inst.space, inst.data)
         h1 = h1_twisted(system)
         prod = build_twisted_product(inst.data)
-        target = monodromy(desc).canonical
+        y = desc.downstairs
+        target = least_conjugate(y, C2, desc.transition)
         for cid in range(len(h1)):
             x = h1.representative(cid)
             down = descend(x, desc)
             gx = to_ghat_cocycle(down, prod)
-            mono = induced_gamma_class(gx)
-            assert mono.canonical == target
+            assert least_conjugate(y, C2, gamma_part(prod, gx.cocycle)) == target
             back = from_ghat_cocycle(gx, desc)
             assert back.values == down.values
             assert h1.class_of(ascend(back, h1.system)) == cid
@@ -289,7 +316,7 @@ def test_reduced_classes_biject_with_fiber():
         h1r = h1_reduced(h1)
         prod = build_twisted_product(inst.data)
         ph1 = plain_h1(desc.downstairs, prod.group)
-        fib = {cid for cid, _ in fiber_over_cover(desc, prod, ph1)}
+        fib = set(fiber_over_cover(desc, prod, ph1))
         image_by_reduced = {}
         for cid in range(len(h1)):
             x = h1.representative(cid)
@@ -314,9 +341,11 @@ def test_fiber_examples():
     # trivial target cover: classes reducing to the coefficient subgroup
     two = gamma_nerve("X_TWO_TRI")
     desc2 = quotient(two)
-    fib2 = fiber_over_cover(desc2, prod, plain_h1(desc2.downstairs, prod.group))
-    for cid, mono in fib2:
-        assert mono.image == (0,)
+    ph1 = plain_h1(desc2.downstairs, prod.group)
+    fib2 = fiber_over_cover(desc2, prod, ph1)
+    assert fib2 == oracle_fiber(desc2, prod, ph1) and fib2
+    for cid in fib2:
+        assert set(gamma_part(prod, ph1.representative(cid))(i, j) for i, j in desc2.downstairs.edges) == {0}
 
 
 def test_fibers_reject_an_h1_set_of_another_nerve_or_group():
@@ -337,7 +366,8 @@ def test_grothendieck_fiber_matches():
         desc = quotient(inst.space)
         prod = build_twisted_product(inst.data)
         ph1 = plain_h1(desc.downstairs, prod.group)
-        fib = [cid for cid, _ in fiber_over_cover(desc, prod, ph1)]
+        fib = fiber_over_cover(desc, prod, ph1)
+        assert fib == oracle_fiber(desc, prod, ph1), inst.name
         for cid in fib:
             base = GhatCocycleY(prod, ph1.representative(cid))
             assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == fib, inst.name
@@ -350,14 +380,14 @@ def test_grothendieck_fiber_where_a_triangle_binds_two_free_edges():
     # ties the free edges through Ad(g0), which for S3 and Q8 coefficients
     # differs from Ad(g0)^-1
     y = validate_nerve(4, [(0, 1), (0, 2), (0, 3), (1, 2, 3)])
-    pres = pi1(y)
-    assert pres.generators == ((1, 2), (1, 3), (2, 3))
-    cover, desc = build_cover(y, make_monodromy(C2, pres, (1, 1, 0)))
+    assert y.spanning_forest()[1] == ((0, 1), (0, 2), (0, 3))
+    cover, desc = build_cover(y, C2, (0, 0, 0, 1, 1, 0))
     for g, size in ((S3, 11), (Q8, 28)):
         data = make_twisted_data(trivial_action(C2, g))
         prod = build_twisted_product(data)
         ph1 = plain_h1(y, prod.group)
-        fib = [cid for cid, _ in fiber_over_cover(desc, prod, ph1)]
+        fib = fiber_over_cover(desc, prod, ph1)
+        assert fib == oracle_fiber(desc, prod, ph1)
         assert len(fib) == len(h1_reduced(h1_twisted(CechSystem(cover, data)))) == size
         for cid in fib:
             base = GhatCocycleY(prod, ph1.representative(cid))
@@ -369,7 +399,7 @@ def test_grothendieck_fiber_budget_counts_the_candidates_walked(count_calls):
     # give 4 candidates, and with no triangle to check each one is a cocycle
     prod = build_twisted_product(make_twisted_data(INV))
     ph1 = plain_h1(DESC.downstairs, prod.group)
-    base = GhatCocycleY(prod, ph1.representative(fiber_over_cover(DESC, prod, ph1)[0][0]))
+    base = GhatCocycleY(prod, ph1.representative(fiber_over_cover(DESC, prod, ph1)[0]))
     walked = count_calls(correspond, "plain_cocycle")
     assert len(grothendieck_fiber(base, DESC, ph1, work=Work(enum=4))) == 2
     assert walked["plain_cocycle"] == 4
@@ -381,7 +411,8 @@ def test_grothendieck_fiber_budget_counts_the_candidates_walked(count_calls):
 
 def test_induced_gamma_class_matches_the_gamma_system_oracle():
     # oracle: validate the projected values as a cocycle of the plain
-    # quotient-group system and read that cocycle's monodromy
+    # quotient-group system; the tree-normalized representatives project to
+    # tree-normalized values, so the fibre reads them without a gauge
     for inst in c2_grid():
         desc = quotient(inst.space)
         y = desc.downstairs
@@ -390,15 +421,11 @@ def test_induced_gamma_class_matches_the_gamma_system_oracle():
         gamma_system = plain_system(y, gamma)
         ph1 = plain_h1(y, prod.group)
         for cid in range(len(ph1)):
-            x = GhatCocycleY(prod, ph1.representative(cid))
-            gcoc = plain_cocycle(gamma_system, [prod.proj.map[v] for v in x.cocycle.a])
-            oracle = tree_monodromy(pi1(y), gamma, gcoc.edge_value)
-            mono = induced_gamma_class(x)
-            assert (mono.assignment, mono.image, mono.canonical) == (
-                oracle.assignment,
-                oracle.image,
-                oracle.canonical,
-            ), (inst.name, cid)
+            x = ph1.representative(cid)
+            gcoc = plain_cocycle(gamma_system, [prod.proj.map[v] for v in x.a])
+            assert tree_gauged(y, gamma, gcoc.edge_value) == gcoc.a, (inst.name, cid)
+            assert connected_reduction(GhatCocycleY(prod, x)).monodromy_group == gamma.closure(gcoc.a), (inst.name, cid)
+        assert fiber_over_cover(desc, prod, ph1) == oracle_fiber(desc, prod, ph1), inst.name
 
 
 def test_grothendieck_trivial_cover_degenerates():
@@ -413,24 +440,43 @@ def test_grothendieck_trivial_cover_degenerates():
     ph1 = plain_h1(desc2.downstairs, prod.group)
     fib = grothendieck_fiber(base, desc2, ph1)
     expected = fiber_over_cover(desc2, prod, ph1)
-    assert len(fib) == len(expected)
+    assert [ph1.class_of(r) for r in fib] == expected
 
 
 def test_connected_reduction_cases():
     prod = build_twisted_product(make_twisted_data(INV))
     ph1 = plain_h1(Y_TRI, prod.group)
+    # a frame that puts the reflection on both tree edges, so the raw
+    # quotient values of a kernel-valued class generate all of C2
+    flip = prod.pair_index(0, 1)
     for cid in range(len(ph1)):
-        x = GhatCocycleY(prod, ph1.representative(cid))
-        mono = induced_gamma_class(x)
-        red = connected_reduction(x)
-        assert red.monodromy_group == mono.image
-        if mono.image == (0,):
-            assert red.sub_product.group.order == C4.order
-        else:
-            assert red.sub_product.group.order == prod.group.order
-        # extension along the inclusion recovers the class
-        ext = plain_cocycle(ph1.system, tuple(red.embedding.map[v] for v in red.reduced.cocycle.a))
-        assert ph1.class_of(ext) == cid
+        rep = ph1.representative(cid)
+        image = C2.closure(tree_gauged(Y_TRI, C2, gamma_part(prod, rep)))
+        for z in (rep, gauge(rep, (0, flip, flip))):
+            red = connected_reduction(GhatCocycleY(prod, z))
+            assert red.monodromy_group == image
+            if image == (0,):
+                assert red.sub_product.group.order == C4.order
+            else:
+                assert red.sub_product.group.order == prod.group.order
+            # extension along the inclusion recovers the class
+            ext = plain_cocycle(ph1.system, tuple(red.embedding.map[v] for v in red.reduced.cocycle.a))
+            assert ph1.class_of(ext) == cid
+
+
+def test_monodromy_readers_refuse_a_disconnected_base():
+    # each component's monodromy is defined up to its own conjugation, so no
+    # one subgroup or conjugate set stands for the cover
+    two = validate_nerve(4, [(0, 1), (2, 3)])
+    data = make_twisted_data(INV)
+    prod = build_twisted_product(data)
+    _, desc = build_cover(two, C2, (1, 0))
+    with pytest.raises(Disconnected):
+        fiber_over_cover(desc, prod, plain_h1(two, prod.group))
+    with pytest.raises(Disconnected):
+        connected_reduction(ghat_cocycle(prod, two, (0, 0)))
+    with pytest.raises(Disconnected):
+        normalizer_embedding_check(two, data, [0, 1])
 
 
 def test_connected_reduction_compiles_one_system_per_call(count_calls):
@@ -485,3 +531,60 @@ def test_descend_requires_free_action():
     make_cocycle(system, *trivial_pair(system))  # twisted side accepts it
     with pytest.raises(NotFree):
         quotient(space)  # the base-side machinery rejects non-free actions
+
+
+# connected bases: the built-in nerves and the rank-two wedge of two hollow triangles
+COVER_BASES = (
+    *(n for n in NERVES.values() if n.is_connected()),
+    validate_nerve(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]),
+)
+COVER_GROUPS = ("C2", "C4", "S3", "Q8")
+
+
+def _cover_data(gamma_name):
+    """Twisted data over each quotient group: C2 acting trivially, and for C2 the inversion products."""
+    gamma = group(gamma_name)
+    extra = (make_twisted_data(INV), c_q_data(INV)) if gamma_name == "C2" else ()
+    return (make_twisted_data(trivial_action(gamma, C2)), *extra)
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_normalized(base, gamma_name):
+    return [x.a for x in enumerate_cocycles(plain_system(COVER_BASES[base], group(gamma_name)))]
+
+
+@functools.lru_cache(maxsize=None)
+def _glued_h1(base, gamma_name, which):
+    prod = build_twisted_product(_cover_data(gamma_name)[which])
+    return prod, plain_h1(COVER_BASES[base], prod.group)
+
+
+@st.composite
+def generated_covers(draw):
+    """A tree-normalized Gamma-cocycle on a connected base, gauged by a random vertex function."""
+    base = draw(st.integers(0, len(COVER_BASES) - 1))
+    gamma_name = draw(st.sampled_from(COVER_GROUPS))
+    y, gamma = COVER_BASES[base], group(gamma_name)
+    cocycles = _tree_normalized(base, gamma_name)
+    normalized = cocycles[draw(st.integers(0, len(cocycles) - 1))]
+    h = draw(st.lists(st.integers(0, gamma.order - 1), min_size=y.n_vertices, max_size=y.n_vertices))
+    mul, inv = gamma.mul, gamma.inv
+    values = tuple(mul[mul[inv[h[u]]][a]][h[v]] for (u, v), a in zip(y.edges, normalized))
+    which = draw(st.integers(0, len(_cover_data(gamma_name)) - 1))
+    return base, gamma_name, normalized, values, which
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(generated_covers())
+def test_generated_covers_have_their_transitions_monodromy_and_fibre(case):
+    base, gamma_name, normalized, values, which = case
+    y, gamma = COVER_BASES[base], group(gamma_name)
+    cover, built = build_cover(y, gamma, values)
+    desc = quotient(cover)
+    assert desc.section == built.section
+    assert tuple(desc.transition(i, j) for i, j in y.edges) == values
+    # the monodromy is tree-normalized and cohomologous to the input, so a simultaneous conjugate
+    assert monodromy(desc) in {tuple(gamma.conjugate(t, x) for x in normalized) for t in gamma.elements()}
+    assert monodromy(desc) == tree_gauged(y, gamma, desc.transition)
+    prod, ph1 = _glued_h1(base, gamma_name, which)
+    assert fiber_over_cover(desc, prod, ph1) == oracle_fiber(desc, prod, ph1)

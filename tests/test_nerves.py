@@ -1,4 +1,4 @@
-"""Nerves, simplicial actions, fundamental groups, covers and monodromy."""
+"""Nerves, simplicial actions, covers and monodromy."""
 
 import itertools
 
@@ -14,10 +14,7 @@ from twistcech.nerves import (
     build_cover,
     equivariant_isomorphism,
     forest_functions,
-    free_reduce,
-    make_monodromy,
     monodromy,
-    pi1,
     quotient,
     validate_gamma_nerve,
     validate_nerve,
@@ -61,46 +58,11 @@ def test_non_simplicial_action_rejected():
         validate_gamma_nerve(y, C2, (tuple(range(4)), perm))
 
 
-def test_pi1_examples():
-    p = pi1(Y_TRI)
-    assert p.rank == 1 and p.relations == ()
-    filled = pi1(nerve("Y_FILLED_TRI"))
-    assert filled.rank == 1
-    hexp = pi1(nerve("X_HEX_NERVE"))
-    assert hexp.rank == 1
-
-
-def test_edge_letters_read_one_generator_index():
-    for n in _fixture_nerves():
-        if not n.is_connected():
-            continue
-        pres = pi1(n)
-        tree = set(pres.tree_edges)
-        assert tree.isdisjoint(pres.generators) and len(tree) + pres.rank == len(n.edges)
-
-        def letter(u, v):
-            e = tuple(sorted((u, v)))
-            if e in tree:
-                return ()
-            k = pres.generators.index(e) + 1
-            return (k,) if u < v else (-k,)
-
-        for u, v in n.edges:
-            assert pres.edge_letter(u, v) == letter(u, v)
-            assert pres.edge_letter(v, u) == tuple(-x for x in letter(u, v))
-        want = [free_reduce(letter(i, j) + letter(j, k) + letter(k, i)) for i, j, k in n.triangles]
-        assert pres.relations == tuple(w for w in want if w)
-        for i, j, k in n.triangles:
-            assert pres.loop_word((i, j, k, i)) == free_reduce(letter(i, j) + letter(j, k) + letter(k, i))
-    pres = pi1(Y_TRI)
-    with pytest.raises(InputError):
-        pres.edge_letter(0, 5)
-
-
-def test_pi1_disconnected_raises():
+def test_monodromy_disconnected_raises():
     two = validate_nerve(4, [(0, 1), (2, 3)])
+    _, desc = build_cover(two, C2, (1, 0))
     with pytest.raises(Disconnected):
-        pi1(two)
+        monodromy(desc)
 
 
 def test_quotient_hex():
@@ -141,45 +103,40 @@ def test_quotient_rejects_small_cycles():
 
 
 def test_monodromy_of_hex():
+    # the tree edges (0,1) and (0,2) carry the identity, the closing edge the flip
     desc = quotient(X_HEX)
-    rep = monodromy(desc)
-    assert rep.assignment == (1,)
-    assert rep.image == (0, 1)
-    assert rep.canonical == (1,)
+    assert monodromy(desc) == (0, 0, 1)
 
 
 def test_monodromy_trivial_cover():
-    pres = pi1(Y_TRI)
-    rep = make_monodromy(C2, pres, (0,))
-    cover, desc = build_cover(Y_TRI, rep)
+    cover, desc = build_cover(Y_TRI, C2, (0, 0, 0))
     assert len(cover.nerve.components()) == 2  # index of the image
-    rep2 = monodromy(desc)
-    assert rep2.assignment == (0,)
-    assert rep2.image == (0,)
+    assert monodromy(desc) == (0, 0, 0)
 
 
 def test_monodromy_two_triangles_swap():
     desc = quotient(gamma_nerve("X_TWO_TRI"))
-    rep = monodromy(desc)
-    assert rep.assignment == (0,)
-    assert rep.image == (0,)
+    assert monodromy(desc) == (0, 0, 0)
     # cover disconnected exactly because the monodromy is not surjective
     assert len(gamma_nerve("X_TWO_TRI").nerve.components()) == 2
 
 
+def test_monodromy_gauges_the_transitions_along_the_tree():
+    # the section (3, 1, 2) moves the flip onto the tree edge (0, 1)
+    desc = quotient(X_HEX, section=(3, 1, 2))
+    assert [desc.transition(i, j) for i, j in Y_TRI.edges] == [1, 0, 0]
+    assert monodromy(desc) == (0, 0, 1)
+
+
 def test_build_cover_hex():
-    pres = pi1(Y_TRI)
-    rep = make_monodromy(C2, pres, (1,))
-    cover, desc = build_cover(Y_TRI, rep)
+    cover, desc = build_cover(Y_TRI, C2, (0, 0, 1))
     assert cover.nerve.n_vertices == 6
     assert len(cover.nerve.components()) == 1
     assert equivariant_isomorphism(cover, X_HEX) is not None
 
 
 def test_build_cover_c4_generator():
-    pres = pi1(Y_TRI)
-    rep = make_monodromy(C4, pres, (1,))
-    cover, desc = build_cover(Y_TRI, rep)
+    cover, desc = build_cover(Y_TRI, C4, (0, 0, 1))
     assert cover.nerve.n_vertices == 12
     assert len(cover.nerve.components()) == 1
     assert len(cover.nerve.edges) == 12
@@ -187,12 +144,18 @@ def test_build_cover_c4_generator():
 
 
 def test_build_cover_components_match_index():
-    pres = pi1(Y_TRI)
     for image_gen in C4.elements():
-        rep = make_monodromy(C4, pres, (image_gen,))
-        cover, _ = build_cover(Y_TRI, rep)
-        index = C4.order // len(rep.image)
+        cover, _ = build_cover(Y_TRI, C4, (0, 0, image_gen))
+        index = C4.order // len(C4.closure([image_gen]))
         assert len(cover.nerve.components()) == index
+
+
+def test_build_cover_has_the_given_transitions():
+    # values off the tree frame: every edge carries a different element
+    for values in ((1, 2, 3), (3, 0, 1), (2, 2, 0)):
+        _, desc = build_cover(Y_TRI, C4, values)
+        assert tuple(desc.transition(i, j) for i, j in Y_TRI.edges) == values
+        assert all(desc.transition(j, i) == C4.inv[desc.transition(i, j)] for i, j in Y_TRI.edges)
 
 
 def test_cover_quotient_roundtrip():
@@ -201,28 +164,34 @@ def test_cover_quotient_roundtrip():
         desc = quotient(x)
         assert x.nerve.n_vertices == x.gamma.order * desc.downstairs.n_vertices
         if desc.downstairs.is_connected():
-            rep = monodromy(desc)
-            rebuilt, _ = build_cover(desc.downstairs, rep)
+            rebuilt, _ = build_cover(desc.downstairs, x.gamma, monodromy(desc))
             assert equivariant_isomorphism(rebuilt, x) is not None
 
 
 def test_monodromy_class_invariant_under_sections():
+    # the group is abelian, so the conjugate set of the monodromy is one tuple
     x = X_HEX
     base = quotient(x)
-    target = monodromy(base).canonical
+    target = monodromy(base)
     orbits = x.vertex_orbits()
     for choice in itertools.product(*orbits):
         desc = quotient(x, section=choice)
-        assert monodromy(desc).canonical == target
+        assert monodromy(desc) == target
     # transitions change by a vertex gauge: cocycle identity still holds
     desc2 = quotient(x, section=(3, 1, 2))
     assert desc2.transitions != base.transitions or desc2.section == base.section
 
 
-def test_make_monodromy_checks_relations():
-    filled = pi1(nerve("Y_FILLED_TRI"))
+def test_build_cover_checks_the_triangle_law():
+    filled = nerve("Y_FILLED_TRI")
+    with pytest.raises(InputError, match=r"triangle \(0,1,2\)"):
+        build_cover(filled, C2, (0, 0, 1))
     with pytest.raises(InputError):
-        make_monodromy(C2, filled, (1,))
+        build_cover(filled, C2, (0, 1))
+    with pytest.raises(InputError, match=r"0\.\.1"):
+        build_cover(Y_TRI, C2, (0, 0, 2))
+    _, desc = build_cover(filled, C2, (1, 0, 1))
+    assert monodromy(desc) == (0, 0, 0)
 
 
 def _fixture_nerves():

@@ -17,10 +17,8 @@ from twistcech.correspond import (
     descend,
     fiber_over_cover,
     grothendieck_fiber,
-    induced_gamma_class,
     plain_cocycle,
     plain_h1,
-    plain_system,
     to_ghat_cocycle,
 )
 from twistcech.errors import BudgetExceeded
@@ -34,7 +32,7 @@ from twistcech.extensions import (
 )
 from twistcech.fixtures import group
 from twistcech.groups import center, find_isomorphism, validate_group
-from twistcech.nerves import build_cover, make_monodromy, monodromy, pi1, quotient, tree_monodromy, validate_nerve
+from twistcech.nerves import build_cover, monodromy, validate_nerve
 
 S3 = group("S3")
 
@@ -85,26 +83,34 @@ def s3_twists():
     return make_twisted_data(trivial_action(S3, c2)), twisted
 
 
+WEDGE = validate_nerve(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+
+
 def s3_cover():
-    """A free S3-cover of the rank-two wedge, built from a surjection."""
-    y = validate_nerve(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
-    pres = pi1(y)
-    assert pres.rank == 2
+    """A free S3-cover of the rank-two wedge, built from a surjection.
+
+    The tree edges (0, v) carry the identity and the two loops, through the
+    edges (1, 2) and (3, 4), carry a transposition and a 3-cycle.
+    """
+    assert WEDGE.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4))
     t = next(x for x in S3.elements() if S3.element_order(x) == 2)
     r = next(x for x in S3.elements() if S3.element_order(x) == 3)
-    rep = make_monodromy(S3, pres, (t, r))
-    assert rep.image == tuple(S3.elements())
-    cover, descent = build_cover(y, rep)
+    values = (0, 0, 0, 0, t, r)
+    assert S3.closure(values) == tuple(S3.elements())
+    cover, descent = build_cover(WEDGE, S3, values)
     assert cover.nerve.n_vertices == 30
     assert len(cover.nerve.components()) == 1
-    return cover, descent, rep
+    assert monodromy(descent) == values
+    return cover, descent, values
 
 
 def test_nonabelian_gamma_correspondence():
-    cover, descent, rep = s3_cover()
+    cover, descent, values = s3_cover()
     data_triv, data_dic = s3_twists()
     y = descent.downstairs
-    gamma_system = plain_system(y, S3)
+    # the cover's class in the plain H^1 of the base with S3 values
+    gamma_h1 = plain_h1(y, S3)
+    target = gamma_h1.class_of(plain_cocycle(gamma_h1.system, values))
     for data in (data_triv, data_dic):
         system = CechSystem(cover, data)
         h1 = h1_twisted(system)
@@ -114,10 +120,13 @@ def test_nonabelian_gamma_correspondence():
         ph1 = plain_h1(descent.downstairs, prod.group)
         fib = fiber_over_cover(descent, prod, ph1)
         assert len(fib) == len(h1r)
+        # oracle: the classes whose quotient part lies in the cover's S3 class
+        projected = [plain_cocycle(gamma_h1.system, [prod.proj.map[v] for v in ph1.representative(cid).a]) for cid in range(len(ph1))]
+        assert fib == [cid for cid, z in enumerate(projected) if gamma_h1.class_of(z) == target]
         # from every base class, the conjugation classes land on the fibre
-        for cid, _ in fib:
+        for cid in fib:
             reps = grothendieck_fiber(GhatCocycleY(prod, ph1.representative(cid)), descent, ph1)
-            assert [ph1.class_of(r) for r in reps] == [c for c, _ in fib]
+            assert [ph1.class_of(r) for r in reps] == fib
         # a gauge off the tree frame, so that tree edges carry quotient
         # values that are not their own inverses
         frame = [prod.pair_index(0, v % S3.order) for v in range(y.n_vertices)]
@@ -128,30 +137,27 @@ def test_nonabelian_gamma_correspondence():
             assert h1.class_of(ascend(down, h1.system)) == cid
             gx = to_ghat_cocycle(down, prod)
             for z in (gx.cocycle, gauge(gx.cocycle, frame)):
-                mono = induced_gamma_class(GhatCocycleY(prod, z))
-                assert mono.canonical == rep.canonical
-                # the projection's oracle: a validated quotient-group cocycle
-                gcoc = plain_cocycle(gamma_system, [prod.proj.map[v] for v in z.a])
-                assert mono.assignment == tree_monodromy(pi1(y), S3, gcoc.edge_value).assignment
+                # the projection is a validated quotient-group cocycle in the cover's class
+                gcoc = plain_cocycle(gamma_h1.system, [prod.proj.map[v] for v in z.a])
+                assert gamma_h1.class_of(gcoc) == target
             images.add(ph1.class_of(gx.cocycle))
-        assert images == {cid for cid, _ in fib}
+        assert images == set(fib)
 
 
 def test_nonabelian_gamma_class_counts_against_group_oracle():
     # classes over the wedge with full monodromy = pairs in the glued group
     # mapping onto the two chosen quotient generators, up to conjugation
-    cover, descent, rep = s3_cover()
+    cover, descent, values = s3_cover()
     data_triv, data_dic = s3_twists()
     y = descent.downstairs
     for data in (data_triv, data_dic):
         prod = build_twisted_product(data)
         grp = prod.group
         targets = {}
-        pres = rep.presentation
         for g1 in grp.elements():
             for g2 in grp.elements():
                 key = (prod.proj.map[g1], prod.proj.map[g2])
-                if key != tuple(rep.assignment):
+                if key != values[4:]:
                     continue
                 canon = min(
                     (
