@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, InternalError
 from .groups import FiniteGroup
@@ -269,14 +269,16 @@ class Echelon:
                 out = [(x - q * r) % m for x, r, m in zip(out, row, mods)]
         return tuple(out)
 
-    def elements(self) -> list[tuple[int, ...]]:
-        """Every element of B, walking the coefficient range of each row."""
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        """Every element of B, one at a time, the zero vector first.
+
+        Walks the coefficient range of each row, the last row's fastest.
+        """
         mods = self.mods
-        out = [tuple(0 for _ in mods)]
-        for j, h, row in self.rows:
-            multiples = [tuple(a * r % m for r, m in zip(row, mods)) for a in range(mods[j] // h)]
-            out = [tuple((x + y) % m for x, y, m in zip(v, w, mods)) for v in out for w in multiples]
-        return out
+        zero = (0,) * len(mods)
+        multiples = [[tuple(a * r % m for r, m in zip(row, mods)) for a in range(mods[j] // h)] for j, h, row in self.rows]
+        for combo in itertools.product(*multiples):
+            yield tuple(x % m for x, m in zip(map(sum, zip(zero, *combo)), mods))
 
 
 def echelon(mods: Sequence[int], generators: Iterable[Sequence[int]]) -> Echelon:

@@ -30,7 +30,7 @@ An abelian cochain is a flat list of coefficient values in one slot order:
 with simplices in the nerve's sorted order and t, t1, t2, t3 running over
 the nontrivial acting-group elements in index order.  Slots hold values on
 sorted simplices; ``d2`` reads a pulled simplex whose vertex order the
-action reverses through the inverse value.
+action reverses as its sorted slot with the opposite sign.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .abelian import (
     DEFAULT_COORD_GUARD,
     AbelianComplex,
     AbelianCoords,
+    ZHom,
     abelian_coordinates,
     hom_from_columns,
     solve,
@@ -112,9 +113,9 @@ class CechSystem:
         return _compile(self)
 
     @cached_property
-    def d2_tables(self) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, ...], ...]]:
-        """Tetrahedron faces and signed pulled triangles, built on the first ``d2``."""
-        return _compile_d2(self)
+    def d2_stencil(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The terms of ``d2`` per 3-cochain slot, built on first use (see ``_d2_stencil``)."""
+        return _d2_stencil(self)
 
 
 @record(frozen=True)
@@ -780,105 +781,115 @@ def _pair_of(system: CechSystem, values: Sequence[int]) -> tuple[tuple[int, ...]
     return tuple(values[:m]), ((0,) * n, *(tuple(values[i : i + n]) for i in range(m, len(values), n)))
 
 
-def _compile_d2(system: CechSystem) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, ...], ...]]:
-    """The tables ``d2`` reads besides ``system.tables``.
+def _d2_stencil(system: CechSystem) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The terms of ``d2`` at each 3-cochain slot, in slot order.
 
-    The face slots (ijx, ixl, ijl, jxl) of each tetrahedron ijxl, and per t
-    the slot of each pulled triangle in the doubled list ``u + [u_k^-1]``:
-    k when t maps the triangle onto triangle k with its orientation, k plus
-    the number of triangles when it reverses it.
+    Written additively in the abelian coefficients, a term (s, t, sign) adds
+    sign * theta_t^-1(x_s), x_s the value in 2-cochain slot s; a term
+    without theta has t = 0, the identity.  With v_t and w_{t1,t2} zero when
+    an index is 1, the sites are, in slot order:
+
+        u_ijx + u_ixl - u_ijl - u_jxl                                  on tetrahedra,
+        theta_t^-1(u_ijx) + v_t,ij + v_t,jx - u_{i.t, j.t, x.t} - v_t,ix   on (t, triangle),
+        v_t,(i.t2 j.t2) + theta_t^-1(v_t2,ij) + w_t,t2,i - v_{t2 t},ij - w_t,t2,j
+                                                                       on (t, t2, edge),
+        theta_t^-1(w_t2,t3,x) + w_{t, t3 t2},x - w_{t2 t, t3},x - w_{t,t2},x.t3
+                                                                       on (t, t2, t3, vertex).
+
+    A pulled triangle or edge whose vertex order the action reverses is its
+    sorted slot with the opposite sign.
     """
-    nerve = system.nerve
-    index = {tri: k for k, tri in enumerate(nerve.triangles)}
-    faces = tuple(
-        (index[(i, j, x)], index[(i, x, l)], index[(i, j, l)], index[(j, x, l)]) for i, j, x, l in nerve.tetrahedra
-    )
-    pulled = []
-    for row in system.space.vact:
-        slots = []
-        for tri in nerve.triangles:
-            p, q, r = (row[v] for v in tri)
-            odd = ((p > q) + (p > r) + (q > r)) % 2
-            slots.append(index[tuple(sorted((p, q, r)))] + odd * len(index))
-        pulled.append(tuple(slots))
-    return faces, tuple(pulled)
+    nerve, gmul, vact = system.nerve, system.gamma.mul, system.space.vact
+    tri = {s: k for k, s in enumerate(nerve.triangles)}
+    idx = nerve.edge_index
+    k, m, n = system.gamma.order - 1, len(nerve.edges), nerve.n_vertices
+    v0, w0 = len(tri), len(tri) + k * m
+    nontrivial = range(1, k + 1)
+
+    def u(p: int, q: int, r: int, sign: int = 1, t: int = 0) -> tuple[tuple[int, int, int], ...]:
+        odd = ((p > q) + (p > r) + (q > r)) % 2
+        return ((tri[tuple(sorted((p, q, r)))], t, -sign if odd else sign),)
+
+    def v(t: int, p: int, q: int, sign: int = 1, th: int = 0) -> tuple[tuple[int, int, int], ...]:
+        if not t:
+            return ()
+        return ((v0 + (t - 1) * m + idx[(min(p, q), max(p, q))], th, sign if p < q else -sign),)
+
+    def w(t1: int, t2: int, x: int, sign: int = 1, th: int = 0) -> tuple[tuple[int, int, int], ...]:
+        return ((w0 + ((t1 - 1) * k + t2 - 1) * n + x, th, sign),) if t1 and t2 else ()
+
+    sites = [(*u(i, j, x), *u(i, x, l), *u(i, j, l, -1), *u(j, x, l, -1)) for i, j, x, l in nerve.tetrahedra]
+    for t in nontrivial:
+        row = vact[t]
+        sites += (
+            (*u(i, j, x, 1, t), *v(t, i, j), *v(t, j, x), *u(row[i], row[j], row[x], -1), *v(t, i, x, -1))
+            for i, j, x in nerve.triangles
+        )
+    for t, t2 in itertools.product(nontrivial, repeat=2):
+        row, prod = vact[t2], gmul[t2][t]
+        sites += (
+            (*v(t, row[i], row[j]), *v(t2, i, j, 1, t), *w(t, t2, i), *v(prod, i, j, -1), *w(t, t2, j, -1))
+            for i, j in nerve.edges
+        )
+    for t, t2, t3 in itertools.product(nontrivial, repeat=3):
+        row, t32, t21 = vact[t3], gmul[t3][t2], gmul[t2][t]
+        sites += (
+            (*w(t2, t3, x, 1, t), *w(t, t32, x), *w(t21, t3, x, -1), *w(t, t2, row[x], -1)) for x in range(n)
+        )
+    return tuple(sites)
 
 
 def d2(system: CechSystem, values: Sequence[int]) -> list[int]:
     """The abelian coboundary of a flat 2-cochain (u, v, w), as a flat 3-cochain.
 
-    Read in the abelian coefficients, with v_t and w_{t1,t2} the identity
-    when an index is 1, and pulled edges and triangles signed by their
-    orientation, the sites are, in slot order:
-
-        u_ijx u_ixl / (u_ijl u_jxl)                                on tetrahedra,
-        theta_t^-1(u_ijx) v_t,ij v_t,jx / (u_{i.t, j.t, x.t} v_t,ix)   on (t, triangle),
-        v_t,(i.t2 j.t2) theta_t^-1(v_t2,ij) w_t,t2,i / (v_{t2 t},ij w_t,t2,j)
-                                                                   on (t, t2, edge),
-        theta_t^-1(w_t2,t3,v) w_{t, t3 t2},v / (w_{t2 t, t3},v w_{t,t2},v.t3)
-                                                                   on (t, t2, t3, vertex).
+    Each 3-cochain slot is the sum of its terms in ``system.d2_stencil``;
+    ``_d2_stencil`` states the sites.
     """
     tab = system.tables
-    faces, tri_pull = system.d2_tables
-    mul, inv, gmul = tab.mul, tab.inv, system.gamma.mul
-    m, n = len(tab.edges), len(tab.act[0])
-    it = iter(values)
-
-    def take(count: int) -> list[int]:
-        return list(itertools.islice(it, count))
-
-    # v[t] and w[t1][t2] are indexed by group element, the identity rows all 1
-    no_row = [0] * n
-    u = tab.doubled(take(len(tab.triangles)))
-    v = [[0] * 2 * m] + [tab.doubled(take(m)) for _ in tab.nontrivial]
-    w = [[no_row] * len(tab.act)] + [[no_row] + [take(n) for _ in tab.nontrivial] for _ in tab.nontrivial]
-    out = [mul[mul[u[ijx]][u[ixl]]][inv[mul[u[ijl]][u[jxl]]]] for ijx, ixl, ijl, jxl in faces]
-    for t in tab.nontrivial:
-        pull, th, vt = tri_pull[t], tab.theta_inv[t], v[t]
-        out += (
-            mul[mul[th[u[k]]][mul[vt[ij]][vt[jx]]]][inv[mul[u[pull[k]]][vt[ix]]]]
-            for k, (ij, jx, ix) in enumerate(tab.triangles)
-        )
-    for t, t2, prod, _ in tab.vertex_sites:
-        pull, th, vt, vt2, vp, wt = tab.pull[t2], tab.theta_inv[t], v[t], v[t2], v[prod], w[t][t2]
-        out += (
-            mul[mul[mul[vt[pull[e]]][th[vt2[e]]]][wt[i]]][inv[mul[vp[e]][wt[j]]]]
-            for e, (i, j) in enumerate(tab.edges)
-        )
-    for t, t2, prod, _ in tab.vertex_sites:
-        th, w12 = tab.theta_inv[t], w[t][t2]
-        for t3 in tab.nontrivial:
-            act3, w23, w1_32, w21_3 = tab.act[t3], w[t2][t3], w[t][gmul[t3][t2]], w[prod][t3]
-            out += (mul[mul[th[w23[x]]][w1_32[x]]][inv[mul[w21_3[x]][w12[act3[x]]]]] for x in range(n))
+    mul, inv, theta_inv = tab.mul, tab.inv, tab.theta_inv
+    out = []
+    for terms in system.d2_stencil:
+        acc = 0
+        for s, t, sign in terms:
+            x = theta_inv[t][values[s]]
+            acc = mul[acc][x if sign > 0 else inv[x]]
+        out.append(acc)
     return out
 
 
 def abelian_complex(system: CechSystem) -> AbelianComplex:
-    """Assemble d1 and d2 as integer matrices by probing unit cochains.
+    """Assemble d1 and d2 as integer matrices.
 
-    Both maps are homomorphisms for abelian coefficients, so the columns at
-    the coordinate unit vectors determine them; vectors are
-    ``cochain_vector``s of flat cochains in the slot order of the module
-    docstring.  ``d1`` reads no twist, so it is probed on the system itself.
-    Refuses when the 2-cochains outgrow the exact-linear-algebra guard.
+    Vectors are ``cochain_vector``s of flat cochains in the slot order of
+    the module docstring.  ``d1`` reads no twist and is a homomorphism for
+    abelian coefficients, so its columns are its values at the coordinate
+    unit vectors, probed on the system itself.  The rows of ``d2`` are read
+    off its stencil: a term (s, t, sign) adds sign times the coordinate
+    matrix of theta_t^-1 on the block of 2-cochain slot s.  Refuses when the
+    2-cochains outgrow the exact-linear-algebra guard.
     """
     if not system.coeff.is_abelian():
         raise InputError("abelian machinery requires abelian coefficients")
     co = abelian_coordinates(system.coeff)
     sizes = _cochain_sizes(system)
-    n_coords = sizes[1] * len(co.moduli)
-    if n_coords > DEFAULT_COORD_GUARD:
-        raise BudgetExceeded(f"abelian cochain space has {n_coords} coordinates, guard {DEFAULT_COORD_GUARD}")
+    r = len(co.moduli)
+    if sizes[1] * r > DEFAULT_COORD_GUARD:
+        raise BudgetExceeded(f"abelian cochain space has {sizes[1] * r} coordinates, guard {DEFAULT_COORD_GUARD}")
     mods1, mods2, mods3 = (co.moduli * size for size in sizes)
-
-    def columns(n_slots: int, image: Callable[[list[int]], Iterable[int]]) -> list[tuple[int, ...]]:
-        # unit vector j is the cochain with generator j % r in slot j // r and 1 elsewhere
-        units = ([0] * slot + [gen] + [0] * (n_slots - slot - 1) for slot in range(n_slots) for gen in co.generators)
-        return [cochain_vector(co, image(unit)) for unit in units]
-
-    d1_cols = columns(sizes[0], lambda values: _d1_values(system, *_pair_of(system, values)))
-    d2_cols = columns(sizes[1], lambda values: d2(system, values))
-    return AbelianComplex(co, hom_from_columns(d1_cols, mods1, mods2), hom_from_columns(d2_cols, mods2, mods3))
+    # unit vector j is the cochain with generator j % r in slot j // r and 1 elsewhere
+    units = ([0] * slot + [gen] + [0] * (sizes[0] - slot - 1) for slot in range(sizes[0]) for gen in co.generators)
+    d1_cols = [cochain_vector(co, _d1_values(system, *_pair_of(system, unit))) for unit in units]
+    # coord[t][j]: the coordinates of theta_t^-1 of generator j, column j of its matrix
+    coord = [[co.vec_of[th[gen]] for gen in co.generators] for th in system.tables.theta_inv]
+    rows = []
+    for terms in system.d2_stencil:
+        block = [[0] * len(mods2) for _ in range(r)]
+        for s, t, sign in terms:
+            for j, col in enumerate(coord[t], s * r):
+                for out_row, x in zip(block, col):
+                    out_row[j] += sign * x
+        rows += (tuple(x % d for x in out_row) for out_row, d in zip(block, co.moduli))
+    return AbelianComplex(co, hom_from_columns(d1_cols, mods1, mods2), ZHom(tuple(rows), mods2, mods3))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .extensions import (
     trivial_action,
 )
 from .groups import FiniteGroup, GroupHom, cyclic_group, orbit_closures, subgroup_from_elements
-from .nerves import CoverDescent, Nerve, monodromy, tree_gauge, trivial_gamma_nerve
+from .nerves import CoverDescent, Nerve, tree_gauge, trivial_gamma_nerve
 from .records import record
 
 _TRIVIAL_GROUP = cyclic_group(1, label="C1")
@@ -235,19 +235,6 @@ def _gamma_part(product: TwistedProductGroup, x: TwistedOneCocycle) -> tuple[int
     return tuple(proj[v] for v in x.a)
 
 
-def _cover_class(descent: CoverDescent) -> set[tuple[int, ...]]:
-    """The simultaneous conjugates of the cover's monodromy.
-
-    These are the tree-normalized Gamma-cocycles of the cover's class: on a
-    connected base the constant gauges are what is left of the gauge group
-    once the tree edges carry the identity, and they conjugate every value
-    by one element.
-    """
-    gamma = descent.upstairs.gamma
-    mono = monodromy(descent)
-    return {tuple(gamma.conjugate(t, v) for v in mono) for t in gamma.elements()}
-
-
 def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -> None:
     system = h1.system
     if system.gamma.order != 1 or system.nerve != y or system.coeff.mul != product.group.mul:
@@ -264,7 +251,7 @@ def fiber_over_cover(descent: CoverDescent, product: TwistedProductGroup, h1: Co
     quotient-group part is a conjugate of the cover's monodromy.
     """
     _check_plain_h1(h1, descent.downstairs, product)
-    over = _cover_class(descent)
+    over = descent.cover_class
     return [cid for cid in range(len(h1)) if _gamma_part(product, h1.representative(cid)) in over]
 
 
@@ -300,7 +287,7 @@ def grothendieck_fiber(
     if y != descent.downstairs:
         raise CarrierMismatch(message="base cocycle and descent live on different nerves")
     _check_plain_h1(h1, descent.downstairs, prod)
-    if _gamma_part(prod, h1.representative(h1.class_of(base.cocycle))) not in _cover_class(descent):
+    if _gamma_part(prod, h1.representative(h1.class_of(base.cocycle))) not in descent.cover_class:
         raise InputError("base class does not induce the given cover")
 
     # twisted-conjugation cocycles k <-> glued cocycles k * g0 with the same

@@ -254,12 +254,14 @@ def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleCla
     Every representative still passes check_cocycle.
 
     Representatives are the lexicographically minimal tables of each coset,
-    and class ids ascend with them, so class 0 is B^2.  Refuses (rather than
+    and class ids ascend with them, so class 0 is B^2, whose least table is
+    the identity table; only the Z^2 vectors outside B^2 build a table, each
+    entry read through one map per slot.  Refuses (rather than
     sampling) when the 3-cochains have more than DEFAULT_COORD_GUARD
     coordinates, or when |Z^2| exceeds ``work.enum``.
     """
     # cech imports this module at load time
-    from .cech import CechSystem, abelian_complex, cochain_values
+    from .cech import CechSystem, abelian_complex
 
     gamma = action.gamma
     zsub = center(action.g)
@@ -270,22 +272,31 @@ def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleCla
     cx = abelian_complex(CechSystem(point, restrict_to_subgroup(make_twisted_data(action), zsub)))
     if cx.cocycles.size > work.enum:
         raise BudgetExceeded(f"kernel of d2 has {cx.cocycles.size} elements, budget {work.enum}")
-    pairs = [(t1, t2) for t1 in gamma.elements() if t1 for t2 in gamma.elements() if t2]
+    r = len(cx.coords.moduli)
+    # per (t1, t2) slot: its table cell and the map from coordinates w to theta_{t2 t1}(w)
+    slots = [
+        (t2, t1, {vec: action.apply(gamma.mul[t2][t1], zsub.embed[w]) for w, vec in enumerate(cx.coords.vec_of)})
+        for t1 in range(1, gamma.order)
+        for t2 in range(1, gamma.order)
+    ]
 
     def table_of(vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         table = [[0] * gamma.order for _ in gamma.elements()]
-        for (t1, t2), w in zip(pairs, cochain_values(cx.coords, vec, len(pairs))):
-            table[t2][t1] = action.apply(gamma.mul[t2][t1], zsub.embed[w])
-        return tuple(tuple(row) for row in table)
+        for at, (t2, t1, entry) in enumerate(slots):
+            table[t2][t1] = entry[vec[at * r : at * r + r]]
+        return tuple(map(tuple, table))
 
-    least: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    # elements() builds the whole listing before the loop sees its first vector
+    # the zero table is least of all and lies in B^2, so B^2's vectors build none
+    zero = (0,) * len(cx.coboundaries.mods)
+    least = {zero: tuple((0,) * gamma.order for _ in gamma.elements())}
     work.clock("second_cohomology's Z^2 listing")
     for listed, vec in enumerate(cx.cocycles.elements()):
         if listed and not listed & 1023:
             work.clock("second_cohomology's Z^2 listing")
-        label, table = cx.coboundaries.reduce(vec), table_of(vec)
-        least[label] = min(table, least.get(label, table))
+        label = cx.coboundaries.reduce(vec)
+        if label != zero:
+            table = table_of(vec)
+            least[label] = min(table, least.get(label, table))
     # both orders are products over the Howell pivots, known before listing
     order = cx.cocycles.size // cx.coboundaries.size
     if len(least) != order:

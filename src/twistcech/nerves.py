@@ -255,6 +255,19 @@ class CoverDescent:
             return 0
         return self.transitions[(i, j)]
 
+    @cached_property
+    def cover_class(self) -> frozenset[tuple[int, ...]]:
+        """The simultaneous conjugates of ``monodromy(self)``, computed once per descent.
+
+        These are the tree-normalized Gamma-cocycles of the cover's class: on
+        a connected base the constant gauges are what is left of the gauge
+        group once the tree edges carry the identity, and they conjugate
+        every value by one element.
+        """
+        gamma = self.upstairs.gamma
+        mono = monodromy(self)
+        return frozenset(tuple(gamma.conjugate(t, v) for v in mono) for t in gamma.elements())
+
 
 def quotient(x: GammaNerve, section: Optional[Sequence[int]] = None) -> CoverDescent:
     """Orbit nerve of a free action together with its transition cocycle."""

@@ -199,6 +199,14 @@ def test_echelon_labels_and_size():
         assert members == coset
 
 
+def test_echelon_elements_is_an_iterator_from_zero():
+    # the Z^2 walk of second_cohomology holds one vector at a time
+    for mods, gens in (((4, 2, 8), [(2, 0, 0), (0, 0, 4)]), ((3, 6), [(1, 2)]), ((2, 4), []), ((), [])):
+        walk = echelon(mods, gens).elements()
+        assert iter(walk) is walk
+        assert next(walk) == (0,) * len(mods)
+
+
 small_mods = st.lists(st.sampled_from(MODULI), min_size=0, max_size=3)
 
 

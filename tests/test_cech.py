@@ -1151,10 +1151,24 @@ def test_d2_after_d1_is_trivial():
             assert set(reference_d2(system, values)) <= {0}
 
 
+def _point_system(action):
+    """The one-vertex system of ``second_cohomology`` for an action on an abelian group."""
+    return CechSystem(trivial_gamma_nerve(validate_nerve(1, []), action.gamma), make_twisted_data(action))
+
+
 def test_d2_matrix_matches_direct_evaluation():
-    # the flat d2, its matrix and the keyed reference agree on random cochains
+    # the flat d2, its matrix and the keyed reference agree on random cochains;
+    # the point systems reach the (t1, t2, t3) sites of acting groups of
+    # order 4 to 8, non-commuting ones among them, a faithful action, and
+    # S3 inverting C3 by the sign, where a term of the wrong sign shows
+    from test_extensions import _all_actions
+
+    faithful = next(a for a in _all_actions("S3", "C2xC2") if len({auto.map for auto in a.theta}) == 6)
+    s3, c3 = group("S3"), group("C3")
+    sign = check_gamma_action(s3, c3, [c3.inv if s3.element_order(t) == 2 else c3.elements() for t in s3.elements()])
+    points = [_point_system(trivial_action(group(name), C2)) for name in ("S3", "Q8", "D4", "C2xC2")]
     rng = random.Random(11)
-    for system in D2_SYSTEMS:
+    for system in [*D2_SYSTEMS, *points, _point_system(faithful), _point_system(sign)]:
         cx = abelian_complex(system)
         for _ in range(10):
             values = [rng.randrange(system.coeff.order) for _ in _c2_keys(system)]

@@ -376,7 +376,8 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # H^1 reduced along every central element, not along generators; 1,111
     # gauges when Q8's generating sequence kept the redundant -1.  199 tree
     # gauges when the correspondence fibres gauged every class's quotient
-    # part along the tree; the representatives are tree-normalized already
+    # part along the tree; the representatives are tree-normalized already.
+    # 92 when both fibres of a free row computed the cover's monodromy
     first = dict(calls)
     assert first == {
         "action_ladder": 16,
@@ -388,7 +389,7 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "delta_h1_vector": 54,
         "act_h1z_by_h0q": 107,
         "make_cocycle": 564,
-        "tree_gauge": 92,
+        "tree_gauge": 70,
         "gauge": 973,
         "pullback": 46,
     }
