@@ -220,13 +220,6 @@ class ZHom:
         return echelon(self.mods_out + self.mods_in, graph)
 
 
-def hom_from_columns(columns: Sequence[Sequence[int]], mods_in: Sequence[int], mods_out: Sequence[int]) -> ZHom:
-    rows = tuple(
-        tuple(int(columns[j][i]) for j in range(len(mods_in))) for i in range(len(mods_out))
-    )
-    return ZHom(rows, tuple(mods_in), tuple(mods_out))
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
     s0, s1, t0, t1 = 1, 0, 0, 1

@@ -3,17 +3,11 @@
 Data over a nerve with a group action is a pair (a, phi): a a 1-cochain on
 edges with values in the coefficient group, phi a family of vertex functions
 indexed by the acting group with phi[1] = 1.  The pair is a twisted cocycle
-when
-
-    a_ij a_jk == a_ik                                   on triangles,
-    phi_{t,i}^-1 a_{i.t, j.t} phi_{t,j} == theta_t^-1(a_ij)   on edges,
-    phi_{t, i.t'} theta_t^-1(phi_{t',i}) phi_{t't, i}^-1
-        == theta_{t't}^-1(c(t', t))                     at every vertex,
-
-with index translation i -> i.t the nerve action.  Gauge transformations by
-vertex functions act on the right; cohomology sets are gauge orbits, and the
-reduced variant additionally quotients by pullback along central covering
-transformations.
+when its ``d1`` meets the twist target at every triangle, (t, edge) and
+(t1, t2, vertex) site; ``_d1_sites`` states the sites.  Gauge
+transformations by vertex functions act on the right; cohomology sets are
+gauge orbits, and the reduced variant additionally quotients by pullback
+along central covering transformations.
 
 All enumeration is exact: a spanning forest normalizes the edge part, the
 remaining freedom is finite and walked completely, and abelian-coefficient
@@ -29,8 +23,10 @@ An abelian cochain is a flat list of coefficient values in one slot order:
 
 with simplices in the nerve's sorted order and t, t1, t2, t3 running over
 the nontrivial acting-group elements in index order.  Slots hold values on
-sorted simplices; ``d2`` reads a pulled simplex whose vertex order the
-action reverses as its sorted slot with the opposite sign.
+sorted simplices; ``d1`` and ``d2`` read a pulled simplex whose vertex order
+the action reverses as its sorted slot, inverted.  ``d1`` reads a pair as
+one flat list in C^1 order with the identity row last: a on the edges, then
+phi_t for t != 1, then phi_1, each row in vertex order.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from .abelian import (
     AbelianCoords,
     ZHom,
     abelian_coordinates,
-    hom_from_columns,
     solve,
 )
 from .actions import TwistedGSet, convert_side, homogeneous_space
@@ -111,6 +106,16 @@ class CechSystem:
     def tables(self) -> SystemTables:
         """The system compiled for the cocycle loops, built on first use."""
         return _compile(self)
+
+    @cached_property
+    def d1_stencil(self) -> tuple[D1Site, ...]:
+        """The sites of ``d1`` per 2-cochain slot, built on first use (see ``_d1_sites``)."""
+        return tuple(_d1_sites(self, range(self.nerve.n_vertices)))
+
+    @cached_property
+    def root_sites(self) -> tuple[D1Site, ...]:
+        """The triangle and edge sites of ``d1`` and its vertex sites at the component roots."""
+        return tuple(_d1_sites(self, self.tables.roots))
 
     @cached_property
     def d2_stencil(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -233,53 +238,78 @@ def trivial_pair(system: CechSystem) -> tuple[tuple[int, ...], tuple[tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-def _triangle_sites(tab: SystemTables, ax: Sequence[int]) -> Iterator[int]:
-    """a_ij a_jk a_ik^-1 per triangle, in ``nerve.triangles`` order."""
-    mul, inv = tab.mul, tab.inv
-    for ij, jx, ix in tab.triangles:
-        yield mul[mul[ax[ij]][ax[jx]]][inv[ax[ix]]]
+D1Site = tuple[tuple, tuple[tuple[int, int, int], ...], int]  # (key, factors, target)
 
 
-def _edge_sites(tab: SystemTables, ax: Sequence[int], t: int, row: Sequence[int], edges: Iterable[int]) -> Iterator[int]:
-    """phi_{t,u}^-1 a_{u.t, v.t} phi_{t,v} theta_t^-1(a_uv)^-1 per edge slot, row == phi_t."""
-    mul, inv = tab.mul, tab.inv
-    pull, th, ends = tab.pull[t], tab.theta_inv[t], tab.edges
-    for e in edges:
-        u, v = ends[e]
-        yield mul[mul[mul[inv[row[u]]][ax[pull[e]]]][row[v]]][inv[th[ax[e]]]]
+def _row_starts(tab: SystemTables) -> list[int]:
+    """Per t, the slot of phi_{t, 0} in a flat pair: the rows t != 1 follow the edges, the identity row comes last."""
+    m, order, n = len(tab.edges), len(tab.act), len(tab.act[0])
+    return [m + (t - 1) % order * n for t in range(order)]
 
 
-def _vertex_sites(
-    tab: SystemTables, phi: Sequence[Sequence[int]], t: int, t2: int, prod: int, vertices: Iterable[int]
-) -> Iterator[int]:
-    """phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1 per listed vertex v, prod == t2 t."""
-    mul, inv = tab.mul, tab.inv
-    act2, th = tab.act[t2], tab.theta_inv[t]
-    row, row2, rowp = phi[t], phi[t2], phi[prod]
-    for v in vertices:
-        yield mul[mul[row[act2[v]]][th[row2[v]]]][inv[rowp[v]]]
+def _flat_pair(a: Sequence[int], phi: Sequence[Sequence[int]]) -> list[int]:
+    """The pair (a, phi) as one flat list in ``d1``'s slot order."""
+    return [*a, *itertools.chain.from_iterable(phi[1:]), *phi[0]]
 
 
-def d1(
-    system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]]
-) -> tuple[dict, dict, dict]:
-    """The three obstruction components of a candidate pair.
+def _d1_sites(system: CechSystem, vertices: Sequence[int], pairs: Optional[set] = None) -> list[D1Site]:
+    """The sites of ``d1`` in 2-cochain slot order, each as (key, factors, target).
 
-    Returns (triangle part, edge part keyed (t, edge) for t != 1, vertex
-    part keyed (t1, t2) for t1, t2 != 1 with one value per vertex).
+    ``d1`` reads a pair as one flat list (see the module docstring).  A
+    factor (s, t, sign) is theta_t^-1 of the value in slot s, inverted when
+    sign is -1; a site's value is the ordered product of its factors, and
+    the pair is a twisted cocycle when every site's value is its target.
+    For t, t2 != 1 the sites, each with its target and then its key, are
+
+        a_ij a_jx a_ix^-1 == 1                             ("triangle", (i, j, x)),
+        phi_{t,i}^-1 a_{i.t, j.t} phi_{t,j} theta_t^-1(a_ij)^-1 == 1
+                                                           ("edge", (t, (i, j))),
+        phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1
+            == theta_{t2 t}^-1(c(t2, t))                   ("vertex", (t, t2, v)),
+
+    with index translation i -> i.t the nerve action.  Vertex sites are
+    listed at ``vertices`` only; given ``pairs``, only those of the listed (t, t2).
     """
     tab = system.tables
-    ax = tab.doubled(a)
-    every_edge = range(len(tab.edges))
-    tri_part = dict(zip(system.nerve.triangles, _triangle_sites(tab, ax)))
-    edge_part = {
-        (t, edge): val
-        for t in tab.nontrivial
-        for edge, val in zip(tab.edges, _edge_sites(tab, ax, t, phi[t], every_edge))
-    }
-    every_vertex = range(len(tab.act[0]))
-    pair_part = {(t, t2): tuple(_vertex_sites(tab, phi, t, t2, prod, every_vertex)) for t, t2, prod, _ in tab.vertex_sites}
-    return tri_part, edge_part, pair_part
+    m, act = len(tab.edges), tab.act
+    start = _row_starts(tab)
+    sites: list[D1Site] = []
+    if pairs is None:
+        sites += (
+            (("triangle", tri), ((ij, 0, 1), (jx, 0, 1), (ix, 0, -1)), 0)
+            for tri, (ij, jx, ix) in zip(system.nerve.triangles, tab.triangles)
+        )
+        for t in tab.nontrivial:
+            # a pulled edge in the doubled list (see ``SystemTables``): a reversed one is its sorted slot, inverted
+            pulled = [(s, 0, 1) if s < m else (s - m, 0, -1) for s in tab.pull[t][:m]]
+            sites += (
+                (("edge", (t, edge)), ((start[t] + edge[0], 0, -1), p, (start[t] + edge[1], 0, 1), (e, t, -1)), 0)
+                for e, (edge, p) in enumerate(zip(tab.edges, pulled))
+            )
+    sites += (
+        (("vertex", (t, t2, v)), ((start[t] + act[t2][v], 0, 1), (start[t2] + v, t, 1), (start[prod] + v, 0, -1)), want)
+        for t, t2, prod, want in tab.vertex_sites
+        if pairs is None or (t, t2) in pairs
+        for v in vertices
+    )
+    return sites
+
+
+def _products(tab: SystemTables, stencil: Iterable[Iterable[tuple[int, int, int]]], values: Sequence[int]) -> Iterator[int]:
+    """Per stencil slot, the ordered product of its terms (s, t, sign): theta_t^-1(values[s]), inverted when sign is -1."""
+    mul, inv, theta_inv = tab.mul, tab.inv, tab.theta_inv
+    for terms in stencil:
+        acc = 0
+        for s, t, sign in terms:
+            x = theta_inv[t][values[s]]
+            acc = mul[acc][x if sign > 0 else inv[x]]
+        yield acc
+
+
+def d1(system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]]) -> list[int]:
+    """The values of a candidate pair at the sites of ``system.d1_stencil``: a flat 2-cochain."""
+    stencil = (factors for _, factors, _ in system.d1_stencil)
+    return list(_products(system.tables, stencil, _flat_pair(a, phi)))
 
 
 def twist_target(system: CechSystem) -> dict:
@@ -292,37 +322,27 @@ def is_twisted_cocycle(
 ) -> tuple[bool, Optional[tuple]]:
     """Check membership in the twisted cocycle set; witness names the site.
 
-    Sites are checked in the order of ``d1``'s parts (triangles, then (t,
-    edge), then (t1, t2, vertex)), and the first violated one is returned.
+    Sites are checked in slot order (triangles, then (t, edge), then (t1, t2,
+    vertex)), and the first violated one is returned as its key and value.
 
     Vertex sites are read at the component roots only.  Once every edge
-    site holds, the defect phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1
-    at a neighbour w of v is the defect at v conjugated by a_{v.t2 t, w.t2 t}:
-    expand the three phi entries at w along the edge (v, w) by the edge
-    sites of t, t2 and t2 t, and theta_t^-1 theta_t2^-1 == theta_{t2 t}^-1
-    cancels the edge values between them.  The target is central, so it
-    holds on a whole component when it holds at the root, and fails at
-    every vertex of the component otherwise.  Each root is its component's
-    least vertex, so the first failing root is the first failing vertex of
-    the full scan, with the same value.  The edge sites cover phi_t for
-    t != 1 only; phi_1 enters the sites with t2 t == 1, so a phi_1 that is
-    not identically the identity has every vertex checked.
+    site holds, the defect of the vertex site (t, t2) at a neighbour w of v
+    is the defect at v conjugated by a_{v.t2 t, w.t2 t}: expand the three
+    phi entries at w along the edge (v, w) by the edge sites of t, t2 and
+    t2 t, and theta_t^-1 theta_t2^-1 == theta_{t2 t}^-1 cancels the edge
+    values between them.  The target is central, so it holds on a whole
+    component when it holds at the root, and fails at every vertex of the
+    component otherwise.  Each root is its component's least vertex, so the
+    first failing root is the first failing vertex of the full scan, with
+    the same value.  The edge sites cover phi_t for t != 1 only; phi_1
+    enters the sites with t2 t == 1, so a phi_1 that is not identically the
+    identity has every vertex checked.
     """
-    tab = system.tables
-    ax = tab.doubled(a)
-    for key, val in zip(system.nerve.triangles, _triangle_sites(tab, ax)):
-        if val != 0:
-            return False, ("triangle", key, val)
-    every_edge = range(len(tab.edges))
-    for t in tab.nontrivial:
-        for edge, val in zip(tab.edges, _edge_sites(tab, ax, t, phi[t], every_edge)):
-            if val != 0:
-                return False, ("edge", (t, edge), val)
-    vertices = range(len(tab.act[0])) if any(phi[0]) else tab.roots
-    for t, t2, prod, want in tab.vertex_sites:
-        for v, val in zip(vertices, _vertex_sites(tab, phi, t, t2, prod, vertices)):
-            if val != want:
-                return False, ("vertex", (t, t2, v), val)
+    sites = system.d1_stencil if any(phi[0]) else system.root_sites
+    values = _products(system.tables, (factors for _, factors, _ in sites), _flat_pair(a, phi))
+    for (key, _, want), val in zip(sites, values):
+        if val != want:
+            return False, (*key, val)
     return True, None
 
 
@@ -554,15 +574,19 @@ def _generator_steps(gamma: FiniteGroup, gens: Sequence[int]) -> list[tuple[int,
     return steps
 
 
-def _open_sites_hold(tab: SystemTables, phi: Sequence[Sequence[int]], sites: Iterable[tuple[int, int, int, int]]) -> bool:
-    """True when phi meets the twist target at every component root for the given (t, t2) sites.
+def _open_sites_hold(tab: SystemTables, values: Sequence[int], sites: Iterable[D1Site]) -> bool:
+    """True when the flat pair ``values`` meets the target at each given site of ``_d1_sites``; ``_products``' loop, inlined.
 
-    When phi meets every edge site, that is at every vertex (see ``is_twisted_cocycle``).
+    At the component roots, when the pair meets every edge site, that is at every vertex (see ``is_twisted_cocycle``).
     """
-    for t, t2, prod, want in sites:
-        for val in _vertex_sites(tab, phi, t, t2, prod, tab.roots):
-            if val != want:
-                return False
+    mul, inv, theta_inv = tab.mul, tab.inv, tab.theta_inv
+    for _, factors, want in sites:
+        acc = 0
+        for s, t, sign in factors:
+            x = theta_inv[t][values[s]]
+            acc = mul[acc][x if sign > 0 else inv[x]]
+        if acc != want:
+            return False
     return True
 
 
@@ -645,17 +669,22 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
     target = twist_target(system)
     steps = [(t, t_prev, g, inv[target[(g, t_prev)]]) for t, t_prev, g in _generator_steps(system.gamma, gens)]
     step_sites = {(g, t_prev) for _, t_prev, g, _ in steps}
-    open_sites = [site for site in tab.vertex_sites if site[0] in gens and site[:2] not in step_sites]
+    open_pairs = {site[:2] for site in tab.vertex_sites if site[0] in gens and site[:2] not in step_sites}
+    open_sites = _d1_sites(system, roots, open_pairs)
     n_vertices = system.nerve.n_vertices
     comp_of = [0] * n_vertices
     for ci, comp in enumerate(tab.components):
         for v in comp:
             comp_of[v] = ci
-    # a candidate reads phi_g at the roots' images r.t of the steps and sites
+    # a candidate's flat pair is filled where it is read: phi_g at the roots' images r.t, the step rows at the roots
+    start = _row_starts(tab)
+    values = [0] * (start[0] + n_vertices)  # the identity row, last, stays 1
     reads = sorted({act[r] for act in tab.act for r in roots})
-    zero_row = (0,) * n_vertices
-    phi: list = [[0] * n_vertices for _ in tab.act]  # a candidate's rows, filled where they are read
-    phi[0] = zero_row
+    # per step, phi_{t, r} from phi_{g, r.t_prev} and phi_{t_prev, r}: their slots per root
+    root_steps = [
+        (tab.theta_inv[g], twist, [(start[t] + r, start[g] + tab.act[t_prev][r], start[t_prev] + r) for r in roots])
+        for t, t_prev, g, twist in steps
+    ]
 
     out: list[TwistedOneCocycle] = []
     walked = 0
@@ -663,10 +692,11 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
         ax = tab.doubled(a)
         frames = [_frame(tab, ax, g) for g in gens]
         kept = [_kept_roots(tab, ax, g, ci, frame) for g, frame in zip(gens, frames) for ci in range(n_comps)]
-        # (v, coordinate of v's root value, row of L_v, R_v) per vertex read, per generator
+        # (slot of phi_{g,v}, coordinate of v's root value, row of L_v, R_v) per vertex read, per generator
         frame_reads = [
-            [(v, gi * n_comps + comp_of[v], mul[left[v]], right[v]) for v in reads]
-            for gi, (left, right) in enumerate(frames)
+            (start[g] + v, gi * n_comps + comp_of[v], mul[left[v]], right[v])
+            for gi, (g, (left, right)) in enumerate(zip(gens, frames))
+            for v in reads
         ]
         for combo in itertools.product(*kept):
             walked += 1
@@ -674,18 +704,14 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
                 raise BudgetExceeded(f"enumeration walked more than {work.enum} candidates (edge solutions x kept root choices)")
             if walked & 1023 == 1:
                 work.clock("enumerate_cocycles' root walk")
-            for g, slots in zip(gens, frame_reads):
-                row = phi[g]
-                for v, k, left_row, right in slots:
-                    row[v] = mul[left_row[combo[k]]][right]
-            for t, t_prev, g, twist in steps:
-                grow, prev_row, row = phi[g], phi[t_prev], phi[t]
-                act, th = tab.act[t_prev], tab.theta_inv[g]
-                for r in roots:
-                    row[r] = mul[mul[grow[act[r]]][th[prev_row[r]]]][twist]
-            if not _open_sites_hold(tab, phi, open_sites):
+            for s, k, left_row, right in frame_reads:
+                values[s] = mul[left_row[combo[k]]][right]
+            for th, twist, slots in root_steps:
+                for s, s_g, s_prev in slots:
+                    values[s] = mul[mul[values[s_g]][th[values[s_prev]]]][twist]
+            if not _open_sites_hold(tab, values, open_sites):
                 continue
-            rows: list = [zero_row] * len(tab.act)
+            rows: list = [(0,) * n_vertices] * len(tab.act)
             for gi, (g, (left, right)) in enumerate(zip(gens, frames)):
                 xs = combo[gi * n_comps : (gi + 1) * n_comps]
                 rows[g] = [mul[mul[lv][xs[ci]]][rv] for lv, ci, rv in zip(left, comp_of, right)]
@@ -769,12 +795,6 @@ def cochain_values(coords: AbelianCoords, vec: Sequence[int], count: int) -> lis
     return [coords.element(vec[i * r : (i + 1) * r]) for i in range(count)]
 
 
-def _d1_values(system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]]) -> list[int]:
-    """``d1`` of a pair as a flat 2-cochain: its three parts are already in slot order."""
-    tri_part, edge_part, pair_part = d1(system, a, phi)
-    return [*tri_part.values(), *edge_part.values(), *itertools.chain.from_iterable(pair_part.values())]
-
-
 def _pair_of(system: CechSystem, values: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The pair (a, phi) of a flat 1-cochain; phi of the identity is identically 1."""
     m, n = len(system.nerve.edges), system.nerve.n_vertices
@@ -795,9 +815,6 @@ def _d2_stencil(system: CechSystem) -> tuple[tuple[tuple[int, int, int], ...], .
                                                                        on (t, t2, edge),
         theta_t^-1(w_t2,t3,x) + w_{t, t3 t2},x - w_{t2 t, t3},x - w_{t,t2},x.t3
                                                                        on (t, t2, t3, vertex).
-
-    A pulled triangle or edge whose vertex order the action reverses is its
-    sorted slot with the opposite sign.
     """
     nerve, gmul, vact = system.nerve, system.gamma.mul, system.space.vact
     tri = {s: k for k, s in enumerate(nerve.triangles)}
@@ -845,28 +862,19 @@ def d2(system: CechSystem, values: Sequence[int]) -> list[int]:
     Each 3-cochain slot is the sum of its terms in ``system.d2_stencil``;
     ``_d2_stencil`` states the sites.
     """
-    tab = system.tables
-    mul, inv, theta_inv = tab.mul, tab.inv, tab.theta_inv
-    out = []
-    for terms in system.d2_stencil:
-        acc = 0
-        for s, t, sign in terms:
-            x = theta_inv[t][values[s]]
-            acc = mul[acc][x if sign > 0 else inv[x]]
-        out.append(acc)
-    return out
+    return list(_products(system.tables, system.d2_stencil, values))
 
 
 def abelian_complex(system: CechSystem) -> AbelianComplex:
     """Assemble d1 and d2 as integer matrices.
 
     Vectors are ``cochain_vector``s of flat cochains in the slot order of
-    the module docstring.  ``d1`` reads no twist and is a homomorphism for
-    abelian coefficients, so its columns are its values at the coordinate
-    unit vectors, probed on the system itself.  The rows of ``d2`` are read
-    off its stencil: a term (s, t, sign) adds sign times the coordinate
-    matrix of theta_t^-1 on the block of 2-cochain slot s.  Refuses when the
-    2-cochains outgrow the exact-linear-algebra guard.
+    the module docstring.  The rows of both maps are read off their
+    stencils, ``d1_stencil`` and ``d2_stencil``: a term (s, t, sign) adds
+    sign times the coordinate matrix of theta_t^-1 on the block of slot s.
+    The terms of d1 on phi_1's slots add nothing, since abelian 1-cochains
+    fix phi_1 = 1.  Refuses when the 2-cochains outgrow the
+    exact-linear-algebra guard.
     """
     if not system.coeff.is_abelian():
         raise InputError("abelian machinery requires abelian coefficients")
@@ -876,20 +884,23 @@ def abelian_complex(system: CechSystem) -> AbelianComplex:
     if sizes[1] * r > DEFAULT_COORD_GUARD:
         raise BudgetExceeded(f"abelian cochain space has {sizes[1] * r} coordinates, guard {DEFAULT_COORD_GUARD}")
     mods1, mods2, mods3 = (co.moduli * size for size in sizes)
-    # unit vector j is the cochain with generator j % r in slot j // r and 1 elsewhere
-    units = ([0] * slot + [gen] + [0] * (sizes[0] - slot - 1) for slot in range(sizes[0]) for gen in co.generators)
-    d1_cols = [cochain_vector(co, _d1_values(system, *_pair_of(system, unit))) for unit in units]
     # coord[t][j]: the coordinates of theta_t^-1 of generator j, column j of its matrix
     coord = [[co.vec_of[th[gen]] for gen in co.generators] for th in system.tables.theta_inv]
-    rows = []
-    for terms in system.d2_stencil:
-        block = [[0] * len(mods2) for _ in range(r)]
-        for s, t, sign in terms:
-            for j, col in enumerate(coord[t], s * r):
-                for out_row, x in zip(block, col):
-                    out_row[j] += sign * x
-        rows += (tuple(x % d for x in out_row) for out_row, d in zip(block, co.moduli))
-    return AbelianComplex(co, hom_from_columns(d1_cols, mods1, mods2), ZHom(tuple(rows), mods2, mods3))
+
+    def hom(stencil: Iterable[Iterable[tuple[int, int, int]]], mods_in: tuple[int, ...], mods_out: tuple[int, ...]) -> ZHom:
+        rows = []
+        for terms in stencil:
+            block = [[0] * len(mods_in) for _ in range(r)]
+            for s, t, sign in terms:
+                if s * r < len(mods_in):
+                    for j, col in enumerate(coord[t], s * r):
+                        for out_row, x in zip(block, col):
+                            out_row[j] += sign * x
+            rows += (tuple(x % d for x in out_row) for out_row, d in zip(block, co.moduli))
+        return ZHom(tuple(rows), mods_in, mods_out)
+
+    d1_hom = hom((factors for _, factors, _ in system.d1_stencil), mods1, mods2)
+    return AbelianComplex(co, d1_hom, hom(system.d2_stencil, mods2, mods3))
 
 
 # ---------------------------------------------------------------------------
@@ -991,15 +1002,11 @@ class CoefficientLadder:
     def target(self) -> tuple[int, ...]:
         """The twist 2-cochain (1, 1, theta^-1(c)) as a centre vector.
 
-        Its (t, t2, vertex) slots hold theta_{t2 t}^-1(c(t2, t)), read off
-        the twisted system's vertex sites and mapped into the centre.
+        Its slots hold the targets of the twisted system's ``d1`` sites,
+        mapped into the centre.
         """
-        tab, cx = self.sys_c.tables, self.base.cx
-        back = self.base.zsub.parent_to_sub
-        n = len(tab.act[0])
-        values = [0] * (len(tab.triangles) + len(tab.nontrivial) * len(tab.edges))
-        values += (back[want] for *_, want in tab.vertex_sites for _ in range(n))
-        vec = cochain_vector(cx.coords, values)
+        cx, back = self.base.cx, self.base.zsub.parent_to_sub
+        vec = cochain_vector(cx.coords, (back[want] for _, _, want in self.sys_c.d1_stencil))
         if not cx.in_kernel_d2(vec):
             raise InternalError("twist 2-cochain is not d2-closed")
         return vec
@@ -1098,7 +1105,7 @@ def delta_h1_vector(
         a = tuple(ladder.sys_g.coeff.inv[v] for v in a)
     back = ladder.zsub.parent_to_sub
     try:
-        values = [back[val] for val in _d1_values(ladder.sys_g, a, phi)]
+        values = [back[val] for val in d1(ladder.sys_g, a, phi)]
     except KeyError as exc:
         raise InternalError("obstruction of a quotient-cocycle lift escaped the centre") from exc
     vec = cochain_vector(ladder.cx.coords, values)

@@ -363,6 +363,7 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "tree_gauge",
         "gauge",
         "pullback",
+        "d1",
     )
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
     # one action ladder per distinct space and action of the 26 rows; 26
@@ -377,7 +378,8 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # gauges when Q8's generating sequence kept the redundant -1.  199 tree
     # gauges when the correspondence fibres gauged every class's quotient
     # part along the tree; the representatives are tree-normalized already.
-    # 92 when both fibres of a free row computed the cover's monodromy
+    # 92 when both fibres of a free row computed the cover's monodromy.
+    # 183 d1 calls when the abelian complex probed d1 on unit 1-cochains
     first = dict(calls)
     assert first == {
         "action_ladder": 16,
@@ -392,6 +394,7 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "tree_gauge": 70,
         "gauge": 973,
         "pullback": 46,
+        "d1": 54,
     }
     # nothing is kept from one main() call to the next
     assert main(["verify", "all", "--out", str(tmp_path / "again.json")]) == 0

@@ -1,14 +1,16 @@
-"""Source hygiene: every module of the package uses each name it imports, no class forwards attributes, and the CLI loads no heavy standard modules."""
+"""Source hygiene: every module of the package uses each name it imports, every definition is named somewhere, no class forwards attributes, and the CLI loads no heavy standard modules."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twistcech"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "twistcech"
 # the package's own imports are its exports
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
@@ -23,6 +25,33 @@ def test_every_imported_name_is_used(path):
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_every_definition_is_named_outside_itself():
+    # a top-level function or class, or a method other than a dunder, that no
+    # source, test or benchmark file names outside its own definition is dead
+    sources = {
+        path: path.read_text(encoding="utf-8") for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+    }
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(sources[path])
+        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [
+            item
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
+        ]
+        for node in defs:
+            lines = sources[path].splitlines()
+            del lines[min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1 : node.end_lineno]
+            texts = ["\n".join(lines), *(text for other, text in sources.items() if other != path)]
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(text) for text in texts):
+                unnamed.append(f"{path.stem}.{node.name}")
+    assert unnamed == []
 
 
 def test_no_class_defines_getattr():
