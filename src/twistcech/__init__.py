@@ -58,7 +58,6 @@ from .nerves import (
     GammaNerve,
     Nerve,
     build_cover,
-    equivariant_isomorphism,
     monodromy,
     quotient,
     trivial_gamma_nerve,

@@ -27,6 +27,12 @@ sorted simplices; ``d1`` and ``d2`` read a pulled simplex whose vertex order
 the action reverses as its sorted slot, inverted.  ``d1`` reads a pair as
 one flat list in C^1 order with the identity row last: a on the edges, then
 phi_t for t != 1, then phi_1, each row in vertex order.
+
+A twisted cocycle is stored as that flat list, its key: ``bytes`` when the
+coefficient group has at most 256 elements, a tuple otherwise.  phi_1 is
+identically 1 on every cocycle, so keys rank as the pairs (a, phi) do.
+Gauge moves (``CechSystem.gauge_moves``), pullbacks and relabellings act
+on keys through compiled tables, and cohomology sets map keys to classes.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from .groups import (
     quotient_group,
     subgroup_from_elements,
 )
-from .nerves import GammaNerve, Nerve, Simplex, forest_functions, tree_gauge
+from .nerves import GammaNerve, Nerve, Simplex, forest_functions
 from .records import record
 
 
@@ -108,14 +114,24 @@ class CechSystem:
         return _compile(self)
 
     @cached_property
+    def gauge_moves(self) -> tuple[tuple[tuple[int, int, bytes | tuple[int, ...]], ...], ...]:
+        """The constant gauges by a coefficient generator on one component, compiled on first use (see ``_gauge_moves``)."""
+        return _gauge_moves(self)
+
+    @cached_property
+    def d1_edge_sites(self) -> tuple[D1Site, ...]:
+        """The triangle and (t, edge) sites of ``d1``, shared by ``d1_stencil`` and ``root_sites``."""
+        return tuple(_d1_sites(self))
+
+    @cached_property
     def d1_stencil(self) -> tuple[D1Site, ...]:
         """The sites of ``d1`` per 2-cochain slot, built on first use (see ``_d1_sites``)."""
-        return tuple(_d1_sites(self, range(self.nerve.n_vertices)))
+        return self.d1_edge_sites + tuple(_d1_sites(self, range(self.nerve.n_vertices)))
 
     @cached_property
     def root_sites(self) -> tuple[D1Site, ...]:
         """The triangle and edge sites of ``d1`` and its vertex sites at the component roots."""
-        return tuple(_d1_sites(self, self.tables.roots))
+        return self.d1_edge_sites + tuple(_d1_sites(self, self.tables.roots))
 
     @cached_property
     def d2_stencil(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -132,6 +148,7 @@ class SystemTables:
     its inverse on the reversed edge, so every oriented edge is one slot.
     """
 
+    key_type: type  # bytes or tuple
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     act: tuple[tuple[int, ...], ...]  # act[t][v] == v . t
@@ -140,6 +157,7 @@ class SystemTables:
     pull: tuple[tuple[int, ...], ...]  # pull[t][s]: slot of the image of oriented edge s under t
     triangles: tuple[tuple[int, int, int], ...]  # slots of (i, j), (j, x), (i, x)
     components: tuple[tuple[int, ...], ...]  # as ``nerve.components()``; the first vertex is the forest root
+    comp_of: tuple[int, ...]  # per vertex, the index of its component
     forest: tuple[tuple[tuple[int, int, int], ...], ...]  # per component, (v, parent, slot parent -> v) parents first
     open_edges: tuple[tuple[int, ...], ...]  # per component, the slots of its edges off the forest
     roots: tuple[int, ...]  # per component, its least vertex, the forest root
@@ -147,8 +165,7 @@ class SystemTables:
     vertex_sites: tuple[tuple[int, int, int, int], ...]  # (t, t2, t2 t, theta_{t2 t}^-1(c(t2, t)))
 
     def doubled(self, a: Sequence[int]) -> list[int]:
-        inv = self.inv
-        return [*a, *(inv[x] for x in a)]
+        return [*a, *map(self.inv.__getitem__, a)]
 
 
 def _compile(system: CechSystem) -> SystemTables:
@@ -156,21 +173,19 @@ def _compile(system: CechSystem) -> SystemTables:
     gamma = system.gamma
     idx = nerve.edge_index
     m = len(nerve.edges)
-
-    def slot(u: int, v: int) -> int:
-        return idx[(u, v)] if u < v else idx[(v, u)] + m
-
+    # the slot of each oriented edge in the doubled list
+    slot = {**idx, **{(v, u): e + m for (u, v), e in idx.items()}}
     act = system.space.vact
     pull = []
     for row in act:
-        images = [slot(row[u], row[v]) for (u, v) in nerve.edges]
+        images = [slot[row[u], row[v]] for (u, v) in nerve.edges]
         pull.append(tuple(images + [s + m if s < m else s - m for s in images]))
     # the forest's (parent, child) arcs come in BFS order, one component after another
     comps, parent, _, arcs = nerve._forest
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     forest: list[list[tuple[int, int, int]]] = [[] for _ in comps]
     for p, v in arcs:
-        forest[comp_of[v]].append((v, p, slot(p, v)))
+        forest[comp_of[v]].append((v, p, slot[p, v]))
     open_edges: list[list[int]] = [[] for _ in comps]
     for e, (u, v) in enumerate(nerve.edges):
         if u != parent[v] and v != parent[u]:
@@ -183,6 +198,7 @@ def _compile(system: CechSystem) -> SystemTables:
             prod = gamma.mul[t2][t]
             vertex_sites.append((t, t2, prod, data.theta_inv(prod, data.c(t2, t))))
     return SystemTables(
+        key_type=bytes if data.g.order <= 256 else tuple,
         mul=data.g.mul,
         inv=data.g.inv,
         act=act,
@@ -191,6 +207,7 @@ def _compile(system: CechSystem) -> SystemTables:
         pull=tuple(pull),
         triangles=tuple((idx[(i, j)], idx[(j, x)], idx[(i, x)]) for (i, j, x) in nerve.triangles),
         components=comps,
+        comp_of=tuple(comp_of[v] for v in range(nerve.n_vertices)),
         forest=tuple(tuple(f) for f in forest),
         open_edges=tuple(tuple(c) for c in open_edges),
         roots=tuple(comp[0] for comp in comps),
@@ -199,24 +216,70 @@ def _compile(system: CechSystem) -> SystemTables:
     )
 
 
+def _gauge_moves(system: CechSystem) -> tuple:
+    """``CechSystem.gauge_moves``: per component and coefficient generator s, the gauge by s there and 1 elsewhere.
+
+    ``gauge`` sends the value y in each key slot to L y R.  A move is held
+    as runs (lo, hi, table) of key slots with one (L, R), each translated by
+    a table of the key's kind: a 256-byte ``bytes.translate`` table, or a
+    tuple.  Moves that fix every key are left out.
+    """
+    tab, g = system.tables, system.coeff
+    mul, inv, identity = g.mul, g.inv, tuple(g.elements())
+    table = (lambda values: bytes(values).ljust(256, b"\0")) if tab.key_type is bytes else tuple
+    moves = []
+    rows = (*tab.nontrivial, 0)
+    for ci in range(len(tab.components)):
+        # runs of slots of one kind (t, h_{w.t} is s, h_w is s), all inside when connected; edges read as phi_1's row
+        pattern = [((0, True, True), len(tab.edges)), *(((t, True, True), len(tab.comp_of)) for t in rows)]
+        if len(tab.components) > 1:
+            inside = [c == ci for c in tab.comp_of]
+            kinds = [(0, inside[u], inside[v]) for u, v in tab.edges]
+            kinds += [(t, inside[w], inside[v]) for t in rows for v, w in enumerate(tab.act[t])]
+            pattern = [(kind, len(list(same))) for kind, same in itertools.groupby(kinds)]
+        for s in g.generating_sequence():
+            runs, lo = [], 0
+            sides = [((inv[s] if left_in else 0, tab.theta_inv[t][s] if right_in else 0), size) for (t, left_in, right_in), size in pattern]
+            for (x, y), same in itertools.groupby(sides, key=lambda side: side[0]):
+                hi = lo + sum(size for _, size in same)
+                runs.append((lo, hi, tuple(mul[mul[x][z]][y] for z in identity)))
+                lo = hi
+            if any(values != identity for *_, values in runs):
+                moves.append(tuple((lo, hi, table(values)) for lo, hi, values in runs))
+    return tuple(moves)
+
+
+def _moved(key: bytes | tuple[int, ...], runs: Sequence[tuple]) -> bytes | tuple[int, ...]:
+    """A key moved by one of ``CechSystem.gauge_moves``."""
+    if type(key) is bytes:
+        return b"".join([key[lo:hi].translate(table) for lo, hi, table in runs])
+    return tuple(table[y] for lo, hi, table in runs for y in key[lo:hi])
+
+
 @record(frozen=True)
 class TwistedOneCocycle:
-    """A verified pair (a, phi) over a coefficient system.
+    """A verified twisted cocycle over a coefficient system, held as its key (see the module docstring).
 
-    ``a`` is aligned with the sorted edge list of the nerve; ``phi[t][v]``
-    is the vertex function of the group element t, with phi[1] identically
-    the identity.
+    ``a`` and ``phi`` are read-only views of the key: ``a`` is aligned with
+    the sorted edge list of the nerve and ``phi[t][v]`` is the vertex
+    function of the group element t, with phi[1] identically the identity.
     """
 
     system: CechSystem
-    a: tuple[int, ...]
-    phi: tuple[tuple[int, ...], ...]
+    key: bytes | tuple[int, ...]
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        return tuple(self.key[: len(self.system.nerve.edges)])
+
+    @property
+    def phi(self) -> tuple[tuple[int, ...], ...]:
+        key, n = self.key, self.system.nerve.n_vertices
+        rows = [tuple(key[s : s + n]) for s in range(len(self.system.nerve.edges), len(key), n)]
+        return (rows[-1], *rows[:-1])  # the identity row is the key's last
 
     def edge_value(self, u: int, v: int) -> int:
-        return edge_value(self.system, self.a, u, v)
-
-    def serial(self) -> tuple:
-        return (self.a, self.phi)
+        return edge_value(self.system, self.key, u, v)
 
 
 def edge_value(system: CechSystem, a: Sequence[int], u: int, v: int) -> int:
@@ -252,7 +315,7 @@ def _flat_pair(a: Sequence[int], phi: Sequence[Sequence[int]]) -> list[int]:
     return [*a, *itertools.chain.from_iterable(phi[1:]), *phi[0]]
 
 
-def _d1_sites(system: CechSystem, vertices: Sequence[int], pairs: Optional[set] = None) -> list[D1Site]:
+def _d1_sites(system: CechSystem, vertices: Optional[Sequence[int]] = None, pairs: Optional[set] = None) -> list[D1Site]:
     """The sites of ``d1`` in 2-cochain slot order, each as (key, factors, target).
 
     ``d1`` reads a pair as one flat list (see the module docstring).  A
@@ -267,14 +330,15 @@ def _d1_sites(system: CechSystem, vertices: Sequence[int], pairs: Optional[set] 
         phi_{t, v.t2} theta_t^-1(phi_{t2, v}) phi_{t2 t, v}^-1
             == theta_{t2 t}^-1(c(t2, t))                   ("vertex", (t, t2, v)),
 
-    with index translation i -> i.t the nerve action.  Vertex sites are
-    listed at ``vertices`` only; given ``pairs``, only those of the listed (t, t2).
+    with index translation i -> i.t the nerve action.  Without ``vertices``
+    the triangle and edge sites are listed; with them, the vertex sites at
+    those vertices only, and given ``pairs``, only those of the listed (t, t2).
     """
     tab = system.tables
     m, act = len(tab.edges), tab.act
     start = _row_starts(tab)
     sites: list[D1Site] = []
-    if pairs is None:
+    if vertices is None:
         sites += (
             (("triangle", tri), ((ij, 0, 1), (jx, 0, 1), (ix, 0, -1)), 0)
             for tri, (ij, jx, ix) in zip(system.nerve.triangles, tab.triangles)
@@ -286,6 +350,7 @@ def _d1_sites(system: CechSystem, vertices: Sequence[int], pairs: Optional[set] 
                 (("edge", (t, edge)), ((start[t] + edge[0], 0, -1), p, (start[t] + edge[1], 0, 1), (e, t, -1)), 0)
                 for e, (edge, p) in enumerate(zip(tab.edges, pulled))
             )
+        return sites
     sites += (
         (("vertex", (t, t2, v)), ((start[t] + act[t2][v], 0, 1), (start[t2] + v, t, 1), (start[prod] + v, 0, -1)), want)
         for t, t2, prod, want in tab.vertex_sites
@@ -324,6 +389,13 @@ def is_twisted_cocycle(
 
     Sites are checked in slot order (triangles, then (t, edge), then (t1, t2,
     vertex)), and the first violated one is returned as its key and value.
+    """
+    witness = _violation(system, _flat_pair(a, phi))
+    return witness is None, witness
+
+
+def _violation(system: CechSystem, values: Sequence[int]) -> Optional[tuple]:
+    """The first site of ``d1`` that a flat pair (a key, or ``_flat_pair``'s list) misses, as its key and value; else None.
 
     Vertex sites are read at the component roots only.  Once every edge
     site holds, the defect of the vertex site (t, t2) at a neighbour w of v
@@ -338,12 +410,28 @@ def is_twisted_cocycle(
     enters the sites with t2 t == 1, so a phi_1 that is not identically the
     identity has every vertex checked.
     """
-    sites = system.d1_stencil if any(phi[0]) else system.root_sites
-    values = _products(system.tables, (factors for _, factors, _ in sites), _flat_pair(a, phi))
-    for (key, _, want), val in zip(sites, values):
+    sites = system.d1_stencil if any(values[len(values) - system.nerve.n_vertices :]) else system.root_sites
+    for (key, _, want), val in zip(sites, _products(system.tables, (factors for _, factors, _ in sites), values)):
         if val != want:
-            return False, (*key, val)
-    return True, None
+            return (*key, val)
+    return None
+
+
+def _validated(system: CechSystem, values: Sequence[int]) -> TwistedOneCocycle:
+    """The cocycle of a flat pair in key order, after a range check, the identity row and every ``d1`` site."""
+    tab = system.tables
+    order = len(tab.inv)
+    if values and not 0 <= min(values) <= max(values) < order:
+        s, x = next((s, x) for s, x in enumerate(values) if not 0 <= x < order)
+        t, v = divmod(s - len(tab.edges), len(tab.act[0]))
+        name = "a[{},{}]".format(*tab.edges[s]) if s < len(tab.edges) else f"phi[{(t + 1) % len(tab.act)}][{v}]"
+        raise InputError(f"{name} = {x} is out of range for a group of order {order}")
+    if any(values[len(values) - len(tab.act[0]) :]):
+        raise InputError("phi[identity] must be identically the identity")
+    witness = _violation(system, values)
+    if witness is not None:
+        raise InputError(f"not a twisted cocycle: violation at {witness}")
+    return TwistedOneCocycle(system, tab.key_type(values))
 
 
 def make_cocycle(system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[int]]) -> TwistedOneCocycle:
@@ -353,28 +441,18 @@ def make_cocycle(system: CechSystem, a: Sequence[int], phi: Sequence[Sequence[in
         raise InputError("edge part length does not match the edge list")
     if len(pv) != system.gamma.order or any(len(r) != system.nerve.n_vertices for r in pv):
         raise InputError("phi must be |Gamma| x vertices")
-    order = system.coeff.order
-    for edge, x in zip(system.nerve.edges, av):
-        if not 0 <= x < order:
-            raise InputError(f"a[{edge[0]},{edge[1]}] = {x} is out of range for a group of order {order}")
-    for t, row in enumerate(pv):
-        for v, x in enumerate(row):
-            if not 0 <= x < order:
-                raise InputError(f"phi[{t}][{v}] = {x} is out of range for a group of order {order}")
-    if any(x != 0 for x in pv[0]):
-        raise InputError("phi[identity] must be identically the identity")
-    ok, witness = is_twisted_cocycle(system, av, pv)
-    if not ok:
-        raise InputError(f"not a twisted cocycle: violation at {witness}")
-    return TwistedOneCocycle(system, av, pv)
+    return _validated(system, _flat_pair(av, pv))
 
 
-def _mapped(x: TwistedOneCocycle, table: Sequence[int] | Mapping[int, int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The pair (a, phi) of a cocycle with every value replaced by its image in ``table``."""
+def _translated(key: bytes | tuple[int, ...], table: Sequence[int] | Mapping[int, int], system: CechSystem) -> bytes | tuple[int, ...]:
+    """A key with every value replaced by its image in ``table``, as a key of ``system``; not validated."""
     try:
-        return tuple(table[v] for v in x.a), tuple(tuple(table[v] for v in row) for row in x.phi)
-    except KeyError as exc:
-        raise InternalError(f"coefficient table does not cover the value {exc.args[0]}") from exc
+        image = {v: table[v] for v in set(key)}
+    except KeyError:
+        raise InternalError(f"coefficient table does not cover the value {next(v for v in key if v not in table)}") from None
+    if type(key) is bytes and system.tables.key_type is bytes:
+        return key.translate(bytes(image.get(v, 0) for v in range(max(key) + 1)).ljust(256, b"\0"))
+    return system.tables.key_type(map(image.__getitem__, key))
 
 
 def relabel(x: TwistedOneCocycle, table: Sequence[int] | Mapping[int, int], system: CechSystem) -> TwistedOneCocycle:
@@ -382,9 +460,10 @@ def relabel(x: TwistedOneCocycle, table: Sequence[int] | Mapping[int, int], syst
 
     This is the map of H^1 induced by a coefficient homomorphism: ``table``
     (a tuple or dict) is an embedding, a projection, a lift or a subgroup's
-    ``parent_to_sub``.  The image is validated in ``system``.
+    ``parent_to_sub``.  Both systems share the space and so the key layout,
+    and the key is translated at once.  The image is validated in ``system``.
     """
-    return make_cocycle(system, *_mapped(x, table))
+    return _validated(system, _translated(x.key, table, system))
 
 
 def gauge(x: TwistedOneCocycle, h: Sequence[int]) -> TwistedOneCocycle:
@@ -392,24 +471,32 @@ def gauge(x: TwistedOneCocycle, h: Sequence[int]) -> TwistedOneCocycle:
     (a, phi) . h == (h_i^-1 a_ij h_j, h_{i.t}^-1 phi_{t,i} theta_t^-1(h_i)).
     """
     tab = x.system.tables
-    mul, inv = tab.mul, tab.inv
+    mul, inv, key = tab.mul, tab.inv, x.key
     left = [mul[inv[z]] for z in h]  # left[v][y] == h_v^-1 y
-    a2 = tuple([mul[left[u][val]][h[v]] for (u, v), val in zip(tab.edges, x.a)])
-    phi2 = tuple(
-        tuple([mul[left[w][val]][th[z]] for w, val, z in zip(act, row, h)])
-        for act, th, row in zip(tab.act, tab.theta_inv, x.phi)
-    )
-    return TwistedOneCocycle(x.system, a2, phi2)
+    values = [mul[left[u][val]][h[v]] for (u, v), val in zip(tab.edges, key)]
+    start, n = _row_starts(tab), len(h)
+    for t in (*tab.nontrivial, 0):
+        s, th = start[t], tab.theta_inv[t]
+        values += [mul[left[w][val]][th[z]] for w, val, z in zip(tab.act[t], key[s : s + n], h)]
+    return TwistedOneCocycle(x.system, tab.key_type(values))
 
 
 def pullback(x: TwistedOneCocycle, lam: int) -> TwistedOneCocycle:
     """Index translation (a, phi) -> (a^lam, phi^lam) along a group element."""
     tab = x.system.tables
-    ax = tab.doubled(x.a)
-    pull, act = tab.pull[lam], tab.act[lam]
-    a2 = tuple(ax[pull[e]] for e in range(len(x.a)))
-    phi2 = tuple(tuple(row[w] for w in act) for row in x.phi)
-    return TwistedOneCocycle(x.system, a2, phi2)
+    return TwistedOneCocycle(x.system, _pulled(tab, x.key, _pullback_slots(tab, lam)))
+
+
+def _pullback_slots(tab: SystemTables, lam: int) -> tuple[int, ...]:
+    """Per slot of a key pulled back along lam, its slot in the key followed by the inverted edges: an index permutation."""
+    m, n, size = len(tab.edges), len(tab.act[0]), len(tab.edges) + len(tab.act) * len(tab.act[0])
+    edges = (s if s < m else s + size - m for s in tab.pull[lam][:m])
+    return (*edges, *itertools.chain.from_iterable(map(first.__add__, tab.act[lam]) for first in range(m, size, n)))
+
+
+def _pulled(tab: SystemTables, key: bytes | tuple[int, ...], slots: Sequence[int]) -> bytes | tuple[int, ...]:
+    doubled = [*key, *map(tab.inv.__getitem__, key[: len(tab.edges)])]
+    return tab.key_type(map(doubled.__getitem__, slots))
 
 
 def gauge_reduced(x: TwistedOneCocycle, h: Sequence[int], lam: int) -> TwistedOneCocycle:
@@ -448,13 +535,13 @@ def h0_twisted(system: CechSystem) -> tuple[tuple[int, ...], ...]:
 
 @record
 class CohomologySet:
-    """Gauge-orbit representatives with a membership map.
+    """Gauge-orbit representatives with a membership map, both on keys.
 
-    ``reps`` are canonical serialized cocycles in a stable order; ``lookup``
-    sends every tree-normalized serialization of a class to its index, so
-    class_of sends any cocycle of the same system to its class index.  A
-    cocycle whose serialization is a key is tree-normalized already and is
-    read off ``lookup`` directly; any other is normalized first.
+    ``reps`` are the least keys of the classes, ascending; ``lookup``
+    sends every tree-normalized key of a class to its index, so class_of
+    sends any cocycle of the same system to its class index.  A cocycle
+    whose key is in ``lookup`` is tree-normalized already and is read off
+    directly; any other is normalized first.
     """
 
     system: CechSystem
@@ -465,21 +552,22 @@ class CohomologySet:
         return len(self.reps)
 
     def class_of(self, x: TwistedOneCocycle) -> int:
-        cid = self.lookup.get(x.serial())
+        cid = self.lookup.get(x.key)
         if cid is None:
-            cid = self.lookup.get(_tree_normalize(x).serial())
+            cid = self.lookup.get(_tree_normalize(x).key)
         if cid is None:
             raise InputError("cocycle does not belong to any enumerated class")
         return cid
 
     def representative(self, class_id: int) -> TwistedOneCocycle:
-        a, phi = self.reps[class_id]
-        return TwistedOneCocycle(self.system, a, phi)
+        return TwistedOneCocycle(self.system, self.reps[class_id])
 
 
 def _tree_normalize(x: TwistedOneCocycle) -> TwistedOneCocycle:
-    """Gauge making the spanning-forest edges carry the identity."""
-    return gauge(x, tree_gauge(x.system.nerve, x.system.coeff, x.edge_value))
+    """Gauge making the spanning-forest edges carry the identity: by h_v = a_pv^-1 h_p from 1 at each root,
+    the left frame of ``_frame`` at the identity, read off the key."""
+    tab = x.system.tables
+    return gauge(x, _frame(tab, tab.doubled(x.key[: len(tab.edges)]), 0)[0])
 
 
 def _constant_gauges(system: CechSystem) -> list[tuple[int, ...]]:
@@ -487,10 +575,10 @@ def _constant_gauges(system: CechSystem) -> list[tuple[int, ...]]:
     return [tuple(h) for h in forest_functions(system.nerve, system.coeff.elements(), lambda p, v, x: x)]
 
 
-def canonical_form(x: TwistedOneCocycle) -> tuple:
-    """Class invariant: minimum serialization over the residual gauge orbit."""
+def canonical_form(x: TwistedOneCocycle) -> bytes | tuple[int, ...]:
+    """Class invariant: the least key over the residual gauge orbit."""
     x0 = _tree_normalize(x)
-    return min(gauge(x0, h).serial() for h in _constant_gauges(x.system))
+    return min(gauge(x0, h).key for h in _constant_gauges(x.system))
 
 
 def _edge_solutions(tab: SystemTables, work: Work) -> Iterable[list[int]]:
@@ -659,10 +747,10 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
     holds at the root (see ``is_twisted_cocycle``).  So a candidate's rows
     are computed at the roots only, with phi_g read off the frames where
     the steps and sites need it, and the |Gamma| full rows are built only
-    for the candidates that pass.
+    for the candidates that pass, in the key buffer that the sites read.
     """
     tab = system.tables
-    mul, inv = tab.mul, tab.inv
+    mul, inv, key_type = tab.mul, tab.inv, tab.key_type
     roots = tab.roots
     n_comps = len(roots)
     gens = system.gamma.generating_sequence()
@@ -671,14 +759,11 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
     step_sites = {(g, t_prev) for _, t_prev, g, _ in steps}
     open_pairs = {site[:2] for site in tab.vertex_sites if site[0] in gens and site[:2] not in step_sites}
     open_sites = _d1_sites(system, roots, open_pairs)
-    n_vertices = system.nerve.n_vertices
-    comp_of = [0] * n_vertices
-    for ci, comp in enumerate(tab.components):
-        for v in comp:
-            comp_of[v] = ci
-    # a candidate's flat pair is filled where it is read: phi_g at the roots' images r.t, the step rows at the roots
+    n_vertices, comp_of = system.nerve.n_vertices, tab.comp_of
+    # a candidate's key is filled where it is read: phi_g at the roots' images r.t, the step rows at the roots
     start = _row_starts(tab)
     values = [0] * (start[0] + n_vertices)  # the identity row, last, stays 1
+    m = len(tab.edges)
     reads = sorted({act[r] for act in tab.act for r in roots})
     # per step, phi_{t, r} from phi_{g, r.t_prev} and phi_{t_prev, r}: their slots per root
     root_steps = [
@@ -689,6 +774,7 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
     out: list[TwistedOneCocycle] = []
     walked = 0
     for a in _edge_solutions(tab, work):
+        values[:m] = a
         ax = tab.doubled(a)
         frames = [_frame(tab, ax, g) for g in gens]
         kept = [_kept_roots(tab, ax, g, ci, frame) for g, frame in zip(gens, frames) for ci in range(n_comps)]
@@ -711,60 +797,64 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
                     values[s] = mul[mul[values[s_g]][th[values[s_prev]]]][twist]
             if not _open_sites_hold(tab, values, open_sites):
                 continue
-            rows: list = [(0,) * n_vertices] * len(tab.act)
             for gi, (g, (left, right)) in enumerate(zip(gens, frames)):
                 xs = combo[gi * n_comps : (gi + 1) * n_comps]
-                rows[g] = [mul[mul[lv][xs[ci]]][rv] for lv, ci, rv in zip(left, comp_of, right)]
+                values[start[g] : start[g] + n_vertices] = [mul[mul[lv][xs[ci]]][rv] for lv, ci, rv in zip(left, comp_of, right)]
             # phi_{t_prev g, v} from the vertex condition at (g, t_prev)
             for t, t_prev, g, twist in steps:
-                grow, th = rows[g], tab.theta_inv[g]
-                rows[t] = [mul[mul[grow[w]][th[p]]][twist] for w, p in zip(tab.act[t_prev], rows[t_prev])]
-            out.append(TwistedOneCocycle(system, tuple(a), tuple(map(tuple, rows))))
+                s_g, s_prev, th = start[g], start[t_prev], tab.theta_inv[g]
+                values[start[t] : start[t] + n_vertices] = [
+                    mul[mul[values[s_g + w]][th[values[s_prev + v]]]][twist] for v, w in enumerate(tab.act[t_prev])
+                ]
+            out.append(TwistedOneCocycle(system, key_type(values)))
     return out
 
 
 def h1_twisted(system: CechSystem, *, work: Work = Work()) -> CohomologySet:
-    """Gauge classes of twisted cocycles as a cohomology set, numbered by least serialization.
+    """Gauge classes of twisted cocycles as a cohomology set, numbered by least key.
 
-    Orbits of the tree-normalized cocycles under the gauges constant on each component close under
-    the moves that put one generator of the coefficient group on one component and 1 elsewhere.
+    Orbits of the tree-normalized cocycles under the gauges constant on each
+    component close under the compiled moves of ``CechSystem.gauge_moves``, each
+    a generator of the coefficient group on one component and 1 elsewhere.
+    Keys are walked in ascending order, so each orbit is met first at its
+    least key, and class ids ascend with their representatives.  ``work``'s
+    clock is read before the first key is moved and then every 1024.
     """
-    cocycles = sorted(enumerate_cocycles(system, work=work), key=TwistedOneCocycle.serial)
-    index = {x.serial(): i for i, x in enumerate(cocycles)}
-    n = system.nerve.n_vertices
-    moves = [[s if v in comp else 0 for v in range(n)] for comp in system.tables.components for s in system.coeff.generating_sequence()]
+    keys = sorted(x.key for x in enumerate_cocycles(system, work=work))
+    moves, pops = system.gauge_moves, itertools.count()
 
-    calls = itertools.count()
-
-    def moved(i: int) -> list[int]:
-        if not next(calls) & 1023:
+    def moved(y: bytes | tuple[int, ...]) -> list:
+        if not next(pops) & 1023:
             work.clock("h1_twisted's gauge orbits")
-        try:
-            return [index[gauge(cocycles[i], h).serial()] for h in moves]
-        except KeyError:
-            sizes = f"{n} vertices, {len(system.nerve.edges)} edges, |G| = {system.coeff.order}, |Gamma| = {system.gamma.order}"
-            raise InternalError(f"a generator gauge leaves the {len(cocycles)} enumerated cocycles ({sizes})") from None
+        return [_moved(y, runs) for runs in moves]
 
-    orbits = orbit_closures(range(len(cocycles)), moved)
-    reps = [cocycles[orbit[0]].serial() for orbit in orbits]
-    return CohomologySet(system, reps, {cocycles[i].serial(): cid for cid, orbit in enumerate(orbits) for i in orbit})
+    orbits = orbit_closures(keys, moved)
+    lookup = {key: cid for cid, orbit in enumerate(orbits) for key in orbit}
+    if len(lookup) != len(keys):
+        sizes = f"{system.nerve.n_vertices} vertices, {len(system.nerve.edges)} edges, |G| = {system.coeff.order}, |Gamma| = {system.gamma.order}"
+        raise InternalError(f"a generator gauge leaves the {len(keys)} enumerated cocycles ({sizes})")
+    return CohomologySet(system, [orbit[0] for orbit in orbits], lookup)
 
 
-def h1_reduced(h1: CohomologySet) -> CohomologySet:
+def h1_reduced(h1: CohomologySet, *, work: Work = Work()) -> CohomologySet:
     """Classes of a twisted H^1 set identified along central covering translations,
-    orbits closed under pullback along the generators of the centre."""
-    z = center(h1.system.gamma)
+    orbits closed under pullback along the generators of the centre.
+
+    ``work``'s clock is read before the first class and then every 1024.
+    """
+    system, tab = h1.system, h1.system.tables
+    z = center(system.gamma)
+    pulls = [_pullback_slots(tab, z.embed[s]) for s in z.group.generating_sequence()]
 
     def translates(cid: int) -> list[int]:
-        x = h1.representative(cid)
-        return [h1.class_of(pullback(x, z.embed[s])) for s in z.group.generating_sequence()]
+        return [h1.class_of(TwistedOneCocycle(system, _pulled(tab, h1.reps[cid], slots))) for slots in pulls]
 
     # class ids ascend with their representatives, so walking them in order
     # lists the orbits by their minimal representative
-    groups = orbit_closures(range(len(h1)), translates)
+    groups = orbit_closures(work.paced(range(len(h1)), "h1_reduced's pullback orbits"), translates)
     reduced_of = {cid: gid for gid, members in enumerate(groups) for cid in members}
     reps = [h1.reps[min(members)] for members in groups]
-    return CohomologySet(h1.system, reps, {s: reduced_of[cid] for s, cid in h1.lookup.items()})
+    return CohomologySet(system, reps, {s: reduced_of[cid] for s, cid in h1.lookup.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -793,12 +883,6 @@ def cochain_values(coords: AbelianCoords, vec: Sequence[int], count: int) -> lis
     """The flat cochain of ``count`` slots with the given coordinate vector."""
     r = len(coords.moduli)
     return [coords.element(vec[i * r : (i + 1) * r]) for i in range(count)]
-
-
-def _pair_of(system: CechSystem, values: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The pair (a, phi) of a flat 1-cochain; phi of the identity is identically 1."""
-    m, n = len(system.nerve.edges), system.nerve.n_vertices
-    return tuple(values[:m]), ((0,) * n, *(tuple(values[i : i + n]) for i in range(m, len(values), n)))
 
 
 def _d2_stencil(system: CechSystem) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -1003,10 +1087,12 @@ class CoefficientLadder:
         """The twist 2-cochain (1, 1, theta^-1(c)) as a centre vector.
 
         Its slots hold the targets of the twisted system's ``d1`` sites,
-        mapped into the centre.
+        mapped into the centre: 1 at the triangle and edge sites, and the
+        twist of ``SystemTables.vertex_sites`` at every vertex.
         """
         cx, back = self.base.cx, self.base.zsub.parent_to_sub
-        vec = cochain_vector(cx.coords, (back[want] for _, _, want in self.sys_c.d1_stencil))
+        wants = [back[want] for *_, want in self.sys_c.tables.vertex_sites for _ in range(self.sys_c.nerve.n_vertices)]
+        vec = cochain_vector(cx.coords, [0] * (_cochain_sizes(self.sys_c)[1] - len(wants)) + wants)
         if not cx.in_kernel_d2(vec):
             raise InternalError("twist 2-cochain is not d2-closed")
         return vec
@@ -1081,8 +1167,7 @@ def delta_h0(ladder: ActionLadder, qbar: Sequence[int]) -> TwistedOneCocycle:
 
     This is its action on the trivial centre-valued class.
     """
-    ta, tphi = trivial_pair(ladder.sys_z)
-    triv = TwistedOneCocycle(ladder.sys_z, ta, tphi)
+    triv = TwistedOneCocycle(ladder.sys_z, ladder.sys_z.tables.key_type(_flat_pair(*trivial_pair(ladder.sys_z))))
     return act_h1z_by_h0q(ladder, triv, qbar)
 
 
@@ -1100,7 +1185,8 @@ def delta_h1_vector(
     ``flip`` is fault injection for harness self-tests: it inverts each
     lifted edge value, a lift with the wrong handedness.
     """
-    a, phi = _mapped(x, lift or ladder.lift_table)
+    y = TwistedOneCocycle(ladder.sys_g, _translated(x.key, lift or ladder.lift_table, ladder.sys_g))
+    a, phi = y.a, y.phi
     if flip:
         a = tuple(ladder.sys_g.coeff.inv[v] for v in a)
     back = ladder.zsub.parent_to_sub
@@ -1230,11 +1316,8 @@ def _twist_free_checks(ladder: ActionLadder) -> tuple[CheckRecord, ...]:
 
     def node_a6() -> tuple[bool, dict]:
         def moved(cid: int) -> list[int]:
-            pair = h1g.representative(cid).serial()
-            return [
-                h1g.class_of(make_cocycle(ladder.sys_g, *_times_centre(ladder, z.serial(), pair)))
-                for z in map(h1z.representative, range(len(h1z)))
-            ]
+            key = h1g.reps[cid]
+            return [h1g.class_of(_validated(ladder.sys_g, _times_centre(ladder, z, key))) for z in h1z.reps]
 
         return _fibres_are_orbits(
             range(len(h1g)),
@@ -1278,14 +1361,10 @@ def _fibres_are_orbits(
     return True, {"sizes": sizes}
 
 
-def _times_centre(ladder: ActionLadder, z: tuple, x: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The pair (a, phi) whose values are those of the centre-valued pair z, included in G, times those of x."""
+def _times_centre(ladder: ActionLadder, z: Sequence[int], x: Sequence[int]) -> list[int]:
+    """The flat values, slot by slot, of the centre-valued z, included in G, times those of x; both in one slot order."""
     mul, emb = ladder.sys_g.coeff.mul, ladder.zsub.embed
-    (za, zphi), (a, phi) = z, x
-    return (
-        tuple(mul[emb[u]][v] for u, v in zip(za, a)),
-        tuple(tuple(mul[emb[u]][v] for u, v in zip(zrow, row)) for zrow, row in zip(zphi, phi)),
-    )
+    return [mul[emb[u]][v] for u, v in zip(z, x)]
 
 
 def _alternative_lift(ladder: ActionLadder) -> list[int]:
@@ -1323,9 +1402,10 @@ def existence_check(ladder: CoefficientLadder) -> ExistenceResult:
         raise InternalError("obstruction shares the twist's B^2 label but differs from it by no coboundary")
     # the lift times the inverse of the correction, included in G
     negated = tuple(-v % m for v, m in zip(correction, cx.d1_hom.mods_in))
-    z = _pair_of(base.sys_z, cochain_values(cx.coords, negated, _cochain_sizes(base.sys_z)[0]))
-    lifted = _mapped(base.h1q.representative(cid), base.lift_table)
-    witness = make_cocycle(ladder.sys_c, *_times_centre(base, z, lifted))
+    # the abelian 1-cochain is the key without its identity row
+    z = cochain_values(cx.coords, negated, _cochain_sizes(base.sys_z)[0])
+    lifted = _translated(base.h1q.reps[cid], base.lift_table, base.sys_g)
+    witness = _validated(ladder.sys_c, _times_centre(base, z + [0] * ladder.sys_c.nerve.n_vertices, lifted))
     return ExistenceResult(True, witness, cid)
 
 
@@ -1384,13 +1464,13 @@ def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[i
         raise CarrierMismatch(message="twisted set twist is neither the system twist nor trivial")
 
     nerve = system.nerve
-    act = system.space.vact
+    act, phi = system.space.vact, e.phi
     return [
         tuple(values)
         for values in forest_functions(nerve, range(m.size), lambda p, v, x: m.g_act[e.edge_value(p, v)][x])
         if all(values[v] == m.g_act[e.edge_value(u, v)][values[u]] for (u, v) in nerve.edges)
         and all(
-            m.gamma_act[t][values[v]] == m.g_act[e.phi[t][v]][values[act[t][v]]]
+            m.gamma_act[t][values[v]] == m.g_act[phi[t][v]][values[act[t][v]]]
             for t in system.gamma.elements()
             if t != 0
             for v in range(nerve.n_vertices)
@@ -1447,8 +1527,5 @@ def transport_cocycle(e: TwistedOneCocycle, rec: Recocycling) -> TwistedOneCocyc
     if rec.old.action.theta != data.action.theta or rec.old.table != data.table:
         raise CarrierMismatch(message="cocycle does not belong to the recocycling source data")
     g = data.g
-    phi = tuple(
-        tuple(g.mul[e.phi[t][v]][data.theta_inv(t, rec.s[t])] for v in range(system.nerve.n_vertices))
-        for t in system.gamma.elements()
-    )
+    phi = tuple(tuple(g.mul[x][data.theta_inv(t, rec.s[t])] for x in row) for t, row in enumerate(e.phi))
     return make_cocycle(CechSystem(system.space, rec.new), e.a, phi)

@@ -154,14 +154,14 @@ def cmd_h1(cfg: JobConfig) -> Report:
     data = _resolve_data(cfg.args["data"])
     classes = h1_twisted(CechSystem(space, data), work=cfg.work)
     if cfg.args.get("reduced"):
-        classes = h1_reduced(classes)
+        classes = h1_reduced(classes, work=cfg.work)
     report = Report(
         SCHEMA,
         {"command": "h1", "space": cfg.args["space"], "data": cfg.args["data"], "reduced": bool(cfg.args.get("reduced"))},
     )
     reps = []
-    for a, phi in classes.reps:
-        reps.append({"a": list(a), "phi": [list(r) for r in phi]})
+    for x in map(classes.representative, range(len(classes))):
+        reps.append({"a": list(x.a), "phi": [list(r) for r in x.phi]})
     report.add("h1 classes", "pass", count=len(classes), representatives=reps)
     return report
 
@@ -216,10 +216,10 @@ def cmd_verify(cfg: JobConfig) -> Report:
                     add("les", f"les[{inst.name}] {c.name}", c.status, **c.detail)
 
             if "correspondence" in checks and free:
-                h1r = h1_reduced(ladder.h1c)
+                h1r = h1_reduced(ladder.h1c, work=cfg.work)
                 prod = build_twisted_product(inst.data)
                 ph1 = plain_h1(desc.downstairs, prod.group, work=cfg.work)
-                fib = fiber_over_cover(desc, prod, ph1)
+                fib = fiber_over_cover(desc, prod, ph1, work=cfg.work)
                 status = "pass" if len(h1r) == len(fib) else "fail"
                 detail = {"reduced": len(h1r), "fiber": len(fib)}
                 if fib:

@@ -115,10 +115,11 @@ def descend(x: TwistedOneCocycle, descent: CoverDescent) -> CTwistedCocycleY:
     y = descent.downstairs
     n_up = space.nerve.n_vertices
     h = [0] * n_up
+    phi = x.phi
     for i in range(y.n_vertices):
         s_i = descent.section[i]
         for t in data.gamma.elements():
-            h[space.act(s_i, t)] = x.phi[t][s_i]
+            h[space.act(s_i, t)] = phi[t][s_i]
     xn = gauge(x, h)
     vals = []
     for (i, j) in y.edges:
@@ -241,7 +242,9 @@ def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -
         raise CarrierMismatch(message="H1 set is not the plain glued-group H1 of the descent base")
 
 
-def fiber_over_cover(descent: CoverDescent, product: TwistedProductGroup, h1: CohomologySet) -> list[int]:
+def fiber_over_cover(
+    descent: CoverDescent, product: TwistedProductGroup, h1: CohomologySet, *, work: Work = Work()
+) -> list[int]:
     """The ascending ids of the classes of ``h1`` whose induced cover is the given one.
 
     ``h1`` is ``plain_h1(descent.downstairs, product.group)``, built once by
@@ -249,10 +252,12 @@ def fiber_over_cover(descent: CoverDescent, product: TwistedProductGroup, h1: Co
     ``CarrierMismatch``.  Its representatives are tree-normalized, so a
     class lies over the cover exactly when its representative's
     quotient-group part is a conjugate of the cover's monodromy.
+    ``work``'s clock is read before the first class and then every 1024.
     """
     _check_plain_h1(h1, descent.downstairs, product)
     over = descent.cover_class
-    return [cid for cid in range(len(h1)) if _gamma_part(product, h1.representative(cid)) in over]
+    classes = work.paced(range(len(h1)), "fiber_over_cover's class walk")
+    return [cid for cid in classes if _gamma_part(product, h1.representative(cid)) in over]
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +322,7 @@ def grothendieck_fiber(
     triangles = [(idx[(i, j)], idx[(j, k)], idx[(i, k)]) for (i, j, k) in y.triangles]
     k = [0] * len(y.edges)
     class_ids = set()
-    for walked, combo in enumerate(itertools.product(g.elements(), repeat=len(free))):
-        if not walked & 1023:
-            work.clock("grothendieck_fiber's walk")
+    for combo in work.paced(itertools.product(g.elements(), repeat=len(free)), "grothendieck_fiber's walk"):
         for e, val in zip(free, combo):
             k[e] = val
         if all(g.mul[k[ij]][ads[ij][k[jk]]] == k[ik] for ij, jk, ik in triangles):
@@ -357,7 +360,7 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     proj = prod.proj.map
     lam = tree_gauge(y, gamma, lambda u, v: proj[x.cocycle.edge_value(u, v)])
     moved = gauge(x.cocycle, [prod.section[t] for t in lam])
-    gauged = GhatCocycleY(prod, make_cocycle(x.cocycle.system, *moved.serial()))
+    gauged = GhatCocycleY(prod, make_cocycle(x.cocycle.system, moved.a, moved.phi))
     gprime = gamma.closure(_gamma_part(prod, gauged.cocycle))
 
     sub_prod, incl = sub_product(prod, gamma_sub=subgroup_from_elements(gamma, gprime))

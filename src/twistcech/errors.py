@@ -8,6 +8,7 @@ messages.
 from __future__ import annotations
 
 import time
+from typing import Iterable, Iterator
 
 from .records import record
 
@@ -40,6 +41,13 @@ class Work:
         """Refuse once the deadline has passed; each loop calls this at its start and every 1024 steps."""
         if time.monotonic() >= self.deadline:
             raise BudgetExceeded(f"time limit reached in {stage}")
+
+    def paced(self, items: Iterable, stage: str) -> Iterator:
+        """``items``, with the clock read before the first and then every 1024th."""
+        for i, item in enumerate(items):
+            if not i & 1023:
+                self.clock(stage)
+            yield item
 
 
 class InternalError(TwistError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcech import cech, cli, fixtures
+from twistcech import cech, cli, fixtures, nerves
 from twistcech.cli import main
 from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
@@ -360,18 +360,20 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "delta_h1_vector",
         "act_h1z_by_h0q",
         "make_cocycle",
-        "tree_gauge",
+        "_validated",
+        "_tree_normalize",
         "gauge",
         "pullback",
         "d1",
     )
+    trees = count_calls(nerves, "tree_gauge")
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
     # one action ladder per distinct space and action of the 26 rows; 26
     # ladders, 126 enumerations and compilations, 26 complexes and 78 H^0
     # sets when each row built its own ladder.  The twist-free checks and
     # the obstructions once per action ladder; 78 fibre checks, 149
     # obstructions and 158 actions on H^1(Z) when every row checked them,
-    # and 749 cocycle checks and 808 tree gauges when class_of also
+    # and 749 cocycle checks and 808 normalizations when class_of also
     # normalized cocycles that were normalized already.  2,076 gauges and
     # 92 pullbacks when each new H^1 orbit took every constant gauge and
     # H^1 reduced along every central element, not along generators; 1,111
@@ -379,8 +381,17 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # gauges when the correspondence fibres gauged every class's quotient
     # part along the tree; the representatives are tree-normalized already.
     # 92 when both fibres of a free row computed the cover's monodromy.
-    # 183 d1 calls when the abelian complex probed d1 on unit 1-cochains
+    # 183 d1 calls when the abelian complex probed d1 on unit 1-cochains.
+    # 973 gauges and 46 pullbacks when each H^1 generator move was a gauge
+    # call and H^1 reduced pulled back through ``pullback``; the moves are
+    # compiled translate tables now.  Every cocycle check goes through
+    # ``_validated``: 564 of them were ``make_cocycle`` calls when relabel
+    # and the centre products rebuilt pairs to validate.  class_of's
+    # normalizations were 48 of the 70 ``nerves.tree_gauge`` calls; they
+    # read the compiled forest off the key now, and the other 22 are the
+    # free rows' monodromies.
     first = dict(calls)
+    assert dict(trees) == {"tree_gauge": 22}
     assert first == {
         "action_ladder": 16,
         "enumerate_cocycles": 80,
@@ -390,15 +401,17 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "_fibres_are_orbits": 48,
         "delta_h1_vector": 54,
         "act_h1z_by_h0q": 107,
-        "make_cocycle": 564,
-        "tree_gauge": 70,
-        "gauge": 973,
-        "pullback": 46,
+        "make_cocycle": 115,
+        "_validated": 564,
+        "_tree_normalize": 48,
+        "gauge": 201,
+        "pullback": 0,
         "d1": 54,
     }
     # nothing is kept from one main() call to the next
     assert main(["verify", "all", "--out", str(tmp_path / "again.json")]) == 0
     assert {name: calls[name] - first[name] for name in calls} == first
+    assert dict(trees) == {"tree_gauge": 44}
 
 
 def test_verify_all_shares_plain_h1_and_nerve_forests(count_calls, monkeypatch, tmp_path):

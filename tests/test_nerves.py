@@ -1,6 +1,7 @@
 """Nerves, simplicial actions, covers and monodromy."""
 
 import itertools
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,10 @@ from twistcech.correspond import plain_system
 from twistcech.errors import Disconnected, InputError, NotGoodCover, NotSimplicial
 from twistcech.fixtures import GAMMA_NERVES, NERVES, gamma_nerve, group, nerve
 from twistcech.nerves import (
+    MAX_DIM,
+    GammaNerve,
     Nerve,
     build_cover,
-    equivariant_isomorphism,
     forest_functions,
     monodromy,
     quotient,
@@ -23,6 +25,71 @@ from twistcech.nerves import (
 C2, C4 = group("C2"), group("C4")
 Y_TRI = nerve("Y_TRI")
 X_HEX = gamma_nerve("X_HEX")
+
+
+def equivariant_isomorphism(a: GammaNerve, b: GammaNerve) -> Optional[tuple[int, ...]]:
+    """Oracle: a vertex bijection intertwining the actions and simplices, or None.
+
+    Exact backtracking; intended for desk-scale nerves only.
+    """
+    if a.gamma.mul != b.gamma.mul or a.nerve.n_vertices != b.nerve.n_vertices:
+        return None
+    n = a.nerve.n_vertices
+    if tuple(len(a.nerve.simplices[d]) for d in range(MAX_DIM + 1)) != tuple(
+        len(b.nerve.simplices[d]) for d in range(MAX_DIM + 1)
+    ):
+        return None
+    adj_a = [set(row) for row in a.nerve.adjacency()]
+    adj_b = [set(row) for row in b.nerve.adjacency()]
+    b_simplices = [set(b.nerve.simplices[d]) for d in range(MAX_DIM + 1)]
+
+    def consistent(mapping: dict[int, int]) -> bool:
+        for u, iu in mapping.items():
+            for v, iv in mapping.items():
+                if (v in adj_a[u]) != (iv in adj_b[iu]):
+                    return False
+        return True
+
+    def backtrack(mapping: dict[int, int], used: set[int]) -> Optional[dict[int, int]]:
+        if len(mapping) == n:
+            for d in range(2, MAX_DIM + 1):
+                for s in a.nerve.simplices[d]:
+                    if tuple(sorted(mapping[v] for v in s)) not in b_simplices[d]:
+                        return None
+            return mapping
+        v = min(x for x in range(n) if x not in mapping)
+        for img in range(n):
+            if img in used:
+                continue
+            trial = dict(mapping)
+            trial[v] = img
+            ok = True
+            # close under the action
+            stack = [v]
+            while stack and ok:
+                u = stack.pop()
+                for t in a.gamma.elements():
+                    src, dst = a.act(u, t), b.act(trial[u], t)
+                    prev = trial.get(src)
+                    if prev is None:
+                        if dst in trial.values():
+                            ok = False
+                            break
+                        trial[src] = dst
+                        stack.append(src)
+                    elif prev != dst:
+                        ok = False
+                        break
+            if ok and consistent(trial):
+                res = backtrack(trial, set(trial.values()))
+                if res is not None:
+                    return res
+        return None
+
+    result = backtrack({}, set())
+    if result is None:
+        return None
+    return tuple(result[v] for v in range(n))
 
 
 def test_validate_nerve_closure():
