@@ -33,13 +33,17 @@ coefficient group has at most 256 elements, a tuple otherwise.  phi_1 is
 identically 1 on every cocycle, so keys rank as the pairs (a, phi) do.
 Gauge moves (``CechSystem.gauge_moves``), pullbacks and relabellings act
 on keys through compiled tables, and cohomology sets map keys to classes.
+A space compiles the tables that read no coefficients once, for every
+system on it: vertex action, edge pulls, triangle slots, forest, open
+edges, components, roots, the edge sites of ``d1`` and ``d2``'s stencil.
+A system adds its group's tables, theta^-1 and the twist targets.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .abelian import (
     DEFAULT_COORD_GUARD,
@@ -78,7 +82,6 @@ from .groups import (
     is_central,
     left_cosets,
     orbit_closures,
-    quotient_group,
     subgroup_from_elements,
 )
 from .nerves import GammaNerve, Nerve, Simplex, forest_functions
@@ -118,10 +121,10 @@ class CechSystem:
         """The constant gauges by a coefficient generator on one component, compiled on first use (see ``_gauge_moves``)."""
         return _gauge_moves(self)
 
-    @cached_property
+    @property
     def d1_edge_sites(self) -> tuple[D1Site, ...]:
-        """The triangle and (t, edge) sites of ``d1``, shared by ``d1_stencil`` and ``root_sites``."""
-        return tuple(_d1_sites(self))
+        """The triangle and (t, edge) sites of ``d1``, shared by ``d1_stencil`` and ``root_sites`` of every system on the space."""
+        return _kept(self.space, "_d1_edge_sites", lambda: tuple(_d1_sites(self)))
 
     @cached_property
     def d1_stencil(self) -> tuple[D1Site, ...]:
@@ -133,15 +136,15 @@ class CechSystem:
         """The triangle and edge sites of ``d1`` and its vertex sites at the component roots."""
         return self.d1_edge_sites + tuple(_d1_sites(self, self.tables.roots))
 
-    @cached_property
+    @property
     def d2_stencil(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """The terms of ``d2`` per 3-cochain slot, built on first use (see ``_d2_stencil``)."""
-        return _d2_stencil(self)
+        """The terms of ``d2`` per 3-cochain slot, shared by every system on the space (see ``_d2_stencil``)."""
+        return _kept(self.space, "_d2_stencil", lambda: _d2_stencil(self))
 
 
 @record(frozen=True)
 class SystemTables:
-    """Flat lookup tables of one coefficient system.
+    """Flat lookup tables of one coefficient system: its own, then (from ``act`` on) those its space shares.
 
     Edge values are read from the doubled list ``a + [a_e^-1]`` (see
     ``doubled``): slot e < m is a[e] on the sorted edge (u, v), slot m + e
@@ -151,8 +154,9 @@ class SystemTables:
     key_type: type  # bytes or tuple
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
-    act: tuple[tuple[int, ...], ...]  # act[t][v] == v . t
     theta_inv: tuple[tuple[int, ...], ...]  # theta_inv[t][x] == theta_t^-1(x)
+    vertex_sites: tuple[tuple[int, int, int, int], ...]  # (t, t2, t2 t, theta_{t2 t}^-1(c(t2, t)))
+    act: tuple[tuple[int, ...], ...]  # act[t][v] == v . t
     edges: tuple[Simplex, ...]
     pull: tuple[tuple[int, ...], ...]  # pull[t][s]: slot of the image of oriented edge s under t
     triangles: tuple[tuple[int, int, int], ...]  # slots of (i, j), (j, x), (i, x)
@@ -162,22 +166,38 @@ class SystemTables:
     open_edges: tuple[tuple[int, ...], ...]  # per component, the slots of its edges off the forest
     roots: tuple[int, ...]  # per component, its least vertex, the forest root
     nontrivial: tuple[int, ...]
-    vertex_sites: tuple[tuple[int, int, int, int], ...]  # (t, t2, t2 t, theta_{t2 t}^-1(c(t2, t)))
 
     def doubled(self, a: Sequence[int]) -> list[int]:
         return [*a, *map(self.inv.__getitem__, a)]
 
 
+def _kept(space: GammaNerve, name: str, build: Callable[[], Any]) -> Any:
+    """A table of the space alone, built on first use and kept on the instance, outside equality and hashing, as ``Nerve._forest`` is."""
+    return vars(space)[name] if name in vars(space) else vars(space).setdefault(name, build())
+
+
 def _compile(system: CechSystem) -> SystemTables:
-    nerve = system.nerve
-    gamma = system.gamma
+    data, gmul = system.data, system.gamma.mul
+    shared = _kept(system.space, "_tables", lambda: _compile_space(system.space))
+    pairs = itertools.product(shared["nontrivial"], repeat=2)
+    return SystemTables(
+        key_type=bytes if data.g.order <= 256 else tuple,
+        mul=data.g.mul,
+        inv=data.g.inv,
+        theta_inv=tuple(auto.inverse_map for auto in data.action.theta),
+        vertex_sites=tuple((t, t2, gmul[t2][t], data.theta_inv(gmul[t2][t], data.c(t2, t))) for t, t2 in pairs),
+        **shared,
+    )
+
+
+def _compile_space(space: GammaNerve) -> dict:
+    nerve = space.nerve
     idx = nerve.edge_index
     m = len(nerve.edges)
     # the slot of each oriented edge in the doubled list
     slot = {**idx, **{(v, u): e + m for (u, v), e in idx.items()}}
-    act = system.space.vact
     pull = []
-    for row in act:
+    for row in space.vact:
         images = [slot[row[u], row[v]] for (u, v) in nerve.edges]
         pull.append(tuple(images + [s + m if s < m else s - m for s in images]))
     # the forest's (parent, child) arcs come in BFS order, one component after another
@@ -190,19 +210,8 @@ def _compile(system: CechSystem) -> SystemTables:
     for e, (u, v) in enumerate(nerve.edges):
         if u != parent[v] and v != parent[u]:
             open_edges[comp_of[u]].append(e)
-    data = system.data
-    nontrivial = tuple(t for t in gamma.elements() if t != 0)
-    vertex_sites = []
-    for t in nontrivial:
-        for t2 in nontrivial:
-            prod = gamma.mul[t2][t]
-            vertex_sites.append((t, t2, prod, data.theta_inv(prod, data.c(t2, t))))
-    return SystemTables(
-        key_type=bytes if data.g.order <= 256 else tuple,
-        mul=data.g.mul,
-        inv=data.g.inv,
-        act=act,
-        theta_inv=tuple(auto.inverse_map for auto in data.action.theta),
+    return dict(
+        act=space.vact,
         edges=nerve.edges,
         pull=tuple(pull),
         triangles=tuple((idx[(i, j)], idx[(j, x)], idx[(i, x)]) for (i, j, x) in nerve.triangles),
@@ -211,8 +220,7 @@ def _compile(system: CechSystem) -> SystemTables:
         forest=tuple(tuple(f) for f in forest),
         open_edges=tuple(tuple(c) for c in open_edges),
         roots=tuple(comp[0] for comp in comps),
-        nontrivial=nontrivial,
-        vertex_sites=tuple(vertex_sites),
+        nontrivial=tuple(t for t in space.gamma.elements() if t != 0),
     )
 
 
@@ -1112,7 +1120,7 @@ def action_ladder(space: GammaNerve, action: GammaAction, *, work: Work = Work()
     """
     g = action.g
     zsub = center(g)
-    q, proj = quotient_group(g, zsub.embed, label=f"{g.label or 'G'}/Z")
+    q, proj = g.central_quotient
     data = make_twisted_data(action)
 
     sys_g = CechSystem(space, data)

@@ -199,6 +199,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
     keys = [(inst.space, inst.data.action) for inst in rows]
     last_row = {key: i for i, key in enumerate(keys)}
     bases: dict = {}
+    descents: dict = {}  # the quotient descent of each free space, shared by its rows
 
     def add(suite_name: str, name: str, status: str, **extra) -> None:
         checks[suite_name].append({"name": name, "status": status, **extra})
@@ -209,7 +210,9 @@ def cmd_verify(cfg: JobConfig) -> Report:
                 bases[key] = action_ladder(*key, work=cfg.work)
             ladder = (bases.pop(key) if last_row[key] == i else bases[key]).with_data(inst.data)
             free = inst.space.gamma.order != 1 and inst.space.free
-            desc = quotient(inst.space) if free and ("correspondence" in checks or "roundtrips" in checks) else None
+            if free and ("correspondence" in checks or "roundtrips" in checks) and inst.space not in descents:
+                descents[inst.space] = quotient(inst.space)
+            desc = descents.get(inst.space)
 
             if "les" in checks:
                 for c in les_verify(ladder, fault=fault).checks:

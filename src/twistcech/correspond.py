@@ -45,16 +45,14 @@ from .extensions import (
     sub_product,
     trivial_action,
 )
-from .groups import FiniteGroup, GroupHom, cyclic_group, orbit_closures, subgroup_from_elements
-from .nerves import CoverDescent, Nerve, tree_gauge, trivial_gamma_nerve
+from .groups import FiniteGroup, GroupHom, orbit_closures, subgroup_from_elements
+from .nerves import CoverDescent, Nerve, tree_gauge
 from .records import record
-
-_TRIVIAL_GROUP = cyclic_group(1, label="C1")
 
 
 def plain_system(y: Nerve, coeff: FiniteGroup) -> CechSystem:
-    """Untwisted coefficients over a nerve (trivial acting group)."""
-    return CechSystem(trivial_gamma_nerve(y, _TRIVIAL_GROUP), make_twisted_data(trivial_action(_TRIVIAL_GROUP, coeff)))
+    """Untwisted coefficients over a nerve, on its one ``plain_space``: every plain system on ``y`` shares its compiled space."""
+    return CechSystem(y.plain_space, make_twisted_data(trivial_action(y.plain_space.gamma, coeff)))
 
 
 def plain_cocycle(system: CechSystem, values: Sequence[int]) -> TwistedOneCocycle:

@@ -19,7 +19,7 @@ from .extensions import (
     trivial_action,
 )
 from .groups import FiniteGroup, cyclic_group, direct_product, permutation_group, validate_group
-from .nerves import GammaNerve, Nerve, trivial_gamma_nerve, validate_gamma_nerve, validate_nerve
+from .nerves import TRIVIAL_GROUP, GammaNerve, Nerve, trivial_gamma_nerve, validate_gamma_nerve, validate_nerve
 from .records import record
 
 
@@ -66,7 +66,7 @@ def _q8() -> FiniteGroup:
 GROUPS: dict[str, FiniteGroup] = {}
 for _n in (2, 3, 4, 8):
     GROUPS[f"C{_n}"] = cyclic_group(_n, label=f"C{_n}")
-GROUPS["C1"] = cyclic_group(1, label="C1")
+GROUPS["C1"] = TRIVIAL_GROUP
 GROUPS["C2xC2"] = direct_product(cyclic_group(2), cyclic_group(2), label="C2xC2")
 GROUPS["S3"] = _s3()
 GROUPS["D4"] = _d4()
@@ -169,7 +169,7 @@ def gamma_nerve(name: str) -> GammaNerve:
     if name in GAMMA_NERVES:
         return GAMMA_NERVES[name]
     if name in NERVES:
-        return trivial_gamma_nerve(NERVES[name], GROUPS["C1"])
+        return NERVES[name].plain_space
     raise InputError(f"unknown built-in space {name!r}")
 
 

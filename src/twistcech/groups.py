@@ -82,6 +82,14 @@ class FiniteGroup:
     def _generating_sequence(self) -> tuple[int, ...]:  # kept on the instance, outside equality and hashing
         return _greedy_generators(self.mul)
 
+    @cached_property
+    def _center(self) -> Subgroup:  # kept on the instance, as is the central quotient
+        return subgroup_from_elements(self, [z for z in self.elements() if is_central(self, z)], f"Z({self.label})" if self.label else None)
+
+    @cached_property
+    def central_quotient(self) -> tuple[FiniteGroup, GroupHom]:  # G/Z(G) and the projection, kept likewise
+        return quotient_group(self, self._center.embed, label=f"{self.label or 'G'}/Z")
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteGroup({self.label or ''} order={self.order})"
 
@@ -294,10 +302,8 @@ def is_central(g: FiniteGroup, z: int) -> bool:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    """The centre {z : zg = gz for all g} with its own table."""
-    elems = [z for z in g.elements() if is_central(g, z)]
-    lbl = f"Z({g.label})" if g.label else None
-    return subgroup_from_elements(g, elems, label=lbl)
+    """The centre {z : zg = gz for all g} with its own table, built once per group object."""
+    return g._center
 
 
 def is_normal(g: FiniteGroup, elements: Iterable[int]) -> bool:

@@ -25,10 +25,11 @@ from .errors import (
     NotSimplicial,
     SectionInvalid,
 )
-from .groups import FiniteGroup, orbit_closures
+from .groups import FiniteGroup, cyclic_group, orbit_closures
 from .records import record
 
 MAX_DIM = 3
+TRIVIAL_GROUP = cyclic_group(1, label="C1")  # the acting group of every plain space
 
 Simplex = tuple[int, ...]
 T = TypeVar("T")
@@ -38,10 +39,10 @@ T = TypeVar("T")
 class Nerve:
     """Simplices by dimension, with per-instance structure computed once.
 
-    ``edge_index`` and the components and BFS spanning forest behind
+    ``edge_index``, ``plain_space`` and the components and BFS forest behind
     ``components()``, ``spanning_forest()`` and ``is_connected()`` are built
-    on first use and kept on the instance; they take no part in equality or
-    hashing, and are handed out as tuples and read-only mappings.
+    on first use and kept on the instance, outside equality and hashing, and
+    are handed out as tuples and read-only mappings.
     """
 
     n_vertices: int
@@ -63,6 +64,10 @@ class Nerve:
     def edge_index(self) -> dict[Simplex, int]:
         """Position of each sorted edge in ``edges``; not part of equality or hash."""
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def plain_space(self) -> GammaNerve:  # the nerve under the trivial group, the one space of its plain systems
+        return trivial_gamma_nerve(self, TRIVIAL_GROUP)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n_vertices)]

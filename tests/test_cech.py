@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -2050,3 +2051,98 @@ def test_correspondence_with_order_four_acting_group():
     assert prod.group.order == 32
     fib = fiber_over_cover(desc, prod, plain_h1(desc.downstairs, prod.group))
     assert len(h1_reduced(h1_twisted(system))) == len(fib)
+
+
+def one_piece_tables(system):
+    """Oracle: a system's tables compiled in one piece, space and coefficients together, with nothing shared."""
+    nerve, gamma, data = system.nerve, system.gamma, system.data
+    idx = nerve.edge_index
+    m = len(nerve.edges)
+    slot = {**idx, **{(v, u): e + m for (u, v), e in idx.items()}}
+    act = system.space.vact
+    pull = []
+    for row in act:
+        images = [slot[row[u], row[v]] for (u, v) in nerve.edges]
+        pull.append(tuple(images + [s + m if s < m else s - m for s in images]))
+    comps, parent, _, arcs = nerve._forest
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    forest = [[] for _ in comps]
+    for p, v in arcs:
+        forest[comp_of[v]].append((v, p, slot[p, v]))
+    open_edges = [[] for _ in comps]
+    for e, (u, v) in enumerate(nerve.edges):
+        if u != parent[v] and v != parent[u]:
+            open_edges[comp_of[u]].append(e)
+    nontrivial = tuple(t for t in gamma.elements() if t != 0)
+    vertex_sites = []
+    for t in nontrivial:
+        for t2 in nontrivial:
+            prod = gamma.mul[t2][t]
+            vertex_sites.append((t, t2, prod, data.theta_inv(prod, data.c(t2, t))))
+    return types.SimpleNamespace(
+        key_type=bytes if data.g.order <= 256 else tuple,
+        mul=data.g.mul,
+        inv=data.g.inv,
+        act=act,
+        theta_inv=tuple(auto.inverse_map for auto in data.action.theta),
+        edges=nerve.edges,
+        pull=tuple(pull),
+        triangles=tuple((idx[(i, j)], idx[(j, x)], idx[(i, x)]) for (i, j, x) in nerve.triangles),
+        components=comps,
+        comp_of=tuple(comp_of[v] for v in range(nerve.n_vertices)),
+        forest=tuple(tuple(f) for f in forest),
+        open_edges=tuple(tuple(c) for c in open_edges),
+        roots=tuple(comp[0] for comp in comps),
+        nontrivial=nontrivial,
+        vertex_sites=tuple(vertex_sites),
+    )
+
+
+def _systems_sharing_spaces(monkeypatch):
+    """Systems that share compiled spaces, as ``verify all``, ``h1`` and ``extensions classify`` build them.
+
+    Per default-grid row, its ladder's G, Z and G/Z systems and its twisted system, and on a free
+    row the glued group's plain system on the quotient; the 18 h1-ladder systems, each on the space
+    its job resolves; ``second_cohomology``'s point system; and plain systems on a disconnected nerve.
+    """
+    from pathlib import Path
+
+    from twistcech.correspond import plain_system
+    from twistcech.extensions import second_cohomology
+    from twistcech.nerves import quotient
+    from twistcech.serialize import resolve_gamma_nerve, resolve_twisted_data
+
+    systems, ladders, descents = [], {}, {}
+    for inst in default_grid():
+        key = (inst.space, inst.data.action)
+        base = ladders.setdefault(key, action_ladder(*key))
+        systems += [base.sys_g, base.sys_z, base.sys_q, base.with_data(inst.data).sys_c]
+        if inst.space.gamma.order != 1:
+            desc = descents.setdefault(inst.space, quotient(inst.space))
+            systems.append(plain_system(desc.downstairs, build_twisted_product(inst.data).group))
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+    jobs = [(str(inputs / "X_OCT.json"), "C2", g) for g in ("C2", "C4", "S3", "C4")]
+    jobs += [("X_DODEC", "C4", g) for g in LADDER_GROUPS for _ in ("plain", "reduced")]
+    for space, gamma, g in jobs:
+        systems.append(CechSystem(resolve_gamma_nerve(space), resolve_twisted_data(str(inputs / f"trivial_{gamma}_{g}.json"))))
+    real = cech.abelian_complex
+    monkeypatch.setattr(cech, "abelian_complex", lambda system: systems.append(system) or real(system))
+    second_cohomology(inversion_action(C2, C4))
+    two = validate_nerve(5, [(0, 1, 2), (3, 4)])
+    return systems + [plain_system(two, C2), plain_system(two, S3)]
+
+
+def test_shared_space_tables_match_the_one_piece_compile(monkeypatch):
+    systems = _systems_sharing_spaces(monkeypatch)
+    assert len(systems) == 26 * 4 + 22 + 18 + 1 + 2
+    for system in systems:  # every space is compiled and shared before any system is checked
+        system.d1_stencil, system.root_sites, system.gauge_moves, system.d2_stencil
+    for system in systems:
+        oracle = one_piece_tables(system)
+        assert {name: getattr(system.tables, name) for name in vars(oracle)} == vars(oracle)
+        alone = types.SimpleNamespace(tables=oracle, nerve=system.nerve, coeff=system.coeff)
+        edge_sites = cech._d1_sites(alone)
+        assert system.d1_stencil == tuple(edge_sites + cech._d1_sites(alone, range(system.nerve.n_vertices)))
+        assert system.root_sites == tuple(edge_sites + cech._d1_sites(alone, oracle.roots))
+        assert system.gauge_moves == cech._gauge_moves(alone)
+        assert system.d2_stencil == cech._d2_stencil(system)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -366,7 +367,7 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "pullback",
         "d1",
     )
-    trees = count_calls(nerves, "tree_gauge")
+    trees = count_calls(nerves, "tree_gauge", "quotient")
     assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
     # one action ladder per distinct space and action of the 26 rows; 26
     # ladders, 126 enumerations and compilations, 26 complexes and 78 H^0
@@ -388,10 +389,12 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # ``_validated``: 564 of them were ``make_cocycle`` calls when relabel
     # and the centre products rebuilt pairs to validate.  class_of's
     # normalizations were 48 of the 70 ``nerves.tree_gauge`` calls; they
-    # read the compiled forest off the key now, and the other 22 are the
-    # free rows' monodromies.
+    # read the compiled forest off the key now.  The other 22 were the free
+    # rows' monodromies, one per row; the rows on one free space share its
+    # descent now, and so the one monodromy behind its cover class.
+    # 22 quotient descents when each free row built its own.
     first = dict(calls)
-    assert dict(trees) == {"tree_gauge": 22}
+    assert dict(trees) == {"tree_gauge": 2, "quotient": 2}
     assert first == {
         "action_ladder": 16,
         "enumerate_cocycles": 80,
@@ -408,10 +411,54 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "pullback": 0,
         "d1": 54,
     }
-    # nothing is kept from one main() call to the next
+    # what one main() call keeps for the next is built once per object: the
+    # compiled tables of the built-in spaces and of each built-in nerve's
+    # plain space, and the centres and central quotients of the built-in
+    # groups; every system, ladder, H^1 set and descent is built again
     assert main(["verify", "all", "--out", str(tmp_path / "again.json")]) == 0
     assert {name: calls[name] - first[name] for name in calls} == first
-    assert dict(trees) == {"tree_gauge": 44}
+    assert dict(trees) == {"tree_gauge": 4, "quotient": 4}
+
+
+FRESH_PROCESS = """
+import collections, json, sys
+from twistcech import cech, cli
+calls = collections.Counter()
+for module, name in ((cech, "_compile"), (cech, "_compile_space"), (cli, "quotient")):
+    def counted(*args, _real=getattr(module, name), _name=name):
+        calls[_name] += 1
+        return _real(*args)
+    setattr(module, name, counted)
+counts = []
+for out in sys.argv[2:]:
+    calls.clear()
+    assert cli.main([*json.loads(sys.argv[1]), "--out", out]) == 0
+    counts.append(dict(calls))
+print(json.dumps(counts))
+"""
+
+
+def _fresh_process_runs(argv, outs):
+    """Run one command once per output path in a fresh interpreter, where no
+    earlier test has compiled a built-in space; the calls counted per run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cmd = [sys.executable, "-c", FRESH_PROCESS, json.dumps(argv), *map(str, outs)]
+    return json.loads(subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout)
+
+
+def test_a_fresh_process_compiles_each_space_once_and_repeats_its_reports(tmp_path):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    cold, warm = _fresh_process_runs(["verify", "all"], outs)
+    # the spaces of a cold `verify all`: X_HEX, X_TWO_TRI, the plain space of
+    # Y_TRI and one plain space per quotient; 8 while each access to a grid
+    # row's plain space built a new trivial Gamma-nerve.  A second call in the
+    # process compiles only the quotients' plain spaces, whose nerves are new
+    assert cold == {"_compile": 80, "_compile_space": 5, "quotient": 2}
+    assert warm == {"_compile": 80, "_compile_space": 2, "quotient": 2}
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    cold, warm = _fresh_process_runs(["h1", "X_HEX", "X_HEX/Q8,q8_swap,square", "--reduced"], outs)
+    assert (cold, warm) == ({"_compile": 1, "_compile_space": 1}, {"_compile": 1})
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_verify_all_shares_plain_h1_and_nerve_forests(count_calls, monkeypatch, tmp_path):
