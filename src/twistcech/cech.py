@@ -79,6 +79,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     center,
+    check_elements,
     is_central,
     left_cosets,
     orbit_closures,
@@ -397,13 +398,6 @@ def is_twisted_cocycle(
 
     Sites are checked in slot order (triangles, then (t, edge), then (t1, t2,
     vertex)), and the first violated one is returned as its key and value.
-    """
-    witness = _violation(system, _flat_pair(a, phi))
-    return witness is None, witness
-
-
-def _violation(system: CechSystem, values: Sequence[int]) -> Optional[tuple]:
-    """The first site of ``d1`` that a flat pair (a key, or ``_flat_pair``'s list) misses, as its key and value; else None.
 
     Vertex sites are read at the component roots only.  Once every edge
     site holds, the defect of the vertex site (t, t2) at a neighbour w of v
@@ -418,25 +412,37 @@ def _violation(system: CechSystem, values: Sequence[int]) -> Optional[tuple]:
     enters the sites with t2 t == 1, so a phi_1 that is not identically the
     identity has every vertex checked.
     """
-    sites = system.d1_stencil if any(values[len(values) - system.nerve.n_vertices :]) else system.root_sites
-    for (key, _, want), val in zip(sites, _products(system.tables, (factors for _, factors, _ in sites), values)):
-        if val != want:
-            return (*key, val)
+    witness = _violation(system.tables, _flat_pair(a, phi), system.d1_stencil if any(phi[0]) else system.root_sites)
+    return witness is None, witness
+
+
+def _violation(tab: SystemTables, values: Sequence[int], sites: Iterable[D1Site]) -> Optional[tuple]:
+    """The first of ``sites`` (of ``_d1_sites``) that the flat pair ``values`` misses, as its key and value; else None.
+
+    A site's value is ``_products``' over its factors, computed here so that the walk stops at the first miss.
+    """
+    mul, inv, theta_inv = tab.mul, tab.inv, tab.theta_inv
+    for key, factors, want in sites:
+        acc = 0
+        for s, t, sign in factors:
+            x = theta_inv[t][values[s]]
+            acc = mul[acc][x if sign > 0 else inv[x]]
+        if acc != want:
+            return (*key, acc)
     return None
 
 
 def _validated(system: CechSystem, values: Sequence[int]) -> TwistedOneCocycle:
-    """The cocycle of a flat pair in key order, after a range check, the identity row and every ``d1`` site."""
+    """The cocycle of a flat pair in key order, after a range check, the identity row and every ``d1`` site
+    (the vertex sites at the roots, see ``is_twisted_cocycle``)."""
     tab = system.tables
-    order = len(tab.inv)
-    if values and not 0 <= min(values) <= max(values) < order:
-        s, x = next((s, x) for s, x in enumerate(values) if not 0 <= x < order)
-        t, v = divmod(s - len(tab.edges), len(tab.act[0]))
-        name = "a[{},{}]".format(*tab.edges[s]) if s < len(tab.edges) else f"phi[{(t + 1) % len(tab.act)}][{v}]"
-        raise InputError(f"{name} = {x} is out of range for a group of order {order}")
-    if any(values[len(values) - len(tab.act[0]) :]):
+    m, n = len(tab.edges), len(tab.act[0])
+    check_elements(
+        len(tab.inv), values, lambda s: "a[{},{}]".format(*tab.edges[s]) if s < m else f"phi[{((s - m) // n + 1) % len(tab.act)}][{(s - m) % n}]"
+    )
+    if any(values[len(values) - n :]):
         raise InputError("phi[identity] must be identically the identity")
-    witness = _violation(system, values)
+    witness = _violation(tab, values, system.root_sites)
     if witness is not None:
         raise InputError(f"not a twisted cocycle: violation at {witness}")
     return TwistedOneCocycle(system, tab.key_type(values))
@@ -547,9 +553,10 @@ class CohomologySet:
 
     ``reps`` are the least keys of the classes, ascending; ``lookup``
     sends every tree-normalized key of a class to its index, so class_of
-    sends any cocycle of the same system to its class index.  A cocycle
-    whose key is in ``lookup`` is tree-normalized already and is read off
-    directly; any other is normalized first.
+    sends any cocycle of the same system to its class index, and refuses a
+    cocycle of another system with ``CarrierMismatch``.  A cocycle whose key
+    is in ``lookup`` is tree-normalized already and is read off directly;
+    any other is normalized first.
     """
 
     system: CechSystem
@@ -560,6 +567,8 @@ class CohomologySet:
         return len(self.reps)
 
     def class_of(self, x: TwistedOneCocycle) -> int:
+        if x.system is not self.system and x.system != self.system:
+            raise CarrierMismatch(message="cocycle belongs to another system than the H^1 set")
         cid = self.lookup.get(x.key)
         if cid is None:
             cid = self.lookup.get(_tree_normalize(x).key)
@@ -668,22 +677,6 @@ def _generator_steps(gamma: FiniteGroup, gens: Sequence[int]) -> list[tuple[int,
                 if t != 0:
                     steps.append((nxt, t, g))
     return steps
-
-
-def _open_sites_hold(tab: SystemTables, values: Sequence[int], sites: Iterable[D1Site]) -> bool:
-    """True when the flat pair ``values`` meets the target at each given site of ``_d1_sites``; ``_products``' loop, inlined.
-
-    At the component roots, when the pair meets every edge site, that is at every vertex (see ``is_twisted_cocycle``).
-    """
-    mul, inv, theta_inv = tab.mul, tab.inv, tab.theta_inv
-    for _, factors, want in sites:
-        acc = 0
-        for s, t, sign in factors:
-            x = theta_inv[t][values[s]]
-            acc = mul[acc][x if sign > 0 else inv[x]]
-        if acc != want:
-            return False
-    return True
 
 
 def _frame(tab: SystemTables, ax: Sequence[int], g: int) -> tuple[list[int], list[int]]:
@@ -803,7 +796,7 @@ def enumerate_cocycles(system: CechSystem, *, work: Work = Work()) -> list[Twist
             for th, twist, slots in root_steps:
                 for s, s_g, s_prev in slots:
                     values[s] = mul[mul[values[s_g]][th[values[s_prev]]]][twist]
-            if not _open_sites_hold(tab, values, open_sites):
+            if _violation(tab, values, open_sites) is not None:
                 continue
             for gi, (g, (left, right)) in enumerate(zip(gens, frames)):
                 xs = combo[gi * n_comps : (gi + 1) * n_comps]

@@ -16,7 +16,6 @@ fibres.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 from .cech import (
@@ -29,11 +28,9 @@ from .cech import (
     relabel,
 )
 from .errors import (
-    BudgetExceeded,
     CarrierMismatch,
     Disconnected,
     InputError,
-    InternalError,
     NotFree,
     Work,
 )
@@ -45,7 +42,7 @@ from .extensions import (
     sub_product,
     trivial_action,
 )
-from .groups import FiniteGroup, GroupHom, orbit_closures, subgroup_from_elements
+from .groups import FiniteGroup, GroupHom, check_elements, orbit_closures, subgroup_from_elements
 from .nerves import CoverDescent, Nerve, tree_gauge
 from .records import record
 
@@ -86,7 +83,8 @@ def check_ctwisted(descent: CoverDescent, data: TwistedData, values: Sequence[in
     vals = tuple(int(v) for v in values)
     if len(vals) != len(y.edges):
         raise InputError("need one value per base edge")
-    g, gamma = data.g, data.gamma
+    g = data.g
+    check_elements(g.order, vals, lambda e: "h[{},{}]".format(*y.edges[e]))
     idx = y.edge_index
     for (i, j, k) in y.triangles:
         tij = descent.transition(i, j)
@@ -228,10 +226,10 @@ def from_ghat_cocycle(x: GhatCocycleY, descent: CoverDescent) -> CTwistedCocycle
     return check_ctwisted(descent, x.product.data, vals)
 
 
-def _gamma_part(product: TwistedProductGroup, x: TwistedOneCocycle) -> tuple[int, ...]:
-    """The quotient-group part of a glued cocycle's edge values, in edge order."""
+def _gamma_part(product: TwistedProductGroup, values: Sequence[int]) -> tuple[int, ...]:
+    """The quotient-group part of glued edge values (a cocycle's ``a``, or its key's edge slots)."""
     proj = product.proj.map
-    return tuple(proj[v] for v in x.a)
+    return tuple(proj[v] for v in values)
 
 
 def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -> None:
@@ -255,7 +253,7 @@ def fiber_over_cover(
     _check_plain_h1(h1, descent.downstairs, product)
     over = descent.cover_class
     classes = work.paced(range(len(h1)), "fiber_over_cover's class walk")
-    return [cid for cid in classes if _gamma_part(product, h1.representative(cid)) in over]
+    return [cid for cid in classes if _gamma_part(product, h1.representative(cid).a) in over]
 
 
 # ---------------------------------------------------------------------------
@@ -279,53 +277,29 @@ def grothendieck_fiber(
     to the other (Serre, *Galois Cohomology*, I §5.5), so reading the images
     in ``h1`` already divides out the covering transformations and they need
     no pass of their own.  ``h1`` is the plain glued-group H^1 of the base,
-    as for ``fiber_over_cover``; every cocycle built here lives on
-    ``h1.system``.  Returns one representative of ``h1`` per class of the
-    fibre, in class order.  ``work.enum`` bounds the |G|^(non-tree edges)
-    tree-normalized candidates walked.
+    as for ``fiber_over_cover``.
+
+    g0 is the base class's least key, which is tree-normalized, so k -> k g0
+    is a bijection, edge by edge, from the tree-normalized twisted cocycles
+    onto the tree-normalized glued cocycles whose quotient-group part is
+    g0's: k g0 meets the plain law exactly when k meets the twisted one,
+    since g0 meets the plain law and Ad(g0_ij) is conjugation inside the
+    glued group.  ``h1.lookup`` holds every tree-normalized glued cocycle,
+    so the fibre is read off its keys with g0's quotient-group part.
+    Returns one representative of ``h1`` per class of the fibre, in class
+    order.  ``work``'s clock is read before the first key and then every 1024.
     """
     prod = base.product
-    g = prod.data.g
-    y = base.base
-    if y != descent.downstairs:
+    if base.base != descent.downstairs:
         raise CarrierMismatch(message="base cocycle and descent live on different nerves")
     _check_plain_h1(h1, descent.downstairs, prod)
-    if _gamma_part(prod, h1.representative(h1.class_of(base.cocycle))) not in descent.cover_class:
+    m = len(descent.downstairs.edges)
+    g0 = h1.reps[h1.class_of(base.cocycle)]
+    want = _gamma_part(prod, g0[:m])
+    if want not in descent.cover_class:
         raise InputError("base class does not induce the given cover")
-
-    # twisted-conjugation cocycles k <-> glued cocycles k * g0 with the same
-    # quotient part on the nose, modulo coefficient-valued gauge
-    idx = y.edge_index
-    _, tree = y.spanning_forest()
-    tree_set = set(tree)
-    free = [idx[e] for e in y.edges if e not in tree_set]
-    count = g.order ** len(free)
-    if count > work.enum:
-        raise BudgetExceeded(f"fibre enumeration of size {count} exceeds budget {work.enum}")
-
-    pmul, pinv, emb = prod.group.mul, prod.group.inv, prod.embed_g.map
-    g0 = base.cocycle.a  # the upward edge values, in edge order
-
-    def ad(b: int) -> tuple[int, ...]:
-        # Ad by a base edge value, inside the coefficient group
-        row = []
-        for x in g.elements():
-            a_part, t_part = prod.index_pair(pmul[pmul[b][emb[x]]][pinv[b]])
-            if t_part != 0:
-                raise InternalError("conjugation left the coefficient subgroup")
-            row.append(a_part)
-        return tuple(row)
-
-    ads = [ad(b) for b in g0]
-    triangles = [(idx[(i, j)], idx[(j, k)], idx[(i, k)]) for (i, j, k) in y.triangles]
-    k = [0] * len(y.edges)
-    class_ids = set()
-    for combo in work.paced(itertools.product(g.elements(), repeat=len(free)), "grothendieck_fiber's walk"):
-        for e, val in zip(free, combo):
-            k[e] = val
-        if all(g.mul[k[ij]][ads[ij][k[jk]]] == k[ik] for ij, jk, ik in triangles):
-            vals = [pmul[emb[x]][b] for x, b in zip(k, g0)]
-            class_ids.add(h1.class_of(plain_cocycle(h1.system, vals)))
+    keys = work.paced(h1.lookup.items(), "grothendieck_fiber's walk")
+    class_ids = {cid for key, cid in keys if _gamma_part(prod, key[:m]) == want}
     return [h1.representative(cid) for cid in sorted(class_ids)]
 
 
@@ -359,7 +333,7 @@ def connected_reduction(x: GhatCocycleY) -> ConnectedReduction:
     lam = tree_gauge(y, gamma, lambda u, v: proj[x.cocycle.edge_value(u, v)])
     moved = gauge(x.cocycle, [prod.section[t] for t in lam])
     gauged = GhatCocycleY(prod, make_cocycle(x.cocycle.system, moved.a, moved.phi))
-    gprime = gamma.closure(_gamma_part(prod, gauged.cocycle))
+    gprime = gamma.closure(_gamma_part(prod, gauged.cocycle.a))
 
     sub_prod, incl = sub_product(prod, gamma_sub=subgroup_from_elements(gamma, gprime))
     back = {b: a for a, b in enumerate(incl.map)}
@@ -406,7 +380,7 @@ def normalizer_embedding_check(
     sub_gamma = sub_prod.data.gamma
     for cid in range(len(h1_small)):
         # the representatives are tree-normalized: their values generate the monodromy group
-        image = sub_gamma.closure(_gamma_part(sub_prod, h1_small.representative(cid)))
+        image = sub_gamma.closure(_gamma_part(sub_prod, h1_small.representative(cid).a))
         if tuple(sorted(gset[t] for t in image)) == tuple(gset):
             full.append(cid)
 

@@ -41,6 +41,7 @@ from .groups import (
     Subgroup,
     center,
     check_automorphism,
+    check_elements,
     check_hom,
     is_central,
     is_normal,
@@ -129,6 +130,8 @@ def check_cocycle(action: GammaAction, table: Sequence[Sequence[int]]) -> Twiste
     rows = tuple(tuple(int(v) for v in row) for row in table)
     if len(rows) != gamma.order or any(len(r) != gamma.order for r in rows):
         raise InputError("cocycle table must be |Gamma| x |Gamma|")
+    n = gamma.order
+    check_elements(g.order, [v for row in rows for v in row], lambda i: f"c({i // n},{i % n})")
     values = {v for row in rows for v in row}
     central = {v for v in values if is_central(g, v)}
     for g1 in gamma.elements():
@@ -162,6 +165,7 @@ def coboundary(action: GammaAction, cochain: GammaOneCochain) -> TwistedData:
     a = cochain.values
     if len(a) != gamma.order or a[0] != 0:
         raise InputError("1-cochain must assign a(1) = 1 and cover Gamma")
+    check_elements(g.order, a, lambda t: f"a({t})")
     if not all(is_central(g, v) for v in a):
         raise InputError("1-cochain values must be central")
     table = tuple(
@@ -511,6 +515,7 @@ def recocycle(data: TwistedData, s: Sequence[int]) -> Recocycling:
     sv = tuple(int(x) for x in s)
     if len(sv) != gamma.order or sv[0] != 0:
         raise InputError("recocycling map must cover Gamma with s(1) = 1")
+    check_elements(g.order, sv, lambda t: f"s({t})")
 
     def inner(t: int) -> tuple[int, ...]:
         return tuple(g.conjugate(t, x) for x in g.elements())

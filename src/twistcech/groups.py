@@ -218,6 +218,13 @@ def validate_group(mul: Sequence[Sequence[int]], label: Optional[str] = None) ->
     return group
 
 
+def check_elements(order: int, values: Sequence[int], name: Callable[[int], str]) -> None:
+    """Refuse the first of ``values`` that is no element index of a group of order ``order``; ``name(i)`` names values[i]."""
+    if values and not 0 <= min(values) <= max(values) < order:
+        i = next(i for i, x in enumerate(values) if not 0 <= x < order)
+        raise InputError(f"{name(i)} = {values[i]} is out of range for a group of order {order}")
+
+
 def check_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) -> GroupHom:
     m = tuple(map(int, mapping))
     if len(m) != source.order:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import sys
 import types
 
 import pytest
@@ -552,15 +553,20 @@ def test_enumeration_matches_oracle_on_generated_systems(case):
 
 
 def _record_open_checks(monkeypatch):
-    """The verdict of every open-site check that enumerate_cocycles makes, in order."""
-    real = cech._open_sites_hold
+    """The verdict of every open-site check that enumerate_cocycles makes, in order: True when every site holds.
+
+    ``make_cocycle``'s full checks, which the oracles make, are not recorded.
+    """
+    real = cech._violation
     verdicts = []
 
     def counting(tab, values, sites):
-        verdicts.append(real(tab, values, sites))
-        return verdicts[-1]
+        witness = real(tab, values, sites)
+        if sys._getframe(1).f_code is cech.enumerate_cocycles.__code__:
+            verdicts.append(witness is None)
+        return witness
 
-    monkeypatch.setattr(cech, "_open_sites_hold", counting)
+    monkeypatch.setattr(cech, "_violation", counting)
     return verdicts
 
 
@@ -649,14 +655,14 @@ def test_enumeration_validates_only_kept_roots(monkeypatch):
 def test_enumeration_checks_only_the_open_generator_sites(monkeypatch):
     # C4 = <g>: the steps define phi_{g^2} and phi_{g^3} at the sites (g, g)
     # and (g, g^2), and (g, g^3) is the one open site with a generator first
-    real = cech._open_sites_hold
+    real = cech._violation
     seen = set()
 
     def recording(tab, values, sites):
         seen.add(tuple(key for (_, key), _, _ in sites))
         return real(tab, values, sites)
 
-    monkeypatch.setattr(cech, "_open_sites_hold", recording)
+    monkeypatch.setattr(cech, "_violation", recording)
     space = gamma_nerve("X_DODEC")
     (g,) = space.gamma.generating_sequence()
     for g_name in ("C2", "S3", "Q8"):
@@ -665,17 +671,26 @@ def test_enumeration_checks_only_the_open_generator_sites(monkeypatch):
     assert seen == {((g, space.gamma.power(g, 3), 0),)}
 
 
-def test_enumeration_leaves_the_full_check_to_make_cocycle(count_calls):
-    calls = count_calls(cech, "_violation")
+def test_enumeration_leaves_the_full_check_to_make_cocycle(monkeypatch):
+    # the enumerator checks only open vertex sites; make_cocycle checks the
+    # edge sites too, and names the broken one
+    real = cech._violation
+    kinds = []
+
+    def recording(tab, values, sites):
+        kinds.append({kind for (kind, _), _, _ in sites})
+        return real(tab, values, sites)
+
+    monkeypatch.setattr(cech, "_violation", recording)
     cocycles = enumerate_cocycles(SYS_CQ)
-    assert cocycles and calls == {"_violation": 0}
-    # make_cocycle still runs the full check and names the broken site
+    assert cocycles and kinds and all(k == {"vertex"} for k in kinds)
+    kinds.clear()
     x = cocycles[-1]
     bad = [list(row) for row in x.phi]
     bad[1][0] = SYS_CQ.coeff.mul[bad[1][0]][1]
     with pytest.raises(InputError, match=r"violation at \('edge', \(1, \(0, 1\)\)"):
         make_cocycle(SYS_CQ, x.a, bad)
-    assert calls == {"_violation": 1}
+    assert kinds == [{"edge", "vertex"}]
 
 
 def _witness_systems():
@@ -1694,6 +1709,23 @@ def test_class_of_matches_the_normalizing_lookup(data):
     without = CohomologySet(h1.system, [], {s: c for s, c in h1.lookup.items() if c != cid})
     with pytest.raises(InputError, match="does not belong to any enumerated class"):
         without.class_of(x)
+
+
+def test_class_of_refuses_a_cocycle_of_another_system():
+    # the class-0 representatives of another space, and of another action on
+    # the same space, have keys in this lookup: only the system tells them apart
+    inst = grid_instance("X_HEX/Q8,trivial,trivial")
+    h1 = h1_twisted(CechSystem(inst.space, inst.data))
+    for name in ("X_TWO_TRI/Q8,trivial,trivial", "X_HEX/Q8,q8_swap,trivial"):
+        row = grid_instance(name)
+        other = h1_twisted(CechSystem(row.space, row.data)).representative(0)
+        assert other.key in h1.lookup, name
+        with pytest.raises(CarrierMismatch):
+            h1.class_of(other)
+    # a system built apart but equal in value is the same system
+    twin = CechSystem(inst.space, inst.data)
+    assert twin is not h1.system
+    assert h1.class_of(TwistedOneCocycle(twin, h1.reps[1])) == 1
 
 
 def test_les_fault_injection_fails_somewhere():

@@ -392,7 +392,10 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # read the compiled forest off the key now.  The other 22 were the free
     # rows' monodromies, one per row; the rows on one free space share its
     # descent now, and so the one monodromy behind its cover class.
-    # 22 quotient descents when each free row built its own.
+    # 22 quotient descents when each free row built its own.  115
+    # ``make_cocycle`` and 564 ``_validated`` calls when the Grothendieck
+    # fibre built and checked one glued cocycle per walked candidate; it
+    # reads the plain H^1 set's keys now.
     first = dict(calls)
     assert dict(trees) == {"tree_gauge": 2, "quotient": 2}
     assert first == {
@@ -404,8 +407,8 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "_fibres_are_orbits": 48,
         "delta_h1_vector": 54,
         "act_h1z_by_h0q": 107,
-        "make_cocycle": 115,
-        "_validated": 564,
+        "make_cocycle": 46,
+        "_validated": 495,
         "_tree_normalize": 48,
         "gauge": 201,
         "pullback": 0,
@@ -667,6 +670,17 @@ def test_malformed_json_input_exits_2_with_an_input_check(tmp_path, capsys, argv
     assert code == 2
     check = json.loads(captured.out)["checks"][0]
     assert check["name"] == "input" and check["status"] == "fail" and error in check["error"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name, bad", [("c_negative_C2_C4.json", -1), ("c_99_C2_C4.json", 99)])
+def test_a_twist_value_out_of_range_exits_2_with_an_input_check(capsys, name, bad):
+    # no element has a negative index or one past the group's order
+    code = main(["h1", "X_HEX", str(Path(__file__).parent / "data" / name)])
+    captured = capsys.readouterr()
+    assert code == 2
+    check = json.loads(captured.out)["checks"][0]
+    assert check["name"] == "input" and check["error"] == f"c(1,1) = {bad} is out of range for a group of order 4"
     assert "Traceback" not in captured.err
 
 

@@ -71,6 +71,35 @@ def oracle_fiber(descent, product, h1):
     return [cid for cid in range(len(h1)) if least_conjugate(y, gamma, gamma_part(product, h1.representative(cid))) == target]
 
 
+def walked_fiber(base, h1):
+    """Oracle for ``grothendieck_fiber``: walk the coefficient-group values off the spanning tree.
+
+    Every tree-normalized k with k_ij Ad(g0_ij)(k_jk) == k_ik on each
+    triangle, for g0 the base cocycle as given (not tree-normalized), is
+    mapped to k g0 and read in ``h1``; returns the ascending class ids.
+    """
+    prod, y = base.product, base.base
+    g, pmul, pinv, emb = prod.data.g, prod.group.mul, prod.group.inv, prod.embed_g.map
+    idx = y.edge_index
+    tree = set(y.spanning_forest()[1])
+    free = [idx[e] for e in y.edges if e not in tree]
+    g0 = base.cocycle.a
+    ads = []
+    for b in g0:  # Ad by each base edge value, inside the coefficient group
+        pairs = [prod.index_pair(pmul[pmul[b][emb[x]]][pinv[b]]) for x in g.elements()]
+        assert all(t == 0 for _, t in pairs)
+        ads.append([x for x, _ in pairs])
+    triangles = [(idx[(i, j)], idx[(j, k)], idx[(i, k)]) for (i, j, k) in y.triangles]
+    k = [0] * len(y.edges)
+    class_ids = set()
+    for combo in itertools.product(g.elements(), repeat=len(free)):
+        for e, val in zip(free, combo):
+            k[e] = val
+        if all(g.mul[k[ij]][ads[ij][k[jk]]] == k[ik] for ij, jk, ik in triangles):
+            class_ids.add(h1.class_of(plain_cocycle(h1.system, [pmul[emb[x]][b] for x, b in zip(k, g0)])))
+    return sorted(class_ids)
+
+
 def c2_grid():
     return [
         inst
@@ -358,9 +387,18 @@ def test_fibers_reject_an_h1_set_of_another_nerve_or_group():
             grothendieck_fiber(base, DESC, foreign)
 
 
+def test_grothendieck_fiber_refuses_a_base_class_over_another_cover():
+    # the identity cocycle induces the trivial cover, not the connected double cover of X_HEX
+    prod = build_twisted_product(make_twisted_data(INV))
+    ph1 = plain_h1(DESC.downstairs, prod.group)
+    with pytest.raises(InputError, match="does not induce the given cover"):
+        grothendieck_fiber(ghat_cocycle(prod, DESC.downstairs, [0] * len(DESC.downstairs.edges)), DESC, ph1)
+
+
 def test_grothendieck_fiber_matches():
     # from every base class of the fibre, on every free grid row, the
-    # conjugation-twisted classes land on exactly the fibre's classes
+    # conjugation-twisted classes land on exactly the fibre's classes, and
+    # on the classes the walk over the off-tree edges finds
     rows = 0
     for inst in c2_grid():
         desc = quotient(inst.space)
@@ -371,6 +409,7 @@ def test_grothendieck_fiber_matches():
         for cid in fib:
             base = GhatCocycleY(prod, ph1.representative(cid))
             assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == fib, inst.name
+            assert walked_fiber(base, ph1) == fib, inst.name
         rows += bool(fib)
     assert rows == len(c2_grid()) == 22
 
@@ -390,21 +429,43 @@ def test_grothendieck_fiber_where_a_triangle_binds_two_free_edges():
         assert fib == oracle_fiber(desc, prod, ph1)
         assert len(fib) == len(h1_reduced(h1_twisted(CechSystem(cover, data)))) == size
         for cid in fib:
+            rep = ph1.representative(cid)
+            # the base class, as its representative and gauged off the tree
+            for x in (rep, gauge(rep, [(5 * v + cid) % prod.group.order for v in range(y.n_vertices)])):
+                base = GhatCocycleY(prod, x)
+                assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == walked_fiber(base, ph1) == fib
+
+
+def test_grothendieck_fiber_on_an_annulus_with_thirteen_off_tree_edges():
+    # a triangulated annulus: 12 vertices, 24 edges, 12 triangles, so 13
+    # edges off the spanning tree; a walk over them would take |G|^13 steps
+    y = validate_nerve(12, [t for i in range(6) for t in ((i, (i + 1) % 6, 6 + i), ((i + 1) % 6, 6 + i, 6 + (i + 1) % 6))])
+    assert len(y.edges) - len(y.spanning_forest()[1]) == 13
+    cover, desc = build_cover(y, C2, plain_h1(y, C2).representative(1).a)
+    # the annulus is a circle up to homotopy: over its connected double
+    # cover the fibre is one class per conjugacy class of G
+    for g, size in ((Q8, 5), (S3, 3)):
+        data = make_twisted_data(trivial_action(C2, g))
+        prod = build_twisted_product(data)
+        ph1 = plain_h1(y, prod.group)
+        fib = fiber_over_cover(desc, prod, ph1)
+        assert fib == oracle_fiber(desc, prod, ph1)
+        assert len(fib) == len(h1_reduced(h1_twisted(CechSystem(cover, data)))) == len(conjugacy_classes(g)) == size
+        for cid in fib:
             base = GhatCocycleY(prod, ph1.representative(cid))
             assert [ph1.class_of(r) for r in grothendieck_fiber(base, desc, ph1)] == fib
 
 
-def test_grothendieck_fiber_budget_counts_the_candidates_walked(count_calls):
-    # one edge of the hollow triangle is off the tree, so C4 coefficients
-    # give 4 candidates, and with no triangle to check each one is a cocycle
+def test_grothendieck_fiber_builds_no_cocycle_and_reads_the_clock(count_calls):
+    # the fibre is read off the keys ``h1`` already holds: no candidate
+    # cocycle is built, and the scan reads the clock
     prod = build_twisted_product(make_twisted_data(INV))
     ph1 = plain_h1(DESC.downstairs, prod.group)
-    base = GhatCocycleY(prod, ph1.representative(fiber_over_cover(DESC, prod, ph1)[0]))
-    walked = count_calls(correspond, "plain_cocycle")
-    assert len(grothendieck_fiber(base, DESC, ph1, work=Work(enum=4))) == 2
-    assert walked["plain_cocycle"] == 4
-    with pytest.raises(BudgetExceeded):
-        grothendieck_fiber(base, DESC, ph1, work=Work(enum=3))
+    fib = fiber_over_cover(DESC, prod, ph1)
+    base = GhatCocycleY(prod, ph1.representative(fib[0]))
+    built = count_calls(correspond, "plain_cocycle")
+    assert [ph1.class_of(r) for r in grothendieck_fiber(base, DESC, ph1, work=Work(enum=1))] == fib
+    assert built["plain_cocycle"] == 0
     with pytest.raises(BudgetExceeded, match="^time limit reached in grothendieck_fiber's walk$"):
         grothendieck_fiber(base, DESC, ph1, work=Work(deadline=0.0))
 
