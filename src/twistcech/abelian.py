@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, InternalError
 from .groups import FiniteGroup
-from .records import record
+from .records import kept, record
 
 Matrix = list[list[int]]
 
@@ -137,6 +137,11 @@ class AbelianCoords:
 
 
 def abelian_coordinates(group: FiniteGroup) -> AbelianCoords:
+    """Cyclic coordinates of an abelian group, searched once per group object and kept on it."""
+    return kept(group, "_coords", lambda: _coordinate_search(group))
+
+
+def _coordinate_search(group: FiniteGroup) -> AbelianCoords:
     """Decompose an abelian group into cyclic coordinates by greedy search."""
     if not group.is_abelian():
         raise InputError("coordinates require an abelian group")

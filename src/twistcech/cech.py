@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .abelian import (
     DEFAULT_COORD_GUARD,
@@ -86,7 +86,7 @@ from .groups import (
     subgroup_from_elements,
 )
 from .nerves import GammaNerve, Nerve, Simplex, forest_functions
-from .records import record
+from .records import kept, record
 
 
 @record(frozen=True)
@@ -125,7 +125,7 @@ class CechSystem:
     @property
     def d1_edge_sites(self) -> tuple[D1Site, ...]:
         """The triangle and (t, edge) sites of ``d1``, shared by ``d1_stencil`` and ``root_sites`` of every system on the space."""
-        return _kept(self.space, "_d1_edge_sites", lambda: tuple(_d1_sites(self)))
+        return kept(self.space, "_d1_edge_sites", lambda: tuple(_d1_sites(self)))
 
     @cached_property
     def d1_stencil(self) -> tuple[D1Site, ...]:
@@ -140,7 +140,7 @@ class CechSystem:
     @property
     def d2_stencil(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """The terms of ``d2`` per 3-cochain slot, shared by every system on the space (see ``_d2_stencil``)."""
-        return _kept(self.space, "_d2_stencil", lambda: _d2_stencil(self))
+        return kept(self.space, "_d2_stencil", lambda: _d2_stencil(self))
 
 
 @record(frozen=True)
@@ -172,14 +172,9 @@ class SystemTables:
         return [*a, *map(self.inv.__getitem__, a)]
 
 
-def _kept(space: GammaNerve, name: str, build: Callable[[], Any]) -> Any:
-    """A table of the space alone, built on first use and kept on the instance, outside equality and hashing, as ``Nerve._forest`` is."""
-    return vars(space)[name] if name in vars(space) else vars(space).setdefault(name, build())
-
-
 def _compile(system: CechSystem) -> SystemTables:
     data, gmul = system.data, system.gamma.mul
-    shared = _kept(system.space, "_tables", lambda: _compile_space(system.space))
+    shared = kept(system.space, "_tables", lambda: _compile_space(system.space))
     pairs = itertools.product(shared["nontrivial"], repeat=2)
     return SystemTables(
         key_type=bytes if data.g.order <= 256 else tuple,

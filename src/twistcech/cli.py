@@ -237,7 +237,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
                 h1 = ladder.h1c
                 ok = True
                 witness = None
-                for cid in rng.sample(range(len(h1)), k=len(h1)):
+                for cid in cfg.work.paced(rng.sample(range(len(h1)), k=len(h1)), "roundtrips' descend-ascend"):
                     x = h1.representative(cid)
                     if h1.class_of(ascend(descend(x, desc), ladder.sys_c)) != cid:
                         ok = False

@@ -50,7 +50,7 @@ from .groups import (
     subgroup_from_elements,
     validate_group,
 )
-from .nerves import trivial_gamma_nerve, validate_nerve
+from .nerves import point_space
 from .records import record
 
 
@@ -248,7 +248,8 @@ def restrict_to_subgroup(
 def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleClassification:
     """Classify central 2-cocycles up to coboundary as the Cech H^2 of a point.
 
-    Over the one-vertex nerve with Gamma acting trivially, the Cech complex
+    Over the one-vertex nerve with Gamma acting trivially, ``point_space(gamma)``,
+    whose tables and d2 stencil compile once per group object, the Cech complex
     with coefficients Z(G) is the normalized group complex: the (t1, t2)
     slots are the whole of its 2-cochains, the (t1, t2, t3) sites of d2 are
     the cocycle identity and the vertex part of d1 is the group coboundary.
@@ -272,8 +273,7 @@ def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleCla
     n_out = (gamma.order - 1) ** 3 * len(abelian_coordinates(zsub.group).moduli)
     if n_out > DEFAULT_COORD_GUARD:
         raise BudgetExceeded(f"3-cochains have {n_out} coordinates, guard {DEFAULT_COORD_GUARD}")
-    point = trivial_gamma_nerve(validate_nerve(1, []), gamma)
-    cx = abelian_complex(CechSystem(point, restrict_to_subgroup(make_twisted_data(action), zsub)))
+    cx = abelian_complex(CechSystem(point_space(gamma), restrict_to_subgroup(make_twisted_data(action), zsub)))
     if cx.cocycles.size > work.enum:
         raise BudgetExceeded(f"kernel of d2 has {cx.cocycles.size} elements, budget {work.enum}")
     r = len(cx.coords.moduli)

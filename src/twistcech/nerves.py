@@ -26,7 +26,7 @@ from .errors import (
     SectionInvalid,
 )
 from .groups import FiniteGroup, cyclic_group, orbit_closures
-from .records import record
+from .records import kept, record
 
 MAX_DIM = 3
 TRIVIAL_GROUP = cyclic_group(1, label="C1")  # the acting group of every plain space
@@ -232,6 +232,11 @@ def _is_free(nerve: Nerve, gamma: FiniteGroup, tables: Sequence[Sequence[int]]) 
 def trivial_gamma_nerve(nerve: Nerve, gamma: FiniteGroup) -> GammaNerve:
     ident = tuple(range(nerve.n_vertices))
     return validate_gamma_nerve(nerve, gamma, tuple(ident for _ in gamma.elements()))
+
+
+def point_space(gamma: FiniteGroup) -> GammaNerve:
+    """The one-vertex nerve under ``gamma``, kept on the group as a nerve keeps its ``plain_space``: the one space of its point systems."""
+    return kept(gamma, "_point_space", lambda: trivial_gamma_nerve(validate_nerve(1, []), gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ do: equal only to records of the same class with equal field tuples, the hash of
 tuple, ``Name(field=value, ...)``.  ``field(default_factory=..., compare=False)`` is the one
 field option: a value made fresh per instance, left out of ``==`` and ``hash`` when
 ``compare`` is false.  A method the class defines itself is kept, ``__post_init__`` runs at
-the end of ``__init__``, and ``cached_property`` fills a frozen record's instance dict.
-Inheritance, ordering, slots and keyword-only fields are not supported.
+the end of ``__init__``, and ``cached_property`` fills a frozen record's instance dict, as
+``kept`` does for what a function builds once per object.  Inheritance, ordering, slots and
+keyword-only fields are not supported.
 
 Only ``__init__`` and a frozen record's ``__hash__`` are compiled per class, in one ``exec`` of
 the source ``dataclasses`` compiles, so that building and hashing a record cost no more.
@@ -32,6 +33,12 @@ class _Field:
 def field(*, default_factory, compare=True):
     """A field made fresh per instance by ``default_factory``; ``compare=False`` leaves it out of ``==`` and ``hash``."""
     return _Field(default_factory, compare)
+
+
+def kept(obj, name: str, build):
+    """``build()``, built once per object and kept in its instance dict under ``name``, outside equality
+    and hashing, as a ``cached_property`` is; a ``build`` that raises keeps nothing."""
+    return vars(obj)[name] if name in vars(obj) else vars(obj).setdefault(name, build())
 
 
 def _fields_key(names):

@@ -292,6 +292,16 @@ def _trivial_system(space, g_name):
 
 
 LADDER_GROUPS = ("C2", "C4", "C2xC2", "S3", "Q8", "D4", "C8")
+# the (Gamma, G, action) of the perfbench extensions-classify jobs
+CLASSIFY_JOBS = (
+    ("C4", "C3", "trivial"),
+    ("C2xC2", "C3", "trivial"),
+    ("C3", "C8", "trivial"),
+    ("C2xC2", "C2", "trivial"),
+    ("C4", "C2", "trivial"),
+    ("C2", "Q8", "q8_swap"),
+    ("C2", "C8", "inversion"),
+)
 
 
 def _grid_and_ladder_systems():
@@ -2135,13 +2145,16 @@ def _systems_sharing_spaces(monkeypatch):
 
     Per default-grid row, its ladder's G, Z and G/Z systems and its twisted system, and on a free
     row the glued group's plain system on the quotient; the 18 h1-ladder systems, each on the space
-    its job resolves; ``second_cohomology``'s point system; and plain systems on a disconnected nerve.
+    its job resolves; ``second_cohomology``'s point systems, on the point space each acting group
+    keeps, for the 7 extensions-classify actions, C2 inverting C4 and D4 and Q8 acting trivially on
+    C2; and plain systems on a disconnected nerve.
     """
     from pathlib import Path
 
     from twistcech.correspond import plain_system
     from twistcech.extensions import second_cohomology
-    from twistcech.nerves import quotient
+    from twistcech.fixtures import named_action
+    from twistcech.nerves import point_space, quotient
     from twistcech.serialize import resolve_gamma_nerve, resolve_twisted_data
 
     systems, ladders, descents = [], {}, {}
@@ -2157,16 +2170,46 @@ def _systems_sharing_spaces(monkeypatch):
     jobs += [("X_DODEC", "C4", g) for g in LADDER_GROUPS for _ in ("plain", "reduced")]
     for space, gamma, g in jobs:
         systems.append(CechSystem(resolve_gamma_nerve(space), resolve_twisted_data(str(inputs / f"trivial_{gamma}_{g}.json"))))
+    points = []
     real = cech.abelian_complex
-    monkeypatch.setattr(cech, "abelian_complex", lambda system: systems.append(system) or real(system))
-    second_cohomology(inversion_action(C2, C4))
+    monkeypatch.setattr(cech, "abelian_complex", lambda system: points.append(system) or real(system))
+    actions = [named_action(a, group(gamma), group(z)) for gamma, z, a in CLASSIFY_JOBS]
+    for action in actions + [inversion_action(C2, C4), trivial_action(group("D4"), C2), trivial_action(Q8, C2)]:
+        second_cohomology(action)
+    assert all(system.space is point_space(system.gamma) for system in points)
     two = validate_nerve(5, [(0, 1, 2), (3, 4)])
-    return systems + [plain_system(two, C2), plain_system(two, S3)]
+    return systems + points + [plain_system(two, C2), plain_system(two, S3)]
+
+
+def test_kept_coordinates_match_a_fresh_search_on_an_equal_copy():
+    from twistcech import abelian
+    from twistcech.extensions import second_cohomology
+    from twistcech.fixtures import named_action
+    from twistcech.groups import FiniteGroup
+
+    # the centres whose coordinates `verify` and `extensions classify` search, and keep
+    for inst in default_grid():
+        action_ladder(inst.space, inst.data.action).cx
+    for gamma, z, a in CLASSIFY_JOBS:
+        second_cohomology(named_action(a, group(gamma), group(z)))
+    searched = {inst.data.g for inst in default_grid()} | {group(z) for _, z, _ in CLASSIFY_JOBS}
+    assert all("_coords" in vars(center(g).group) for g in searched)
+    reached = [h for g in GROUPS.values() for h in (g, center(g).group, g.central_quotient[0]) if h.is_abelian()]
+    # the six abelian groups with their centres and trivial quotients; the centres of S3, D4 and Q8 and
+    # the quotients of D4 and Q8
+    assert len(reached) == 3 * 6 + 3 + 2
+    for h in reached:
+        copy = FiniteGroup(h.order, h.mul, h.inv, h.label, h.relabeling)
+        assert copy == h and abelian.abelian_coordinates(h) is abelian.abelian_coordinates(h)
+        assert abelian.abelian_coordinates(h) == abelian._coordinate_search(copy)
+    with pytest.raises(InputError, match="coordinates require an abelian group"):
+        abelian.abelian_coordinates(S3)
+    assert "_coords" not in vars(S3)
 
 
 def test_shared_space_tables_match_the_one_piece_compile(monkeypatch):
     systems = _systems_sharing_spaces(monkeypatch)
-    assert len(systems) == 26 * 4 + 22 + 18 + 1 + 2
+    assert len(systems) == 26 * 4 + 22 + 18 + 10 + 2
     for system in systems:  # every space is compiled and shared before any system is checked
         system.d1_stencil, system.root_sites, system.gauge_moves, system.d2_stencil
     for system in systems:

@@ -1,6 +1,7 @@
 """CLI surface: reference resolution, report formats, exit codes, determinism."""
 
 import functools
+import gc
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcech import cech, cli, fixtures, nerves
+from twistcech import cech, cli, extensions, fixtures, nerves
 from twistcech.cli import main
 from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
@@ -216,6 +217,28 @@ def test_time_limit_refuses_before_the_z2_listing_is_built(monkeypatch, capsys):
     assert json.loads(out)["checks"][0]["error"] == "time limit reached in second_cohomology's Z^2 listing"
 
 
+def test_time_limit_stops_the_roundtrips_after_the_row_h1_is_built(monkeypatch, capsys):
+    # the clock passes the deadline once the row's H^1 is listed: the descend-ascend loop must read it
+    import time
+
+    now, descents = [0.0], []
+    real_h1, real_descend = cech.h1_twisted, cli.descend
+
+    def h1_then_late(*args, **kwargs):
+        h1 = real_h1(*args, **kwargs)
+        now[0] = float("inf")
+        return h1
+
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(cech, "h1_twisted", h1_then_late)
+    monkeypatch.setattr(cli, "descend", lambda *args: descents.append(args) or real_descend(*args))
+    row = "X_HEX/C4,trivial,square"
+    code, out = run_cli(["verify", "roundtrips", "--only", row], capsys)
+    assert code == 3 and descents == []
+    [check] = json.loads(out)["checks"]
+    assert check["error"] == f"time limit reached in roundtrips' descend-ascend, at grid row {row}"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -297,6 +320,8 @@ CI_COMMANDS = (
     "verify les --fault flip-gauge",
     "h1 X_HEX X_HEX/Q8,q8_swap,square --reduced",
     "extensions classify C2 C4 --action inversion",
+    "extensions classify C2xC2 C2",
+    "extensions classify C3 C8",
 )
 
 
@@ -425,9 +450,9 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
 
 FRESH_PROCESS = """
 import collections, json, sys
-from twistcech import cech, cli
+from twistcech import abelian, cech, cli
 calls = collections.Counter()
-for module, name in ((cech, "_compile"), (cech, "_compile_space"), (cli, "quotient")):
+for module, name in ((cech, "_compile"), (cech, "_compile_space"), (cli, "quotient"), (abelian, "_coordinate_search")):
     def counted(*args, _real=getattr(module, name), _name=name):
         calls[_name] += 1
         return _real(*args)
@@ -455,13 +480,57 @@ def test_a_fresh_process_compiles_each_space_once_and_repeats_its_reports(tmp_pa
     # the spaces of a cold `verify all`: X_HEX, X_TWO_TRI, the plain space of
     # Y_TRI and one plain space per quotient; 8 while each access to a grid
     # row's plain space built a new trivial Gamma-nerve.  A second call in the
-    # process compiles only the quotients' plain spaces, whose nerves are new
-    assert cold == {"_compile": 80, "_compile_space": 5, "quotient": 2}
+    # process compiles only the quotients' plain spaces, whose nerves are new.
+    # The coordinates of the four coefficient groups' centres are searched
+    # once each and kept on the centres; 16 searches a call, one per abelian
+    # complex, when nothing kept them
+    assert cold == {"_compile": 80, "_compile_space": 5, "quotient": 2, "_coordinate_search": 4}
     assert warm == {"_compile": 80, "_compile_space": 2, "quotient": 2}
     assert outs[0].read_bytes() == outs[1].read_bytes()
     cold, warm = _fresh_process_runs(["h1", "X_HEX", "X_HEX/Q8,q8_swap,square", "--reduced"], outs)
     assert (cold, warm) == ({"_compile": 1, "_compile_space": 1}, {"_compile": 1})
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_a_fresh_process_compiles_each_point_space_once_and_repeats_its_classification(tmp_path):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    cold, warm = _fresh_process_runs(["extensions", "classify", "C2xC2", "C2"], outs)
+    # Gamma keeps its point space and the centre of C2 its coordinates: one
+    # compile and one search in the process, where each call compiled the
+    # point and searched the centre's coordinates twice
+    assert (cold, warm) == ({"_compile": 1, "_compile_space": 1, "_coordinate_search": 1}, {"_compile": 1})
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_kept_state_does_not_keep_a_group_read_from_a_file_alive(monkeypatch, tmp_path):
+    # each call reads a new Gamma; what it keeps must go with it
+    gamma_file = tmp_path / "gamma.json"
+    gamma_file.write_text(json.dumps({"mul": [list(row) for row in group("C2xC2").mul]}))
+    groups, spaces = [], []
+    real_resolve, real_point = cli.resolve_group, extensions.point_space
+
+    def resolved(ref):
+        found = real_resolve(ref)
+        groups.append(weakref.ref(found))
+        return found
+
+    def point(gamma):
+        space = real_point(gamma)
+        spaces.append(weakref.ref(space))
+        return space
+
+    monkeypatch.setattr(cli, "resolve_group", resolved)
+    monkeypatch.setattr(extensions, "point_space", point)
+    reports = []
+    for ref in ("C2xC2", str(gamma_file)):
+        out = tmp_path / "classify.json"
+        assert main(["extensions", "classify", ref, "C2", "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8"))["checks"])
+    assert reports[0] == reports[1]
+    gc.collect()
+    user_gamma, user_space = groups[2], spaces[1]
+    assert user_gamma() is None and user_space() is None
+    assert groups[0]() is group("C2xC2") and spaces[0]() is not None
 
 
 def test_verify_all_shares_plain_h1_and_nerve_forests(count_calls, monkeypatch, tmp_path):
