@@ -89,16 +89,12 @@ from .cech import (
     transport_cocycle,
 )
 from .correspond import (
-    CTwistedCocycleY,
     GhatCocycleY,
     ascend,
-    check_ctwisted,
     connected_reduction,
     descend,
     fiber_over_cover,
-    from_ghat_cocycle,
     grothendieck_fiber,
     normalizer_embedding_check,
     plain_h1,
-    to_ghat_cocycle,
 )

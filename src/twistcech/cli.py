@@ -31,7 +31,7 @@ from .correspond import (
     descend,
     fiber_over_cover,
     grothendieck_fiber,
-    plain_h1,
+    plain_system,
 )
 from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_ORDER_GUARD, BudgetExceeded, InputError, TwistError, Work
 from .extensions import TwistedData, build_twisted_product, second_cohomology
@@ -210,9 +210,14 @@ def cmd_verify(cfg: JobConfig) -> Report:
                 bases[key] = action_ladder(*key, work=cfg.work)
             ladder = (bases.pop(key) if last_row[key] == i else bases[key]).with_data(inst.data)
             free = inst.space.gamma.order != 1 and inst.space.free
-            if free and ("correspondence" in checks or "roundtrips" in checks) and inst.space not in descents:
-                descents[inst.space] = quotient(inst.space)
-            desc = descents.get(inst.space)
+            if free and ("correspondence" in checks or "roundtrips" in checks):
+                if inst.space not in descents:
+                    descents[inst.space] = quotient(inst.space)
+                desc = descents[inst.space]
+                # from the upstairs system's own data record, which descend and ascend then match by
+                # identity; a trivial twist's ``inst.data`` is an equal but distinct record
+                prod = build_twisted_product(ladder.sys_c.data)
+                base_sys = plain_system(desc.downstairs, prod.group)
 
             if "les" in checks:
                 for c in les_verify(ladder, fault=fault).checks:
@@ -220,8 +225,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
 
             if "correspondence" in checks and free:
                 h1r = h1_reduced(ladder.h1c, work=cfg.work)
-                prod = build_twisted_product(inst.data)
-                ph1 = plain_h1(desc.downstairs, prod.group, work=cfg.work)
+                ph1 = h1_twisted(base_sys, work=cfg.work)
                 fib = fiber_over_cover(desc, prod, ph1, work=cfg.work)
                 status = "pass" if len(h1r) == len(fib) else "fail"
                 detail = {"reduced": len(h1r), "fiber": len(fib)}
@@ -239,7 +243,7 @@ def cmd_verify(cfg: JobConfig) -> Report:
                 witness = None
                 for cid in cfg.work.paced(rng.sample(range(len(h1)), k=len(h1)), "roundtrips' descend-ascend"):
                     x = h1.representative(cid)
-                    if h1.class_of(ascend(descend(x, desc), ladder.sys_c)) != cid:
+                    if h1.class_of(ascend(descend(x, desc, prod, base_sys), desc, ladder.sys_c)) != cid:
                         ok = False
                         witness = cid
                         break

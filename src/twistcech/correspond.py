@@ -3,25 +3,26 @@
 For a free quotient X -> Y with descent data (section s, transitions t_ij),
 a twisted cocycle upstairs is normalized so its vertex functions vanish at
 the section, leaving one coefficient value per Y-edge.  Framed at the first
-index these values satisfy the c-corrected law
-
-    h_ij theta_{t_ij}(h_jk) c(t_ij, t_jk) == h_ik,
-
-and pairing them with the transitions produces a plain cocycle (h_ij, t_ij)
-valued in the glued product group.  Both constructions are implemented with
-their inverses, together with the monodromy filtration of glued-group
-classes over a fixed cover and the conjugation/quotient descriptions of its
-fibres.
+index and paired with the transitions, these values form a plain cocycle
+(h_ij, t_ij) valued in the glued product group: its product law
+(a, x)(b, y) = (a theta_x(b) c(x, y), xy) makes the plain cocycle law on
+such edges the c-corrected law h_ij theta_{t_ij}(h_jk) c(t_ij, t_jk) == h_ik
+(Serre, *Galois Cohomology*, I §5), so ``d1``'s triangle sites check it.
+Descent and its inverse are implemented, together with the monodromy
+filtration of glued-group classes over a fixed cover and the
+conjugation/quotient descriptions of its fibres.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cech import (
     CechSystem,
     CohomologySet,
     TwistedOneCocycle,
+    _flat_pair,
+    _validated,
     gauge,
     h1_twisted,
     make_cocycle,
@@ -31,7 +32,6 @@ from .errors import (
     CarrierMismatch,
     Disconnected,
     InputError,
-    NotFree,
     Work,
 )
 from .extensions import (
@@ -42,7 +42,7 @@ from .extensions import (
     sub_product,
     trivial_action,
 )
-from .groups import FiniteGroup, GroupHom, check_elements, orbit_closures, subgroup_from_elements
+from .groups import FiniteGroup, GroupHom, orbit_closures, subgroup_from_elements
 from .nerves import CoverDescent, Nerve, tree_gauge
 from .records import record
 
@@ -65,116 +65,6 @@ def plain_h1(y: Nerve, coeff: FiniteGroup, *, work: Work = Work()) -> Cohomology
 
 
 # ---------------------------------------------------------------------------
-# c-twisted cocycles on the base
-# ---------------------------------------------------------------------------
-
-
-@record(frozen=True)
-class CTwistedCocycleY:
-    """Base-side edge data framed at the section, subject to the c-corrected law."""
-
-    descent: CoverDescent
-    data: TwistedData
-    values: tuple[int, ...]  # aligned with the sorted edges of the base nerve
-
-
-def check_ctwisted(descent: CoverDescent, data: TwistedData, values: Sequence[int]) -> CTwistedCocycleY:
-    y = descent.downstairs
-    vals = tuple(int(v) for v in values)
-    if len(vals) != len(y.edges):
-        raise InputError("need one value per base edge")
-    g = data.g
-    check_elements(g.order, vals, lambda e: "h[{},{}]".format(*y.edges[e]))
-    idx = y.edge_index
-    for (i, j, k) in y.triangles:
-        tij = descent.transition(i, j)
-        tjk = descent.transition(j, k)
-        lhs = g.mul[g.mul[vals[idx[(i, j)]]][data.theta(tij, vals[idx[(j, k)]])]][data.c(tij, tjk)]
-        if lhs != vals[idx[(i, k)]]:
-            raise InputError(f"c-twisted cocycle law fails on triangle ({i},{j},{k})")
-    return CTwistedCocycleY(descent, data, vals)
-
-
-def descend(x: TwistedOneCocycle, descent: CoverDescent) -> CTwistedCocycleY:
-    """Read a twisted cocycle upstairs as c-twisted edge data downstairs.
-
-    The cocycle is first gauged so its vertex functions vanish along the
-    section; the surviving edge values over each base edge are all equal to
-    one coefficient element, recorded in the first-index frame.
-    """
-    space = x.system.space
-    if space is not descent.upstairs and space != descent.upstairs:
-        raise CarrierMismatch(message="cocycle lives on a different cover")
-    if not space.free:
-        raise NotFree(message="descent needs a free action upstairs")
-    data = x.system.data
-    y = descent.downstairs
-    n_up = space.nerve.n_vertices
-    h = [0] * n_up
-    phi = x.phi
-    for i in range(y.n_vertices):
-        s_i = descent.section[i]
-        for t in data.gamma.elements():
-            h[space.act(s_i, t)] = phi[t][s_i]
-    xn = gauge(x, h)
-    vals = []
-    for (i, j) in y.edges:
-        tij = descent.transition(i, j)
-        up_val = xn.edge_value(space.act(descent.section[i], tij), descent.section[j])
-        vals.append(data.theta(tij, up_val))
-    return check_ctwisted(descent, data, vals)
-
-
-def ascend(y_cocycle: CTwistedCocycleY, system: CechSystem) -> TwistedOneCocycle:
-    """Rebuild the twisted cocycle upstairs from base-side edge data.
-
-    ``system`` is the compiled upstairs system: the cover's upper space with
-    the cocycle's data, as the caller already holds it.  Vertex functions are
-    pinned to the canonical values forced by vanishing at the section; edge
-    values over a base edge are spread along the fibre by the compatibility
-    laws.
-    """
-    descent = y_cocycle.descent
-    data = y_cocycle.data
-    space = descent.upstairs
-    y = descent.downstairs
-    gamma, g = data.gamma, data.g
-    if (system.space, system.data) != (space, data):
-        raise CarrierMismatch(message="system is not the cover's upper space with the cocycle's data")
-
-    sheet: dict[int, tuple[int, int]] = {}
-    for i in range(y.n_vertices):
-        s_i = descent.section[i]
-        for t in gamma.elements():
-            sheet[space.act(s_i, t)] = (i, t)
-
-    phi = []
-    for t in gamma.elements():
-        row = []
-        for v in range(space.nerve.n_vertices):
-            _, tp = sheet[v]
-            prod = gamma.mul[tp][t]
-            row.append(data.theta_inv(prod, data.c(tp, t)))
-        phi.append(tuple(row))
-
-    edge_pos = space.nerve.edge_index
-    a = [0] * len(space.nerve.edges)
-    idx_y = y.edge_index
-    for (i, j) in y.edges:
-        tij = descent.transition(i, j)
-        b_ij = data.theta_inv(tij, y_cocycle.values[idx_y[(i, j)]])
-        for t in gamma.elements():
-            u = space.act(descent.section[i], gamma.mul[tij][t])
-            w = space.act(descent.section[j], t)
-            val = g.mul[data.theta_inv(gamma.mul[tij][t], data.c(tij, t))][data.theta_inv(t, b_ij)]
-            if u < w:
-                a[edge_pos[(u, w)]] = val
-            else:
-                a[edge_pos[(w, u)]] = g.inv[val]
-    return make_cocycle(system, tuple(a), tuple(phi))
-
-
-# ---------------------------------------------------------------------------
 # Glued-group cocycles on the base
 # ---------------------------------------------------------------------------
 
@@ -194,48 +84,89 @@ class GhatCocycleY:
         return self.product.index_pair(self.cocycle.edge_value(i, j))
 
 
-def ghat_cocycle(product: TwistedProductGroup, y: Nerve, values: Sequence[int]) -> GhatCocycleY:
-    return GhatCocycleY(product, plain_cocycle(plain_system(y, product.group), values))
+def _check_plain_system(system: CechSystem, y: Nerve, product: TwistedProductGroup) -> None:
+    if system.gamma.order != 1 or system.nerve != y or system.coeff.mul != product.group.mul:
+        raise CarrierMismatch(message="not the plain glued-group system of the descent base")
 
 
-def to_ghat_cocycle(y_cocycle: CTwistedCocycleY, product: Optional[TwistedProductGroup] = None) -> GhatCocycleY:
-    """Pair the framed values with the transitions: edges carry (h_ij, t_ij)."""
-    prod = product or build_twisted_product(y_cocycle.data)
-    if prod.data != y_cocycle.data:
+def descend(x: TwistedOneCocycle, descent: CoverDescent, product: TwistedProductGroup, system: CechSystem) -> GhatCocycleY:
+    """Read a twisted cocycle upstairs as a glued-group cocycle on the base.
+
+    The cocycle is first gauged so its vertex functions vanish along the
+    section; the surviving edge values over each base edge (i, j) are all
+    one coefficient element h, and the edge carries (theta_{t_ij}(h), t_ij).
+    ``product`` is the glued product of the cocycle's data and ``system``
+    the compiled ``plain_system`` of ``product.group`` on the base, where
+    the result is checked at ``d1``'s sites.
+    """
+    space, data = x.system.space, x.system.data
+    y = descent.downstairs
+    if space is not descent.upstairs and space != descent.upstairs:
+        raise CarrierMismatch(message="cocycle lives on a different cover")
+    if product.data is not data and product.data != data:
         raise CarrierMismatch(message="product group was built from different twisted data")
-    descent = y_cocycle.descent
-    y = descent.downstairs
-    vals = [
-        prod.pair_index(y_cocycle.values[k], descent.transition(i, j))
-        for k, (i, j) in enumerate(y.edges)
-    ]
-    return ghat_cocycle(prod, y, vals)
-
-
-def from_ghat_cocycle(x: GhatCocycleY, descent: CoverDescent) -> CTwistedCocycleY:
-    """Inverse of the pairing for cocycles whose second parts are the transitions."""
-    y = descent.downstairs
-    if x.base != y:
-        raise CarrierMismatch(message="cocycle base differs from the descent base")
+    _check_plain_system(system, y, product)
+    act, phi = x.system.tables.act, x.phi
+    h = [0] * space.nerve.n_vertices
+    for s_i in descent.section:
+        for t, row in enumerate(act):
+            h[row[s_i]] = phi[t][s_i]
+    xn = gauge(x, h)
+    theta = [auto.map for auto in data.action.theta]
     vals = []
     for (i, j) in y.edges:
-        g_part, t_part = x.edge_pair(i, j)
-        if t_part != descent.transition(i, j):
+        tij = descent.transition(i, j)
+        up_val = xn.edge_value(act[tij][descent.section[i]], descent.section[j])
+        vals.append(product.pair_index(theta[tij][up_val], tij))
+    return GhatCocycleY(product, _validated(system, [*vals, *(0,) * y.n_vertices]))
+
+
+def ascend(ghat: GhatCocycleY, descent: CoverDescent, system: CechSystem) -> TwistedOneCocycle:
+    """Rebuild the twisted cocycle upstairs from a glued-group cocycle on the base.
+
+    Each base edge's value is read as (h_ij, t_ij), and t_ij must be the
+    descent's transition.  ``system`` is the compiled upstairs system: the
+    cover's upper space with the product's data, as the caller already
+    holds it.  Vertex functions are pinned to the canonical values forced
+    by vanishing at the section; edge values over a base edge are spread
+    along the fibre by the compatibility laws.
+    """
+    prod = ghat.product
+    space, y = descent.upstairs, descent.downstairs
+    if ghat.base is not y and ghat.base != y:
+        raise CarrierMismatch(message="cocycle base differs from the descent base")
+    if (system.space, system.data) != (space, prod.data):
+        raise CarrierMismatch(message="system is not the cover's upper space with the cocycle's data")
+    tab, c, tmul = system.tables, prod.data.table, system.gamma.mul
+    gmul, ginv, theta_inv, act = tab.mul, tab.inv, tab.theta_inv, tab.act
+    sheet = [0] * space.nerve.n_vertices
+    for s_i in descent.section:
+        for t, row in enumerate(act):
+            sheet[row[s_i]] = t
+    # phi_t on the sheet tp is theta_{tp t}^-1(c(tp, t))
+    phi = [[theta_inv[tmul[tp][t]][c[tp][t]] for tp in sheet] for t in range(len(act))]
+
+    edge_pos = space.nerve.edge_index
+    a = [0] * len(tab.edges)
+    for (i, j), value in zip(y.edges, ghat.cocycle.a):
+        h, tij = prod.index_pair(value)
+        if tij != descent.transition(i, j):
             raise InputError(f"edge ({i},{j}) does not carry the descent transition")
-        vals.append(g_part)
-    return check_ctwisted(descent, x.product.data, vals)
+        b_ij = theta_inv[tij][h]
+        for t, row in enumerate(act):
+            u, w = act[tmul[tij][t]][descent.section[i]], row[descent.section[j]]
+            val = gmul[theta_inv[tmul[tij][t]][c[tij][t]]][theta_inv[t][b_ij]]
+            if u < w:
+                a[edge_pos[(u, w)]] = val
+            else:
+                a[edge_pos[(w, u)]] = ginv[val]
+    return _validated(system, _flat_pair(a, phi))
 
 
 def _gamma_part(product: TwistedProductGroup, values: Sequence[int]) -> tuple[int, ...]:
     """The quotient-group part of glued edge values (a cocycle's ``a``, or its key's edge slots)."""
     proj = product.proj.map
     return tuple(proj[v] for v in values)
-
-
-def _check_plain_h1(h1: CohomologySet, y: Nerve, product: TwistedProductGroup) -> None:
-    system = h1.system
-    if system.gamma.order != 1 or system.nerve != y or system.coeff.mul != product.group.mul:
-        raise CarrierMismatch(message="H1 set is not the plain glued-group H1 of the descent base")
 
 
 def fiber_over_cover(
@@ -250,7 +181,7 @@ def fiber_over_cover(
     quotient-group part is a conjugate of the cover's monodromy.
     ``work``'s clock is read before the first class and then every 1024.
     """
-    _check_plain_h1(h1, descent.downstairs, product)
+    _check_plain_system(h1.system, descent.downstairs, product)
     over = descent.cover_class
     classes = work.paced(range(len(h1)), "fiber_over_cover's class walk")
     return [cid for cid in classes if _gamma_part(product, h1.representative(cid).a) in over]
@@ -292,7 +223,7 @@ def grothendieck_fiber(
     prod = base.product
     if base.base != descent.downstairs:
         raise CarrierMismatch(message="base cocycle and descent live on different nerves")
-    _check_plain_h1(h1, descent.downstairs, prod)
+    _check_plain_system(h1.system, descent.downstairs, prod)
     m = len(descent.downstairs.edges)
     g0 = h1.reps[h1.class_of(base.cocycle)]
     want = _gamma_part(prod, g0[:m])

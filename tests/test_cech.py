@@ -1916,12 +1916,13 @@ def test_sections_match_brute_force_over_all_assignments():
 def test_sections_match_downstairs_oracle():
     """Sections upstairs agree with sections of the glued bundle below."""
     from twistcech.actions import to_ghat
-    from twistcech.correspond import descend, to_ghat_cocycle
+    from twistcech.correspond import descend, plain_system
     from twistcech.nerves import quotient
 
     desc = quotient(X_HEX)
     for data, system in ((make_twisted_data(INV), SYS_TRIV), (c_q_data(INV), SYS_CQ)):
         prod = build_twisted_product(data)
+        base_sys = plain_system(desc.downstairs, prod.group)
         h1 = h1_twisted(system)
         fibres = [
             validate_twisted_action(
@@ -1945,7 +1946,7 @@ def test_sections_match_downstairs_oracle():
             for cid in range(len(h1)):
                 x = h1.representative(cid)
                 up = sections_of_associated(x, m)
-                gx = to_ghat_cocycle(descend(x, desc), prod)
+                gx = descend(x, desc, prod, base_sys)
                 down = _ghat_sections(gx, ghat_action)
                 assert len(up) == len(down)
 

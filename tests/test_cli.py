@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcech import cech, cli, extensions, fixtures, nerves
+from twistcech import cech, cli, correspond, extensions, fixtures, nerves
 from twistcech.cli import main
 from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
@@ -315,6 +315,8 @@ def test_report_writer_refuses_non_str_keys_and_unknown_types(value):
 # the commands of CI's hash-seed comparison
 CI_COMMANDS = (
     "verify all",
+    "verify roundtrips",
+    "verify correspondence",
     "extensions classify D4 C2",
     "group aut Q8",
     "verify les --fault flip-gauge",
@@ -420,7 +422,11 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
     # 22 quotient descents when each free row built its own.  115
     # ``make_cocycle`` and 564 ``_validated`` calls when the Grothendieck
     # fibre built and checked one glued cocycle per walked candidate; it
-    # reads the plain H^1 set's keys now.
+    # reads the plain H^1 set's keys now.  46 ``make_cocycle`` and 495
+    # ``_validated`` calls when descend checked its base data by a
+    # hand-written c-corrected law and ascend rebuilt tuples to validate;
+    # the 46 descents are glued-group cocycles checked at d1's sites now,
+    # and both sides validate their flat keys directly.
     first = dict(calls)
     assert dict(trees) == {"tree_gauge": 2, "quotient": 2}
     assert first == {
@@ -432,8 +438,8 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "_fibres_are_orbits": 48,
         "delta_h1_vector": 54,
         "act_h1z_by_h0q": 107,
-        "make_cocycle": 46,
-        "_validated": 495,
+        "make_cocycle": 0,
+        "_validated": 541,
         "_tree_normalize": 48,
         "gauge": 201,
         "pullback": 0,
@@ -563,6 +569,17 @@ def test_verify_all_compile_calls(count_calls, tmp_path):
     # each fibre projected its classes through a quotient-group system; 126
     # when each row built its own ladder
     assert calls["_compile"] <= 80
+
+
+def test_verify_roundtrips_builds_one_product_and_base_system_per_free_row(count_calls, tmp_path):
+    compiled = count_calls(cech, "_compile")
+    built = count_calls(extensions, "build_twisted_product")
+    trips = count_calls(correspond, "descend", "ascend")
+    assert main(["verify", "roundtrips", "--out", str(tmp_path / "rt.json")]) == 0
+    # run alone, each of the 22 free rows builds one glued product and one
+    # plain base system on it, which all the row's descents share (46 in
+    # all); the other 22 compiles are the rows' upstairs systems
+    assert {**compiled, **built, **trips} == {"_compile": 44, "build_twisted_product": 22, "descend": 46, "ascend": 46}
 
 
 def test_verify_all_row_checks_do_not_depend_on_the_other_rows(tmp_path):

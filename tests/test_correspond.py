@@ -12,18 +12,14 @@ from twistcech.cech import CechSystem, enumerate_cocycles, gauge, h1_reduced, h1
 from twistcech.correspond import (
     GhatCocycleY,
     ascend,
-    check_ctwisted,
     connected_reduction,
     descend,
     fiber_over_cover,
-    from_ghat_cocycle,
-    ghat_cocycle,
     grothendieck_fiber,
     normalizer_embedding_check,
     plain_cocycle,
     plain_h1,
     plain_system,
-    to_ghat_cocycle,
 )
 from twistcech.errors import BudgetExceeded, CarrierMismatch, Disconnected, InputError, NotFree, Work
 from twistcech.extensions import build_twisted_product, make_twisted_data, trivial_action
@@ -100,6 +96,38 @@ def walked_fiber(base, h1):
     return sorted(class_ids)
 
 
+def glued(product, y, values):
+    """The glued-group cocycle on ``y`` with the given edge values."""
+    return GhatCocycleY(product, plain_cocycle(plain_system(y, product.group), values))
+
+
+def ctwisted_violation(descent, data, values):
+    """Reference for the c-corrected law on base edge data framed at the first index.
+
+    ``values`` holds one coefficient element h_ij per sorted base edge; the
+    law is h_ij theta_{t_ij}(h_jk) c(t_ij, t_jk) == h_ik on every triangle,
+    with t the descent's transitions.  Returns the first triangle it fails
+    on, or None.
+    """
+    y, g = descent.downstairs, data.g
+    idx = y.edge_index
+    for (i, j, k) in y.triangles:
+        tij, tjk = descent.transition(i, j), descent.transition(j, k)
+        lhs = g.mul[g.mul[values[idx[(i, j)]]][data.theta(tij, values[idx[(j, k)]])]][data.c(tij, tjk)]
+        if lhs != values[idx[(i, k)]]:
+            return (i, j, k)
+    return None
+
+
+def descended_rows():
+    """Per free C2 grid row: the row, its descent, upstairs H^1, glued product and plain base system."""
+    for inst in c2_grid():
+        desc = quotient(inst.space)
+        h1 = h1_twisted(CechSystem(inst.space, inst.data))
+        prod = build_twisted_product(inst.data)
+        yield inst, desc, h1, prod, plain_system(desc.downstairs, prod.group)
+
+
 def c2_grid():
     return [
         inst
@@ -139,7 +167,7 @@ def test_transition_cocycle_monodromy_matches_cover_monodromy():
 def test_induced_gamma_class_trivial_for_kernel_values():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [prod.embed_g.map[1], prod.embed_g.map[2], 0]
-    x = ghat_cocycle(prod, Y_TRI, vals)
+    x = glued(prod, Y_TRI, vals)
     assert least_conjugate(Y_TRI, C2, gamma_part(prod, x.cocycle)) == (0, 0, 0)
     assert connected_reduction(x).monodromy_group == (0,)
 
@@ -147,7 +175,7 @@ def test_induced_gamma_class_trivial_for_kernel_values():
 def test_induced_gamma_class_reflection_edge():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [0, 0, prod.pair_index(0, 1)]
-    x = ghat_cocycle(prod, Y_TRI, vals)
+    x = glued(prod, Y_TRI, vals)
     ph1 = plain_h1(Y_TRI, prod.group)
     assert ph1.class_of(x.cocycle) in fiber_over_cover(DESC, prod, ph1)
     assert least_conjugate(Y_TRI, C2, gamma_part(prod, x.cocycle)) == least_conjugate(Y_TRI, C2, DESC.transition)
@@ -156,7 +184,7 @@ def test_induced_gamma_class_reflection_edge():
 def test_projection_constant_on_gauge_orbits():
     prod = build_twisted_product(make_twisted_data(INV))
     vals = [0, 0, prod.pair_index(1, 1)]
-    x = ghat_cocycle(prod, Y_TRI, vals)
+    x = glued(prod, Y_TRI, vals)
     base = least_conjugate(Y_TRI, C2, gamma_part(prod, x.cocycle))
     for g1 in prod.group.elements():
         for g2 in prod.group.elements():
@@ -166,27 +194,96 @@ def test_projection_constant_on_gauge_orbits():
 
 
 def test_descend_ascend_roundtrip_on_classes():
-    for inst in c2_grid():
-        desc = quotient(inst.space)
-        system = CechSystem(inst.space, inst.data)
-        h1 = h1_twisted(system)
+    for inst, desc, h1, prod, base_sys in descended_rows():
         for cid in range(len(h1)):
             x = h1.representative(cid)
-            down = descend(x, desc)
-            up = ascend(down, h1.system)
+            down = descend(x, desc, prod, base_sys)
+            up = ascend(down, desc, h1.system)
             assert h1.class_of(up) == cid
+
+
+def test_descend_ascend_roundtrip_key_for_key():
+    # ascend(descend(x)) is x gauged so that its vertex functions vanish along
+    # the section, key for key; and the descended cocycle lies over the cover
+    classes = 0
+    for inst, desc, h1, prod, base_sys in descended_rows():
+        space, y = inst.space, desc.downstairs
+        target = least_conjugate(y, C2, desc.transition)
+        for cid in range(len(h1)):
+            x = h1.representative(cid)
+            # the vertex at s_i . t takes the gauge phi_t(s_i)
+            h = [0] * space.nerve.n_vertices
+            for s in desc.section:
+                for t in space.gamma.elements():
+                    h[space.act(s, t)] = x.phi[t][s]
+            framed = gauge(x, h)
+            assert all(framed.phi[t][s] == 0 for t in space.gamma.elements() for s in desc.section)
+            down = descend(x, desc, prod, base_sys)
+            assert least_conjugate(y, C2, gamma_part(prod, down.cocycle)) == target
+            assert ascend(down, desc, h1.system).key == framed.key, (inst.name, cid)
+            classes += 1
+    assert classes == 46
+
+
+def test_descended_edges_meet_the_c_corrected_law():
+    # split into (h_ij, t_ij), the descended edges carry the transitions and
+    # G-parts that satisfy the c-corrected law, checked here by its reference
+    laws = 0
+    for inst, desc, h1, prod, base_sys in descended_rows():
+        y = desc.downstairs
+        for cid in range(len(h1)):
+            down = descend(h1.representative(cid), desc, prod, base_sys)
+            pairs = [prod.index_pair(v) for v in down.cocycle.a]
+            assert [t for _, t in pairs] == [desc.transition(i, j) for i, j in y.edges]
+            assert ctwisted_violation(desc, inst.data, [h for h, _ in pairs]) is None, (inst.name, cid)
+            laws += len(y.triangles)
+    assert laws > 0
 
 
 def test_ascend_refuses_a_system_off_the_cover_or_the_data():
     desc = quotient(X_HEX)
     data, other = make_twisted_data(INV), c_q_data(INV)
     system = CechSystem(X_HEX, data)
-    down = descend(h1_twisted(system).representative(0), desc)
-    assert ascend(down, system).system is system
+    prod = build_twisted_product(data)
+    down = descend(h1_twisted(system).representative(0), desc, prod, plain_system(desc.downstairs, prod.group))
+    assert ascend(down, desc, system).system is system
     # the same space with the central square twist, and the cocycle's data on another cover
     for wrong in (CechSystem(X_HEX, other), CechSystem(gamma_nerve("X_TWO_TRI"), data)):
         with pytest.raises(CarrierMismatch):
-            ascend(down, wrong)
+            ascend(down, desc, wrong)
+
+
+def test_ascend_refuses_a_cocycle_on_another_base_or_off_the_transitions():
+    data = make_twisted_data(INV)
+    system = CechSystem(X_HEX, data)
+    prod = build_twisted_product(data)
+    y = DESC.downstairs
+    down = descend(h1_twisted(system).representative(1), DESC, prod, plain_system(y, prod.group))
+    elsewhere = glued(prod, nerve("Y_FILLED_TRI"), [0] * len(nerve("Y_FILLED_TRI").edges))
+    with pytest.raises(CarrierMismatch, match="base differs"):
+        ascend(elsewhere, DESC, system)
+    # X_HEX's base is a hollow triangle, so any edge values are a glued cocycle
+    for e, (i, j) in enumerate(y.edges):
+        values = list(down.cocycle.a)
+        h, t = prod.index_pair(values[e])
+        values[e] = prod.pair_index(h, C2.mul[t][1])
+        with pytest.raises(InputError, match=rf"^edge \({i},{j}\) does not carry the descent transition$"):
+            ascend(glued(prod, y, values), DESC, system)
+
+
+def test_descend_refuses_a_product_or_base_system_of_other_data():
+    data = make_twisted_data(INV)
+    system = CechSystem(X_HEX, data)
+    x = h1_twisted(system).representative(1)
+    y = DESC.downstairs
+    prod, other = build_twisted_product(data), build_twisted_product(c_q_data(INV))
+    with pytest.raises(CarrierMismatch, match="different twisted data"):
+        descend(x, DESC, other, plain_system(y, other.group))
+    for wrong in (plain_system(y, other.group), plain_system(nerve("Y_FILLED_TRI"), prod.group), plain_system(y, C4)):
+        with pytest.raises(CarrierMismatch, match="plain glued-group system"):
+            descend(x, DESC, prod, wrong)
+    with pytest.raises(CarrierMismatch, match="different cover"):
+        descend(x, quotient(gamma_nerve("X_TWO_TRI")), prod, plain_system(y, prod.group))
 
 
 def test_descend_the_trivial_pair():
@@ -194,8 +291,10 @@ def test_descend_the_trivial_pair():
     from twistcech.cech import trivial_pair
 
     x = make_cocycle(system, *trivial_pair(system))
-    down = descend(x, DESC)
-    assert all(v == 0 for v in down.values)
+    prod = build_twisted_product(system.data)
+    down = descend(x, DESC, prod, plain_system(DESC.downstairs, prod.group))
+    for (i, j) in DESC.downstairs.edges:
+        assert down.edge_pair(i, j) == (0, DESC.transition(i, j))
 
 
 def test_downstairs_class_count_matches_upstairs():
@@ -216,10 +315,8 @@ def test_downstairs_class_count_matches_upstairs():
             vals = [0] * len(y.edges)
             for e, v in zip(nontree, combo):
                 vals[idx[e]] = v
-            try:
-                candidates.append(check_ctwisted(desc, data, vals))
-            except InputError:
-                continue
+            if ctwisted_violation(desc, data, vals) is None:
+                candidates.append(vals)
         classes = set()
         for cand in candidates:
             orbit = []
@@ -260,51 +357,23 @@ def _apply_y_gauge(desc, data, cand, f):
     out = []
     for k, (i, j) in enumerate(y.edges):
         tij = desc.transition(i, j)
-        out.append(g.mul[g.mul[g.inv[f[i]]][cand.values[k]]][data.theta(tij, f[j])])
+        out.append(g.mul[g.mul[g.inv[f[i]]][cand[k]]][data.theta(tij, f[j])])
     return tuple(out)
 
 
 def test_ascend_rejects_mutated_values():
+    # X_TWO_TRI's base has a triangle: a changed G-part breaks d1's triangle site there
     system = CechSystem(gamma_nerve("X_TWO_TRI"), c_q_data(INV))
     desc = quotient(gamma_nerve("X_TWO_TRI"))
-    h1 = h1_twisted(system)
-    down = descend(h1.representative(0), desc)
-    bad_vals = list(down.values)
-    bad_vals[0] = (bad_vals[0] + 1) % 4
-    with pytest.raises(InputError):
-        check_ctwisted(desc, down.data, bad_vals)
-
-
-def test_to_ghat_cocycle_trivial_case():
-    system = CechSystem(X_HEX, make_twisted_data(INV))
-    from twistcech.cech import trivial_pair
-
-    x = make_cocycle(system, *trivial_pair(system))
-    down = descend(x, DESC)
-    prod = build_twisted_product(down.data)
-    gx = to_ghat_cocycle(down, prod)
-    for (i, j) in DESC.downstairs.edges:
-        g_part, t_part = gx.edge_pair(i, j)
-        assert g_part == 0
-        assert t_part == DESC.transition(i, j)
-
-
-def test_to_ghat_roundtrip_and_cover_class():
-    for inst in c2_grid():
-        desc = quotient(inst.space)
-        system = CechSystem(inst.space, inst.data)
-        h1 = h1_twisted(system)
-        prod = build_twisted_product(inst.data)
-        y = desc.downstairs
-        target = least_conjugate(y, C2, desc.transition)
-        for cid in range(len(h1)):
-            x = h1.representative(cid)
-            down = descend(x, desc)
-            gx = to_ghat_cocycle(down, prod)
-            assert least_conjugate(y, C2, gamma_part(prod, gx.cocycle)) == target
-            back = from_ghat_cocycle(gx, desc)
-            assert back.values == down.values
-            assert h1.class_of(ascend(back, h1.system)) == cid
+    prod = build_twisted_product(system.data)
+    base_sys = plain_system(desc.downstairs, prod.group)
+    down = descend(h1_twisted(system).representative(0), desc, prod, base_sys)
+    bad_vals = list(down.cocycle.a)
+    h, t = prod.index_pair(bad_vals[0])
+    bad_vals[0] = prod.pair_index((h + 1) % 4, t)
+    assert ctwisted_violation(desc, system.data, [prod.index_pair(v)[0] for v in bad_vals]) == (0, 1, 2)
+    with pytest.raises(InputError, match=r"violation at \('triangle', \(0, 1, 2\)"):
+        plain_cocycle(base_sys, bad_vals)
 
 
 def test_ghat_product_law_reproduces_glue():
@@ -314,14 +383,13 @@ def test_ghat_product_law_reproduces_glue():
     prod = build_twisted_product(data)
     system = CechSystem(X_HEX, data)
     x = h1_twisted(system).representative(1)
-    down = descend(x, DESC)
-    to_ghat_cocycle(down, prod)  # no triangles over the circle; law below
+    descend(x, DESC, prod, plain_system(DESC.downstairs, prod.group))  # no triangles over the circle; law below
     data2 = c_q_data(INV)
     sys2 = CechSystem(gamma_nerve("X_TWO_TRI"), data2)
     desc2 = quotient(gamma_nerve("X_TWO_TRI"))
     x2 = h1_twisted(sys2).representative(0)
-    down2 = descend(x2, desc2)
-    gx2 = to_ghat_cocycle(down2, build_twisted_product(data2))
+    prod2 = build_twisted_product(data2)
+    gx2 = descend(x2, desc2, prod2, plain_system(desc2.downstairs, prod2.group))
     y2 = desc2.downstairs
     prod2 = gx2.product
     for (i, j, k) in y2.triangles:
@@ -349,7 +417,7 @@ def test_reduced_classes_biject_with_fiber():
         image_by_reduced = {}
         for cid in range(len(h1)):
             x = h1.representative(cid)
-            gx = to_ghat_cocycle(descend(x, desc), prod)
+            gx = descend(x, desc, prod, ph1.system)
             rid = h1r.class_of(x)
             image_by_reduced.setdefault(rid, set()).add(ph1.class_of(gx.cocycle))
         assert all(len(s) == 1 for s in image_by_reduced.values())
@@ -392,7 +460,7 @@ def test_grothendieck_fiber_refuses_a_base_class_over_another_cover():
     prod = build_twisted_product(make_twisted_data(INV))
     ph1 = plain_h1(DESC.downstairs, prod.group)
     with pytest.raises(InputError, match="does not induce the given cover"):
-        grothendieck_fiber(ghat_cocycle(prod, DESC.downstairs, [0] * len(DESC.downstairs.edges)), DESC, ph1)
+        grothendieck_fiber(glued(prod, DESC.downstairs, [0] * len(DESC.downstairs.edges)), DESC, ph1)
 
 
 def test_grothendieck_fiber_matches():
@@ -497,7 +565,7 @@ def test_grothendieck_trivial_cover_degenerates():
     data = make_twisted_data(INV)
     prod = build_twisted_product(data)
     vals = [0] * len(desc2.downstairs.edges)
-    base = ghat_cocycle(prod, desc2.downstairs, vals)
+    base = glued(prod, desc2.downstairs, vals)
     ph1 = plain_h1(desc2.downstairs, prod.group)
     fib = grothendieck_fiber(base, desc2, ph1)
     expected = fiber_over_cover(desc2, prod, ph1)
@@ -535,7 +603,7 @@ def test_monodromy_readers_refuse_a_disconnected_base():
     with pytest.raises(Disconnected):
         fiber_over_cover(desc, prod, plain_h1(two, prod.group))
     with pytest.raises(Disconnected):
-        connected_reduction(ghat_cocycle(prod, two, (0, 0)))
+        connected_reduction(glued(prod, two, (0, 0)))
     with pytest.raises(Disconnected):
         normalizer_embedding_check(two, data, [0, 1])
 

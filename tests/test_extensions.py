@@ -49,15 +49,13 @@ from twistcech.fixtures import (
     c_q_data,
     c_square_table,
     default_grid,
-    gamma_nerve,
     grid_instance,
     group,
     inversion_action,
     named_action,
 )
 from twistcech.groups import automorphisms, center, direct_product, find_isomorphism, subgroup_from_elements, validate_group
-from twistcech.correspond import check_ctwisted
-from twistcech.nerves import quotient, trivial_gamma_nerve, validate_nerve
+from twistcech.nerves import trivial_gamma_nerve, validate_nerve
 
 C2, C4, C8 = group("C2"), group("C4"), group("C8")
 S3, D4, Q8 = group("S3"), group("D4"), group("Q8")
@@ -186,25 +184,17 @@ def test_class_of_rejects_a_table_that_is_no_cocycle():
         assert isinstance(exc.value, InputError) and exc.value.witness == (1, 1, 1)
 
 
-def _ctwisted(space_name, bad):
-    descent = quotient(gamma_nerve(space_name))
-    return check_ctwisted(descent, make_twisted_data(INV), [bad] + [0] * (len(descent.downstairs.edges) - 1))
-
-
 @pytest.mark.parametrize(
     "validate, bad, name",
     [
         (lambda bad: check_cocycle(INV, [[0, 0], [0, bad]]), -1, "c(1,1)"),
         (lambda bad: check_cocycle(INV, [[0, 0], [0, bad]]), 99, "c(1,1)"),
-        (lambda bad: _ctwisted("X_HEX", bad), -1, "h[0,1]"),
-        (lambda bad: _ctwisted("X_HEX", bad), 7, "h[0,1]"),
-        (lambda bad: _ctwisted("X_TWO_TRI", bad), 9, "h[0,1]"),
         (lambda bad: coboundary(INV, GammaOneCochain((0, bad))), -1, "a(1)"),
         (lambda bad: coboundary(INV, GammaOneCochain((0, bad))), 9, "a(1)"),
         (lambda bad: recocycle(make_twisted_data(INV), (0, bad)), -1, "s(1)"),
         (lambda bad: recocycle(make_twisted_data(INV), (0, bad)), 9, "s(1)"),
     ],
-    ids=["c-negative", "c-99", "ctwisted-negative", "ctwisted-7", "ctwisted-9-on-a-triangle", "coboundary-negative", "coboundary-9", "recocycle-negative", "recocycle-9"],
+    ids=["c-negative", "c-99", "coboundary-negative", "coboundary-9", "recocycle-negative", "recocycle-9"],
 )
 def test_validators_refuse_an_element_index_out_of_range(validate, bad, name):
     # refused before anything indexes a table with it

@@ -19,7 +19,6 @@ from twistcech.correspond import (
     grothendieck_fiber,
     plain_cocycle,
     plain_h1,
-    to_ghat_cocycle,
 )
 from twistcech.errors import BudgetExceeded
 from twistcech.extensions import (
@@ -133,9 +132,8 @@ def test_nonabelian_gamma_correspondence():
         images = set()
         for cid in range(len(h1)):
             x = h1.representative(cid)
-            down = descend(x, descent)
-            assert h1.class_of(ascend(down, h1.system)) == cid
-            gx = to_ghat_cocycle(down, prod)
+            gx = descend(x, descent, prod, ph1.system)
+            assert h1.class_of(ascend(gx, descent, h1.system)) == cid
             for z in (gx.cocycle, gauge(gx.cocycle, frame)):
                 # the projection is a validated quotient-group cocycle in the cover's class
                 gcoc = plain_cocycle(gamma_h1.system, [prod.proj.map[v] for v in z.a])
