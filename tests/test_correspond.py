@@ -287,6 +287,19 @@ def test_descend_refuses_a_product_or_base_system_of_other_data():
 
 
 def test_descend_the_trivial_pair():
+    # the trivial pair descends to zero G-parts and ascends back to itself
+    system = CechSystem(X_HEX, make_twisted_data(INV))
+    from twistcech.cech import trivial_pair
+
+    x = make_cocycle(system, *trivial_pair(system))
+    prod = build_twisted_product(system.data)
+    down = descend(x, DESC, prod, plain_system(DESC.downstairs, prod.group))
+    assert all(prod.index_pair(v)[0] == 0 for v in down.cocycle.a)
+    assert ascend(down, DESC, system).key == x.key
+
+
+def test_to_ghat_cocycle_trivial_case():
+    # the glued-group cocycle of the trivial pair is (0, t_ij) on every edge
     system = CechSystem(X_HEX, make_twisted_data(INV))
     from twistcech.cech import trivial_pair
 
