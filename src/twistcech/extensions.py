@@ -17,6 +17,7 @@ indices constrained to lie in the centre.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
 
 from .abelian import DEFAULT_COORD_GUARD, AbelianComplex, abelian_coordinates
@@ -48,7 +49,6 @@ from .groups import (
     law_witness,
     left_cosets,
     subgroup_from_elements,
-    validate_group,
 )
 from .nerves import point_space
 from .records import record
@@ -331,29 +331,29 @@ class TwistedProductGroup:
 
 
 def build_twisted_product(data: TwistedData, label: Optional[str] = None) -> TwistedProductGroup:
+    """The group (a, x)(b, y) = (a theta_x(b) c(x, y), xy), with (a, x)^-1 = (theta_x^-1(a^-1 c(x, x^-1)^-1), x^-1).
+
+    ``data`` must be ``check_cocycle``'s output or ``make_twisted_data``'s trivial twist, as it is
+    on every path of the package: classify's representatives, verify's ``ladder.sys_c.data``,
+    ``sub_product`` through ``restrict_to_subgroup``, ``gamma_hat``, ``correspond`` and ``actions``.
+    Then theta is a homomorphism and c a normalized central 2-cocycle, which is the group law with
+    (1, 1) at index 0, so the table is written from the formula and not validated again.
+    """
     g, gamma = data.g, data.gamma
-    ng, nq = g.order, gamma.order
-    n = ng * nq
-
-    def enc(a: int, x: int) -> int:
-        return a * nq + x
-
-    # row (a, x), column (b, y): (a theta_x(b) c(x, y), xy), reading the theta and c rows of x
-    mul = [
-        [enc(g.mul[g.mul[a][theta_x[b]]][c_x[y]], gamma_x[y]) for b in g.elements() for y in gamma.elements()]
-        for a in g.elements()
-        for theta_x, c_x, gamma_x in zip((auto.map for auto in data.action.theta), data.table, gamma.mul)
-    ]
-    try:
-        grp = validate_group(mul, label=label)
-    except InputError as exc:  # the cocycle identity guarantees associativity
-        raise InternalError(f"twisted product failed validation: {exc}") from exc
-    if grp.relabeling is not None:
-        raise InternalError("twisted product identity landed off index 0")
-    embed = GroupHom(g, grp, tuple(enc(a, 0) for a in g.elements()))
-    proj = GroupHom(grp, gamma, tuple(x % nq for x in range(n)))
-    section = tuple(enc(0, x) for x in gamma.elements())
-    return TwistedProductGroup(data, grp, embed, proj, section)
+    nq = gamma.order
+    rows, inv = [], []
+    for x, (auto, c_x, gamma_x) in enumerate(zip(data.action.theta, data.table, gamma.mul)):
+        # block[t] is the row segment of every (b, y) with a theta_x(b) = t: (t c(x, y), xy) for each y
+        block = [tuple(t_row[c] * nq + xy for c, xy in zip(c_x, gamma_x)) for t_row in g.mul]
+        rows.append([tuple(chain.from_iterable(map(block.__getitem__, map(a_row.__getitem__, auto.map)))) for a_row in g.mul])
+        x_inv = gamma.inv[x]
+        c_bar = g.inv[c_x[x_inv]]  # c(x, x^-1)^-1
+        inv.append([auto.inverse_map[g.mul[a_inv][c_bar]] * nq + x_inv for a_inv in g.inv])
+    # rows[x][a] and inv[x][a] belong to (a, x), at index a |Gamma| + x
+    grp = FiniteGroup(g.order * nq, tuple(chain.from_iterable(zip(*rows))), tuple(chain.from_iterable(zip(*inv))), label=label)
+    embed = GroupHom(g, grp, tuple(a * nq for a in g.elements()))
+    proj = GroupHom(grp, gamma, tuple(gamma.elements()) * g.order)
+    return TwistedProductGroup(data, grp, embed, proj, tuple(gamma.elements()))
 
 
 def _checked_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int], what: str) -> GroupHom:
@@ -409,7 +409,7 @@ def cohomologous_iso(data: TwistedData, cochain: GammaOneCochain) -> GroupHom:
     g = data.g
     delta = coboundary(data.action, cochain)
     src = build_twisted_product(data)
-    dst = build_twisted_product(multiply_cocycles(data, delta))
+    dst = build_twisted_product(check_cocycle(data.action, multiply_cocycles(data, delta).table))
     mapping = [
         dst.pair_index(g.mul[a][g.inv[cochain.values[x]]], x) for a, x in map(src.index_pair, src.group.elements())
     ]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcech import cech, cli, correspond, extensions, fixtures, nerves
+from twistcech import cech, cli, correspond, extensions, fixtures, groups, nerves
 from twistcech.cli import main
 from twistcech.errors import InputError
 from twistcech.fixtures import gamma_nerve, group
@@ -580,6 +580,26 @@ def test_verify_roundtrips_builds_one_product_and_base_system_per_free_row(count
     # plain base system on it, which all the row's descents share (46 in
     # all); the other 22 compiles are the rows' upstairs systems
     assert {**compiled, **built, **trips} == {"_compile": 44, "build_twisted_product": 22, "descend": 46, "ascend": 46}
+
+
+def test_glued_products_are_not_validated_again(count_calls, tmp_path):
+    # check_cocycle has proved the group law of every product the commands
+    # glue; validate_group ran once per glued table, 22 times for verify all
+    # and 8 times for classify C2xC2 C2
+    validated = count_calls(groups, "validate_group")
+    assert main(["verify", "all", "--out", str(tmp_path / "all.json")]) == 0
+    assert validated["validate_group"] == 0
+    assert main(["extensions", "classify", "C2xC2", "C2", "--out", str(tmp_path / "classify.json")]) == 0
+    assert validated["validate_group"] == 0
+
+
+@pytest.mark.parametrize("gamma", ["D4", "Q8"])
+def test_classify_with_order_16_products_matches_stored_report(gamma, tmp_path):
+    # neither the catalogue nor the benchmark's stored output covers these
+    # order-16 products, so their reports are stored here
+    out = tmp_path / "classify.json"
+    assert main(["extensions", "classify", gamma, "C2", "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / f"classify_{gamma}_C2.json").read_bytes()
 
 
 def test_verify_all_row_checks_do_not_depend_on_the_other_rows(tmp_path):

@@ -54,7 +54,15 @@ from twistcech.fixtures import (
     inversion_action,
     named_action,
 )
-from twistcech.groups import automorphisms, center, direct_product, find_isomorphism, subgroup_from_elements, validate_group
+from twistcech.groups import (
+    automorphisms,
+    center,
+    check_hom,
+    direct_product,
+    find_isomorphism,
+    subgroup_from_elements,
+    validate_group,
+)
 from twistcech.nerves import trivial_gamma_nerve, validate_nerve
 
 C2, C4, C8 = group("C2"), group("C4"), group("C8")
@@ -335,6 +343,67 @@ def test_build_twisted_product_isomorphism_types():
     assert find_isomorphism(build_twisted_product(c_q_data(INV)).group, Q8) is not None
 
 
+# the seven classify cases of the benchmark, then D4 C2, Q8 C2 and C2 C4 with the inversion action
+CLASSIFY_CASES = [
+    ("C4", "C3", "trivial"),
+    ("C2xC2", "C3", "trivial"),
+    ("C3", "C8", "trivial"),
+    ("C2xC2", "C2", "trivial"),
+    ("C4", "C2", "trivial"),
+    ("C2", "Q8", "q8_swap"),
+    ("C2", "C8", "inversion"),
+    ("D4", "C2", "trivial"),
+    ("Q8", "C2", "trivial"),
+    ("C2", "C4", "inversion"),
+]
+
+
+@functools.cache
+def _classified(action):
+    return second_cohomology(action)
+
+
+def assert_product_matches_validate_group(data):
+    """The product written from its formula is what validate_group makes of its own table."""
+    product = build_twisted_product(data)
+    built, oracle = product.group, validate_group(product.group.mul)
+    assert (built.order, built.mul, built.inv, built.relabeling) == (oracle.order, oracle.mul, oracle.inv, None)
+    # the lazy greedy sequence is the generator set of validate_group's associativity test
+    assert built.generating_sequence() == oracle.generating_sequence()
+    check_hom(data.g, built, product.embed_g.map)
+    check_hom(built, data.gamma, product.proj.map)
+
+
+def test_product_of_each_grid_row_matches_validate_group():
+    for inst in default_grid():
+        assert_product_matches_validate_group(inst.data)
+
+
+@pytest.mark.parametrize("gamma, z, action", CLASSIFY_CASES)
+def test_product_of_each_h2_representative_matches_validate_group(gamma, z, action):
+    h2 = _classified(named_action(action, group(gamma), group(z)))
+    for rep in h2.representatives:
+        assert_product_matches_validate_group(TwistedData(h2.action, rep))
+
+
+# the named actions of the classify cases, and every action of the small pairs, some of order 3 or 4
+ACTIONS = st.one_of(
+    st.sampled_from(CLASSIFY_CASES).map(lambda case: named_action(case[2], group(case[0]), group(case[1]))),
+    st.sampled_from(PROPERTY_PAIRS).flatmap(lambda pair: st.sampled_from(_all_actions(*pair))),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(ACTIONS, st.data())
+def test_product_of_a_cohomologous_cocycle_matches_validate_group(action, draws):
+    # c = rep * delta(a) for a central 1-cochain a
+    n = action.gamma.order
+    rep = draws.draw(st.sampled_from(_classified(action).representatives))
+    values = draws.draw(st.lists(st.sampled_from(center(action.g).embed), min_size=n - 1, max_size=n - 1))
+    delta = coboundary(action, GammaOneCochain((0, *values)))
+    assert_product_matches_validate_group(check_cocycle(action, multiply_cocycles(TwistedData(action, rep), delta).table))
+
+
 def test_product_inverse_of_section_elements():
     data = c_q_data(INV)
     built = build_twisted_product(data)
@@ -399,6 +468,9 @@ def test_corrupting_cocycle_entry_breaks_associativity():
                     mul[a * 2 + x][b * 2 + y] = val * 2 + C2.mul[x][y]
     with pytest.raises(InputError):
         validate_group(mul)
+    # so check_cocycle, the product builder's precondition, must refuse the table
+    with pytest.raises(CocycleViolation):
+        check_cocycle(INV, table)
 
 
 def test_gamma_hat_examples():
