@@ -43,7 +43,6 @@ from .extensions import (
 from .actions import (
     GhatSet,
     TwistedGSet,
-    convert_side,
     from_ghat,
     homogeneous_space,
     is_twisted_equivariant,

@@ -53,7 +53,7 @@ from .abelian import (
     abelian_coordinates,
     solve,
 )
-from .actions import TwistedGSet, convert_side, homogeneous_space
+from .actions import TwistedGSet, homogeneous_space
 from .errors import (
     BudgetExceeded,
     TwistError,
@@ -1443,14 +1443,11 @@ def sections_of_associated(e: TwistedOneCocycle, m: TwistedGSet) -> list[tuple[i
 
     A section is one carrier point per vertex subject to the frame-change
     law m_j == m_i . a_ij on edges and the action law m_i . t ==
-    m_{i.t} . phi_{t,i} at every vertex.  Left-sided sets are converted to
-    their companion right action first.  The data of ``m`` must share the
+    m_{i.t} . phi_{t,i} at every vertex.  The data of ``m`` must share the
     group, acting group and action with the cocycle; its own twist may be
     the same one or the trivial one (homogeneous fibres carry no twist).
     """
     system, data = e.system, e.system.data
-    if m.side == "left":
-        m = convert_side(m)
     md = m.data
     if md.g.mul != data.g.mul or md.gamma.mul != system.gamma.mul:
         raise CarrierMismatch(message="twisted set groups differ from the cocycle system")
@@ -1501,10 +1498,8 @@ def reductions_to_subgroup(
         return []
     sub_system = CechSystem(system.space, sub_data)
 
-    hom_left = homogeneous_space(data, sub.embed)
-    coset_set = convert_side(hom_left)
     cosets, _ = left_cosets(g, sub.embed)
-    sections = sections_of_associated(e, coset_set)
+    sections = sections_of_associated(e, homogeneous_space(data, sub.embed))
 
     out = []
     for sec in sections:

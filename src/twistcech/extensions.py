@@ -179,10 +179,9 @@ def coboundary(action: GammaAction, cochain: GammaOneCochain) -> TwistedData:
 
 
 def multiply_cocycles(a: TwistedData, b: TwistedData) -> TwistedData:
-    """The pointwise product of the two tables, with the action of ``a``."""
+    """The pointwise product of the two tables, checked as a cocycle for the action of ``a``."""
     g, n = a.g, a.gamma.order
-    table = tuple(tuple(g.mul[a.table[i][j]][b.table[i][j]] for j in range(n)) for i in range(n))
-    return TwistedData(a.action, table)
+    return check_cocycle(a.action, [[g.mul[a.table[i][j]][b.table[i][j]] for j in range(n)] for i in range(n)])
 
 
 @record
@@ -409,7 +408,7 @@ def cohomologous_iso(data: TwistedData, cochain: GammaOneCochain) -> GroupHom:
     g = data.g
     delta = coboundary(data.action, cochain)
     src = build_twisted_product(data)
-    dst = build_twisted_product(check_cocycle(data.action, multiply_cocycles(data, delta).table))
+    dst = build_twisted_product(multiply_cocycles(data, delta))
     mapping = [
         dst.pair_index(g.mul[a][g.inv[cochain.values[x]]], x) for a, x in map(src.index_pair, src.group.elements())
     ]
@@ -544,5 +543,5 @@ def recocycle(data: TwistedData, s: Sequence[int]) -> Recocycling:
     new_action = check_gamma_action(gamma, g, theta_tables)
     c_s = check_cocycle(new_action, cs_table)
     # c' = c * c_s pointwise, checked against the new action (central values commute)
-    new = check_cocycle(new_action, multiply_cocycles(c_s, data).table)
+    new = multiply_cocycles(c_s, data)
     return Recocycling(data, new, sv, c_s)

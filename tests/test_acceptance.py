@@ -12,7 +12,7 @@ import sys
 import time
 
 
-from twistcech.actions import convert_side, from_ghat, regular_ghat_set, to_ghat
+from twistcech.actions import from_ghat, homogeneous_space, regular_ghat_set, to_ghat
 from twistcech.cech import (
     CechSystem,
     coefficient_ladder,
@@ -265,17 +265,13 @@ def test_criterion_8_action_roundtrips_and_sections_lemma():
     ok = True
     fixtures = []
     for data in (make_twisted_data(INV), c_q_data(INV)):
-        prod = build_twisted_product(data)
-        fixtures.append(regular_ghat_set(prod, "right"))
-        fixtures.append(regular_ghat_set(prod, "left"))
+        fixtures.append(regular_ghat_set(build_twisted_product(data)))
+    fixtures.append(homogeneous_space(make_twisted_data(INV), [0, 2]))
     for m in fixtures:
         assert m.size <= 16
         n = to_ghat(m)
         back = from_ghat(n)
-        if (back.g_act, back.gamma_act, back.side) != (m.g_act, m.gamma_act, m.side):
-            ok = False
-        twice = convert_side(convert_side(m))
-        if (twice.g_act, twice.gamma_act) != (m.g_act, m.gamma_act):
+        if (back.g_act, back.gamma_act) != (m.g_act, m.gamma_act):
             ok = False
     # the sections lemma, enumerated over all coefficient-equivariant maps
     ok = ok and _sections_lemma_holds()
@@ -288,17 +284,13 @@ def _sections_lemma_holds() -> bool:
 
     for data in (make_twisted_data(INV), c_q_data(INV)):
         prod = build_twisted_product(data)
-        e = regular_ghat_set(prod, "right")
+        e = regular_ghat_set(prod)
         g = data.g
-        point = validate_twisted_action(
-            data, 1, tuple((0,) for _ in g.elements()), tuple((0,) for _ in C2.elements()), "right"
-        )
+        point = validate_twisted_action(data, 1, tuple((0,) for _ in g.elements()), tuple((0,) for _ in C2.elements()))
         targets = [point]
         if all(v in (0, 2) for row in data.table for v in row):
-            from twistcech.actions import homogeneous_space
-
-            m = convert_side(homogeneous_space(data, [0, 2]))
-            targets.append(validate_twisted_action(data, m.size, m.g_act, m.gamma_act, "right"))
+            m = homogeneous_space(data, [0, 2])
+            targets.append(validate_twisted_action(data, m.size, m.g_act, m.gamma_act))
         for m in targets:
             assert e.size <= 8 and m.size <= 4
             orbits, gamma_rows, proj = quotient_by_g(e)

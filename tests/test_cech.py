@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from twistcech import cech
 from twistcech.abelian import echelon, solve
-from twistcech.actions import convert_side, homogeneous_space, validate_twisted_action
+from twistcech.actions import homogeneous_space, validate_twisted_action
 from twistcech.cech import (
     ActionLadder,
     CechSystem,
@@ -1849,7 +1849,6 @@ def test_sections_single_point():
         1,
         tuple((0,) for _ in C4.elements()),
         tuple((0,) for _ in C2.elements()),
-        "right",
     )
     x = h1_twisted(SYS_CQ).representative(0)
     assert len(sections_of_associated(x, one)) == 1
@@ -1864,10 +1863,9 @@ def test_sections_count_is_gauge_invariant():
             1,
             tuple((0,) for _ in C4.elements()),
             tuple((0,) for _ in C2.elements()),
-            "right",
         ),
-        convert_side(homogeneous_space(data, [0, 2])),
-        convert_side(homogeneous_space(data, [0])),
+        homogeneous_space(data, [0, 2]),
+        homogeneous_space(data, [0]),
     ]
     rng = random.Random(4)
     for cid in range(len(h1)):
@@ -1900,7 +1898,7 @@ def test_sections_match_brute_force_over_all_assignments():
     found = 0
     for system in (s for s in _h0_oracle_systems() if s.coeff.order == 4):  # the C4-valued ones
         data = make_twisted_data(system.data.action)
-        msets = [convert_side(homogeneous_space(data, sub)) for sub in ([0, 1, 2, 3], [0, 2], [0])]
+        msets = [homogeneous_space(data, sub) for sub in ([0, 1, 2, 3], [0, 2], [0])]
         h1 = h1_twisted(system)
         for cid in range(len(h1)):
             x = h1.representative(cid)
@@ -1930,17 +1928,10 @@ def test_sections_match_downstairs_oracle():
                 1,
                 tuple((0,) for _ in C4.elements()),
                 tuple((0,) for _ in C2.elements()),
-                "right",
             ),
         ]
         if all(v in (0, 2) for row in data.table for v in row):
-            fibres.append(
-                validate_twisted_action(
-                    data,
-                    *_coset_tables(data),
-                    "right",
-                )
-            )
+            fibres.append(validate_twisted_action(data, *_coset_tables(data)))
         for m in fibres:
             ghat_action = to_ghat(m, prod)
             for cid in range(len(h1)):
@@ -1952,7 +1943,7 @@ def test_sections_match_downstairs_oracle():
 
 
 def _coset_tables(data):
-    m = convert_side(homogeneous_space(data, [0, 2]))
+    m = homogeneous_space(data, [0, 2])
     return m.size, m.g_act, m.gamma_act
 
 

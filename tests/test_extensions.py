@@ -161,6 +161,14 @@ def test_check_cocycle_violation():
         check_cocycle(INV, [[0, 0], [0, 1]])
 
 
+def test_multiply_cocycles_checks_the_product_against_the_first_action():
+    # c(1,1) = 1 is a cocycle for the trivial action, but the product value 2 * 1 = 3 is no fixed point of inversion
+    other = check_cocycle(trivial_action(C2, C4), [[0, 0], [0, 1]])
+    with pytest.raises(CocycleViolation) as err:
+        multiply_cocycles(c_q_data(INV), other)
+    assert err.value.witness == (1, 1, 1)
+
+
 def test_coboundary_examples():
     assert coboundary(INV, GammaOneCochain((0, 0))).is_trivial()
     # inversion: da(t,t) = -a(t) + a(t) = 0
@@ -401,7 +409,7 @@ def test_product_of_a_cohomologous_cocycle_matches_validate_group(action, draws)
     rep = draws.draw(st.sampled_from(_classified(action).representatives))
     values = draws.draw(st.lists(st.sampled_from(center(action.g).embed), min_size=n - 1, max_size=n - 1))
     delta = coboundary(action, GammaOneCochain((0, *values)))
-    assert_product_matches_validate_group(check_cocycle(action, multiply_cocycles(TwistedData(action, rep), delta).table))
+    assert_product_matches_validate_group(multiply_cocycles(TwistedData(action, rep), delta))
 
 
 def test_product_inverse_of_section_elements():
