@@ -75,7 +75,6 @@ from .cech import (
     delta_h1,
     existence_check,
     gauge,
-    gauge_reduced,
     h0_twisted,
     h1_reduced,
     h1_twisted,

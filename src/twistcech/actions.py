@@ -34,7 +34,7 @@ from .extensions import (
     build_twisted_product,
     make_twisted_data,
 )
-from .groups import FiniteGroup, law_witness, left_cosets, orbit_closures, subgroup_from_elements
+from .groups import FiniteGroup, action_witness, left_cosets, orbit_closures, subgroup_from_elements
 from .records import record
 
 Table = tuple[tuple[int, ...], ...]
@@ -51,18 +51,10 @@ class TwistedGSet:
         return range(self.size)
 
 
-def _action_witness(group: FiniteGroup, table: Table) -> Optional[tuple[int, int]]:
-    """The least (a, b) where m.(ab) == (m.a).b fails at some point m, or None; table[0] is the identity."""
-    return law_witness(
-        group,
-        lambda a: (tuple(map(table.__getitem__, group.mul[a])), tuple(tuple(map(row.__getitem__, table[a])) for row in table)),
-    )
-
-
 def _check_plain_action(group: FiniteGroup, size: int, table: Table) -> None:
     if table[0] != tuple(range(size)):
         raise NotAGroupAction(0, message="identity fails to act trivially")
-    witness = _action_witness(group, table)
+    witness = action_witness(group, table)
     if witness is not None:
         raise NotAGroupAction(*witness)
 
@@ -127,9 +119,10 @@ def to_ghat(m: TwistedGSet, product: Optional[TwistedProductGroup] = None) -> Gh
 
 
 def from_ghat(n: GhatSet) -> TwistedGSet:
-    """Restrict a twisted-product action back to its (G, Gamma) parts."""
+    """Restrict a twisted-product action, once its table passes as a right action, back to its (G, Gamma) parts."""
     prod = n.product
     data = prod.data
+    _check_plain_action(prod.group, n.size, n.act)
     g_act = tuple(n.act[prod.pair_index(a, 0)] for a in data.g.elements())
     gamma_act = tuple(n.act[prod.pair_index(0, t)] for t in data.gamma.elements())
     return validate_twisted_action(data, n.size, g_act, gamma_act)
@@ -175,7 +168,7 @@ def quotient_by_g(m: TwistedGSet) -> tuple[list[tuple[int, ...]], Table, tuple[i
     table = tuple(rows)
     if table[0] != tuple(range(len(orbits))):
         raise InternalError("identity fails to act trivially on orbits")
-    if _action_witness(m.data.gamma, table) is not None:
+    if action_witness(m.data.gamma, table) is not None:
         raise InternalError("quotient Gamma-action fails to be an action")
     return orbits, table, tuple(proj)
 

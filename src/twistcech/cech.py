@@ -61,7 +61,6 @@ from .errors import (
     ImageCocycleNotCentral,
     InputError,
     InternalError,
-    NotCentral,
     NotEquivariant,
     Work,
 )
@@ -80,7 +79,6 @@ from .groups import (
     Subgroup,
     center,
     check_elements,
-    is_central,
     left_cosets,
     orbit_closures,
     subgroup_from_elements,
@@ -508,15 +506,6 @@ def _pulled(tab: SystemTables, key: bytes | tuple[int, ...], slots: Sequence[int
     return tab.key_type(map(doubled.__getitem__, slots))
 
 
-def gauge_reduced(x: TwistedOneCocycle, h: Sequence[int], lam: int) -> TwistedOneCocycle:
-    """Right action of the pair (h, lam) with lam central in the acting group."""
-    if not is_central(x.system.gamma, lam):
-        raise NotCentral(lam)
-    space = x.system.space
-    h_lam = tuple(h[space.act(v, lam)] for v in range(x.system.nerve.n_vertices))
-    return gauge(pullback(x, lam), h_lam)
-
-
 # ---------------------------------------------------------------------------
 # H^0
 # ---------------------------------------------------------------------------
@@ -585,12 +574,6 @@ def _tree_normalize(x: TwistedOneCocycle) -> TwistedOneCocycle:
 def _constant_gauges(system: CechSystem) -> list[tuple[int, ...]]:
     """The vertex functions constant on each component, in product order of their values."""
     return [tuple(h) for h in forest_functions(system.nerve, system.coeff.elements(), lambda p, v, x: x)]
-
-
-def canonical_form(x: TwistedOneCocycle) -> bytes | tuple[int, ...]:
-    """Class invariant: the least key over the residual gauge orbit."""
-    x0 = _tree_normalize(x)
-    return min(gauge(x0, h).key for h in _constant_gauges(x.system))
 
 
 def _edge_solutions(tab: SystemTables, work: Work) -> Iterable[list[int]]:

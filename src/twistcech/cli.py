@@ -34,7 +34,7 @@ from .correspond import (
     plain_system,
 )
 from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_ORDER_GUARD, BudgetExceeded, InputError, TwistError, Work
-from .extensions import TwistedData, build_twisted_product, second_cohomology
+from .extensions import build_twisted_product, second_cohomology
 from .fixtures import default_grid, grid_instance, group, named_action
 from .groups import conjugacy_classes, find_isomorphism, outer_classes
 from .nerves import quotient
@@ -138,13 +138,13 @@ def cmd_extensions(cfg: JobConfig) -> Report:
     catalogue = {name: group(name) for name in ("C2", "C4", "C8", "C2xC2", "S3", "D4", "Q8")}
     rows = []
     for cid, rep in enumerate(h2.representatives):
-        built = build_twisted_product(TwistedData(action, rep))
+        built = build_twisted_product(rep)
         iso_name = None
         for name, cand in sorted(catalogue.items()):
             if cand.order == built.group.order and find_isomorphism(built.group, cand, work=cfg.work):
                 iso_name = name
                 break
-        rows.append({"class": cid, "cocycle": [list(r) for r in rep], "product_isomorphic_to": iso_name})
+        rows.append({"class": cid, "cocycle": [list(r) for r in rep.table], "product_isomorphic_to": iso_name})
     report.add("extension classes", "pass", count=len(h2), classes=rows)
     return report
 

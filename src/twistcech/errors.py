@@ -92,7 +92,6 @@ AxiomII = _witness_error("AxiomII", "Twisted action axiom (ii) fails; witness (m
 AxiomIII = _witness_error("AxiomIII", "Twisted action axiom (iii) fails; witness (m,gamma1,gamma2).")
 CarrierMismatch = _witness_error("CarrierMismatch", "Map endpoints disagree in carrier size or twisted data.")
 SubgroupNotInvariant = _witness_error("SubgroupNotInvariant", "Subgroup is not preserved by the action; witness (gamma,).")
-NotCentral = _witness_error("NotCentral", "Element is not central in the acting group; witness (lambda,).")
 
 # equivariant_nerve
 NotClosed = _witness_error("NotClosed", "A face of a stored simplex is missing; witness (simplex,).")

@@ -186,10 +186,10 @@ def multiply_cocycles(a: TwistedData, b: TwistedData) -> TwistedData:
 
 @record
 class CocycleClassification:
-    """H^2 for a fixed action: the least table of each class, and the point complex that labels them."""
+    """H^2 for a fixed action: the least table of each class as check_cocycle's data, and the point complex that labels them."""
 
     action: GammaAction
-    representatives: list[tuple[tuple[int, ...], ...]]
+    representatives: list[TwistedData]
     complex: AbelianComplex
 
     def __len__(self) -> int:
@@ -208,7 +208,7 @@ class CocycleClassification:
             w = [back[self.action.apply_inv(gamma.mul[t2][t1], c[t2][t1])] for t1, t2 in pairs]
             return self.complex.coboundaries.reduce(cochain_vector(self.complex.coords, w))
 
-        return [label(rep) for rep in self.representatives].index(label(table))
+        return [label(rep.table) for rep in self.representatives].index(label(table))
 
 
 def _whole(g: FiniteGroup) -> Subgroup:
@@ -255,7 +255,7 @@ def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleCla
     So its abelian complex gives Z^2 and the B^2 labels of its cosets, and a
     kernel vector w is read as the table c(g1, g2) = theta_{g1 g2}(w(g2, g1)),
     the inverse of the twist target w(t, t2) = theta_{t2 t}^-1(c(t2, t)).
-    Every representative still passes check_cocycle.
+    Every representative is check_cocycle's output.
 
     Representatives are the lexicographically minimal tables of each coset,
     and class ids ascend with them, so class 0 is B^2, whose least table is
@@ -304,8 +304,7 @@ def second_cohomology(action: GammaAction, *, work: Work = Work()) -> CocycleCla
     order = cx.cocycles.size // cx.coboundaries.size
     if len(least) != order:
         raise InternalError(f"H2 class count mismatch: listed {len(least)}, index formula {order}")
-    reps = [check_cocycle(action, table).table for table in sorted(least.values())]
-    return CocycleClassification(action, reps, cx)
+    return CocycleClassification(action, [check_cocycle(action, table) for table in sorted(least.values())], cx)
 
 
 @record(frozen=True)
@@ -464,16 +463,8 @@ def extract_twisted_data(
     gamma = FiniteGroup(nq, qmul, qinv, label=None)
 
     gset = set(sub.embed)
-    theta_tables = []
-    for x in gamma.elements():
-        s = sec[x]
-        tab = []
-        for h in sub.embed:
-            img = ghat.conjugate(s, h)
-            if img not in gset:
-                raise SectionNotNormalised(x, h)
-            tab.append(sub.parent_to_sub[img])
-        theta_tables.append(tab)
+    # the subgroup is normal, so conjugation by each section element maps it to itself
+    theta_tables = [[sub.parent_to_sub[ghat.conjugate(s, h)] for h in sub.embed] for s in sec]
     action = check_gamma_action(gamma, sub.group, theta_tables)
 
     zset = set(center(sub.group).embed)
@@ -519,12 +510,12 @@ def recocycle(data: TwistedData, s: Sequence[int]) -> Recocycling:
     def inner(t: int) -> tuple[int, ...]:
         return tuple(g.conjugate(t, x) for x in g.elements())
 
-    for a in gamma.elements():
-        for b in gamma.elements():
-            lhs = inner(g.mul[sv[a]][data.theta(a, sv[b])])
-            rhs = inner(sv[gamma.mul[a][b]])
-            if lhs != rhs:
-                raise NotAOneCocycle(a, b)
+    # Int(s_a theta_a(s_b)) == Int(s_ab) is the homomorphism law of Int_s theta; s(1) = 1 makes it hold at a = 1
+    witness = law_witness(
+        gamma, lambda a: ([inner(g.mul[sv[a]][data.theta(a, sv[b])]) for b in gamma.elements()], [inner(sv[ab]) for ab in gamma.mul[a]])
+    )
+    if witness is not None:
+        raise NotAOneCocycle(*witness)
 
     zset = set(center(g).embed)
     cs_table = []

@@ -18,7 +18,7 @@ from .extensions import (
     make_twisted_data,
     trivial_action,
 )
-from .groups import FiniteGroup, cyclic_group, direct_product, permutation_group, validate_group
+from .groups import FiniteGroup, cyclic_group, direct_product, orbit_closures, permutation_group, validate_group
 from .nerves import TRIVIAL_GROUP, GammaNerve, Nerve, trivial_gamma_nerve, validate_gamma_nerve, validate_nerve
 from .records import record
 
@@ -29,18 +29,9 @@ def _s3() -> FiniteGroup:
 
 
 def _d4() -> FiniteGroup:
-    rot = (1, 2, 3, 0)
-    flip = (3, 2, 1, 0)
-    elems = {tuple(range(4))}
-    frontier = [tuple(range(4))]
-    while frontier:
-        p = frontier.pop()
-        for q in (rot, flip):
-            comp = tuple(p[q[i]] for i in range(4))
-            if comp not in elems:
-                elems.add(comp)
-                frontier.append(comp)
-    return permutation_group(sorted(elems), label="D4")
+    rot, flip = (1, 2, 3, 0), (3, 2, 1, 0)
+    (elems,) = orbit_closures([tuple(range(4))], lambda p: (tuple(p[i] for i in q) for q in (rot, flip)))
+    return permutation_group(elems, label="D4")
 
 
 def _q8() -> FiniteGroup:

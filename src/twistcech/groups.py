@@ -62,17 +62,7 @@ class FiniteGroup:
 
     def closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Sorted subgroup generated by gens."""
-        seen = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mul[x][g], self.mul[x][self.inv[g]]):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return tuple(sorted(seen))
+        return _span(self.mul, list(gens))
 
     def generating_sequence(self) -> tuple[int, ...]:
         """Greedy small generating sequence, deterministic in index order."""
@@ -125,40 +115,28 @@ class Automorphism:
         return Automorphism(GroupHom(g, g, m), mi)
 
 
-def _greedy_generators(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Each index, in order, not reached from 0 by right multiplications by earlier ones; no inverses used.
+def _span(mul: Sequence[Sequence[int]], gens: Sequence[int]) -> tuple[int, ...]:
+    """The indices reached from 0 by right multiplications by gens, sorted: in a finite group, the subgroup they generate."""
+    return orbit_closures([0], lambda x: (mul[x][s] for s in gens))[0]
 
-    Then each of them, in order, is dropped when the others still reach every index (Q8's -1 is the
+
+def _greedy_generators(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Each index, in order, not in the ``_span`` of earlier ones; no inverses used.
+
+    Then each of them, in order, is dropped when the others still span every index (Q8's -1 is the
     square of the later generators).
     """
     gens: list[int] = []
-    reached, seen = [0], [True] + [False] * (len(mul) - 1)
+    reached = {0}
     for g in range(len(mul)):
-        if not seen[g]:
+        if g not in reached:
             gens.append(g)
-            for x in reached:  # grows while it is read; each element meets every generator
-                for s in gens:
-                    y = mul[x][s]
-                    if not seen[y]:
-                        seen[y] = True
-                        reached.append(y)
+            reached = set(_span(mul, gens))
     for g in gens[:-1]:  # the last is not reached by the others
         rest = [s for s in gens if s != g]
-        if _reaches_all(mul, rest):
+        if len(_span(mul, rest)) == len(mul):
             gens = rest
     return tuple(gens)
-
-
-def _reaches_all(mul: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
-    """True when right multiplications by gens reach every index from 0."""
-    reached, seen = [0], {0}
-    for x in reached:  # grows while it is read
-        for s in gens:
-            y = mul[x][s]
-            if y not in seen:
-                seen.add(y)
-                reached.append(y)
-    return len(reached) == len(mul)
 
 
 def validate_group(mul: Sequence[Sequence[int]], label: Optional[str] = None) -> FiniteGroup:
@@ -254,6 +232,11 @@ def law_witness(g: FiniteGroup, sides: Callable[[int], tuple[Sequence, Sequence]
         left, right = sides(a)
         if left != right:
             return a, next(b for b, (x, y) in enumerate(zip(left, right)) if x != y)
+
+
+def action_witness(g: FiniteGroup, table: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """The least (a, b) where m.(ab) == (m.a).b fails at some point m of a right action table, or None; table[0] is the identity."""
+    return law_witness(g, lambda a: (tuple(map(table.__getitem__, g.mul[a])), tuple(tuple(map(row.__getitem__, table[a])) for row in table)))
 
 
 def _automorphism(g: FiniteGroup, mapping: Sequence[int]) -> Automorphism:

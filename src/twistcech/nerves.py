@@ -25,7 +25,7 @@ from .errors import (
     NotSimplicial,
     SectionInvalid,
 )
-from .groups import FiniteGroup, cyclic_group, orbit_closures
+from .groups import FiniteGroup, action_witness, cyclic_group, orbit_closures
 from .records import kept, record
 
 MAX_DIM = 3
@@ -198,35 +198,22 @@ def validate_gamma_nerve(
             raise InputError("action table is not a permutation of the vertices")
     if tables[0] != tuple(range(n)):
         raise InputError("identity must act trivially on vertices")
-    for a in gamma.elements():
-        for b in gamma.elements():
-            composed = tuple(tables[b][tables[a][v]] for v in range(n))
-            if composed != tables[gamma.mul[a][b]]:
-                raise InputError(f"vertex action fails to be an action at ({a},{b})")
+    witness = action_witness(gamma, tables)
+    if witness is not None:
+        raise InputError("vertex action fails to be an action at ({},{})".format(*witness))
+    # one scan: every image is a simplex, and free means no nontrivial g fixes a vertex or a simplex
     simplex_sets = [set(nerve.simplices[d]) for d in range(MAX_DIM + 1)]
+    free = True
     for g in gamma.elements():
-        for d in range(1, MAX_DIM + 1):
+        for d in range(MAX_DIM + 1):
             for s in nerve.simplices[d]:
                 img = tuple(sorted(tables[g][v] for v in s))
-                if len(set(img)) != len(img) or img not in simplex_sets[d]:
+                if img not in simplex_sets[d]:
                     raise NotSimplicial(g, s)
-    free = _is_free(nerve, gamma, tables)
+                free = free and (g == 0 or img != s)
     if require_free and not free:
         raise NotFree(message="a nontrivial element fixes a vertex or a simplex")
     return GammaNerve(nerve, gamma, tables, free)
-
-
-def _is_free(nerve: Nerve, gamma: FiniteGroup, tables: Sequence[Sequence[int]]) -> bool:
-    for g in gamma.elements():
-        if g == 0:
-            continue
-        if any(tables[g][v] == v for v in range(nerve.n_vertices)):
-            return False
-        for d in range(1, MAX_DIM + 1):
-            for s in nerve.simplices[d]:
-                if tuple(sorted(tables[g][v] for v in s)) == s:
-                    return False
-    return True
 
 
 def trivial_gamma_nerve(nerve: Nerve, gamma: FiniteGroup) -> GammaNerve:

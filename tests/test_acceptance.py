@@ -34,7 +34,6 @@ from twistcech.correspond import (
 )
 from twistcech.errors import CocycleViolation, InputError
 from twistcech.extensions import (
-    TwistedData,
     build_twisted_product,
     check_cocycle,
     make_twisted_data,
@@ -103,14 +102,14 @@ def test_criterion_1_extension_classification():
     ok = len(h2) == 2
     iso_names = []
     for rep in h2.representatives:
-        built = build_twisted_product(TwistedData(INV, rep))
+        built = build_twisted_product(rep)
         for name, cand in (("D4", D4), ("Q8", Q8)):
             if find_isomorphism(built.group, cand):
                 iso_names.append(name)
     ok = ok and sorted(iso_names) == ["D4", "Q8"]
     ok = ok and h2.class_of(make_twisted_data(INV)) != h2.class_of(c_q_data(INV))
     triv_cls = h2.class_of(make_twisted_data(INV))
-    built_triv = build_twisted_product(TwistedData(INV, h2.representatives[triv_cls]))
+    built_triv = build_twisted_product(h2.representatives[triv_cls])
     ok = ok and find_isomorphism(built_triv.group, D4) is not None
     elapsed = time.monotonic() - start
     _report(1, "extension classification (C2, C4, inversion)", ok and elapsed < 1.0, f"{elapsed:.2f}s")

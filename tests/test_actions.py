@@ -7,6 +7,7 @@ import pytest
 from test_extensions import _all_actions, _subgroups
 
 from twistcech.actions import (
+    GhatSet,
     from_ghat,
     homogeneous_space,
     is_twisted_equivariant,
@@ -17,7 +18,7 @@ from twistcech.actions import (
     validate_twisted_action,
 )
 from twistcech.errors import AxiomI, AxiomII, AxiomIII, InputError, NotAGroupAction, SubgroupNotInvariant
-from twistcech.extensions import build_twisted_product, check_cocycle, make_twisted_data, recocycle, second_cohomology
+from twistcech.extensions import build_twisted_product, make_twisted_data, recocycle, second_cohomology
 from twistcech.fixtures import c_q_data, default_grid, group, inversion_action, q8_swap_action
 from twistcech.groups import center, left_cosets
 
@@ -38,7 +39,7 @@ C4_ON_Q8 = theta_of_full_order("C4", "Q8")[0]
 # theta_t^-1 != theta_t: C3 on C2xC2 untwisted, and C4 on Q8 with both classes of H^2(C4; Z(Q8))
 NON_INVOLUTIVE = [
     make_twisted_data(C3_ON_KLEIN),
-    *(check_cocycle(C4_ON_Q8, rep) for rep in second_cohomology(C4_ON_Q8).representatives),
+    *second_cohomology(C4_ON_Q8).representatives,
 ]
 PRODUCTS = [build_twisted_product(data) for data in (DATA_CQ, *NON_INVOLUTIVE)]
 
@@ -166,6 +167,16 @@ def test_to_ghat_from_ghat_roundtrip():
         back = from_ghat(n)
         assert back.g_act == m.g_act
         assert back.gamma_act == m.gamma_act
+
+
+def test_from_ghat_refuses_a_table_that_is_no_action():
+    # a mixed row copied over another: the (a, 1) and (1, t) rows that from_ghat reads are all intact
+    prod = PRODUCTS[0]
+    n = to_ghat(regular_ghat_set(prod), prod)
+    act = list(n.act)
+    act[prod.pair_index(1, 1)] = act[prod.pair_index(2, 1)]
+    with pytest.raises(NotAGroupAction):
+        from_ghat(GhatSet(prod, n.size, tuple(act)))
 
 
 def test_to_ghat_of_regular_is_multiplication():

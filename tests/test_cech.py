@@ -20,7 +20,6 @@ from twistcech.cech import (
     TwistedOneCocycle,
     abelian_complex,
     action_ladder,
-    canonical_form,
     cochain_values,
     cochain_vector,
     coefficient_ladder,
@@ -32,7 +31,6 @@ from twistcech.cech import (
     enumerate_cocycles,
     existence_check,
     gauge,
-    gauge_reduced,
     h0_twisted,
     h1_reduced,
     h1_twisted,
@@ -48,7 +46,7 @@ from twistcech.cech import (
     trivial_pair,
     twist_target,
 )
-from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, InternalError, NotCentral, Work
+from twistcech.errors import BudgetExceeded, CarrierMismatch, InputError, InternalError, Work
 from twistcech.extensions import (
     build_twisted_product,
     check_cocycle,
@@ -1175,17 +1173,22 @@ def test_h0_is_closed_under_pointwise_products_and_inverses():
                 assert tuple(k.mul[x][y] for x, y in zip(f, g)) in functions
 
 
+def gauge_pair(x, h, lam):
+    """The right action of (h, lam), lam central in the acting group: the semidirect law h1_reduced relies on."""
+    return gauge(pullback(x, lam), tuple(h[x.system.space.act(v, lam)] for v in range(x.system.nerve.n_vertices)))
+
+
 def test_gauge_reduced_is_gauge_at_identity():
     x = h1_twisted(SYS_CQ).representative(0)
     h = (1, 2, 3, 0, 1, 2)
-    assert gauge_reduced(x, h, 0).key == gauge(x, h).key
+    assert gauge_pair(x, h, 0).key == gauge(x, h).key
 
 
 def test_gauge_reduced_orbits_and_pullback():
     h1 = h1_twisted(SYS_CQ)
     for cid in range(len(h1)):
         x = h1.representative(cid)
-        moved = gauge_reduced(x, (0,) * 6, 1)
+        moved = gauge_pair(x, (0,) * 6, 1)
         assert h1.class_of(moved) == h1.class_of(pullback(x, 1))
         back = pullback(pullback(x, 1), 1)
         assert back.key == x.key
@@ -1202,33 +1205,12 @@ def test_gauge_reduced_semidirect_law():
         h2v = tuple(rng.randrange(4) for _ in range(6))
         for lam1 in C2.elements():
             for lam2 in C2.elements():
-                once = gauge_reduced(gauge_reduced(x, h1v, lam1), h2v, lam2)
+                once = gauge_pair(gauge_pair(x, h1v, lam1), h2v, lam2)
                 composed_h = tuple(
                     C4.mul[h1v[v]][h2v[space.act(v, C2.inv[lam1])]] for v in range(6)
                 )
                 lam12 = C2.mul[lam2][lam1]
-                assert once.key == gauge_reduced(x, composed_h, lam12).key
-
-
-def test_gauge_reduced_rejects_non_central():
-    # an acting S3 built from six swapped triangles
-    s3 = S3
-    edges = []
-    for t in s3.elements():
-        base = 3 * t
-        edges += [(base, base + 1), (base + 1, base + 2), (base, base + 2)]
-    nrv = validate_nerve(18, edges)
-    tables = tuple(
-        tuple(3 * s3.mul[v // 3][t] + (v % 3) for v in range(18)) for t in s3.elements()
-    )
-    x_s3 = validate_gamma_nerve(nrv, s3, tables, require_free=True)
-    data = make_twisted_data(trivial_action(s3, C2))
-    system = CechSystem(x_s3, data)
-    a, phi = trivial_pair(system)
-    x = make_cocycle(system, a, phi)
-    noncentral = next(t for t in s3.elements() if any(s3.mul[t][u] != s3.mul[u][t] for u in s3.elements()))
-    with pytest.raises(NotCentral):
-        gauge_reduced(x, (0,) * 18, noncentral)
+                assert once.key == gauge_pair(x, composed_h, lam12).key
 
 
 # --- abelian machinery -----------------------------------------------------
@@ -2022,14 +2004,14 @@ def test_transport_cocycle_class_bijection():
 
 
 def test_canonical_form_is_class_invariant():
+    # a class's least key is its representative, whatever gauge a member carries
     h1 = h1_twisted(SYS_CQ)
     rng = random.Random(6)
     for cid in range(len(h1)):
         x = h1.representative(cid)
-        base = canonical_form(x)
         for _ in range(10):
             h = tuple(rng.randrange(4) for _ in range(6))
-            assert canonical_form(gauge(x, h)) == base
+            assert h1.reps[h1.class_of(gauge(x, h))] == x.key
 
 
 def test_h2_on_equivariant_system_and_membership():

@@ -790,6 +790,23 @@ def test_a_twist_value_out_of_range_exits_2_with_an_input_check(capsys, name, ba
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, kind, error, witness",
+    [
+        ("space_not_an_action.json", "InputError", "vertex action fails to be an action at (1,1)", []),
+        ("space_not_simplicial.json", "NotSimplicial", "NotSimplicial: witness (1, (0, 1))", [1, [0, 1]]),
+    ],
+)
+def test_a_bad_space_exits_2_with_an_input_check(capsys, name, kind, error, witness):
+    # the hexagon under C2, once by a 3-cycle table and once by a swap that moves the edge (0,1) off the nerve
+    code = main(["h1", str(Path(__file__).parent / "data" / name), "X_HEX/C4,trivial,trivial"])
+    captured = capsys.readouterr()
+    assert code == 2
+    check = json.loads(captured.out)["checks"][0]
+    assert (check["name"], check["kind"], check["error"], check["witness"]) == ("input", kind, error, witness)
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("payload", [{"label": "Z2"}, {"label": None}, {}], ids=["string", "null", "absent"])
 def test_group_file_label_is_a_string_or_absent(tmp_path, capsys, payload):
     path = tmp_path / "group.json"

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 import re
 from typing import NamedTuple
 
@@ -115,7 +116,7 @@ def brute_force_second_cohomology(action):
 def assert_matches_oracle(h2):
     """Equal representatives, and the class of every table of Z^2 as the oracle gives it."""
     oracle = brute_force_second_cohomology(h2.action)
-    assert h2.representatives == oracle.representatives
+    assert [rep.table for rep in h2.representatives] == oracle.representatives
     assert all(h2.class_of(table) == oracle.class_of[table] for table in oracle.cocycles)
 
 
@@ -303,7 +304,7 @@ def test_point_kernel_vectors_are_twist_triples(gamma, z, action):
         label_of[table] = cx.coboundaries.reduce(vec)
         least[label_of[table]] = min(table, least.get(label_of[table], table))
     reps = sorted(least.values())
-    assert classes.representatives == reps
+    assert [rep.table for rep in classes.representatives] == reps
     assert all(classes.class_of(table) == reps.index(least[label]) for table, label in label_of.items())
 
 
@@ -391,7 +392,7 @@ def test_product_of_each_grid_row_matches_validate_group():
 def test_product_of_each_h2_representative_matches_validate_group(gamma, z, action):
     h2 = _classified(named_action(action, group(gamma), group(z)))
     for rep in h2.representatives:
-        assert_product_matches_validate_group(TwistedData(h2.action, rep))
+        assert_product_matches_validate_group(rep)
 
 
 # the named actions of the classify cases, and every action of the small pairs, some of order 3 or 4
@@ -409,7 +410,7 @@ def test_product_of_a_cohomologous_cocycle_matches_validate_group(action, draws)
     rep = draws.draw(st.sampled_from(_classified(action).representatives))
     values = draws.draw(st.lists(st.sampled_from(center(action.g).embed), min_size=n - 1, max_size=n - 1))
     delta = coboundary(action, GammaOneCochain((0, *values)))
-    assert_product_matches_validate_group(multiply_cocycles(TwistedData(action, rep), delta))
+    assert_product_matches_validate_group(multiply_cocycles(rep, delta))
 
 
 def test_product_inverse_of_section_elements():
@@ -637,6 +638,43 @@ def test_recocycle_rejects_bad_s():
     three_cycle = next(x for x in S3.elements() if S3.element_order(x) == 3)
     with pytest.raises((NotAOneCocycle, CsNotCentral)):
         recocycle(data, (0, three_cycle))
+
+
+def _one_cocycle_law_full_scan(data, s):
+    """The least (a, b) with Int(s_a theta_a(s_b)) != Int(s_ab), scanning every pair."""
+    g, gamma = data.g, data.gamma
+
+    def inner(x):
+        return tuple(g.conjugate(x, y) for y in g.elements())
+
+    for a, b in itertools.product(gamma.elements(), repeat=2):
+        if inner(g.mul[s[a]][data.theta(a, s[b])]) != inner(s[gamma.mul[a][b]]):
+            return a, b
+    return None
+
+
+@pytest.mark.parametrize("gamma", ["C2", "C4", "S3", "Q8", "D4"])
+@pytest.mark.parametrize("g", ["C2xC2", "C4", "Q8", "S3"])
+def test_recocycle_names_the_least_pair_where_int_s_theta_fails(gamma, g):
+    # the trivial action and one other, each with random s with s(1) = 1: central values, which pass, or any values
+    actions = _all_actions(gamma, g)
+    rng = random.Random(f"{gamma} on {g}")
+    zs = center(group(g)).embed
+    seen = set()
+    for action in (actions[0], actions[-1]):
+        data = make_twisted_data(action)
+        for _ in range(30):
+            values = rng.choice((zs, range(data.g.order)))
+            s = (0, *(rng.choice(values) for _ in range(1, data.gamma.order)))
+            want = _one_cocycle_law_full_scan(data, s)
+            seen.add(want is None)
+            if want is None:
+                assert recocycle(data, s).s == s
+            else:
+                with pytest.raises(NotAOneCocycle) as err:
+                    recocycle(data, s)
+                assert err.value.witness == want
+    assert True in seen and (g in ("C2xC2", "C4")) != (False in seen)  # Int is trivial on abelian G
 
 
 def test_recocycle_abelian_preserves_class():

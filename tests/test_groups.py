@@ -10,6 +10,7 @@ from twistcech.errors import BudgetExceeded, InputError, NoIdentity, NoInverse, 
 from twistcech.extensions import check_gamma_action
 from twistcech.fixtures import GROUPS, group
 from twistcech.groups import (
+    _greedy_generators,
     FiniteGroup,
     GroupHom,
     automorphisms,
@@ -317,18 +318,92 @@ def _check_gamma_action_full_scan(gamma, g, tables):
     return maps
 
 
+def _closure_with_inverses(g, gens):
+    """The sorted subgroup generated by gens, walked by right multiplication by gens and by their inverses."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            for y in (g.mul[x][s], g.mul[x][g.inv[s]]):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return tuple(sorted(seen))
+
+
 def _generating_sequence_by_closure(g):
     """Each element outside the subgroup of the earlier ones, then each of those dropped, in order, when the rest generate g."""
     gens, have = [], {0}
     for x in g.elements():
         if x not in have:
             gens.append(x)
-            have = set(g.closure(gens))
+            have = set(_closure_with_inverses(g, gens))
     for x in list(gens):
         rest = [y for y in gens if y != x]
-        if len(g.closure(rest)) == g.order:
+        if len(_closure_with_inverses(g, rest)) == g.order:
             gens = rest
     return tuple(gens)
+
+
+def _greedy_generators_in_one_walk(mul):
+    """The greedy sequence with one walk from 0 that grows as generators are kept, then each dropped when the rest reach every index."""
+
+    def reaches_all(gens):
+        reached, seen = [0], {0}
+        for x in reached:  # grows while it is read
+            for s in gens:
+                if mul[x][s] not in seen:
+                    seen.add(mul[x][s])
+                    reached.append(mul[x][s])
+        return len(reached) == len(mul)
+
+    gens, reached, seen = [], [0], [True] + [False] * (len(mul) - 1)
+    for g in range(len(mul)):
+        if not seen[g]:
+            gens.append(g)
+            for x in reached:  # grows while it is read; each element meets every generator
+                for s in gens:
+                    if not seen[mul[x][s]]:
+                        seen[mul[x][s]] = True
+                        reached.append(mul[x][s])
+    for g in gens[:-1]:
+        rest = [s for s in gens if s != g]
+        if reaches_all(rest):
+            gens = rest
+    return tuple(gens)
+
+
+def _power(g, k):
+    out = g
+    for _ in range(k - 1):
+        out = direct_product(out, g)
+    return out
+
+
+# the catalogue, then products up to order 64
+SPAN_GROUPS = [
+    *(group(name) for name in sorted(GROUPS)),
+    direct_product(C4, C4),
+    direct_product(S3, C2),
+    direct_product(D4, C2),
+    _power(C2, 6),
+    direct_product(Q8, _power(C2, 3)),
+]
+
+
+@pytest.mark.parametrize("g", SPAN_GROUPS, ids=lambda g: f"order{g.order}-{g.label}")
+def test_greedy_generators_match_the_one_walk_and_the_closures(g):
+    assert _greedy_generators(g.mul) == _greedy_generators_in_one_walk(g.mul) == _generating_sequence_by_closure(g)
+    assert g.closure(g.generating_sequence()) == tuple(g.elements())
+    if g.order <= 16:  # every subset of at most two elements
+        for gens in itertools.chain.from_iterable(itertools.combinations(g.elements(), k) for k in range(3)):
+            assert g.closure(gens) == _closure_with_inverses(g, gens)
+
+
+def test_greedy_generators_match_the_one_walk_on_loops():
+    # validate_group takes the sequence before it knows the table is associative
+    for loop in LOOPS:
+        assert _greedy_generators(loop) == _greedy_generators_in_one_walk(loop)
 
 
 def _outcome(check, *args):

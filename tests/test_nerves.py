@@ -1,6 +1,7 @@
 """Nerves, simplicial actions, covers and monodromy."""
 
 import itertools
+import random
 from typing import Optional
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcech.correspond import plain_system
-from twistcech.errors import Disconnected, InputError, NotGoodCover, NotSimplicial
+from twistcech.errors import Disconnected, InputError, NotFree, NotGoodCover, NotSimplicial
+from twistcech.groups import law_witness
 from twistcech.fixtures import GAMMA_NERVES, NERVES, gamma_nerve, group, nerve
 from twistcech.nerves import (
     MAX_DIM,
@@ -22,7 +24,7 @@ from twistcech.nerves import (
     validate_nerve,
 )
 
-C2, C4 = group("C2"), group("C4")
+C2, C4, S3, Q8 = group("C2"), group("C4"), group("S3"), group("Q8")
 Y_TRI = nerve("Y_TRI")
 X_HEX = gamma_nerve("X_HEX")
 
@@ -410,3 +412,139 @@ def test_edge_index_matches_edges_and_keeps_equality():
         assert fresh == n and hash(fresh) == hash(n)  # one read, one not
         assert fresh.edge_index == n.edge_index
         assert fresh == n and hash(fresh) == hash(n)
+
+
+# --- the vertex-action law and freeness against full scans -----------------
+
+
+def _action_law_full_scan(gamma, tables):
+    """The least (a, b) with (v . a) . b != v . (ab) at some vertex v, scanning every pair."""
+    n = len(tables[0])
+    for a, b in itertools.product(gamma.elements(), repeat=2):
+        if tuple(tables[b][tables[a][v]] for v in range(n)) != tables[gamma.mul[a][b]]:
+            return a, b
+    return None
+
+
+def _is_free_two_scans(nerve_, gamma, tables):
+    """Freeness as its own scan after the simpliciality scan: no nontrivial g fixes a vertex, then no simplex."""
+    for g in gamma.elements():
+        if g == 0:
+            continue
+        if any(tables[g][v] == v for v in range(nerve_.n_vertices)):
+            return False
+        for d in range(1, MAX_DIM + 1):
+            if any(tuple(sorted(tables[g][v] for v in s)) == s for s in nerve_.simplices[d]):
+                return False
+    return True
+
+
+def _validate_gamma_nerve_full_scan(nerve_, gamma, tables, *, require_free=False):
+    """validate_gamma_nerve on permutation tables with the identity row, by every (a, b) and two scans."""
+    witness = _action_law_full_scan(gamma, tables)
+    if witness is not None:
+        raise InputError("vertex action fails to be an action at ({},{})".format(*witness))
+    for g in gamma.elements():
+        for d in range(1, MAX_DIM + 1):
+            for s in nerve_.simplices[d]:
+                if tuple(sorted(tables[g][v] for v in s)) not in nerve_.simplices[d]:
+                    raise NotSimplicial(g, s)
+    free = _is_free_two_scans(nerve_, gamma, tables)
+    if require_free and not free:
+        raise NotFree(message="a nontrivial element fixes a vertex or a simplex")
+    return tables, free
+
+
+def _outcome(check, *args, **kwargs):
+    """The tables and free flag a check returns, or the class, message and witness of what it raises."""
+    try:
+        got = check(*args, **kwargs)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return got if isinstance(got, tuple) else (got.vact, got.free)
+
+
+def _permuted_triangle_tables():
+    """S3 permuting the vertices of the hollow triangle, as right-action tables."""
+    return tuple(tuple(p.index(v) for v in range(3)) for p in itertools.permutations(range(3)))
+
+
+# valid actions: the free fixtures, S3 on the triangle, Q8 on itself by right translation (an 8-vertex
+# nerve with no edges), and two reflections of the hexagon, one fixing vertices and one only an edge
+LAW_SPACES = [
+    *((x.nerve, x.gamma, x.vact) for x in map(gamma_nerve, ("X_HEX", "X_DODEC", "X_OCT"))),
+    (Y_TRI, S3, _permuted_triangle_tables()),
+    (validate_nerve(8, []), Q8, tuple(tuple(Q8.mul[v][t] for v in range(8)) for t in Q8.elements())),
+    (nerve("X_HEX_NERVE"), C2, (tuple(range(6)), tuple((-v) % 6 for v in range(6)))),
+    (nerve("X_HEX_NERVE"), C2, (tuple(range(6)), tuple((1 - v) % 6 for v in range(6)))),
+]
+
+
+def _corrupted(tables, rng):
+    """The tables with one non-identity row changed, two rows swapped, or left alone; rows stay permutations."""
+    rows = [list(row) for row in tables]
+    t, u = rng.randrange(1, len(rows)), rng.randrange(1, len(rows))
+    kind = rng.randrange(4)
+    if kind == 0:
+        rng.shuffle(rows[t])
+    elif kind == 1:
+        rows[t], rows[u] = rows[u], rows[t]
+    elif kind == 2:
+        i, j = rng.sample(range(len(rows[t])), 2)
+        rows[t][i], rows[t][j] = rows[t][j], rows[t][i]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("case", range(len(LAW_SPACES)))
+def test_validate_gamma_nerve_matches_the_full_scan_on_corrupted_tables(case):
+    nerve_, gamma, tables = LAW_SPACES[case]
+    rng = random.Random(case)
+    refused = 0
+    for _ in range(150):
+        bad = _corrupted(tables, rng)
+        for require_free in (False, True):
+            got = _outcome(validate_gamma_nerve, nerve_, gamma, bad, require_free=require_free)
+            assert got == _outcome(_validate_gamma_nerve_full_scan, nerve_, gamma, bad, require_free=require_free)
+            refused += got[0] is InputError
+    assert refused
+
+
+def test_the_least_failing_element_may_lie_off_the_generating_sequence():
+    # S3's sequence (1, 2) holds its two least non-identity elements, so there the least failing a is always
+    # a generator; Q8's is (i, j) = (2, 4): a table whose -1 = 1 squares to no identity fails first at (1, 1)
+    nerve_, gamma, tables = LAW_SPACES[4]
+    bad = (tables[0], tables[3], *tables[2:])
+    assert 1 not in gamma.generating_sequence() and _action_law_full_scan(gamma, bad) == (1, 1)
+    with pytest.raises(InputError, match=r"^vertex action fails to be an action at \(1,1\)$"):
+        validate_gamma_nerve(nerve_, gamma, bad)
+
+
+def test_a_reversed_composition_fails_the_full_scan():
+    # tables[a] after tables[b] is the left-action law, which S3's right action on the triangle breaks
+    tables = _permuted_triangle_tables()
+    reversed_law = law_witness(S3, lambda a: (tuple(tuple(map(tables[a].__getitem__, tb)) for tb in tables), tuple(map(tables.__getitem__, S3.mul[a]))))
+    assert _action_law_full_scan(S3, tables) is None and reversed_law is not None
+    assert validate_gamma_nerve(Y_TRI, S3, tables).vact == tables
+
+
+def _free_flag_spaces():
+    yield from GAMMA_NERVES.values()
+    yield from (n.plain_space for n in NERVES.values())
+    for gamma, values in ((C2, (0, 0, 1)), (C4, (0, 0, 1)), (C4, (0, 0, 2)), (C4, (1, 2, 3)), (S3, (1, 2, 0)), (Q8, (0, 2, 4))):
+        yield build_cover(Y_TRI, gamma, values)[0]
+    for nerve_, gamma, tables in LAW_SPACES:
+        yield validate_gamma_nerve(nerve_, gamma, tables)
+
+
+def test_the_free_flag_matches_the_two_scans():
+    seen = set()
+    for space in _free_flag_spaces():
+        free = _is_free_two_scans(space.nerve, space.gamma, space.vact)
+        seen.add(free)
+        assert space.free == free
+        if free:
+            assert validate_gamma_nerve(space.nerve, space.gamma, space.vact, require_free=True) == space
+        else:
+            with pytest.raises(NotFree):
+                validate_gamma_nerve(space.nerve, space.gamma, space.vact, require_free=True)
+    assert seen == {False, True}
