@@ -363,9 +363,12 @@ def solve(hom: ZHom, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(-x % d for x, d in zip(rep[m:], hom.mods_in))
 
 
-@record
+@record(frozen=True)
 class AbelianComplex:
-    """d1 and d2 as integer matrices on one coordinate system; Z^2 and B^2 are read off their graphs."""
+    """d1 and d2 as integer matrices on one coordinate system; Z^2 and B^2 are read off their graphs.
+
+    Frozen, since ``cech.abelian_complex`` shares one complex among the systems of a space.
+    """
 
     coords: AbelianCoords
     d1_hom: ZHom

@@ -929,15 +929,24 @@ def d2(system: CechSystem, values: Sequence[int]) -> list[int]:
 
 
 def abelian_complex(system: CechSystem) -> AbelianComplex:
-    """Assemble d1 and d2 as integer matrices.
+    """d1 and d2 as integer matrices, assembled once per space and coefficient module.
 
     Vectors are ``cochain_vector``s of flat cochains in the slot order of
     the module docstring.  The rows of both maps are read off their
     stencils, ``d1_stencil`` and ``d2_stencil``: a term (s, t, sign) adds
     sign times the coordinate matrix of theta_t^-1 on the block of slot s.
     The terms of d1 on phi_1's slots add nothing, since abelian 1-cochains
-    fix phi_1 = 1.  Refuses when the 2-cochains outgrow the
-    exact-linear-algebra guard.
+    fix phi_1 = 1.  Refuses when the coefficients are not abelian or the
+    2-cochains outgrow the exact-linear-algebra guard; both checks run on
+    every call.
+
+    The matrices read only the space, the coefficient table and the
+    theta^-1 tables: c enters d1 through the site targets, never through
+    its factors.  So the complex is kept on ``system.space``, with its
+    Howell forms once they are used, keyed by ``system.coeff.mul`` and
+    ``tables.theta_inv`` by value.  Every system on the space with an
+    equal module gets the same object; its ``coords`` may name another
+    group object with the same table.
     """
     if not system.coeff.is_abelian():
         raise InputError("abelian machinery requires abelian coefficients")
@@ -946,6 +955,16 @@ def abelian_complex(system: CechSystem) -> AbelianComplex:
     r = len(co.moduli)
     if sizes[1] * r > DEFAULT_COORD_GUARD:
         raise BudgetExceeded(f"abelian cochain space has {sizes[1] * r} coordinates, guard {DEFAULT_COORD_GUARD}")
+    key = (system.coeff.mul, system.tables.theta_inv)
+    complexes = kept(system.space, "_abelian_complexes", dict)
+    if key not in complexes:
+        complexes[key] = _assemble_complex(system, co, sizes)
+    return complexes[key]
+
+
+def _assemble_complex(system: CechSystem, co: AbelianCoords, sizes: tuple[int, int, int]) -> AbelianComplex:
+    """The matrices of ``abelian_complex``, read off the stencils in the coordinates ``co``."""
+    r = len(co.moduli)
     mods1, mods2, mods3 = (co.moduli * size for size in sizes)
     # coord[t][j]: the coordinates of theta_t^-1 of generator j, column j of its matrix
     coord = [[co.vec_of[th[gen]] for gen in co.generators] for th in system.tables.theta_inv]

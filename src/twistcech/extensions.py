@@ -85,8 +85,9 @@ def check_gamma_action(gamma: FiniteGroup, g: FiniteGroup, tables: Sequence[Sequ
 
 
 def trivial_action(gamma: FiniteGroup, g: FiniteGroup) -> GammaAction:
+    """Every element acts by the identity, an automorphism, so the action needs none of ``check_gamma_action``'s checks."""
     ident = tuple(range(g.order))
-    return check_gamma_action(gamma, g, tuple(ident for _ in gamma.elements()))
+    return GammaAction(gamma, g, (Automorphism(GroupHom(g, g, ident), ident),) * gamma.order)
 
 
 @record(frozen=True)

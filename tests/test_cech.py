@@ -2181,6 +2181,94 @@ def test_kept_coordinates_match_a_fresh_search_on_an_equal_copy():
     assert "_coords" not in vars(S3)
 
 
+def _point_centre_system(action):
+    """``second_cohomology``'s system: the centre of the action's group over the point space Gamma keeps."""
+    from twistcech.extensions import restrict_to_subgroup
+    from twistcech.nerves import point_space
+
+    return CechSystem(point_space(action.gamma), restrict_to_subgroup(make_twisted_data(action), center(action.g)))
+
+
+def _assert_same_complex(kept, fresh):
+    assert fresh is not kept
+    assert (fresh.d1_hom, fresh.d2_hom) == (kept.d1_hom, kept.d2_hom)
+    # an equal module of another group object keeps that group's coordinates, which are the same search's
+    assert fresh.coords.group.mul == kept.coords.group.mul
+    assert all(getattr(fresh.coords, name) == getattr(kept.coords, name) for name in ("moduli", "generators", "vec_of", "elem_of"))
+    assert fresh.cocycles.rows == kept.cocycles.rows and fresh.coboundaries.rows == kept.coboundaries.rows
+
+
+def test_a_kept_abelian_complex_matches_one_assembled_on_an_equal_copy():
+    from twistcech.extensions import second_cohomology
+    from twistcech.fixtures import named_action
+    from twistcech.groups import FiniteGroup
+    from twistcech.nerves import GammaNerve, point_space
+
+    # the centre system of each of the 16 action ladders of the grid, against a new copy of its space
+    ladders = {}
+    for inst in default_grid():
+        ladders.setdefault((inst.space, inst.data.action), action_ladder(inst.space, inst.data.action))
+    assert len(ladders) == 16
+    for ladder in ladders.values():
+        space = ladder.sys_z.space
+        copy = GammaNerve(space.nerve, space.gamma, space.vact, space.free)
+        assert copy == space and abelian_complex(ladder.sys_z) is ladder.cx
+        _assert_same_complex(ladder.cx, abelian_complex(CechSystem(copy, ladder.sys_z.data)))
+    # the centres of C2 and Q8, with or without the swap, are one module over X_HEX: one complex
+    hex_cx = [ladder.cx for (space, action), ladder in ladders.items() if space is X_HEX and action.g in (C2, Q8)]
+    assert len(hex_cx) == 3 and all(cx is hex_cx[0] for cx in hex_cx)
+    # the point complexes of classify, against a new Gamma object and so a new point space
+    actions = [named_action(a, group(gamma), group(z)) for gamma, z, a in CLASSIFY_JOBS]
+    actions += [trivial_action(group("D4"), C4), trivial_action(Q8, C4), INV]
+    for action in actions:
+        system = _point_centre_system(action)
+        gamma = action.gamma
+        copy = FiniteGroup(gamma.order, gamma.mul, gamma.inv, gamma.label, gamma.relabeling)
+        _assert_same_complex(abelian_complex(system), abelian_complex(CechSystem(point_space(copy), system.data)))
+    for action in actions[: len(CLASSIFY_JOBS)]:
+        assert second_cohomology(action).complex is abelian_complex(_point_centre_system(action))
+
+
+def test_a_warm_space_still_refuses_and_a_loaded_space_frees_its_complexes(monkeypatch):
+    import gc
+    import weakref
+    from pathlib import Path
+
+    from twistcech import extensions
+    from twistcech.extensions import second_cohomology
+    from twistcech.serialize import resolve_gamma_nerve, resolve_twisted_data
+
+    ladder = action_ladder(X_HEX, grid_instance("X_HEX/Q8,q8_swap,square").data.action)
+    assert ladder.cx is abelian_complex(ladder.sys_z) and vars(X_HEX)["_abelian_complexes"]
+    with pytest.raises(InputError, match="abelian machinery requires abelian coefficients"):
+        abelian_complex(ladder.sys_g)
+    point = _point_centre_system(trivial_action(C2, C2))
+    assert second_cohomology(trivial_action(C2, C2)).complex is abelian_complex(point)
+    with pytest.raises(BudgetExceeded, match="kernel of d2 has 2 elements, budget 1"):
+        second_cohomology(trivial_action(C2, C2), work=Work(enum=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(extensions, "DEFAULT_COORD_GUARD", 0)
+        with pytest.raises(BudgetExceeded, match="3-cochains have 1 coordinates, guard 0"):
+            second_cohomology(trivial_action(C2, C2))
+    # the centre's complex over X_HEX needs 12 coordinates, and C2's point complex 1
+    monkeypatch.setattr(cech, "DEFAULT_COORD_GUARD", 0)
+    for system, size in ((ladder.sys_z, 12), (point, 1)):
+        with pytest.raises(BudgetExceeded, match=f"has {size} coordinates, guard 0"):
+            abelian_complex(system)
+    with pytest.raises(BudgetExceeded, match="abelian cochain space has 1 coordinates, guard 0"):
+        second_cohomology(trivial_action(C2, C2))
+    monkeypatch.undo()
+    # a space read from a file takes its complexes with it
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+    space = resolve_gamma_nerve(str(inputs / "X_OCT.json"))
+    assert abelian_complex(CechSystem(space, resolve_twisted_data(str(inputs / "trivial_C2_C4.json"))))
+    assert len(vars(space)["_abelian_complexes"]) == 1
+    gone = weakref.ref(space)
+    del space
+    gc.collect()
+    assert gone() is None
+
+
 def test_shared_space_tables_match_the_one_piece_compile(monkeypatch):
     systems = _systems_sharing_spaces(monkeypatch)
     assert len(systems) == 26 * 4 + 22 + 18 + 10 + 2

@@ -446,12 +446,45 @@ def test_verify_all_work_counts_repeat_on_a_second_call(count_calls, tmp_path):
         "d1": 54,
     }
     # what one main() call keeps for the next is built once per object: the
-    # compiled tables of the built-in spaces and of each built-in nerve's
-    # plain space, and the centres and central quotients of the built-in
-    # groups; every system, ladder, H^1 set and descent is built again
+    # compiled tables and abelian complexes of the built-in spaces and of
+    # each built-in nerve's plain space, and the centres and central
+    # quotients of the built-in groups; every system, ladder, H^1 set and
+    # descent is built again.  So every count repeats, ``abelian_complex``
+    # calls too, while a second call builds no complex by design (see
+    # ``test_each_space_builds_an_abelian_complex_once_per_module``)
     assert main(["verify", "all", "--out", str(tmp_path / "again.json")]) == 0
     assert {name: calls[name] - first[name] for name in calls} == first
     assert dict(trees) == {"tree_gauge": 4, "quotient": 4}
+
+
+def _drop_kept_complexes():
+    """Forget the abelian complexes kept on the built-in spaces and on the catalogue groups' point spaces."""
+    plain = (vars(n).get("plain_space") for n in fixtures.NERVES.values())
+    points = (vars(g).get("_point_space") for g in fixtures.GROUPS.values())
+    for space in (*fixtures.GAMMA_NERVES.values(), *plain, *points):
+        if space is not None:
+            vars(space).pop("_abelian_complexes", None)
+
+
+def test_each_space_builds_an_abelian_complex_once_per_module(count_calls, tmp_path):
+    from test_cech import CLASSIFY_JOBS
+
+    built = count_calls(cech, "_assemble_complex")
+    out = str(tmp_path / "report.json")
+    classify = [["extensions", "classify", gamma, z, "--action", a, "--out", out] for gamma, z, a in CLASSIFY_JOBS]
+    # warm every space first, so that the cold counts show the drop reaches every kept complex
+    assert main(["verify", "all", "--out", out]) == 0 and all(main(argv) == 0 for argv in classify)
+    builds = []
+    for argvs in ([["verify", "all", "--out", out]], classify):
+        _drop_kept_complexes()
+        for _ in ("cold", "warm"):
+            built["_assemble_complex"] = 0
+            assert all(main(argv) == 0 for argv in argvs)
+            builds.append(built["_assemble_complex"])
+    # 16 ladders, one complex each when every call built its own; the ladders of the
+    # centres with equal modules share one (C2, Q8 and Q8 with q8_swap all have C2
+    # acting trivially over X_HEX).  The seven classify actions have seven modules
+    assert builds == [11, 0, 7, 0]
 
 
 FRESH_PROCESS = """

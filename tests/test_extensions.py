@@ -162,6 +162,16 @@ def test_check_cocycle_violation():
         check_cocycle(INV, [[0, 0], [0, 1]])
 
 
+def test_trivial_action_equals_the_checked_identity_tables():
+    # trivial_action skips check_gamma_action's hom and law checks; the checked action is its oracle,
+    # on the catalogue groups and on the glued group of every grid row, as plain_system acts on it
+    glued = [build_twisted_product(inst.data).group for inst in default_grid()]
+    pairs = [*itertools.product(GROUPS.values(), repeat=2), *((gamma, g) for g in glued for gamma in (group("C1"), C2))]
+    for gamma, g in pairs:
+        ident = tuple(range(g.order))
+        assert trivial_action(gamma, g) == check_gamma_action(gamma, g, [ident] * gamma.order), (gamma, g)
+
+
 def test_multiply_cocycles_checks_the_product_against_the_first_action():
     # c(1,1) = 1 is a cocycle for the trivial action, but the product value 2 * 1 = 3 is no fixed point of inversion
     other = check_cocycle(trivial_action(C2, C4), [[0, 0], [0, 1]])
